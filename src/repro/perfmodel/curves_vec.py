@@ -143,7 +143,9 @@ class PackedCurves:
         # the warning, the values never escape.
         with np.errstate(over="ignore", invalid="ignore"):
             t = (target - y0) / np.where(y1 == y0, 1.0, y1 - y0)
-            inv = np.where(y1 == y0, x0,
-                           np.minimum(x1, x0 + t * (x1 - x0)))
+            cand = x0 + t * (x1 - x0)
+            # The scalar clamp is builtin ``min(x1, cand)``, which keeps
+            # x1 on ties (-0.0 vs 0.0 included); np.minimum would not.
+            inv = np.where(y1 == y0, x0, np.where(cand < x1, cand, x1))
         return np.where(first_y >= target, first_x,
                         np.where(reached, inv, last_x))

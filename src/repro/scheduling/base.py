@@ -13,6 +13,8 @@ import abc
 import heapq
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.config import SchedulerConfig
 from repro.errors import SchedulingError
 from repro.hardware.topology import ClusterSpec
@@ -193,13 +195,16 @@ class BaseScheduler(abc.ABC):
         context for the tracer (candidate-set size, degraded/trial
         flags) and is never read by placement logic."""
         n_nodes = len(node_ids)
+        # The placement's node-id array, built once for the cluster's
+        # columnar paths and every later refresh/settle/remove.
+        nodes = np.fromiter(node_ids, dtype=np.int64, count=n_nodes)
         # Batched install: one fancy-indexed write per capacity column
         # instead of a per-node place() walk.  place_slices validates
         # before mutating, so a failed placement leaves the cluster
         # untouched — no rollback loop needed here.
         cluster.place_slices(
             node_ids, job.job_id, job.program, procs_per_node,
-            ways, bw_per_node, n_nodes, net=net_per_node,
+            ways, bw_per_node, n_nodes, net=net_per_node, nodes=nodes,
         )
         placement = Placement(
             node_ids=tuple(node_ids),
@@ -207,6 +212,7 @@ class BaseScheduler(abc.ABC):
             dedicated_ways=ways,
             booked_bw=bw_per_node,
             booked_net=net_per_node,
+            nodes=nodes,
         )
         return Decision(job=job, placement=placement,
                         scale_factor=scale_factor, meta=meta)

@@ -8,9 +8,10 @@ simulated clusters of Fig 20.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
+from operator import is_
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -19,25 +20,24 @@ from repro.errors import AllocationError, SimulationError
 from repro.hardware.topology import ClusterSpec
 from repro.perfmodel import batch
 from repro.perfmodel.context import PerfContext, resolve_cache_mode
-from repro.perfmodel.contention import (
-    Slice,
-    arbitrate_node,
-    node_network_load,
-)
-from repro.sim.node import NodeColumns, NodeState, SliceColumns
+from repro.perfmodel.contention import arbitrate_node, node_network_load
+from repro.sim.node import MixTable, NodeColumns, NodeState, SliceColumns
 
-#: Cached per-node arbitration, stored positionally so signature-shared
-#: results fan out to sibling nodes as plain tuple packing: (resident job
-#: ids in insertion order, granted GB/s per job, network load, effective
-#: LLC ways per job).  Slices per node are few, so consumers look up one
-#: job via ``view[0].index(job_id)``.
+#: One node's arbitration, stored positionally so every node of a mix
+#: shares one tuple: (resident job ids in insertion order, granted GB/s
+#: per job, network load, effective LLC ways per job).  Slices per node
+#: are few, so consumers look up one job via ``view[0].index(job_id)``.
 ArbitrationView = Tuple[
     Tuple[int, ...], Tuple[float, ...], float, Tuple[float, ...]
 ]
 
-#: Placeholder in arbitration_batch's per-call identity memo for a
-#: signature whose representative is queued for the batched solve.
-_AWAITING_SOLVE: tuple = ()
+
+def _id_array(node_ids: Iterable[int]) -> np.ndarray:
+    """Node ids as an int64 array (arrays pass through uncopied)."""
+    if isinstance(node_ids, np.ndarray):
+        return node_ids
+    count = len(node_ids) if hasattr(node_ids, "__len__") else -1
+    return np.fromiter(node_ids, dtype=np.int64, count=count)
 
 
 @dataclass
@@ -58,17 +58,10 @@ class ClusterState:
     # deterministic iteration order, and — unlike sorting — no O(G log G)
     # cost per query on clusters with tens of thousands of idle nodes.
     _by_free_cores: Dict[int, Dict[int, None]] = field(init=False)
-    # Per-node arbitration results as an object column (index = node id,
-    # ``None`` = no entry), evicted whenever place/remove changes the
-    # node's slice set; the runtime's _refresh reads unchanged nodes
-    # from here instead of re-arbitrating them from scratch.  A batched
-    # place/remove evicts its whole cohort with one fancy-indexed write.
-    _arb_cache: np.ndarray = field(init=False)
-    # Signature-keyed arbitration views shared *across* nodes: wide-job
-    # placement produces thousands of nodes with identical resident mixes,
-    # and a _arb_cache eviction on one of them can be refilled from a
-    # sibling's result without rebuilding Slice objects.  Values store
-    # grants/ways positionally plus the program refs for stale-id defence.
+    # Job-id-independent signature -> arbitration result, shared across
+    # mixes: successive jobs of one shape resolve their mixes without a
+    # kernel solve.  Values store grants/ways positionally plus the
+    # program refs for stale-id defence.
     _view_cache: Dict[tuple, tuple] = field(init=False)
     #: Monotone counter bumped on every slice removal.  Placements only
     #: consume capacity, so between two removals a job that failed to
@@ -100,6 +93,9 @@ class ClusterState:
         # Per-slice SoA plane (job id / procs / ways / bw / net per dense
         # resident slot), kept in lockstep with the node columns.
         self.scols = SliceColumns(n, self.spec.node.cores)
+        # Interned resident mix per node (DESIGN.md §7): the per-mix
+        # arbitration views and batch transitions live here.
+        self.mixes = MixTable(n, self.spec.node.cores)
         self.nodes = [
             NodeState(
                 node_id=i,
@@ -116,12 +112,10 @@ class ClusterState:
         self._by_free_cores = {
             self.spec.node.cores: dict.fromkeys(range(n))
         }
-        self._arb_cache = np.full(n, None, dtype=object)
         self._view_cache = {}
         self._down = {}
         self.counters = {
-            "arb_requests": 0,
-            "arb_cache_hits": 0,
+            "mix_transitions": 0,
             "view_cache_hits": 0,
             "arb_nodes_solved": 0,
             "nodes_scanned": 0,
@@ -212,6 +206,15 @@ class ClusterState:
                 "scalar place cannot maintain the fabric link columns "
                 "for a network-booking slice; use place_slices"
             )
+        meta = self.scols.meta.get(job_id)
+        if meta is not None:
+            # The resident mix key names jobs, not bookings: a job books
+            # the same ways and bandwidth on every node it occupies.
+            if meta[4] != bw or (self.partitioned and meta[3] != ways):
+                raise AllocationError(
+                    f"job {job_id} must book the same ways and bandwidth "
+                    f"on every node"
+                )
         old = int(self.columns.free_cores[node_id])
         self.nodes[node_id].place(job_id, program, procs, ways, bw,
                                   n_nodes, net)
@@ -220,7 +223,8 @@ class ClusterState:
             # bucket — _reindex below is a no-op, evict the memo here.
             self._scan_cache.pop(old, None)
         self._reindex(node_id, old, old - procs)
-        self._arb_cache[node_id] = None
+        self.counters["mix_transitions"] += self.mixes.add(
+            np.array([node_id]), job_id, np.array([procs]))
 
     def remove(self, node_id: int, job_id: int) -> None:
         cols = self.columns
@@ -243,30 +247,32 @@ class ClusterState:
         if new == old:
             self._scan_cache.pop(old, None)
         self._reindex(node_id, old, new)
-        self._arb_cache[node_id] = None
+        self.counters["mix_transitions"] += self.mixes.drop(
+            np.array([node_id]), job_id)
         self.release_epoch += 1
 
     def place_slices(self, node_ids: Sequence[int], job_id: int, program,
                      procs_per_node: Dict[int, int], ways: int, bw: float,
-                     n_nodes: int, net: float = 0.0) -> None:
+                     n_nodes: int, net: float = 0.0,
+                     nodes: Optional[np.ndarray] = None) -> None:
         """Install one job's slices on all its nodes in one batch.
 
         Semantically ``for nid in node_ids: place(nid, ...)``, but the
         capacity columns mutate through fancy-indexed array ops and the
-        per-node Python bookkeeping shares one resident record and one
-        signature item per distinct process count (an even split has at
-        most two).  Validation runs *before* any mutation, so a raised
-        :class:`AllocationError` leaves the cluster untouched — no
-        caller-side rollback.
+        resident mix column moves through one transition per distinct
+        (prior mix, process count) pair.  Validation runs *before* any
+        mutation, so a raised :class:`AllocationError` leaves the
+        cluster untouched — no caller-side rollback.  ``nodes`` is as
+        in :meth:`remove_slices`.
         """
         count = len(node_ids)
         if count == 0:
             raise AllocationError("placement names no nodes")
         if net < 0:
             raise AllocationError("network booking must be non-negative")
-        nodes = self.nodes
         cols = self.columns
-        arr = np.fromiter(node_ids, dtype=np.int64, count=count)
+        arr = np.fromiter(node_ids, dtype=np.int64, count=count) \
+            if nodes is None else nodes
         if count > 1 and len(set(node_ids)) != count:
             raise AllocationError("placement names a node twice")
         old_free_arr = cols.free_cores[arr]
@@ -291,9 +297,7 @@ class ClusterState:
         # Duplicate-resident check, pruned to occupied nodes through the
         # n_res column (an idle node cannot already host this job).
         slot_pos = cols.n_res[arr]  # fancy index: an owned copy
-        busy = slot_pos > 0
-        busy_any = bool(busy.any())
-        if busy_any:
+        if bool((slot_pos > 0).any()):
             dup = (sc.job[arr] == job_id).any(axis=1)
             if bool(dup.any()):
                 raise AllocationError(
@@ -334,7 +338,8 @@ class ClusterState:
             sc.net[arr, slot_pos] = net
         entry = sc.meta.get(job_id)
         sc.meta[job_id] = (
-            program, n_nodes, count if entry is None else entry[2] + count
+            program, n_nodes, count if entry is None else entry[2] + count,
+            ways, bw,
         )
         # -- node columns (single fancy-indexed op per array) --------------
         cols.free_cores[arr] -= procs_arr
@@ -353,66 +358,13 @@ class ClusterState:
             cols.net_eps[arr] = (1.0 - cols.booked_net[arr]) + 1e-9
             if self._fabric is not None:
                 self._book_cross(arr, slot_pos, net, count)
-        # -- per-node bookkeeping ------------------------------------------
-        sig_ways = ways if partitioned else 0
-        sig_bw = bw if self.enforce_bw else -1.0
-        pid = id(program)
-        # One fully-assembled arb signature per distinct process count
-        # (an even split has at most two) for nodes that were empty
-        # before this batch.  Cohort nodes sharing the signature *object*
-        # lets arbitration_batch collapse them through an identity memo
-        # without rebuilding or re-hashing per node.
-        shared: Dict[int, tuple] = {}
-        for procs in set(procs_list):
-            key = (
-                ((pid, procs, n_nodes, sig_ways, sig_bw),),
-                cols.llc_ways - ways if partitioned else procs,
-            )
-            shared[procs] = (key, (job_id,), (program,))
-        # Signatures write through the object column as fancy-indexed
-        # bulk ops — no interpreted loop body per slice.  A previously-
-        # empty node's signature is the cohort's shared one (sole
-        # resident, full residual ways / sole core user); an occupied
-        # node with a current signature *extends* it in place of a lazy
-        # rebuild (the new resident appends at the end of insertion
-        # order, and the residual shifts by exactly this slice's
-        # ways/cores) — both match what arb_signature() would rebuild
-        # from scratch.
-        sigs = sc.sig
-        cell = np.empty(1, dtype=object)
-        if not busy_any:
-            if len(shared) == 1:
-                cell[0] = shared[procs_list[0]]
-                sigs[arr] = cell
-            else:
-                # One masked write per distinct process count (an even
-                # split has at most two); a bare tuple would coerce to a
-                # 2-D object array, hence the 1-cell wrapper.
-                for p, s in shared.items():
-                    cell = np.empty(1, dtype=object)
-                    cell[0] = s
-                    sigs[arr[procs_arr == p]] = cell
-        else:
-            for nid, p, b in zip(node_ids, procs_list, busy.tolist()):
-                if not b:
-                    sigs[nid] = shared[p]
-                    continue
-                sig = sigs[nid]
-                if sig is None:
-                    continue
-                okey = sig[0]
-                sigs[nid] = (
-                    (
-                        okey[0] + shared[p][0][0],
-                        okey[1] - ways if partitioned else okey[1] + p,
-                    ),
-                    sig[1] + (job_id,),
-                    sig[2] + (program,),
-                )
-        self._arb_cache[arr] = None
+        # -- resident mix: one transition per distinct (mix, procs) -------
+        self.counters["mix_transitions"] += self.mixes.add(
+            arr, job_id, procs_arr)
         self._reindex_batch(node_ids, old_free, procs_list, -1)
 
-    def remove_slices(self, node_ids: Sequence[int], job_id: int) -> None:
+    def remove_slices(self, node_ids: Sequence[int], job_id: int,
+                      nodes: Optional[np.ndarray] = None) -> None:
         """Remove one job's slices from all its nodes in one batch
         (semantically ``for nid in node_ids: remove(nid, ...)``, with a
         single ``release_epoch`` bump — the epoch is only ever compared
@@ -426,19 +378,21 @@ class ClusterState:
         re-sum.  One job books identical ways/bandwidth/network on every
         node of its placement (``place_slices`` takes them as scalars),
         so one slice decides the batch-wide re-sum and ways values.
+        ``nodes`` is ``node_ids`` as an int64 array when the caller
+        already holds one (:attr:`Placement.nodes`).
         """
         count = len(node_ids)
         cols = self.columns
         sc = self.scols
-        arr = np.fromiter(node_ids, dtype=np.int64, count=count)
+        arr = np.fromiter(node_ids, dtype=np.int64, count=count) \
+            if nodes is None else nodes
         old_free = cols.free_cores[arr].tolist()
         partitioned = self.partitioned
         # Nodes keeping residents (before the decrement below) need
-        # their booked sums rebuilt and their signatures shrunk;
-        # emptied nodes reset to zeros / None.  When NO node keeps a
-        # resident (the dominant shape: a job leaving nodes it had to
-        # itself), density pins its sole slice at slot 0 on every node
-        # — no mask/argmax/compaction machinery needed at all.
+        # their booked sums rebuilt; emptied nodes reset to zeros.  When
+        # NO node keeps a resident (the dominant shape: a job leaving
+        # nodes it had to itself), density pins its sole slice at slot 0
+        # on every node — no mask/argmax/compaction machinery at all.
         kept = cols.n_res[arr] > 1
         kept_any = bool(kept.any())
         if not kept_any:
@@ -455,7 +409,6 @@ class ClusterState:
             pos = None
             procs_arr = sc.procs[arr, 0]
             p0 = 0
-            kept_pos: List[int] = []
         else:
             jrows = sc.job[arr]  # (count, slots+1) owned copies
             mask = jrows == job_id
@@ -468,7 +421,6 @@ class ClusterState:
             pos = mask.argmax(axis=1)
             procs_arr = sc.procs[arr, pos]
             p0 = int(pos[0])
-            kept_pos = np.nonzero(kept)[0].tolist()
         procs_list = procs_arr.tolist()
         if partitioned:
             ways = int(sc.ways[arr[0], p0])
@@ -482,36 +434,7 @@ class ClusterState:
         # share of a nonzero net booking).
         fabric_active = self._fabric is not None
         has_cross = fabric_active and float(sc.cross[arr[0], p0]) != 0.0
-        # A surviving node with a current signature *shrinks* it in
-        # place of a lazy rebuild: dropping position ``idx`` from each
-        # parallel tuple and shifting the residual by exactly this
-        # slice's ways/cores matches what arb_signature() would rebuild
-        # from the surviving residents in insertion order.
-        sigs = sc.sig
-        shrunk: List[Optional[tuple]] = []
-        for i in kept_pos:
-            sig = sigs[node_ids[i]]
-            if sig is None:
-                shrunk.append(None)
-                continue
-            jids = sig[1]
-            idx = jids.index(job_id)
-            okey = sig[0]
-            items = okey[0]
-            shrunk.append((
-                (
-                    items[:idx] + items[idx + 1:],
-                    okey[1] + ways if partitioned
-                    else okey[1] - procs_list[i],
-                ),
-                jids[:idx] + jids[idx + 1:],
-                sig[2][:idx] + sig[2][idx + 1:],
-            ))
-        sigs[arr] = None
-        for i, sig in zip(kept_pos, shrunk):
-            if sig is not None:
-                sigs[node_ids[i]] = sig
-        self._arb_cache[arr] = None
+        self.counters["mix_transitions"] += self.mixes.drop(arr, job_id)
         cols.free_cores[arr] += procs_arr
         cols.n_res[arr] -= 1
         if partitioned:
@@ -579,7 +502,7 @@ class ClusterState:
         if entry[2] <= count:
             del sc.meta[job_id]
         else:
-            sc.meta[job_id] = (entry[0], entry[1], entry[2] - count)
+            sc.meta[job_id] = entry[:2] + (entry[2] - count,) + entry[3:]
         if resum:
             # Dropping an exact-0.0 booking preserves every partial sum
             # bitwise, so the columns only need re-summing when the
@@ -1031,263 +954,111 @@ class ClusterState:
 
     def arbitration(self, node_id: int) -> ArbitrationView:
         """Bandwidth grants, network load, and effective ways on one
-        node, cached until the node's slice set changes.
+        node: its mix's view, resolved once per mix lifetime.
 
         With the perf-model caches disabled (debugging / equivalence
         runs) every call recomputes from scratch on the reference path.
         """
-        if not self.ctx.enabled:
-            return self._arbitrate(node_id)
-        self.counters["arb_requests"] += 1
-        view = self._arb_cache[node_id]
-        if view is None:
-            view = self._arbitrate(node_id)
-            self._arb_cache[node_id] = view
-        else:
-            self.counters["arb_cache_hits"] += 1
-        return view
+        return self.arbitration_batch((node_id,))[node_id]
 
     def arbitration_batch(
         self, node_ids: Iterable[int]
     ) -> Dict[int, ArbitrationView]:
         """Arbitration views for many nodes at once.
 
-        Per-node and cross-node cache hits are materialized first; the
-        residual cache misses — at most one representative per distinct
-        slice signature — are solved in a single call to the columnar
-        batched kernel (:func:`repro.perfmodel.batch.arbitrate_nodes`)
-        and fanned back out to every node sharing the signature.
-        Bit-identical to calling :meth:`arbitration` per node.
+        Nodes sharing a resident mix share its view, so the work is one
+        resolution per distinct *unresolved* mix: a hit in the
+        signature-keyed view cache, or a place in one call to the
+        columnar batched kernel (:func:`repro.perfmodel.batch.
+        arbitrate_nodes`) that also dedupes equal signatures.
+        Bit-identical to the reference :meth:`_arbitrate` per node.
         """
         if not self.ctx.enabled:
             return {nid: self._arbitrate(nid) for nid in node_ids}
-        requests = arb_hits = view_hits = 0
-        views: Dict[int, ArbitrationView] = {}
-        pending: List[Tuple[int, tuple, Tuple[int, ...]]] = []
-        solve_keys: Dict[tuple, int] = {}
-        solve_nodes: List[int] = []
-        nodes = self.nodes
-        arb_cache = self._arb_cache
-        view_cache = self._view_cache
-        # Sibling nodes (same signature AND same resident job ids — the
-        # slices of one wide job) receive the *same* view tuple, so
-        # downstream per-node loops can dedupe work on view identity.
-        packed: Dict[tuple, ArbitrationView] = {}
-        # Cohort fast path: nodes placed in one place_slices batch share
-        # their signature *object* (key, jids, and programs together), so
-        # after the first sibling resolves, the rest collapse to a single
-        # id() lookup — no re-hash of the key tuple, no program-identity
-        # re-check.  Signature objects are pinned by the sig column's
-        # refs for the duration of the call, so ids cannot be recycled.
-        by_key_id: Dict[int, ArbitrationView] = {}
-        # Scalar numpy reads (`arb_cache[nid]`, `n_res[nid]`, sig cell)
-        # cost ~a microsecond each and this loop runs for every
-        # refreshed node; one fancy-index gather per column amortizes
-        # them to C speed, then the loop touches plain Python lists.
         node_list = (node_ids if isinstance(node_ids, (list, tuple))
                      else list(node_ids))
         count = len(node_list)
-        if not count:
-            return views
-        idx = np.fromiter(node_list, dtype=np.int64, count=count)
-        cached = arb_cache[idx].tolist()
-        nres_list = self.columns.n_res[idx].tolist()
-        sig_list = self.scols.sig[idx].tolist()
-        requests = count
-        for i, nid in enumerate(node_list):
-            view = cached[i]
-            if view is not None:
-                arb_hits += 1
-                views[nid] = view
-                continue
-            if not nres_list[i]:
-                views[nid] = arb_cache[nid] = ((), (), 0.0, ())
-                continue
-            sig = sig_list[i]
-            if sig is None:
-                key, jids, programs = nodes[nid].arb_signature()
-            else:
-                key, jids, programs = sig
-            full = by_key_id.get(id(key))
-            if full is not None:
-                if full is _AWAITING_SOLVE:
-                    pending.append((nid, key, jids))
-                else:
-                    view_hits += 1
-                    views[nid] = arb_cache[nid] = full
-                continue
-            entry = view_cache.get(key)
-            if entry is not None and all(
-                p is q for p, q in zip(entry[0], programs)
-            ):
-                view_hits += 1
-                pk = (id(entry), jids)
-                full = packed.get(pk)
-                if full is None:
-                    full = (jids, entry[1], entry[2], entry[3])
-                    packed[pk] = full
-                views[nid] = arb_cache[nid] = full
-                by_key_id[id(key)] = full
-                continue
-            pending.append((nid, key, jids))
-            by_key_id[id(key)] = _AWAITING_SOLVE
-            if key not in solve_keys:
-                solve_keys[key] = len(solve_nodes)
-                solve_nodes.append(nid)
-        counters = self.counters
-        counters["arb_requests"] += requests
-        counters["arb_cache_hits"] += arb_hits
-        counters["view_cache_hits"] += view_hits
-        if pending:
-            tables = [nodes[nid].slices() for nid in solve_nodes]
-            solved = batch.arbitrate_nodes(self.ctx, self.spec.node, tables)
-            counters["arb_nodes_solved"] += len(solve_nodes)
-            fresh: Dict[tuple, tuple] = {}
-            for (key, index) in solve_keys.items():
-                slices = tables[index]
-                grants, net_load = solved[index]
-                fresh[key] = (
-                    tuple(s.program for s in slices),
-                    tuple(grants[s.job_id] for s in slices),
-                    net_load,
-                    tuple(s.effective_ways for s in slices),
-                )
-            if len(view_cache) >= self.ctx.max_entries:
-                view_cache.clear()
-            view_cache.update(fresh)
-            for nid, key, jids in pending:
-                full = by_key_id[id(key)]
-                if full is _AWAITING_SOLVE:
-                    entry = fresh[key]
-                    pk = (id(entry), jids)
-                    full = packed.get(pk)
-                    if full is None:
-                        full = (jids, entry[1], entry[2], entry[3])
-                        packed[pk] = full
-                    by_key_id[id(key)] = full
-                views[nid] = arb_cache[nid] = full
-        return views
+        mids = self.mixes.mix[
+            np.fromiter(node_list, dtype=np.int64, count=count)
+        ].tolist()
+        views = self.mixes.views
+        todo: Dict[int, int] = {}
+        for nid, m in zip(node_list, mids):
+            if views[m] is None and m not in todo:
+                todo[m] = nid
+        if todo:
+            self._resolve_mixes(todo)
+        return dict(zip(node_list, map(views.__getitem__, mids)))
 
-    def solo_conditions(
-        self, job_id: int, program, placement
-    ) -> Optional[Dict[tuple, int]]:
-        """Condition-key counts for a job that is the **sole resident**
-        of every node it occupies, computed once per distinct process
-        count with no per-node view materialization; ``None`` when any
-        of its nodes hosts a co-runner.
-
-        A sole resident's arbitration inputs are fully determined by its
-        own slice (all residual ways, no bandwidth competition), so the
-        whole placement collapses to at most two solver calls (an even
-        split has at most two process counts) through the same batched
-        kernel — and usually zero, because the signature-keyed view
-        cache already holds the result from an earlier job of the same
-        shape.  The returned dict maps the runtime's condition key
-        ``(procs, effective_ways, grant, net_load)`` to its node count,
-        bit-identical to deriving the key per node from
-        :meth:`arbitration_batch` views.
-        """
-        node_ids = placement.node_ids
-        arr = np.fromiter(node_ids, dtype=np.int64, count=len(node_ids))
-        if not bool((self.columns.n_res[arr] == 1).all()):
-            return None
-        key_counts: Dict[tuple, int] = {}
-        for procs, count in Counter(
-            placement.procs_per_node.values()
-        ).items():
-            key_counts[
-                self.solo_condition_key(job_id, program, placement, procs)
-            ] = count
-        return key_counts
-
-    def solo_condition_key(
-        self, job_id: int, program, placement, procs: int
-    ) -> tuple:
-        """Runtime condition key ``(procs, effective_ways, grant,
-        net_load)`` for the job as the **sole resident** of a node
-        carrying ``procs`` of its processes — view-cache backed, no
-        per-node view materialization.
-
-        A sole resident's arbitration inputs are fully determined by its
-        own slice (all residual ways, no bandwidth competition), so the
-        key collapses to one view-cache lookup under the same signature
-        key single-resident nodes produce — and on a miss, one solve
-        through the same batched kernel, bit-identical to deriving the
-        key from an :meth:`arbitration_batch` view.
-        """
-        spec = self.spec.node
-        partitioned = self.partitioned
-        ways = placement.dedicated_ways
-        bw = placement.booked_bw
-        n_nodes = len(placement.node_ids)
-        key = (
-            ((id(program), procs, n_nodes,
-              ways if partitioned else 0,
-              bw if self.enforce_bw else -1.0),),
-            spec.llc_ways - ways if partitioned else procs,
-        )
+    def _resolve_mixes(self, todo: Dict[int, int]) -> None:
+        """Fill the views of the mixes in ``todo`` (mix id -> one node
+        carrying it).  Each mix's job-id-independent signature is
+        re-interned from its key and the per-job ``meta`` bookings; the
+        node is only read when the signature needs a kernel solve."""
+        mixes = self.mixes
         view_cache = self._view_cache
-        entry = view_cache.get(key)
-        if entry is not None and entry[0][0] is program:
-            self.counters["view_cache_hits"] += 1
-            return (procs, entry[3][0], entry[1][0], entry[2])
-        # Same expressions as NodeState.effective_ways for a sole
-        # resident (n_res == 1, so the node's used cores equal the
-        # slice's procs).
-        if partitioned:
-            if self.share_residual:
-                eff = ways + (spec.llc_ways - ways) / 1
+        meta = self.scols.meta
+        partitioned = self.partitioned
+        enforce_bw = self.enforce_bw
+        solve: Dict[tuple, list] = {}
+        hits = 0
+        for m, nid in todo.items():
+            mix = mixes.keys[m]
+            programs = []
+            items = []
+            # The residual ways (used cores when unpartitioned) follow
+            # from the items, so they need no place in the key.
+            for j, p in mix:
+                e = meta[j]
+                programs.append(e[0])
+                items.append((id(e[0]), p, e[1], e[3] if partitioned else 0,
+                              e[4] if enforce_bw else -1.0))
+            key = tuple(items)
+            jids = tuple([j for j, _ in mix])
+            entry = view_cache.get(key)
+            if entry is not None and all(map(is_, entry[0], programs)):
+                hits += 1
+                mixes.views[m] = (jids, entry[1], entry[2], entry[3])
+            elif key in solve:
+                solve[key].append((m, jids))
             else:
-                eff = float(ways)
-        else:
-            eff = spec.llc_ways * (procs / procs)
-        slc = Slice(
-            job_id=job_id,
-            program=program,
-            procs=procs,
-            effective_ways=eff,
-            n_nodes=n_nodes,
-            bw_cap=bw if self.enforce_bw and bw > 0 else None,
-        )
-        grants, net_load = batch.arbitrate_nodes(
-            self.ctx, spec, [[slc]]
-        )[0]
-        grant = grants[job_id]
-        self.counters["arb_nodes_solved"] += 1
+                solve[key] = [nid, (m, jids)]
+        counters = self.counters
+        counters["view_cache_hits"] += hits
+        if not solve:
+            return
+        nodes = self.nodes
+        tables = [nodes[waiting[0]].slices() for waiting in solve.values()]
+        solved = batch.arbitrate_nodes(self.ctx, self.spec.node, tables)
+        counters["arb_nodes_solved"] += len(tables)
         if len(view_cache) >= self.ctx.max_entries:
             view_cache.clear()
-        view_cache[key] = ((program,), (grant,), net_load, (eff,))
-        return (procs, eff, grant, net_load)
-
-    def _arbitrate(self, node_id: int) -> ArbitrationView:
-        node = self.nodes[node_id]
-        if node.is_idle:
-            return (), (), 0.0, ()
-        ctx = self.ctx
-        if not ctx.enabled:
-            slices = node.slices()
-            grants = arbitrate_node(node.spec, slices, ctx=ctx)
-            net_load = node_network_load(node.spec, slices)
-            return (
-                tuple(s.job_id for s in slices),
+        for (key, waiting), slices, (grants, net_load) in zip(
+            solve.items(), tables, solved
+        ):
+            entry = (
+                tuple(s.program for s in slices),
                 tuple(grants[s.job_id] for s in slices),
                 net_load,
                 tuple(s.effective_ways for s in slices),
             )
-        key, jids, programs = node.arb_signature()
-        entry = self._view_cache.get(key)
-        if entry is not None and all(
-            p is q for p, q in zip(entry[0], programs)
-        ):
-            return jids, entry[1], entry[2], entry[3]
+            view_cache[key] = entry
+            for m, jids in waiting[1:]:
+                mixes.views[m] = (jids, entry[1], entry[2], entry[3])
+
+    def _arbitrate(self, node_id: int) -> ArbitrationView:
+        """Reference arbitration of one node, from scratch."""
+        node = self.nodes[node_id]
+        if node.is_idle:
+            return (), (), 0.0, ()
         slices = node.slices()
-        grants, net_load = ctx.node_arbitration(node.spec, slices)
-        effs = tuple(s.effective_ways for s in slices)
-        grants_t = tuple(grants[j] for j in jids)
-        if len(self._view_cache) >= ctx.max_entries:
-            self._view_cache.clear()
-        self._view_cache[key] = (programs, grants_t, net_load, effs)
-        return jids, grants_t, net_load, effs
+        grants = arbitrate_node(node.spec, slices, ctx=self.ctx)
+        return (
+            tuple(s.job_id for s in slices),
+            tuple(grants[s.job_id] for s in slices),
+            node_network_load(node.spec, slices),
+            tuple(s.effective_ways for s in slices),
+        )
 
     def verify_index(self) -> None:
         """Invariant check used by tests and defensive assertions."""
@@ -1316,12 +1087,15 @@ class ClusterState:
         left-to-right re-sum in slice insertion order).  Also enforces
         the slice-plane structural contract: occupied slots are dense
         in insertion order, empty slots hold the ``-1`` sentinel and
-        exact zeros, and the per-job meta refcounts match the installed
-        slice counts.  Test / defensive-assertion hook, like
+        exact zeros, the per-job meta refcounts match the installed
+        slice counts, and the mix table (each node's mix decodes to its
+        ``(job, procs)`` row; refcounts equal node counts; freed ids are
+        unreachable).  Test / defensive-assertion hook, like
         :meth:`verify_index`."""
         cols = self.columns
         sc = self.scols
         spec = self.spec.node
+        mixes = self.mixes
         refcounts: Dict[int, int] = {}
         for node in self.nodes:
             nid = node.node_id
@@ -1332,10 +1106,23 @@ class ClusterState:
                 raise SimulationError(
                     f"node {nid}: slice slots not dense: {jrow}"
                 )
-            for jid in jrow[:m]:
-                if jid not in sc.meta:
+            row = tuple(zip(jrow[:m], sc.procs[nid, :m].tolist()))
+            if mixes.keys[int(mixes.mix[nid])] != row:
+                raise SimulationError(
+                    f"node {nid}: mix {int(mixes.mix[nid])} decodes to "
+                    f"{mixes.keys[int(mixes.mix[nid])]}, slices hold {row}"
+                )
+            for k, jid in enumerate(jrow[:m]):
+                meta = sc.meta.get(jid)
+                if meta is None:
                     raise SimulationError(
                         f"node {nid}: job {jid} has no meta entry"
+                    )
+                # Mix views read the per-job bookings from meta.
+                if float(sc.bw[nid, k]) != meta[4] or (
+                        self.partitioned and int(sc.ways[nid, k]) != meta[3]):
+                    raise SimulationError(
+                        f"node {nid}: job {jid} booking differs from meta"
                     )
                 refcounts[jid] = refcounts.get(jid, 0) + 1
             if len(set(jrow[:m])) != m:
@@ -1426,6 +1213,19 @@ class ClusterState:
                 raise SimulationError(
                     f"job {jid}: meta entry with no installed slices"
                 )
+        nodes = np.bincount(mixes.mix, minlength=len(mixes.keys)).tolist()
+        free = set(mixes.free)
+        for m, key in enumerate(mixes.keys):
+            live = key is not None and mixes.ids.get(key) == m
+            if live == (m in free) or (not live and (
+                    nodes[m] or mixes.refs[m] or mixes.views[m] is not None)):
+                raise SimulationError(f"mix {m}: freed id still reachable")
+            if live and (mixes.refs[m] != nodes[m] or (m and not nodes[m])):
+                raise SimulationError(
+                    f"mix {m}: refcount {mixes.refs[m]} != {nodes[m]} nodes"
+                )
+        if len(mixes.ids) + len(mixes.free) != len(mixes.keys):
+            raise SimulationError("mix table index out of sync")
 
     def gauge_columns(self) -> np.ndarray:
         """Live per-node gauge matrix: rows are
@@ -1457,8 +1257,7 @@ class ClusterState:
     def resident_jobs_on(self, node_ids: Iterable[int]) -> Set[int]:
         """Union of job ids resident on the given nodes (one gather over
         the slice-id columns; empty slots hold ``-1``)."""
-        count = len(node_ids) if hasattr(node_ids, "__len__") else -1
-        arr = np.fromiter(node_ids, dtype=np.int64, count=count)
+        arr = _id_array(node_ids)
         if not arr.size:
             return set()
         rows = self.scols.job[arr]
@@ -1474,7 +1273,7 @@ class ClusterState:
         triggering job's own event could change (the sole resident *is*
         the triggering job on every settle call site).
         """
-        arr = np.fromiter(node_ids, dtype=np.int64, count=len(node_ids))
+        arr = _id_array(node_ids)
         multi = arr[self.columns.n_res[arr] > 1]
         if not multi.size:
             return set()

@@ -6,6 +6,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+import numpy as np
+
 from repro.apps.program import ProgramSpec
 from repro.errors import SimulationError
 
@@ -30,10 +32,17 @@ class Placement:
     dedicated_ways: int
     booked_bw: float  # GB/s booked per node
     booked_net: float = 0.0  # link-utilization fraction booked per node by the scheduler
+    #: ``node_ids`` as an int64 array for the columnar paths (built once
+    #: here, or handed in by the scheduler that already holds it).
+    nodes: Optional[np.ndarray] = field(default=None, compare=False,
+                                        repr=False)
 
     def __post_init__(self) -> None:
         if not self.node_ids:
             raise SimulationError("placement must cover at least one node")
+        if self.nodes is None:
+            self.nodes = np.fromiter(self.node_ids, dtype=np.int64,
+                                     count=len(self.node_ids))
         if self.procs_per_node.keys() != set(self.node_ids):
             raise SimulationError("placement nodes and proc map disagree")
         if min(self.procs_per_node.values()) <= 0:

@@ -93,21 +93,24 @@ class SliceColumns:
     **dense in insertion order**: a placement appends at slot
     ``n_res``, a removal compacts the survivors left — so slot order is
     resident insertion order, which is the order every order-sensitive
-    consumer (arbitration signatures, booked-float re-sums) observes.
+    consumer (resident mixes, booked-float re-sums) observes.
 
     Empty slots hold the sentinel ``-1`` in ``job`` and exact zeros in
     every other column, which makes left-to-right column adds over a
     whole slot span bit-identical to summing only the occupied slots.
 
-    Per-*job* (not per-slice) attributes that cannot be columnized — the
-    program reference and the placement width — live in ``meta``:
-    ``job_id -> (program, n_nodes, slice_refcount)``.  The refcount
-    tracks how many slices of the job are installed anywhere in the
-    pool, so scalar per-node place/remove keep it exact.
+    Per-*job* (not per-slice) attributes live in ``meta``: ``job_id ->
+    (program, n_nodes, slice_refcount, ways, bw)`` — the program
+    reference and placement width cannot be columnized, and the
+    per-node ways/bandwidth booking (identical on every node of a
+    placement) lets a resident mix be resolved without reading a row.
+    The refcount tracks how many slices of the job are installed
+    anywhere in the pool, so scalar per-node place/remove keep it
+    exact.
     """
 
     __slots__ = ("slots", "job", "procs", "ways", "bw", "net", "cross",
-                 "meta", "sig")
+                 "meta")
 
     def __init__(self, n: int, slots: int) -> None:
         # One extra physical column beyond the logical slot count: a
@@ -123,12 +126,7 @@ class SliceColumns:
         # Cross-rack share of ``net`` per slice (zero unless the
         # cluster's fabric is active and the slice's job spans racks).
         self.cross = np.zeros((n, slots + 1), dtype=np.float64)
-        self.meta: Dict[int, Tuple[ProgramSpec, int, int]] = {}
-        # Per-node cached arbitration signature (see NodeState.
-        # arb_signature) as an object column, so batched place/remove
-        # install or drop whole cohorts of signatures with single
-        # fancy-indexed writes instead of per-node attribute loops.
-        self.sig = np.full(n, None, dtype=object)
+        self.meta: Dict[int, Tuple[ProgramSpec, int, int, int, float]] = {}
 
     def grow(self) -> None:
         """Double the resident-slot capacity (defensive: a node hosts at
@@ -143,6 +141,151 @@ class SliceColumns:
             wide[:, :old.shape[1]] = old
             setattr(self, name, wide)
         self.slots = new
+
+
+#: Inputs up to this length group as Python lists (numpy's per-call
+#: overhead dominates below it).
+_SHORT = 32
+
+
+def distinct(values, bound: int = 0) -> tuple:
+    """``(distinct values, counts, a position of each, inverse)`` of a
+    non-empty 1-D int array or list — ``np.unique``'s answer without its
+    fixed cost on the shapes hot paths see: short inputs (plain lists
+    throughout, values in first-occurrence order) and one repeated value
+    (inverse ``None``).  Long inputs must be arrays; with ``bound`` (all
+    values below it) they group by counting instead of sorting."""
+    n = len(values)
+    if n <= _SHORT:
+        lst = values if isinstance(values, list) else values.tolist()
+        if lst.count(lst[0]) == n:
+            return lst[:1], [n], [0], None
+        pos: Dict[int, int] = {}
+        inv = [pos.setdefault(v, len(pos)) for v in lst]
+        return (list(pos), [inv.count(i) for i in range(len(pos))],
+                [inv.index(i) for i in range(len(pos))], inv)
+    v0 = int(values[0])
+    if bool((values == v0).all()):
+        return [v0], [n], [0], None
+    if not bound:
+        uniq, first, inv, cnt = np.unique(values, return_index=True,
+                                          return_inverse=True,
+                                          return_counts=True)
+        return uniq.tolist(), cnt.tolist(), first.tolist(), inv
+    cnt = np.bincount(values, minlength=bound)
+    uniq = np.flatnonzero(cnt)
+    # Which occurrence a repeated index keeps is unspecified; callers
+    # only need some position of each value.
+    where = np.empty(bound, dtype=np.int64)
+    where[values] = np.arange(n)
+    lut = np.empty(bound, dtype=np.int64)
+    lut[uniq] = np.arange(uniq.size)
+    return uniq.tolist(), cnt[uniq].tolist(), where[uniq].tolist(), \
+        lut[values]
+
+
+class MixTable:
+    """Interned resident mixes of a pool of nodes.
+
+    ``mix[slot]`` is an id into ``keys``, where a key is the node's
+    ordered resident ``(job_id, procs)`` tuple (dense slot order, so
+    insertion order).  That tuple fully determines the node's
+    arbitration inputs: a job books the same program, width, ways and
+    bandwidth on every node it occupies, and the residual ways / used
+    cores follow from the residents.  Every node carrying one mix
+    therefore shares one arbitration view (``views``, resolved lazily by
+    :meth:`repro.sim.cluster.ClusterState.arbitration_batch`), and a
+    wide placement or removal computes one transition per distinct mix
+    instead of one per node.
+
+    Id 0 is the permanent empty mix.  Other entries are refcounted by
+    node count and freed at zero, their ids recycled, so the table never
+    outgrows the live mix population.
+    """
+
+    __slots__ = ("mix", "stride", "keys", "ids", "refs", "views", "free")
+
+    def __init__(self, n: int, cores: int) -> None:
+        self.mix = np.zeros(n, dtype=np.int32)
+        # (mix, procs) pairs encode as ``mix * stride + procs``; a slice
+        # never holds more than ``cores`` processes.
+        self.stride = cores + 1
+        self.keys: List[Optional[tuple]] = [()]
+        self.ids: Dict[tuple, int] = {(): 0}
+        self.refs: List[int] = [n]
+        self.views: List[Optional[tuple]] = [((), (), 0.0, ())]
+        self.free: List[int] = []
+
+    def intern(self, key: tuple, count: int) -> int:
+        """Id of ``key`` with its refcount raised by ``count``."""
+        m = self.ids.get(key)
+        if m is not None:
+            self.refs[m] += count
+            return m
+        if self.free:
+            m = self.free.pop()
+            self.keys[m] = key
+            self.refs[m] = count
+        else:
+            m = len(self.keys)
+            self.keys.append(key)
+            self.refs.append(count)
+            self.views.append(None)
+        self.ids[key] = m
+        return m
+
+    def release(self, m: int, count: int) -> None:
+        left = self.refs[m] - count
+        self.refs[m] = left
+        if not left and m:
+            del self.ids[self.keys[m]]
+            self.keys[m] = None
+            self.views[m] = None
+            self.free.append(m)
+
+    def _move(self, arr: np.ndarray, olds: List[int], counts: List[int],
+              news: List[tuple], inv) -> int:
+        # Intern before releasing, so no refcount dips to zero while a
+        # node of the batch still holds the id.
+        ids = [self.intern(k, c) for k, c in zip(news, counts)]
+        for m, c in zip(olds, counts):
+            self.release(m, c)
+        if inv is None:
+            self.mix[arr] = ids[0]
+        elif isinstance(inv, list):
+            self.mix[arr] = [ids[i] for i in inv]
+        else:
+            self.mix[arr] = np.array(ids, dtype=np.int32)[inv]
+        return len(ids)
+
+    def add(self, arr: np.ndarray, job_id: int, procs: np.ndarray) -> int:
+        """Append ``job_id`` with ``procs[i]`` processes to the mix of
+        node ``arr[i]``; returns the number of distinct transitions."""
+        stride = self.stride
+        if len(arr) <= _SHORT:
+            codes = [m * stride + p for m, p in
+                     zip(self.mix[arr].tolist(), procs.tolist())]
+        else:
+            codes = self.mix[arr].astype(np.int64) * stride + procs
+        codes, counts, _, inv = distinct(codes)
+        keys = self.keys
+        olds, news = [], []
+        for c in codes:
+            m, p = divmod(c, stride)
+            olds.append(m)
+            news.append(keys[m] + ((job_id, p),))
+        return self._move(arr, olds, counts, news, inv)
+
+    def drop(self, arr: np.ndarray, job_id: int) -> int:
+        """Remove ``job_id`` from the mix of every node in ``arr``;
+        returns the number of distinct transitions."""
+        olds, counts, _, inv = distinct(self.mix[arr], len(self.keys))
+        news = []
+        for m in olds:
+            key = self.keys[m]
+            i = [item[0] for item in key].index(job_id)
+            news.append(key[:i] + key[i + 1:])
+        return self._move(arr, olds, counts, news, inv)
 
 
 class NodeState:
@@ -183,12 +326,6 @@ class NodeState:
         self.columns = columns
         self.scols = scols
         self._slot = node_id if slot is None else slot
-        # The cached arbitration signature (see arb_signature) lives in
-        # ``scols.sig[slot]``: dropped on place/remove, rebuilt lazily
-        # from the slice columns.  Cohort placement (ClusterState.
-        # place_slices) installs a shared pre-assembled signature on
-        # previously-empty nodes instead, so hot-path nodes never pay
-        # the rebuild.
 
     # -- capacity queries ----------------------------------------------------
 
@@ -331,7 +468,7 @@ class NodeState:
             sc.net[slot, n] = net
         entry = sc.meta.get(job_id)
         sc.meta[job_id] = (
-            program, n_nodes, 1 if entry is None else entry[2] + 1
+            program, n_nodes, 1 if entry is None else entry[2] + 1, ways, bw
         )
         cols.free_cores[slot] = free - procs
         cols.n_res[slot] += 1
@@ -344,7 +481,6 @@ class NodeState:
         if net != 0.0:
             cols.booked_net[slot] += net
             cols.net_eps[slot] = (1.0 - cols.booked_net[slot]) + 1e-9
-        sc.sig[slot] = None
 
     def remove(self, job_id: int) -> None:
         """Remove a job slice (on completion)."""
@@ -381,7 +517,7 @@ class NodeState:
         if entry[2] <= 1:
             del sc.meta[job_id]
         else:
-            sc.meta[job_id] = (entry[0], entry[1], entry[2] - 1)
+            sc.meta[job_id] = entry[:2] + (entry[2] - 1,) + entry[3:]
         cols.free_cores[slot] += procs
         cols.n_res[slot] -= 1
         # Float bookings cannot be subtracted back out exactly: re-sum
@@ -393,7 +529,6 @@ class NodeState:
         if net != 0.0:
             cols.booked_net[slot] = sum(sc.net[slot, :n - 1].tolist())
             cols.net_eps[slot] = (1.0 - cols.booked_net[slot]) + 1e-9
-        sc.sig[slot] = None
 
     # -- performance-model views ----------------------------------------------
 
@@ -419,52 +554,6 @@ class NodeState:
         total = self.used_cores
         share = int(sc.procs[slot, k]) / total
         return self.spec.llc_ways * share
-
-    def arb_signature(self) -> Tuple[tuple, Tuple[int, ...], tuple]:
-        """``(key, job_ids, programs)`` identifying this node's
-        arbitration inputs without materializing Slice objects.
-
-        The key is job-id-independent but *order-preserving* (resident
-        insertion order == dense slot order), and together with the
-        cluster-wide knobs (``partitioned``/``share_residual``/
-        ``enforce_bw``/spec) it fully determines every slice's
-        ``effective_ways``, ``bw_cap``, and demand — so two nodes with
-        equal keys get bit-identical arbitration results.  Program
-        identity is validated by the caller against the returned
-        ``programs`` refs (stale-id defence).  The tuple is cached until
-        place/remove invalidates it.
-        """
-        slot = self._slot
-        sig = self.scols.sig[slot]
-        if sig is None:
-            cols = self.columns
-            sc = self.scols
-            n = int(cols.n_res[slot])
-            jobs = sc.job[slot, :n].tolist()
-            procs = sc.procs[slot, :n].tolist()
-            partitioned = self.partitioned
-            if partitioned:
-                wlist = sc.ways[slot, :n].tolist()
-            if self.enforce_bw:
-                bws = sc.bw[slot, :n].tolist()
-            meta = sc.meta
-            programs = tuple([meta[j][0] for j in jobs])
-            items = tuple([
-                (
-                    id(programs[i]), procs[i], meta[jobs[i]][1],
-                    wlist[i] if partitioned else 0,
-                    bws[i] if self.enforce_bw else -1.0,
-                )
-                for i, jid in enumerate(jobs)
-            ])
-            key = (
-                items,
-                int(cols.free_ways[slot]) if partitioned
-                else self.spec.cores - int(cols.free_cores[slot]),
-            )
-            sig = (key, tuple(jobs), programs)
-            sc.sig[slot] = sig
-        return sig
 
     def slices(self) -> List[Slice]:
         """Current slices for the contention solver."""

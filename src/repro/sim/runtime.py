@@ -39,6 +39,7 @@ from repro.obs.trace import TraceLevel, Tracer
 from repro.sim.cluster import ClusterState
 from repro.sim.engine import EventKind, EventQueue
 from repro.sim.job import Job, JobState, Placement
+from repro.sim.node import distinct
 
 
 @dataclass(frozen=True)
@@ -303,13 +304,12 @@ class SchedulerCore:
         # scheduling point of a 7K-job trace replay.
         self._running = 0
         # Incremental per-job refresh state (caches-enabled fast path):
-        # job_id -> (node_id -> condition key, condition key -> count).
-        # A condition key (procs, effective ways, granted GB/s, net load)
-        # fully determines the job's NodeConditions on that node, and
-        # job_time depends only on the *distinct* key set — so a refresh
-        # only has to re-derive keys for nodes whose slice set changed
-        # (exactly the touched nodes) and can reuse the rest.
-        self._job_conds: Dict[int, tuple] = {}
+        # job_id -> {condition key: node count}.  A condition key (procs,
+        # effective ways, granted GB/s, net load) fully determines the
+        # job's NodeConditions on a node, and job_time depends only on
+        # the *distinct* key set — so the counts stay valid until a node
+        # of the job changes mix (is touched by a place/remove).
+        self._job_conds: Dict[int, Dict[tuple, int]] = {}
         self._events_processed = 0
         self._counters = {
             "event_batches": 0,
@@ -631,9 +631,10 @@ class SchedulerCore:
         # The job itself was settled above, and it is the sole resident
         # of any node it occupies alone — only *shared* nodes can hold
         # co-runners that need settling (a columns-driven prune).
-        residents = self._settle_shared(placement.node_ids, now)
+        residents = self._settle_shared(placement.nodes, now)
         residents.discard(job.job_id)
-        self.cluster.remove_slices(placement.node_ids, job.job_id)
+        self.cluster.remove_slices(placement.node_ids, job.job_id,
+                                   placement.nodes)
         job.complete(now)
         # The job is terminal: its finish-event version entry can never
         # be consulted again (any heap leftovers read as stale against a
@@ -678,9 +679,9 @@ class SchedulerCore:
         by the failure of ``failed_node``."""
         placement = job.placement
         assert placement is not None
-        nodes = set(placement.node_ids)
-        residents = self._settle_residents(nodes, now)
-        self.cluster.remove_slices(placement.node_ids, job.job_id)
+        residents = self._settle_residents(placement.nodes, now)
+        self.cluster.remove_slices(placement.node_ids, job.job_id,
+                                   placement.nodes)
         self.events.cancel_finish(job.job_id)
         tracer = self.tracer
         lost_before = job.lost_node_seconds if tracer is not None else 0.0
@@ -691,7 +692,7 @@ class SchedulerCore:
         self._running -= 1
         self._counters["job_evictions"] += 1
         self.policy.on_job_evict(job, now)
-        touched.update(nodes)
+        touched.update(placement.node_ids)
         residents.discard(job.job_id)
         affected.update(residents)
         affected.discard(job.job_id)
@@ -737,12 +738,11 @@ class SchedulerCore:
         one rack or the program never communicates — such jobs put no
         traffic on the ToR uplinks or the spine.  Only called when the
         fabric is active."""
-        node_ids = placement.node_ids
-        count = len(node_ids)
+        count = placement.n_nodes
         if count <= 1:
             return None
-        arr = np.fromiter(node_ids, dtype=np.int64, count=count)
-        uniq, cnt = np.unique(self._f_rack_of[arr], return_counts=True)
+        uniq, cnt = np.unique(self._f_rack_of[placement.nodes],
+                              return_counts=True)
         if uniq.size == 1:
             return None
         frac = self.ctx.network_fraction(job.program, count)
@@ -865,7 +865,7 @@ class SchedulerCore:
             if tracer is not None:
                 unstarted.discard(job.job_id)
                 partners = self.cluster.resident_jobs_on(
-                    d.placement.node_ids
+                    d.placement.nodes
                 )
                 partners.discard(job.job_id)
                 partners -= unstarted
@@ -879,7 +879,7 @@ class SchedulerCore:
                 f"jobs {[j.job_id for j in self.pending[:5]]}"
             )
 
-    def _settle_residents(self, node_ids: Set[int], now: float) -> Set[int]:
+    def _settle_residents(self, node_ids, now: float) -> Set[int]:
         """Settle progress of every running job resident on the given
         nodes; returns their job ids."""
         affected = self.cluster.resident_jobs_on(node_ids)
@@ -922,10 +922,8 @@ class SchedulerCore:
         """Recompute speeds and finish events for the given jobs, and
         record telemetry for every node whose conditions changed.
 
-        Arbitration comes from :meth:`ClusterState.arbitration`: nodes
-        whose slice set changed (place/remove evicted their cache entry)
-        are re-solved; the untouched nodes of wide affected jobs are
-        read back from the cache.
+        Arbitration comes from :meth:`ClusterState.arbitration_batch`,
+        which resolves each resident mix once per mix lifetime.
         """
         if self._fabric is not None and self._fabric_dirty:
             self._fabric_dirty = False
@@ -1009,157 +1007,73 @@ class SchedulerCore:
 
     def _refresh_incremental(self, job_ids: Set[int],
                              touched_nodes: Set[int], now: float) -> None:
-        """Fast-path refresh: only *touched* nodes (slice set changed this
-        batch) can have new arbitration views, so each affected job
-        re-derives condition keys for its touched nodes and reuses the
-        cached keys everywhere else.  Its execution time then comes from
-        the distinct-key multiset — bit-identical to :func:`job_time`
-        over the full per-node list, which only ever reads the distinct
-        condition set (see ``_job_time_from_keys``)."""
+        """Fast-path refresh: a job's condition-key counts are derived
+        once per *distinct resident mix* over its placement (a numpy
+        gather of the mix column) and cached until one of its nodes is
+        touched — every other affected job (e.g. a fabric cross job
+        whose only change is its route load) reuses its counts.  Its
+        execution time then comes from the distinct-key multiset,
+        bit-identical to :func:`job_time` over the full per-node list,
+        which only ever reads the distinct condition set (see
+        ``_job_time_from_keys``)."""
         refreshed: List[Job] = []
-        needed: Set[int] = set()
-        # Per-job work lists computed in this scan and consumed by the
-        # derivation loop below: ``(upd, solo)`` where ``upd`` is the
-        # node list to re-key (None: the whole placement, fresh build)
-        # and ``solo`` the parallel is-sole-resident flags (None: no
-        # solo nodes).  Sole-resident nodes are pruned from ``needed``:
-        # their condition keys come from the closed-form
-        # ``solo_condition_key`` instead of a materialized view.
-        updates: Dict[int, tuple] = {}
+        stale: List[Job] = []
         conds = self._job_conds
         cluster = self.cluster
-        n_res = cluster.columns.n_res
+        touched = None
         for jid in job_ids:
             job = self.jobs[jid]
             if job.state is not JobState.RUNNING or job.placement is None:
                 continue
             refreshed.append(job)
-            state = conds.get(jid)
-            if state is not None and state[0] is None:
-                # Solo-condition entry (no per-node key map): it cannot
-                # be updated incrementally, so re-derive from scratch —
-                # the job may well still be all-solo (e.g. its own nodes
-                # were only brushed by a sibling placement batch).
-                del conds[jid]
-                state = None
-            if state is None:
-                node_ids = job.placement.node_ids
-                arr = np.fromiter(node_ids, dtype=np.int64,
-                                  count=len(node_ids))
-                solo = n_res[arr] == 1
-                if solo.all():
-                    conds[jid] = (None, cluster.solo_conditions(
-                        jid, job.program, job.placement
-                    ))
-                    continue
-                if solo.any():
-                    needed.update(arr[~solo].tolist())
-                    updates[jid] = (None, solo.tolist())
-                else:
-                    needed.update(node_ids)
-                    updates[jid] = (None, None)
-            else:
-                node_keys = state[0]
-                if len(touched_nodes) < len(node_keys):
-                    upd = [n for n in touched_nodes if n in node_keys]
-                else:
-                    upd = [n for n in node_keys if n in touched_nodes]
-                if upd:
-                    arr = np.fromiter(upd, dtype=np.int64, count=len(upd))
-                    solo = n_res[arr] == 1
-                    if solo.any():
-                        needed.update(arr[~solo].tolist())
-                        updates[jid] = (upd, solo.tolist())
-                        continue
-                    needed.update(upd)
-                updates[jid] = (upd, None)
-        if self.telemetry is not None:
-            needed.update(touched_nodes)
-        if not needed and not refreshed:
+            if jid not in conds:
+                stale.append(job)
+            elif touched_nodes:
+                if touched is None:
+                    touched = np.zeros(len(cluster.nodes), dtype=bool)
+                    touched[np.fromiter(touched_nodes, dtype=np.int64,
+                                        count=len(touched_nodes))] = True
+                if touched[job.placement.nodes].any():
+                    stale.append(job)
+        if not refreshed and (self.telemetry is None or not touched_nodes):
             return
         self._counters["refresh_cycles"] += 1
-        self._counters["nodes_refreshed"] += len(needed)
+        # One representative node per distinct mix over the stale jobs'
+        # placements: arbitration_batch resolves exactly those.
+        mixes = cluster.mixes
+        groups = []
+        reps: Dict[int, int] = {}
+        for job in stale:
+            nodes = job.placement.nodes
+            mids, cnts, where, _ = distinct(mixes.mix[nodes],
+                                           len(mixes.keys))
+            for m, i in zip(mids, where):
+                if m not in reps:
+                    reps[m] = int(nodes[i])
+            groups.append((job, mids, cnts))
+        self._counters["nodes_refreshed"] += len(reps)
         tracer = self.tracer
         trace_full = tracer is not None \
             and tracer.level >= TraceLevel.FULL
-        views = self.cluster.arbitration_batch(needed)
+        views = cluster.arbitration_batch(list(reps.values())) if reps \
+            else {}
+        keys = mixes.keys
+        for job, mids, cnts in groups:
+            jid = job.job_id
+            key_counts: Dict[tuple, int] = {}
+            for m, c in zip(mids, cnts):
+                view = views[reps[m]]
+                slot = view[0].index(jid)
+                key = (keys[m][slot][1], view[3][slot], view[1][slot],
+                       view[2])
+                key_counts[key] = key_counts.get(key, 0) + c
+            conds[jid] = key_counts
         t_nows: List[float] = []
         t_refs: List[float] = []
         for job in refreshed:
             jid = job.job_id
-            placement = job.placement
-            procs_per_node = placement.procs_per_node
-            state = conds.get(jid)
-            if state is not None and state[0] is None:
-                # Sole resident everywhere: condition-key counts came
-                # straight from ClusterState.solo_conditions in the scan
-                # above — no views to consult.
-                key_counts = state[1]
-            elif state is None:
-                _, solo = updates[jid]
-                node_keys = {}
-                key_counts: Dict[tuple, int] = {}
-                # Sibling nodes of a wide job share one view tuple (see
-                # arbitration_batch), and an identical view implies an
-                # identical condition key — derive once per distinct view.
-                # Sole-resident nodes never got a view: their key is the
-                # closed form, derived once per distinct process count.
-                prev_view = prev_key = None
-                solo_keys: Dict[int, tuple] = {}
-                for i, nid in enumerate(placement.node_ids):
-                    if solo is not None and solo[i]:
-                        p = procs_per_node[nid]
-                        key = solo_keys.get(p)
-                        if key is None:
-                            key = cluster.solo_condition_key(
-                                jid, job.program, placement, p
-                            )
-                            solo_keys[p] = key
-                    else:
-                        view = views[nid]
-                        if view is prev_view:
-                            key = prev_key
-                        else:
-                            slot = view[0].index(jid)
-                            key = (
-                                procs_per_node[nid], view[3][slot],
-                                view[1][slot], view[2],
-                            )
-                            prev_view, prev_key = view, key
-                    node_keys[nid] = key
-                    key_counts[key] = key_counts.get(key, 0) + 1
-                conds[jid] = (node_keys, key_counts)
-            else:
-                node_keys, key_counts = state
-                upd, solo = updates[jid]
-                solo_keys = {}
-                for i, nid in enumerate(upd):
-                    if solo is not None and solo[i]:
-                        p = procs_per_node[nid]
-                        key = solo_keys.get(p)
-                        if key is None:
-                            key = cluster.solo_condition_key(
-                                jid, job.program, placement, p
-                            )
-                            solo_keys[p] = key
-                    else:
-                        view = views[nid]
-                        slot = view[0].index(jid)
-                        key = (
-                            procs_per_node[nid], view[3][slot],
-                            view[1][slot], view[2],
-                        )
-                    old = node_keys[nid]
-                    if key != old:
-                        node_keys[nid] = key
-                        count = key_counts[old] - 1
-                        if count:
-                            key_counts[old] = count
-                        else:
-                            del key_counts[old]
-                        key_counts[key] = key_counts.get(key, 0) + 1
             t_nows.append(self._job_time_from_keys(
-                job.program, job.procs, key_counts, placement.n_nodes,
+                job.program, job.procs, conds[jid], job.placement.n_nodes,
                 self._route_loads.get(jid, 0.0),
             ))
             t_refs.append(reference_time(job.program, job.procs, self._spec))
@@ -1202,7 +1116,8 @@ class SchedulerCore:
                     tracer.speed(now, job.job_id, job.speed)
                 push_finish(fins_list[i], job.job_id)
 
-        if self.telemetry is not None:
+        if self.telemetry is not None and touched_nodes:
+            views = cluster.arbitration_batch(touched_nodes)
             for nid in touched_nodes:
                 self.telemetry.record(
                     nid, now, sum(views[nid][1]),

@@ -213,7 +213,8 @@ class TestBatchedKernelEquivalence:
 
 
 class TestArbitrationCacheInvalidation:
-    """place/remove must evict the per-node arbitration entry."""
+    """place/remove must move the node to a fresh resident mix, whose
+    view is resolved anew."""
 
     @pytest.fixture
     def cluster(self, program):
@@ -277,6 +278,109 @@ class TestArbitrationCacheInvalidation:
         assert node.booked_net == sum(sc.net[1, :n].tolist())
         cluster.verify_index()
         cluster.verify_columns()
+
+
+class _PresetPolicy:
+    """Minimal policy: installs every pending job on a preset node map
+    (job_id -> procs per node), in queue order."""
+
+    partitioned = True
+    enforce_bw = False
+    share_residual = True
+
+    def __init__(self, plan):
+        self.plan = plan
+        self.counters = {}
+
+    def schedule_point(self, cluster, pending, now):
+        from repro.sim.job import Placement
+        from repro.sim.runtime import Decision
+
+        out = []
+        for job in pending:
+            ppn = self.plan[job.job_id]
+            nodes = list(ppn)
+            ways = cluster.spec.node.cache.min_ways
+            cluster.place_slices(nodes, job.job_id, job.program, ppn,
+                                 ways, 0.0, len(nodes))
+            out.append(Decision(job, Placement(tuple(nodes), ppn, ways,
+                                               0.0), 1))
+        return out
+
+    def on_job_finish(self, job, now):
+        pass
+
+    def on_job_evict(self, job, now):
+        pass
+
+    def set_profile_store_available(self, up):
+        pass
+
+
+class TestCohortMixDedupe:
+    """A 1,024-node job over nodes sharing one prior resident mix costs
+    O(distinct mixes), not O(nodes), in place, remove and refresh."""
+
+    WIDTH = 1024
+
+    def _run(self, caches):
+        from repro.apps.catalog import get_program
+        from repro.sim.job import Job
+        from repro.sim.runtime import SchedulerCore
+
+        width = self.WIDTH
+        # Job 1 holds every node alone (one mix); job 2 then lands on
+        # all of them with an uneven split — two process counts — and
+        # finishes first, leaving job 1 alone again.
+        plan = {
+            1: {nid: 4 for nid in range(width)},
+            2: {nid: 5 if nid < width // 2 else 4 for nid in range(width)},
+        }
+        mg = get_program("MG")
+        jobs = [
+            Job(job_id=1, program=mg, procs=4 * width),
+            Job(job_id=2, program=mg, procs=sum(plan[2].values()),
+                work_multiplier=0.25),
+        ]
+        core = SchedulerCore(
+            ClusterSpec(num_nodes=width + 8), _PresetPolicy(plan), jobs,
+            SimConfig(telemetry=False, perf_caches=caches),
+        )
+        cluster = core.cluster
+        calls = []
+
+        def spy(name):
+            original = getattr(cluster, name)
+
+            def wrapped(*args, **kwargs):
+                before = cluster.counters["mix_transitions"]
+                result = original(*args, **kwargs)
+                calls.append((name, len(args[0]),
+                              cluster.counters["mix_transitions"] - before))
+                return result
+            setattr(cluster, name, wrapped)
+
+        for name in ("place_slices", "remove_slices", "arbitration_batch"):
+            spy(name)
+        result = core.run()
+        return calls, [(j.start_time, j.finish_time) for j in result.jobs]
+
+    def test_place_remove_refresh_resolve_few_mixes(self):
+        calls, times = self._run(caches=True)
+        places = [c for c in calls if c[0] == "place_slices"]
+        removes = [c for c in calls if c[0] == "remove_slices"]
+        arbs = [c for c in calls if c[0] == "arbitration_batch"]
+        assert [c[1] for c in places] == [self.WIDTH, self.WIDTH]
+        assert len(removes) == 2
+        # Each batch is one transition per distinct (mix, procs) pair /
+        # distinct mix — never one per node.
+        for _, _, transitions in places + removes:
+            assert 1 <= transitions <= 2
+        # Each refresh resolves one representative node per distinct
+        # mix over the refreshed placements.
+        assert arbs and all(nodes <= 2 for _, nodes, _ in arbs)
+        # And the dedupe changes nothing: the reference path agrees.
+        assert times == self._run(caches=False)[1]
 
 
 class TestParallelGrid:

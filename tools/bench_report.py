@@ -83,6 +83,7 @@ FULL_SIZES = (32768,)
 COUNTER_COLUMNS = (
     "events_coalesced",
     "refresh_cycles",
+    "mix_transitions",
     "arb_nodes_solved",
     "view_cache_hits",
     "nodes_scanned",
