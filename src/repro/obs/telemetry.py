@@ -7,8 +7,7 @@ stores exact piecewise-constant bandwidth segments — a new segment opens
 whenever a node's resident set changes — and integrates them into
 episode averages on demand.
 
-Lives in the observability layer (DESIGN.md §10); the historical import
-path ``repro.sim.telemetry`` re-exports it.  The recorder is only
+Lives in the observability layer (DESIGN.md §10).  The recorder is only
 constructed when a run actually wants episode telemetry
 (``SimConfig(telemetry=True)``) — :attr:`TelemetryRecorder.created`
 counts constructions so tests can assert that disabled-observability

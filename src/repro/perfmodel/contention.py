@@ -86,8 +86,7 @@ def arbitrate_node(spec: NodeSpec, slices: Sequence[Slice],
     Supply is the node's saturating aggregate for the total number of
     active cores; if total demand exceeds supply, each job receives a
     share proportional to its demand.  ``ctx`` memoizes the demand-curve
-    evaluations; arbitration itself always runs from scratch here (the
-    cached whole-node kernel is :meth:`PerfContext.node_arbitration`).
+    evaluations; arbitration itself always runs from scratch here.
     """
     if not slices:
         return {}

@@ -1,12 +1,11 @@
 """Per-simulation performance-model context.
 
 :class:`PerfContext` owns every piece of mutable kernel state the fast
-paths of the simulator rely on: the five exact memoization caches of the
-performance model (demand curves, process rates, node arbitration,
-network fractions, bandwidth supply), their hit/miss statistics, the
-batched-kernel counters, the ``max_entries`` eviction policy, and the
-``enabled`` flag that routes every call to the unmemoized reference
-kernels when cleared.
+paths of the simulator rely on: the four exact memoization caches of the
+performance model (demand curves, process rates, network fractions,
+bandwidth supply), their hit/miss statistics, the batched-kernel
+counters, the ``max_entries`` eviction policy, and the ``enabled`` flag
+that routes every call to the unmemoized reference kernels when cleared.
 
 Each :class:`repro.sim.runtime.Simulation` constructs its own context
 and threads it through every layer that consults kernel state
@@ -22,8 +21,7 @@ Cache semantics are unchanged from the original module-global design
 (see DESIGN.md §7): every cache is exact — a hit returns the
 bit-identical float the reference computation would produce — programs
 are keyed by identity with strong references held and verified with
-``is`` on lookup, and node arbitration is keyed by the order-preserving
-slice signature.
+``is`` on lookup.
 
 Cache mode is resolved once per simulation by
 :func:`resolve_cache_mode`: ``SimConfig.perf_caches`` is the only
@@ -35,7 +33,7 @@ deprecation release; the variable is now ignored.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional
 
 from repro.hardware.node_spec import NodeSpec
 
@@ -57,40 +55,19 @@ def resolve_cache_mode(perf_caches: Optional[bool] = None) -> bool:
     return True
 
 
-def slice_signature(slices: Sequence) -> tuple:
-    """Job-id-independent signature of a node's slice sequence.
-
-    The signature is *order-preserving*, not sorted: bandwidth
-    arbitration sums demands in slice order, and floating-point addition
-    is not associative, so canonicalizing the order could alias two
-    nodes whose reference results differ in the last ulp.  Nodes that
-    receive the same job mix in the same order — the case mass-produced
-    by wide-job placement on big clusters — share an entry either way.
-    """
-    return tuple(
-        (
-            s.program.name, id(s.program), s.procs, s.effective_ways,
-            s.n_nodes, -1.0 if s.bw_cap is None else s.bw_cap,
-        )
-        for s in slices
-    )
-
-
 class PerfContext:
     """All mutable perf-model kernel state of one simulation.
 
     The kernel wrappers (:meth:`demand_gbps_per_proc`,
-    :meth:`process_rate`, :meth:`node_arbitration`,
-    :meth:`network_fraction`, :meth:`bandwidth_supply`) are exact
-    caches: with ``enabled`` cleared they route straight to the
-    reference kernels, and a hit always returns the bit-identical value
-    the reference would produce.
+    :meth:`process_rate`, :meth:`network_fraction`,
+    :meth:`bandwidth_supply`) are exact caches: with ``enabled`` cleared
+    they route straight to the reference kernels, and a hit always
+    returns the bit-identical value the reference would produce.
     """
 
     __slots__ = (
         "enabled", "max_entries",
-        "_demand_cache", "_rate_cache", "_node_cache",
-        "_net_cache", "_supply_cache",
+        "_demand_cache", "_rate_cache", "_net_cache", "_supply_cache",
         "_stats", "batch_counters",
     )
 
@@ -102,15 +79,13 @@ class PerfContext:
         self._demand_cache: Dict[tuple, tuple] = {}
         # (id(program), procs, capacity_mb, granted, n_nodes) -> (program, rate)
         self._rate_cache: Dict[tuple, tuple] = {}
-        # (id(spec), signature) -> (spec, programs, grants, net_load)
-        self._node_cache: Dict[tuple, tuple] = {}
         # (id(program), n_nodes) -> (program, network fraction)
         self._net_cache: Dict[tuple, tuple] = {}
         # (id(spec), total_procs) -> (spec, aggregate supply GB/s)
         self._supply_cache: Dict[tuple, tuple] = {}
         self._stats = {
-            "demand": [0, 0], "rate": [0, 0], "node": [0, 0],
-            "net": [0, 0], "supply": [0, 0],
+            "demand": [0, 0], "rate": [0, 0], "net": [0, 0],
+            "supply": [0, 0],
         }  # [hits, misses]
         #: Batched-kernel instrumentation: arbitration batch calls,
         #: nodes and slices solved (repro.perfmodel.batch), plus
@@ -147,7 +122,6 @@ class PerfContext:
         """Drop every cached kernel result (and reset all statistics)."""
         self._demand_cache.clear()
         self._rate_cache.clear()
-        self._node_cache.clear()
         self._net_cache.clear()
         self._supply_cache.clear()
         for counters in self._stats.values():
@@ -160,7 +134,6 @@ class PerfContext:
         sizes = {
             "demand": len(self._demand_cache),
             "rate": len(self._rate_cache),
-            "node": len(self._node_cache),
             "net": len(self._net_cache),
             "supply": len(self._supply_cache),
         }
@@ -229,50 +202,6 @@ class PerfContext:
         cache[key] = (program, value)
         self._stats["rate"][1] += 1
         return value
-
-    def node_arbitration(
-        self, spec: NodeSpec, slices: Sequence
-    ) -> Tuple[Dict[int, float], float]:
-        """Memoized ``(arbitrate_node, node_network_load)`` pair for one
-        node's slice set.  Grants are cached positionally (signature
-        order) and mapped back to the querying node's actual job ids."""
-        from repro.perfmodel.contention import (
-            arbitrate_node,
-            node_network_load,
-        )
-
-        if not slices:
-            return {}, 0.0
-        if not self.enabled:
-            return (
-                arbitrate_node(spec, slices, ctx=self),
-                node_network_load(spec, slices),
-            )
-        key = (id(spec), slice_signature(slices))
-        cache = self._node_cache
-        hit = cache.get(key)
-        if hit is not None and hit[0] is spec and all(
-            p is s.program for p, s in zip(hit[1], slices)
-        ):
-            self._stats["node"][0] += 1
-            grants_by_pos, net_load = hit[2], hit[3]
-            return (
-                {s.job_id: g for s, g in zip(slices, grants_by_pos)},
-                net_load,
-            )
-        grants = arbitrate_node(spec, slices, ctx=self)
-        net_load = node_network_load(spec, slices)
-        entry = (
-            spec,
-            tuple(s.program for s in slices),
-            tuple(grants[s.job_id] for s in slices),
-            net_load,
-        )
-        if len(cache) >= self.max_entries:
-            cache.clear()
-        cache[key] = entry
-        self._stats["node"][1] += 1
-        return grants, net_load
 
     def network_fraction(self, program, n_nodes: int) -> float:
         """Memoized ``program.comm.network_fraction`` evaluation (the

@@ -17,13 +17,13 @@ its own running set through placement decisions and the runtime's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.perfmodel.execution import reference_time
 from repro.scheduling.base import BaseScheduler
 from repro.scheduling.placement import split_procs
 from repro.sim.cluster import ClusterState
-from repro.sim.job import Job
+from repro.sim.job import Job, PendingQueue
 from repro.sim.runtime import Decision
 
 
@@ -106,9 +106,9 @@ class CompactExclusiveBackfillScheduler(BaseScheduler):
     # -- scheduling ------------------------------------------------------------
 
     def schedule_point(
-        self, cluster: ClusterState, pending: Sequence[Job], now: float
+        self, cluster: ClusterState, pending: PendingQueue, now: float
     ) -> List[Decision]:
-        queue = self._priority_queue(pending)
+        queue = pending.head(self.config.max_queue_scan)
         decisions: List[Decision] = []
 
         # Start jobs in priority order while they fit.
@@ -137,14 +137,14 @@ class CompactExclusiveBackfillScheduler(BaseScheduler):
         assert n_head is not None
         idle_now = cluster.idle_count()
         t_res, extra = self._reservation(idle_now, n_head, now)
-        head.times_passed_over += 1
+        passed_over = [head]
 
         for job in head_tail[1:]:
             n = self._footprint(job)
             assert n is not None
             idle_now = cluster.idle_count()
             if n > idle_now:
-                job.times_passed_over += 1
+                passed_over.append(job)
                 continue
             runtime = self._predicted_runtime(job)
             fits_before_reservation = now + runtime <= t_res + 1e-9
@@ -153,7 +153,8 @@ class CompactExclusiveBackfillScheduler(BaseScheduler):
                 if not fits_before_reservation:
                     extra -= n  # consumes shadow nodes past the reservation
             else:
-                job.times_passed_over += 1
+                passed_over.append(job)
+        pending.age(passed_over)
         return decisions
 
     def _try_place(self, cluster: ClusterState, job: Job, now: float):

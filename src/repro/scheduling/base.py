@@ -1,6 +1,7 @@
 """Common scheduler skeleton: the age-based priority queue.
 
-At every scheduling point the queue is scanned in priority order — jobs
+At every scheduling point the head of the runtime's
+:class:`~repro.sim.job.PendingQueue` is scanned in priority order — jobs
 that have been passed over more often rank higher (aging), ties break by
 submission order.  A job that has reached the configurable age limit
 blocks the queue: nothing behind it is scheduled until it fits, which
@@ -10,7 +11,6 @@ prevents starvation of resource-demanding jobs (Section 4.4).
 from __future__ import annotations
 
 import abc
-import heapq
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -20,7 +20,7 @@ from repro.errors import SchedulingError
 from repro.hardware.topology import ClusterSpec
 from repro.profiling.database import ProfileDatabase
 from repro.sim.cluster import ClusterState
-from repro.sim.job import Job, Placement
+from repro.sim.job import Job, PendingQueue, Placement
 from repro.sim.runtime import Decision
 
 
@@ -99,17 +99,14 @@ class BaseScheduler(abc.ABC):
 
     # -- queue mechanics ------------------------------------------------------
 
-    def _priority_key(self, job: Job) -> Tuple[int, float, int]:
-        """Aged jobs first, then FIFO by submission, then id."""
-        return (-job.times_passed_over, job.submit_time, job.job_id)
-
     def schedule_point(
-        self, cluster: ClusterState, pending: Sequence[Job], now: float
+        self, cluster: ClusterState, pending: PendingQueue, now: float
     ) -> List[Decision]:
         # A single pass in priority order suffices: placements within a
         # point only consume resources, so a job that failed to fit
-        # cannot become feasible later in the same point.
-        queue = self._priority_queue(pending)
+        # cannot become feasible later in the same point.  Only the head
+        # is examined, like the bounded queue depth of production schedulers.
+        queue = pending.head(self.config.max_queue_scan)
         decisions: List[Decision] = []
         skipped: List[Job] = []
         # The cluster carries the simulation's PerfContext (construction
@@ -163,18 +160,8 @@ class BaseScheduler(abc.ABC):
                 # Aged job blocks the queue (anti-starvation): nothing
                 # behind it is scheduled until it fits.
                 break
-        for job in skipped:
-            job.times_passed_over += 1
+        pending.age(skipped)
         return decisions
-
-    def _priority_queue(self, pending: Sequence[Job]) -> List[Job]:
-        """Top of the queue in priority order.  Long queues (congested
-        trace replays) are truncated to ``max_queue_scan`` entries, like
-        the bounded queue depth of production schedulers."""
-        limit = self.config.max_queue_scan
-        if len(pending) <= limit:
-            return sorted(pending, key=self._priority_key)
-        return heapq.nsmallest(limit, pending, key=self._priority_key)
 
     # -- shared placement helpers -----------------------------------------------
 

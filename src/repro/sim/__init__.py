@@ -17,7 +17,7 @@ from repro.sim.runtime import (
     Simulation,
     SimulationResult,
 )
-from repro.sim.telemetry import TelemetryRecorder
+from repro.obs.telemetry import TelemetryRecorder
 
 __all__ = [
     "Job",

@@ -1,10 +1,11 @@
-"""Job objects and their lifecycle records."""
+"""Job objects, their lifecycle records, and the pending queue."""
 
 from __future__ import annotations
 
+import bisect
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -204,3 +205,85 @@ class Job:
         if self.finish_time is None:
             raise SimulationError(f"job {self.job_id} never finished")
         return self.finish_time - self.submit_time
+
+
+def priority_key(job: Job) -> Tuple[int, float, int]:
+    """Queue priority (Section 4.4): aged jobs first, then FIFO by
+    submission, then id.  Ids are unique, so keys never tie."""
+    return (-job.times_passed_over, job.submit_time, job.job_id)
+
+
+class PendingQueue:
+    """The pending jobs, kept sorted by :func:`priority_key`.
+
+    A scheduling point reads the queue's head instead of ranking every
+    pending job: ``head(k)`` is exactly ``heapq.nsmallest(k, jobs,
+    key=priority_key)``.  The key only changes through :meth:`age`,
+    which may bump only jobs of the last :meth:`head` window.  Aging
+    lowers their keys, which were already no greater than any key
+    behind the window, so re-sorting the prefix up to the deepest aged
+    job restores the total order.
+    """
+
+    __slots__ = ("_jobs", "_window")
+
+    def __init__(self, jobs: Iterable[Job] = ()) -> None:
+        self._jobs: List[Job] = sorted(jobs, key=priority_key)
+        #: Length of the last head() window (0: age() needs a new head).
+        self._window = 0
+
+    def __len__(self) -> int:
+        return len(self._jobs)
+
+    def push(self, job: Job) -> None:
+        """Queue a job: arrivals land at the back, requeued jobs (old
+        submit times, nonzero ages) in the middle."""
+        bisect.insort(self._jobs, job, key=priority_key)
+        self._window = 0
+
+    def remove(self, job: Job) -> None:
+        """Drop one job, found by identity (placed jobs sit near the
+        head); raises when it is not queued."""
+        jobs = self._jobs
+        for pos, queued in enumerate(jobs):
+            if queued is job:
+                del jobs[pos]
+                if pos < self._window:
+                    self._window -= 1
+                return
+        raise SimulationError(f"job {job.job_id} is not pending")
+
+    def head(self, limit: int) -> List[Job]:
+        """The ``limit`` highest-priority jobs, in priority order."""
+        head = self._jobs[:limit]
+        self._window = len(head)
+        return head
+
+    def age(self, jobs: Sequence[Job]) -> None:
+        """Count one more pass-over for each job (the only writer of
+        ``times_passed_over``) and restore priority order."""
+        queue, window = self._jobs, self._window
+        deepest = pos = 0
+        for job in jobs:
+            # Policies hand jobs back in queue order, so one forward
+            # scan usually finds them all; otherwise rescan the front.
+            start = pos
+            while pos < window and queue[pos] is not job:
+                pos += 1
+            if pos == window:
+                pos = 0
+                while pos < start and queue[pos] is not job:
+                    pos += 1
+                if pos == start:
+                    raise SimulationError(
+                        f"age(): job {job.job_id} is outside the last "
+                        "head() window; a policy may age only the jobs "
+                        "it was handed"
+                    )
+            if pos > deepest:
+                deepest = pos
+        for job in jobs:
+            job.times_passed_over += 1
+        if deepest:
+            queue[:deepest + 1] = sorted(queue[:deepest + 1],
+                                         key=priority_key)

@@ -38,7 +38,7 @@ from repro.obs.telemetry import TelemetryRecorder
 from repro.obs.trace import TraceLevel, Tracer
 from repro.sim.cluster import ClusterState
 from repro.sim.engine import EventKind, EventQueue
-from repro.sim.job import Job, JobState, Placement
+from repro.sim.job import Job, JobState, PendingQueue, Placement
 from repro.sim.node import distinct
 
 
@@ -81,10 +81,12 @@ class SchedulerPolicy(Protocol):
     counters: Dict[str, int]
 
     def schedule_point(
-        self, cluster: ClusterState, pending: Sequence[Job], now: float
+        self, cluster: ClusterState, pending: PendingQueue, now: float
     ) -> List[Decision]:
         """Place as many pending jobs as the policy wants; mutate the
-        cluster via :meth:`ClusterState.place` and return the decisions."""
+        cluster via :meth:`ClusterState.place` and return the decisions.
+        ``pending`` is the runtime's :class:`PendingQueue`: read its
+        ``head()``, and count pass-overs only through ``age()``."""
         ...  # pragma: no cover
 
     def on_job_finish(self, job: Job, now: float) -> None:
@@ -256,7 +258,7 @@ class SchedulerCore:
         self.policy = policy
         self.config = config
         self.jobs: Dict[int, Job] = {}
-        self.pending: List[Job] = []
+        self.pending = PendingQueue()
         self.events = EventQueue()
         # Episode telemetry is lazy (DESIGN.md §10): the recorder is
         # only built at run() start when the config asks for it, so a
@@ -489,7 +491,7 @@ class SchedulerCore:
                 job = self.jobs[ev.job_id]
                 if tracer is not None:
                     tracer.submit(now, job)
-                self.pending.append(job)
+                self.pending.push(job)
             elif ev.kind is EventKind.JOB_FINISH:
                 self._finish_job(self.jobs[ev.job_id], now,
                                  affected, touched)
@@ -573,7 +575,7 @@ class SchedulerCore:
         if self.pending:
             raise SimulationError(
                 f"{len(self.pending)} jobs never scheduled (deadlock): "
-                f"{[j.job_id for j in self.pending[:5]]}"
+                f"{[j.job_id for j in self.pending.head(5)]}"
             )
         makespan = self.events.now
         if self.telemetry is not None and not self._finalized:
@@ -847,10 +849,6 @@ class SchedulerCore:
             unstarted = {d.job.job_id for d in decisions}
         for d in decisions:
             job = d.job
-            if job not in self.pending:
-                raise SimulationError(
-                    f"policy placed job {job.job_id} that is not pending"
-                )
             self.pending.remove(job)
             work = (
                 reference_time(job.program, job.procs, self._spec)
@@ -876,7 +874,7 @@ class SchedulerCore:
                 and self.events.peek_time() is None:
             raise SimulationError(
                 "scheduler placed nothing on an idle cluster with pending "
-                f"jobs {[j.job_id for j in self.pending[:5]]}"
+                f"jobs {[j.job_id for j in self.pending.head(5)]}"
             )
 
     def _settle_residents(self, node_ids, now: float) -> Set[int]:

@@ -12,7 +12,7 @@ from repro.perfmodel.contention import Slice, node_network_load
 from repro.perfmodel.execution import NodeConditions, job_time
 from repro.scheduling.sns import SpreadNShareScheduler
 from repro.sim.cluster import ClusterState
-from repro.sim.job import Job
+from repro.sim.job import Job, PendingQueue
 from repro.sim.runtime import Simulation
 
 SPEC = NodeSpec()
@@ -103,7 +103,7 @@ class TestManagedNetworkScheduling:
                 cluster.place(nid, 1, chat, 4, 2, 1.0, 2, net=0.7)
             config = SchedulerConfig(manage_network=manage)
             policy = SpreadNShareScheduler(cluster_spec, config)
-            return policy.schedule_point(cluster, [job], 0.0)
+            return policy.schedule_point(cluster, PendingQueue([job]), 0.0)
 
         assert try_place(manage=False)  # placed: network invisible
         job2 = Job(job_id=9, program=chat, procs=32)
@@ -113,14 +113,14 @@ class TestManagedNetworkScheduling:
         policy = SpreadNShareScheduler(
             cluster_spec, SchedulerConfig(manage_network=True)
         )
-        assert policy.schedule_point(cluster, [job2], 0.0) == []
+        assert policy.schedule_point(cluster, PendingQueue([job2]), 0.0) == []
 
     def test_unmanaged_network_books_nothing(self):
         cluster_spec = ClusterSpec(num_nodes=4)
         policy = SpreadNShareScheduler(cluster_spec)
         cluster = ClusterState(cluster_spec, partitioned=True)
         jobs = [Job(job_id=0, program=get_program("CG"), procs=16)]
-        (d,) = policy.schedule_point(cluster, jobs, 0.0)
+        (d,) = policy.schedule_point(cluster, PendingQueue(jobs), 0.0)
         assert d.placement.booked_net == 0.0
 
     def test_node_network_accounting(self):

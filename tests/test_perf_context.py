@@ -122,7 +122,7 @@ class TestStatsPlumbing:
         for key, value in expected.items():
             assert result.counters[key] == value
         # The full key scheme is present in the result.
-        for name in ("demand", "rate", "node", "net", "supply"):
+        for name in ("demand", "rate", "net", "supply"):
             assert f"memo_{name}_hits" in result.counters
             assert f"memo_{name}_misses" in result.counters
         for key in ("batch_calls", "batch_nodes", "batch_slices"):

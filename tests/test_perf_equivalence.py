@@ -297,7 +297,7 @@ class _PresetPolicy:
         from repro.sim.runtime import Decision
 
         out = []
-        for job in pending:
+        for job in pending.head(len(pending)):
             ppn = self.plan[job.job_id]
             nodes = list(ppn)
             ways = cluster.spec.node.cache.min_ways

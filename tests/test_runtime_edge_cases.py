@@ -86,7 +86,7 @@ class _DoublePlacePolicy(BaseScheduler):
     def schedule_point(self, cluster, pending, now):
         from repro.scheduling.placement import split_procs
         decisions = []
-        for job in list(pending)[:1]:
+        for job in pending.head(1):
             for start in (0, 1):
                 chosen = [start]
                 decisions.append(self._install(

@@ -9,7 +9,7 @@ from repro.scheduling.ce import CompactExclusiveScheduler
 from repro.scheduling.cs import CompactShareScheduler
 from repro.scheduling.sns import SpreadNShareScheduler
 from repro.sim.cluster import ClusterState
-from repro.sim.job import Job
+from repro.sim.job import Job, PendingQueue
 
 
 def make_jobs(*specs, start_id=0):
@@ -30,7 +30,7 @@ class TestCE:
         policy = CompactExclusiveScheduler(cluster_spec)
         cluster = ClusterState(cluster_spec, partitioned=False)
         jobs = make_jobs(("MG", 16))
-        decisions = policy.schedule_point(cluster, jobs, 0.0)
+        decisions = policy.schedule_point(cluster, PendingQueue(jobs), 0.0)
         assert len(decisions) == 1
         d = decisions[0]
         assert d.scale_factor == 1
@@ -41,7 +41,7 @@ class TestCE:
         policy = CompactExclusiveScheduler(cluster_spec)
         cluster = ClusterState(cluster_spec, partitioned=False)
         jobs = make_jobs(("MG", 32))
-        (d,) = policy.schedule_point(cluster, jobs, 0.0)
+        (d,) = policy.schedule_point(cluster, PendingQueue(jobs), 0.0)
         assert d.placement.n_nodes == 2
         assert sorted(d.placement.procs_per_node.values()) == [16, 16]
 
@@ -49,7 +49,7 @@ class TestCE:
         policy = CompactExclusiveScheduler(cluster_spec)
         cluster = ClusterState(cluster_spec, partitioned=False)
         jobs = make_jobs(*[("WC", 16)] * 6)
-        decisions = policy.schedule_point(cluster, jobs, 0.0)
+        decisions = policy.schedule_point(cluster, PendingQueue(jobs), 0.0)
         # 4 nodes -> only 4 jobs run despite 12 idle cores on each.
         assert len(decisions) == 4
         used = [n for d in decisions for n in d.placement.node_ids]
@@ -59,7 +59,7 @@ class TestCE:
         policy = CompactExclusiveScheduler(cluster_spec)
         cluster = ClusterState(cluster_spec, partitioned=False)
         jobs = make_jobs(("MG", 28 * 5), ("EP", 16))  # first needs 5 nodes
-        decisions = policy.schedule_point(cluster, jobs, 0.0)
+        decisions = policy.schedule_point(cluster, PendingQueue(jobs), 0.0)
         assert [d.job.job_id for d in decisions] == [1]
 
 
@@ -68,14 +68,14 @@ class TestCS:
         policy = CompactShareScheduler(cluster_spec)
         cluster = ClusterState(cluster_spec, partitioned=False)
         jobs = make_jobs(*[("WC", 14)] * 8)
-        decisions = policy.schedule_point(cluster, jobs, 0.0)
+        decisions = policy.schedule_point(cluster, PendingQueue(jobs), 0.0)
         assert len(decisions) == 8  # 2 jobs per 28-core node
 
     def test_prefers_scale_one(self, cluster_spec):
         policy = CompactShareScheduler(cluster_spec)
         cluster = ClusterState(cluster_spec, partitioned=False)
         jobs = make_jobs(("MG", 16))
-        (d,) = policy.schedule_point(cluster, jobs, 0.0)
+        (d,) = policy.schedule_point(cluster, PendingQueue(jobs), 0.0)
         assert d.scale_factor == 1
 
     def test_spreads_only_when_compact_impossible(self, cluster_spec):
@@ -85,7 +85,7 @@ class TestCS:
         for nid in range(4):
             cluster.place(nid, 100 + nid, get_program("EP"), 20, 20, 0.0, 1)
         jobs = make_jobs(("WC", 16))
-        (d,) = policy.schedule_point(cluster, jobs, 0.0)
+        (d,) = policy.schedule_point(cluster, PendingQueue(jobs), 0.0)
         assert d.scale_factor == 2
         assert d.placement.n_nodes == 2
 
@@ -95,7 +95,7 @@ class TestCS:
         for nid in range(4):
             cluster.place(nid, 100 + nid, get_program("EP"), 20, 20, 0.0, 1)
         jobs = make_jobs(("GAN", 16))
-        assert policy.schedule_point(cluster, jobs, 0.0) == []
+        assert policy.schedule_point(cluster, PendingQueue(jobs), 0.0) == []
 
 
 class TestSNS:
@@ -106,25 +106,25 @@ class TestSNS:
     def test_scaling_program_spread_to_ideal_scale(self, sns, cluster_spec):
         cluster = ClusterState(cluster_spec, partitioned=True)
         jobs = make_jobs(("CG", 16))
-        (d,) = sns.schedule_point(cluster, jobs, 0.0)
+        (d,) = sns.schedule_point(cluster, PendingQueue(jobs), 0.0)
         assert d.scale_factor == 2  # CG's ideal scale
 
     def test_neutral_program_kept_compact(self, sns, cluster_spec):
         cluster = ClusterState(cluster_spec, partitioned=True)
         jobs = make_jobs(("WC", 16))
-        (d,) = sns.schedule_point(cluster, jobs, 0.0)
+        (d,) = sns.schedule_point(cluster, PendingQueue(jobs), 0.0)
         assert d.scale_factor == 1
 
     def test_compact_program_kept_compact(self, sns, cluster_spec):
         cluster = ClusterState(cluster_spec, partitioned=True)
         jobs = make_jobs(("BFS", 16))
-        (d,) = sns.schedule_point(cluster, jobs, 0.0)
+        (d,) = sns.schedule_point(cluster, PendingQueue(jobs), 0.0)
         assert d.scale_factor == 1
 
     def test_way_partitions_deducted(self, sns, cluster_spec):
         cluster = ClusterState(cluster_spec, partitioned=True)
         jobs = make_jobs(("CG", 16))
-        (d,) = sns.schedule_point(cluster, jobs, 0.0)
+        (d,) = sns.schedule_point(cluster, PendingQueue(jobs), 0.0)
         for nid in d.placement.node_ids:
             assert cluster.node(nid).dedicated_ways(0) == d.placement.dedicated_ways
             assert cluster.node(nid).free_ways == 20 - d.placement.dedicated_ways
@@ -132,7 +132,7 @@ class TestSNS:
     def test_bandwidth_booked(self, sns, cluster_spec):
         cluster = ClusterState(cluster_spec, partitioned=True)
         jobs = make_jobs(("MG", 16))
-        (d,) = sns.schedule_point(cluster, jobs, 0.0)
+        (d,) = sns.schedule_point(cluster, PendingQueue(jobs), 0.0)
         assert d.placement.booked_bw > 0
         nid = d.placement.node_ids[0]
         assert cluster.node(nid).booked_bw == pytest.approx(
@@ -146,7 +146,7 @@ class TestSNS:
         for nid in range(3):
             cluster.place(nid, 100 + nid, get_program("EP"), 28, 18, 0.0, 1)
         jobs = make_jobs(("CG", 16))
-        (d,) = sns.schedule_point(cluster, jobs, 0.0)
+        (d,) = sns.schedule_point(cluster, PendingQueue(jobs), 0.0)
         assert d.scale_factor == 1
         assert d.placement.node_ids == (3,)
 
@@ -154,12 +154,12 @@ class TestSNS:
         strict = SpreadNShareScheduler(cluster_spec)
         cluster = ClusterState(cluster_spec, partitioned=True)
         jobs = [Job(job_id=0, program=get_program("CG"), procs=16, alpha=1.0)]
-        (d_strict,) = strict.schedule_point(cluster, jobs, 0.0)
+        (d_strict,) = strict.schedule_point(cluster, PendingQueue(jobs), 0.0)
 
         loose = SpreadNShareScheduler(cluster_spec)
         cluster2 = ClusterState(cluster_spec, partitioned=True)
         jobs2 = [Job(job_id=0, program=get_program("CG"), procs=16, alpha=0.7)]
-        (d_loose,) = loose.schedule_point(cluster2, jobs2, 0.0)
+        (d_loose,) = loose.schedule_point(cluster2, PendingQueue(jobs2), 0.0)
         assert d_loose.placement.dedicated_ways < d_strict.placement.dedicated_ways
 
     def test_delays_job_when_nothing_fits(self, sns, cluster_spec):
@@ -167,7 +167,7 @@ class TestSNS:
         for nid in range(4):
             cluster.place(nid, 100 + nid, get_program("EP"), 28, 18, 0.0, 1)
         jobs = make_jobs(("CG", 16))
-        assert sns.schedule_point(cluster, jobs, 0.0) == []
+        assert sns.schedule_point(cluster, PendingQueue(jobs), 0.0) == []
         assert jobs[0].times_passed_over == 1
 
     def test_resource_compatible_colocation(self, sns, cluster_spec):
@@ -175,7 +175,7 @@ class TestSNS:
         demands are complementary — the SNS premise (Fig 9)."""
         cluster = ClusterState(cluster_spec, partitioned=True)
         jobs = make_jobs(("MG", 16), ("NW", 16))
-        decisions = sns.schedule_point(cluster, jobs, 0.0)
+        decisions = sns.schedule_point(cluster, PendingQueue(jobs), 0.0)
         assert len(decisions) == 2
 
 
@@ -184,7 +184,7 @@ class TestAgingQueue:
         policy = CompactExclusiveScheduler(cluster_spec)
         cluster = ClusterState(cluster_spec, partitioned=False)
         jobs = make_jobs(*[("WC", 28)] * 6)
-        policy.schedule_point(cluster, jobs, 0.0)
+        policy.schedule_point(cluster, PendingQueue(jobs), 0.0)
         waiting = [j for j in jobs if j.times_passed_over > 0]
         assert len(waiting) == 2  # 4 placed, 2 aged
 
@@ -198,7 +198,7 @@ class TestAgingQueue:
         big = make_jobs(("MG", 28 * 2))[0]   # needs 2 idle nodes
         big.times_passed_over = 1            # already at the age limit
         small = make_jobs(("EP", 16), start_id=1)[0]
-        decisions = policy.schedule_point(cluster, [big, small], 0.0)
+        decisions = policy.schedule_point(cluster, PendingQueue([big, small]), 0.0)
         # Head-of-line blocking: the small job must NOT jump the queue.
         assert decisions == []
 
@@ -210,5 +210,5 @@ class TestAgingQueue:
         old = make_jobs(("EP", 16))[0]
         old.times_passed_over = 5
         new = make_jobs(("EP", 16), start_id=1)[0]
-        decisions = policy.schedule_point(cluster, [new, old], 0.0)
+        decisions = policy.schedule_point(cluster, PendingQueue([new, old]), 0.0)
         assert [d.job.job_id for d in decisions] == [0]

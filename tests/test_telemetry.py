@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.telemetry import TelemetryRecorder
+from repro.obs.telemetry import TelemetryRecorder
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ from repro.hardware.topology import ClusterSpec
 from repro.scheduling.cs import CompactShareScheduler
 from repro.sim.job import Job
 from repro.sim.runtime import Simulation
-from repro.sim.telemetry import TelemetryRecorder
+from repro.obs.telemetry import TelemetryRecorder
 
 
 class TestCoresChannel:
