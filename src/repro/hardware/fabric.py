@@ -34,7 +34,7 @@ to behave bit-identically to a run with no fabric at all
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -148,6 +148,55 @@ class FabricSpec:
         """Spine utilization for ``load`` node-link units of cross-rack
         traffic (1.0 = saturated)."""
         return load * self.oversubscription / num_nodes
+
+    # ------------------------------------------------------------------
+    # Physical link loads of running cross-rack jobs
+
+    @staticmethod
+    def uplink_loads(frac: float, n_nodes: int,
+                     counts: np.ndarray) -> np.ndarray:
+        """Per-rack uplink loads of one job on ``n_nodes`` nodes with
+        ``counts[i]`` of them in its ``i``-th rack: each node sends
+        ``(n - s) / (n - 1)`` of its traffic ``frac`` off-rack (uniform
+        partner model), so a rack holding ``s`` of them carries
+        ``frac * ((n - s) / (n - 1)) * s``.  Elementwise this is the
+        scalar expression's exact IEEE op sequence (int64 -> float64 is
+        exact at node-id scale)."""
+        return frac * ((n_nodes - counts) / (n_nodes - 1)) * counts
+
+    def link_utilization(
+        self, num_nodes: int,
+        racks: Sequence[np.ndarray], loads: Sequence[np.ndarray],
+    ) -> Tuple[np.ndarray, float, np.ndarray]:
+        """Link utilizations for a set of running cross-rack jobs.
+
+        ``racks[j]`` / ``loads[j]`` are job ``j``'s rack ids (at least
+        two) and their :meth:`uplink_loads`.  Returns ``(tor_util,
+        spine_util, route)``: per-rack ToR uplink utilization, spine
+        utilization, and each job's route load ``max(spine_util,
+        tor_util over its racks)``.
+
+        Bit-identical to accumulating the jobs one by one in the given
+        order (DESIGN.md §13): ``bincount`` adds its weights in input
+        order, the spine total is a sequential ``cumsum`` (``np.sum``
+        is pairwise), the int64 populations convert to float64 exactly,
+        and maxima are exact.
+        """
+        pop = self.rack_population(num_nodes)
+        if not racks:
+            return (np.zeros(pop.size),
+                    self.spine_utilization(0.0, num_nodes), np.zeros(0))
+        rack_ids = np.concatenate(racks)
+        tor = np.bincount(rack_ids, weights=np.concatenate(loads),
+                          minlength=pop.size)
+        spine_util = self.spine_utilization(float(np.cumsum(tor)[-1]),
+                                            num_nodes)
+        tor_util = tor * self.oversubscription / pop
+        starts = np.zeros(len(racks), dtype=np.intp)
+        np.cumsum([r.size for r in racks[:-1]], out=starts[1:])
+        route = np.maximum(np.maximum.reduceat(tor_util[rack_ids], starts),
+                           spine_util)
+        return tor_util, spine_util, route
 
     # ------------------------------------------------------------------
     # Deterministic routing

@@ -11,8 +11,7 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from repro.errors import SimulationError
 
@@ -38,17 +37,20 @@ class EventKind(enum.IntEnum):
         return self.name.lower()
 
 
-@dataclass(frozen=True, order=True)
-class Event:
+class Event(NamedTuple):
     """One queue entry.  ``job_id`` carries the event's subject: a job
     id for submit/finish events, a node id for ``NODE_FAIL`` /
-    ``NODE_RECOVER``, and ``-1`` for profile-store transitions."""
+    ``NODE_RECOVER``, and ``-1`` for profile-store transitions.
+
+    A plain tuple, so ``heapq`` compares entries in C.  Entries order by
+    ``(time, kind, seq)``; ``seq`` is unique per queue, so a comparison
+    never reaches ``job_id`` or ``version``."""
 
     time: float
     kind: EventKind
     seq: int
-    job_id: int = field(compare=False)
-    version: int = field(compare=False, default=0)
+    job_id: int
+    version: int = 0
 
 
 class EventQueue:

@@ -278,8 +278,8 @@ class SchedulerCore:
         # the ToR uplinks and the spine in proportion to its
         # communication fraction, whatever the policy placed it (CE/CS
         # book no network yet still congest the fabric).  ``_cross_jobs``
-        # maps job_id -> (net fraction, n_nodes, ((rack, nodes), ...))
-        # for running jobs that span racks; ``_route_loads`` holds the
+        # maps job_id -> (rack ids, per-rack uplink loads) arrays for
+        # running jobs that span racks; ``_route_loads`` holds the
         # derived utilization of the most loaded link on each such job's
         # route, rebuilt by _recompute_fabric_loads whenever the cross
         # set changes.  On a flat fabric ``_fabric`` is None and both
@@ -291,13 +291,9 @@ class SchedulerCore:
         if fabric is not None and fabric.active_for(n):
             self._fabric = fabric
             self._f_rack_of = fabric.rack_map(n)
-            self._f_num_racks = fabric.num_racks(n)
-            self._f_rack_pop = [int(p) for p in fabric.rack_population(n)]
         else:
             self._fabric = None
             self._f_rack_of = None
-            self._f_num_racks = 0
-            self._f_rack_pop = []
         self._cross_jobs: Dict[int, tuple] = {}
         self._route_loads: Dict[int, float] = {}
         self._fabric_dirty = False
@@ -750,8 +746,9 @@ class SchedulerCore:
         frac = self.ctx.network_fraction(job.program, count)
         if frac == 0.0:
             return None
-        rack_counts = tuple(zip(uniq.tolist(), cnt.tolist()))
-        self._cross_jobs[job.job_id] = (frac, count, rack_counts)
+        self._cross_jobs[job.job_id] = (
+            uniq, self._fabric.uplink_loads(frac, count, cnt)
+        )
         self._fabric_dirty = True
         return frac
 
@@ -767,45 +764,23 @@ class SchedulerCore:
         from the cross-rack running set.
 
         Deterministic by construction: jobs accumulate in sorted-id
-        order with a fixed operation sequence, so the invariant
-        checker's replay (:func:`repro.obs.invariants.check_trace`)
-        reproduces every float exactly from the trace's ``start``
-        records.  A job on ``n`` nodes with ``s`` of them in rack ``r``
-        sends fraction ``(n - s) / (n - 1)`` of its per-node traffic
-        across that rack's uplink (uniform partner model, DESIGN.md
-        §13), so the rack's load gains ``frac * ((n - s) / (n - 1)) * s``
-        and everything crossing an uplink also crosses the spine."""
-        fabric = self._fabric
-        num_nodes = len(self.cluster.nodes)
-        num_racks = self._f_num_racks
+        order (:meth:`FabricSpec.link_utilization` keeps the scalar
+        left-to-right sums), so the invariant checker's replay
+        (:func:`repro.obs.invariants.check_trace`) reproduces every
+        float exactly from the trace's ``start`` records."""
         cross = self._cross_jobs
-        tor = [0.0] * num_racks
-        for jid in sorted(cross):
-            frac, n, rack_counts = cross[jid]
-            for r, s in rack_counts:
-                tor[r] += frac * ((n - s) / (n - 1)) * s
-        spine = 0.0
-        for load in tor:
-            spine += load
-        pop = self._f_rack_pop
-        tor_util = [
-            fabric.tor_utilization(tor[r], pop[r])
-            for r in range(num_racks)
-        ]
-        spine_util = fabric.spine_utilization(spine, num_nodes)
-        route_loads: Dict[int, float] = {}
-        for jid, (frac, n, rack_counts) in cross.items():
-            load = spine_util
-            for r, _s in rack_counts:
-                if tor_util[r] > load:
-                    load = tor_util[r]
-            route_loads[jid] = load
-        self._route_loads = route_loads
+        jids = sorted(cross)
+        entries = [cross[jid] for jid in jids]
+        tor_util, spine_util, route = self._fabric.link_utilization(
+            len(self.cluster.nodes),
+            [e[0] for e in entries], [e[1] for e in entries],
+        )
+        self._route_loads = dict(zip(jids, route.tolist()))
         counters = self.ctx.batch_counters
         counters["fabric_link_refreshes"] += 1
-        counters["fabric_route_evals"] += len(route_loads)
+        counters["fabric_route_evals"] += len(jids)
         if self.tracer is not None:
-            self.tracer.links(now, tor_util, spine_util)
+            self.tracer.links(now, tor_util.tolist(), spine_util)
 
     def _scheduling_point(self, now: float,
                           affected: Set[int], touched: Set[int]) -> None:

@@ -6,11 +6,13 @@ from __future__ import annotations
 
 import copy
 
+import numpy as np
 import pytest
 
 from repro.config import SchedulerConfig, SimConfig, TraceConfig
 from repro.errors import AllocationError, HardwareModelError
 from repro.experiments.common import run_policy
+from repro.faults.plan import FaultPlan, RetryPolicy
 from repro.hardware.fabric import FabricSpec
 from repro.hardware.topology import ClusterSpec
 from repro.obs import check_trace
@@ -342,6 +344,167 @@ class TestLinkConservation:
                        "spine": 0.0})
         errors = check_trace(events)
         assert any("declares no fabric" in e for e in errors)
+
+    def test_many_racks_under_faults(self):
+        # 70 nodes in racks of 4 (the last rack holds 2) under CE, whose
+        # first-idle placements of 2- and 4-node jobs cross racks, with an
+        # MTBF plan dense enough that evictions empty the cross set.
+        num_nodes = 70
+        plan = FaultPlan.from_mtbf(
+            seed=0, num_nodes=num_nodes, mtbf_s=1000.0, mttr_s=120.0,
+            horizon_s=1500.0,
+            retry=RetryPolicy(max_retries=3, backoff_s=60.0),
+        )
+        result = run_policy(
+            "CE",
+            ClusterSpec(num_nodes=num_nodes,
+                        fabric=FabricSpec(rack_size=4,
+                                          oversubscription=4.0)),
+            random_sequence(seed=0, n_jobs=60, proc_choices=(28, 56, 112),
+                            program_names=("MG", "CG", "LU", "BFS",
+                                           "WC", "TS", "NW", "EP")),
+            sim_config=SimConfig(trace=TraceConfig(level="events")),
+            fault_plan=plan,
+        )
+        events = result.trace.events
+        assert check_trace(events) == []
+        links = [e for e in events if e["ev"] == "links"]
+        assert len(links[0]["tor"]) == 18
+        assert any(e["spine"] > 0.0 for e in links)
+        # An all-zero record whose cause, since the previous links
+        # record, is an eviction and not a finish.
+        kinds: set = set()
+        evicted_empty = False
+        for event in events:
+            if event["ev"] != "links":
+                kinds.add(event["ev"])
+                continue
+            if not any(event["tor"]) and event["spine"] == 0.0 \
+                    and "evict" in kinds and "finish" not in kinds:
+                evicted_empty = True
+            kinds = set()
+        assert evicted_empty
+
+
+def _scalar_link_loads(fabric, num_nodes, cross):
+    """The scalar per-rack loop the vectorized recompute must match bit
+    for bit (the arithmetic ``obs/invariants`` replays): ``cross`` maps
+    job id -> (frac, n_nodes, ((rack, nodes in rack), ...)), iterated
+    in insertion order for the route loads."""
+    num_racks = fabric.num_racks(num_nodes)
+    pop = [int(p) for p in fabric.rack_population(num_nodes)]
+    tor = [0.0] * num_racks
+    for jid in sorted(cross):
+        frac, n, rack_counts = cross[jid]
+        for r, s in rack_counts:
+            tor[r] += frac * ((n - s) / (n - 1)) * s
+    spine = 0.0
+    for load in tor:
+        spine += load
+    tor_util = [
+        fabric.tor_utilization(tor[r], pop[r]) for r in range(num_racks)
+    ]
+    spine_util = fabric.spine_utilization(spine, num_nodes)
+    route_loads = {}
+    for jid, (frac, n, rack_counts) in cross.items():
+        load = spine_util
+        for r, _s in rack_counts:
+            if tor_util[r] > load:
+                load = tor_util[r]
+        route_loads[jid] = load
+    return tor_util, spine_util, route_loads
+
+
+@st.composite
+def _cross_sets(draw):
+    """A fabric geometry (the last rack often short) and a set of
+    running cross-rack jobs ``{job id: (frac, nodes)}`` in arbitrary
+    insertion order.  Each job's nodes are drawn anywhere, from two
+    racks every such job shares, or one node per rack."""
+    rack_size = draw(st.integers(1, 6), label="rack_size")
+    full = draw(st.integers(1, 40), label="full_racks")
+    short = draw(st.integers(0, rack_size - 1), label="short_rack")
+    num_nodes = full * rack_size + short
+    hypothesis.assume(num_nodes > rack_size)
+    fabric = FabricSpec(
+        rack_size=rack_size,
+        oversubscription=draw(st.sampled_from([1.5, 2.0, 3.0, 4.0, 8.0]),
+                              label="oversub"),
+    )
+    num_racks = fabric.num_racks(num_nodes)
+    shared = [n for r in (0, num_racks - 1)
+              for n in range(*fabric.rack_span(r, num_nodes))]
+    jids = draw(st.lists(st.integers(0, 10_000), max_size=16, unique=True),
+                label="job_ids")
+    jobs = {}
+    for jid in jids:
+        shape = draw(st.sampled_from(["any", "shared", "spread"]),
+                     label="shape")
+        if shape == "any":
+            nodes = draw(st.lists(st.integers(0, num_nodes - 1),
+                                  min_size=2, max_size=num_nodes,
+                                  unique=True), label="nodes")
+        elif shape == "shared":
+            nodes = draw(st.lists(st.sampled_from(shared), min_size=2,
+                                  unique=True), label="nodes")
+        else:
+            racks = draw(st.lists(st.integers(0, num_racks - 1),
+                                  min_size=2, unique=True), label="racks")
+            nodes = [fabric.rack_span(r, num_nodes)[0] for r in racks]
+        if len({fabric.rack_of(n) for n in nodes}) < 2:
+            continue  # rack-local: never registered as a cross job
+        frac = draw(st.floats(min_value=1e-3, max_value=1.0),
+                    label="frac")
+        jobs[jid] = (frac, nodes)
+    return fabric, num_nodes, jobs
+
+
+class TestVectorizedLinkLoads:
+    """The runtime's vectorized recompute must equal the scalar loop
+    float for float: the invariant checker replays the scalar form."""
+
+    @staticmethod
+    def _check(fabric, num_nodes, jobs):
+        rack_map = fabric.rack_map(num_nodes)
+        cross = {}
+        for jid, (frac, nodes) in jobs.items():
+            counts: dict = {}
+            for nid in nodes:
+                r = fabric.rack_of(nid)
+                counts[r] = counts.get(r, 0) + 1
+            cross[jid] = (frac, len(nodes), tuple(sorted(counts.items())))
+        want_tor, want_spine, want_route = _scalar_link_loads(
+            fabric, num_nodes, cross
+        )
+        # The runtime's registration (_fabric_note_start) and
+        # recompute (_recompute_fabric_loads), in sorted job-id order.
+        jids = sorted(jobs)
+        racks, loads = [], []
+        for jid in jids:
+            frac, nodes = jobs[jid]
+            uniq, cnt = np.unique(rack_map[nodes], return_counts=True)
+            racks.append(uniq)
+            loads.append(fabric.uplink_loads(frac, len(nodes), cnt))
+        tor_util, spine_util, route = fabric.link_utilization(
+            num_nodes, racks, loads
+        )
+        assert [x.hex() for x in tor_util.tolist()] == \
+            [x.hex() for x in want_tor]
+        assert spine_util.hex() == want_spine.hex()
+        assert {j: x.hex() for j, x in zip(jids, route.tolist())} == \
+            {j: x.hex() for j, x in want_route.items()}
+
+    @given(case=_cross_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar_loop(self, case):
+        self._check(*case)
+
+    def test_empty_cross_set(self):
+        fabric = FabricSpec(rack_size=4, oversubscription=4.0)
+        self._check(fabric, 70, {})
+        tor_util, spine_util, route = fabric.link_utilization(70, [], [])
+        assert tor_util.tolist() == [0.0] * 18
+        assert spine_util == 0.0 and route.size == 0
 
 
 class TestFigOversub:
