@@ -120,23 +120,11 @@ class ClusterState:
             "arb_nodes_solved": 0,
             "nodes_scanned": 0,
             "find_fail_hits": 0,
-            "scan_cache_hits": 0,
         }
         # Negative placement-search cache: demand tuples find_nodes
         # failed for at the given release epoch (see find_nodes —
         # placements only consume, so a failure holds until a removal).
         self.find_fail: Tuple[int, set] = (-1, set())
-        # Per-bucket node-id arrays for scan_hosts, invalidated when a
-        # node enters or leaves the bucket.
-        self._bucket_arrays: Dict[int, np.ndarray] = {}
-        # Per-bucket scan-result memo: demand tuple -> qualifying ids.
-        # A node's capacity columns cannot change without its free-core
-        # count changing (every slice consumes cores), so unchanged
-        # bucket membership implies unchanged member state — the memo is
-        # evicted exactly where the id-array cache is, plus the
-        # defensive zero-proc edges where columns move but buckets
-        # don't.
-        self._scan_cache: Dict[int, Dict[tuple, List[int]]] = {}
         # Leaf-spine fabric (DESIGN.md §13).  ``_fabric`` is non-None
         # only when the spec attaches a FabricSpec that can ever bind on
         # this cluster (oversubscribed AND multi-rack) — every fabric
@@ -183,14 +171,6 @@ class ClusterState:
             buckets[new_free] = {node_id: None}
         else:
             new_bucket[node_id] = None
-        arrays = self._bucket_arrays
-        if arrays:
-            arrays.pop(old_free, None)
-            arrays.pop(new_free, None)
-        scache = self._scan_cache
-        if scache:
-            scache.pop(old_free, None)
-            scache.pop(new_free, None)
 
     def place(self, node_id: int, job_id: int, program, procs: int,
               ways: int, bw: float, n_nodes: int, net: float = 0.0) -> None:
@@ -218,10 +198,6 @@ class ClusterState:
         old = int(self.columns.free_cores[node_id])
         self.nodes[node_id].place(job_id, program, procs, ways, bw,
                                   n_nodes, net)
-        if not procs:
-            # Zero-proc slice: columns changed but the node stays in its
-            # bucket — _reindex below is a no-op, evict the memo here.
-            self._scan_cache.pop(old, None)
         self._reindex(node_id, old, old - procs)
         self.counters["mix_transitions"] += self.mixes.add(
             np.array([node_id]), job_id, np.array([procs]))
@@ -243,10 +219,7 @@ class ClusterState:
                 )
         old = int(cols.free_cores[node_id])
         self.nodes[node_id].remove(job_id)
-        new = int(cols.free_cores[node_id])
-        if new == old:
-            self._scan_cache.pop(old, None)
-        self._reindex(node_id, old, new)
+        self._reindex(node_id, old, int(cols.free_cores[node_id]))
         self.counters["mix_transitions"] += self.mixes.drop(
             np.array([node_id]), job_id)
         self.release_epoch += 1
@@ -561,8 +534,6 @@ class ClusterState:
         in batch order, exactly as per-node moves would insert them.
         """
         buckets = self._by_free_cores
-        arrays = self._bucket_arrays
-        scache = self._scan_cache
         # Nodes move in bulk, one contiguous *run* of equal process
         # counts at a time (an even split yields one run; the base+1 /
         # base split of an uneven one yields two).  Runs execute in
@@ -581,11 +552,7 @@ class ClusterState:
             while stop < count and procs_list[stop] == procs:
                 stop += 1
             if not procs:
-                # Zero-proc runs leave their buckets alone but may have
-                # changed other capacity columns: evict their scan memos.
-                if self._scan_cache:
-                    for old in set(old_free[start:stop]):
-                        self._scan_cache.pop(old, None)
+                # Zero-proc runs leave their buckets alone.
                 start = stop
                 continue
             delta = sign * procs
@@ -617,12 +584,6 @@ class ClusterState:
                     buckets[new] = dict.fromkeys(members)
                 else:
                     new_bucket.update(dict.fromkeys(members))
-                if arrays:
-                    arrays.pop(old, None)
-                    arrays.pop(new, None)
-                if scache:
-                    scache.pop(old, None)
-                    scache.pop(new, None)
             start = stop
 
     # -- fabric link accounting (DESIGN.md §13) ---------------------------------
@@ -700,8 +661,6 @@ class ClusterState:
             raise SimulationError("free-core index out of sync") from None
         if not bucket:
             del buckets[free]
-        self._bucket_arrays.pop(free, None)
-        self._scan_cache.pop(free, None)
         self._down[node_id] = None
         self.availability_version += 1
 
@@ -719,8 +678,6 @@ class ClusterState:
             self._by_free_cores[free] = {node_id: None}
         else:
             bucket[node_id] = None
-        self._bucket_arrays.pop(free, None)
-        self._scan_cache.pop(free, None)
         self.availability_version += 1
         self.release_epoch += 1
 
@@ -750,76 +707,81 @@ class ClusterState:
         bucket = self._by_free_cores.get(self.spec.node.cores, ())
         return list(islice(bucket, n))
 
+    def _host_mask(self, sub, cores: Optional[int], ways: int, bw: float,
+                   net: float, idle_skips_tor: bool = False
+                   ) -> Optional[np.ndarray]:
+        """Per-node ``can_host`` mask over the slots ``sub`` (an id
+        array, or ``slice(None)`` for all), for ways the caller has
+        range-checked.  ``cores=None`` skips the core test; bandwidth
+        and network are tested only for a positive demand (the epsilon
+        columns are strictly positive); ``None`` means nothing was
+        tested.  Under an active fabric a network demand also needs its
+        rack's ToR headroom in the worst case (all of it crossing the
+        spine) — a conservative feasibility mask.  ``idle_skips_tor``
+        exempts fully idle nodes, which find_nodes admits through one
+        representative's ``can_host`` (DESIGN.md §11)."""
+        cols = self.columns
+        ok = None if cores is None else cols.free_cores[sub] >= cores
+        if bw > 0.0:
+            m = cols.bw_eps[sub] >= bw
+            ok = m if ok is None else ok & m
+        if self.partitioned:
+            m = cols.free_ways[sub] >= ways
+            ok = m if ok is None else ok & m
+            ok &= cols.parts[sub] < cols.max_partitions
+        if net > 0.0:
+            m = cols.net_eps[sub] >= net
+            ok = m if ok is None else ok & m
+            if self._fabric is not None:
+                cap = self._rack_pop / self._fabric.oversubscription
+                tor = (self.booked_tor + net <= cap + 1e-9)[
+                    self._rack_of[sub]]
+                if idle_skips_tor:
+                    tor |= cols.free_cores[sub] == cols.cores
+                ok &= tor
+        return ok
+
+    def _ways_unplaceable(self, ways: int) -> bool:
+        """Whether ``can_allocate`` rejects ``ways`` on every node."""
+        cols = self.columns
+        return self.partitioned and (
+            ways < cols.min_ways or ways > cols.llc_ways)
+
+    def count_hosts(self, cores: int, ways: int, bw: float,
+                    net: float) -> int:
+        """Number of up nodes that could host the slice, in one pass
+        over the node columns: exactly the nodes find_nodes' bucket
+        walk qualifies with no scan cap (:meth:`scan_hosts` on
+        part-used nodes, no ToR test on idle ones; DESIGN.md §7)."""
+        if self._ways_unplaceable(ways):
+            return 0
+        ok = self._host_mask(slice(None), cores, ways, bw, net,
+                             idle_skips_tor=True)
+        if self._down:
+            ok[list(self._down)] = False
+        return int(np.count_nonzero(ok))
+
     def scan_hosts(self, ids: Iterable[int], cores: int, ways: int,
                    bw: float, net: float, limit: int,
                    bucket: int = None) -> List[int]:
         """First ``limit`` node ids (scanned in the given order) that
-        satisfy :meth:`NodeState.can_host` with these demands.
+        satisfy :meth:`NodeState.can_host` with these demands, plus the
+        ToR headroom test under an active fabric (:meth:`_host_mask`).
 
         Vectorized over the capacity columns (the authoritative node
-        state — nothing to flush first); condition-for-condition
-        identical to calling ``can_host`` per node.  When the caller
-        scans a whole free-core bucket it passes the bucket key so the
-        id array is reused until the bucket's membership changes.
+        state).  A caller scanning a whole free-core bucket passes its
+        key, which makes the core comparison a foregone conclusion.
+        find_nodes scans only once its :meth:`count_hosts` precheck
+        says the bucket walk will succeed.
         """
-        arr = None
-        memo = None
-        dkey = None
-        # The ToR headroom mask below depends on link state that changes
-        # *without* the bucket's membership changing (a placement on the
-        # rack's other members books the shared uplink), so net-booking
-        # scans under an active fabric bypass the per-bucket scan memo —
-        # its unchanged-membership-implies-unchanged-state premise does
-        # not hold for them.
-        fabric_net = net > 0.0 and self._fabric is not None
-        if bucket is not None and self.ctx.enabled and not fabric_net:
-            # Scan-result memo: congested replays retry near-identical
-            # demands against unchanged buckets; a hit skips the whole
-            # column scan.  The copy keeps callers from aliasing the
-            # cached list.
-            memo = self._scan_cache.get(bucket)
-            dkey = (cores, ways, bw, net, limit)
-            if memo is not None:
-                hit = memo.get(dkey)
-                if hit is not None:
-                    self.counters["scan_cache_hits"] += 1
-                    return list(hit)
-            arr = self._bucket_arrays.get(bucket)
-        if arr is None:
-            count = len(ids) if hasattr(ids, "__len__") else -1
-            arr = np.fromiter(ids, dtype=np.int64, count=count)
-            if bucket is not None:
-                self._bucket_arrays[bucket] = arr
-        if arr.size == 0:
+        arr = _id_array(ids)
+        if arr.size == 0 or self._ways_unplaceable(ways):
             return []
-        cols = self.columns
-        if self.partitioned and (
-            ways < cols.min_ways or ways > cols.llc_ways
-        ):
-            return []  # can_allocate() rejects on every node
-        # Zero-demand dimensions are foregone conclusions (the epsilon
-        # columns are strictly positive by construction), so their
-        # elementwise compares are skipped outright; ``bucket >= cores``
-        # makes the core comparison one too (bucket invariant: every
-        # member has exactly ``bucket`` free cores).
         check_cores = not (bucket is not None and bucket >= cores)
         if not (check_cores or bw > 0.0 or self.partitioned or net > 0.0):
             hits = arr[:limit] if arr.size > limit else arr
             self.counters["nodes_scanned"] += int(hits.size)
-            out = hits.tolist()
-            if dkey is not None:
-                self._scan_cache.setdefault(bucket, {})[dkey] = out
-                return list(out)
-            return out
-        # Per-rack ToR headroom: a node can take a net-booking slice
-        # only if its rack's uplink could still carry the booking even
-        # in the worst case (all of it crossing the spine).  This is a
-        # conservative *feasibility* mask — the eventual placement may
-        # book less (or no) cross traffic if it lands compactly.
-        tor_ok = None
-        if fabric_net:
-            cap = self._rack_pop / self._fabric.oversubscription
-            tor_ok = self.booked_tor + net <= cap + 1e-9
+            return hits.tolist()
         # Chunked scan with early stop: callers only consume the first
         # ``limit`` qualifiers (in id-array order, which chunking
         # preserves), so wide buckets stop as soon as the quota is
@@ -833,27 +795,11 @@ class ClusterState:
             sub = arr[start:start + chunk]
             start += chunk
             counters["nodes_scanned"] += int(sub.size)
-            ok = None
-            if check_cores:
-                ok = cols.free_cores[sub] >= cores
-            if bw > 0.0:
-                m = cols.bw_eps[sub] >= bw
-                ok = m if ok is None else ok & m
-            if self.partitioned:
-                m = cols.free_ways[sub] >= ways
-                ok = m if ok is None else ok & m
-                ok &= cols.parts[sub] < cols.max_partitions
-            if net > 0.0:
-                m = cols.net_eps[sub] >= net
-                ok = m if ok is None else ok & m
-                if tor_ok is not None:
-                    ok &= tor_ok[self._rack_of[sub]]
+            ok = self._host_mask(sub, cores if check_cores else None,
+                                 ways, bw, net)
             out.extend(sub[ok].tolist())
         if len(out) > limit:
             out = out[:limit]
-        if dkey is not None:
-            self._scan_cache.setdefault(bucket, {})[dkey] = out
-            return list(out)
         return out
 
     def pick_idlest(self, ids: List[int], n: int, beta: float,

@@ -4,8 +4,12 @@ import pytest
 
 from repro.apps.catalog import get_program
 from repro.errors import SchedulingError
+from repro.hardware.cache import CacheModel
+from repro.hardware.fabric import FabricSpec
+from repro.hardware.node_spec import NodeSpec
 from repro.hardware.topology import ClusterSpec
-from repro.scheduling.placement import find_nodes, split_procs
+from repro.perfmodel.context import PerfContext
+from repro.scheduling.placement import _walk, find_nodes, split_procs
 from repro.sim.cluster import ClusterState
 
 EP = get_program("EP")
@@ -107,3 +111,183 @@ class TestGroupPreference:
         assert find_nodes(
             cluster, 1, cores=8, ways=2, bw=1e9, beta=2.0
         ) is None
+
+
+class TestCountHosts:
+    def test_counts_every_dimension(self):
+        cluster = ClusterState(
+            ClusterSpec(num_nodes=5,
+                        node=NodeSpec(cache=CacheModel(max_partitions=2))),
+            partitioned=True,
+        )
+        peak = cluster.spec.node.peak_bw
+        cluster.place_slices([0], 1, EP, {0: 4}, 2, 0.0, 1)
+        cluster.place_slices([0], 2, EP, {0: 4}, 2, 0.0, 1)  # partitions full
+        cluster.place_slices([1], 3, CG, {1: 4}, 18, 0.0, 1)  # 2 ways left
+        cluster.place_slices([2], 4, EP, {2: 4}, 2, peak - 5.0, 1)
+        cluster.place_slices([3], 5, EP, {3: 4}, 2, 0.0, 1, net=0.9)
+        assert cluster.count_hosts(4, 2, 0.0, 0.0) == 4   # not node 0
+        assert cluster.count_hosts(4, 3, 0.0, 0.0) == 3   # nor node 1
+        assert cluster.count_hosts(4, 2, 10.0, 0.0) == 3  # nor node 2
+        assert cluster.count_hosts(4, 2, 0.0, 0.2) == 3   # nor node 3
+        assert cluster.count_hosts(4, 1, 0.0, 0.0) == 0   # ways floor
+        assert cluster.count_hosts(4, 21, 0.0, 0.0) == 0
+        cluster.fail_node(4)
+        assert cluster.count_hosts(4, 2, 0.0, 0.0) == 3
+
+    def test_unpartitioned_ignores_ways(self):
+        cluster = ClusterState(ClusterSpec(num_nodes=3), partitioned=False)
+        cluster.place_slices([0], 1, EP, {0: 20}, 0, 0.0, 1)
+        assert cluster.count_hosts(8, 0, 0.0, 0.0) == 3
+        assert cluster.count_hosts(9, 25, 0.0, 0.0) == 2
+
+
+class TestIdleNodeTorGap:
+    """Pins a known deviation (DESIGN.md §11): the idle fast path admits
+    fully idle nodes through one representative's ``can_host``, which
+    has no ToR-headroom test, so an idle node in a rack whose uplink is
+    full still takes a network-booking slice that its part-used
+    rack-mate is refused."""
+
+    @pytest.fixture
+    def saturated(self) -> ClusterState:
+        # Racks {0,1} {2,3} {4,5}; at 4:1 a 2-node rack's uplink carries
+        # 0.5 node-links.  A 0.5 booking spread over nodes 0 and 2
+        # crosses the spine entirely and fills both racks' uplinks.
+        cluster = ClusterState(
+            ClusterSpec(num_nodes=6,
+                        fabric=FabricSpec(rack_size=2,
+                                          oversubscription=4.0)),
+            partitioned=False,
+        )
+        cluster.place_slices([0, 2], 1, EP, {0: 4, 2: 4}, 0, 0.0, 2,
+                             net=0.5)
+        assert cluster.booked_tor.tolist() == [0.5, 0.5, 0.0]
+        return cluster
+
+    def test_part_used_rack_mate_is_refused(self, saturated):
+        assert saturated.node(0).can_host(4, 0, 0.0, net=0.1)
+        assert saturated.scan_hosts([0, 1], 4, 0, 0.0, 0.1, 10) == []
+
+    def test_idle_node_in_full_rack_is_admitted(self, saturated):
+        # Node 1 heads the idle bucket and shares rack 0's full uplink.
+        assert saturated.idle_nodes()[0] == 1
+        assert find_nodes(saturated, 1, cores=4, ways=0, bw=0.0,
+                          beta=2.0, net=0.1) == [1]
+        # The count mirrors the walk: idle nodes 1, 3, 4, 5 qualify,
+        # part-used nodes 0 and 2 do not.
+        assert saturated.count_hosts(4, 0, 0.0, 0.1) == 4
+
+
+hypothesis = pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+
+def _draw_nodes(draw, hosts):
+    """An ordered subset of ``hosts``: any permutation prefix on small
+    clusters, a strided run (either direction) on wide ones."""
+    if len(hosts) <= 32:
+        perm = draw(st.permutations(hosts))
+        return perm[:draw(st.integers(1, len(hosts)))]
+    start = draw(st.integers(0, len(hosts) - 1))
+    step = draw(st.sampled_from([1, 1, 2, 3]))
+    run = hosts[start::step]
+    run = run[:draw(st.integers(1, len(run)))]
+    return run[::-1] if draw(st.booleans()) else run
+
+
+@st.composite
+def _cluster_states(draw) -> ClusterState:
+    """Random cluster states: partitioned or not (with a low partition
+    limit sometimes), bandwidth and network bookings, an active 4:1
+    fabric carrying cross bookings or none, removals, and down nodes.
+    A wide cluster sometimes grows free-core buckets past ``scan_cap``
+    (256 for small demands), so the walk's truncation is exercised."""
+    partitioned = draw(st.booleans(), label="partitioned")
+    cache = CacheModel(max_partitions=draw(st.sampled_from([3, 16])))
+    wide = draw(st.integers(0, 3), label="wide") == 0
+    num_nodes = draw(st.integers(300, 600) if wide else st.integers(2, 20),
+                     label="num_nodes")
+    fabric = None
+    if draw(st.booleans(), label="fabric"):
+        fabric = FabricSpec(rack_size=draw(st.sampled_from([2, 3, 8])),
+                            oversubscription=4.0)
+    cluster = ClusterState(
+        ClusterSpec(num_nodes=num_nodes, node=NodeSpec(cache=cache),
+                    fabric=fabric),
+        partitioned=partitioned,
+        ctx=PerfContext(enabled=draw(st.booleans(), label="caches")),
+    )
+    node = cluster.spec.node
+    placed = {}
+    for job_id in range(draw(st.integers(0, 12), label="jobs")):
+        procs = draw(st.integers(1, node.cores // 4))
+        ways = draw(st.integers(cache.min_ways, 6)) if partitioned else 0
+        bw = draw(st.sampled_from([0.0, 5.0, 30.0]))
+        net = draw(st.sampled_from([0.0, 0.1, 0.25, 0.5]))
+        hosts = [nid for nid in range(num_nodes)
+                 if not cluster.is_down(nid)
+                 and cluster.node(nid).can_host(procs, ways, bw, net)]
+        if not hosts:
+            continue
+        chosen = _draw_nodes(draw, hosts)
+        cluster.place_slices(chosen, job_id, EP,
+                             dict.fromkeys(chosen, procs), ways, bw,
+                             len(chosen), net=net)
+        placed[job_id] = chosen
+        if draw(st.integers(0, 3)) == 0:
+            victim = draw(st.sampled_from(sorted(placed)))
+            cluster.remove_slices(placed.pop(victim), victim)
+        if draw(st.integers(0, 3)) == 0:
+            idle = cluster.idle_nodes()
+            if idle:
+                cluster.fail_node(draw(st.sampled_from(idle)))
+    return cluster
+
+
+@st.composite
+def _demands(draw, cluster: ClusterState):
+    node = cluster.spec.node
+    return dict(
+        n_nodes=draw(st.integers(1, min(len(cluster.nodes), 12))),
+        # Small demands fit part-used nodes; cores + 1 fits none.
+        cores=draw(st.integers(1, 8) | st.integers(1, node.cores + 1)),
+        # 0 and 1 fall below the associativity floor on partitioned
+        # clusters; llc_ways + 1 exceeds any node.
+        ways=draw(st.integers(0, 6) | st.integers(0, node.llc_ways + 1)),
+        bw=draw(st.sampled_from([0.0, 1.0, 60.0, node.peak_bw])),
+        net=draw(st.sampled_from([0.0, 0.05, 0.3, 1.0])),
+        beta=2.0,
+        locality=draw(st.booleans()),
+    )
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_count_precheck_is_exact(data):
+    """``count_hosts >= n`` holds exactly when the bucket walk alone
+    succeeds (DESIGN.md §7), and find_nodes — negative cache, core
+    fast-fail, idle branch and count in front of the walk — returns the
+    walk's node list.  Without a fabric the count is also checked
+    against per-node ``can_host``."""
+    cluster = data.draw(_cluster_states(), label="cluster")
+    cluster.verify_index()
+    for _ in range(data.draw(st.integers(1, 6), label="demands")):
+        d = data.draw(_demands(cluster), label="demand")
+        demand = (d["cores"], d["ways"], d["bw"], d["net"])
+        count = cluster.count_hosts(*demand)
+        if cluster.spec.fabric is None:
+            # No ToR term: the count is can_host's, node by node.
+            assert count == sum(
+                cluster.node(nid).can_host(*demand)
+                for nid in range(len(cluster.nodes))
+                if not cluster.is_down(nid)
+            )
+        # The drawn width, and the two widths either side of the count.
+        for n in sorted({d["n_nodes"], max(count, 1), count + 1}):
+            args = (cluster, n, d["cores"], d["ways"], d["bw"],
+                    d["beta"], d["net"], d["locality"])
+            walked = _walk(*args)
+            assert (walked is not None) == (count >= n), (n, count, d)
+            assert find_nodes(*args) == walked
