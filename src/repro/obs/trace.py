@@ -213,7 +213,7 @@ class Tracer:
             "candidates": meta.get("candidates"),
             "degraded": bool(meta.get("degraded", False)),
             "trial": bool(meta.get("trial", False)),
-            "nodes": list(placement.node_ids),
+            "nodes": placement.nodes.tolist(),
             "partners": sorted(partners),
         }
         if xfrac is not None:

@@ -75,9 +75,9 @@ class CompactExclusiveBackfillScheduler(BaseScheduler):
     def _start(self, cluster: ClusterState, job: Job, now: float,
                n_nodes: int) -> Decision:
         chosen = cluster.first_idle(n_nodes)
-        procs_per_node = split_procs(job.procs, chosen)
+        procs = split_procs(job.procs, chosen)
         decision = self._install(
-            cluster, job, chosen, procs_per_node,
+            cluster, job, chosen, procs,
             ways=cluster.spec.node.llc_ways, bw_per_node=0.0, scale_factor=1,
         )
         self._sanity_check_decision(decision)

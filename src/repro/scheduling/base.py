@@ -11,7 +11,7 @@ prevents starvation of resource-demanding jobs (Section 4.4).
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -169,38 +169,28 @@ class BaseScheduler(abc.ABC):
         self,
         cluster: ClusterState,
         job: Job,
-        node_ids: Sequence[int],
-        procs_per_node: Dict[int, int],
+        nodes: np.ndarray,
+        procs: np.ndarray,
         ways: int,
         bw_per_node: float,
         scale_factor: int,
         net_per_node: float = 0.0,
         meta: Optional[Dict] = None,
     ) -> Decision:
-        """Install the job's slices on the chosen nodes and wrap the
-        result as a :class:`Decision`.  ``meta`` carries decision
-        context for the tracer (candidate-set size, degraded/trial
-        flags) and is never read by placement logic."""
-        n_nodes = len(node_ids)
-        # The placement's node-id array, built once for the cluster's
-        # columnar paths and every later refresh/settle/remove.
-        nodes = np.fromiter(node_ids, dtype=np.int64, count=n_nodes)
+        """Install the job's slices (``procs[i]`` processes on node
+        ``nodes[i]``) and wrap the result as a :class:`Decision`.
+        ``meta`` carries decision context for the tracer (candidate-set
+        size, degraded/trial flags) and is never read by placement
+        logic."""
         # Batched install: one fancy-indexed write per capacity column
         # instead of a per-node place() walk.  place_slices validates
         # before mutating, so a failed placement leaves the cluster
         # untouched — no rollback loop needed here.
         cluster.place_slices(
-            node_ids, job.job_id, job.program, procs_per_node,
-            ways, bw_per_node, n_nodes, net=net_per_node, nodes=nodes,
+            nodes, job.job_id, job.program, procs,
+            ways, bw_per_node, len(nodes), net=net_per_node,
         )
-        placement = Placement(
-            node_ids=tuple(node_ids),
-            procs_per_node=dict(procs_per_node),
-            dedicated_ways=ways,
-            booked_bw=bw_per_node,
-            booked_net=net_per_node,
-            nodes=nodes,
-        )
+        placement = Placement(nodes, procs, ways, bw_per_node, net_per_node)
         return Decision(job=job, placement=placement,
                         scale_factor=scale_factor, meta=meta)
 

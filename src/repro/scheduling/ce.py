@@ -5,9 +5,10 @@ dedicated — no other job may touch them while the job runs.  Processes
 are spread evenly across the minimum footprint (a 32-process job on
 28-core nodes uses 2 nodes x 16 cores, Fig 8).
 
-Under fault injection, down nodes are absent from the cluster's
-free-core index, so ``idle_count`` / ``first_idle`` naturally see only
-surviving capacity — CE needs no fault-specific logic of its own.
+Under fault injection, a down node has no live entry in the cluster's
+free-core index (its arrival stamp is cleared), so ``idle_count`` /
+``first_idle`` naturally see only surviving capacity — CE needs no
+fault-specific logic of its own.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ class CompactExclusiveScheduler(BaseScheduler):
         if cluster.idle_count() < n_nodes:
             return None
         chosen = cluster.first_idle(n_nodes)
-        procs_per_node = split_procs(job.procs, chosen)
+        procs = split_procs(job.procs, chosen)
         decision = self._install(
-            cluster, job, chosen, procs_per_node,
+            cluster, job, chosen, procs,
             ways=cluster.spec.node.llc_ways, bw_per_node=0.0, scale_factor=1,
         )
         self._sanity_check_decision(decision)

@@ -45,9 +45,9 @@ class CompactShareScheduler(BaseScheduler):
             )
             if chosen is None:
                 continue
-            procs_per_node = split_procs(job.procs, chosen)
+            procs = split_procs(job.procs, chosen)
             decision = self._install(
-                cluster, job, chosen, procs_per_node,
+                cluster, job, chosen, procs,
                 ways=cluster.spec.node.llc_ways, bw_per_node=0.0,
                 scale_factor=k,
             )

@@ -18,25 +18,29 @@ reaches the node demand, so it runs only for demands it satisfies
 from __future__ import annotations
 
 import heapq
-from itertools import islice
-from typing import Collection, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
+
+import numpy as np
 
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.cluster import ClusterState
 
 
-def split_procs(procs: int, node_ids: Sequence[int]) -> Dict[int, int]:
+def split_procs(procs: int, node_ids: Sequence[int]) -> np.ndarray:
     """Divide ``procs`` processes across nodes as evenly as possible
-    (the paper's load-balanced split: 32 processes on 2 nodes -> 16+16)."""
+    (the paper's load-balanced split: 32 processes on 2 nodes -> 16+16),
+    as the per-node process array aligned with ``node_ids``: the first
+    ``procs % n`` nodes take one extra."""
     n = len(node_ids)
     if n < 1:
         raise SchedulingError("cannot split across zero nodes")
     if procs < n:
         raise SchedulingError(f"cannot split {procs} processes onto {n} nodes")
     base, extra = divmod(procs, n)
-    if not extra:
-        return dict.fromkeys(node_ids, base)
-    return dict(zip(node_ids, [base + 1] * extra + [base] * (n - extra)))
+    out = np.full(n, base, dtype=np.int64)
+    if extra:
+        out[:extra] = base + 1
+    return out
 
 
 def find_nodes(
@@ -48,7 +52,7 @@ def find_nodes(
     beta: float,
     net: float = 0.0,
     locality: bool = False,
-) -> Optional[List[int]]:
+) -> Optional[np.ndarray]:
     """Find ``n_nodes`` nodes that can each host a slice of ``cores``
     cores, ``ways`` dedicated LLC ways, ``bw`` GB/s booked memory
     bandwidth, and ``net`` booked link-utilization fraction.
@@ -99,8 +103,8 @@ def find_nodes(
     # The walk's first bucket, answered without counting: small jobs on
     # a cluster with idle capacity end here.
     idle = _idle_hosts(cluster, cores, ways, bw, net)
-    if len(idle) >= n_nodes:
-        return _pick(cluster, idle, n_nodes, beta, locality, idle=True)
+    if idle >= n_nodes:
+        return _pick_idle(cluster, idle, n_nodes, beta, locality)
 
     # Exact precheck: the walk succeeds iff at least n_nodes up nodes
     # qualify.  When cores are the only dimension tested, the core
@@ -119,75 +123,89 @@ def find_nodes(
 
 
 def _idle_hosts(cluster: ClusterState, cores: int, ways: int, bw: float,
-                net: float) -> Collection[int]:
-    """The fully idle bucket when its members can host the slice, else
-    empty.  Idle nodes are interchangeable (identical state, metric 0),
-    so one representative's ``can_host`` decides for all of them
-    instead of a scan of thousands on large clusters.  That test has no
-    ToR headroom term (DESIGN.md §11)."""
-    ids = cluster.free_core_buckets().get(cluster.spec.node.cores, ())
-    if ids and cluster.node(next(iter(ids))).can_host(cores, ways, bw, net):
-        return ids
-    return ()
+                net: float) -> int:
+    """How many fully idle nodes can host the slice: all or none.  Idle
+    nodes are interchangeable (every slice pins a core, so they hold no
+    slice: identical state, metric 0), so one
+    pristine node's ``can_host`` decides for all of them instead of a
+    scan of thousands on large clusters.  That test has no ToR headroom
+    term (DESIGN.md §11)."""
+    idle = cluster.idle_count()
+    if idle and cluster.idle_probe.can_host(cores, ways, bw, net):
+        return idle
+    return 0
 
 
-def _pick(cluster: ClusterState, ids: Collection[int], n_nodes: int,
-          beta: float, locality: bool, idle: bool = False) -> List[int]:
-    """The ``n_nodes`` idlest of the qualifying ``ids``.  Idle nodes all
-    have metric 0, so without locality they are taken in bucket order;
-    under locality their racks differ and they are picked rack-aware."""
+def _pick_idle(cluster: ClusterState, idle: int, n_nodes: int, beta: float,
+               locality: bool) -> np.ndarray:
+    """``n_nodes`` of the ``idle`` qualifying idle nodes: the first in
+    bucket order (they all have metric 0), or rack-aware under
+    locality, where their racks differ."""
+    if locality and idle > n_nodes:
+        return cluster.pick_idlest(cluster.bucket(cluster.spec.node.cores),
+                                   n_nodes, beta, rack_aware=True)
+    return cluster.first_idle(n_nodes)
+
+
+def _pick(cluster: ClusterState, ids: np.ndarray, n_nodes: int,
+          beta: float, locality: bool) -> np.ndarray:
+    """The ``n_nodes`` idlest of the qualifying ``ids``."""
     if len(ids) <= n_nodes:
-        return list(ids)
+        return ids
     if locality:
         # Same columnar selection in both cache modes: locality changes
         # placement decisions, and decisions must stay cache-mode
         # independent (the golden-trace contract).
-        return cluster.pick_idlest(list(ids), n_nodes, beta,
-                                   rack_aware=True)
-    if idle:
-        return list(islice(ids, n_nodes))
+        return cluster.pick_idlest(ids, n_nodes, beta, rack_aware=True)
     if cluster.ctx.enabled:
         return cluster.pick_idlest(ids, n_nodes, beta)
     nodes = cluster.nodes
-    return heapq.nsmallest(
-        n_nodes, ids, key=lambda nid: (nodes[nid].occupancy_metric(beta), nid))
+    return np.array(heapq.nsmallest(
+        n_nodes, ids.tolist(),
+        key=lambda nid: (nodes[nid].occupancy_metric(beta), nid)),
+        dtype=np.int64)
 
 
 def _walk(cluster: ClusterState, n_nodes: int, cores: int, ways: int,
           bw: float, beta: float, net: float = 0.0,
-          locality: bool = False) -> Optional[List[int]]:
+          locality: bool = False) -> Optional[np.ndarray]:
     """The two-pass bucket search of paper §4.4, with no precheck.
 
     Idlest groups first: selecting the emptiest compatible group keeps
     per-group consumption even and preserves fuller groups for compact
-    jobs.
+    jobs.  A bucket is materialized only when the walk reaches it.
     """
     # Bound per-call work on huge clusters: scanning a few hundred
     # candidates is enough to pick well-placed nodes; exhaustive scans of
     # tens of thousands of part-full nodes would dominate runtime.
     scan_cap = max(256, 4 * n_nodes)
     total_cores = cluster.spec.node.cores
-    buckets = cluster.free_core_buckets()
-    per_bucket: List[Collection[int]] = []
-    for free in sorted((f for f in buckets if f >= cores), reverse=True):
+    per_bucket: List[np.ndarray] = []
+    for free in cluster.free_levels(cores):
         if free == total_cores:
-            hosts = _idle_hosts(cluster, cores, ways, bw, net)
+            idle = _idle_hosts(cluster, cores, ways, bw, net)
+            if idle >= n_nodes:
+                return _pick_idle(cluster, idle, n_nodes, beta, locality)
+            if not idle:
+                continue
+            hosts = cluster.bucket(free)
         else:
-            hosts = cluster.scan_hosts(buckets[free], cores, ways, bw, net,
-                                       scan_cap, bucket=free)
-        if len(hosts) >= n_nodes:
-            return _pick(cluster, hosts, n_nodes, beta, locality,
-                         idle=free == total_cores)
+            hosts = cluster.scan_hosts(cluster.bucket(free), cores, ways,
+                                       bw, net, scan_cap, bucket=free)
+            if len(hosts) >= n_nodes:
+                return _pick(cluster, hosts, n_nodes, beta, locality)
         per_bucket.append(hosts)
     # No single group suffices: search the whole cluster, reusing the
     # first pass's lists (nothing changed in between).  The idle group,
     # if any, was necessarily smaller than n_nodes, so this pool stays
     # small.
-    whole: List[int] = []
-    for hosts in per_bucket:
-        whole.extend(hosts)
-        if len(whole) >= scan_cap:
+    pooled = 0
+    for i, hosts in enumerate(per_bucket):
+        pooled += len(hosts)
+        if pooled >= scan_cap:
+            del per_bucket[i + 1:]
             break
-    if len(whole) >= n_nodes:
-        return _pick(cluster, whole, n_nodes, beta, locality)
+    if pooled >= n_nodes:
+        return _pick(cluster, np.concatenate(per_bucket), n_nodes, beta,
+                     locality)
     return None

@@ -167,9 +167,9 @@ class SpreadNShareScheduler(BaseScheduler):
         if cluster.idle_count() < n_nodes:
             return None
         chosen = cluster.first_idle(n_nodes)
-        procs_per_node = split_procs(job.procs, chosen)
+        procs = split_procs(job.procs, chosen)
         decision = self._install(
-            cluster, job, chosen, procs_per_node,
+            cluster, job, chosen, procs,
             ways=spec.llc_ways, bw_per_node=spec.peak_bw,
             scale_factor=scale, meta=meta,
         )
@@ -218,9 +218,9 @@ class SpreadNShareScheduler(BaseScheduler):
             )
             if chosen is None:
                 continue
-            procs_per_node = split_procs(job.procs, chosen)
+            procs = split_procs(job.procs, chosen)
             decision = self._install(
-                cluster, job, chosen, procs_per_node,
+                cluster, job, chosen, procs,
                 ways=demand.ways, bw_per_node=demand.bw_per_node,
                 scale_factor=k, net_per_node=demand.net_per_node,
                 meta={"candidates": len(candidates)},

@@ -1,16 +1,17 @@
 """Runtime cluster state: the node pool with free-core indexing.
 
 The SNS placement algorithm first clusters nodes into groups by idle-core
-count and tries to place a job within a single group (Section 4.4); the
-same index makes CE's "find N fully idle nodes" O(N) even on the 32K-node
-simulated clusters of Fig 20.
+count and tries to place a job within a single group (Section 4.4); CE
+takes the first fully idle nodes.  Both read one free-core index of
+per-count arrival arrays keyed by node stamps (DESIGN.md §7), so moving
+a wide placement between groups, or taking its first N idle nodes, is
+array work rather than per-node Python even on the 32K-node clusters of
+Fig 20.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
 from operator import is_
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -30,6 +31,9 @@ from repro.sim.node import MixTable, NodeColumns, NodeState, SliceColumns
 ArbitrationView = Tuple[
     Tuple[int, ...], Tuple[float, ...], float, Tuple[float, ...]
 ]
+
+#: Batches up to this many nodes take the free-core index's scalar paths.
+_NARROW = 8
 
 
 def _id_array(node_ids: Iterable[int]) -> np.ndarray:
@@ -54,10 +58,6 @@ class ClusterState:
     #: ClusterState gets a private context with the default cache mode.
     ctx: Optional[PerfContext] = None
     nodes: List[NodeState] = field(init=False)
-    # Buckets are insertion-ordered id->None maps: O(1) add/remove with a
-    # deterministic iteration order, and — unlike sorting — no O(G log G)
-    # cost per query on clusters with tens of thousands of idle nodes.
-    _by_free_cores: Dict[int, Dict[int, None]] = field(init=False)
     # Job-id-independent signature -> arbitration result, shared across
     # mixes: successive jobs of one shape resolve their mixes without a
     # kernel solve.  Values store grants/ways positionally plus the
@@ -74,7 +74,7 @@ class ClusterState:
     #: records straddling an availability change are never honored.
     availability_version: int = field(default=0, init=False)
     #: Down-node mask (insertion-ordered for deterministic iteration).
-    #: Down nodes are absent from the free-core index, so every
+    #: Down nodes have no live free-core index entry, so every
     #: placement path (bucket scans, idle queries) skips them natively.
     _down: Dict[int, None] = field(init=False)
     #: Arbitration/scan instrumentation, surfaced on SimulationResult.
@@ -109,9 +109,28 @@ class ClusterState:
             )
             for i in range(n)
         ]
-        self._by_free_cores = {
-            self.spec.node.cores: dict.fromkeys(range(n))
-        }
+        # Free-core index (DESIGN.md §7).  Bucket ``f`` is the up nodes
+        # with ``free_cores == f`` ordered by arrival stamp.  ``_stamp``
+        # holds each node's stamp (-1 while down); every bucket move
+        # draws a fresh one from ``_clock``.  Per bucket, ``_bids`` /
+        # ``_bst`` are append-only (node, stamp) arrival arrays live over
+        # ``[_head[f], _tail[f])``: an entry is live iff its stamp is its
+        # node's current stamp, so a move appends and never deletes.
+        # ``_count[f]`` is the bucket's live size.
+        cores = self.spec.node.cores
+        self._stamp = np.arange(n, dtype=np.int64)
+        self._clock = n
+        self._count = [0] * cores + [n]
+        self._head = [0] * (cores + 1)
+        self._tail = list(self._count)
+        self._bids = [np.empty(0, dtype=np.int64)] * (cores + 1)
+        self._bst = list(self._bids)
+        self._bids[cores] = np.arange(n, dtype=np.int64)
+        self._bst[cores] = self._stamp.copy()
+        #: A pristine node: every idle node has exactly its state, so its
+        #: ``can_host`` answers for all of them (find_nodes' idle branch).
+        self.idle_probe = NodeState(node_id=-1, spec=self.spec.node,
+                                    partitioned=self.partitioned)
         self._view_cache = {}
         self._down = {}
         self.counters = {
@@ -153,31 +172,153 @@ class ClusterState:
             self.booked_tor = None
             self.booked_spine = 0.0
 
-    # -- index maintenance -----------------------------------------------------
+    # -- free-core index (DESIGN.md §7) -----------------------------------------
 
-    def _reindex(self, node_id: int, old_free: int, new_free: int) -> None:
-        if new_free == old_free:
+    def _move(self, arr: np.ndarray, old: np.ndarray,
+              new: np.ndarray) -> None:
+        """Re-bucket the nodes ``arr`` (distinct, batch order) from
+        free-core counts ``old`` to ``new``.  They draw fresh stamps in
+        batch order and append to their destinations, so each bucket
+        receives them in the order per-node moves would; the entries
+        they leave behind die in place.  Every node's count changes
+        (:meth:`place_slices` rejects zero-process slices)."""
+        live, head, tail = self._count, self._head, self._tail
+        if len(arr) <= _NARROW:
+            # A few nodes: scalar appends beat per-call array overhead.
+            ids, sts, stamp = self._bids, self._bst, self._stamp
+            for nid, src, dst in zip(arr.tolist(), old.tolist(),
+                                     new.tolist()):
+                clock = self._clock
+                self._clock = clock + 1
+                stamp[nid] = clock
+                if head[src] < tail[src] and ids[src][head[src]] == nid:
+                    head[src] += 1  # taken from the front, as first-n does
+                live[src] -= 1
+                live[dst] += 1
+                end = tail[dst]
+                if end == len(ids[dst]):
+                    end = self._compact(dst, room=1)
+                ids[dst][end] = nid
+                sts[dst][end] = clock
+                tail[dst] = end + 1
+                if tail[src] - head[src] > 2 * live[src]:
+                    self._compact(src)
             return
-        buckets = self._by_free_cores
-        try:
-            bucket = buckets[old_free]
-            del bucket[node_id]
-        except KeyError:
-            raise SimulationError("free-core index out of sync") from None
-        if not bucket:
-            del buckets[old_free]
-        new_bucket = buckets.get(new_free)
-        if new_bucket is None:
-            buckets[new_free] = {node_id: None}
-        else:
-            new_bucket[node_id] = None
+        count = len(arr)
+        clock = self._clock
+        self._clock = clock + count
+        stamps = np.arange(clock, clock + count, dtype=np.int64)
+        self._stamp[arr] = stamps
+        came = np.bincount(new, minlength=len(live))
+        gone = np.bincount(old, minlength=len(live))
+        for f in np.flatnonzero(came).tolist():
+            k = int(came[f])
+            live[f] += k
+            if k == count:
+                self._push(f, arr, stamps)
+            else:
+                sel = new == f
+                self._push(f, arr[sel], stamps[sel])
+        first = int(arr[0])
+        for f in np.flatnonzero(gone).tolist():
+            k = int(gone[f])
+            live[f] -= k
+            h = head[f]
+            front = self._bids[f][h:h + count]
+            # The whole batch left f (so none entered it) from its front,
+            # as first-n placements do: skip those dead entries now.
+            if k == count and h + count <= tail[f] and front[0] == first \
+                    and np.array_equal(front, arr):
+                head[f] = h + count
+            if tail[f] - head[f] > 2 * live[f]:
+                self._compact(f)
+
+    def _push(self, free: int, arr: np.ndarray, stamps: np.ndarray) -> None:
+        """Append (node, stamp) entries to bucket ``free``."""
+        tail = self._tail[free]
+        end = tail + len(arr)
+        if end > len(self._bids[free]):
+            tail = self._compact(free, room=len(arr))
+            end = tail + len(arr)
+        self._bids[free][tail:end] = arr
+        self._bst[free][tail:end] = stamps
+        self._tail[free] = end
+
+    def _entries(self, free: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Bucket ``free``'s entries and their liveness mask."""
+        lo, hi = self._head[free], self._tail[free]
+        ids = self._bids[free][lo:hi]
+        return ids, self._stamp[ids] == self._bst[free][lo:hi]
+
+    def _compact(self, free: int, room: int = 0) -> int:
+        """Rewrite bucket ``free`` as its live entries only, at the front
+        of its arrays; returns its new tail.  The arrays regrow unless
+        half of them would stay free after ``room`` more entries, so a
+        full bucket is compacted only after as many appends."""
+        if not (room or self._count[free]):
+            self._head[free] = self._tail[free] = 0
+            return 0
+        ids, live = self._entries(free)
+        kept_ids = ids[live]
+        kept_sts = self._bst[free][self._head[free]:self._tail[free]][live]
+        kept = len(kept_ids)
+        if 2 * (kept + room) > len(self._bids[free]):
+            size = 2 * (kept + room)
+            self._bids[free] = np.empty(size, dtype=np.int64)
+            self._bst[free] = np.empty(size, dtype=np.int64)
+        self._bids[free][:kept] = kept_ids
+        self._bst[free][:kept] = kept_sts
+        self._head[free] = 0
+        self._tail[free] = kept
+        return kept
+
+    def _first(self, free: int, n: int) -> np.ndarray:
+        """The first ``n`` members of bucket ``free`` (all of them when
+        it has fewer).  A few are read one entry at a time from the
+        head; otherwise, or past a run of dead entries, the arrays are
+        read in chunks that double in size, so skipping ``d`` dead
+        entries takes O(log d) array calls.  A dead prefix is dropped by
+        advancing the head."""
+        lo, hi = self._head[free], self._tail[free]
+        ids, sts, stamp = self._bids[free], self._bst[free], self._stamp
+        found: List[int] = []
+        if n <= _NARROW:
+            end = min(hi, lo + 2 * _NARROW)
+            while lo < end and len(found) < n:
+                nid = int(ids[lo])
+                if stamp[nid] == sts[lo]:
+                    found.append(nid)
+                elif not found:
+                    self._head[free] = lo + 1
+                lo += 1
+            if len(found) == n or lo == hi:
+                return np.array(found, dtype=np.int64)
+        parts = [np.array(found, dtype=np.int64)] if found else []
+        lead = not found
+        n -= len(found)
+        size = max(n, 64)
+        while n > 0 and lo < hi:
+            stop = min(hi, lo + size)
+            seg = ids[lo:stop]
+            live = stamp[seg] == sts[lo:stop]
+            hits = seg[live][:n]
+            if lead:
+                lead = not len(hits)
+                self._head[free] = stop if lead else lo + int(live.argmax())
+            parts.append(hits)
+            n -= len(hits)
+            lo = stop
+            size *= 2
+        if len(parts) == 1:
+            return parts[0]
+        return np.concatenate(parts) if parts else ids[:0].copy()
 
     def place(self, node_id: int, job_id: int, program, procs: int,
               ways: int, bw: float, n_nodes: int, net: float = 0.0) -> None:
-        """Place a job slice on a node, keeping the index consistent.
-
-        Arguments after ``node_id`` mirror :meth:`NodeState.place`.
-        """
+        """Place a job slice on one node: :meth:`place_slices` on a
+        one-node batch (``procs`` processes, ``ways`` dedicated ways,
+        ``bw`` GB/s and ``net`` link fraction booked; ``n_nodes`` is
+        the job's placement width)."""
         if net != 0.0 and self._fabric is not None:
             # A scalar place sees one node, not the whole placement, so
             # it cannot split the booking into its cross-rack share —
@@ -195,18 +336,15 @@ class ClusterState:
                     f"job {job_id} must book the same ways and bandwidth "
                     f"on every node"
                 )
-        old = int(self.columns.free_cores[node_id])
-        self.nodes[node_id].place(job_id, program, procs, ways, bw,
-                                  n_nodes, net)
-        self._reindex(node_id, old, old - procs)
-        self.counters["mix_transitions"] += self.mixes.add(
-            np.array([node_id]), job_id, np.array([procs]))
+        self.place_slices([node_id], job_id, program, [procs], ways, bw,
+                          n_nodes, net)
 
     def remove(self, node_id: int, job_id: int) -> None:
-        cols = self.columns
+        """Remove a job slice from one node: :meth:`remove_slices` on a
+        one-node batch."""
         if self._fabric is not None:
             sc = self.scols
-            n = int(cols.n_res[node_id])
+            n = int(self.columns.n_res[node_id])
             row = sc.job[node_id, :n].tolist()
             if job_id in row \
                     and float(sc.cross[node_id, row.index(job_id)]) != 0.0:
@@ -217,45 +355,42 @@ class ClusterState:
                     "scalar remove cannot maintain the fabric link "
                     "columns for a cross-rack slice; use remove_slices"
                 )
-        old = int(cols.free_cores[node_id])
-        self.nodes[node_id].remove(job_id)
-        self._reindex(node_id, old, int(cols.free_cores[node_id]))
-        self.counters["mix_transitions"] += self.mixes.drop(
-            np.array([node_id]), job_id)
-        self.release_epoch += 1
+        self.remove_slices([node_id], job_id)
 
-    def place_slices(self, node_ids: Sequence[int], job_id: int, program,
-                     procs_per_node: Dict[int, int], ways: int, bw: float,
-                     n_nodes: int, net: float = 0.0,
-                     nodes: Optional[np.ndarray] = None) -> None:
-        """Install one job's slices on all its nodes in one batch.
+    def place_slices(self, nodes: Sequence[int], job_id: int, program,
+                     procs: Sequence[int], ways: int, bw: float,
+                     n_nodes: int, net: float = 0.0) -> None:
+        """Install one job's slices on all its nodes in one batch: node
+        ``nodes[i]`` gets ``procs[i]`` processes (both int64 arrays, or
+        sequences converted to them).
 
-        Semantically ``for nid in node_ids: place(nid, ...)``, but the
-        capacity columns mutate through fancy-indexed array ops and the
-        resident mix column moves through one transition per distinct
-        (prior mix, process count) pair.  Validation runs *before* any
-        mutation, so a raised :class:`AllocationError` leaves the
-        cluster untouched — no caller-side rollback.  ``nodes`` is as
-        in :meth:`remove_slices`.
+        Semantically one node at a time in batch order, but the capacity
+        columns mutate through fancy-indexed array ops, the resident mix
+        column moves through one transition per distinct (prior mix,
+        process count) pair, and the free-core index through one append
+        per destination bucket.  Validation runs *before* any mutation,
+        so a raised :class:`AllocationError` leaves the cluster
+        untouched — no caller-side rollback.
         """
-        count = len(node_ids)
+        arr = np.asarray(nodes, dtype=np.int64)
+        procs_arr = np.asarray(procs, dtype=np.int64)
+        count = len(arr)
         if count == 0:
             raise AllocationError("placement names no nodes")
+        if procs_arr.shape != arr.shape:
+            raise AllocationError("placement nodes and procs disagree")
         if net < 0:
             raise AllocationError("network booking must be non-negative")
-        cols = self.columns
-        arr = np.fromiter(node_ids, dtype=np.int64, count=count) \
-            if nodes is None else nodes
-        if count > 1 and len(set(node_ids)) != count:
+        if bool((procs_arr < 1).any()):
+            raise AllocationError("per-node process counts must be positive")
+        if len(set(arr.tolist())) != count:
             raise AllocationError("placement names a node twice")
+        cols = self.columns
         old_free_arr = cols.free_cores[arr]
-        old_free = old_free_arr.tolist()
-        procs_list = [procs_per_node[nid] for nid in node_ids]
-        procs_arr = np.asarray(procs_list, dtype=np.int64)
         partitioned = self.partitioned
         # Vectorized validation: the whole-batch numpy checks decide
         # pass/fail; only a failing batch walks the nodes again to raise
-        # the same per-node error the scalar path would.
+        # the first offending node's own error.
         bad = bool(np.any(procs_arr > old_free_arr))
         if partitioned:
             if ways < cols.min_ways:
@@ -275,12 +410,14 @@ class ClusterState:
             if bool(dup.any()):
                 raise AllocationError(
                     f"job {job_id} already on node "
-                    f"{node_ids[int(np.argmax(dup))]}"
+                    f"{int(arr[int(np.argmax(dup))])}"
                 )
         if bad:
+            old_free = old_free_arr.tolist()
+            procs_list = procs_arr.tolist()
             free_ways = cols.free_ways[arr].tolist()
             parts = cols.parts[arr].tolist()
-            for i, nid in enumerate(node_ids):
+            for i, nid in enumerate(arr.tolist()):
                 if procs_list[i] > old_free[i]:
                     raise AllocationError(
                         f"node {nid} has {old_free[i]} free cores; "
@@ -334,32 +471,31 @@ class ClusterState:
         # -- resident mix: one transition per distinct (mix, procs) -------
         self.counters["mix_transitions"] += self.mixes.add(
             arr, job_id, procs_arr)
-        self._reindex_batch(node_ids, old_free, procs_list, -1)
+        self._move(arr, old_free_arr, old_free_arr - procs_arr)
 
-    def remove_slices(self, node_ids: Sequence[int], job_id: int,
-                      nodes: Optional[np.ndarray] = None) -> None:
+    def remove_slices(self, nodes: Sequence[int], job_id: int) -> None:
         """Remove one job's slices from all its nodes in one batch
-        (semantically ``for nid in node_ids: remove(nid, ...)``, with a
+        (semantically one node at a time in batch order, with a
         single ``release_epoch`` bump — the epoch is only ever compared
         for equality, so batching the bumps is observationally
         identical).  Booked float columns are re-summed from the
         remaining residents in insertion order (float subtraction does
         not invert addition); a node left empty resets to exact zeros.
 
-        Per-node bookkeeping runs as C-level bulk dict/attribute ops;
-        only nodes that keep residents with live bookings walk a Python
-        re-sum.  One job books identical ways/bandwidth/network on every
-        node of its placement (``place_slices`` takes them as scalars),
-        so one slice decides the batch-wide re-sum and ways values.
-        ``nodes`` is ``node_ids`` as an int64 array when the caller
-        already holds one (:attr:`Placement.nodes`).
+        Every per-node update is a fancy-indexed column op (the
+        free-core index included, as in :meth:`place_slices`); only
+        nodes that keep residents shift their slice rows, one slice
+        copy per distinct removed position.  One job books identical
+        ways/bandwidth/network on every node of its placement
+        (``place_slices`` takes them as scalars), so one slice decides
+        the batch-wide re-sum and ways values.  ``nodes`` is an int64
+        array (:attr:`Placement.nodes`) or a sequence converted to one.
         """
-        count = len(node_ids)
+        arr = np.asarray(nodes, dtype=np.int64)
+        count = len(arr)
         cols = self.columns
         sc = self.scols
-        arr = np.fromiter(node_ids, dtype=np.int64, count=count) \
-            if nodes is None else nodes
-        old_free = cols.free_cores[arr].tolist()
+        old_free = cols.free_cores[arr]
         partitioned = self.partitioned
         # Nodes keeping residents (before the decrement below) need
         # their booked sums rebuilt; emptied nodes reset to zeros.  When
@@ -373,11 +509,10 @@ class ClusterState:
             bad = jcol != job_id
             if bool(bad.any()):
                 # Validation precedes any mutation, so the raise leaves
-                # the cluster untouched — same message the scalar path
-                # raises (an idle node's slot 0 holds the -1 sentinel).
+                # the cluster untouched (an idle node's slot 0 holds the
+                # -1 sentinel).
                 raise AllocationError(
-                    f"job {job_id} not on node "
-                    f"{node_ids[int(np.argmax(bad))]}"
+                    f"job {job_id} not on node {int(arr[int(np.argmax(bad))])}"
                 )
             pos = None
             procs_arr = sc.procs[arr, 0]
@@ -388,13 +523,11 @@ class ClusterState:
             hit = mask.any(axis=1)
             if not bool(hit.all()):
                 raise AllocationError(
-                    f"job {job_id} not on node "
-                    f"{node_ids[int(np.argmin(hit))]}"
+                    f"job {job_id} not on node {int(arr[int(np.argmin(hit))])}"
                 )
             pos = mask.argmax(axis=1)
             procs_arr = sc.procs[arr, pos]
             p0 = int(pos[0])
-        procs_list = procs_arr.tolist()
         if partitioned:
             ways = int(sc.ways[arr[0], p0])
         resum = float(sc.bw[arr[0], p0]) != 0.0 \
@@ -519,72 +652,8 @@ class ClusterState:
                 # partial sums bitwise, so the aggregates only need
                 # re-deriving when the removed slices crossed racks.
                 self._refresh_links(np.unique(self._rack_of[arr]))
-        self._reindex_batch(node_ids, old_free, procs_list, +1)
+        self._move(arr, old_free, old_free + procs_arr)
         self.release_epoch += 1
-
-    def _reindex_batch(self, node_ids: Sequence[int], old_free: List[int],
-                       procs_list: List[int], sign: int) -> None:
-        """Move a batch of nodes between free-core buckets after their
-        core columns changed by ``sign * procs``.
-
-        A uniform-process batch moves as one bulk group per source
-        bucket; mixed process counts fall back to per-node moves.  The
-        per-bucket membership *order* downstream scans observe is
-        identical either way: within each destination the nodes arrive
-        in batch order, exactly as per-node moves would insert them.
-        """
-        buckets = self._by_free_cores
-        # Nodes move in bulk, one contiguous *run* of equal process
-        # counts at a time (an even split yields one run; the base+1 /
-        # base split of an uneven one yields two).  Runs execute in
-        # batch order and each run's members arrive at their
-        # destinations in batch order, so every destination bucket
-        # receives members in overall batch order — exactly the
-        # membership order a per-node loop would produce.  Within one
-        # run the shared delta makes the old → new bucket map
-        # injective, so no destination interleaves two of its groups;
-        # deletions never reorder a bucket's surviving members.
-        count = len(procs_list)
-        start = 0
-        while start < count:
-            procs = procs_list[start]
-            stop = start + 1
-            while stop < count and procs_list[stop] == procs:
-                stop += 1
-            if not procs:
-                # Zero-proc runs leave their buckets alone.
-                start = stop
-                continue
-            delta = sign * procs
-            run_nodes = node_ids[start:stop]
-            run_old = old_free[start:stop]
-            if min(run_old) == max(run_old):
-                groups: Iterable = ((run_old[0], run_nodes),)
-            else:
-                by_old: Dict[int, list] = {}
-                for nid, old in zip(run_nodes, run_old):
-                    members = by_old.get(old)
-                    if members is None:
-                        by_old[old] = [nid]
-                    else:
-                        members.append(nid)
-                groups = by_old.items()
-            for old, members in groups:
-                new = old + delta
-                try:
-                    bucket = buckets[old]
-                    deque(map(bucket.__delitem__, members), maxlen=0)
-                except KeyError:
-                    raise SimulationError("free-core index out of sync") \
-                        from None
-                if not bucket:
-                    del buckets[old]
-                new_bucket = buckets.get(new)
-                if new_bucket is None:
-                    buckets[new] = dict.fromkeys(members)
-                else:
-                    new_bucket.update(dict.fromkeys(members))
-            start = stop
 
     # -- fabric link accounting (DESIGN.md §13) ---------------------------------
 
@@ -652,15 +721,10 @@ class ClusterState:
             raise SimulationError(
                 f"cannot fail node {node_id} with resident slices"
             )
-        free = node.free_cores
-        buckets = self._by_free_cores
-        try:
-            bucket = buckets[free]
-            del bucket[node_id]
-        except KeyError:
-            raise SimulationError("free-core index out of sync") from None
-        if not bucket:
-            del buckets[free]
+        # Its entry dies with its stamp; the next move compacts the
+        # bucket if dead entries come to outnumber live ones.
+        self._stamp[node_id] = -1
+        self._count[node.free_cores] -= 1
         self._down[node_id] = None
         self.availability_version += 1
 
@@ -673,11 +737,11 @@ class ClusterState:
             raise SimulationError(f"node {node_id} is not down")
         del self._down[node_id]
         free = self.nodes[node_id].free_cores
-        bucket = self._by_free_cores.get(free)
-        if bucket is None:
-            self._by_free_cores[free] = {node_id: None}
-        else:
-            bucket[node_id] = None
+        clock = self._clock
+        self._clock = clock + 1
+        self._stamp[node_id] = clock
+        self._count[free] += 1
+        self._push(free, np.array([node_id]), np.array([clock]))
         self.availability_version += 1
         self.release_epoch += 1
 
@@ -694,18 +758,30 @@ class ClusterState:
         return self.nodes[node_id]
 
     def idle_nodes(self) -> List[int]:
-        """Fully idle node ids (deterministic insertion order)."""
-        return list(self._by_free_cores.get(self.spec.node.cores, ()))
+        """Fully idle node ids (deterministic arrival order)."""
+        return self.bucket(self.spec.node.cores).tolist()
 
     def idle_count(self) -> int:
         """Number of fully idle nodes (O(1))."""
-        return len(self._by_free_cores.get(self.spec.node.cores, ()))
+        return self._count[self.spec.node.cores]
 
-    def first_idle(self, n: int) -> List[int]:
-        """The first ``n`` fully idle node ids in insertion order,
-        without copying the whole idle bucket (== ``idle_nodes()[:n]``)."""
-        bucket = self._by_free_cores.get(self.spec.node.cores, ())
-        return list(islice(bucket, n))
+    def first_idle(self, n: int) -> np.ndarray:
+        """The first ``n`` fully idle node ids in arrival order, without
+        materializing the whole idle bucket (== ``idle_nodes()[:n]``)."""
+        return self._first(self.spec.node.cores, n)
+
+    def bucket(self, free: int) -> np.ndarray:
+        """The up nodes with exactly ``free`` free cores, in arrival
+        order (a fresh array)."""
+        ids, live = self._entries(free)
+        return ids[live]
+
+    def free_levels(self, min_free: int) -> List[int]:
+        """The free-core counts >= ``min_free`` some up node has,
+        largest first."""
+        live = self._count
+        return [f for f in reversed(range(max(min_free, 0), len(live)))
+                if live[f]]
 
     def _host_mask(self, sub, cores: Optional[int], ways: int, bw: float,
                    net: float, idle_skips_tor: bool = False
@@ -718,8 +794,8 @@ class ClusterState:
         tested.  Under an active fabric a network demand also needs its
         rack's ToR headroom in the worst case (all of it crossing the
         spine) — a conservative feasibility mask.  ``idle_skips_tor``
-        exempts fully idle nodes, which find_nodes admits through one
-        representative's ``can_host`` (DESIGN.md §11)."""
+        exempts fully idle nodes, which find_nodes admits through
+        :attr:`idle_probe`'s ``can_host`` (DESIGN.md §11)."""
         cols = self.columns
         ok = None if cores is None else cols.free_cores[sub] >= cores
         if bw > 0.0:
@@ -763,7 +839,7 @@ class ClusterState:
 
     def scan_hosts(self, ids: Iterable[int], cores: int, ways: int,
                    bw: float, net: float, limit: int,
-                   bucket: int = None) -> List[int]:
+                   bucket: int = None) -> np.ndarray:
         """First ``limit`` node ids (scanned in the given order) that
         satisfy :meth:`NodeState.can_host` with these demands, plus the
         ToR headroom test under an active fabric (:meth:`_host_mask`).
@@ -776,34 +852,35 @@ class ClusterState:
         """
         arr = _id_array(ids)
         if arr.size == 0 or self._ways_unplaceable(ways):
-            return []
+            return arr[:0].copy()
         check_cores = not (bucket is not None and bucket >= cores)
         if not (check_cores or bw > 0.0 or self.partitioned or net > 0.0):
-            hits = arr[:limit] if arr.size > limit else arr
+            hits = arr[:limit].copy()
             self.counters["nodes_scanned"] += int(hits.size)
-            return hits.tolist()
+            return hits
         # Chunked scan with early stop: callers only consume the first
         # ``limit`` qualifiers (in id-array order, which chunking
         # preserves), so wide buckets stop as soon as the quota is
         # filled instead of testing every member.
         counters = self.counters
-        out: List[int] = []
+        out: List[np.ndarray] = []
+        found = 0
         size = int(arr.size)
         chunk = max(512, limit)
         start = 0
-        while start < size and len(out) < limit:
+        while start < size and found < limit:
             sub = arr[start:start + chunk]
             start += chunk
             counters["nodes_scanned"] += int(sub.size)
             ok = self._host_mask(sub, cores if check_cores else None,
                                  ways, bw, net)
-            out.extend(sub[ok].tolist())
-        if len(out) > limit:
-            out = out[:limit]
-        return out
+            out.append(sub[ok])
+            found += len(out[-1])
+        hits = out[0] if len(out) == 1 else np.concatenate(out)
+        return hits[:limit]
 
-    def pick_idlest(self, ids: List[int], n: int, beta: float,
-                    rack_aware: bool = False) -> List[int]:
+    def pick_idlest(self, ids: Sequence[int], n: int, beta: float,
+                    rack_aware: bool = False) -> np.ndarray:
         """The ``n`` ids with the lowest occupancy metric (ties broken by
         node id), metric-ascending — matches ``heapq.nsmallest`` over
         :meth:`NodeState.occupancy_metric` bit-for-bit: the metric is
@@ -824,7 +901,7 @@ class ClusterState:
         the flat one.
         """
         cols = self.columns
-        arr = np.fromiter(ids, dtype=np.int64, count=len(ids))
+        arr = _id_array(ids)
         co = (cols.cores - cols.free_cores[arr]) / cols.cores
         bo = np.minimum(1.0, cols.booked_bw[arr] / cols.peak_bw)
         if self.partitioned:
@@ -852,51 +929,21 @@ class ClusterState:
                 order = np.lexsort((arr, -pop, metric))[:n]
         else:
             order = np.lexsort((arr, metric))[:n]
-        return arr[order].tolist()
-
-    def groups_by_free_cores(self, min_free: int = 1) -> Dict[int, List[int]]:
-        """Node groups keyed by free-core count (>= ``min_free`` only),
-        each group in deterministic insertion order."""
-        return {
-            free: list(ids)
-            for free, ids in self._by_free_cores.items()
-            if free >= min_free and ids
-        }
-
-    def free_core_buckets(self) -> Dict[int, Dict[int, None]]:
-        """Read-only view of the internal free-core index: bucket key is
-        the free-core count, values are insertion-ordered node-id maps.
-        Callers must not mutate it; it exists so hot placement paths can
-        scan buckets without copying them."""
-        return self._by_free_cores
-
-    def nodes_with_free_cores(self, min_free: int) -> List[int]:
-        """All node ids with at least ``min_free`` free cores."""
-        out: List[int] = []
-        for free, ids in self._by_free_cores.items():
-            if free >= min_free:
-                out.extend(ids)
-        return out
+        return arr[order]
 
     def count_with_free_cores(self, min_free: int) -> int:
-        return sum(
-            len(ids) for free, ids in self._by_free_cores.items()
-            if free >= min_free
-        )
+        """Number of up nodes with at least ``min_free`` free cores."""
+        return sum(self._count[max(min_free, 0):])
 
     def max_free_cores(self) -> int:
-        """Largest free-core count of any *up* node (O(buckets)).  This
-        is the cluster headroom watermark the schedulers' skip index
-        compares failed jobs against."""
-        # Every up node sits in exactly one bucket and empty buckets are
-        # deleted; the key set is only empty when every node is down.
-        return max(self._by_free_cores, default=0)
-
-    def total_free_cores(self) -> int:
-        # O(buckets): every node sits in exactly one free-core bucket.
-        return sum(
-            free * len(ids) for free, ids in self._by_free_cores.items()
-        )
+        """Largest free-core count of any *up* node.  This is the
+        cluster headroom watermark the schedulers' skip index compares
+        failed jobs against; 0 when every node is down."""
+        live = self._count
+        free = len(live) - 1
+        while free and not live[free]:
+            free -= 1
+        return free
 
     def arbitration(self, node_id: int) -> ArbitrationView:
         """Bandwidth grants, network load, and effective ways on one
@@ -1007,24 +1054,36 @@ class ClusterState:
         )
 
     def verify_index(self) -> None:
-        """Invariant check used by tests and defensive assertions."""
-        seen: Set[int] = set()
-        for free, ids in self._by_free_cores.items():
-            for nid in ids:
-                if self.nodes[nid].free_cores != free:
-                    raise SimulationError(
-                        f"node {nid} indexed at {free} free cores but has "
-                        f"{self.nodes[nid].free_cores}"
-                    )
-                if nid in seen:
-                    raise SimulationError(f"node {nid} indexed twice")
-                if nid in self._down:
-                    raise SimulationError(f"down node {nid} is indexed")
-                seen.add(nid)
-        if len(seen) != len(self.nodes) - len(self._down):
+        """Invariant check of the free-core index, used by tests and
+        defensive assertions: every bucket's live span lies within its
+        arrays, stamps strictly increase along every bucket, every live entry sits in its node's free-core bucket,
+        every up node has exactly one live entry and no down node has
+        one, and the live counts equal a bincount of free cores over
+        the up nodes."""
+        free_cores = self.columns.free_cores
+        members = []
+        for free in range(len(self._count)):
+            if not 0 <= self._head[free] <= self._tail[free] \
+                    <= len(self._bids[free]):
+                raise SimulationError(f"bucket {free}: head/tail out of range")
+            ids, live = self._entries(free)
+            sts = self._bst[free][self._head[free]:self._tail[free]]
+            if bool((np.diff(sts) <= 0).any()):
+                raise SimulationError(f"bucket {free}: stamps not increasing")
+            members.append(ids[live])
+            if bool((free_cores[members[-1]] != free).any()):
+                raise SimulationError(
+                    f"bucket {free} holds a node with another free-core count")
+        up = np.ones(len(self.nodes), dtype=np.int64)
+        up[list(self._down)] = 0
+        if not np.array_equal(np.bincount(np.concatenate(members),
+                                          minlength=len(up)), up):
             raise SimulationError(
-                "free-core index does not cover all up nodes"
-            )
+                "free-core index must hold each up node once, no down node")
+        expect = np.bincount(free_cores[up == 1], minlength=len(self._count))
+        if self._count != expect.tolist():
+            raise SimulationError(
+                f"free-core counts {self._count} != {expect.tolist()}")
 
     def verify_columns(self) -> None:
         """Check every node-column slot against values recomputed from

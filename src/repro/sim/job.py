@@ -23,39 +23,53 @@ class JobState(enum.Enum):
     FAILED = "failed"
 
 
-@dataclass
+@dataclass(eq=False)
 class Placement:
-    """Where and how a job runs: per-node process counts and dedicated
-    LLC ways (the same on every node, as in the paper)."""
+    """Where and how a job runs: two aligned int64 arrays — node ids and
+    per-node process counts — plus the dedicated LLC ways (the same on
+    every node, as in the paper) and per-node bookings."""
 
-    node_ids: tuple
-    procs_per_node: Dict[int, int]
+    nodes: np.ndarray
+    procs: np.ndarray
     dedicated_ways: int
     booked_bw: float  # GB/s booked per node
     booked_net: float = 0.0  # link-utilization fraction booked per node by the scheduler
-    #: ``node_ids`` as an int64 array for the columnar paths (built once
-    #: here, or handed in by the scheduler that already holds it).
-    nodes: Optional[np.ndarray] = field(default=None, compare=False,
-                                        repr=False)
 
     def __post_init__(self) -> None:
-        if not self.node_ids:
+        self.nodes = np.asarray(self.nodes, dtype=np.int64)
+        self.procs = np.asarray(self.procs, dtype=np.int64)
+        if not len(self.nodes):
             raise SimulationError("placement must cover at least one node")
-        if self.nodes is None:
-            self.nodes = np.fromiter(self.node_ids, dtype=np.int64,
-                                     count=len(self.node_ids))
-        if self.procs_per_node.keys() != set(self.node_ids):
+        if self.procs.shape != self.nodes.shape:
             raise SimulationError("placement nodes and proc map disagree")
-        if min(self.procs_per_node.values()) <= 0:
+        if int(self.procs.min()) <= 0:
             raise SimulationError("per-node process counts must be positive")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Placement):
+            return NotImplemented
+        return np.array_equal(self.nodes, other.nodes) \
+            and np.array_equal(self.procs, other.procs) \
+            and (self.dedicated_ways, self.booked_bw, self.booked_net) \
+            == (other.dedicated_ways, other.booked_bw, other.booked_net)
+
+    @property
+    def node_ids(self) -> Tuple[int, ...]:
+        """The node ids as a tuple of ints (derived, read-only)."""
+        return tuple(self.nodes.tolist())
+
+    @property
+    def procs_per_node(self) -> Dict[int, int]:
+        """Node id -> process count (derived, read-only)."""
+        return dict(zip(self.nodes.tolist(), self.procs.tolist()))
 
     @property
     def n_nodes(self) -> int:
-        return len(self.node_ids)
+        return len(self.nodes)
 
     @property
     def total_procs(self) -> int:
-        return sum(self.procs_per_node.values())
+        return int(self.procs.sum())
 
 
 @dataclass

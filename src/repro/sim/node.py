@@ -105,7 +105,7 @@ class SliceColumns:
     per-node ways/bandwidth booking (identical on every node of a
     placement) lets a resident mix be resolved without reading a row.
     The refcount tracks how many slices of the job are installed
-    anywhere in the pool, so scalar per-node place/remove keep it
+    anywhere in the pool, so partial placements and removals keep it
     exact.
     """
 
@@ -130,8 +130,8 @@ class SliceColumns:
 
     def grow(self) -> None:
         """Double the resident-slot capacity (defensive: a node hosts at
-        most ``cores`` slices when every slice pins ≥1 process, but
-        nothing in the scalar API forbids zero-process slices)."""
+        most ``cores`` slices, since ``place_slices`` requires every
+        slice to pin at least one process)."""
         n = self.job.shape[0]
         new = self.slots * 2
         for name, fill in (("job", -1), ("procs", 0), ("ways", 0),
@@ -298,8 +298,9 @@ class NodeState:
     disabling it is an ablation knob.
 
     A cluster-owned node shares its :class:`ClusterState`'s column pools
-    (``slot`` = node id); a standalone node (unit tests, ad-hoc use)
-    builds private single-slot pools.
+    (``slot`` = node id), and slices reach it only through the
+    cluster's ``place_slices`` / ``remove_slices``; a standalone node
+    (a pristine probe, unit tests) builds private single-slot pools.
     """
 
     __slots__ = (
@@ -417,118 +418,6 @@ class NodeState:
         if net > cols.net_eps[slot]:
             return False
         return True
-
-    def place(self, job_id: int, program: ProgramSpec, procs: int,
-              ways: int, bw: float, n_nodes: int,
-              net: float = 0.0) -> None:
-        """Install a job slice on this node."""
-        cols = self.columns
-        sc = self.scols
-        slot = self._slot
-        n = int(cols.n_res[slot])
-        if job_id in sc.job[slot, :n].tolist():
-            raise AllocationError(f"job {job_id} already on node {self.node_id}")
-        free = int(cols.free_cores[slot])
-        if procs > free:
-            raise AllocationError(
-                f"node {self.node_id} has {free} free cores; "
-                f"{procs} requested"
-            )
-        if net < 0:
-            raise AllocationError("network booking must be non-negative")
-        if self.partitioned:
-            if ways < cols.min_ways:
-                raise AllocationError(
-                    f"job {job_id} requested {ways} ways; minimum is "
-                    f"{cols.min_ways} (associativity floor)"
-                )
-            parts = int(cols.parts[slot])
-            if parts >= cols.max_partitions:
-                raise AllocationError(
-                    f"node already has {parts} CAT partitions "
-                    f"(max {cols.max_partitions})"
-                )
-            free_ways = int(cols.free_ways[slot])
-            if ways > free_ways:
-                raise AllocationError(
-                    f"job {job_id} requested {ways} ways; "
-                    f"only {free_ways} free"
-                )
-            cols.free_ways[slot] -= ways
-            cols.parts[slot] += 1
-        if n >= sc.slots:
-            sc.grow()
-        sc.job[slot, n] = job_id
-        sc.procs[slot, n] = procs
-        if self.partitioned:
-            sc.ways[slot, n] = ways
-        if bw != 0.0:
-            sc.bw[slot, n] = bw
-        if net != 0.0:
-            sc.net[slot, n] = net
-        entry = sc.meta.get(job_id)
-        sc.meta[job_id] = (
-            program, n_nodes, 1 if entry is None else entry[2] + 1, ways, bw
-        )
-        cols.free_cores[slot] = free - procs
-        cols.n_res[slot] += 1
-        # Booked totals grow by one left-to-right addition (exact); the
-        # epsilon complements are recomputed with the same operation
-        # order as the scalar can_host expression.
-        if bw != 0.0:
-            cols.booked_bw[slot] += bw
-            cols.bw_eps[slot] = (cols.peak_bw - cols.booked_bw[slot]) + 1e-9
-        if net != 0.0:
-            cols.booked_net[slot] += net
-            cols.net_eps[slot] = (1.0 - cols.booked_net[slot]) + 1e-9
-
-    def remove(self, job_id: int) -> None:
-        """Remove a job slice (on completion)."""
-        cols = self.columns
-        sc = self.scols
-        slot = self._slot
-        n = int(cols.n_res[slot])
-        k = self._resident_slot(job_id)
-        if k < 0:
-            raise AllocationError(
-                f"job {job_id} not on node {self.node_id}"
-            )
-        procs = int(sc.procs[slot, k])
-        bw = float(sc.bw[slot, k])
-        net = float(sc.net[slot, k])
-        if self.partitioned:
-            cols.free_ways[slot] += sc.ways[slot, k]
-            cols.parts[slot] -= 1
-        # Compact the survivors left: slot order stays insertion order.
-        if k < n - 1:
-            sc.job[slot, k:n - 1] = sc.job[slot, k + 1:n]
-            sc.procs[slot, k:n - 1] = sc.procs[slot, k + 1:n]
-            sc.ways[slot, k:n - 1] = sc.ways[slot, k + 1:n]
-            sc.bw[slot, k:n - 1] = sc.bw[slot, k + 1:n]
-            sc.net[slot, k:n - 1] = sc.net[slot, k + 1:n]
-            sc.cross[slot, k:n - 1] = sc.cross[slot, k + 1:n]
-        sc.job[slot, n - 1] = -1
-        sc.procs[slot, n - 1] = 0
-        sc.ways[slot, n - 1] = 0
-        sc.bw[slot, n - 1] = 0.0
-        sc.net[slot, n - 1] = 0.0
-        sc.cross[slot, n - 1] = 0.0
-        entry = sc.meta[job_id]
-        if entry[2] <= 1:
-            del sc.meta[job_id]
-        else:
-            sc.meta[job_id] = entry[:2] + (entry[2] - 1,) + entry[3:]
-        cols.free_cores[slot] += procs
-        cols.n_res[slot] -= 1
-        # Float bookings cannot be subtracted back out exactly: re-sum
-        # the remaining residents in insertion order (same order the
-        # totals were accumulated in).
-        if bw != 0.0:
-            cols.booked_bw[slot] = sum(sc.bw[slot, :n - 1].tolist())
-            cols.bw_eps[slot] = (cols.peak_bw - cols.booked_bw[slot]) + 1e-9
-        if net != 0.0:
-            cols.booked_net[slot] = sum(sc.net[slot, :n - 1].tolist())
-            cols.net_eps[slot] = (1.0 - cols.booked_net[slot]) + 1e-9
 
     # -- performance-model views ----------------------------------------------
 

@@ -83,8 +83,10 @@ class SchedulerPolicy(Protocol):
     def schedule_point(
         self, cluster: ClusterState, pending: PendingQueue, now: float
     ) -> List[Decision]:
-        """Place as many pending jobs as the policy wants; mutate the
-        cluster via :meth:`ClusterState.place` and return the decisions.
+        """Place as many pending jobs as the policy wants; install each
+        on the cluster with :meth:`ClusterState.place_slices` (the
+        built-in policies do so through ``BaseScheduler._install``) and
+        return the decisions.
         ``pending`` is the runtime's :class:`PendingQueue`: read its
         ``head()``, and count pass-overs only through ``age()``."""
         ...  # pragma: no cover
@@ -631,8 +633,7 @@ class SchedulerCore:
         # co-runners that need settling (a columns-driven prune).
         residents = self._settle_shared(placement.nodes, now)
         residents.discard(job.job_id)
-        self.cluster.remove_slices(placement.node_ids, job.job_id,
-                                   placement.nodes)
+        self.cluster.remove_slices(placement.nodes, job.job_id)
         job.complete(now)
         # The job is terminal: its finish-event version entry can never
         # be consulted again (any heap leftovers read as stale against a
@@ -646,7 +647,7 @@ class SchedulerCore:
         self._running -= 1
         self._terminal += 1
         self._turnaround_sum += job.turnaround_time
-        touched.update(placement.node_ids)
+        touched.update(placement.nodes.tolist())
         affected.update(residents)
         affected.discard(job.job_id)
         # Completion hook: lets policies piggyback profiling on finished
@@ -678,8 +679,7 @@ class SchedulerCore:
         placement = job.placement
         assert placement is not None
         residents = self._settle_residents(placement.nodes, now)
-        self.cluster.remove_slices(placement.node_ids, job.job_id,
-                                   placement.nodes)
+        self.cluster.remove_slices(placement.nodes, job.job_id)
         self.events.cancel_finish(job.job_id)
         tracer = self.tracer
         lost_before = job.lost_node_seconds if tracer is not None else 0.0
@@ -690,7 +690,7 @@ class SchedulerCore:
         self._running -= 1
         self._counters["job_evictions"] += 1
         self.policy.on_job_evict(job, now)
-        touched.update(placement.node_ids)
+        touched.update(placement.nodes.tolist())
         residents.discard(job.job_id)
         affected.update(residents)
         affected.discard(job.job_id)
@@ -808,7 +808,7 @@ class SchedulerCore:
             raise SimulationError("policy placed the same job twice")
         new_nodes: Set[int] = set()
         for d in decisions:
-            new_nodes.update(d.placement.node_ids)
+            new_nodes.update(d.placement.nodes.tolist())
         # Settle co-runners *before* the new slices change their speeds.
         # (The policy already mutated the cluster, but allocations do not
         # advance time, so settling at `now` is still exact — as is
@@ -945,13 +945,12 @@ class SchedulerCore:
             placement = job.placement
             assert placement is not None
             conditions = []
-            procs_per_node = placement.procs_per_node
-            for nid in placement.node_ids:
+            for nid, procs in zip(placement.node_ids,
+                                  placement.procs.tolist()):
                 view = views[nid]
                 slot = view[0].index(jid)
                 grant = view[1][slot]
                 eff = view[3][slot]
-                procs = procs_per_node[nid]
                 key = (procs, eff, grant, view[2])
                 cond = interned.get(key)
                 if cond is None:

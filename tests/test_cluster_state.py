@@ -3,6 +3,7 @@
 import pytest
 
 from repro.apps.catalog import get_program
+from repro.errors import AllocationError
 from repro.hardware.topology import ClusterSpec
 from repro.sim.cluster import ClusterState
 
@@ -17,7 +18,8 @@ def cluster() -> ClusterState:
 class TestIndex:
     def test_fresh_cluster_all_idle(self, cluster):
         assert cluster.idle_nodes() == [0, 1, 2, 3]
-        assert cluster.total_free_cores() == 4 * 28
+        assert int(cluster.columns.free_cores.sum()) == 4 * 28
+        assert cluster.free_levels(1) == [28]
         cluster.verify_index()
 
     def test_place_moves_bucket(self, cluster):
@@ -36,20 +38,41 @@ class TestIndex:
         cluster.place(0, 1, EP, 8, 2, 0.0, 1)
         cluster.place(1, 2, EP, 8, 2, 0.0, 1)
         cluster.place(2, 3, EP, 4, 2, 0.0, 1)
-        groups = cluster.groups_by_free_cores()
-        assert sorted(groups[20]) == [0, 1]
-        assert groups[24] == [2]
-        assert groups[28] == [3]
+        assert cluster.free_levels(1) == [28, 24, 20]
+        assert cluster.bucket(20).tolist() == [0, 1]
+        assert cluster.bucket(24).tolist() == [2]
+        assert cluster.bucket(28).tolist() == [3]
+        assert cluster.bucket(27).tolist() == []
 
     def test_groups_min_free_filter(self, cluster):
         cluster.place(0, 1, EP, 27, 2, 0.0, 1)
-        groups = cluster.groups_by_free_cores(min_free=2)
-        assert 1 not in groups  # node 0 has 1 free core
+        assert cluster.free_levels(1) == [28, 1]
+        assert cluster.free_levels(2) == [28]  # node 0 has 1 free core
 
     def test_nodes_with_free_cores(self, cluster):
         cluster.place(0, 1, EP, 28, 2, 0.0, 1)
-        assert sorted(cluster.nodes_with_free_cores(1)) == [1, 2, 3]
+        assert cluster.free_levels(0) == [28, 0]
+        assert cluster.bucket(28).tolist() == [1, 2, 3]
         assert cluster.count_with_free_cores(1) == 3
+        assert cluster.count_with_free_cores(0) == 4
+        assert cluster.max_free_cores() == 28
+
+    @pytest.mark.parametrize("width", [2, 9])
+    def test_place_slices_rejects_malformed_batches(self, width):
+        # A narrow and a wide batch (the index takes different paths).
+        cluster = ClusterState(ClusterSpec(num_nodes=16), partitioned=True)
+        nodes = list(range(width))
+        with pytest.raises(AllocationError, match="names a node twice"):
+            cluster.place_slices(nodes[:-1] + [0], 1, EP, [1] * width, 2,
+                                 0.0, width)
+        with pytest.raises(AllocationError, match="nodes and procs"):
+            cluster.place_slices(nodes, 1, EP, [1] * (width + 1), 2, 0.0,
+                                 width)
+        with pytest.raises(AllocationError, match="names no nodes"):
+            cluster.place_slices([], 1, EP, [], 2, 0.0, 0)
+        cluster.verify_index()
+        cluster.verify_columns()
+        assert cluster.idle_count() == 16
 
     def test_failed_place_keeps_index_consistent(self, cluster):
         cluster.place(0, 1, EP, 28, 2, 0.0, 1)

@@ -81,9 +81,9 @@ class TestPickIdlestRackAware:
         # pick is [0, 2], but rack 1 can hold the whole job — the
         # rack-aware pick confines itself there.
         cluster = _active_cluster()
-        assert cluster.pick_idlest([0, 2, 3], 2, 0.0) == [0, 2]
+        assert cluster.pick_idlest([0, 2, 3], 2, 0.0).tolist() == [0, 2]
         assert cluster.pick_idlest([0, 2, 3], 2, 0.0,
-                                   rack_aware=True) == [2, 3]
+                                   rack_aware=True).tolist() == [2, 3]
 
     def test_prefers_idlest_eligible_rack(self):
         # Racks 1 and 2 both fit the job; rack 2's nodes are busier,
@@ -92,24 +92,25 @@ class TestPickIdlestRackAware:
         cluster.place(4, 1, object(), 8, 0, 0.0, 1)
         cluster.place(5, 1, object(), 8, 0, 0.0, 1)
         assert cluster.pick_idlest([2, 3, 4, 5], 2, 0.0,
-                                   rack_aware=True) == [2, 3]
+                                   rack_aware=True).tolist() == [2, 3]
 
     def test_tie_breaks_toward_fuller_racks(self):
         # No rack holds all three: equal-metric candidates order by
         # rack candidate count (2, 3 from rack 1) before node id.
         cluster = _active_cluster()
         assert cluster.pick_idlest([0, 2, 3], 3, 0.0,
-                                   rack_aware=True) == [2, 3, 0]
+                                   rack_aware=True).tolist() == [2, 3, 0]
 
     def test_inert_without_fabric(self):
         cluster = ClusterState(ClusterSpec(num_nodes=6))
-        assert cluster.pick_idlest([0, 2, 3], 2, 0.0, rack_aware=True) \
-            == cluster.pick_idlest([0, 2, 3], 2, 0.0)
+        assert cluster.pick_idlest([0, 2, 3], 2, 0.0,
+                                   rack_aware=True).tolist() \
+            == cluster.pick_idlest([0, 2, 3], 2, 0.0).tolist()
 
     def test_inert_on_flat_fabric(self):
         cluster = _active_cluster(oversub=1.0)
-        assert cluster.pick_idlest([0, 2, 3], 2, 0.0, rack_aware=True) \
-            == [0, 2]
+        assert cluster.pick_idlest([0, 2, 3], 2, 0.0,
+                                   rack_aware=True).tolist() == [0, 2]
 
 
 class TestScalarGuards:
@@ -122,7 +123,7 @@ class TestScalarGuards:
 
     def test_scalar_remove_rejects_cross_slice(self):
         cluster = _active_cluster()
-        cluster.place_slices([1, 2], 7, object(), {1: 4, 2: 4},
+        cluster.place_slices([1, 2], 7, object(), [4, 4],
                              0, 0.0, 2, net=0.25)
         with pytest.raises(AllocationError, match="remove_slices"):
             cluster.remove(1, 7)
@@ -218,7 +219,7 @@ class _FabricDriver:
         job_id = self.next_job
         self.cluster.place_slices(
             node_ids, job_id, object(),
-            {nid: procs for nid in node_ids}, 0, 0.0, len(node_ids),
+            [procs] * len(node_ids), 0, 0.0, len(node_ids),
             net=net,
         )
         self.model_place(node_ids, net)

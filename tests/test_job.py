@@ -1,5 +1,6 @@
 """Job lifecycle and progress integration."""
 
+import numpy as np
 import pytest
 
 from repro.apps.catalog import get_program
@@ -16,10 +17,8 @@ def make_job(**kwargs) -> Job:
 def make_placement(n_nodes=1, procs=16) -> Placement:
     per_node, extra = divmod(procs, n_nodes)
     return Placement(
-        node_ids=tuple(range(n_nodes)),
-        procs_per_node={
-            i: per_node + (1 if i < extra else 0) for i in range(n_nodes)
-        },
+        nodes=np.arange(n_nodes),
+        procs=[per_node + (1 if i < extra else 0) for i in range(n_nodes)],
         dedicated_ways=4,
         booked_bw=1.0,
     )
@@ -114,17 +113,48 @@ class TestValidation:
             make_job(**kwargs)
 
     def test_placement_consistency(self):
-        with pytest.raises(SimulationError):
-            Placement(node_ids=(0, 1), procs_per_node={0: 8},
+        with pytest.raises(SimulationError, match="nodes and proc map"):
+            Placement(nodes=[0, 1], procs=[8],
                       dedicated_ways=2, booked_bw=0.0)
-        with pytest.raises(SimulationError):
-            Placement(node_ids=(), procs_per_node={},
+        with pytest.raises(SimulationError, match="at least one node"):
+            Placement(nodes=[], procs=[],
                       dedicated_ways=2, booked_bw=0.0)
-        with pytest.raises(SimulationError):
-            Placement(node_ids=(0,), procs_per_node={0: 0},
+        with pytest.raises(SimulationError, match="must be positive"):
+            Placement(nodes=[0], procs=[0],
                       dedicated_ways=2, booked_bw=0.0)
+
+    def test_placement_array_validation(self):
+        # The array form keeps every check and message: an empty
+        # placement, misaligned arrays (length or shape), and a
+        # non-positive count anywhere in the procs array.
+        cases = [
+            (np.empty(0, np.int64), np.empty(0, np.int64),
+             "placement must cover at least one node"),
+            (np.arange(3), np.full(2, 4),
+             "placement nodes and proc map disagree"),
+            (np.arange(2), np.full((2, 1), 4),
+             "placement nodes and proc map disagree"),
+            (np.arange(3), np.array([4, -1, 4]),
+             "per-node process counts must be positive"),
+            (np.arange(3), np.array([4, 4, 0]),
+             "per-node process counts must be positive"),
+        ]
+        for nodes, procs, message in cases:
+            with pytest.raises(SimulationError) as info:
+                Placement(nodes, procs, dedicated_ways=2, booked_bw=0.0)
+            assert str(info.value) == message
 
     def test_placement_totals(self):
         p = make_placement(n_nodes=4, procs=30)
         assert p.n_nodes == 4
         assert p.total_procs == 30
+        assert p.nodes.dtype == p.procs.dtype == np.int64
+
+    def test_placement_derived_views(self):
+        p = Placement(np.array([5, 2, 9]), np.array([3, 3, 2]), 4, 1.0)
+        assert p.node_ids == (5, 2, 9)
+        assert p.procs_per_node == {5: 3, 2: 3, 9: 2}
+        assert all(type(n) is int for n in p.node_ids)
+        assert p == Placement([5, 2, 9], [3, 3, 2], 4, 1.0)
+        assert p != Placement([2, 5, 9], [3, 3, 2], 4, 1.0)
+        assert p != Placement([5, 2, 9], [3, 3, 2], 4, 2.0)

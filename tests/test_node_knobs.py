@@ -8,12 +8,24 @@ from repro.hardware.node_spec import NodeSpec
 from repro.hardware.topology import ClusterSpec
 from repro.perfmodel.contention import Slice, arbitrate_node
 from repro.scheduling.sns import SpreadNShareScheduler
+from repro.sim.cluster import ClusterState
 from repro.sim.job import Job
-from repro.sim.node import NodeState
 from repro.sim.runtime import Simulation
 from repro.workloads.sequences import clone_jobs
 
 SPEC = NodeSpec()
+
+
+def _one_node(**knobs) -> ClusterState:
+    """A one-node partitioned cluster with the given node knobs."""
+    return ClusterState(ClusterSpec(num_nodes=1, node=SPEC),
+                        partitioned=True, **knobs)
+
+
+def _place(cluster: ClusterState, job_id, program, procs, ways, bw):
+    """Install one single-node slice; returns the node's view."""
+    cluster.place(0, job_id, program, procs, ways, bw, 1)
+    return cluster.node(0)
 
 
 class TestBwCapArbitration:
@@ -48,29 +60,23 @@ class TestBwCapArbitration:
 
 class TestNodeKnobPlumbing:
     def test_enforce_bw_surfaces_in_slices(self):
-        node = NodeState(node_id=0, spec=SPEC, partitioned=True,
-                         enforce_bw=True)
-        node.place(1, get_program("MG"), 8, 4, 42.0, 1)
-        (s,) = node.slices()
+        cluster = _one_node(enforce_bw=True)
+        (s,) = _place(cluster, 1, get_program("MG"), 8, 4, 42.0).slices()
         assert s.bw_cap == pytest.approx(42.0)
 
     def test_zero_booking_never_capped(self):
-        node = NodeState(node_id=0, spec=SPEC, partitioned=True,
-                         enforce_bw=True)
-        node.place(1, get_program("MG"), 8, 4, 0.0, 1)
-        (s,) = node.slices()
+        cluster = _one_node(enforce_bw=True)
+        (s,) = _place(cluster, 1, get_program("MG"), 8, 4, 0.0).slices()
         assert s.bw_cap is None
 
     def test_no_enforcement_by_default(self):
-        node = NodeState(node_id=0, spec=SPEC, partitioned=True)
-        node.place(1, get_program("MG"), 8, 4, 42.0, 1)
-        (s,) = node.slices()
+        cluster = _one_node()
+        (s,) = _place(cluster, 1, get_program("MG"), 8, 4, 42.0).slices()
         assert s.bw_cap is None
 
     def test_share_residual_off_gives_dedicated_only(self):
-        node = NodeState(node_id=0, spec=SPEC, partitioned=True,
-                         share_residual=False)
-        node.place(1, get_program("CG"), 8, 10, 0.0, 1)
+        cluster = _one_node(share_residual=False)
+        node = _place(cluster, 1, get_program("CG"), 8, 10, 0.0)
         assert node.effective_ways(1) == pytest.approx(10.0)
 
 

@@ -300,11 +300,11 @@ class _PresetPolicy:
         for job in pending.head(len(pending)):
             ppn = self.plan[job.job_id]
             nodes = list(ppn)
+            procs = list(ppn.values())
             ways = cluster.spec.node.cache.min_ways
-            cluster.place_slices(nodes, job.job_id, job.program, ppn,
+            cluster.place_slices(nodes, job.job_id, job.program, procs,
                                  ways, 0.0, len(nodes))
-            out.append(Decision(job, Placement(tuple(nodes), ppn, ways,
-                                               0.0), 1))
+            out.append(Decision(job, Placement(nodes, procs, ways, 0.0), 1))
         return out
 
     def on_job_finish(self, job, now):

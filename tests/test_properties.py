@@ -163,9 +163,11 @@ class TestSplitProperties:
            n=st.integers(min_value=1, max_value=128))
     def test_split_conserves_and_balances(self, procs, n):
         assume(procs >= n)
-        split = split_procs(procs, list(range(n)))
-        assert sum(split.values()) == procs
-        counts = set(split.values())
+        split = split_procs(procs, list(range(n))).tolist()
+        assert len(split) == n
+        assert sum(split) == procs
+        assert split == sorted(split, reverse=True)  # extras lead
+        counts = set(split)
         assert max(counts) - min(counts) <= 1
         assert all(c >= 1 for c in counts)
 

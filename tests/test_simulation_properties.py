@@ -63,7 +63,7 @@ class TestSimulationProperties:
             SimConfig(telemetry=False),
         )
         sim.run()
-        assert sim.cluster.total_free_cores() == cluster.total_cores
+        assert sim.cluster.idle_count() == cluster.num_nodes
         for node in sim.cluster.nodes:
             assert node.is_idle
             assert node.free_ways == cluster.node.llc_ways

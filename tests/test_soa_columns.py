@@ -123,7 +123,7 @@ class _Driver:
         self.next_job += 1
         self.cluster.place_slices(
             node_ids, job_id, program,
-            {nid: procs for nid in node_ids},
+            [procs] * len(node_ids),
             ways, bw, len(node_ids), net=net,
         )
         self.placements[job_id] = tuple(node_ids)

@@ -229,8 +229,9 @@ class TestTimeSeriesFromTrace:
                 if not (job.start_time <= t < job.finish_time):
                     continue
                 placement = job.placement
-                splits = split_procs(job.procs, placement.node_ids)
-                for nid, procs in splits.items():
+                splits = split_procs(job.procs, placement.nodes)
+                for nid, procs in zip(placement.nodes.tolist(),
+                                      splits.tolist()):
                     free[nid] -= procs
                     bw[nid] += placement.booked_bw
                     ways[nid] += placement.dedicated_ways
