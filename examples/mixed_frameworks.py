@@ -40,7 +40,7 @@ def main() -> None:
     ):
         result = Simulation(
             cluster, policy_cls(cluster), clone_jobs(jobs),
-            SimConfig(telemetry=False),
+            SimConfig(),
         ).run()
         print(f"=== {name}: makespan {result.makespan:.0f}s, "
               f"node-seconds {result.node_seconds():.0f}")

@@ -30,7 +30,7 @@ def run_variant(jobs, cluster, alpha=None, enforce_bw=False):
     )
     policy = SpreadNShareScheduler(cluster, config)
     return Simulation(cluster, policy, clone_jobs(jobs),
-                      SimConfig(telemetry=False)).run()
+                      SimConfig()).run()
 
 
 def main() -> None:
@@ -38,7 +38,7 @@ def main() -> None:
     jobs = random_sequence(seed=5, n_jobs=20)
     ce = Simulation(
         cluster, CompactExclusiveScheduler(cluster), clone_jobs(jobs),
-        SimConfig(telemetry=False),
+        SimConfig(),
     ).run()
 
     print(f"{'variant':>18s} {'throughput vs CE':>17s} "

@@ -39,7 +39,7 @@ def main() -> None:
     ):
         policy = policy_cls(cluster)
         results[name] = Simulation(
-            cluster, policy, clone_jobs(jobs), SimConfig(telemetry=False)
+            cluster, policy, clone_jobs(jobs), SimConfig()
         ).run()
 
     print(f"{'policy':6s} {'makespan':>10s} {'throughput':>11s} "

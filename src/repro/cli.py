@@ -4,10 +4,9 @@ Subcommands
 -----------
 ``list``
     List the reproducible experiments.
-``run <fig-id> [--quick] [--jobs N | --threads N]``
+``run <fig-id> [--quick] [--jobs N]``
     Run one experiment and print its table (e.g. ``repro-sns run fig13``);
-    ``--jobs N`` fans grid experiments out over N worker processes,
-    ``--threads N`` over N threads — both via the unified
+    ``--jobs N`` fans grid experiments out over N worker processes via
     :func:`repro.experiments.parallel.run_grid`.
 ``profile <program> [--procs N]``
     Run the profiling trial ladder for one catalog program and print the
@@ -64,18 +63,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     kwargs = dict(experiment.quick_kwargs) if args.quick else {}
     if args.quick and not kwargs:
         print(f"(note: {args.experiment} has no reduced mode; running full)")
-    if args.parallel_jobs is not None or args.parallel_threads is not None:
+    if args.parallel_jobs is not None:
         if experiment.parallel:
-            # Both flags feed the unified run_grid entry point; --jobs
-            # fans out across processes, --threads across threads.
-            if args.parallel_threads is not None:
-                kwargs["jobs"] = args.parallel_threads
-                kwargs["executor"] = "threads"
-            else:
-                kwargs["jobs"] = args.parallel_jobs
+            kwargs["jobs"] = args.parallel_jobs
         else:
             print(f"(note: {args.experiment} has no parallel grid; "
-                  f"--jobs/--threads ignored)")
+                  "--jobs ignored)")
     result = experiment.run(**kwargs)
     print(experiment.render(result))
     return 0
@@ -110,7 +103,6 @@ def resolve_sim_setup(args: argparse.Namespace):
     )
     tracing = bool(args.trace or args.trace_chrome)
     sim_config = SimConfig(
-        telemetry=False,
         perf_caches=False if args.no_caches else None,
         trace=TraceConfig(level=args.trace_level) if tracing else None,
     )
@@ -256,12 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=None, dest="parallel_jobs",
         metavar="N",
         help="worker processes for grid experiments (0 = one per CPU); "
-             "results are identical to a serial run",
-    )
-    p_run.add_argument(
-        "--threads", type=int, default=None, dest="parallel_threads",
-        metavar="N",
-        help="worker threads instead of processes (overrides --jobs); "
              "results are identical to a serial run",
     )
 

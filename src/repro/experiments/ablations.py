@@ -86,7 +86,7 @@ def _run_sequence(task: tuple) -> List[Tuple[float, List[float]]]:
     seq, cluster, variants = task
     ce = Simulation(
         cluster, CompactExclusiveScheduler(cluster), clone_jobs(seq),
-        SimConfig(telemetry=False),
+        SimConfig(),
     ).run()
     out: List[Tuple[float, List[float]]] = []
     for variant in variants:
@@ -94,7 +94,7 @@ def _run_sequence(task: tuple) -> List[Tuple[float, List[float]]]:
             cluster,
             SpreadNShareScheduler(cluster, variant.config),
             clone_jobs(seq),
-            SimConfig(telemetry=False),
+            SimConfig(),
         ).run()
         norm = normalized_runtimes(sns, ce)
         out.append((sns.throughput() / ce.throughput(), list(norm.values())))
@@ -109,7 +109,6 @@ def run_ablation(
     base_seed: int = 2019,
     alpha: float = 0.9,
     jobs: Optional[int] = None,
-    executor: str = "processes",
 ) -> AblationResult:
     cluster = cluster or default_cluster()
     variants = list(variants) if variants is not None else default_variants()
@@ -120,7 +119,6 @@ def run_ablation(
     per_sequence = run_grid(
         _run_sequence,
         [(seq, cluster, variants) for seq in sequences],
-        executor=executor,
         jobs=jobs,
     )
 

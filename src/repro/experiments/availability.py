@@ -69,7 +69,7 @@ def run_availability(
     retry: RetryPolicy = RetryPolicy(max_retries=5, backoff_s=0.0),
 ) -> AvailabilityResult:
     cluster = cluster or default_cluster()
-    sim_config = SimConfig(telemetry=False)
+    sim_config = SimConfig()
     result = AvailabilityResult(mtbf_values=tuple(mtbf_values))
     sequences = random_sequences(n_sequences, n_jobs, base_seed=base_seed)
     for seq_index, jobs in enumerate(sequences):

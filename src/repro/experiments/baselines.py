@@ -64,7 +64,7 @@ def run_baselines(
     ):
         runs = run_all_policies(
             cluster, jobs, policy_names=POLICY_ORDER,
-            sim_config=SimConfig(telemetry=False),
+            sim_config=SimConfig(),
         )
         ce = runs["CE"].throughput()
         spec = cluster.node

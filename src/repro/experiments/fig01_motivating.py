@@ -54,7 +54,7 @@ def run_fig01() -> Fig01Result:
     for policy, nodes in (("CE", 3), ("SNS", 2)):
         cluster = ClusterSpec(num_nodes=nodes)
         result = run_policy(policy, cluster, _jobs(),
-                            sim_config=SimConfig(telemetry=False))
+                            sim_config=SimConfig())
         makespan[policy] = result.makespan
         # Resource usage as the paper accounts it: the whole allocation
         # (3 nodes for CE, 2 for SNS) held until the last job finishes.

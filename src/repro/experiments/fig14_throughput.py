@@ -70,7 +70,7 @@ def _run_sequence(task: tuple) -> SequenceOutcome:
     runs = run_all_policies(
         cluster, seq,
         scheduler_config=config,
-        sim_config=SimConfig(telemetry=False),
+        sim_config=SimConfig(),
         database=database,
     )
     ratio = scaling_ratio(runs["CE"].finished_jobs, database, cluster.node)
@@ -94,7 +94,6 @@ def run_fig14(
     base_seed: int = 2019,
     alpha: Optional[float] = None,
     jobs: Optional[int] = None,
-    executor: str = "processes",
 ) -> Fig14Result:
     cluster = cluster or default_cluster()
     config = SchedulerConfig()
@@ -111,9 +110,7 @@ def run_fig14(
                              alpha=alpha)
         )
     ]
-    return Fig14Result(outcomes=run_grid(
-        _run_sequence, tasks, executor=executor, jobs=jobs,
-    ))
+    return Fig14Result(outcomes=run_grid(_run_sequence, tasks, jobs=jobs))
 
 
 def format_fig14(result: Fig14Result) -> str:

@@ -48,7 +48,7 @@ def run_fig19(
     ):
         runs = run_all_policies(
             cluster, jobs, policy_names=("CE", "SNS"),
-            sim_config=SimConfig(telemetry=False),
+            sim_config=SimConfig(),
         )
         ce = breakdown(runs["CE"])
         sns = breakdown(runs["SNS"])

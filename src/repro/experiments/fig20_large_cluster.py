@@ -15,11 +15,11 @@ congested 4K cluster.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.config import SimConfig
 from repro.experiments.common import ascii_table, run_all_policies
-from repro.experiments.parallel import resolve_jobs, run_grid
+from repro.experiments.parallel import run_grid
 from repro.hardware.topology import ClusterSpec
 from repro.metrics.times import breakdown
 from repro.workloads.trace import SyntheticTraceConfig, synthesize_trace
@@ -73,7 +73,7 @@ def _run_point(task: tuple) -> TracePoint:
     cluster = ClusterSpec(num_nodes=nodes)
     runs = run_all_policies(
         cluster, jobs, policy_names=("CE", "SNS"),
-        sim_config=SimConfig(telemetry=False, max_sim_time=1e12),
+        sim_config=SimConfig(max_sim_time=1e12),
     )
     ce = breakdown(runs["CE"])
     sns = breakdown(runs["SNS"])
@@ -93,7 +93,6 @@ def run_fig20(
     trace_config: Optional[SyntheticTraceConfig] = None,
     seed: int = 42,
     jobs: Optional[int] = None,
-    executor: str = "processes",
 ) -> Fig20Result:
     """Replay the trace grid; ``jobs`` workers run points in parallel
     (``None``/1 serial, ``<= 0`` one per CPU) with point order — and
@@ -104,35 +103,7 @@ def run_fig20(
         for ratio in scaling_ratios
         for nodes in cluster_sizes
     ]
-    if resolve_jobs(jobs) <= 1:
-        # Serial: synthesize each ratio's trace once and share it across
-        # cluster sizes instead of once per point.
-        points: List[TracePoint] = []
-        for ratio in scaling_ratios:
-            trace = synthesize_trace(seed=seed, scaling_ratio=ratio,
-                                     config=trace_config)
-            for nodes in cluster_sizes:
-                cluster = ClusterSpec(num_nodes=nodes)
-                runs = run_all_policies(
-                    cluster, trace, policy_names=("CE", "SNS"),
-                    sim_config=SimConfig(telemetry=False, max_sim_time=1e12),
-                )
-                ce = breakdown(runs["CE"])
-                sns = breakdown(runs["SNS"])
-                points.append(
-                    TracePoint(
-                        nodes=nodes,
-                        scaling_ratio=ratio,
-                        ce_wait=ce.wait / ce.turnaround,
-                        ce_run=ce.run / ce.turnaround,
-                        sns_wait=sns.wait / ce.turnaround,
-                        sns_run=sns.run / ce.turnaround,
-                    )
-                )
-        return Fig20Result(points=points)
-    return Fig20Result(points=run_grid(
-        _run_point, tasks, executor=executor, jobs=jobs,
-    ))
+    return Fig20Result(points=run_grid(_run_point, tasks, jobs=jobs))
 
 
 def smoke_trace_config(n_jobs: int = 800,

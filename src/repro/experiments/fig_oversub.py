@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.config import SchedulerConfig, SimConfig
 from repro.errors import ReproError
 from repro.experiments.common import ascii_table, run_policy
-from repro.experiments.parallel import resolve_jobs, run_grid
+from repro.experiments.parallel import run_grid
 from repro.hardware.fabric import FabricSpec
 from repro.hardware.topology import ClusterSpec
 from repro.workloads.sequences import random_sequence
@@ -108,7 +108,7 @@ def _run_point(task: tuple) -> OversubPoint:
         policy, cluster,
         random_sequence(seed=seed, n_jobs=n_jobs, program_names=PROGRAMS),
         scheduler_config=sched_config,
-        sim_config=SimConfig(telemetry=False),
+        sim_config=SimConfig(),
     )
     return OversubPoint(
         oversub=oversub,
@@ -128,7 +128,6 @@ def run_fig_oversub(
     seed: int = SEED,
     n_jobs: int = N_JOBS,
     jobs: Optional[int] = None,
-    executor: str = "processes",
 ) -> FigOversubResult:
     """Sweep the fabric oversubscription grid; ``jobs`` workers run
     points in parallel (``None``/1 serial, ``<= 0`` one per CPU) with
@@ -138,11 +137,7 @@ def run_fig_oversub(
         for oversub in oversub_ratios
         for variant in variants
     ]
-    if resolve_jobs(jobs) <= 1:
-        return FigOversubResult(points=[_run_point(t) for t in tasks])
-    return FigOversubResult(points=run_grid(
-        _run_point, tasks, executor=executor, jobs=jobs,
-    ))
+    return FigOversubResult(points=run_grid(_run_point, tasks, jobs=jobs))
 
 
 def format_fig_oversub(result: FigOversubResult) -> str:

@@ -64,7 +64,7 @@ def run_convergence(
         spec=cluster.node, max_cluster_nodes=cluster.num_nodes
     )
     policy = OnlineSpreadNShareScheduler(cluster, store=store)
-    Simulation(cluster, policy, jobs, SimConfig(telemetry=False)).run()
+    Simulation(cluster, policy, jobs, SimConfig()).run()
 
     t_ref = reference_time(program, procs, cluster.node)
     reps = [

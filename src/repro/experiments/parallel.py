@@ -1,4 +1,4 @@
-"""Parallel experiment grids: one entry point, four executors.
+"""Parallel experiment grids: one entry point, serial or a process pool.
 
 The heavy experiments (Figs 14-16, 20, ablations) are embarrassingly
 parallel across their outermost axis: every grid point is an independent
@@ -16,37 +16,22 @@ fans those points out while guaranteeing the results are
   serially; only a failure to *create* a process pool (e.g. a sandbox
   without process support) silently falls back to the serial path.
 
-Executors:
-
-``serial``
-    ``[worker(t) for t in tasks]`` — the reference everything else must
-    bit-match.
-``threads``
-    ``ThreadPoolExecutor``; pays off when the workers release the GIL
-    (numpy-heavy batched arbitration) and *proves* the state-ownership
-    refactor — interleaved simulations share no kernel state.
-``processes``
-    ``ProcessPoolExecutor`` with pickled tasks/results — the default
-    fan-out for the figure grids (CLI ``--jobs``).
-``shard``
-    Forked workers writing into preallocated shared-memory result slots
-    (:mod:`repro.experiments.shard`) — zero-copy dispatch for grids
-    whose tasks are closures over large in-memory state.
-
-``jobs`` follows one convention everywhere (:func:`resolve_jobs`):
-``None``/``1`` serial, ``<= 0`` one worker per CPU, else that many.
+``jobs`` alone picks how a grid runs, with one convention everywhere
+(:func:`resolve_jobs`): ``None``/``1`` serial, ``<= 0`` one worker
+process per CPU, else that many.  Threads and a shared-memory process
+runner were measured against this pool and deleted: on a 2-core host
+threads ran the smoke grid slower than serial, and shared-memory
+dispatch never beat the pool (DESIGN.md §7).
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, List, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-EXECUTORS = ("serial", "threads", "processes", "shard")
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -67,42 +52,26 @@ def run_grid(
     worker: Callable[[T], R],
     tasks: Sequence[T],
     *,
-    executor: str = "serial",
     jobs: Optional[int] = None,
-    chunksize: int = 1,
 ) -> List[R]:
-    """Map ``worker`` over ``tasks`` on the chosen executor.
+    """Map ``worker`` over ``tasks``, serially or on a process pool.
 
-    Drop-in for ``[worker(t) for t in tasks]`` under every executor:
-    results come back in task order regardless of completion order, and
-    the values are bit-identical to the serial run (the contract
-    ``tests/test_perf_context.py`` and ``tools/bench_report.py``
-    enforce).  ``worker`` and every task must be picklable for
-    ``executor="processes"``; ``chunksize`` batches pickled dispatch
-    there and is ignored elsewhere.
+    Drop-in for ``[worker(t) for t in tasks]``: results come back in
+    task order regardless of completion order, and the values are
+    bit-identical to the serial run (the contract
+    ``tests/test_perf_equivalence.py`` and ``tools/bench_report.py``
+    enforce).  With more than one worker, ``worker`` must be a
+    top-level function and every task and result picklable.
     """
-    if executor not in EXECUTORS:
-        raise ValueError(
-            f"unknown executor {executor!r} (choose from {EXECUTORS})"
-        )
     tasks = list(tasks)
-    n_workers = resolve_jobs(jobs)
-    if executor == "serial" or n_workers <= 1 or len(tasks) <= 1:
+    n_workers = min(resolve_jobs(jobs), len(tasks))
+    if n_workers <= 1:
         return [worker(t) for t in tasks]
-    if executor == "threads":
-        with ThreadPoolExecutor(
-            max_workers=min(n_workers, len(tasks))
-        ) as pool:
-            return list(pool.map(worker, tasks))
-    if executor == "shard":
-        from repro.experiments.shard import run_grid_processes
-
-        return run_grid_processes(worker, tasks, processes=n_workers)
     try:
-        pool = ProcessPoolExecutor(max_workers=min(n_workers, len(tasks)))
+        pool = ProcessPoolExecutor(max_workers=n_workers)
     except (NotImplementedError, OSError, ValueError):
         # No process support in this environment: degrade to serial
         # rather than failing the experiment.
         return [worker(t) for t in tasks]
     with pool:
-        return list(pool.map(worker, tasks, chunksize=chunksize))
+        return list(pool.map(worker, tasks))

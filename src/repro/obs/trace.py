@@ -8,8 +8,8 @@ lifecycle transition, and every fault event.  Records are plain dicts
 with a fixed key order so the canonical JSONL serialization
 (:func:`repro.obs.export.trace_lines`) is **byte-stable**: the
 decisions-level stream of a seeded run is identical under the memoized
-fast path, the unmemoized reference kernels, and thread-interleaved
-grid execution — the golden-trace contract
+fast path, the unmemoized reference kernels, and interleaved stepping
+of several simulations — the golden-trace contract
 (``tests/test_trace_golden.py``) enforced in CI.
 
 Overhead contract: a simulation without a tracer pays exactly one

@@ -11,11 +11,9 @@ Each :class:`repro.sim.runtime.Simulation` constructs its own context
 and threads it through every layer that consults kernel state
 (``ClusterState`` at construction, the schedulers via ``cluster.ctx``,
 ``job_time`` / ``arbitrate_nodes`` as an explicit argument).  Nothing is
-process-global: two simulations in one process — including two running
-concurrently on different threads — can never observe each other's
-cache entries, statistics, or cache-mode flag, which is what makes the
-thread executor of :func:`repro.experiments.parallel.run_grid`
-bit-identical to serial execution by construction.
+process-global: two simulations in one process — including two stepped
+in alternation — can never observe each other's cache entries,
+statistics, or cache-mode flag.
 
 Cache semantics are unchanged from the original module-global design
 (see DESIGN.md §7): every cache is exact — a hit returns the

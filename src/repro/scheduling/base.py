@@ -182,10 +182,10 @@ class BaseScheduler(abc.ABC):
         ``meta`` carries decision context for the tracer (candidate-set
         size, degraded/trial flags) and is never read by placement
         logic."""
-        # Batched install: one fancy-indexed write per capacity column
-        # instead of a per-node place() walk.  place_slices validates
-        # before mutating, so a failed placement leaves the cluster
-        # untouched — no rollback loop needed here.
+        # Batched install: one fancy-indexed write per capacity
+        # column.  place_slices validates before mutating, so a failed
+        # placement leaves the cluster untouched — no rollback loop
+        # needed here.
         cluster.place_slices(
             nodes, job.job_id, job.program, procs,
             ways, bw_per_node, len(nodes), net=net_per_node,

@@ -313,50 +313,6 @@ class ClusterState:
             return parts[0]
         return np.concatenate(parts) if parts else ids[:0].copy()
 
-    def place(self, node_id: int, job_id: int, program, procs: int,
-              ways: int, bw: float, n_nodes: int, net: float = 0.0) -> None:
-        """Place a job slice on one node: :meth:`place_slices` on a
-        one-node batch (``procs`` processes, ``ways`` dedicated ways,
-        ``bw`` GB/s and ``net`` link fraction booked; ``n_nodes`` is
-        the job's placement width)."""
-        if net != 0.0 and self._fabric is not None:
-            # A scalar place sees one node, not the whole placement, so
-            # it cannot split the booking into its cross-rack share —
-            # the batched path is the only writer of the link columns.
-            raise AllocationError(
-                "scalar place cannot maintain the fabric link columns "
-                "for a network-booking slice; use place_slices"
-            )
-        meta = self.scols.meta.get(job_id)
-        if meta is not None:
-            # The resident mix key names jobs, not bookings: a job books
-            # the same ways and bandwidth on every node it occupies.
-            if meta[4] != bw or (self.partitioned and meta[3] != ways):
-                raise AllocationError(
-                    f"job {job_id} must book the same ways and bandwidth "
-                    f"on every node"
-                )
-        self.place_slices([node_id], job_id, program, [procs], ways, bw,
-                          n_nodes, net)
-
-    def remove(self, node_id: int, job_id: int) -> None:
-        """Remove a job slice from one node: :meth:`remove_slices` on a
-        one-node batch."""
-        if self._fabric is not None:
-            sc = self.scols
-            n = int(self.columns.n_res[node_id])
-            row = sc.job[node_id, :n].tolist()
-            if job_id in row \
-                    and float(sc.cross[node_id, row.index(job_id)]) != 0.0:
-                # Dropping a cross-booked slice must re-derive the ToR /
-                # spine aggregates over the whole placement; only the
-                # batched path has that context.
-                raise AllocationError(
-                    "scalar remove cannot maintain the fabric link "
-                    "columns for a cross-rack slice; use remove_slices"
-                )
-        self.remove_slices([node_id], job_id)
-
     def place_slices(self, nodes: Sequence[int], job_id: int, program,
                      procs: Sequence[int], ways: int, bw: float,
                      n_nodes: int, net: float = 0.0) -> None:
@@ -402,6 +358,15 @@ class ClusterState:
                 or bool(np.any(cols.parts[arr] >= cols.max_partitions)) \
                 or bool(np.any(cols.free_ways[arr] < ways))
         sc = self.scols
+        meta = sc.meta.get(job_id)
+        if meta is not None and (
+                meta[4] != bw or (partitioned and meta[3] != ways)):
+            # The resident mix key names jobs, not bookings: a job books
+            # the same ways and bandwidth on every node it occupies.
+            raise AllocationError(
+                f"job {job_id} must book the same ways and bandwidth "
+                f"on every node"
+            )
         # Duplicate-resident check, pruned to occupied nodes through the
         # n_res column (an idle node cannot already host this job).
         slot_pos = cols.n_res[arr]  # fancy index: an owned copy
@@ -446,9 +411,8 @@ class ClusterState:
             sc.bw[arr, slot_pos] = bw
         if net != 0.0:
             sc.net[arr, slot_pos] = net
-        entry = sc.meta.get(job_id)
         sc.meta[job_id] = (
-            program, n_nodes, count if entry is None else entry[2] + count,
+            program, n_nodes, count if meta is None else meta[2] + count,
             ways, bw,
         )
         # -- node columns (single fancy-indexed op per array) --------------

@@ -54,7 +54,7 @@ def bfs():
 
 @pytest.fixture
 def fast_sim_config() -> SimConfig:
-    return SimConfig(telemetry=False)
+    return SimConfig()
 
 
 @pytest.fixture

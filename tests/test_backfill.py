@@ -19,7 +19,7 @@ MG = get_program("MG")
 def run(jobs, nodes=4, policy_cls=CompactExclusiveBackfillScheduler):
     cluster = ClusterSpec(num_nodes=nodes)
     return Simulation(cluster, policy_cls(cluster), jobs,
-                      SimConfig(telemetry=False)).run()
+                      SimConfig()).run()
 
 
 class TestBackfillMechanics:
@@ -113,7 +113,7 @@ class TestBackfillPerformance:
             cluster = ClusterSpec(num_nodes=8)
             sns = Simulation(
                 cluster, SpreadNShareScheduler(cluster), clone_jobs(jobs),
-                SimConfig(telemetry=False),
+                SimConfig(),
             ).run()
             if sns.throughput() > bf.throughput():
                 wins += 1

@@ -31,7 +31,7 @@ def replay(jobs, policy_cls, nodes=8, caches=None):
     spec = ClusterSpec(num_nodes=nodes)
     result = Simulation(
         spec, policy_cls(spec), jobs,
-        SimConfig(telemetry=False, perf_caches=caches),
+        SimConfig(perf_caches=caches),
     ).run()
     return result
 
@@ -226,7 +226,7 @@ class TestFinishCoalescing:
             spec, CompactExclusiveScheduler(spec),
             [Job(job_id=0, program=get_program("EP"), procs=16,
                  submit_time=0.0)],
-            SimConfig(telemetry=False, perf_caches=caches),
+            SimConfig(perf_caches=caches),
             fault_plan=plan,
         ).run()
         (survivor,) = rerun.finished_jobs

@@ -21,7 +21,7 @@ from repro.scheduling.sns import SpreadNShareScheduler
 from repro.sim.runtime import Simulation
 from repro.workloads.sequences import random_sequence
 
-FAST = SimConfig(telemetry=False)
+FAST = SimConfig()
 
 
 class TestUniformSignature:

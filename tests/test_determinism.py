@@ -18,7 +18,7 @@ def run_once(policy_name, jobs, nodes=8):
     cluster = ClusterSpec(num_nodes=nodes)
     policy = POLICIES[policy_name](cluster)
     result = Simulation(cluster, policy, clone_jobs(jobs),
-                        SimConfig(telemetry=False)).run()
+                        SimConfig()).run()
     return [
         (j.job_id, j.scale_factor, tuple(j.placement.node_ids),
          round(j.start_time, 9), round(j.finish_time, 9))
@@ -62,7 +62,7 @@ class TestWorkloadDeterminism:
             policy = POLICIES["SNS"](cluster)
             result = Simulation(
                 cluster, policy, clone_jobs(jobs),
-                SimConfig(telemetry=False, max_sim_time=1e12),
+                SimConfig(max_sim_time=1e12),
             ).run()
             return round(result.makespan, 6), round(
                 result.mean_turnaround(), 6

@@ -41,7 +41,7 @@ class TestRunners:
     def test_run_policy_clones_jobs(self):
         job = Job(job_id=0, program=get_program("EP"), procs=16)
         result = run_policy("CE", default_cluster(), [job],
-                            sim_config=SimConfig(telemetry=False))
+                            sim_config=SimConfig())
         # The original job object must stay pristine (pending).
         assert job.start_time is None
         assert result.finished_jobs[0].job_id == 0
@@ -51,7 +51,7 @@ class TestRunners:
                 for i in range(3)]
         runs = run_all_policies(
             default_cluster(), jobs, policy_names=("CE", "CS"),
-            sim_config=SimConfig(telemetry=False),
+            sim_config=SimConfig(),
         )
         assert set(runs) == {"CE", "CS"}
         for result in runs.values():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.config import SchedulerConfig, SimConfig, TraceConfig
-from repro.errors import AllocationError, HardwareModelError
+from repro.errors import HardwareModelError
 from repro.experiments.common import run_policy
 from repro.faults.plan import FaultPlan, RetryPolicy
 from repro.hardware.fabric import FabricSpec
@@ -89,8 +89,7 @@ class TestPickIdlestRackAware:
         # Racks 1 and 2 both fit the job; rack 2's nodes are busier,
         # so the pick confines to rack 1.
         cluster = _active_cluster()
-        cluster.place(4, 1, object(), 8, 0, 0.0, 1)
-        cluster.place(5, 1, object(), 8, 0, 0.0, 1)
+        cluster.place_slices([4, 5], 1, object(), [8, 8], 0, 0.0, 2)
         assert cluster.pick_idlest([2, 3, 4, 5], 2, 0.0,
                                    rack_aware=True).tolist() == [2, 3]
 
@@ -111,24 +110,6 @@ class TestPickIdlestRackAware:
         cluster = _active_cluster(oversub=1.0)
         assert cluster.pick_idlest([0, 2, 3], 2, 0.0,
                                    rack_aware=True).tolist() == [0, 2]
-
-
-class TestScalarGuards:
-    def test_scalar_place_rejects_network_booking(self):
-        cluster = _active_cluster()
-        with pytest.raises(AllocationError, match="place_slices"):
-            cluster.place(0, 1, object(), 4, 0, 0.0, 2, net=0.25)
-        # Net-free scalar placement stays allowed.
-        cluster.place(0, 1, object(), 4, 0, 0.0, 2)
-
-    def test_scalar_remove_rejects_cross_slice(self):
-        cluster = _active_cluster()
-        cluster.place_slices([1, 2], 7, object(), [4, 4],
-                             0, 0.0, 2, net=0.25)
-        with pytest.raises(AllocationError, match="remove_slices"):
-            cluster.remove(1, 7)
-        cluster.remove_slices([1, 2], 7)
-        cluster.verify_columns()
 
 
 hypothesis = pytest.importorskip("hypothesis")

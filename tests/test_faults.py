@@ -26,7 +26,7 @@ from repro.sim.job import Job, JobState
 from repro.sim.runtime import Simulation
 from repro.workloads.sequences import clone_jobs, random_sequence
 
-FAST = SimConfig(telemetry=False)
+FAST = SimConfig()
 
 
 def _single_job(program="EP", procs=28):
@@ -186,8 +186,8 @@ class TestClusterAvailability:
 
     def test_fail_with_residents_rejected(self, testbed, ep):
         cluster = ClusterState(testbed)
-        cluster.place(0, job_id=7, program=ep, procs=4, ways=2, bw=0.0,
-                      n_nodes=1)
+        cluster.place_slices([0], job_id=7, program=ep, procs=[4], ways=2,
+                             bw=0.0, n_nodes=1)
         with pytest.raises(SimulationError, match="resident"):
             cluster.fail_node(0)
 
@@ -318,7 +318,7 @@ class TestFaultDeterminism:
         )
         result = Simulation.from_policy_name(
             policy, cluster, clone_jobs(jobs),
-            sim_config=SimConfig(telemetry=False, perf_caches=caches),
+            sim_config=SimConfig(perf_caches=caches),
             fault_plan=plan,
         ).run()
         return result.makespan, _schedule(result), dict(

@@ -99,8 +99,8 @@ class TestManagedNetworkScheduling:
 
         def try_place(manage):
             cluster = ClusterState(cluster_spec, partitioned=True)
-            for nid in (0, 1):  # resident chatty job: 0.7 link booked
-                cluster.place(nid, 1, chat, 4, 2, 1.0, 2, net=0.7)
+            # resident chatty job: 0.7 link booked
+            cluster.place_slices([0, 1], 1, chat, [4, 4], 2, 1.0, 2, 0.7)
             config = SchedulerConfig(manage_network=manage)
             policy = SpreadNShareScheduler(cluster_spec, config)
             return policy.schedule_point(cluster, PendingQueue([job]), 0.0)
@@ -108,8 +108,7 @@ class TestManagedNetworkScheduling:
         assert try_place(manage=False)  # placed: network invisible
         job2 = Job(job_id=9, program=chat, procs=32)
         cluster = ClusterState(cluster_spec, partitioned=True)
-        for nid in (0, 1):
-            cluster.place(nid, 1, chat, 4, 2, 1.0, 2, net=0.7)
+        cluster.place_slices([0, 1], 1, chat, [4, 4], 2, 1.0, 2, 0.7)
         policy = SpreadNShareScheduler(
             cluster_spec, SchedulerConfig(manage_network=True)
         )
@@ -127,7 +126,8 @@ class TestManagedNetworkScheduling:
         node_cluster = ClusterState(ClusterSpec(num_nodes=1),
                                     partitioned=True)
         node = node_cluster.node(0)
-        node_cluster.place(0, 1, chatty_program(), 8, 4, 10.0, 2, net=0.3)
+        node_cluster.place_slices([0], 1, chatty_program(), [8], 4, 10.0, 2,
+                                  0.3)
         assert node.booked_net == pytest.approx(0.3)
         assert node.free_net == pytest.approx(0.7)
         assert node.can_host(4, 2, 0.0, net=0.7)
@@ -143,5 +143,5 @@ class TestManagedNetworkScheduling:
         ]
         policy = SpreadNShareScheduler(cluster, config)
         result = Simulation(cluster, policy, jobs,
-                            SimConfig(telemetry=False)).run()
+                            SimConfig()).run()
         assert len(result.finished_jobs) == 4

@@ -24,7 +24,7 @@ def _one_node(**knobs) -> ClusterState:
 
 def _place(cluster: ClusterState, job_id, program, procs, ways, bw):
     """Install one single-node slice; returns the node's view."""
-    cluster.place(0, job_id, program, procs, ways, bw, 1)
+    cluster.place_slices([0], job_id, program, [procs], ways, bw, 1)
     return cluster.node(0)
 
 
@@ -87,7 +87,7 @@ class TestEndToEndKnobs:
         jobs = [Job(job_id=i, program=mg, procs=14) for i in range(2)]
         policy = SpreadNShareScheduler(cluster, config)
         result = Simulation(cluster, policy, clone_jobs(jobs),
-                            SimConfig(telemetry=False)).run()
+                            SimConfig()).run()
         return result
 
     def test_mba_bounds_bandwidth_overdraw(self):
@@ -111,6 +111,6 @@ class TestEndToEndKnobs:
                 cluster, SchedulerConfig(share_residual=share)
             )
             Simulation(cluster, policy, [job],
-                       SimConfig(telemetry=False)).run()
+                       SimConfig()).run()
             return job.run_time
         assert run(True) < run(False)

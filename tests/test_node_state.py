@@ -44,32 +44,32 @@ class TestAccounting:
         assert node.free_bw == pytest.approx(SPEC.peak_bw)
 
     def test_place_deducts_resources(self, cluster, node):
-        cluster.place(0, 1, get_program("MG"), 8, 4, 30.0, n_nodes=2)
+        cluster.place_slices([0], 1, get_program("MG"), [8], 4, 30.0, 2)
         assert node.free_cores == 20
         assert node.free_ways == 16
         assert node.free_bw == pytest.approx(SPEC.peak_bw - 30.0)
         assert not node.is_idle
 
     def test_remove_restores_resources(self, cluster, node):
-        cluster.place(0, 1, get_program("MG"), 8, 4, 30.0, n_nodes=2)
-        cluster.remove(0, 1)
+        cluster.place_slices([0], 1, get_program("MG"), [8], 4, 30.0, 2)
+        cluster.remove_slices([0], 1)
         assert node.is_idle
         assert node.free_ways == 20
         assert node.free_bw == pytest.approx(SPEC.peak_bw)
 
     def test_double_place_rejected(self, cluster, node):
-        cluster.place(0, 1, get_program("EP"), 4, 2, 0.0, 1)
+        cluster.place_slices([0], 1, get_program("EP"), [4], 2, 0.0, 1)
         with pytest.raises(AllocationError):
-            cluster.place(0, 1, get_program("EP"), 4, 2, 0.0, 1)
+            cluster.place_slices([0], 1, get_program("EP"), [4], 2, 0.0, 1)
 
     def test_remove_absent_rejected(self, cluster, node):
         with pytest.raises(AllocationError):
-            cluster.remove(0, 7)
+            cluster.remove_slices([0], 7)
 
     def test_core_overflow_rejected(self, cluster, node):
-        cluster.place(0, 1, get_program("EP"), 20, 2, 0.0, 1)
+        cluster.place_slices([0], 1, get_program("EP"), [20], 2, 0.0, 1)
         with pytest.raises(AllocationError):
-            cluster.place(0, 2, get_program("EP"), 10, 2, 0.0, 1)
+            cluster.place_slices([0], 2, get_program("EP"), [10], 2, 0.0, 1)
 
 
 class TestCanHost:
@@ -80,12 +80,12 @@ class TestCanHost:
         assert not node.can_host(29, 2, 0.0)
 
     def test_way_bound(self, cluster, node):
-        cluster.place(0, 1, get_program("CG"), 8, 15, 10.0, 1)
+        cluster.place_slices([0], 1, get_program("CG"), [8], 15, 10.0, 1)
         assert not node.can_host(4, 6, 0.0)
         assert node.can_host(4, 5, 0.0)
 
     def test_bandwidth_bound(self, cluster, node):
-        cluster.place(0, 1, get_program("MG"), 16, 2, 100.0, 1)
+        cluster.place_slices([0], 1, get_program("MG"), [16], 2, 100.0, 1)
         assert not node.can_host(4, 2, 30.0)
         assert node.can_host(4, 2, 10.0)
 
@@ -95,15 +95,15 @@ class TestCanHost:
 
 class TestEffectiveWays:
     def test_partitioned_residual_share(self, cluster, node):
-        cluster.place(0, 1, get_program("CG"), 8, 10, 10.0, 1)
-        cluster.place(0, 2, get_program("EP"), 8, 2, 0.1, 1)
+        cluster.place_slices([0], 1, get_program("CG"), [8], 10, 10.0, 1)
+        cluster.place_slices([0], 2, get_program("EP"), [8], 2, 0.1, 1)
         # 8 free ways -> +4 each.
         assert node.effective_ways(1) == pytest.approx(14.0)
         assert node.effective_ways(2) == pytest.approx(6.0)
 
     def test_unpartitioned_proportional_share(self, shared, shared_node):
-        shared.place(0, 1, get_program("CG"), 12, 0, 0.0, 1)
-        shared.place(0, 2, get_program("EP"), 4, 0, 0.0, 1)
+        shared.place_slices([0], 1, get_program("CG"), [12], 0, 0.0, 1)
+        shared.place_slices([0], 2, get_program("EP"), [4], 0, 0.0, 1)
         assert shared_node.effective_ways(1) == pytest.approx(15.0)
         assert shared_node.effective_ways(2) == pytest.approx(5.0)
 
@@ -117,21 +117,22 @@ class TestOccupancyMetric:
         assert node.occupancy_metric(beta=2.0) == 0.0
 
     def test_beta_weights_ways(self, cluster, node):
-        cluster.place(0, 1, get_program("CG"), 14, 10, 0.0, 1)
+        cluster.place_slices([0], 1, get_program("CG"), [14], 10, 0.0, 1)
         # Co = 0.5, Wo = 0.5, Bo = 0.
         assert node.occupancy_metric(beta=2.0) == pytest.approx(1.5)
         assert node.occupancy_metric(beta=0.0) == pytest.approx(0.5)
 
     def test_bandwidth_term_clamped(self, cluster, node):
-        cluster.place(0, 1, get_program("MG"), 14, 2, SPEC.peak_bw * 2, 1)
+        cluster.place_slices([0], 1, get_program("MG"), [14], 2,
+                             SPEC.peak_bw * 2, 1)
         metric = node.occupancy_metric(beta=0.0)
         assert metric == pytest.approx(0.5 + 1.0)
 
 
 class TestSlices:
     def test_slices_reflect_residents(self, cluster, node):
-        cluster.place(0, 1, get_program("MG"), 8, 4, 30.0, n_nodes=2)
-        cluster.place(0, 2, get_program("EP"), 4, 2, 0.1, n_nodes=1)
+        cluster.place_slices([0], 1, get_program("MG"), [8], 4, 30.0, 2)
+        cluster.place_slices([0], 2, get_program("EP"), [4], 2, 0.1, 1)
         slices = {s.job_id: s for s in node.slices()}
         assert slices[1].procs == 8
         assert slices[1].n_nodes == 2
@@ -139,9 +140,9 @@ class TestSlices:
         assert slices[2].program.name == "EP"
 
     def test_dedicated_ways_partitioned(self, cluster, node):
-        cluster.place(0, 1, get_program("CG"), 8, 10, 0.0, 1)
+        cluster.place_slices([0], 1, get_program("CG"), [8], 10, 0.0, 1)
         assert node.dedicated_ways(1) == 10
 
     def test_dedicated_ways_unpartitioned_zero(self, shared, shared_node):
-        shared.place(0, 1, get_program("CG"), 8, 10, 0.0, 1)
+        shared.place_slices([0], 1, get_program("CG"), [8], 10, 0.0, 1)
         assert shared_node.dedicated_ways(1) == 0

@@ -92,7 +92,7 @@ class TestOnlineScheduler:
         # second must not co-locate onto its nodes.
         jobs = [Job(job_id=i, program=get_program("CG"), procs=16)
                 for i in range(2)]
-        Simulation(cluster, policy, jobs, SimConfig(telemetry=False)).run()
+        Simulation(cluster, policy, jobs, SimConfig()).run()
         a, b = jobs
         assert set(a.placement.node_ids).isdisjoint(b.placement.node_ids)
 
@@ -101,7 +101,7 @@ class TestOnlineScheduler:
         policy = OnlineSpreadNShareScheduler(cluster)
         jobs = [Job(job_id=i, program=get_program("CG"), procs=16,
                     submit_time=i * 1000.0) for i in range(3)]
-        Simulation(cluster, policy, jobs, SimConfig(telemetry=False)).run()
+        Simulation(cluster, policy, jobs, SimConfig()).run()
         assert policy.store.known_scales(get_program("CG"), 16) == [1, 2, 4]
 
 

@@ -203,7 +203,7 @@ def test_congested_replay_schedule_unchanged(policy, faults):
     result = Simulation.from_policy_name(
         policy, spec, congested_jobs(),
         scheduler_config=SchedulerConfig(max_queue_scan=4),
-        sim_config=SimConfig(telemetry=False),
+        sim_config=SimConfig(),
         fault_plan=plan,
     ).run()
     assert schedule_digest(result) == CONGESTED_DIGESTS[policy, faults]

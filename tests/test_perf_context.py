@@ -1,15 +1,16 @@
 """PerfContext ownership: per-simulation kernel state, eviction policy,
-stats plumbing, cache-mode resolution, and thread-interleaved
-bit-identity (DESIGN.md §9)."""
+stats plumbing, cache-mode resolution, and bit-identity of simulations
+stepped in alternation (DESIGN.md §9)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.apps.catalog import get_program
-from repro.config import SimConfig
+from repro.config import SimConfig, TraceConfig
 from repro.experiments.parallel import run_grid
 from repro.hardware.topology import ClusterSpec
+from repro.obs import decision_stream, trace_lines
 from repro.perfmodel.context import PerfContext, resolve_cache_mode
 from repro.sim.job import Job
 from repro.sim.runtime import Simulation
@@ -52,7 +53,7 @@ class TestContextIsolation:
             from repro.workloads.sequences import clone_jobs
             return Simulation.from_policy_name(
                 "SNS", spec, clone_jobs(jobs),
-                sim_config=SimConfig(telemetry=False, perf_caches=True),
+                sim_config=SimConfig(perf_caches=True),
             )
 
         s1, s2 = build(), build()
@@ -114,7 +115,7 @@ class TestStatsPlumbing:
         jobs = random_sequence(seed=3, n_jobs=8)
         sim = Simulation.from_policy_name(
             "SNS", spec, jobs,
-            sim_config=SimConfig(telemetry=False, perf_caches=True),
+            sim_config=SimConfig(perf_caches=True),
         )
         result = sim.run()
         expected = sim.ctx.counters()
@@ -133,7 +134,7 @@ class TestStatsPlumbing:
         jobs = random_sequence(seed=3, n_jobs=8)
         result = Simulation.from_policy_name(
             "SNS", spec, jobs,
-            sim_config=SimConfig(telemetry=False, perf_caches=False),
+            sim_config=SimConfig(perf_caches=False),
         ).run()
         assert result.counters["memo_demand_hits"] == 0
         assert result.counters["memo_demand_misses"] == 0
@@ -168,54 +169,88 @@ class TestCacheModeResolution:
             import repro.perfmodel.memo  # noqa: F401
 
 
-def _run_point(task):
-    """One grid point: an independent simulation, private context."""
-    seed, caches = task
-    from repro.workloads.sequences import clone_jobs
-    spec = ClusterSpec(num_nodes=8)
-    jobs = random_sequence(seed=seed, n_jobs=10)
-    result = Simulation.from_policy_name(
-        "SNS", spec, clone_jobs(jobs),
-        sim_config=SimConfig(telemetry=False, perf_caches=caches),
-    ).run()
+def _build(seed, caches):
+    """One independent SNS simulation with a decisions-level tracer."""
+    return Simulation.from_policy_name(
+        "SNS", ClusterSpec(num_nodes=8),
+        random_sequence(seed=seed, n_jobs=10),
+        sim_config=SimConfig(perf_caches=caches,
+                             trace=TraceConfig(level="decisions")),
+    )
+
+
+def _observe(result):
+    """Results plus the decision-level stream, as comparable values."""
     return (
         result.makespan,
         result.mean_turnaround(),
         sorted((j.job_id, j.start_time, j.finish_time)
                for j in result.finished_jobs),
+        list(trace_lines(decision_stream(result.trace.events))),
     )
 
 
-class TestThreadInterleaving:
-    """Simulations interleaving on threads are bit-identical to serial
-    runs — the whole point of killing process-global kernel state."""
+def _step_interleaved(sims):
+    """Advance every simulation one event batch per round, in one
+    thread, until all drain; then finalize each."""
+    for sim in sims:
+        sim.start()
+    live = list(sims)
+    while live:
+        live = [sim for sim in live if sim.step()]
+    return [sim.finalize() for sim in sims]
+
+
+class TestInterleavedStepping:
+    """Simulations stepped alternately, one event batch each, are
+    bit-identical to solo runs — the whole point of killing
+    process-global kernel state.  Deterministic: every event boundary is
+    an interleaving point, which a GIL-bound thread pool never
+    guaranteed."""
 
     @pytest.mark.parametrize("caches", [True, False])
-    def test_threaded_grid_matches_serial(self, caches):
+    def test_interleaved_matches_solo(self, caches):
         tasks = [(seed, caches) for seed in (1, 5, 9, 13)]
-        serial = [_run_point(t) for t in tasks]
-        threaded = run_grid(_run_point, tasks, executor="threads", jobs=4)
-        assert threaded == serial
+        solo = [_observe(_build(*t).run()) for t in tasks]
+        results = _step_interleaved([_build(*t) for t in tasks])
+        assert [_observe(r) for r in results] == solo
 
     def test_mixed_cache_modes_interleave_safely(self):
-        """Fast and reference simulations running concurrently cannot
-        flip each other's mode — and both match their serial twins."""
+        """Fast and reference simulations stepping in turn cannot flip
+        each other's mode — and both match their solo twins."""
         tasks = [(7, True), (7, False), (21, True), (21, False)]
-        threaded = run_grid(_run_point, tasks, executor="threads", jobs=4)
-        serial = [_run_point(t) for t in tasks]
-        assert threaded == serial
+        solo = [_observe(_build(*t).run()) for t in tasks]
+        interleaved = [
+            _observe(r) for r in _step_interleaved([_build(*t)
+                                                    for t in tasks])
+        ]
+        assert interleaved == solo
         # Same seed, different mode: still bit-identical results.
-        assert threaded[0] == threaded[1]
-        assert threaded[2] == threaded[3]
+        assert interleaved[0] == interleaved[1]
+        assert interleaved[2] == interleaved[3]
+
+
+def _run_point(task):
+    """One grid point: an independent simulation, private context."""
+    return _observe(_build(*task).run())
+
+
+def _boom(task):
+    raise ValueError(f"boom {task}")
+
+
+class TestThreadInterleaving:
+    """Simulation grid points through :func:`run_grid`: the serial path
+    keeps task order, and a worker's error reaches the caller."""
 
     def test_serial_fallback_and_order(self):
         tasks = [(3, True), (4, True)]
-        assert run_grid(_run_point, tasks, executor="threads", jobs=1) == \
-            [_run_point(t) for t in tasks]
+        expected = [_run_point(t) for t in tasks]
+        assert run_grid(_run_point, tasks, jobs=1) == expected
+        assert run_grid(_run_point, tasks) == expected
 
     def test_worker_exception_propagates(self):
-        def boom(task):
-            raise ValueError(f"boom {task}")
-
         with pytest.raises(ValueError):
-            run_grid(boom, [1, 2], executor="threads", jobs=2)
+            run_grid(_boom, [1, 2], jobs=2)
+        with pytest.raises(ValueError):
+            run_grid(_boom, [1, 2], jobs=1)

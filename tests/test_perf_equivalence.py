@@ -27,7 +27,7 @@ def _run_sequence_results(seed: int, caches=None):
     jobs = random_sequence(seed=seed, n_jobs=14)
     return run_all_policies(
         cluster, jobs,
-        sim_config=SimConfig(telemetry=False, perf_caches=caches),
+        sim_config=SimConfig(perf_caches=caches),
     )
 
 
@@ -63,8 +63,7 @@ class TestMemoizedEquivalence:
         def replay(caches):
             runs = run_all_policies(
                 cluster, jobs, policy_names=("CE", "SNS"),
-                sim_config=SimConfig(telemetry=False, max_sim_time=1e12,
-                                     perf_caches=caches),
+                sim_config=SimConfig(max_sim_time=1e12, perf_caches=caches),
             )
             return {
                 p: (r.makespan, r.mean_turnaround()) for p, r in runs.items()
@@ -102,7 +101,7 @@ class TestMemoizedEquivalence:
             ]
             result = Simulation(
                 spec, SpreadNShareScheduler(spec), jobs,
-                SimConfig(telemetry=False, perf_caches=caches),
+                SimConfig(perf_caches=caches),
             ).run()
             return result
 
@@ -230,8 +229,8 @@ class TestArbitrationCacheInvalidation:
         return get_program("MG")
 
     def _place(self, cluster, node_id, job_id, procs=4):
-        cluster.place(
-            node_id, job_id, self.program, procs,
+        cluster.place_slices(
+            [node_id], job_id, self.program, [procs],
             cluster.spec.node.cache.min_ways, 10.0, 1,
         )
 
@@ -251,7 +250,7 @@ class TestArbitrationCacheInvalidation:
         self._place(cluster, 0, 1)
         self._place(cluster, 0, 2)
         before = cluster.arbitration(0)
-        cluster.remove(0, 2)
+        cluster.remove_slices([0], 2)
         after = cluster.arbitration(0)
         assert after is not before
         assert after[0] == (1,)
@@ -259,7 +258,7 @@ class TestArbitrationCacheInvalidation:
     def test_views_match_reference_after_churn(self, cluster):
         self._place(cluster, 0, 1)
         self._place(cluster, 0, 2)
-        cluster.remove(0, 1)
+        cluster.remove_slices([0], 1)
         self._place(cluster, 0, 3, procs=2)
         cached = cluster.arbitration(0)
         with cluster.ctx.disabled():
@@ -269,7 +268,7 @@ class TestArbitrationCacheInvalidation:
     def test_counters_consistent_with_fresh_sums(self, cluster):
         self._place(cluster, 1, 1)
         self._place(cluster, 1, 2, procs=6)
-        cluster.remove(1, 1)
+        cluster.remove_slices([1], 1)
         node = cluster.node(1)
         sc = cluster.scols
         n = node.cat_partitions
@@ -344,7 +343,7 @@ class TestCohortMixDedupe:
         ]
         core = SchedulerCore(
             ClusterSpec(num_nodes=width + 8), _PresetPolicy(plan), jobs,
-            SimConfig(telemetry=False, perf_caches=caches),
+            SimConfig(perf_caches=caches),
         )
         cluster = core.cluster
         calls = []
@@ -394,27 +393,22 @@ class TestParallelGrid:
         assert resolve_jobs(-1) >= 1
 
     def test_results_in_task_order(self):
-        assert run_grid(_square, [3, 1, 2],
-                        executor="processes", jobs=2) == [9, 1, 4]
+        assert run_grid(_square, [3, 1, 2], jobs=2) == [9, 1, 4]
 
     def test_serial_path_identical(self):
         tasks = list(range(5))
-        assert run_grid(_square, tasks) == [_square(t) for t in tasks]
+        expected = [_square(t) for t in tasks]
+        assert run_grid(_square, tasks) == expected
+        assert run_grid(_square, tasks, jobs=1) == expected
 
     def test_executors_agree(self):
+        """The process pool returns exactly what the serial loop does."""
         tasks = [4, 2, 7, 1]
-        serial = run_grid(_square, tasks)
-        for executor in ("threads", "processes", "shard"):
-            assert run_grid(_square, tasks, executor=executor,
-                            jobs=2) == serial
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            run_grid(_square, [1, 2], executor="fibers", jobs=2)
+        assert run_grid(_square, tasks, jobs=2) == run_grid(_square, tasks)
 
     def test_worker_exception_propagates(self):
         with pytest.raises(ValueError):
-            run_grid(_explode, [1, 2], executor="processes", jobs=2)
+            run_grid(_explode, [1, 2], jobs=2)
         with pytest.raises(ValueError):
             run_grid(_explode, [1, 2])
 

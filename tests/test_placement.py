@@ -47,18 +47,18 @@ class TestFindNodesBasics:
 
     def test_insufficient_cores_fails(self, cluster):
         for nid in range(6):
-            cluster.place(nid, 100 + nid, EP, 20, 2, 0.0, 1)
+            cluster.place_slices([nid], 100 + nid, EP, [20], 2, 0.0, 1)
         assert find_nodes(cluster, 1, cores=16, ways=2, bw=0.0, beta=2.0) is None
 
     def test_insufficient_ways_fails(self, cluster):
         for nid in range(6):
-            cluster.place(nid, 100 + nid, CG, 4, 17, 0.0, 1)
+            cluster.place_slices([nid], 100 + nid, CG, [4], 17, 0.0, 1)
         assert find_nodes(cluster, 1, cores=4, ways=4, bw=0.0, beta=2.0) is None
 
     def test_insufficient_bandwidth_fails(self, cluster):
         peak = cluster.spec.node.peak_bw
         for nid in range(6):
-            cluster.place(nid, 100 + nid, EP, 4, 2, peak - 5.0, 1)
+            cluster.place_slices([nid], 100 + nid, EP, [4], 2, peak - 5.0, 1)
         assert find_nodes(cluster, 1, cores=4, ways=2, bw=10.0, beta=2.0) is None
         assert find_nodes(cluster, 1, cores=4, ways=2, bw=4.0, beta=2.0) is not None
 
@@ -73,7 +73,7 @@ class TestGroupPreference:
     def test_prefers_single_group(self, cluster):
         # Nodes 0-2 get 8 cores used (group of 20-free), 3-5 idle.
         for nid in (0, 1, 2):
-            cluster.place(nid, 100 + nid, EP, 8, 2, 0.0, 1)
+            cluster.place_slices([nid], 100 + nid, EP, [8], 2, 0.0, 1)
         chosen = find_nodes(cluster, 2, cores=8, ways=2, bw=0.0, beta=2.0)
         # The idle group (28 free) is idler: chosen from {3,4,5}.
         assert set(chosen) <= {3, 4, 5}
@@ -81,26 +81,26 @@ class TestGroupPreference:
     def test_falls_back_across_groups(self, cluster):
         # Make 6 differently-loaded nodes; no group has 3 members.
         for nid in range(5):
-            cluster.place(nid, 100 + nid, EP, nid + 1, 2, 0.0, 1)
+            cluster.place_slices([nid], 100 + nid, EP, [nid + 1], 2, 0.0, 1)
         chosen = find_nodes(cluster, 3, cores=20, ways=2, bw=0.0, beta=2.0)
         assert chosen is not None and len(chosen) == 3
 
     def test_selects_lowest_occupancy_metric(self, cluster):
         # Keep the idle nodes out of reach so the 20-free group is used.
         for nid in (3, 4, 5):
-            cluster.place(nid, 200 + nid, EP, 24, 2, 0.0, 1)
+            cluster.place_slices([nid], 200 + nid, EP, [24], 2, 0.0, 1)
         # Within one group (same free cores) way occupancy breaks ties.
-        cluster.place(0, 100, CG, 8, 12, 0.0, 1)   # heavy way use
-        cluster.place(1, 101, CG, 8, 2, 0.0, 1)    # light way use
-        cluster.place(2, 102, CG, 8, 6, 0.0, 1)    # medium
+        cluster.place_slices([0], 100, CG, [8], 12, 0.0, 1)   # heavy way use
+        cluster.place_slices([1], 101, CG, [8], 2, 0.0, 1)    # light way use
+        cluster.place_slices([2], 102, CG, [8], 6, 0.0, 1)    # medium
         chosen = find_nodes(cluster, 2, cores=8, ways=2, bw=0.0, beta=2.0)
         assert chosen.tolist() == [1, 2]
 
     def test_beta_zero_ignores_ways(self, cluster):
         for nid in (2, 3, 4, 5):
-            cluster.place(nid, 200 + nid, EP, 24, 2, 0.0, 1)
-        cluster.place(0, 100, CG, 8, 12, 0.0, 1)
-        cluster.place(1, 101, CG, 8, 2, 0.0, 1)
+            cluster.place_slices([nid], 200 + nid, EP, [24], 2, 0.0, 1)
+        cluster.place_slices([0], 100, CG, [8], 12, 0.0, 1)
+        cluster.place_slices([1], 101, CG, [8], 2, 0.0, 1)
         chosen = find_nodes(cluster, 1, cores=8, ways=2, bw=0.0, beta=0.0)
         # Identical Co and Bo; tie broken by node id.
         assert chosen.tolist() == [0]

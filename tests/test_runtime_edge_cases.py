@@ -18,7 +18,7 @@ MG = get_program("MG")
 
 def run(jobs, nodes=2, policy_cls=CompactExclusiveScheduler, **sim_kwargs):
     cluster = ClusterSpec(num_nodes=nodes)
-    config = SimConfig(telemetry=False, **sim_kwargs)
+    config = SimConfig(**sim_kwargs)
     return Simulation(cluster, policy_cls(cluster), jobs, config).run()
 
 

@@ -83,7 +83,8 @@ class TestCS:
         cluster = ClusterState(cluster_spec, partitioned=False)
         # Consume 20 cores on every node: 8 free each.
         for nid in range(4):
-            cluster.place(nid, 100 + nid, get_program("EP"), 20, 20, 0.0, 1)
+            cluster.place_slices([nid], 100 + nid, get_program("EP"), [20],
+                                 20, 0.0, 1)
         jobs = make_jobs(("WC", 16))
         (d,) = policy.schedule_point(cluster, PendingQueue(jobs), 0.0)
         assert d.scale_factor == 2
@@ -93,7 +94,8 @@ class TestCS:
         policy = CompactShareScheduler(cluster_spec)
         cluster = ClusterState(cluster_spec, partitioned=False)
         for nid in range(4):
-            cluster.place(nid, 100 + nid, get_program("EP"), 20, 20, 0.0, 1)
+            cluster.place_slices([nid], 100 + nid, get_program("EP"), [20],
+                                 20, 0.0, 1)
         jobs = make_jobs(("GAN", 16))
         assert policy.schedule_point(cluster, PendingQueue(jobs), 0.0) == []
 
@@ -144,7 +146,8 @@ class TestSNS:
         # Occupy 2 of 4 nodes fully: CG's ideal 2x still fits on the
         # remaining two; occupy 3 to force 1x.
         for nid in range(3):
-            cluster.place(nid, 100 + nid, get_program("EP"), 28, 18, 0.0, 1)
+            cluster.place_slices([nid], 100 + nid, get_program("EP"), [28],
+                                 18, 0.0, 1)
         jobs = make_jobs(("CG", 16))
         (d,) = sns.schedule_point(cluster, PendingQueue(jobs), 0.0)
         assert d.scale_factor == 1
@@ -165,7 +168,8 @@ class TestSNS:
     def test_delays_job_when_nothing_fits(self, sns, cluster_spec):
         cluster = ClusterState(cluster_spec, partitioned=True)
         for nid in range(4):
-            cluster.place(nid, 100 + nid, get_program("EP"), 28, 18, 0.0, 1)
+            cluster.place_slices([nid], 100 + nid, get_program("EP"), [28],
+                                 18, 0.0, 1)
         jobs = make_jobs(("CG", 16))
         assert sns.schedule_point(cluster, PendingQueue(jobs), 0.0) == []
         assert jobs[0].times_passed_over == 1
@@ -194,7 +198,8 @@ class TestAgingQueue:
         cluster = ClusterState(cluster_spec, partitioned=False)
         # Fill the cluster except one node.
         for nid in range(3):
-            cluster.place(nid, 100 + nid, get_program("EP"), 28, 20, 0.0, 1)
+            cluster.place_slices([nid], 100 + nid, get_program("EP"), [28],
+                                 20, 0.0, 1)
         big = make_jobs(("MG", 28 * 2))[0]   # needs 2 idle nodes
         big.times_passed_over = 1            # already at the age limit
         small = make_jobs(("EP", 16), start_id=1)[0]
@@ -206,7 +211,8 @@ class TestAgingQueue:
         policy = CompactExclusiveScheduler(cluster_spec)
         cluster = ClusterState(cluster_spec, partitioned=False)
         for nid in range(3):
-            cluster.place(nid, 100 + nid, get_program("EP"), 28, 20, 0.0, 1)
+            cluster.place_slices([nid], 100 + nid, get_program("EP"), [28],
+                                 20, 0.0, 1)
         old = make_jobs(("EP", 16))[0]
         old.times_passed_over = 5
         new = make_jobs(("EP", 16), start_id=1)[0]

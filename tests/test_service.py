@@ -33,7 +33,7 @@ from repro.workloads.sequences import clone_jobs, random_sequence
 def fresh_core(policy="SNS", nodes=8, jobs=(), caches=None):
     return SchedulerCore.from_policy_name(
         policy, ClusterSpec(num_nodes=nodes), jobs,
-        sim_config=SimConfig(telemetry=False, perf_caches=caches),
+        sim_config=SimConfig(perf_caches=caches),
     )
 
 
@@ -79,7 +79,7 @@ class TestStreamingCore:
         assert issubclass(Simulation, SchedulerCore)
         jobs = random_sequence(seed=5, n_jobs=6)
         spec = ClusterSpec(num_nodes=8)
-        config = SimConfig(telemetry=False)
+        config = SimConfig()
         a = Simulation.from_policy_name(
             "SNS", spec, clone_jobs(jobs), sim_config=config).run()
         b = SchedulerCore.from_policy_name(

@@ -40,7 +40,7 @@ class TestSimulationProperties:
     def test_every_job_finishes_consistently(self, jobs, policy_cls):
         cluster = ClusterSpec(num_nodes=4)
         result = Simulation(
-            cluster, policy_cls(cluster), jobs, SimConfig(telemetry=False)
+            cluster, policy_cls(cluster), jobs, SimConfig()
         ).run()
         spec = cluster.node
         for job in result.jobs:
@@ -60,7 +60,7 @@ class TestSimulationProperties:
         cluster = ClusterSpec(num_nodes=4)
         sim = Simulation(
             cluster, SpreadNShareScheduler(cluster), jobs,
-            SimConfig(telemetry=False),
+            SimConfig(),
         )
         sim.run()
         assert sim.cluster.idle_count() == cluster.num_nodes
@@ -78,7 +78,7 @@ class TestSimulationProperties:
         cluster = ClusterSpec(num_nodes=4)
         result = Simulation(
             cluster, SpreadNShareScheduler(cluster), jobs,
-            SimConfig(telemetry=False),
+            SimConfig(),
         ).run()
         spec = cluster.node
         longest = max(

@@ -34,7 +34,7 @@ def replay(jobs, policy_cls, nodes=1, caches=None):
     spec = ClusterSpec(num_nodes=nodes)
     return Simulation(
         spec, policy_cls(spec), jobs,
-        SimConfig(telemetry=False, perf_caches=caches),
+        SimConfig(perf_caches=caches),
     ).run()
 
 
@@ -102,7 +102,7 @@ class TestWatermark:
             Job(job_id=3, program=ep, procs=8, submit_time=2.0),
         ]
         result = Simulation(
-            spec, policy, jobs, SimConfig(telemetry=False, perf_caches=True)
+            spec, policy, jobs, SimConfig(perf_caches=True)
         ).run()
         assert len(result.finished_jobs) == 4
         assert result.counters["jobs_skipped"] > 0

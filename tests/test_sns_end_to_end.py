@@ -15,7 +15,7 @@ from repro.workloads.sequences import clone_jobs, random_sequence
 def run_sns(jobs, nodes=8, config=None):
     cluster = ClusterSpec(num_nodes=nodes)
     policy = SpreadNShareScheduler(cluster, config or SchedulerConfig())
-    return Simulation(cluster, policy, jobs, SimConfig(telemetry=False)).run()
+    return Simulation(cluster, policy, jobs, SimConfig()).run()
 
 
 class TestInvariants:
@@ -100,7 +100,7 @@ class TestHeadlineNumbers:
             sns = run_sns(clone_jobs(jobs))
             ce = Simulation(
                 cluster, CompactExclusiveScheduler(cluster),
-                clone_jobs(jobs), SimConfig(telemetry=False),
+                clone_jobs(jobs), SimConfig(),
             ).run()
             gains.append(sns.throughput() / ce.throughput())
         assert sum(gains) / len(gains) > 1.05

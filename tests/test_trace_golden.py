@@ -2,7 +2,7 @@
 
 The decisions-level trace of a seeded run is **byte-stable**: the
 canonical JSONL lines must be identical under the memoized fast path,
-the unmemoized reference kernels, thread-interleaved execution, and —
+the unmemoized reference kernels, interleaved stepping, and —
 because decision records are level-independent — inside higher-level
 traces.  ``tests/data/golden_trace_sns.jsonl`` pins the stream of one
 seeded 4-node / 8-job SNS run; any diff against it means the scheduler
@@ -21,9 +21,9 @@ import pytest
 
 from repro.config import SimConfig, TraceConfig
 from repro.experiments.common import run_policy
-from repro.experiments.parallel import run_grid
 from repro.hardware.topology import ClusterSpec
 from repro.obs import decision_stream, read_jsonl, trace_lines, verify_trace
+from repro.sim.runtime import Simulation
 from repro.workloads.sequences import random_sequence
 
 GOLDEN = Path(__file__).parent / "data" / "golden_trace_sns.jsonl"
@@ -32,18 +32,20 @@ GOLDEN = Path(__file__).parent / "data" / "golden_trace_sns.jsonl"
 SEED, N_JOBS, NODES = 7, 8, 4
 
 
+def stream_lines(result):
+    """A run's decisions-level stream as canonical JSONL lines."""
+    return list(trace_lines(decision_stream(result.trace.events)))
+
+
 def golden_lines(caches=None, level="decisions"):
     """The scenario's decisions-level stream as canonical JSONL lines."""
-    result = run_policy(
+    return stream_lines(run_policy(
         "SNS",
         ClusterSpec(num_nodes=NODES),
         random_sequence(seed=SEED, n_jobs=N_JOBS),
-        sim_config=SimConfig(
-            telemetry=False, perf_caches=caches,
-            trace=TraceConfig(level=level),
-        ),
-    )
-    return list(trace_lines(decision_stream(result.trace.events)))
+        sim_config=SimConfig(perf_caches=caches,
+                             trace=TraceConfig(level=level)),
+    ))
 
 
 @pytest.fixture(scope="module")
@@ -70,16 +72,28 @@ class TestGoldenTrace:
         assert golden_lines(level="events") == committed
         assert golden_lines(level="full") == committed
 
-    def test_byte_stable_under_thread_interleaving(self, committed):
-        """Four copies interleaved on a thread pool each reproduce the
-        committed stream (per-simulation tracer + perf context: no
-        shared observability state to race on)."""
-        streams = run_grid(
-            lambda caches: golden_lines(caches=caches),
-            [None, False, None, False], executor="threads", jobs=4,
-        )
-        for stream in streams:
-            assert stream == committed
+    def test_byte_stable_under_interleaved_stepping(self, committed):
+        """Four copies stepped alternately in one thread, one event
+        batch each per round, each reproduce the committed stream
+        (per-simulation tracer + perf context: no shared observability
+        state to leak between them)."""
+        sims = [
+            Simulation.from_policy_name(
+                "SNS", ClusterSpec(num_nodes=NODES),
+                random_sequence(seed=SEED, n_jobs=N_JOBS),
+                sim_config=SimConfig(
+                    perf_caches=caches, trace=TraceConfig(level="decisions"),
+                ),
+            )
+            for caches in (None, False, None, False)
+        ]
+        for sim in sims:
+            sim.start()
+        live = list(sims)
+        while live:
+            live = [sim for sim in live if sim.step()]
+        for sim in sims:
+            assert stream_lines(sim.finalize()) == committed
 
     def test_golden_file_is_replayable(self, committed):
         """The committed artifact itself parses and passes every

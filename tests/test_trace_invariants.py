@@ -38,7 +38,7 @@ def traced_run(policy="SNS", faults=False, level="full", n_jobs=16,
         )
     result = run_policy(
         policy, cluster, jobs,
-        sim_config=SimConfig(telemetry=False, perf_caches=caches,
+        sim_config=SimConfig(perf_caches=caches,
                              trace=TraceConfig(level=level)),
         fault_plan=plan,
     )
@@ -66,8 +66,7 @@ class TestCleanTraces:
         result = Simulation(
             cluster, OnlineSpreadNShareScheduler(cluster),
             random_sequence(seed=5, n_jobs=12),
-            SimConfig(telemetry=False,
-                      trace=TraceConfig(level="decisions")),
+            SimConfig(trace=TraceConfig(level="decisions")),
         ).run()
         events = result.trace.events
         assert any(e["trial"] for e in events if e["ev"] == "start")

@@ -8,7 +8,7 @@ event loop show up as numbers, not vibes:
 
     PYTHONPATH=src python tools/bench_report.py [--label after]
     PYTHONPATH=src python tools/bench_report.py --no-caches --label ref
-    PYTHONPATH=src python tools/bench_report.py --threads 4
+    PYTHONPATH=src python tools/bench_report.py --jobs 2
     PYTHONPATH=src python tools/bench_report.py --trace-gate
 
 ``--trace-gate`` runs the grid twice — untraced, then with a
@@ -23,13 +23,12 @@ coalesced events, skip-index hits, nodes scanned — see DESIGN.md §7),
 plus the grid total.  Existing entries under other labels are
 preserved, so a before/after pair can live side by side.
 
-``--threads N`` runs the grid on the thread executor of the unified
-runner (:func:`repro.experiments.parallel.run_grid` with
-``executor="threads"``): every
-simulation owns a private :class:`~repro.perfmodel.context.PerfContext`,
-so interleaved runs must be bit-identical to serial ones — the
-divergence gate below enforces exactly that against any serial entry
-already in BENCH_sim.json.
+``--jobs N`` runs the grid on N worker processes of the grid runner
+(:func:`repro.experiments.parallel.run_grid`): every simulation owns a
+private :class:`~repro.perfmodel.context.PerfContext`, so pooled runs
+must be bit-identical to serial ones — the divergence gate below
+enforces exactly that against any serial entry already in
+BENCH_sim.json.
 
 Every fast path in the simulator is required to be *bit-identical* to
 the reference kernels, so after timing, this script cross-checks the
@@ -58,6 +57,7 @@ from repro.experiments.fig20_large_cluster import (     # noqa: E402
 )
 # Renamed import: this script's own run_grid() is the benchmark driver.
 from repro.experiments.parallel import (                # noqa: E402
+    resolve_jobs,
     run_grid as run_grid_tasks,
 )
 from repro.hardware.topology import ClusterSpec         # noqa: E402
@@ -100,7 +100,7 @@ COUNTER_COLUMNS = (
 def _run_one(task: tuple) -> dict:
     """One grid point: an independent simulation with a private
     PerfContext (``SimConfig.perf_caches`` picks the cache mode), so
-    this worker is safe to run on any thread.
+    it runs the same in any worker process.
 
     With ``trace=True`` the run carries a full-level tracer (the
     maximum-observability configuration: every record kind plus the
@@ -113,8 +113,8 @@ def _run_one(task: tuple) -> dict:
     start = time.perf_counter()
     runs = run_all_policies(
         cluster, jobs, policy_names=(policy,),
-        sim_config=SimConfig(telemetry=False, max_sim_time=1e12,
-                             perf_caches=caches, trace=trace_config),
+        sim_config=SimConfig(max_sim_time=1e12, perf_caches=caches,
+                             trace=trace_config),
     )
     wall = time.perf_counter() - start
     result = runs[policy]
@@ -146,20 +146,17 @@ def _run_one(task: tuple) -> dict:
     return entry
 
 
-def run_grid(caches: bool = True, threads: int = 1, processes: int = 1,
-             verbose: bool = True, trace: bool = False,
-             chrome_out: Optional[str] = None, full: bool = False) -> dict:
+def run_grid(caches: bool = True, jobs: int = 1, verbose: bool = True,
+             trace: bool = False, chrome_out: Optional[str] = None,
+             full: bool = False) -> dict:
     """Run the smoke grid once; returns the BENCH_sim entry payload.
 
-    ``threads > 1`` interleaves the grid points on a thread pool
-    (``run_grid(..., executor="threads")``) and ``processes > 1``
-    shards them across forked worker processes
-    (``executor="shard"``); either way the
-    per-config results are bit-identical to a serial run by the
-    state-ownership contract (DESIGN.md §9).  ``trace=True`` runs every
-    grid point with a full-level tracer and replays each trace through
-    the invariant checker; ``chrome_out`` additionally exports the first
-    SNS config's Chrome trace.  ``full=True`` swaps in the full-scale
+    ``jobs > 1`` runs the grid points on a pool of that many worker
+    processes; the per-config results are bit-identical to a serial run
+    by the state-ownership contract (DESIGN.md §9).  ``trace=True`` runs
+    every grid point with a full-level tracer and replays each trace
+    through the invariant checker; ``chrome_out`` additionally exports
+    the first SNS config's Chrome trace.  ``full=True`` swaps in the full-scale
     Fig 20 grid (complete Trinity-like trace, 32K nodes)."""
     if full:
         trace_config = SyntheticTraceConfig()
@@ -171,11 +168,11 @@ def run_grid(caches: bool = True, threads: int = 1, processes: int = 1,
         grid_name = "fig20-smoke 2x2x2"
     tasks: List[list] = []
     for ratio in ratios:
-        jobs = synthesize_trace(seed=SEED, scaling_ratio=ratio,
-                                config=trace_config)
+        trace_jobs = synthesize_trace(seed=SEED, scaling_ratio=ratio,
+                                      config=trace_config)
         for nodes in sizes:
             for policy in POLICIES:
-                tasks.append([ratio, nodes, policy, jobs, caches,
+                tasks.append([ratio, nodes, policy, trace_jobs, caches,
                               trace, None])
     if chrome_out is not None:
         for task in tasks:
@@ -184,14 +181,7 @@ def run_grid(caches: bool = True, threads: int = 1, processes: int = 1,
                 break
     tasks = [tuple(t) for t in tasks]
     start = time.perf_counter()
-    if processes > 1:
-        configs = run_grid_tasks(_run_one, tasks, executor="shard",
-                                 jobs=processes)
-    elif threads > 1:
-        configs = run_grid_tasks(_run_one, tasks, executor="threads",
-                                 jobs=threads)
-    else:
-        configs = run_grid_tasks(_run_one, tasks)
+    configs = run_grid_tasks(_run_one, tasks, jobs=jobs)
     elapsed = time.perf_counter() - start
     total_events = sum(c["events"] for c in configs)
     if verbose:
@@ -201,15 +191,13 @@ def run_grid(caches: bool = True, threads: int = 1, processes: int = 1,
                   f"{c['wall_s']:6.2f}s  {c['events']} events  "
                   f"{c['events_per_s']:7.0f} ev/s")
     # Serial entries report summed per-config wall time (comparable to
-    # older entries); threaded/sharded entries report overall elapsed,
-    # since per-config clocks overlap.
-    total_wall = elapsed if threads > 1 or processes > 1 \
-        else sum(c["wall_s"] for c in configs)
+    # older entries); pooled entries report overall elapsed, since
+    # per-config clocks overlap.
+    total_wall = elapsed if jobs > 1 else sum(c["wall_s"] for c in configs)
     return {
         "grid": grid_name,
         "caches": caches,
-        "threads": threads,
-        "processes": processes,
+        "jobs": jobs,
         "trace": trace,
         "total_wall_s": round(total_wall, 4),
         "total_events": total_events,
@@ -224,7 +212,7 @@ def check_divergence(report: dict, label: str) -> List[str]:
     All entries replay the same traces with the same seed, so their
     per-configuration makespans and mean turnarounds must agree exactly
     — fast paths are contractually bit-identical to the reference, and
-    thread-interleaved runs to serial ones.  Returns a list of
+    pooled runs to serial ones.  Returns a list of
     human-readable divergence descriptions (empty when everything
     matches).
     """
@@ -255,42 +243,6 @@ TRACE_OVERHEAD_LIMIT = 1.10
 #: gate).
 WALL_REGRESSION_LIMIT = 1.15
 
-#: How many rows of the cProfile cumulative-time table ``--profile``
-#: prints and writes to the artifact file.
-PROFILE_TOP_N = 25
-
-
-def run_profiled(args: argparse.Namespace) -> int:
-    """``--profile``: run the serial smoke grid under :mod:`cProfile`
-    and emit the top-``PROFILE_TOP_N`` cumulative-time table — printed,
-    and written to ``--profile-out`` as a CI artifact.  Profiled walls
-    are *not* comparable to normal entries (instrumentation overhead is
-    roughly 2x on this Python-heavy code), so nothing is written to
-    BENCH_sim.json."""
-    import cProfile
-    import io
-    import pstats
-
-    caches = not args.no_caches
-    print(f"profiling fig20 smoke grid "
-          f"(caches {'on' if caches else 'off'}, serial, "
-          f"cProfile) ...")
-    profiler = cProfile.Profile()
-    profiler.enable()
-    entry = run_grid(caches=caches, full=args.full)
-    profiler.disable()
-    print(f"total (instrumented): {entry['total_wall_s']:.2f}s")
-    buf = io.StringIO()
-    stats = pstats.Stats(profiler, stream=buf)
-    stats.sort_stats("cumulative").print_stats(PROFILE_TOP_N)
-    table = buf.getvalue()
-    print(table)
-    out = Path(args.profile_out)
-    out.write_text(table)
-    print(f"wrote profile artifact to {out}")
-    return 0
-
-
 def run_trace_gate(args: argparse.Namespace) -> int:
     """The tracer-overhead gate (``--trace-gate``).
 
@@ -314,13 +266,13 @@ def run_trace_gate(args: argparse.Namespace) -> int:
     plain = traced = None
     for rep in range(2):
         print(f"untraced pass {rep + 1}:")
-        entry = run_grid(caches=True, threads=1, verbose=rep == 0)
+        entry = run_grid(caches=True, verbose=rep == 0)
         print(f"  total {entry['total_wall_s']:.2f}s")
         if plain is None or entry["total_wall_s"] < plain["total_wall_s"]:
             plain = entry
         print(f"traced pass {rep + 1} (full level):")
-        entry = run_grid(caches=True, threads=1, verbose=rep == 0,
-                         trace=True, chrome_out=args.chrome_out)
+        entry = run_grid(caches=True, verbose=rep == 0, trace=True,
+                         chrome_out=args.chrome_out)
         print(f"  total {entry['total_wall_s']:.2f}s")
         if traced is None \
                 or entry["total_wall_s"] < traced["total_wall_s"]:
@@ -399,7 +351,6 @@ def run_oversub_gate(args: argparse.Namespace) -> int:
         flat = run_all_policies(
             ClusterSpec(num_nodes=OV_NODES), sequence,
             policy_names=(policy,), scheduler_config=sched_config,
-            sim_config=SimConfig(telemetry=False),
         )[policy]
         point = result.get(ratios[0], variant)
         if (point.makespan, point.mean_turnaround) != \
@@ -467,17 +418,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", default=None,
                         help="entry name in BENCH_sim.json "
-                             "(default: current, or threadsN)")
+                             "(default: current, or jobsN)")
     parser.add_argument("--no-caches", action="store_true",
                         help="benchmark the unmemoized reference path")
-    parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="run the grid on an N-thread pool and gate "
-                             "bit-identity against serial entries")
-    parser.add_argument("--processes", type=int, default=1, metavar="N",
-                        help="shard the grid across N forked worker "
-                             "processes (shared-memory result buffers) "
-                             "and gate bit-identity against serial "
-                             "entries")
+    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+                        help="run the grid on N worker processes (0 = "
+                             "one per CPU) and gate bit-identity against "
+                             "serial entries")
     parser.add_argument("--full", action="store_true",
                         help="run the full-scale Fig 20 grid instead of "
                              "the smoke grid: the complete 7,044-job "
@@ -497,15 +444,6 @@ def main(argv=None) -> int:
                              "the locality divergence, and merge the "
                              "entry into BENCH_sim.json (exit 2 on any "
                              "divergence)")
-    parser.add_argument("--profile", action="store_true",
-                        help="run the serial grid under cProfile and "
-                             "emit the top-25 cumulative-time table "
-                             "(CI artifact; writes no benchmark entry)")
-    parser.add_argument("--profile-out", default=str(REPO_ROOT /
-                                                     "bench_profile.txt"),
-                        metavar="PATH",
-                        help="with --profile: where to write the "
-                             "cumulative-time table")
     parser.add_argument("--output", default=str(REPO_ROOT / "BENCH_sim.json"))
     args = parser.parse_args(argv)
 
@@ -513,32 +451,20 @@ def main(argv=None) -> int:
         return run_trace_gate(args)
     if args.oversub_gate:
         return run_oversub_gate(args)
-    if args.profile:
-        return run_profiled(args)
 
     caches = not args.no_caches
+    jobs = resolve_jobs(args.jobs)
     label: Optional[str] = args.label
     if label is None:
-        if args.processes > 1:
-            label = f"processes{args.processes}"
-        elif args.threads > 1:
-            label = f"threads{args.threads}"
-        else:
-            label = "current"
+        label = f"jobs{jobs}" if jobs > 1 else "current"
         if args.full:
             label = "fig20-full" if label == "current" \
                 else f"fig20-full-{label}"
-    if args.processes > 1:
-        mode = f"{args.processes} processes"
-    elif args.threads > 1:
-        mode = f"{args.threads} threads"
-    else:
-        mode = "serial"
+    mode = f"{jobs} processes" if jobs > 1 else "serial"
     scale = "full" if args.full else "smoke"
     print(f"benchmarking fig20 {scale} grid "
           f"(caches {'on' if caches else 'off'}, {mode}) ...")
-    entry = run_grid(caches=caches, threads=args.threads,
-                     processes=args.processes, full=args.full)
+    entry = run_grid(caches=caches, jobs=jobs, full=args.full)
     print(f"total: {entry['total_wall_s']:.2f}s, "
           f"{entry['events_per_s']:.0f} events/s")
 

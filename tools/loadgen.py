@@ -131,7 +131,6 @@ def run(args: argparse.Namespace) -> int:
         core = SchedulerCore.from_policy_name(
             args.policy, ClusterSpec(num_nodes=args.nodes, fabric=fabric),
             sim_config=SimConfig(
-                telemetry=False,
                 perf_caches=False if args.no_caches else None,
             ),
         )
