@@ -1237,10 +1237,10 @@ class ClusterState:
         than one** resident.  The resident-count column prunes the scan,
         so a fully exclusive placement gathers zero slice rows.
 
-        This is the co-runner discovery set of the runtime's settle
-        paths: a node with a single resident has nobody whose speed the
-        triggering job's own event could change (the sole resident *is*
-        the triggering job on every settle call site).
+        This is the co-runner discovery set of the runtime's start,
+        finish and evict paths: a node with a single resident has nobody
+        whose speed the triggering job's own event could change (the
+        sole resident *is* the triggering job on every call site).
         """
         arr = _id_array(node_ids)
         multi = arr[self.columns.n_res[arr] > 1]

@@ -98,7 +98,9 @@ class Job:
     placement: Optional[Placement] = field(default=None, init=False)
     scale_factor: int = field(default=1, init=False)
 
-    # progress integration
+    # progress integration; while the job runs under a SchedulerCore,
+    # its running-job table row holds the last three (written back when
+    # the job finishes or is evicted)
     total_work: float = field(default=0.0, init=False)
     remaining_work: float = field(default=0.0, init=False)
     speed: float = field(default=0.0, init=False)

@@ -7,10 +7,13 @@ to the scheduling policy, applies the returned placement decisions, and
 then re-integrates the progress of every job whose node conditions
 changed:
 
-1. settle each affected job's progress at the current speed up to *now*;
-2. apply the placement / removal;
-3. re-solve bandwidth arbitration on every node any affected job touches;
-4. recompute speeds and re-schedule finish events (lazy cancellation).
+1. apply the placement / removal, collecting the jobs that share a
+   touched node;
+2. re-solve bandwidth arbitration on every node any affected job touches;
+3. settle each affected job's progress at its old speed up to *now*,
+   then recompute speeds and re-schedule finish events (lazy
+   cancellation).  Speeds change only here, and every event of a batch
+   happens at the same *now*, so settling once per batch is exact.
 
 Because conditions are piecewise-constant between events, the integration
 is exact — no time-stepping error.
@@ -24,22 +27,18 @@ from typing import Dict, List, Optional, Protocol, Sequence, Set
 import numpy as np
 
 from repro.config import RetryPolicy, SchedulerConfig, SimConfig
-from repro.errors import HardwareModelError, SimulationError
+from repro.errors import SimulationError
 from repro.faults.plan import FaultPlan
 from repro.hardware.topology import ClusterSpec
 from repro.perfmodel.context import PerfContext, resolve_cache_mode
-from repro.perfmodel.execution import (
-    NodeConditions,
-    job_time,
-    reference_time,
-    scale_factor_of,
-)
+from repro.perfmodel.execution import NodeConditions, job_time, reference_time
 from repro.obs.telemetry import TelemetryRecorder
 from repro.obs.trace import TraceLevel, Tracer
 from repro.sim.cluster import ClusterState
 from repro.sim.engine import EventKind, EventQueue
 from repro.sim.job import Job, JobState, PendingQueue, Placement
 from repro.sim.node import distinct
+from repro.sim.running import COMPUTE, ROUTE, T_REF, RunningTable, time_parts
 
 
 @dataclass(frozen=True)
@@ -281,11 +280,11 @@ class SchedulerCore:
         # communication fraction, whatever the policy placed it (CE/CS
         # book no network yet still congest the fabric).  ``_cross_jobs``
         # maps job_id -> (rack ids, per-rack uplink loads) arrays for
-        # running jobs that span racks; ``_route_loads`` holds the
-        # derived utilization of the most loaded link on each such job's
-        # route, rebuilt by _recompute_fabric_loads whenever the cross
-        # set changes.  On a flat fabric ``_fabric`` is None and both
-        # dicts stay empty, so every fabric branch below degenerates to
+        # running jobs that span racks; the derived utilization of the
+        # most loaded link on each such job's route is its table row's
+        # ROUTE, rewritten by _recompute_fabric_loads whenever the cross
+        # set changes.  On a flat fabric ``_fabric`` is None and the
+        # dict stays empty, so every fabric branch below degenerates to
         # one cheap check and the run is bit-identical to pre-fabric
         # behavior.
         n = cluster_spec.num_nodes
@@ -297,19 +296,13 @@ class SchedulerCore:
             self._fabric = None
             self._f_rack_of = None
         self._cross_jobs: Dict[int, tuple] = {}
-        self._route_loads: Dict[int, float] = {}
         self._fabric_dirty = False
         # Incremental liveness state: counting running jobs here keeps
         # _check_liveness O(1) instead of an O(total-jobs) scan at every
         # scheduling point of a 7K-job trace replay.
         self._running = 0
-        # Incremental per-job refresh state (caches-enabled fast path):
-        # job_id -> {condition key: node count}.  A condition key (procs,
-        # effective ways, granted GB/s, net load) fully determines the
-        # job's NodeConditions on a node, and job_time depends only on
-        # the *distinct* key set — so the counts stay valid until a node
-        # of the job changes mix (is touched by a place/remove).
-        self._job_conds: Dict[int, Dict[tuple, int]] = {}
+        # Progress and time parts of every running job (DESIGN.md §7).
+        self._table = RunningTable()
         self._events_processed = 0
         self._counters = {
             "event_batches": 0,
@@ -615,11 +608,13 @@ class SchedulerCore:
 
     def _finish_job(self, job: Job, now: float,
                     affected: Set[int], touched: Set[int]) -> None:
-        """Settle and complete one job; the speed refresh of its
-        co-residents is deferred to the end of the event batch (they are
-        accumulated into ``affected``/``touched``)."""
+        """Settle and complete one job; the settle and speed refresh of
+        its co-residents is deferred to the end of the event batch (they
+        are accumulated into ``affected``/``touched``)."""
         if job.state is not JobState.RUNNING:
             raise SimulationError(f"finish event for non-running job {job.job_id}")
+        # Out of the table, the Job's own scalar settle applies.
+        self._table.release(job)
         job.settle_progress(now)
         if job.remaining_work > 1e-6 * max(1.0, job.total_work):
             raise SimulationError(
@@ -628,10 +623,10 @@ class SchedulerCore:
             )
         placement = job.placement
         assert placement is not None
-        # The job itself was settled above, and it is the sole resident
-        # of any node it occupies alone — only *shared* nodes can hold
-        # co-runners that need settling (a columns-driven prune).
-        residents = self._settle_shared(placement.nodes, now)
+        # The job is the sole resident of any node it occupies alone —
+        # only *shared* nodes can hold co-runners whose speed changes (a
+        # columns-driven prune).
+        residents = self.cluster.shared_resident_jobs(placement.nodes)
         residents.discard(job.job_id)
         self.cluster.remove_slices(placement.nodes, job.job_id)
         job.complete(now)
@@ -641,7 +636,6 @@ class SchedulerCore:
         self.events.retire(job.job_id)
         if self.tracer is not None:
             self.tracer.finish(now, job, placement.n_nodes)
-        self._job_conds.pop(job.job_id, None)
         if self._fabric is not None:
             self._fabric_note_end(job.job_id)
         self._running -= 1
@@ -678,13 +672,15 @@ class SchedulerCore:
         by the failure of ``failed_node``."""
         placement = job.placement
         assert placement is not None
-        residents = self._settle_residents(placement.nodes, now)
+        # Co-runners only share nodes with it (see _finish_job).
+        residents = self.cluster.shared_resident_jobs(placement.nodes)
         self.cluster.remove_slices(placement.nodes, job.job_id)
         self.events.cancel_finish(job.job_id)
         tracer = self.tracer
         lost_before = job.lost_node_seconds if tracer is not None else 0.0
+        self._table.release(job)
+        job.settle_progress(now)
         job.evict(now)
-        self._job_conds.pop(job.job_id, None)
         if self._fabric is not None:
             self._fabric_note_end(job.job_id)
         self._running -= 1
@@ -756,7 +752,6 @@ class SchedulerCore:
         """Deregister a finished/evicted job; no-op for jobs that never
         crossed racks.  Only called when the fabric is active."""
         if self._cross_jobs.pop(job_id, None) is not None:
-            self._route_loads.pop(job_id, None)
             self._fabric_dirty = True
 
     def _recompute_fabric_loads(self, now: float) -> None:
@@ -775,7 +770,8 @@ class SchedulerCore:
             len(self.cluster.nodes),
             [e[0] for e in entries], [e[1] for e in entries],
         )
-        self._route_loads = dict(zip(jids, route.tolist()))
+        table = self._table
+        table.rows[[table.slot[jid] for jid in jids], ROUTE] = route
         counters = self.ctx.batch_counters
         counters["fabric_link_refreshes"] += 1
         counters["fabric_route_evals"] += len(jids)
@@ -809,11 +805,11 @@ class SchedulerCore:
         new_nodes: Set[int] = set()
         for d in decisions:
             new_nodes.update(d.placement.nodes.tolist())
-        # Settle co-runners *before* the new slices change their speeds.
-        # (The policy already mutated the cluster, but allocations do not
-        # advance time, so settling at `now` is still exact — as is
-        # re-settling a job another event of this batch already settled.)
-        affected.update(self._settle_shared(new_nodes, now))
+        # Co-runners on the new nodes change speed: the batch's refresh
+        # settles them at `now` (allocations do not advance time) before
+        # it re-times them.  Residents not yet started are the decisions
+        # below, which join the refresh anyway.
+        affected.update(self.cluster.shared_resident_jobs(new_nodes))
         touched.update(new_nodes)
         if tracer is not None:
             # The policy installed every decision's slices before this
@@ -825,11 +821,10 @@ class SchedulerCore:
         for d in decisions:
             job = d.job
             self.pending.remove(job)
-            work = (
-                reference_time(job.program, job.procs, self._spec)
-                * job.work_multiplier
-            )
-            job.begin(now, work, d.placement, d.scale_factor)
+            t_ref = reference_time(job.program, job.procs, self._spec)
+            job.begin(now, t_ref * job.work_multiplier, d.placement,
+                      d.scale_factor)
+            self._table.add(job.job_id, t_ref, job.total_work, now)
             self._running += 1
             affected.add(job.job_id)
             xfrac = None
@@ -852,98 +847,122 @@ class SchedulerCore:
                 f"jobs {[j.job_id for j in self.pending.head(5)]}"
             )
 
-    def _settle_residents(self, node_ids, now: float) -> Set[int]:
-        """Settle progress of every running job resident on the given
-        nodes; returns their job ids."""
-        affected = self.cluster.resident_jobs_on(node_ids)
-        for jid in affected:
-            job = self.jobs.get(jid)
-            if job is None:
-                raise SimulationError(
-                    f"node hosts unknown job {jid} (policy placed a job "
-                    f"that was never submitted)"
-                )
-            if job.state is JobState.RUNNING:
-                job.settle_progress(now)
-        return set(affected)
-
-    def _settle_shared(self, node_ids, now: float) -> Set[int]:
-        """Settle progress of running jobs on the *shared* subset of the
-        given nodes (resident count > 1, pruned through the n_res
-        column).  Callers must only use this when every sole resident is
-        already settled or not yet running — the finishing job in
-        :meth:`_finish_job`, the just-placed jobs in
-        :meth:`_scheduling_point` — so the settled set matches
-        :meth:`_settle_residents` exactly.  Skipping a *different*
-        running job's settle would not be equivalent: progress is
-        accumulated stepwise and two exact sub-steps need not bit-match
-        one combined step."""
-        affected = self.cluster.shared_resident_jobs(node_ids)
-        for jid in affected:
-            job = self.jobs.get(jid)
-            if job is None:
-                raise SimulationError(
-                    f"node hosts unknown job {jid} (policy placed a job "
-                    f"that was never submitted)"
-                )
-            if job.state is JobState.RUNNING:
-                job.settle_progress(now)
-        return affected
-
     def _refresh(self, job_ids: Set[int], touched_nodes: Set[int],
                  now: float) -> None:
         """Recompute speeds and finish events for the given jobs, and
         record telemetry for every node whose conditions changed.
 
-        Arbitration comes from :meth:`ClusterState.arbitration_batch`,
-        which resolves each resident mix once per mix lifetime.
+        ``job_ids`` holds the jobs started this batch and the running
+        jobs sharing a touched node, so their table rows are stale and
+        are rebuilt first (:meth:`_rebuild_rows`).  When the cross-rack
+        set changed, every cross job joins the refresh (they all share
+        the spine), but only its route load moved: its row's time parts
+        stay, and no condition key is read for it.  One expression then
+        settles every row at its old speed and re-times it
+        (:meth:`RunningTable.retime`); finish pushes and speed records
+        follow the set's iteration order.  The reference mode instead
+        evaluates :func:`job_time` per job (:meth:`_reference_times`).
         """
+        stale = job_ids
         if self._fabric is not None and self._fabric_dirty:
             self._fabric_dirty = False
-            # Every cross-rack job shares the spine, so a change in the
-            # cross set moves all of their route loads: settle each at
-            # its old speed (re-settling an already-settled batch member
-            # is an exact no-op) and fold them into the refresh set so
-            # they re-derive speed below.
-            for jid in self._cross_jobs:
-                job = self.jobs[jid]
-                if job.state is JobState.RUNNING:
-                    job.settle_progress(now)
             self._recompute_fabric_loads(now)
             job_ids = job_ids | self._cross_jobs.keys()
-        if self.ctx.enabled:
-            self._refresh_incremental(job_ids, touched_nodes, now)
-            return
-        # Reference path: every node any affected job spans needs current
-        # arbitration; touched nodes that no running job reads (e.g.
-        # nodes an exclusive job just vacated) only matter to telemetry.
-        nodes_needed: Set[int] = set()
+        slot_of = self._table.slot
+        jids: List[int] = []
+        slots: List[int] = []
         for jid in job_ids:
-            job = self.jobs[jid]
-            if job.state is JobState.RUNNING and job.placement is not None:
-                nodes_needed.update(job.placement.node_ids)
-        if self.telemetry is not None:
-            nodes_needed.update(touched_nodes)
-        if not nodes_needed:
+            slot = slot_of.get(jid)
+            if slot is not None:
+                jids.append(jid)
+                slots.append(slot)
+            elif jid not in self.jobs:
+                raise SimulationError(
+                    f"node hosts unknown job {jid} (policy placed a job "
+                    f"that was never submitted)"
+                )
+        if not jids and (self.telemetry is None or not touched_nodes):
             return
         self._counters["refresh_cycles"] += 1
-        self._counters["nodes_refreshed"] += len(nodes_needed)
-        tracer = self.tracer
-        trace_full = tracer is not None \
-            and tracer.level >= TraceLevel.FULL
-        views = self.cluster.arbitration_batch(nodes_needed)
+        if self.ctx.enabled:
+            t_now = None
+            self._rebuild_rows([(jid, slot) for jid, slot in zip(jids, slots)
+                                if jid in stale])
+            self.ctx.batch_counters["vec_finish_updates"] += len(jids)
+        else:
+            t_now = self._reference_times(jids)
+        if jids:
+            speeds, finishes = self._table.retime(slots, jids, now, t_now)
+            tracer = self.tracer
+            if tracer is not None and tracer.level >= TraceLevel.FULL:
+                for jid, speed in zip(jids, speeds):
+                    tracer.speed(now, jid, speed)
+            push_finish = self.events.push_finish
+            for finish, jid in zip(finishes, jids):
+                push_finish(finish, jid)
+        if self.telemetry is not None and touched_nodes:
+            views = self.cluster.arbitration_batch(touched_nodes)
+            for nid in touched_nodes:
+                self.telemetry.record(
+                    nid, now, sum(views[nid][1]),
+                    cores=self.cluster.node(nid).used_cores,
+                )
 
+    def _rebuild_rows(self, stale: List[tuple]) -> None:
+        """Rebuild the time parts of the ``(job id, slot)`` rows.  Each
+        job's distinct condition keys ``(procs, effective ways, granted
+        GB/s, net load)`` come from one representative node per distinct
+        resident mix over its placement (a gather of the mix column),
+        and :func:`time_parts` reduces them once."""
+        if not stale:
+            return
+        cluster = self.cluster
+        mixes = cluster.mixes
+        groups = []
+        reps: Dict[int, int] = {}
+        for jid, slot in stale:
+            job = self.jobs[jid]
+            nodes = job.placement.nodes
+            mids, _, where, _ = distinct(mixes.mix[nodes], len(mixes.keys))
+            for m, i in zip(mids, where):
+                if m not in reps:
+                    reps[m] = int(nodes[i])
+            groups.append((job, slot, mids))
+        self._counters["nodes_refreshed"] += len(reps)
+        views = cluster.arbitration_batch(list(reps.values()))
+        keys = mixes.keys
+        rows = self._table.rows
+        for job, slot, mids in groups:
+            jid = job.job_id
+            conds: Dict[tuple, None] = {}
+            for m in mids:
+                view = views[reps[m]]
+                i = view[0].index(jid)
+                conds[(keys[m][i][1], view[3][i], view[1][i], view[2])] = None
+            rows[slot, COMPUTE:ROUTE] = time_parts(
+                self.ctx, self._spec, job.program, job.procs,
+                job.placement.n_nodes, rows.item(slot, T_REF), conds,
+            )
+
+    def _reference_times(self, jids: List[int]) -> List[float]:
+        """Reference mode: each job's :func:`job_time` from scratch, over
+        the full per-node conditions list of its placement."""
+        jobs = [self.jobs[jid] for jid in jids]
+        nodes_needed: Set[int] = set()
+        for job in jobs:
+            nodes_needed.update(job.placement.node_ids)
+        self._counters["nodes_refreshed"] += len(nodes_needed)
+        views = self.cluster.arbitration_batch(nodes_needed)
         # Nodes carrying identical slices yield identical conditions;
         # interning them keeps wide jobs from re-validating thousands of
         # equal NodeConditions (job_time dedupes on the same identity).
         interned: Dict[tuple, NodeConditions] = {}
         cache = self._spec.cache
-        for jid in job_ids:
-            job = self.jobs[jid]
-            if job.state is not JobState.RUNNING:
-                continue
+        table = self._table
+        t_now = []
+        for job in jobs:
+            jid = job.job_id
             placement = job.placement
-            assert placement is not None
             conditions = []
             for nid, procs in zip(placement.node_ids,
                                   placement.procs.tolist()):
@@ -960,181 +979,11 @@ class SchedulerCore:
                     )
                     interned[key] = cond
                 conditions.append(cond)
-            t_now = job_time(
+            t_now.append(job_time(
                 job.program, job.procs, conditions, self._spec,
-                route_load=self._route_loads.get(jid, 0.0),
-            )
-            t_ref = reference_time(job.program, job.procs, self._spec)
-            job.set_speed(t_ref / t_now)
-            if trace_full:
-                tracer.speed(now, jid, job.speed)
-            self.events.push_finish(job.projected_finish(), jid)
-
-        if self.telemetry is not None:
-            for nid in touched_nodes:
-                self.telemetry.record(
-                    nid, now, sum(views[nid][1]),
-                    cores=self.cluster.node(nid).used_cores,
-                )
-
-    def _refresh_incremental(self, job_ids: Set[int],
-                             touched_nodes: Set[int], now: float) -> None:
-        """Fast-path refresh: a job's condition-key counts are derived
-        once per *distinct resident mix* over its placement (a numpy
-        gather of the mix column) and cached until one of its nodes is
-        touched — every other affected job (e.g. a fabric cross job
-        whose only change is its route load) reuses its counts.  Its
-        execution time then comes from the distinct-key multiset,
-        bit-identical to :func:`job_time` over the full per-node list,
-        which only ever reads the distinct condition set (see
-        ``_job_time_from_keys``)."""
-        refreshed: List[Job] = []
-        stale: List[Job] = []
-        conds = self._job_conds
-        cluster = self.cluster
-        touched = None
-        for jid in job_ids:
-            job = self.jobs[jid]
-            if job.state is not JobState.RUNNING or job.placement is None:
-                continue
-            refreshed.append(job)
-            if jid not in conds:
-                stale.append(job)
-            elif touched_nodes:
-                if touched is None:
-                    touched = np.zeros(len(cluster.nodes), dtype=bool)
-                    touched[np.fromiter(touched_nodes, dtype=np.int64,
-                                        count=len(touched_nodes))] = True
-                if touched[job.placement.nodes].any():
-                    stale.append(job)
-        if not refreshed and (self.telemetry is None or not touched_nodes):
-            return
-        self._counters["refresh_cycles"] += 1
-        # One representative node per distinct mix over the stale jobs'
-        # placements: arbitration_batch resolves exactly those.
-        mixes = cluster.mixes
-        groups = []
-        reps: Dict[int, int] = {}
-        for job in stale:
-            nodes = job.placement.nodes
-            mids, cnts, where, _ = distinct(mixes.mix[nodes],
-                                           len(mixes.keys))
-            for m, i in zip(mids, where):
-                if m not in reps:
-                    reps[m] = int(nodes[i])
-            groups.append((job, mids, cnts))
-        self._counters["nodes_refreshed"] += len(reps)
-        tracer = self.tracer
-        trace_full = tracer is not None \
-            and tracer.level >= TraceLevel.FULL
-        views = cluster.arbitration_batch(list(reps.values())) if reps \
-            else {}
-        keys = mixes.keys
-        for job, mids, cnts in groups:
-            jid = job.job_id
-            key_counts: Dict[tuple, int] = {}
-            for m, c in zip(mids, cnts):
-                view = views[reps[m]]
-                slot = view[0].index(jid)
-                key = (keys[m][slot][1], view[3][slot], view[1][slot],
-                       view[2])
-                key_counts[key] = key_counts.get(key, 0) + c
-            conds[jid] = key_counts
-        t_nows: List[float] = []
-        t_refs: List[float] = []
-        for job in refreshed:
-            jid = job.job_id
-            t_nows.append(self._job_time_from_keys(
-                job.program, job.procs, conds[jid], job.placement.n_nodes,
-                self._route_loads.get(jid, 0.0),
+                route_load=table.rows.item(table.slot[jid], ROUTE),
             ))
-            t_refs.append(reference_time(job.program, job.procs, self._spec))
-
-        # Batched finish-time update: ``speed = t_ref / t_now`` and
-        # ``finish = last_progress_update + remaining_work / speed`` are
-        # one and two IEEE ops per job — elementwise float64 division and
-        # addition are bit-identical to the scalar ``set_speed`` /
-        # ``projected_finish`` sequence.  Validation runs up front over
-        # the whole batch (before any job mutates), raising the scalar
-        # path's exact error for the first offender in job order.
-        if refreshed:
-            m = len(refreshed)
-            t_now_arr = np.array(t_nows, dtype=np.float64)
-            t_ref_arr = np.array(t_refs, dtype=np.float64)
-            speeds = t_ref_arr / t_now_arr
-            bad = speeds <= 0.0
-            if bad.any():
-                offender = refreshed[int(np.argmax(bad))]
-                raise SimulationError(
-                    f"job {offender.job_id} computed non-positive speed "
-                    f"{float(speeds[int(np.argmax(bad))])}"
-                )
-            last = np.fromiter(
-                (j.last_progress_update for j in refreshed),
-                dtype=np.float64, count=m,
-            )
-            rem = np.fromiter(
-                (j.remaining_work for j in refreshed),
-                dtype=np.float64, count=m,
-            )
-            fins = last + rem / speeds
-            self.ctx.batch_counters["vec_finish_updates"] += m
-            push_finish = self.events.push_finish
-            speeds_list = speeds.tolist()
-            fins_list = fins.tolist()
-            for i, job in enumerate(refreshed):
-                job.speed = speeds_list[i]
-                if trace_full:
-                    tracer.speed(now, job.job_id, job.speed)
-                push_finish(fins_list[i], job.job_id)
-
-        if self.telemetry is not None and touched_nodes:
-            views = cluster.arbitration_batch(touched_nodes)
-            for nid in touched_nodes:
-                self.telemetry.record(
-                    nid, now, sum(views[nid][1]),
-                    cores=self.cluster.node(nid).used_cores,
-                )
-
-    def _job_time_from_keys(self, program, procs: int,
-                            key_counts: Dict[tuple, int],
-                            n_nodes: int,
-                            route_load: float = 0.0) -> float:
-        """:func:`job_time` evaluated from the distinct condition keys of
-        a running job.  job_time reduces the per-node list to its
-        distinct condition set before computing anything (slowest rate,
-        peak congestion), and a key maps 1:1 onto a NodeConditions value
-        (capacity is a strictly monotone function of effective ways at
-        fixed procs) — so min/max over the key set are bit-identical to
-        min/max over ``set(per_node)``.  The per-node structural
-        validations (procs sum, non-empty placement) are guaranteed by
-        Placement construction and skipped here."""
-        if program.max_nodes is not None and n_nodes > program.max_nodes:
-            raise HardwareModelError(
-                f"{program.name} cannot span {n_nodes} nodes "
-                f"(max {program.max_nodes})"
-            )
-        spec = self._spec
-        ways_to_mb = spec.cache.ways_to_mb
-        ctx = self.ctx
-        slowest = min(
-            ctx.process_rate(
-                program, p, ways_to_mb(eff) / p, grant, n_nodes
-            )
-            for p, eff, grant, _net in key_counts
-        )
-        compute_time = program.instr_per_proc(procs) / slowest
-        k = scale_factor_of(n_nodes, procs, spec)
-        t_ref = reference_time(program, procs, spec)
-        comm_time = t_ref * program.comm.comm_fraction(k, n_nodes)
-        congestion = max(key[3] for key in key_counts)
-        # Fabric route congestion binds exactly like node-link
-        # congestion (see job_time); 0.0 never changes the value.
-        if route_load > congestion:
-            congestion = route_load
-        if congestion > 1.0:
-            comm_time *= congestion
-        return compute_time + comm_time
+        return t_now
 
 
 class Simulation(SchedulerCore):
