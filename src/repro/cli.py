@@ -103,7 +103,7 @@ def resolve_sim_setup(args: argparse.Namespace):
     )
     tracing = bool(args.trace or args.trace_chrome)
     sim_config = SimConfig(
-        perf_caches=False if args.no_caches else None,
+        perf_caches=not args.no_caches,
         trace=TraceConfig(level=args.trace_level) if tracing else None,
     )
     return cluster, sim_config, fault_plan, tracing

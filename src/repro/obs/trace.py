@@ -7,7 +7,7 @@ one dict per observable event: every scheduler decision, every job
 lifecycle transition, and every fault event.  Records are plain dicts
 with a fixed key order so the canonical JSONL serialization
 (:func:`repro.obs.export.trace_lines`) is **byte-stable**: the
-decisions-level stream of a seeded run is identical under the memoized
+decisions-level stream of a seeded run is identical under the cached
 fast path, the unmemoized reference kernels, and interleaved stepping
 of several simulations — the golden-trace contract
 (``tests/test_trace_golden.py``) enforced in CI.
@@ -24,11 +24,9 @@ Trace levels
     at this level is cache-mode independent (bit-identity contract).
 ``events``
     Adds per-scheduling-point queue summaries (``sched`` records).
-    Skip-index counters in these records depend on the cache mode.
 ``full``
-    Adds event-batch records and per-job speed refreshes; batching
-    differs between the coalescing fast path and the reference loop,
-    so ``full`` streams are only comparable within one cache mode.
+    Adds event-batch records (one event per batch) and per-job speed
+    refreshes.
 """
 
 from __future__ import annotations
@@ -260,10 +258,8 @@ class Tracer:
         """Physical fabric link state after a cross-rack set change:
         per-rack ToR uplink utilizations and the spine utilization
         (DESIGN.md §13).  Emitted only when the cluster runs an active
-        leaf-spine fabric, so flat traces never carry this kind; the
-        emission cadence follows the event-batch structure, so (like
-        every events-level detail) it is only comparable within one
-        cache mode.  The invariant checker replays these records from
+        leaf-spine fabric, so flat traces never carry this kind.  The
+        invariant checker replays these records from
         the decision stream's ``start``/``finish``/``evict`` history
         and demands exact float equality."""
         if self.level < TraceLevel.EVENTS:
@@ -272,24 +268,21 @@ class Tracer:
             "ev": "links", "t": t, "tor": list(tor), "spine": spine,
         })
 
-    def sched(self, t: float, pending: int, placed: int, tried: int,
-              skipped: int) -> None:
-        """One scheduling point: queue depth, placements, and the
-        skip-index traffic (``tried``/``skipped`` are cache-mode
-        dependent — the skip index only runs on the fast path)."""
+    def sched(self, t: float, pending: int, placed: int,
+              tried: int) -> None:
+        """One scheduling point: queue depth, placements, and the number
+        of pending jobs the policy tried to place."""
         if self.level < TraceLevel.EVENTS:
             return
         self.events.append({
             "ev": "sched", "t": t, "pending": pending, "placed": placed,
-            "tried": tried, "skipped": skipped,
+            "tried": tried,
         })
 
     # -- full-level records ------------------------------------------------
 
     def batch(self, t: float, kinds: Sequence[str]) -> None:
-        """One event batch of the run loop (the coalescing fast path
-        drains same-timestamp submits into one batch; the reference
-        loop emits one record per event)."""
+        """One event batch of the run loop (one event per batch)."""
         self.events.append({
             "ev": "batch", "t": t, "n": len(kinds), "kinds": list(kinds),
         })

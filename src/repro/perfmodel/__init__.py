@@ -5,13 +5,13 @@ hardware models (:mod:`repro.hardware`) into the quantities the simulator
 and profiler observe: per-job execution speed, per-node DRAM bandwidth,
 IPC, and communication share.
 
-All mutable kernel state (memoization caches, statistics, the cache-mode
-flag) lives on :class:`repro.perfmodel.context.PerfContext`, owned by
-each simulation; the modules here are stateless.
+The cache-mode flag and the batched-kernel counters live on
+:class:`repro.perfmodel.context.PerfContext`, owned by each simulation;
+the modules here are stateless.
 """
 
 from repro.perfmodel.batch import arbitrate_nodes
-from repro.perfmodel.context import MAX_ENTRIES, PerfContext, resolve_cache_mode
+from repro.perfmodel.context import MAX_ENTRIES, PerfContext
 from repro.perfmodel.contention import Slice, arbitrate_node
 from repro.perfmodel.execution import (
     NodeConditions,
@@ -25,7 +25,6 @@ from repro.perfmodel.execution import (
 __all__ = [
     "MAX_ENTRIES",
     "PerfContext",
-    "resolve_cache_mode",
     "Slice",
     "arbitrate_node",
     "arbitrate_nodes",

@@ -9,8 +9,7 @@ into numpy arrays, the elementwise algebra (LLC capacity, demand,
 MBA clipping, grant scaling) runs vectorized, and only the per-node
 segment reductions stay in Python.
 
-All kernel state — the memoized curve evaluations and the batch
-counters — lives on the :class:`repro.perfmodel.context.PerfContext`
+The batch counters live on the :class:`repro.perfmodel.context.PerfContext`
 passed by the caller; the module itself is stateless, so concurrent
 simulations never share or race on anything here.
 
@@ -26,7 +25,7 @@ two implementation choices:
   so segment sums run over ``.tolist()`` slices in slice order, exactly
   like the reference's ``sum(demands.values())``.
 
-With the context's caches disabled (``SimConfig(perf_caches=False)``)
+With the context's fast paths disabled (``SimConfig(perf_caches=False)``)
 every call routes through the scalar reference kernel per node.
 """
 
@@ -53,7 +52,7 @@ def arbitrate_nodes(
     if not ctx.enabled:
         return [
             (
-                arbitrate_node(spec, slices, ctx=ctx),
+                arbitrate_node(spec, slices),
                 node_network_load(spec, slices),
             )
             for slices in tables
@@ -93,8 +92,8 @@ def arbitrate_nodes(
     core_peak = spec.bandwidth.core_peak
     per_proc = np.array(
         [
-            ctx.demand_gbps_per_proc(s.program, caps_list[i], s.n_nodes,
-                                     core_peak)
+            s.program.demand_gbps_per_proc(caps_list[i], s.n_nodes,
+                                           core_peak_bw=core_peak)
             for i, s in enumerate(flat)
         ],
         dtype=np.float64,
@@ -116,14 +115,14 @@ def arbitrate_nodes(
         segment = demand_list[lo:hi]
         # Left-to-right Python sum == the reference's sum(demands.values()).
         total_demand = sum(segment)
-        supply = ctx.bandwidth_supply(spec, node_procs[k])
+        supply = spec.bandwidth.aggregate(node_procs[k])
         if total_demand <= supply or total_demand == 0.0:
             grants = segment
         else:
             scale = supply / total_demand
             grants = (demand[lo:hi] * scale).tolist()
         net_load = sum(
-            ctx.network_fraction(s.program, s.n_nodes)
+            s.program.comm.network_fraction(s.n_nodes)
             for s in slices
             if s.n_nodes > 1
         )

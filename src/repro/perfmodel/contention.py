@@ -17,14 +17,11 @@ here — arbitration is a physical model, not a scheduler-enforced limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.errors import HardwareModelError
 from repro.apps.program import ProgramSpec
 from repro.hardware.node_spec import NodeSpec
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.perfmodel.context import PerfContext
 
 
 @dataclass(frozen=True)
@@ -61,32 +58,22 @@ class Slice:
         """Per-process LLC capacity (MB) of this slice on ``spec``."""
         return spec.cache.ways_to_mb(self.effective_ways) / self.procs
 
-    def demand_gbps(self, spec: NodeSpec,
-                    ctx: Optional["PerfContext"] = None) -> float:
-        """Unconstrained DRAM demand of the whole slice (GB/s).
-
-        ``ctx`` memoizes the underlying demand-curve evaluation; without
-        one the curve is evaluated directly (the reference path)."""
-        cap = self.capacity_per_proc_mb(spec)
-        if ctx is None:
-            per_proc = self.program.demand_gbps_per_proc(
-                cap, self.n_nodes, core_peak_bw=spec.bandwidth.core_peak
-            )
-        else:
-            per_proc = ctx.demand_gbps_per_proc(
-                self.program, cap, self.n_nodes, spec.bandwidth.core_peak
-            )
+    def demand_gbps(self, spec: NodeSpec) -> float:
+        """Unconstrained DRAM demand of the whole slice (GB/s)."""
+        per_proc = self.program.demand_gbps_per_proc(
+            self.capacity_per_proc_mb(spec), self.n_nodes,
+            core_peak_bw=spec.bandwidth.core_peak,
+        )
         return per_proc * self.procs
 
 
-def arbitrate_node(spec: NodeSpec, slices: Sequence[Slice],
-                   ctx: Optional["PerfContext"] = None) -> Dict[int, float]:
+def arbitrate_node(spec: NodeSpec,
+                   slices: Sequence[Slice]) -> Dict[int, float]:
     """Granted DRAM bandwidth (GB/s) per job on one node.
 
     Supply is the node's saturating aggregate for the total number of
     active cores; if total demand exceeds supply, each job receives a
-    share proportional to its demand.  ``ctx`` memoizes the demand-curve
-    evaluations; arbitration itself always runs from scratch here.
+    share proportional to its demand.
     """
     if not slices:
         return {}
@@ -101,7 +88,7 @@ def arbitrate_node(spec: NodeSpec, slices: Sequence[Slice],
 
     demands = {}
     for s in slices:
-        demand = s.demand_gbps(spec, ctx)
+        demand = s.demand_gbps(spec)
         if s.bw_cap is not None:
             demand = min(demand, s.bw_cap)  # MBA-style hard throttle
         demands[s.job_id] = demand

@@ -21,15 +21,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro import units
 from repro.errors import HardwareModelError
 from repro.apps.program import ProgramSpec
 from repro.hardware.node_spec import NodeSpec
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.perfmodel.context import PerfContext
 
 
 @dataclass(frozen=True)
@@ -64,12 +61,23 @@ def process_rate(
 ) -> float:
     """Instruction rate (instructions/s) of one process under
     ``conditions`` for a job spanning ``n_nodes`` nodes."""
-    cap = conditions.capacity_per_proc_mb
+    return roofline_rate(program, conditions.procs,
+                         conditions.capacity_per_proc_mb,
+                         conditions.granted_gbps, n_nodes)
+
+
+def roofline_rate(program: ProgramSpec, procs: int, cap: float,
+                  granted_gbps: float, n_nodes: int) -> float:
+    """:func:`process_rate` from plain numbers: ``procs`` processes
+    with ``cap`` MB of LLC each sharing ``granted_gbps``.  The running-
+    job table's row rebuild calls it per condition key; building and
+    validating a :class:`NodeConditions` there would cost more than the
+    rate itself."""
     r_cpu = program.cpu_rate(cap, n_nodes)
     bpi = program.bytes_per_instr(cap, n_nodes)
     if bpi <= 0:
         return r_cpu
-    granted_per_proc = conditions.granted_gbps / conditions.procs
+    granted_per_proc = granted_gbps / procs
     r_mem = granted_per_proc * units.GB / bpi
     return min(r_cpu, r_mem)
 
@@ -90,14 +98,10 @@ def job_time(
     procs: int,
     per_node: Sequence[NodeConditions],
     spec: NodeSpec,
-    ctx: Optional["PerfContext"] = None,
     route_load: float = 0.0,
 ) -> float:
     """Projected start-to-finish time (s) of the job under the given
     per-node conditions (assumed to persist for the whole run).
-
-    ``ctx`` memoizes the per-node rate evaluations; without one every
-    rate is computed from scratch (the reference path).
 
     ``route_load`` is the utilization of the most loaded *fabric* link
     on the job's route (ToR uplinks / spine, DESIGN.md §13); the comm
@@ -121,18 +125,7 @@ def job_time(
     # conditions (a 512-node job typically has <= 2, like
     # predict_exclusive_time exploits): evaluate each distinct one once.
     distinct = set(per_node)
-    if ctx is None:
-        slowest = min(
-            process_rate(program, c, n_nodes) for c in distinct
-        )
-    else:
-        slowest = min(
-            ctx.process_rate(
-                program, c.procs, c.capacity_per_proc_mb, c.granted_gbps,
-                n_nodes,
-            )
-            for c in distinct
-        )
+    slowest = min(process_rate(program, c, n_nodes) for c in distinct)
     compute_time = instr / slowest
     k = scale_factor_of(n_nodes, procs, spec)
     t_ref = reference_time(program, procs, spec)
@@ -230,9 +223,8 @@ def job_speed(
     procs: int,
     per_node: Sequence[NodeConditions],
     spec: NodeSpec,
-    ctx: Optional["PerfContext"] = None,
 ) -> float:
     """Execution speed relative to the CE solo baseline (>1 is faster)."""
     return reference_time(program, procs, spec) / job_time(
-        program, procs, per_node, spec, ctx
+        program, procs, per_node, spec
     )

@@ -53,8 +53,8 @@ class OnlineProfileStore:
     _state: Dict[Tuple[str, int], _Exploration] = field(default_factory=dict)
     #: Mutation counter: bumped whenever a trial begins, aborts, or is
     #: recorded — i.e. whenever a query above could start answering
-    #: differently.  The scheduler's demand cache and skip index key on
-    #: it to invalidate state derived from stale profiles.
+    #: differently.  The scheduler's demand cache keys on it to
+    #: invalidate state derived from stale profiles.
     version: int = field(default=0)
 
     # -- exploration ----------------------------------------------------------

@@ -11,7 +11,7 @@ prevents starvation of resource-demanding jobs (Section 4.4).
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -48,34 +48,21 @@ class BaseScheduler(abc.ABC):
         self.share_residual = config.share_residual
         # Fault-injection state (DESIGN.md §8): whether the profile
         # store is reachable, and a counter bumped on every transition
-        # so skip-index / demand-cache entries recorded under the other
-        # availability state are never honored.
+        # so demand-cache entries recorded under the other availability
+        # state are never honored.
         self.profile_store_up = True
         self._fault_epoch = 0
-        # Pending-queue skip index: a job that failed to place is
-        # remembered with (release epoch, availability version,
-        # feasibility version) and the minimum per-node free cores any
-        # of its candidate placements needs.  Placements only consume
-        # resources, so while no slice has been removed (same epoch),
-        # no node failed or recovered (same availability version) — or
-        # while no node has enough free cores for even the job's
-        # cheapest shape — re-running _try_place must fail again and is
-        # skipped.  See DESIGN.md §7.
-        self._skip: Dict[int, Tuple[tuple, Optional[int]]] = {}
-        self._skip_cluster: Optional[ClusterState] = None
-        self._fail_watermark: Optional[int] = None
         #: Queue instrumentation, surfaced on SimulationResult.
         self.counters: Dict[str, int] = {
             "try_place_calls": 0,
-            "jobs_skipped": 0,
             "demand_cache_hits": 0,
         }
 
     def _feasibility_version(self):
-        """Version of policy-internal state that can flip a pending
-        job's feasibility without any cluster release (the online
-        profile store, profile-store outages).  Skip-index entries
-        recorded under a different version are ignored."""
+        """Version of policy-internal state that can change a pending
+        job's placement candidates without any cluster release (the
+        online profile store, profile-store outages).  The SNS demand
+        cache keys on it."""
         return self._fault_epoch
 
     # -- runtime hooks (SchedulerPolicy protocol) -------------------------------
@@ -91,7 +78,7 @@ class BaseScheduler(abc.ABC):
 
     def set_profile_store_available(self, up: bool) -> None:
         """Fault-plan hook: toggle profile-store reachability.  Bumps
-        the feasibility version so stale skip/demand records die; only
+        the feasibility version so stale demand records die; only
         the SNS family changes placement behavior in response."""
         if up != self.profile_store_up:
             self.profile_store_up = up
@@ -109,52 +96,12 @@ class BaseScheduler(abc.ABC):
         queue = pending.head(self.config.max_queue_scan)
         decisions: List[Decision] = []
         skipped: List[Job] = []
-        # The cluster carries the simulation's PerfContext (construction
-        # injection, DESIGN.md §9); the skip index follows its cache mode.
-        use_skip = cluster.ctx.enabled
-        if use_skip:
-            if self._skip_cluster is not cluster:
-                # A policy object reused against a fresh cluster must not
-                # honor records from the previous simulation.
-                self._skip.clear()
-                self._skip_cluster = cluster
-            epoch = cluster.release_epoch
-            avail = cluster.availability_version
-            max_free = cluster.max_free_cores()
         for job in queue:
-            if use_skip:
-                record = self._skip.get(job.job_id)
-                if record is not None:
-                    # The feasibility version is re-read per job: a trial
-                    # placement earlier in this same point can bump it.
-                    (r_epoch, r_avail, r_version), c_min = record
-                    if r_version == self._feasibility_version() \
-                            and r_avail == avail and (
-                        r_epoch == epoch
-                        or (c_min is not None and max_free < c_min)
-                    ):
-                        # Nothing was released since the recorded failure
-                        # (or cluster headroom is still below the job's
-                        # cheapest shape): _try_place must fail again.
-                        # The job still ages and still blocks the queue,
-                        # exactly as the re-run failure would.
-                        self.counters["jobs_skipped"] += 1
-                        skipped.append(job)
-                        if job.times_passed_over >= self.config.age_limit:
-                            break
-                        continue
             self.counters["try_place_calls"] += 1
-            self._fail_watermark = None
             decision = self._try_place(cluster, job, now)
             if decision is not None:
-                self._skip.pop(job.job_id, None)
                 decisions.append(decision)
                 continue
-            if use_skip:
-                self._skip[job.job_id] = (
-                    (epoch, avail, self._feasibility_version()),
-                    self._fail_watermark,
-                )
             skipped.append(job)
             if job.times_passed_over >= self.config.age_limit:
                 # Aged job blocks the queue (anti-starvation): nothing

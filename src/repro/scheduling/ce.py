@@ -30,9 +30,6 @@ class CompactExclusiveScheduler(BaseScheduler):
     def _try_place(
         self, cluster: ClusterState, job: Job, now: float
     ) -> Optional[Decision]:
-        # CE needs fully idle nodes: until a completion frees a whole
-        # node, the skip index can pass this job over.
-        self._fail_watermark = cluster.spec.node.cores
         n_nodes = self._base_nodes(job)
         if not self._valid_footprint(job, n_nodes):
             return None

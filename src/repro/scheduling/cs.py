@@ -35,10 +35,6 @@ class CompactShareScheduler(BaseScheduler):
             if not self._valid_footprint(job, n_nodes):
                 continue
             cores = -(-job.procs // n_nodes)
-            # Skip-index watermark: the cheapest per-node core demand of
-            # any valid scale (scales ascend, so cores only shrink).
-            if self._fail_watermark is None or cores < self._fail_watermark:
-                self._fail_watermark = cores
             chosen = find_nodes(
                 cluster, n_nodes, cores, ways=0, bw=0.0, beta=0.0,
                 locality=self.config.locality_aware,

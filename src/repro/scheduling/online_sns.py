@@ -61,9 +61,9 @@ class OnlineSpreadNShareScheduler(SpreadNShareScheduler):
 
     def _feasibility_version(self):
         # A begin/abort/record on the store can flip a pending job's
-        # branch in _try_place without any cluster release, so skip-index
-        # records and demand-cache entries must not outlive it — and
-        # neither must they outlive a profile-store outage transition.
+        # branch in _try_place without any cluster release, so
+        # demand-cache entries must not outlive it — and neither must
+        # they outlive a profile-store outage transition.
         return (self.store.version, self._fault_epoch)
 
     # -- placement -------------------------------------------------------------

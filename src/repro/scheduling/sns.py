@@ -24,7 +24,7 @@ from typing import Dict, Optional, Tuple
 from repro.config import SchedulerConfig
 from repro.errors import ProfileError
 from repro.hardware.topology import ClusterSpec
-from repro.perfmodel.context import PerfContext
+from repro.perfmodel.context import MAX_ENTRIES, PerfContext
 from repro.profiling.database import ProfileDatabase
 from repro.scheduling.base import BaseScheduler
 from repro.scheduling.demand import (
@@ -67,8 +67,7 @@ class SpreadNShareScheduler(BaseScheduler):
         self._demand_cache: Dict[tuple, Tuple[object, _Candidates]] = {}
         # The PerfContext whose lifecycle the demand cache is tied to: a
         # policy object reused against a different simulation (fresh
-        # context) must not carry entries across (same rule as the skip
-        # index's `_skip_cluster` guard).
+        # context) must not carry entries across.
         self._demand_ctx: Optional[PerfContext] = None
 
     def _get_profile(self, job: Job):
@@ -99,7 +98,7 @@ class SpreadNShareScheduler(BaseScheduler):
             self.counters["demand_cache_hits"] += 1
             return hit[1]
         value = self._compute_candidates(job, alpha, ctx)
-        if len(self._demand_cache) >= ctx.max_entries:
+        if len(self._demand_cache) >= MAX_ENTRIES:
             self._demand_cache.clear()
         self._demand_cache[key] = (job.program, value)
         return value
@@ -158,9 +157,6 @@ class SpreadNShareScheduler(BaseScheduler):
         no profile is available.  ``meta`` is forwarded to the decision
         for the tracer (degraded / trial flags)."""
         spec = self.cluster_spec.node
-        # Exclusive runs need fully idle nodes: until one frees up, the
-        # skip index can pass this job over.
-        self._fail_watermark = spec.cores
         n_nodes = scale * self._base_nodes(job)
         if not self._valid_footprint(job, n_nodes):
             return None
@@ -194,13 +190,6 @@ class SpreadNShareScheduler(BaseScheduler):
                                          meta={"degraded": True})
         if not candidates:
             return None
-
-        # Skip-index watermark: the cheapest per-node core demand of any
-        # candidate shape — if no node has that many free cores, every
-        # find_nodes below fails on the core dimension alone.
-        self._fail_watermark = min(
-            demand.cores_per_node for _, demand in candidates
-        )
 
         # Bandwidth headroom: booking beyond `headroom * peak` is refused.
         slack = (1.0 - self.config.bw_headroom) * spec.peak_bw

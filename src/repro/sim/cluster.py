@@ -20,7 +20,7 @@ import numpy as np
 from repro.errors import AllocationError, SimulationError
 from repro.hardware.topology import ClusterSpec
 from repro.perfmodel import batch
-from repro.perfmodel.context import PerfContext, resolve_cache_mode
+from repro.perfmodel.context import MAX_ENTRIES, PerfContext
 from repro.perfmodel.contention import arbitrate_node, node_network_load
 from repro.sim.node import MixTable, NodeColumns, NodeState, SliceColumns
 
@@ -52,10 +52,11 @@ class ClusterState:
     partitioned: bool = True
     enforce_bw: bool = False
     share_residual: bool = True
-    #: Perf-model context this cluster's arbitration caches live in.
-    #: Injected by the owning :class:`~repro.sim.runtime.Simulation`
-    #: (construction-injection rule, DESIGN.md §9); a standalone
-    #: ClusterState gets a private context with the default cache mode.
+    #: Perf-model context of the owning simulation: its cache mode and
+    #: batched-kernel counters.  Injected by the owning
+    #: :class:`~repro.sim.runtime.Simulation` (construction-injection
+    #: rule, DESIGN.md §9); a standalone ClusterState gets a private
+    #: default context.
     ctx: Optional[PerfContext] = None
     nodes: List[NodeState] = field(init=False)
     # Job-id-independent signature -> arbitration result, shared across
@@ -64,15 +65,11 @@ class ClusterState:
     # program refs for stale-id defence.
     _view_cache: Dict[tuple, tuple] = field(init=False)
     #: Monotone counter bumped on every slice removal.  Placements only
-    #: consume capacity, so between two removals a job that failed to
-    #: place cannot become feasible — the schedulers' pending-queue skip
-    #: index keys off this epoch (DESIGN.md §7).  Node *recovery* also
-    #: bumps it: a rejoining node adds capacity exactly like a release.
+    #: consume capacity, so between two removals a node search that
+    #: failed cannot succeed — the find_nodes negative cache keys off
+    #: this epoch (DESIGN.md §7).  Node *recovery* also bumps it: a
+    #: rejoining node adds capacity exactly like a release.
     release_epoch: int = field(default=0, init=False)
-    #: Monotone counter bumped on every node failure or recovery; the
-    #: schedulers fold it into their skip-index feasibility check so
-    #: records straddling an availability change are never honored.
-    availability_version: int = field(default=0, init=False)
     #: Down-node mask (insertion-ordered for deterministic iteration).
     #: Down nodes have no live free-core index entry, so every
     #: placement path (bucket scans, idle queries) skips them natively.
@@ -82,7 +79,7 @@ class ClusterState:
 
     def __post_init__(self) -> None:
         if self.ctx is None:
-            self.ctx = PerfContext(enabled=resolve_cache_mode())
+            self.ctx = PerfContext()
         # The struct-of-arrays node hot state (DESIGN.md §7): the columns
         # ARE the per-node free capacities — every NodeState below is a
         # thin view over its slot, and the vectorized paths (scan_hosts,
@@ -690,13 +687,12 @@ class ClusterState:
         self._stamp[node_id] = -1
         self._count[node.free_cores] -= 1
         self._down[node_id] = None
-        self.availability_version += 1
 
     def recover_node(self, node_id: int) -> None:
         """Bring a failed node back, empty.  Recovery adds capacity the
         way a slice removal does, so it bumps ``release_epoch`` (the
-        find_nodes negative cache and the skip index must both forget
-        failures recorded against the smaller cluster)."""
+        find_nodes negative cache must forget failures recorded against
+        the smaller cluster)."""
         if node_id not in self._down:
             raise SimulationError(f"node {node_id} is not down")
         del self._down[node_id]
@@ -706,7 +702,6 @@ class ClusterState:
         self._stamp[node_id] = clock
         self._count[free] += 1
         self._push(free, np.array([node_id]), np.array([clock]))
-        self.availability_version += 1
         self.release_epoch += 1
 
     def is_down(self, node_id: int) -> bool:
@@ -899,16 +894,6 @@ class ClusterState:
         """Number of up nodes with at least ``min_free`` free cores."""
         return sum(self._count[max(min_free, 0):])
 
-    def max_free_cores(self) -> int:
-        """Largest free-core count of any *up* node.  This is the
-        cluster headroom watermark the schedulers' skip index compares
-        failed jobs against; 0 when every node is down."""
-        live = self._count
-        free = len(live) - 1
-        while free and not live[free]:
-            free -= 1
-        return free
-
     def arbitration(self, node_id: int) -> ArbitrationView:
         """Bandwidth grants, network load, and effective ways on one
         node: its mix's view, resolved once per mix lifetime.
@@ -988,7 +973,7 @@ class ClusterState:
         tables = [nodes[waiting[0]].slices() for waiting in solve.values()]
         solved = batch.arbitrate_nodes(self.ctx, self.spec.node, tables)
         counters["arb_nodes_solved"] += len(tables)
-        if len(view_cache) >= self.ctx.max_entries:
+        if len(view_cache) >= MAX_ENTRIES:
             view_cache.clear()
         for (key, waiting), slices, (grants, net_load) in zip(
             solve.items(), tables, solved
@@ -1009,7 +994,7 @@ class ClusterState:
         if node.is_idle:
             return (), (), 0.0, ()
         slices = node.slices()
-        grants = arbitrate_node(node.spec, slices, ctx=self.ctx)
+        grants = arbitrate_node(node.spec, slices)
         return (
             tuple(s.job_id for s in slices),
             tuple(grants[s.job_id] for s in slices),

@@ -137,14 +137,13 @@ class EventQueue:
     def pop_submit_at(self, time: float) -> Optional[Event]:
         """Pop the next live event only if it is a ``JOB_SUBMIT`` at
         exactly ``time`` (float equality); otherwise leave the queue
-        untouched and return ``None``.
+        untouched and return ``None``.  Stale finishes at the head are
+        discarded on the way.
 
-        This is the event-coalescing drain: trace replays submit bursts
-        of jobs at identical timestamps, and the runtime folds them into
-        one settle → place → refresh cycle.  Only submits are drained —
-        a queued *finish* event must go through :meth:`pop` after the
-        preceding event's refresh so lazy cancellation can judge its
-        staleness against current versions.
+        The runtime processes one event per step and calls neither this
+        nor :meth:`pop_finish_at`; both stay only because the
+        benchmark's span recorder (``perfbench/spans.py``) wraps them by
+        name, and go with its next revision.
         """
         while self._heap:
             ev = self._heap[0]
@@ -166,17 +165,10 @@ class EventQueue:
         not in ``exclude``, or report why none was drained.
 
         Returns ``(event, False)`` on a drained finish, ``(None, False)``
-        when the head is not a finish at ``time`` (the caller may go on
-        to drain submits), and ``(None, True)`` — *blocked* — when the
-        head IS a live finish at ``time`` but its job is in ``exclude``.
-
-        The exclude set is the batch's affected-job set: a finish for a
-        job already touched this batch must be re-judged after the
-        batch's refresh re-versions it (lazy cancellation), so it cannot
-        be folded in.  The blocked signal matters for ordering: the
-        caller must end the batch rather than drain same-time submits,
-        because on the unbatched path the (re-pushed) finish — kind 0 —
-        pops before any submit — kind 5.
+        when the head is not a finish at ``time``, and ``(None, True)``
+        — *blocked* — when the head IS a live finish at ``time`` but its
+        job is in ``exclude``.  Unused by the runtime (see
+        :meth:`pop_submit_at`).
         """
         while self._heap:
             ev = self._heap[0]

@@ -31,12 +31,12 @@ from typing import Collection, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import HardwareModelError, SimulationError
-from repro.perfmodel.execution import scale_factor_of
+from repro.perfmodel.execution import roofline_rate, scale_factor_of
 
 T_REF, COMPUTE, COMM_BASE, NODE_CONG, ROUTE, SPEED, LAST, REMAINING = range(8)
 
 
-def time_parts(ctx, spec, program, procs: int, n_nodes: int, t_ref: float,
+def time_parts(spec, program, procs: int, n_nodes: int, t_ref: float,
                keys: Collection[tuple]) -> Tuple[float, float, float]:
     """``(compute, comm_base, node_cong)`` of a running job from its
     distinct condition keys ``(procs, effective ways, granted GB/s, net
@@ -53,7 +53,7 @@ def time_parts(ctx, spec, program, procs: int, n_nodes: int, t_ref: float,
         )
     ways_to_mb = spec.cache.ways_to_mb
     slowest = min(
-        ctx.process_rate(program, p, ways_to_mb(eff) / p, grant, n_nodes)
+        roofline_rate(program, p, ways_to_mb(eff) / p, grant, n_nodes)
         for p, eff, grant, _net in keys
     )
     compute = program.instr_per_proc(procs) / slowest

@@ -12,8 +12,8 @@ changed:
 2. re-solve bandwidth arbitration on every node any affected job touches;
 3. settle each affected job's progress at its old speed up to *now*,
    then recompute speeds and re-schedule finish events (lazy
-   cancellation).  Speeds change only here, and every event of a batch
-   happens at the same *now*, so settling once per batch is exact.
+   cancellation).  Speeds change only here, once per event, so settling
+   at the refresh is exact.
 
 Because conditions are piecewise-constant between events, the integration
 is exact — no time-stepping error.
@@ -30,7 +30,7 @@ from repro.config import RetryPolicy, SchedulerConfig, SimConfig
 from repro.errors import SimulationError
 from repro.faults.plan import FaultPlan
 from repro.hardware.topology import ClusterSpec
-from repro.perfmodel.context import PerfContext, resolve_cache_mode
+from repro.perfmodel.context import PerfContext
 from repro.perfmodel.execution import NodeConditions, job_time, reference_time
 from repro.obs.telemetry import TelemetryRecorder
 from repro.obs.trace import TraceLevel, Tracer
@@ -115,9 +115,9 @@ class SimulationResult:
     telemetry: Optional[TelemetryRecorder]
     #: Number of discrete events processed (benchmark metric).
     events: int = 0
-    #: Kernel-counter instrumentation: event batches, coalesced events,
-    #: refresh cycles, arbitration cache traffic, nodes scanned, jobs
-    #: skipped, memo hit deltas (see DESIGN.md §7).
+    #: Kernel-counter instrumentation: event batches, refresh cycles,
+    #: arbitration cache traffic, nodes scanned, batched-kernel counts
+    #: (see DESIGN.md §7).
     counters: Dict[str, int] = field(default_factory=dict)
     #: The run's structured tracer (DESIGN.md §10); ``None`` unless the
     #: simulation was constructed with tracing enabled.
@@ -187,11 +187,14 @@ class SimSnapshot:
     table.
     """
 
-    #: Virtual time of the last processed event batch.
+    #: Virtual time of the last processed event.
     now: float
     #: Jobs the core knows about (batch-loaded plus streamed in).
     submitted: int
-    #: Jobs waiting in the scheduler's pending queue.
+    #: Jobs that have not started yet: those in the scheduler's pending
+    #: queue, those whose submit event has not been processed (a future
+    #: ``submit_time``, or a streamed submit awaiting its ``step``), and
+    #: evicted jobs awaiting their retry.
     pending: int
     #: Jobs currently running.
     running: int
@@ -220,8 +223,8 @@ class SchedulerCore:
       :meth:`run`, which is exactly ``start(); while step(): pass;
       finalize()``;
     - **streaming** — construct with ``jobs=()``, feed arrivals in with
-      :meth:`submit` as they occur, and :meth:`step` one event batch at
-      a time.  The service master steps only while
+      :meth:`submit` as they occur, and :meth:`step` one event at a
+      time.  The service master steps only while
       ``next_event_time() <= watermark`` so virtual time never outruns
       the accepted submissions (wall-clock decoupling, DESIGN.md §12).
 
@@ -248,7 +251,7 @@ class SchedulerCore:
         # into every layer below (cluster, policies reach it through
         # ``cluster.ctx``).  Each Simulation owns a fresh context, so
         # concurrent runs in one process never share kernel caches.
-        self.ctx = PerfContext(enabled=resolve_cache_mode(config.perf_caches))
+        self.ctx = PerfContext(enabled=config.perf_caches)
         self.cluster = ClusterState(
             cluster_spec,
             partitioned=policy.partitioned,
@@ -306,7 +309,6 @@ class SchedulerCore:
         self._events_processed = 0
         self._counters = {
             "event_batches": 0,
-            "events_coalesced": 0,
             "refresh_cycles": 0,
             "nodes_refreshed": 0,
             "node_failures": 0,
@@ -435,21 +437,9 @@ class SchedulerCore:
         return self.events.peek_time()
 
     def step(self) -> bool:
-        """Process one event batch; ``False`` when nothing remains.
-
-        Events at an identical timestamp (trace submit bursts, finish
-        storms) are drained into one batch: each event still gets its
-        own scheduling point (intermediate cluster occupancy matters to
-        placement and aging), but settling, speed refresh, telemetry,
-        and the liveness check run once per batch instead of once per
-        event.  Submits coalesce freely; a *finish* coalesces only while
-        its job is untouched by the batch so far — the lazily-cancelling
-        queue judges staleness against pre-batch versions, and a batch
-        member's finish must wait for the batch's refresh to re-version
-        it (see :meth:`EventQueue.pop_finish_at`).  The coalesced and
-        per-event loops are bit-identical; with
-        ``SimConfig(perf_caches=False)`` the per-event reference loop
-        runs.
+        """Process one event: apply it, run a scheduling point, then
+        refresh the speeds of the jobs it affected and check liveness;
+        ``False`` when nothing remains.
 
         Returns ``False`` without popping when the workload is complete
         under a fault plan (leftover fault events cannot change anything
@@ -469,61 +459,34 @@ class SchedulerCore:
         tracer = self.tracer
         trace_full = tracer is not None \
             and tracer.level >= TraceLevel.FULL
-        coalesce = self.ctx.enabled
         now = self.events.now
         if now > self.config.max_sim_time:
             raise SimulationError("simulation exceeded max_sim_time")
-        events = [event]
         affected: Set[int] = set()
         touched: Set[int] = set()
-        ev = event
-        while True:
-            if ev.kind is EventKind.JOB_SUBMIT:
-                job = self.jobs[ev.job_id]
-                if tracer is not None:
-                    tracer.submit(now, job)
-                self.pending.push(job)
-            elif ev.kind is EventKind.JOB_FINISH:
-                self._finish_job(self.jobs[ev.job_id], now,
-                                 affected, touched)
-            elif ev.kind is EventKind.NODE_FAIL:
-                self._handle_node_fail(ev.job_id, now,
-                                       affected, touched)
-            elif ev.kind is EventKind.NODE_RECOVER:
-                self._handle_node_recover(ev.job_id)
-                if tracer is not None:
-                    tracer.node_recover(now, ev.job_id)
-            else:  # PROFILE_DOWN / PROFILE_UP
-                self._handle_profile_event(ev.kind)
-                if tracer is not None:
-                    tracer.profile_store(
-                        now, ev.kind is EventKind.PROFILE_UP
-                    )
-            self._scheduling_point(now, affected, touched)
-            if not coalesce:
-                break
-            # Finishes drain first (EventKind.JOB_FINISH orders ahead
-            # of every other kind at equal timestamps), but only for
-            # jobs this batch has not touched: an affected job's
-            # finish must be re-judged after the batch's refresh
-            # re-versions it.  If such a finish heads the queue the
-            # batch ENDS — falling through to the submit drain would
-            # process submits the unbatched loop orders *after* the
-            # re-pushed finish.
-            nxt, blocked = self.events.pop_finish_at(now, affected)
-            if nxt is None:
-                if blocked:
-                    break
-                nxt = self.events.pop_submit_at(now)
-                if nxt is None:
-                    break
-            events.append(nxt)
-            ev = nxt
-        self._events_processed += len(events)
+        kind = event.kind
+        if kind is EventKind.JOB_SUBMIT:
+            job = self.jobs[event.job_id]
+            if tracer is not None:
+                tracer.submit(now, job)
+            self.pending.push(job)
+        elif kind is EventKind.JOB_FINISH:
+            self._finish_job(self.jobs[event.job_id], now, affected, touched)
+        elif kind is EventKind.NODE_FAIL:
+            self._handle_node_fail(event.job_id, now, affected, touched)
+        elif kind is EventKind.NODE_RECOVER:
+            self._handle_node_recover(event.job_id)
+            if tracer is not None:
+                tracer.node_recover(now, event.job_id)
+        else:  # PROFILE_DOWN / PROFILE_UP
+            self._handle_profile_event(kind)
+            if tracer is not None:
+                tracer.profile_store(now, kind is EventKind.PROFILE_UP)
+        self._scheduling_point(now, affected, touched)
+        self._events_processed += 1
         self._counters["event_batches"] += 1
-        self._counters["events_coalesced"] += len(events) - 1
         if trace_full:
-            tracer.batch(now, [e.kind.label for e in events])
+            tracer.batch(now, [kind.label])
         self._refresh(affected, touched, now)
         self._check_liveness()
         return True
@@ -534,7 +497,7 @@ class SchedulerCore:
         return SimSnapshot(
             now=self.events.now,
             submitted=len(self.jobs),
-            pending=len(self.pending),
+            pending=len(self.jobs) - self._running - self._terminal,
             running=self._running,
             finished=finished,
             failed=self._counters["jobs_failed"],
@@ -609,8 +572,8 @@ class SchedulerCore:
     def _finish_job(self, job: Job, now: float,
                     affected: Set[int], touched: Set[int]) -> None:
         """Settle and complete one job; the settle and speed refresh of
-        its co-residents is deferred to the end of the event batch (they
-        are accumulated into ``affected``/``touched``)."""
+        its co-residents is deferred to the event's refresh (they are
+        accumulated into ``affected``/``touched``)."""
         if job.state is not JobState.RUNNING:
             raise SimulationError(f"finish event for non-running job {job.job_id}")
         # Out of the table, the Job's own scalar settle applies.
@@ -739,7 +702,7 @@ class SchedulerCore:
                               return_counts=True)
         if uniq.size == 1:
             return None
-        frac = self.ctx.network_fraction(job.program, count)
+        frac = job.program.comm.network_fraction(count)
         if frac == 0.0:
             return None
         self._cross_jobs[job.job_id] = (
@@ -789,13 +752,11 @@ class SchedulerCore:
             pending_before = len(self.pending)
             counters = self.policy.counters
             tried_before = counters.get("try_place_calls", 0)
-            skipped_before = counters.get("jobs_skipped", 0)
         decisions = self.policy.schedule_point(self.cluster, self.pending, now)
         if trace_sched:
             tracer.sched(
                 now, pending_before, len(decisions),
                 counters.get("try_place_calls", 0) - tried_before,
-                counters.get("jobs_skipped", 0) - skipped_before,
             )
         if not decisions:
             return
@@ -805,7 +766,7 @@ class SchedulerCore:
         new_nodes: Set[int] = set()
         for d in decisions:
             new_nodes.update(d.placement.nodes.tolist())
-        # Co-runners on the new nodes change speed: the batch's refresh
+        # Co-runners on the new nodes change speed: the event's refresh
         # settles them at `now` (allocations do not advance time) before
         # it re-times them.  Residents not yet started are the decisions
         # below, which join the refresh anyway.
@@ -852,7 +813,7 @@ class SchedulerCore:
         """Recompute speeds and finish events for the given jobs, and
         record telemetry for every node whose conditions changed.
 
-        ``job_ids`` holds the jobs started this batch and the running
+        ``job_ids`` holds the jobs started by this event and the running
         jobs sharing a touched node, so their table rows are stale and
         are rebuilt first (:meth:`_rebuild_rows`).  When the cross-rack
         set changed, every cross job joins the refresh (they all share
@@ -940,7 +901,7 @@ class SchedulerCore:
                 i = view[0].index(jid)
                 conds[(keys[m][i][1], view[3][i], view[1][i], view[2])] = None
             rows[slot, COMPUTE:ROUTE] = time_parts(
-                self.ctx, self._spec, job.program, job.procs,
+                self._spec, job.program, job.procs,
                 job.placement.n_nodes, rows.item(slot, T_REF), conds,
             )
 

@@ -55,7 +55,6 @@ class TestIndex:
         assert cluster.bucket(28).tolist() == [1, 2, 3]
         assert cluster.count_with_free_cores(1) == 3
         assert cluster.count_with_free_cores(0) == 4
-        assert cluster.max_free_cores() == 28
 
     @pytest.mark.parametrize("width", [2, 9])
     def test_place_slices_rejects_malformed_batches(self, width):

@@ -1,8 +1,7 @@
-"""Event coalescing: same-timestamp submit bursts drain into one
-settle → place → refresh batch, bit-identically to per-event processing
-(DESIGN.md §7).  Cache mode is selected per simulation through
-``SimConfig.perf_caches`` — no process-global state to reset between
-tests."""
+"""Same-instant events: submit bursts and finish storms at one
+timestamp, stale and re-pushed finishes, and the finish-before-fault
+tie-break — fast-versus-reference equivalence on exactly the inputs
+where same-instant ordering matters (DESIGN.md §7)."""
 
 from __future__ import annotations
 
@@ -27,7 +26,7 @@ def burst_jobs(k: int = 8, at: float = 0.0):
     ]
 
 
-def replay(jobs, policy_cls, nodes=8, caches=None):
+def replay(jobs, policy_cls, nodes=8, caches=True):
     spec = ClusterSpec(num_nodes=nodes)
     result = Simulation(
         spec, policy_cls(spec), jobs,
@@ -55,28 +54,19 @@ class TestCoalescedEquivalence:
         fast = replay(burst_jobs(), policy_cls, caches=True)
         reference = replay(burst_jobs(), policy_cls, caches=False)
         assert outcome(fast) == outcome(reference)
-
-    def test_burst_coalesces_and_saves_cycles(self, policy_cls):
-        k = 8
-        result = replay(burst_jobs(k), policy_cls, caches=True)
-        counters = result.counters
-        # All k submits share one timestamp: the batch count must be
-        # strictly below the event count, and the difference is exactly
-        # the coalesced events.
-        assert counters["events_coalesced"] > 0
-        assert counters["event_batches"] < counters["events"]
-        assert counters["events"] - counters["event_batches"] == \
-            counters["events_coalesced"]
-        # One settle/refresh cycle per batch at most — strictly fewer
-        # than one per event.
-        assert counters["refresh_cycles"] <= counters["event_batches"]
-        assert counters["refresh_cycles"] < counters["events"]
+        # Identical jobs submitted together also finish together: a
+        # finish storm (one instant under CE's exclusive placement).
+        fast = replay(identical_jobs(), policy_cls, caches=True)
+        reference = replay(identical_jobs(), policy_cls, caches=False)
+        assert outcome(fast) == outcome(reference)
+        if policy_cls is CompactExclusiveScheduler:
+            assert len({j.finish_time for j in fast.finished_jobs}) == 1
 
     def test_reference_path_never_coalesces(self, policy_cls):
         result = replay(burst_jobs(), policy_cls, caches=False)
-        assert result.counters["events_coalesced"] == 0
-        assert result.counters["event_batches"] == \
-            result.counters["events"]
+        counters = result.counters
+        assert counters["event_batches"] == counters["events"]
+        assert counters["refresh_cycles"] <= counters["event_batches"]
 
     def test_mixed_timestamps_only_merge_equal_ones(self, policy_cls):
         def build():
@@ -87,10 +77,7 @@ class TestCoalescedEquivalence:
             ]
 
         fast = replay(build(), policy_cls, caches=True)
-        assert fast.counters["events_coalesced"] >= 3
         reference = replay(build(), policy_cls, caches=False)
-        # Results must match even though the spaced submits each got
-        # their own batch.
         assert fast.makespan == reference.makespan
         assert sorted(j.finish_time for j in fast.finished_jobs) == \
             sorted(j.finish_time for j in reference.finished_jobs)
@@ -108,35 +95,13 @@ def identical_jobs(k: int = 6, program: str = "EP", procs: int = 16):
 
 
 class TestFinishCoalescing:
-    """Same-timestamp *finish* bursts drain into one release → settle →
-    refresh cycle, under the lazy-cancellation and kind-order rules of
-    :meth:`EventQueue.pop_finish_at`."""
-
-    def test_finish_burst_batches_into_one_cycle(self):
-        """k identical exclusive jobs finish at one instant: the fast
-        path folds all k finishes into a single batch (and all k
-        submits into another), bit-identically to the per-event loop."""
-        k = 6
-        fast = replay(identical_jobs(k), CompactExclusiveScheduler,
-                      caches=True)
-        reference = replay(identical_jobs(k), CompactExclusiveScheduler,
-                           caches=False)
-        assert outcome(fast) == outcome(reference)
-        finishes = {j.finish_time for j in fast.finished_jobs}
-        assert len(finishes) == 1  # the premise: one finish storm
-        counters = fast.counters
-        assert counters["events"] == 2 * k
-        # Batch 1: the submit burst.  Batch 2: the finish storm —
-        # exclusive placements never put a finisher into the batch's
-        # affected set, so nothing blocks the drain.
-        assert counters["event_batches"] == 2
-        assert counters["events_coalesced"] == 2 * k - 2
+    """Same-timestamp *finish* storms, and the lazy-cancellation and
+    kind-order rules of :class:`EventQueue` at one instant."""
 
     def test_finish_burst_on_shared_nodes_matches_reference(self):
-        """SNS co-locates slices, so a finisher's neighbors land in the
-        batch's affected set and their finishes must NOT coalesce past
-        the refresh (blocked drain).  Whatever batching results, it must
-        be bit-identical to the per-event reference."""
+        """SNS co-locates slices, so each finish of a storm re-times its
+        neighbors, whose finishes at the same instant are re-pushed; the
+        fast path must stay bit-identical to the reference."""
         fast = replay(identical_jobs(8, program="CG"),
                       SpreadNShareScheduler, caches=True)
         reference = replay(identical_jobs(8, program="CG"),
@@ -206,7 +171,7 @@ class TestFinishCoalescing:
         """End-to-end tie-break: schedule a NODE_FAIL at exactly the
         job's finish timestamp on one of its own nodes.  The finish
         processes first, so the job completes normally — no eviction,
-        no retry — on both the coalescing and the per-event loop."""
+        no retry — in both cache modes."""
         from repro.faults import FaultPlan, NodeFault
         from repro.hardware.topology import ClusterSpec as _Spec
 

@@ -157,17 +157,15 @@ class TestClusterAvailability:
 
     def test_fail_bumps_availability_not_release(self, testbed):
         cluster = ClusterState(testbed)
-        avail, release = cluster.availability_version, cluster.release_epoch
+        release = cluster.release_epoch
         cluster.fail_node(0)
-        assert cluster.availability_version == avail + 1
         assert cluster.release_epoch == release
 
     def test_recover_bumps_both_versions(self, testbed):
         cluster = ClusterState(testbed)
         cluster.fail_node(0)
-        avail, release = cluster.availability_version, cluster.release_epoch
+        release = cluster.release_epoch
         cluster.recover_node(0)
-        assert cluster.availability_version == avail + 1
         assert cluster.release_epoch == release + 1
         assert not cluster.is_down(0)
         assert cluster.idle_count() == 8
@@ -309,7 +307,7 @@ class TestProfileOutage:
 
 
 class TestFaultDeterminism:
-    def _replay(self, policy, caches=None):
+    def _replay(self, policy, caches=True):
         cluster = ClusterSpec(num_nodes=8)
         jobs = random_sequence(seed=29, n_jobs=16)
         plan = FaultPlan.from_mtbf(
@@ -353,8 +351,8 @@ class TestEmptyPlanBitIdentity:
         assert empty.makespan == without.makespan
         assert empty.events == without.events
         assert _schedule(empty) == _schedule(without)
-        # Each Simulation owns a fresh PerfContext, so even the memo_*
-        # hit/miss counters are per-run and must match exactly.
+        # Each Simulation owns a fresh PerfContext, so even the kernel
+        # counters are per-run and must match exactly.
         assert empty.counters == without.counters
         assert empty.badput_node_seconds() == 0.0
         assert empty.badput_fraction() == 0.0

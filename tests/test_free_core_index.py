@@ -141,7 +141,6 @@ class _Driver:
             assert cluster.count_with_free_cores(c) == sum(
                 len(model.buckets[f]) for f in levels if f >= c)
             assert cluster.free_levels(c) == [f for f in levels if f >= c]
-        assert cluster.max_free_cores() == max(levels, default=0)
         cluster.verify_index()
 
 

@@ -1,9 +1,10 @@
-"""PerfContext ownership: per-simulation kernel state, eviction policy,
-stats plumbing, cache-mode resolution, and bit-identity of simulations
+"""PerfContext ownership: per-simulation kernel state, cache eviction,
+stats plumbing, cache-mode selection, and bit-identity of simulations
 stepped in alternation (DESIGN.md §9)."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.apps.catalog import get_program
@@ -11,7 +12,10 @@ from repro.config import SimConfig, TraceConfig
 from repro.experiments.parallel import run_grid
 from repro.hardware.topology import ClusterSpec
 from repro.obs import decision_stream, trace_lines
-from repro.perfmodel.context import PerfContext, resolve_cache_mode
+from repro.perfmodel.context import PerfContext
+from repro.scheduling import sns as sns_module
+from repro.sim import cluster as cluster_module
+from repro.sim.cluster import ClusterState
 from repro.sim.job import Job
 from repro.sim.runtime import Simulation
 from repro.workloads.sequences import random_sequence
@@ -21,29 +25,31 @@ class TestContextIsolation:
     """Two contexts never observe each other's entries, stats, or mode."""
 
     def test_caches_and_stats_are_private(self):
-        spec = ClusterSpec(num_nodes=2).node
-        program = get_program("MG")
-        a, b = PerfContext(), PerfContext()
-        a.demand_gbps_per_proc(program, 4.0, 1, spec.bandwidth.core_peak)
-        a.demand_gbps_per_proc(program, 4.0, 1, spec.bandwidth.core_peak)
-        assert a.cache_stats()["demand"] == {
-            "hits": 1, "misses": 1, "size": 1
-        }
-        # b saw none of it.
-        assert b.cache_stats()["demand"] == {
-            "hits": 0, "misses": 0, "size": 0
-        }
-        # First call on b is a miss even though a cached the same key.
-        b.demand_gbps_per_proc(program, 4.0, 1, spec.bandwidth.core_peak)
-        assert b.cache_stats()["demand"]["misses"] == 1
-        assert b.cache_stats()["demand"]["hits"] == 0
+        spec = ClusterSpec(num_nodes=2)
+        mg = get_program("MG")
+        a = ClusterState(spec, ctx=PerfContext())
+        b = ClusterState(spec, ctx=PerfContext())
+        for cluster in (a, b):
+            cluster.place_slices(np.array([0]), 1, mg, np.array([16]),
+                                 ways=10, bw=40.0, n_nodes=1)
+        a.arbitration(0)
+        assert a.ctx.batch_counters["batch_calls"] == 1
+        assert a.counters["arb_nodes_solved"] == 1
+        # b saw none of it: its first solve of the same signature is a
+        # kernel call, not a hit in a's view cache.
+        assert b.ctx.batch_counters["batch_calls"] == 0
+        b.arbitration(0)
+        assert b.counters["arb_nodes_solved"] == 1
+        assert b.counters["view_cache_hits"] == 0
+        assert b.arbitration(0) == a.arbitration(0)
 
     def test_enabled_flag_is_private(self):
-        a, b = PerfContext(enabled=True), PerfContext(enabled=True)
-        with a.disabled():
-            assert not a.enabled
-            assert b.enabled
-        assert a.enabled
+        a, b = PerfContext(enabled=False), PerfContext()
+        assert not a.enabled
+        assert b.enabled
+        spec = ClusterSpec(num_nodes=1)
+        assert not ClusterState(spec, ctx=a).ctx.enabled
+        assert ClusterState(spec, ctx=b).ctx.enabled
 
     def test_simulations_get_fresh_contexts(self):
         spec = ClusterSpec(num_nodes=4)
@@ -64,49 +70,24 @@ class TestContextIsolation:
         # warmed by the first, so the kernel stats agree exactly.
         assert r1.counters == r2.counters
 
-    def test_clear_resets_everything(self):
-        spec = ClusterSpec(num_nodes=2).node
-        ctx = PerfContext()
-        ctx.demand_gbps_per_proc(get_program("EP"), 2.0, 1,
-                                 spec.bandwidth.core_peak)
-        ctx.batch_counters["batch_calls"] += 3
-        ctx.clear()
-        assert all(
-            stats == {"hits": 0, "misses": 0, "size": 0}
-            for stats in ctx.cache_stats().values()
-        )
-        assert ctx.batch_counters["batch_calls"] == 0
-
 
 class TestEviction:
-    def test_per_context_max_entries(self):
-        spec = ClusterSpec(num_nodes=2).node
-        program = get_program("EP")
-        small = PerfContext(max_entries=4)
-        big = PerfContext()  # default MAX_ENTRIES
-        for i in range(6):
-            cap = 1.0 + i
-            small.demand_gbps_per_proc(program, cap, 1,
-                                       spec.bandwidth.core_peak)
-            big.demand_gbps_per_proc(program, cap, 1,
-                                     spec.bandwidth.core_peak)
-        # The small context hit its ceiling and dumped wholesale at
-        # least once; the big one kept every entry.
-        assert small.cache_stats()["demand"]["size"] < 6
-        assert big.cache_stats()["demand"]["size"] == 6
-
-    def test_evicted_values_stay_bit_identical(self):
-        spec = ClusterSpec(num_nodes=2).node
-        program = get_program("MG")
-        tiny = PerfContext(max_entries=2)
-        reference = PerfContext(enabled=False)
-        for i in range(8):
-            cap = 0.5 + 0.25 * i
-            assert tiny.demand_gbps_per_proc(
-                program, cap, 1, spec.bandwidth.core_peak
-            ) == reference.demand_gbps_per_proc(
-                program, cap, 1, spec.bandwidth.core_peak
-            )
+    def test_evicted_values_stay_bit_identical(self, monkeypatch):
+        """The view cache and the SNS demand cache clear wholesale at
+        ``MAX_ENTRIES``; a run that evicts constantly is bit-identical
+        to one that never does."""
+        solo = _build(5, True)
+        baseline = _observe(solo.run())
+        # The premise: unbounded, both caches outgrow the tiny limit.
+        assert len(solo.cluster._view_cache) > 2
+        assert len(solo.policy._demand_cache) > 2
+        sim = _build(5, True)
+        monkeypatch.setattr(cluster_module, "MAX_ENTRIES", 2)
+        monkeypatch.setattr(sns_module, "MAX_ENTRIES", 2)
+        result = sim.run()
+        assert len(sim.cluster._view_cache) <= 2
+        assert len(sim.policy._demand_cache) <= 2
+        assert _observe(result) == baseline
 
 
 class TestStatsPlumbing:
@@ -123,9 +104,6 @@ class TestStatsPlumbing:
         for key, value in expected.items():
             assert result.counters[key] == value
         # The full key scheme is present in the result.
-        for name in ("demand", "rate", "net", "supply"):
-            assert f"memo_{name}_hits" in result.counters
-            assert f"memo_{name}_misses" in result.counters
         for key in ("batch_calls", "batch_nodes", "batch_slices"):
             assert key in result.counters
 
@@ -136,25 +114,30 @@ class TestStatsPlumbing:
             "SNS", spec, jobs,
             sim_config=SimConfig(perf_caches=False),
         ).run()
-        assert result.counters["memo_demand_hits"] == 0
-        assert result.counters["memo_demand_misses"] == 0
         assert result.counters["batch_calls"] == 0
+
+
+def _ce_sim(config: SimConfig) -> Simulation:
+    spec = ClusterSpec(num_nodes=1)
+    jobs = [Job(job_id=0, program=get_program("EP"), procs=8)]
+    return Simulation.from_policy_name("CE", spec, jobs, sim_config=config)
 
 
 class TestCacheModeResolution:
     def test_explicit_field_wins(self):
-        assert resolve_cache_mode(True) is True
-        assert resolve_cache_mode(False) is False
+        assert _ce_sim(SimConfig(perf_caches=True)).ctx.enabled is True
+        assert _ce_sim(SimConfig(perf_caches=False)).ctx.enabled is False
 
     def test_default_is_enabled(self):
-        assert resolve_cache_mode(None) is True
+        assert SimConfig().perf_caches is True
+        assert _ce_sim(SimConfig()).ctx.enabled is True
+        assert PerfContext().enabled is True
 
     def test_env_shim_is_gone(self, monkeypatch):
         """The deprecated ``REPRO_DISABLE_PERF_CACHES`` kill-switch was
         removed after its one deprecation cycle; the variable is now
         ignored and ``SimConfig.perf_caches`` is the only control."""
         monkeypatch.setenv("REPRO_DISABLE_PERF_CACHES", "1")
-        assert resolve_cache_mode(None) is True
         spec = ClusterSpec(num_nodes=1)
         jobs = [Job(job_id=0, program=get_program("EP"), procs=8)]
         sim = Simulation.from_policy_name("CE", spec, jobs,

@@ -22,7 +22,7 @@ from repro.workloads.sequences import random_sequence
 from repro.workloads.trace import SyntheticTraceConfig, synthesize_trace
 
 
-def _run_sequence_results(seed: int, caches=None):
+def _run_sequence_results(seed: int, caches=True):
     cluster = ClusterSpec(num_nodes=8)
     jobs = random_sequence(seed=seed, n_jobs=14)
     return run_all_policies(
@@ -31,7 +31,7 @@ def _run_sequence_results(seed: int, caches=None):
     )
 
 
-def _run_sequence_all_policies(seed: int, caches=None):
+def _run_sequence_all_policies(seed: int, caches=True):
     runs = _run_sequence_results(seed, caches=caches)
     return {
         policy: (
@@ -71,21 +71,9 @@ class TestMemoizedEquivalence:
 
         assert replay(True) == replay(False)
 
-    def test_disabled_context_restores_flag(self):
-        ctx = PerfContext(enabled=True)
-        with ctx.disabled():
-            assert not ctx.enabled
-        assert ctx.enabled
-        # Nested disable must restore the *outer* state, not blindly
-        # re-enable.
-        ctx.set_enabled(False)
-        with ctx.disabled():
-            assert not ctx.enabled
-        assert not ctx.enabled
-
     def test_congested_queue_skip_index_equivalence(self):
-        """Skip-index == full-rescan on a congested queue (and the fast
-        run actually exercised the index)."""
+        """Fast == reference on a congested queue: blocked jobs are
+        re-tried at every scheduling point in both modes."""
         from repro.scheduling.sns import SpreadNShareScheduler
         from repro.sim.job import Job
         from repro.sim.runtime import Simulation
@@ -106,7 +94,6 @@ class TestMemoizedEquivalence:
             return result
 
         fast = replay(True)
-        assert fast.counters["jobs_skipped"] > 0
         reference = replay(False)
         assert fast.makespan == reference.makespan
         assert sorted(
@@ -120,11 +107,12 @@ class TestMemoizedEquivalence:
     def test_stats_report_hits(self):
         runs = _run_sequence_results(7, caches=True)
         for result in runs.values():
-            # Every policy's run exercised the kernels and saw reuse.
-            assert result.counters["memo_demand_misses"] > 0
-            assert result.counters["memo_rate_hits"] > 0
-        # Co-locating policies re-evaluate demand curves enough to hit.
-        assert runs["SNS"].counters["memo_demand_hits"] > 0
+            # Every policy's run exercised the batched kernel and
+            # reused solved signatures through the view cache.
+            assert result.counters["arb_nodes_solved"] > 0
+            assert result.counters["view_cache_hits"] > 0
+        # SNS re-reads its demand candidates for re-tried jobs.
+        assert runs["SNS"].counters["demand_cache_hits"] > 0
 
 
 class TestBatchedKernelEquivalence:
@@ -261,8 +249,7 @@ class TestArbitrationCacheInvalidation:
         cluster.remove_slices([0], 1)
         self._place(cluster, 0, 3, procs=2)
         cached = cluster.arbitration(0)
-        with cluster.ctx.disabled():
-            reference = cluster.arbitration(0)
+        reference = cluster._arbitrate(0)
         assert cached == reference
 
     def test_counters_consistent_with_fresh_sums(self, cluster):

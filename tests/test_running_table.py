@@ -17,7 +17,6 @@ from repro.faults.plan import FaultPlan
 from repro.hardware.fabric import FabricSpec
 from repro.hardware.node_spec import reference_node
 from repro.hardware.topology import ClusterSpec
-from repro.perfmodel.context import PerfContext
 from repro.perfmodel.execution import (
     NodeConditions,
     job_time,
@@ -80,7 +79,6 @@ def _conditions(keys, counts):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(jobs_with_keys(), min_size=1, max_size=6))
 def test_time_now_matches_job_time(drawn):
-    ctx = PerfContext(enabled=True)
     table = RunningTable()
     expected = []
     for jid, (program, keys, counts, route) in enumerate(drawn):
@@ -91,7 +89,7 @@ def test_time_now_matches_job_time(drawn):
         table.add(jid, t_ref, 1.0, 0.0)
         slot = table.slot[jid]
         table.rows[slot, COMPUTE:ROUTE] = time_parts(
-            ctx, SPEC, program, procs, n_nodes, t_ref, dict.fromkeys(keys)
+            SPEC, program, procs, n_nodes, t_ref, dict.fromkeys(keys)
         )
         table.rows[slot, ROUTE] = route
         expected.append(job_time(program, procs, _conditions(keys, counts),

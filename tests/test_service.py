@@ -31,9 +31,11 @@ from repro.workloads.sequences import clone_jobs, random_sequence
 
 
 def fresh_core(policy="SNS", nodes=8, jobs=(), caches=None):
+    """A core over ``nodes`` nodes; ``caches=None`` keeps the default
+    :class:`SimConfig` cache mode."""
+    config = SimConfig() if caches is None else SimConfig(perf_caches=caches)
     return SchedulerCore.from_policy_name(
-        policy, ClusterSpec(num_nodes=nodes), jobs,
-        sim_config=SimConfig(perf_caches=caches),
+        policy, ClusterSpec(num_nodes=nodes), jobs, sim_config=config,
     )
 
 
@@ -113,8 +115,7 @@ class TestStreamingCore:
         assert snap.finished == 0
         assert snap.next_event_time == 0.0
         core.start()
-        # All six submits are at t=0, so after the first batch every job
-        # has arrived and the lifecycle counters must account for all.
+        # The lifecycle counters account for every job after every step.
         while core.step():
             partial = core.peek_result()
             assert partial.complete is False
@@ -128,6 +129,26 @@ class TestStreamingCore:
         assert snap.finished == 6
         assert snap.next_event_time is None
         assert snap.mean_turnaround == pytest.approx(final.mean_turnaround())
+
+    def test_snapshot_counts_jobs_not_yet_arrived(self):
+        """Submits at distinct future times: a job whose submit event
+        has not been processed yet still counts as pending, so the
+        lifecycle counters add up after every step."""
+        jobs = random_sequence(seed=3, n_jobs=6)
+        for k, job in enumerate(jobs):
+            job.submit_time = 100.0 * k
+        core = fresh_core(jobs=jobs)
+        snap = core.snapshot()
+        assert (snap.submitted, snap.pending) == (6, 6)
+        steps = 0
+        while core.step():
+            steps += 1
+            snap = core.snapshot()
+            assert snap.submitted == 6
+            assert (snap.pending + snap.running
+                    + snap.finished + snap.failed) == 6
+        assert steps > 6
+        assert core.snapshot().finished == 6
 
     def test_duplicate_submit_rejected(self):
         jobs = random_sequence(seed=1, n_jobs=2)

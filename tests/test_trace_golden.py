@@ -37,7 +37,7 @@ def stream_lines(result):
     return list(trace_lines(decision_stream(result.trace.events)))
 
 
-def golden_lines(caches=None, level="decisions"):
+def golden_lines(caches=True, level="decisions"):
     """The scenario's decisions-level stream as canonical JSONL lines."""
     return stream_lines(run_policy(
         "SNS",
@@ -85,7 +85,7 @@ class TestGoldenTrace:
                     perf_caches=caches, trace=TraceConfig(level="decisions"),
                 ),
             )
-            for caches in (None, False, None, False)
+            for caches in (True, False, True, False)
         ]
         for sim in sims:
             sim.start()

@@ -24,7 +24,7 @@ NODES = 8
 
 
 def traced_run(policy="SNS", faults=False, level="full", n_jobs=16,
-               seed=3, caches=None):
+               seed=3, caches=True):
     cluster = ClusterSpec(num_nodes=NODES)
     jobs = random_sequence(seed=seed, n_jobs=n_jobs)
     plan = None
@@ -60,6 +60,14 @@ class TestCleanTraces:
     def test_reference_kernels_replay_clean(self):
         assert check_trace(traced_run("SNS", faults=True,
                                       caches=False)) == []
+
+    @pytest.mark.parametrize("policy", ["CE", "CS", "SNS"])
+    def test_full_trace_is_cache_mode_independent(self, policy):
+        """Both cache modes run the same one-event step, so every
+        record — ``sched``, ``batch`` and ``speed`` included — is
+        identical, not just the decision stream."""
+        assert traced_run(policy, faults=True) == \
+            traced_run(policy, faults=True, caches=False)
 
     def test_online_sns_replays_clean_with_trials(self):
         cluster = ClusterSpec(num_nodes=NODES)

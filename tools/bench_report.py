@@ -19,7 +19,7 @@ config, and at most 10 % wall-clock overhead (see
 
 Each entry records per-configuration wall seconds, simulated events,
 events/second, and the kernel counters (batched arbitration solves,
-coalesced events, skip-index hits, nodes scanned — see DESIGN.md §7),
+view-cache hits, nodes scanned — see DESIGN.md §7),
 plus the grid total.  Existing entries under other labels are
 preserved, so a before/after pair can live side by side.
 
@@ -81,14 +81,12 @@ FULL_SIZES = (32768,)
 
 #: Kernel counters copied into each config entry (DESIGN.md §7).
 COUNTER_COLUMNS = (
-    "events_coalesced",
     "refresh_cycles",
     "mix_transitions",
     "arb_nodes_solved",
     "view_cache_hits",
     "nodes_scanned",
     "find_fail_hits",
-    "jobs_skipped",
     "demand_cache_hits",
     "vec_curve_evals",
     "vec_finish_updates",

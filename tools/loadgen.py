@@ -131,7 +131,7 @@ def run(args: argparse.Namespace) -> int:
         core = SchedulerCore.from_policy_name(
             args.policy, ClusterSpec(num_nodes=args.nodes, fabric=fabric),
             sim_config=SimConfig(
-                perf_caches=False if args.no_caches else None,
+                perf_caches=not args.no_caches,
             ),
         )
         master = SchedulerMaster(core, queue_limit=args.queue_limit)
