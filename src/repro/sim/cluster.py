@@ -22,7 +22,9 @@ from repro.hardware.topology import ClusterSpec
 from repro.perfmodel import batch
 from repro.perfmodel.context import MAX_ENTRIES, PerfContext
 from repro.perfmodel.contention import arbitrate_node, node_network_load
-from repro.sim.node import MixTable, NodeColumns, NodeState, SliceColumns
+from repro.sim.node import (
+    INITIAL_SLOTS, MixTable, NodeColumns, NodeState, SliceColumns,
+)
 
 #: One node's arbitration, stored positionally so every node of a mix
 #: shares one tuple: (resident job ids in insertion order, granted GB/s
@@ -76,6 +78,10 @@ class ClusterState:
     _down: Dict[int, None] = field(init=False)
     #: Arbitration/scan instrumentation, surfaced on SimulationResult.
     counters: Dict[str, int] = field(init=False)
+    #: Union of the co-runner sets of the placements made since the
+    #: last :meth:`take_corunners` (the runtime takes it once per
+    #: scheduling point, whoever called :meth:`place_slices`).
+    _corunners: Set[int] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.ctx is None:
@@ -88,8 +94,9 @@ class ClusterState:
         n = self.spec.num_nodes
         self.columns = NodeColumns(n, self.spec.node)
         # Per-slice SoA plane (job id / procs / ways / bw / net per dense
-        # resident slot), kept in lockstep with the node columns.
-        self.scols = SliceColumns(n, self.spec.node.cores)
+        # resident slot), kept in lockstep with the node columns.  It
+        # starts narrow and grows with the busiest node's residency.
+        self.scols = SliceColumns(n, INITIAL_SLOTS)
         # Interned resident mix per node (DESIGN.md §7): the per-mix
         # arbitration views and batch transitions live here.
         self.mixes = MixTable(n, self.spec.node.cores)
@@ -130,6 +137,7 @@ class ClusterState:
                                     partitioned=self.partitioned)
         self._view_cache = {}
         self._down = {}
+        self._corunners = set()
         self.counters = {
             "mix_transitions": 0,
             "view_cache_hits": 0,
@@ -312,10 +320,13 @@ class ClusterState:
 
     def place_slices(self, nodes: Sequence[int], job_id: int, program,
                      procs: Sequence[int], ways: int, bw: float,
-                     n_nodes: int, net: float = 0.0) -> None:
+                     n_nodes: int, net: float = 0.0) -> Set[int]:
         """Install one job's slices on all its nodes in one batch: node
         ``nodes[i]`` gets ``procs[i]`` processes (both int64 arrays, or
-        sequences converted to them).
+        sequences converted to them).  Returns the job's co-runners —
+        the jobs already resident on any of its nodes, read from the
+        resident-mix transitions — and adds them to the set
+        :meth:`take_corunners` hands out.
 
         Semantically one node at a time in batch order, but the capacity
         columns mutate through fancy-indexed array ops, the resident mix
@@ -367,8 +378,9 @@ class ClusterState:
         # Duplicate-resident check, pruned to occupied nodes through the
         # n_res column (an idle node cannot already host this job).
         slot_pos = cols.n_res[arr]  # fancy index: an owned copy
-        if bool((slot_pos > 0).any()):
-            dup = (sc.job[arr] == job_id).any(axis=1)
+        top = int(slot_pos.max())
+        if top:
+            dup = (sc.job[arr, :top] == job_id).any(axis=1)
             if bool(dup.any()):
                 raise AllocationError(
                     f"job {job_id} already on node "
@@ -398,7 +410,7 @@ class ClusterState:
                         )
             raise AllocationError("place_slices validation out of sync")
         # -- slice columns: append at each node's dense free slot ----------
-        if int(slot_pos.max()) >= sc.slots:
+        if top >= sc.slots:
             sc.grow()
         sc.job[arr, slot_pos] = job_id
         sc.procs[arr, slot_pos] = procs_arr
@@ -430,11 +442,21 @@ class ClusterState:
             if self._fabric is not None:
                 self._book_cross(arr, slot_pos, net, count)
         # -- resident mix: one transition per distinct (mix, procs) -------
-        self.counters["mix_transitions"] += self.mixes.add(
-            arr, job_id, procs_arr)
+        moves, corunners = self.mixes.add(arr, job_id, procs_arr)
+        self.counters["mix_transitions"] += moves
+        if corunners:
+            self._corunners |= corunners
         self._move(arr, old_free_arr, old_free_arr - procs_arr)
+        return corunners
 
-    def remove_slices(self, nodes: Sequence[int], job_id: int) -> None:
+    def take_corunners(self) -> Set[int]:
+        """The union of the co-runner sets of every placement since the
+        previous call, which starts a new, empty union."""
+        taken = self._corunners
+        self._corunners = set()
+        return taken
+
+    def remove_slices(self, nodes: Sequence[int], job_id: int) -> Set[int]:
         """Remove one job's slices from all its nodes in one batch
         (semantically one node at a time in batch order, with a
         single ``release_epoch`` bump — the epoch is only ever compared
@@ -442,6 +464,8 @@ class ClusterState:
         identical).  Booked float columns are re-summed from the
         remaining residents in insertion order (float subtraction does
         not invert addition); a node left empty resets to exact zeros.
+        Returns the job's co-runners: the jobs it leaves behind on the
+        nodes it shared, read from the resident-mix transitions.
 
         Every per-node update is a fancy-indexed column op (the
         free-core index included, as in :meth:`place_slices`); only
@@ -501,7 +525,8 @@ class ClusterState:
         # share of a nonzero net booking).
         fabric_active = self._fabric is not None
         has_cross = fabric_active and float(sc.cross[arr[0], p0]) != 0.0
-        self.counters["mix_transitions"] += self.mixes.drop(arr, job_id)
+        moves, corunners = self.mixes.drop(arr, job_id)
+        self.counters["mix_transitions"] += moves
         cols.free_cores[arr] += procs_arr
         cols.n_res[arr] -= 1
         if partitioned:
@@ -615,6 +640,7 @@ class ClusterState:
                 self._refresh_links(np.unique(self._rack_of[arr]))
         self._move(arr, old_free, old_free + procs_arr)
         self.release_epoch += 1
+        return corunners
 
     # -- fabric link accounting (DESIGN.md §13) ---------------------------------
 
@@ -1215,21 +1241,4 @@ class ClusterState:
         if not arr.size:
             return set()
         rows = self.scols.job[arr]
-        return set(rows[rows >= 0].tolist())
-
-    def shared_resident_jobs(self, node_ids: Sequence[int]) -> Set[int]:
-        """Job ids resident on those of the given nodes that host **more
-        than one** resident.  The resident-count column prunes the scan,
-        so a fully exclusive placement gathers zero slice rows.
-
-        This is the co-runner discovery set of the runtime's start,
-        finish and evict paths: a node with a single resident has nobody
-        whose speed the triggering job's own event could change (the
-        sole resident *is* the triggering job on every call site).
-        """
-        arr = _id_array(node_ids)
-        multi = arr[self.columns.n_res[arr] > 1]
-        if not multi.size:
-            return set()
-        rows = self.scols.job[multi]
         return set(rows[rows >= 0].tolist())

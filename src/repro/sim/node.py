@@ -32,7 +32,7 @@ and ``x + 0.0`` is a bitwise no-op for the non-negative bookings).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -86,6 +86,13 @@ class NodeColumns:
         return len(self.free_cores)
 
 
+#: Resident slots a slice plane starts with.  Nodes rarely host more
+#: than a few jobs at once (at most 4 on the Trinity-like SNS replays,
+#: 1 under CE), so the plane starts narrow and :meth:`SliceColumns.grow`
+#: widens it the first time some node needs another slot.
+INITIAL_SLOTS = 2
+
+
 class SliceColumns:
     """Struct-of-arrays per-slice state for a pool of nodes.
 
@@ -94,6 +101,12 @@ class SliceColumns:
     ``n_res``, a removal compacts the survivors left — so slot order is
     resident insertion order, which is the order every order-sensitive
     consumer (resident mixes, booked-float re-sums) observes.
+
+    The plane is sized by occupancy, not by core count: it starts with
+    :data:`INITIAL_SLOTS` resident slots and doubles whenever a
+    placement lands on a node whose slots are all taken, so every
+    whole-row gather (duplicate check, removal shift, re-sum) reads as
+    many columns as the busiest node has ever needed.
 
     Empty slots hold the sentinel ``-1`` in ``job`` and exact zeros in
     every other column, which makes left-to-right column adds over a
@@ -129,9 +142,13 @@ class SliceColumns:
         self.meta: Dict[int, Tuple[ProgramSpec, int, int, int, float]] = {}
 
     def grow(self) -> None:
-        """Double the resident-slot capacity (defensive: a node hosts at
-        most ``cores`` slices, since ``place_slices`` requires every
-        slice to pin at least one process)."""
+        """Double the resident-slot capacity.  ``place_slices`` calls it
+        when some node of a batch already fills every slot; one doubling
+        always suffices, because a batch adds one slice per node.  The
+        arrays are replaced on this object, so every holder of the
+        :class:`SliceColumns` (the cluster, its node views) sees the
+        wider plane.  A node hosts at most ``cores`` slices (each slice
+        pins at least one process), which bounds the growth."""
         n = self.job.shape[0]
         new = self.slots * 2
         for name, fill in (("job", -1), ("procs", 0), ("ways", 0),
@@ -258,9 +275,12 @@ class MixTable:
             self.mix[arr] = np.array(ids, dtype=np.int32)[inv]
         return len(ids)
 
-    def add(self, arr: np.ndarray, job_id: int, procs: np.ndarray) -> int:
+    def add(self, arr: np.ndarray, job_id: int,
+            procs: np.ndarray) -> Tuple[int, Set[int]]:
         """Append ``job_id`` with ``procs[i]`` processes to the mix of
-        node ``arr[i]``; returns the number of distinct transitions."""
+        node ``arr[i]``.  Returns the number of distinct transitions and
+        the job's co-runners: the jobs of the non-empty prior mixes,
+        which are exactly the residents of the nodes it now shares."""
         stride = self.stride
         if len(arr) <= _SHORT:
             codes = [m * stride + p for m, p in
@@ -270,22 +290,50 @@ class MixTable:
         codes, counts, _, inv = distinct(codes)
         keys = self.keys
         olds, news = [], []
+        corunners: Set[int] = set()
         for c in codes:
             m, p = divmod(c, stride)
             olds.append(m)
-            news.append(keys[m] + ((job_id, p),))
-        return self._move(arr, olds, counts, news, inv)
+            key = keys[m]
+            news.append(key + ((job_id, p),))
+            if key:
+                corunners.update([j for j, _ in key])
+        return self._move(arr, olds, counts, news, inv), corunners
 
-    def drop(self, arr: np.ndarray, job_id: int) -> int:
-        """Remove ``job_id`` from the mix of every node in ``arr``;
-        returns the number of distinct transitions."""
+    def drop(self, arr: np.ndarray,
+             job_id: int) -> Tuple[int, Set[int]]:
+        """Remove ``job_id`` from the mix of every node in ``arr``.
+        Returns the number of distinct transitions and the job's
+        co-runners: the jobs of the prior mixes it shared, minus itself
+        (so the jobs of the non-empty new mixes)."""
         olds, counts, _, inv = distinct(self.mix[arr], len(self.keys))
+        keys = self.keys
         news = []
-        for m in olds:
-            key = self.keys[m]
+        shared = []
+        for k, m in enumerate(olds):
+            key = keys[m]
+            if len(key) > 1:
+                shared.append(k)
             i = [item[0] for item in key].index(job_id)
             news.append(key[:i] + key[i + 1:])
-        return self._move(arr, olds, counts, news, inv)
+        corunners: Set[int] = set()
+        if shared:
+            if len(shared) > 1 and not isinstance(inv, list):
+                # Long inputs list their mixes by id; visit the shared
+                # ones in node order instead (see below).
+                first = np.unique(inv, return_index=True)[1]
+                shared.sort(key=first.item)
+            # The set is filled with the shared nodes' residents in node
+            # order, the moving job included and then discarded: the
+            # insertion sequence of a row-by-row column scan.  A set of
+            # ints iterates in an order that depends on that sequence,
+            # and the runtime's finish pushes follow it (DESIGN.md §7).
+            seq: List[int] = []
+            for k in shared:
+                seq.extend([j for j, _ in keys[olds[k]]])
+            corunners = set(seq)
+            corunners.discard(job_id)
+        return self._move(arr, olds, counts, news, inv), corunners
 
 
 class NodeState:
@@ -323,7 +371,7 @@ class NodeState:
             columns = NodeColumns(1, spec)
             slot = 0
         if scols is None:
-            scols = SliceColumns(len(columns), spec.cores)
+            scols = SliceColumns(len(columns), INITIAL_SLOTS)
         self.columns = columns
         self.scols = scols
         self._slot = node_id if slot is None else slot

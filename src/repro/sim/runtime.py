@@ -8,7 +8,8 @@ then re-integrates the progress of every job whose node conditions
 changed:
 
 1. apply the placement / removal, collecting the jobs that share a
-   touched node;
+   touched node (the co-runner sets ``place_slices`` / ``remove_slices``
+   read from the resident-mix transitions);
 2. re-solve bandwidth arbitration on every node any affected job touches;
 3. settle each affected job's progress at its old speed up to *now*,
    then recompute speeds and re-schedule finish events (lazy
@@ -463,7 +464,8 @@ class SchedulerCore:
         if now > self.config.max_sim_time:
             raise SimulationError("simulation exceeded max_sim_time")
         affected: Set[int] = set()
-        touched: Set[int] = set()
+        # Nodes whose conditions changed: only telemetry reads them.
+        touched = set() if self.telemetry is not None else None
         kind = event.kind
         if kind is EventKind.JOB_SUBMIT:
             job = self.jobs[event.job_id]
@@ -569,11 +571,12 @@ class SchedulerCore:
 
     # ----------------------------------------------------------- internals
 
-    def _finish_job(self, job: Job, now: float,
-                    affected: Set[int], touched: Set[int]) -> None:
+    def _finish_job(self, job: Job, now: float, affected: Set[int],
+                    touched: Optional[Set[int]]) -> None:
         """Settle and complete one job; the settle and speed refresh of
         its co-residents is deferred to the event's refresh (they are
-        accumulated into ``affected``/``touched``)."""
+        accumulated into ``affected``, its nodes into ``touched`` when
+        telemetry records them)."""
         if job.state is not JobState.RUNNING:
             raise SimulationError(f"finish event for non-running job {job.job_id}")
         # Out of the table, the Job's own scalar settle applies.
@@ -586,12 +589,8 @@ class SchedulerCore:
             )
         placement = job.placement
         assert placement is not None
-        # The job is the sole resident of any node it occupies alone —
-        # only *shared* nodes can hold co-runners whose speed changes (a
-        # columns-driven prune).
-        residents = self.cluster.shared_resident_jobs(placement.nodes)
-        residents.discard(job.job_id)
-        self.cluster.remove_slices(placement.nodes, job.job_id)
+        # Only the jobs left on the nodes it shared change speed.
+        residents = self.cluster.remove_slices(placement.nodes, job.job_id)
         job.complete(now)
         # The job is terminal: its finish-event version entry can never
         # be consulted again (any heap leftovers read as stale against a
@@ -604,7 +603,8 @@ class SchedulerCore:
         self._running -= 1
         self._terminal += 1
         self._turnaround_sum += job.turnaround_time
-        touched.update(placement.nodes.tolist())
+        if touched is not None:
+            touched.update(placement.nodes.tolist())
         affected.update(residents)
         affected.discard(job.job_id)
         # Completion hook: lets policies piggyback profiling on finished
@@ -613,8 +613,8 @@ class SchedulerCore:
 
     # ------------------------------------------------------- fault handling
 
-    def _handle_node_fail(self, node_id: int, now: float,
-                          affected: Set[int], touched: Set[int]) -> None:
+    def _handle_node_fail(self, node_id: int, now: float, affected: Set[int],
+                          touched: Optional[Set[int]]) -> None:
         """A node dies: every resident job loses its run (all slices on
         all its nodes are evicted and the attempt's work becomes
         badput), then the node leaves the free-core index."""
@@ -627,17 +627,17 @@ class SchedulerCore:
             self._evict_job(self.jobs[jid], node_id, now,
                             affected, touched)
         cluster.fail_node(node_id)
-        touched.add(node_id)
+        if touched is not None:
+            touched.add(node_id)
 
     def _evict_job(self, job: Job, failed_node: int, now: float,
-                   affected: Set[int], touched: Set[int]) -> None:
+                   affected: Set[int], touched: Optional[Set[int]]) -> None:
         """Settle, tear down, and requeue (or fail) one running job hit
         by the failure of ``failed_node``."""
         placement = job.placement
         assert placement is not None
         # Co-runners only share nodes with it (see _finish_job).
-        residents = self.cluster.shared_resident_jobs(placement.nodes)
-        self.cluster.remove_slices(placement.nodes, job.job_id)
+        residents = self.cluster.remove_slices(placement.nodes, job.job_id)
         self.events.cancel_finish(job.job_id)
         tracer = self.tracer
         lost_before = job.lost_node_seconds if tracer is not None else 0.0
@@ -649,8 +649,8 @@ class SchedulerCore:
         self._running -= 1
         self._counters["job_evictions"] += 1
         self.policy.on_job_evict(job, now)
-        touched.update(placement.nodes.tolist())
-        residents.discard(job.job_id)
+        if touched is not None:
+            touched.update(placement.nodes.tolist())
         affected.update(residents)
         affected.discard(job.job_id)
         if job.retries <= self._retry.max_retries:
@@ -741,10 +741,13 @@ class SchedulerCore:
         if self.tracer is not None:
             self.tracer.links(now, tor_util.tolist(), spine_util)
 
-    def _scheduling_point(self, now: float,
-                          affected: Set[int], touched: Set[int]) -> None:
+    def _scheduling_point(self, now: float, affected: Set[int],
+                          touched: Optional[Set[int]]) -> None:
         if not self.pending:
             return
+        cluster = self.cluster
+        # Only this point's placements count as its installs.
+        cluster.take_corunners()
         tracer = self.tracer
         trace_sched = tracer is not None \
             and tracer.level >= TraceLevel.EVENTS
@@ -752,7 +755,7 @@ class SchedulerCore:
             pending_before = len(self.pending)
             counters = self.policy.counters
             tried_before = counters.get("try_place_calls", 0)
-        decisions = self.policy.schedule_point(self.cluster, self.pending, now)
+        decisions = self.policy.schedule_point(cluster, self.pending, now)
         if trace_sched:
             tracer.sched(
                 now, pending_before, len(decisions),
@@ -763,15 +766,14 @@ class SchedulerCore:
         placed_ids = {d.job.job_id for d in decisions}
         if len(placed_ids) != len(decisions):
             raise SimulationError("policy placed the same job twice")
-        new_nodes: Set[int] = set()
-        for d in decisions:
-            new_nodes.update(d.placement.nodes.tolist())
         # Co-runners on the new nodes change speed: the event's refresh
         # settles them at `now` (allocations do not advance time) before
         # it re-times them.  Residents not yet started are the decisions
         # below, which join the refresh anyway.
-        affected.update(self.cluster.shared_resident_jobs(new_nodes))
-        touched.update(new_nodes)
+        affected.update(cluster.take_corunners())
+        if touched is not None:
+            for d in decisions:
+                touched.update(d.placement.nodes.tolist())
         if tracer is not None:
             # The policy installed every decision's slices before this
             # loop, so partner sets would otherwise see jobs whose start
@@ -793,7 +795,7 @@ class SchedulerCore:
                 xfrac = self._fabric_note_start(job, d.placement)
             if tracer is not None:
                 unstarted.discard(job.job_id)
-                partners = self.cluster.resident_jobs_on(
+                partners = cluster.resident_jobs_on(
                     d.placement.nodes
                 )
                 partners.discard(job.job_id)
@@ -808,8 +810,8 @@ class SchedulerCore:
                 f"jobs {[j.job_id for j in self.pending.head(5)]}"
             )
 
-    def _refresh(self, job_ids: Set[int], touched_nodes: Set[int],
-                 now: float) -> None:
+    def _refresh(self, job_ids: Set[int],
+                 touched_nodes: Optional[Set[int]], now: float) -> None:
         """Recompute speeds and finish events for the given jobs, and
         record telemetry for every node whose conditions changed.
 

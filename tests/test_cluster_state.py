@@ -3,9 +3,14 @@
 import pytest
 
 from repro.apps.catalog import get_program
+from repro.config import SimConfig, TraceConfig
 from repro.errors import AllocationError
 from repro.hardware.topology import ClusterSpec
+from repro.obs import trace_lines
 from repro.sim.cluster import ClusterState
+from repro.sim.job import Job
+from repro.sim.node import INITIAL_SLOTS
+from repro.sim.runtime import Simulation
 
 EP = get_program("EP")
 
@@ -100,8 +105,110 @@ class TestResidentQueries:
         assert cluster.resident_jobs_on([1]) == {1, 2}
         assert cluster.resident_jobs_on([0, 1, 2]) == {1, 2}
 
+    @staticmethod
+    def _scanned(cluster, nodes, job_id):
+        """The co-runners of ``job_id`` as a row-by-row column scan of
+        its shared nodes builds them, insertion sequence included."""
+        rows = [cluster.node(n).resident_job_ids for n in nodes]
+        found = set(j for row in rows if len(row) > 1 for j in row)
+        found.discard(job_id)
+        return found
+
+    def test_corunners_of_place_and_remove(self, cluster):
+        assert cluster.place_slices([0, 1], 1, EP, [4, 4], 2, 0.0, 2) \
+            == set()
+        assert cluster.place_slices([1, 2], 2, EP, [4, 4], 2, 0.0, 2) \
+            == {1}
+        assert cluster.place_slices([0, 1, 3], 3, EP, [4, 4, 4], 2, 0.0,
+                                    3) == {1, 2}
+        assert cluster.take_corunners() == {1, 2}
+        assert cluster.take_corunners() == set()
+        assert cluster.remove_slices([1, 2], 2) == {1, 3}
+        assert cluster.remove_slices([0, 1, 3], 3) == {1}
+        assert cluster.remove_slices([0, 1], 1) == set()
+        cluster.verify_columns()
+
+    def test_wide_removal_keeps_scan_order(self):
+        """A removal over more nodes than the short path groups lists
+        its prior mixes by id; the co-runner set must still be filled in
+        node order, since a set's iteration order depends on it."""
+        wide = ClusterState(ClusterSpec(num_nodes=64), partitioned=False)
+        # Job 1's mix is interned before job 2's, but job 2 sits on the
+        # lower node; ids 1 and 9 collide in a small set's table.
+        wide.place_slices([50], 1, EP, [4], 0, 0.0, 1)
+        wide.place_slices([10], 2, EP, [4], 0, 0.0, 1)
+        nodes = list(range(64))
+        wide.place_slices(nodes, 9, EP, [4] * 64, 0, 0.0, 64)
+        expect = self._scanned(wide, nodes, 9)
+        got = wide.remove_slices(nodes, 9)
+        assert got == expect == {1, 2}
+        assert list(got) == list(expect)
+        wide.verify_columns()
+
     def test_partitioned_flag_propagates(self):
         shared = ClusterState(ClusterSpec(num_nodes=2), partitioned=False)
         assert all(not n.partitioned for n in shared.nodes)
         parted = ClusterState(ClusterSpec(num_nodes=2), partitioned=True)
         assert all(n.partitioned for n in parted.nodes)
+
+
+class TestSlicePlaneGrowth:
+    """The slice plane starts at ``INITIAL_SLOTS`` resident slots and
+    doubles when a node needs more.  Growth must be invisible: a run
+    that stacks more slices on a node than the initial capacity, with
+    removals in between, keeps every column contract after every
+    operation and produces the results and full-level trace of a run
+    whose plane starts at ``cores`` slots."""
+
+    #: One-process jobs, arriving faster than they finish, so CS stacks
+    #: them on the one node while earlier ones leave.
+    JOBS = 16
+
+    def _run(self):
+        jobs = [
+            Job(job_id=i, program=EP, procs=1, submit_time=400.0 * i,
+                work_multiplier=(0.5, 1.5, 0.8)[i % 3])
+            for i in range(self.JOBS)
+        ]
+        sim = Simulation.from_policy_name(
+            "CS", ClusterSpec(num_nodes=1), jobs,
+            sim_config=SimConfig(trace=TraceConfig(level="full")),
+        )
+        cluster = sim.cluster
+        ops = []
+
+        def checked(name):
+            original = getattr(cluster, name)
+
+            def wrapped(nodes, job_id, *args, **kwargs):
+                out = original(nodes, job_id, *args, **kwargs)
+                cluster.verify_columns()
+                cluster.verify_index()
+                ops.append((name, int(cluster.columns.n_res.max())))
+                return out
+            setattr(cluster, name, wrapped)
+
+        checked("place_slices")
+        checked("remove_slices")
+        result = sim.run()
+        times = [(j.job_id, j.start_time, j.finish_time) for j in result.jobs]
+        return times, list(trace_lines(result.trace.events)), ops, cluster
+
+    def test_growth_matches_core_wide_plane(self, monkeypatch):
+        times, trace, ops, cluster = self._run()
+        # The premise: some node outgrew the initial slots, and places
+        # and removals interleave.
+        assert max(top for _, top in ops) > INITIAL_SLOTS
+        assert cluster.scols.slots > INITIAL_SLOTS
+        names = [name for name, _ in ops]
+        first_remove = names.index("remove_slices")
+        assert "place_slices" in names[first_remove:]
+        assert len(set(names)) == 2
+
+        cores = cluster.spec.node.cores
+        monkeypatch.setattr("repro.sim.cluster.INITIAL_SLOTS", cores)
+        wide_times, wide_trace, wide_ops, wide = self._run()
+        assert wide.scols.slots == cores
+        assert wide_ops == ops
+        assert wide_times == times
+        assert wide_trace == trace

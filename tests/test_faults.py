@@ -155,13 +155,13 @@ class TestClusterAvailability:
         assert 3 not in cluster.first_idle(7)
         cluster.verify_index()
 
-    def test_fail_bumps_availability_not_release(self, testbed):
+    def test_fail_keeps_release_epoch(self, testbed):
         cluster = ClusterState(testbed)
         release = cluster.release_epoch
         cluster.fail_node(0)
         assert cluster.release_epoch == release
 
-    def test_recover_bumps_both_versions(self, testbed):
+    def test_recover_bumps_release_epoch(self, testbed):
         cluster = ClusterState(testbed)
         cluster.fail_node(0)
         release = cluster.release_epoch

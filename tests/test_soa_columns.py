@@ -15,6 +15,11 @@ Placements follow the simulator's uniformity invariant — one job books
 identical procs/ways/bandwidth/network on every node of its placement,
 exactly like ``place_slices`` callers do.
 
+Every placement and removal also returns the moving job's co-runners,
+read from the resident-mix transitions; each set must equal a column
+scan of the residents of the placement's shared nodes (the ones hosting
+more than one job) minus the moving job.
+
 The same sequences also drive the interned resident-mix table: every
 node's mix must decode to its slice-column ``(job, procs)`` row, the
 refcounts must equal node counts with no freed id reachable (both
@@ -66,6 +71,9 @@ class _Driver:
         self.spec = self.cluster.spec.node
         self.placements: dict = {}  # job_id -> node_ids
         self.next_job = 0
+        #: Union of the placements' co-runner sets since the cluster's
+        #: take_corunners() last ran.
+        self.placed_corunners: set = set()
 
     # -- legality queries ------------------------------------------------
 
@@ -92,6 +100,18 @@ class _Driver:
             if not cluster.is_down(nid)
             and cluster.nodes[nid].is_idle
         ]
+
+    def shared_residents(self, node_ids, job_id: int) -> set:
+        """Column-scan reference of a move's co-runners: the residents
+        of those of ``node_ids`` hosting more than one job, minus the
+        moving job."""
+        out = set()
+        for nid in node_ids:
+            residents = self.cluster.nodes[nid].resident_job_ids
+            if len(residents) > 1:
+                out.update(residents)
+        out.discard(job_id)
+        return out
 
     # -- operations ------------------------------------------------------
 
@@ -121,11 +141,13 @@ class _Driver:
             if self.programs else object()
         job_id = self.next_job
         self.next_job += 1
-        self.cluster.place_slices(
+        corunners = self.cluster.place_slices(
             node_ids, job_id, program,
             [procs] * len(node_ids),
             ways, bw, len(node_ids), net=net,
         )
+        assert corunners == self.shared_residents(node_ids, job_id)
+        self.placed_corunners |= corunners
         self.placements[job_id] = tuple(node_ids)
 
     def remove(self, data) -> None:
@@ -135,7 +157,8 @@ class _Driver:
             st.sampled_from(sorted(self.placements)), label="victim"
         )
         node_ids = self.placements.pop(job_id)
-        self.cluster.remove_slices(node_ids, job_id)
+        expect = self.shared_residents(node_ids, job_id)
+        assert self.cluster.remove_slices(node_ids, job_id) == expect
 
     def fail(self, data) -> None:
         idle = self.idle_up_nodes()
@@ -175,6 +198,8 @@ def test_columns_match_recomputed_state(partitioned, enforce_bw, data):
         # The contract holds after EVERY operation, not just at rest.
         driver.cluster.verify_columns()
         driver.cluster.verify_index()
+    assert driver.cluster.take_corunners() == driver.placed_corunners
+    assert driver.cluster.take_corunners() == set()
     # Drain everything: emptied slots must reset to exact zeros and
     # pristine epsilon complements.
     for job_id, node_ids in sorted(driver.placements.items()):
