@@ -70,9 +70,9 @@ def roofline_rate(program: ProgramSpec, procs: int, cap: float,
                   granted_gbps: float, n_nodes: int) -> float:
     """:func:`process_rate` from plain numbers: ``procs`` processes
     with ``cap`` MB of LLC each sharing ``granted_gbps``.  The running-
-    job table's row rebuild calls it per condition key; building and
-    validating a :class:`NodeConditions` there would cost more than the
-    rate itself."""
+    job table's row rebuild calls it once per (resident mix, job) pair;
+    building and validating a :class:`NodeConditions` there would cost
+    more than the rate itself."""
     r_cpu = program.cpu_rate(cap, n_nodes)
     bpi = program.bytes_per_instr(cap, n_nodes)
     if bpi <= 0:
@@ -91,6 +91,15 @@ def scale_factor_of(n_nodes: int, procs: int, spec: NodeSpec) -> float:
             f"{procs} processes cannot fit on {n_nodes} nodes"
         )
     return n_nodes / base
+
+
+def check_span(program: ProgramSpec, n_nodes: int) -> None:
+    """Raise unless ``program`` may span ``n_nodes`` nodes."""
+    if program.max_nodes is not None and n_nodes > program.max_nodes:
+        raise HardwareModelError(
+            f"{program.name} cannot span {n_nodes} nodes "
+            f"(max {program.max_nodes})"
+        )
 
 
 def job_time(
@@ -115,11 +124,7 @@ def job_time(
     n_nodes = len(per_node)
     if sum(c.procs for c in per_node) != procs:
         raise HardwareModelError("per-node process counts do not sum to procs")
-    if program.max_nodes is not None and n_nodes > program.max_nodes:
-        raise HardwareModelError(
-            f"{program.name} cannot span {n_nodes} nodes "
-            f"(max {program.max_nodes})"
-        )
+    check_span(program, n_nodes)
     instr = program.instr_per_proc(procs)
     # Wide jobs usually see only a handful of distinct per-node
     # conditions (a 512-node job typically has <= 2, like

@@ -1070,13 +1070,16 @@ class ClusterState:
         exact zeros, the per-job meta refcounts match the installed
         slice counts, and the mix table (each node's mix decodes to its
         ``(job, procs)`` row; refcounts equal node counts; freed ids are
-        unreachable).  Test / defensive-assertion hook, like
+        unreachable and carry no rates; a live mix has one rate slot per
+        resident; ``held`` maps exactly the resident jobs, each to the
+        count of its nodes per mix).  Test / defensive-assertion hook, like
         :meth:`verify_index`."""
         cols = self.columns
         sc = self.scols
         spec = self.spec.node
         mixes = self.mixes
         refcounts: Dict[int, int] = {}
+        held: Dict[int, Dict[int, int]] = {}
         for node in self.nodes:
             nid = node.node_id
             jrow = sc.job[nid].tolist()
@@ -1105,6 +1108,9 @@ class ClusterState:
                         f"node {nid}: job {jid} booking differs from meta"
                     )
                 refcounts[jid] = refcounts.get(jid, 0) + 1
+                counts = held.setdefault(jid, {})
+                mid = int(mixes.mix[nid])
+                counts[mid] = counts.get(mid, 0) + 1
             if len(set(jrow[:m])) != m:
                 raise SimulationError(
                     f"node {nid}: duplicate resident job: {jrow[:m]}"
@@ -1197,15 +1203,28 @@ class ClusterState:
         free = set(mixes.free)
         for m, key in enumerate(mixes.keys):
             live = key is not None and mixes.ids.get(key) == m
+            rates = mixes.rates[m]
             if live == (m in free) or (not live and (
-                    nodes[m] or mixes.refs[m] or mixes.views[m] is not None)):
+                    nodes[m] or mixes.refs[m] or mixes.views[m] is not None
+                    or rates is not None)):
                 raise SimulationError(f"mix {m}: freed id still reachable")
             if live and (mixes.refs[m] != nodes[m] or (m and not nodes[m])):
                 raise SimulationError(
                     f"mix {m}: refcount {mixes.refs[m]} != {nodes[m]} nodes"
                 )
+            if live and (rates is None or len(rates) != len(key)):
+                raise SimulationError(
+                    f"mix {m}: rates {rates} do not match its "
+                    f"{len(key)} residents"
+                )
         if len(mixes.ids) + len(mixes.free) != len(mixes.keys):
             raise SimulationError("mix table index out of sync")
+        for jid in sorted(mixes.held.keys() | held.keys()):
+            if mixes.held.get(jid) != held.get(jid):
+                raise SimulationError(
+                    f"job {jid}: held mixes {mixes.held.get(jid)} != "
+                    f"{held.get(jid)} counted over its nodes"
+                )
 
     def gauge_columns(self) -> np.ndarray:
         """Live per-node gauge matrix: rows are

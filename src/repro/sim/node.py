@@ -218,9 +218,23 @@ class MixTable:
     Id 0 is the permanent empty mix.  Other entries are refcounted by
     node count and freed at zero, their ids recycled, so the table never
     outgrows the live mix population.
+
+    Two per-mix stores serve the running-job table's row rebuild
+    (DESIGN.md §7), so it reads mixes and never nodes:
+
+    - ``held[job_id]`` maps each mix id holding the job to its node
+      count — the job's placement reduced to its distinct mixes, kept
+      by the transitions of :meth:`add` / :meth:`drop`;
+    - ``rates[m]`` is a list parallel to ``keys[m]``: each resident's
+      per-process instruction rate under the mix's view, filled lazily
+      by the rebuild.  A key fixes its residents and their procs, and a
+      view never changes while its mix lives, so a rate is valid until
+      the id is freed; the list is reset whenever an id is interned or
+      freed (``None`` on a freed id).
     """
 
-    __slots__ = ("mix", "stride", "keys", "ids", "refs", "views", "free")
+    __slots__ = ("mix", "stride", "keys", "ids", "refs", "views", "rates",
+                 "held", "free")
 
     def __init__(self, n: int, cores: int) -> None:
         self.mix = np.zeros(n, dtype=np.int32)
@@ -231,6 +245,8 @@ class MixTable:
         self.ids: Dict[tuple, int] = {(): 0}
         self.refs: List[int] = [n]
         self.views: List[Optional[tuple]] = [((), (), 0.0, ())]
+        self.rates: List[Optional[list]] = [[]]
+        self.held: Dict[int, Dict[int, int]] = {}
         self.free: List[int] = []
 
     def intern(self, key: tuple, count: int) -> int:
@@ -243,11 +259,13 @@ class MixTable:
             m = self.free.pop()
             self.keys[m] = key
             self.refs[m] = count
+            self.rates[m] = [None] * len(key)
         else:
             m = len(self.keys)
             self.keys.append(key)
             self.refs.append(count)
             self.views.append(None)
+            self.rates.append([None] * len(key))
         self.ids[key] = m
         return m
 
@@ -258,15 +276,32 @@ class MixTable:
             del self.ids[self.keys[m]]
             self.keys[m] = None
             self.views[m] = None
+            self.rates[m] = None
             self.free.append(m)
 
     def _move(self, arr: np.ndarray, olds: List[int], counts: List[int],
-              news: List[tuple], inv) -> int:
+              news: List[tuple], inv, job_id: int, adding: bool) -> int:
         # Intern before releasing, so no refcount dips to zero while a
         # node of the batch still holds the id.
         ids = [self.intern(k, c) for k, c in zip(news, counts)]
         for m, c in zip(olds, counts):
             self.release(m, c)
+        # Each transition moves ``c`` nodes of every resident of the new
+        # key from the old id to the new one; the moving job only gains
+        # (add) or loses (drop).  Two old mixes of a drop may collapse
+        # into one new id, which then gains from both.
+        held = self.held
+        mover = held.setdefault(job_id, {})
+        for old, new, key, c in zip(olds, ids, news, counts):
+            for j, _ in key:
+                h = held[j]
+                if j != job_id:
+                    _take(h, old, c)
+                h[new] = h.get(new, 0) + c
+            if not adding:
+                _take(mover, old, c)
+        if not mover:
+            del held[job_id]
         if inv is None:
             self.mix[arr] = ids[0]
         elif isinstance(inv, list):
@@ -298,7 +333,8 @@ class MixTable:
             news.append(key + ((job_id, p),))
             if key:
                 corunners.update([j for j, _ in key])
-        return self._move(arr, olds, counts, news, inv), corunners
+        return self._move(arr, olds, counts, news, inv, job_id,
+                          True), corunners
 
     def drop(self, arr: np.ndarray,
              job_id: int) -> Tuple[int, Set[int]]:
@@ -333,7 +369,17 @@ class MixTable:
                 seq.extend([j for j, _ in keys[olds[k]]])
             corunners = set(seq)
             corunners.discard(job_id)
-        return self._move(arr, olds, counts, news, inv), corunners
+        return self._move(arr, olds, counts, news, inv, job_id,
+                          False), corunners
+
+
+def _take(counts: Dict[int, int], m: int, c: int) -> None:
+    """Lower ``counts[m]`` by ``c``, deleting the entry at zero."""
+    left = counts[m] - c
+    if left:
+        counts[m] = left
+    else:
+        del counts[m]
 
 
 class NodeState:

@@ -13,8 +13,12 @@ Columns (DESIGN.md §7):
 - ``T_REF``: the job's CE reference time (``speed = t_ref / t_now``);
 - ``COMPUTE``, ``COMM_BASE``, ``NODE_CONG``: the parts of
   :func:`~repro.perfmodel.execution.job_time` that depend only on the
-  job's condition keys (:func:`time_parts`), rebuilt only when a node of
-  the job is touched;
+  job's node conditions, rebuilt only when a node of the job is
+  touched.  The runtime reads those conditions per resident mix, never
+  per node: the slowest of the job's per-mix process rates (each
+  computed once per mix lifetime, ``MixTable.rates``) feeds
+  :func:`time_parts`, and ``NODE_CONG`` is the largest net load of the
+  job's mixes;
 - ``ROUTE``: the load of the most loaded fabric link on the job's route
   (``0.0`` for jobs inside one rack and on a flat fabric);
 - ``SPEED``, ``LAST``, ``REMAINING``: the progress fields.
@@ -26,40 +30,26 @@ elementwise, so a batch of rows is bit-identical to the scalar loop.
 
 from __future__ import annotations
 
-from typing import Collection, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import HardwareModelError, SimulationError
-from repro.perfmodel.execution import roofline_rate, scale_factor_of
+from repro.errors import SimulationError
+from repro.perfmodel.execution import scale_factor_of
 
 T_REF, COMPUTE, COMM_BASE, NODE_CONG, ROUTE, SPEED, LAST, REMAINING = range(8)
 
 
 def time_parts(spec, program, procs: int, n_nodes: int, t_ref: float,
-               keys: Collection[tuple]) -> Tuple[float, float, float]:
-    """``(compute, comm_base, node_cong)`` of a running job from its
-    distinct condition keys ``(procs, effective ways, granted GB/s, net
-    load)``.  ``job_time`` reduces the per-node list to its distinct
-    conditions before computing anything, and a key maps 1:1 onto a
-    ``NodeConditions`` value (capacity is strictly monotone in effective
-    ways at fixed procs), so min/max over the keys equal min/max over
-    ``set(per_node)``.  The per-node structural checks (procs sum,
-    non-empty placement) hold by ``Placement`` construction."""
-    if program.max_nodes is not None and n_nodes > program.max_nodes:
-        raise HardwareModelError(
-            f"{program.name} cannot span {n_nodes} nodes "
-            f"(max {program.max_nodes})"
-        )
-    ways_to_mb = spec.cache.ways_to_mb
-    slowest = min(
-        roofline_rate(program, p, ways_to_mb(eff) / p, grant, n_nodes)
-        for p, eff, grant, _net in keys
-    )
+               slowest: float) -> Tuple[float, float]:
+    """``(compute, comm_base)`` of a running job whose slowest node runs
+    each process at ``slowest`` instructions/s: the operations
+    :func:`~repro.perfmodel.execution.job_time` applies to its
+    ``process_rate`` minimum, without the span check (the caller runs
+    it before computing any rate)."""
     compute = program.instr_per_proc(procs) / slowest
     k = scale_factor_of(n_nodes, procs, spec)
-    return (compute, t_ref * program.comm.comm_fraction(k, n_nodes),
-            max(key[3] for key in keys))
+    return compute, t_ref * program.comm.comm_fraction(k, n_nodes)
 
 
 def time_now(compute: np.ndarray, comm_base: np.ndarray,

@@ -32,13 +32,18 @@ from repro.errors import SimulationError
 from repro.faults.plan import FaultPlan
 from repro.hardware.topology import ClusterSpec
 from repro.perfmodel.context import PerfContext
-from repro.perfmodel.execution import NodeConditions, job_time, reference_time
+from repro.perfmodel.execution import (
+    NodeConditions,
+    check_span,
+    job_time,
+    reference_time,
+    roofline_rate,
+)
 from repro.obs.telemetry import TelemetryRecorder
 from repro.obs.trace import TraceLevel, Tracer
 from repro.sim.cluster import ClusterState
 from repro.sim.engine import EventKind, EventQueue
 from repro.sim.job import Job, JobState, PendingQueue, Placement
-from repro.sim.node import distinct
 from repro.sim.running import COMPUTE, ROUTE, T_REF, RunningTable, time_parts
 
 
@@ -872,40 +877,66 @@ class SchedulerCore:
                 )
 
     def _rebuild_rows(self, stale: List[tuple]) -> None:
-        """Rebuild the time parts of the ``(job id, slot)`` rows.  Each
-        job's distinct condition keys ``(procs, effective ways, granted
-        GB/s, net load)`` come from one representative node per distinct
-        resident mix over its placement (a gather of the mix column),
-        and :func:`time_parts` reduces them once."""
+        """Rebuild the time parts of the ``(job id, slot)`` rows from
+        the resident mixes each job holds (``MixTable.held``), never
+        from its nodes: ``slowest`` is the least of the job's per-mix
+        process rates (``MixTable.rates``, one per mix lifetime) and
+        ``node_cong`` the largest of their net loads.  Min and max over
+        the held mixes equal min and max over the distinct per-node
+        conditions ``job_time`` reduces.  Mixes whose view is still
+        unresolved go to ``arbitration_batch`` with one carrier node
+        each, found by gathering the placement of a job holding one."""
         if not stale:
             return
-        cluster = self.cluster
-        mixes = cluster.mixes
-        groups = []
-        reps: Dict[int, int] = {}
+        mixes = self.cluster.mixes
+        held = mixes.held
+        views = mixes.views
+        seen: Set[int] = set()
+        carriers: List[int] = []
+        for jid, _ in stale:
+            unresolved = []
+            for m in held[jid]:
+                if m not in seen:
+                    seen.add(m)
+                    if views[m] is None:
+                        unresolved.append(m)
+            if unresolved:
+                nodes = self.jobs[jid].placement.nodes
+                on = mixes.mix[nodes]
+                carriers.extend([int(nodes[int((on == m).argmax())])
+                                 for m in unresolved])
+        self._counters["nodes_refreshed"] += len(seen)
+        if carriers:
+            self.cluster.arbitration_batch(carriers)
+        keys = mixes.keys
+        rates = mixes.rates
+        spec = self._spec
+        ways_to_mb = spec.cache.ways_to_mb
+        rows = self._table.rows
         for jid, slot in stale:
             job = self.jobs[jid]
-            nodes = job.placement.nodes
-            mids, _, where, _ = distinct(mixes.mix[nodes], len(mixes.keys))
-            for m, i in zip(mids, where):
-                if m not in reps:
-                    reps[m] = int(nodes[i])
-            groups.append((job, slot, mids))
-        self._counters["nodes_refreshed"] += len(reps)
-        views = cluster.arbitration_batch(list(reps.values()))
-        keys = mixes.keys
-        rows = self._table.rows
-        for job, slot, mids in groups:
-            jid = job.job_id
-            conds: Dict[tuple, None] = {}
-            for m in mids:
-                view = views[reps[m]]
+            program = job.program
+            n_nodes = job.placement.n_nodes
+            check_span(program, n_nodes)
+            slowest = cong = None
+            for m in held[jid]:
+                view = views[m]
                 i = view[0].index(jid)
-                conds[(keys[m][i][1], view[3][i], view[1][i], view[2])] = None
-            rows[slot, COMPUTE:ROUTE] = time_parts(
-                self._spec, job.program, job.procs,
-                job.placement.n_nodes, rows.item(slot, T_REF), conds,
-            )
+                rate = rates[m][i]
+                if rate is None:
+                    p = keys[m][i][1]
+                    rate = rates[m][i] = roofline_rate(
+                        program, p, ways_to_mb(view[3][i]) / p, view[1][i],
+                        n_nodes,
+                    )
+                if slowest is None or rate < slowest:
+                    slowest = rate
+                if cong is None or view[2] > cong:
+                    cong = view[2]
+            rows[slot, COMPUTE:ROUTE] = (*time_parts(
+                spec, program, job.procs, n_nodes, rows.item(slot, T_REF),
+                slowest,
+            ), cong)
 
     def _reference_times(self, jids: List[int]) -> List[float]:
         """Reference mode: each job's :func:`job_time` from scratch, over

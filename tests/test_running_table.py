@@ -25,6 +25,7 @@ from repro.perfmodel.execution import (
     scale_factor_of,
 )
 from repro.sim.job import Job, JobState, Placement
+from repro.sim.node import MixTable
 from repro.sim.runtime import SchedulerCore
 from repro.sim.running import (
     COMPUTE,
@@ -88,12 +89,15 @@ def test_time_now_matches_job_time(drawn):
         t_ref = reference_time(program, procs, SPEC)
         table.add(jid, t_ref, 1.0, 0.0)
         slot = table.slot[jid]
-        table.rows[slot, COMPUTE:ROUTE] = time_parts(
-            SPEC, program, procs, n_nodes, t_ref, dict.fromkeys(keys)
+        conds = _conditions(keys, counts)
+        slowest = min(process_rate(program, c, n_nodes) for c in conds)
+        table.rows[slot, COMPUTE:ROUTE] = (
+            *time_parts(SPEC, program, procs, n_nodes, t_ref, slowest),
+            max(c.net_load for c in conds),
         )
         table.rows[slot, ROUTE] = route
-        expected.append(job_time(program, procs, _conditions(keys, counts),
-                                 SPEC, route_load=route))
+        expected.append(job_time(program, procs, conds, SPEC,
+                                 route_load=route))
     rows = table.rows[[table.slot[j] for j in range(len(drawn))]]
     got = time_now(*rows[:, COMPUTE:ROUTE + 1].T)
     assert [x.hex() for x in got.tolist()] == [x.hex() for x in expected]
@@ -272,4 +276,38 @@ def test_slot_lifecycle_under_faults(policy):
     assert counters["job_evictions"] > 0 and counters["job_retries"] > 0
     assert any(len(j) > 1 for j in jobs_per_slot.values())
     assert not core._table.slot
+    assert _outcome(core) == _outcome(reference)
+
+
+def test_recycled_mix_ids_start_without_rates(monkeypatch):
+    """A freed mix id whose rates were filled comes back for another
+    key with no rates, and the run still equals the reference mode."""
+    rated = set()        # freed ids that held at least one rate
+    reused = []
+    release, intern = MixTable.release, MixTable.intern
+
+    def spy_release(mixes, m, count):
+        filled = any(r is not None for r in mixes.rates[m])
+        release(mixes, m, count)
+        if filled and mixes.keys[m] is None:
+            rated.add(m)
+
+    def spy_intern(mixes, key, count):
+        fresh = key not in mixes.ids
+        m = intern(mixes, key, count)
+        if fresh and m in rated:
+            rated.discard(m)
+            reused.append(m)
+            assert mixes.rates[m] == [None] * len(key)
+        return m
+
+    monkeypatch.setattr(MixTable, "release", spy_release)
+    monkeypatch.setattr(MixTable, "intern", spy_intern)
+    core = _core("SNS", caches=True)
+    while core.step():
+        pass
+    assert len(reused) > 10
+    reference = _core("SNS", caches=False)
+    while reference.step():
+        pass
     assert _outcome(core) == _outcome(reference)

@@ -12,8 +12,9 @@ and the epsilon complements to ``(peak - booked) + 1e-9``).
 Hypothesis drives the operation sequence; :meth:`ClusterState.
 verify_columns` and :meth:`ClusterState.verify_index` are the oracles.
 Placements follow the simulator's uniformity invariant — one job books
-identical procs/ways/bandwidth/network on every node of its placement,
-exactly like ``place_slices`` callers do.
+identical ways/bandwidth/network on every node of its placement,
+exactly like ``place_slices`` callers do; process counts may differ
+per node, and a removal may take a job off only some of its nodes.
 
 Every placement and removal also returns the moving job's co-runners,
 read from the resident-mix transitions; each set must equal a column
@@ -22,10 +23,11 @@ more than one job) minus the moving job.
 
 The same sequences also drive the interned resident-mix table: every
 node's mix must decode to its slice-column ``(job, procs)`` row, the
-refcounts must equal node counts with no freed id reachable (both
-checked by ``verify_columns``), and the per-mix arbitration view every
-node reads must be bit-identical to the from-scratch reference
-arbitration of that node.
+refcounts must equal node counts with no freed id reachable, each
+job's ``held`` mix counts must equal a count over its nodes, and rates
+must sit only on live ids (all checked by ``verify_columns``); and the
+per-mix arbitration view every node reads must be bit-identical to the
+from-scratch reference arbitration of that node.
 """
 
 from __future__ import annotations
@@ -141,9 +143,15 @@ class _Driver:
             if self.programs else object()
         job_id = self.next_job
         self.next_job += 1
+        # Uneven splits make one job's nodes carry different mixes, so
+        # a later removal can collapse two of them into one.
+        per_node = data.draw(
+            st.just([procs] * n)
+            | st.lists(st.integers(1, procs), min_size=n, max_size=n),
+            label="procs per node",
+        )
         corunners = self.cluster.place_slices(
-            node_ids, job_id, program,
-            [procs] * len(node_ids),
+            node_ids, job_id, program, per_node,
             ways, bw, len(node_ids), net=net,
         )
         assert corunners == self.shared_residents(node_ids, job_id)
@@ -159,6 +167,21 @@ class _Driver:
         node_ids = self.placements.pop(job_id)
         expect = self.shared_residents(node_ids, job_id)
         assert self.cluster.remove_slices(node_ids, job_id) == expect
+
+    def trim(self, data) -> None:
+        """Remove a job from some, but not all, of its nodes."""
+        wide = sorted(j for j, nodes in self.placements.items()
+                      if len(nodes) > 1)
+        if not wide:
+            return
+        job_id = data.draw(st.sampled_from(wide), label="trimmed")
+        nodes = self.placements[job_id]
+        k = data.draw(st.integers(1, len(nodes) - 1), label="trim count")
+        gone = data.draw(st.permutations(nodes).map(lambda p: p[:k]),
+                         label="trim nodes")
+        self.placements[job_id] = tuple(n for n in nodes if n not in gone)
+        expect = self.shared_residents(gone, job_id)
+        assert self.cluster.remove_slices(gone, job_id) == expect
 
     def fail(self, data) -> None:
         idle = self.idle_up_nodes()
@@ -188,7 +211,7 @@ def test_columns_match_recomputed_state(partitioned, enforce_bw, data):
     driver = _Driver(partitioned, enforce_bw)
     ops = data.draw(
         st.lists(
-            st.sampled_from(["place", "remove", "fail", "recover"]),
+            st.sampled_from(["place", "remove", "trim", "fail", "recover"]),
             min_size=1, max_size=24,
         ),
         label="ops",
@@ -232,7 +255,7 @@ def test_mix_table_matches_slices_and_reference(partitioned, enforce_bw,
     cluster = driver.cluster
     ops = data.draw(
         st.lists(
-            st.sampled_from(["place", "remove", "fail", "recover"]),
+            st.sampled_from(["place", "remove", "trim", "fail", "recover"]),
             min_size=1, max_size=24,
         ),
         label="ops",
@@ -247,3 +270,24 @@ def test_mix_table_matches_slices_and_reference(partitioned, enforce_bw,
     # Drained: only the permanent empty mix survives, on every node.
     mixes = cluster.mixes
     assert mixes.ids == {(): 0} and mixes.refs[0] == NODES
+    assert mixes.held == {}
+
+
+def test_drop_collapses_two_mixes_into_one():
+    """A leaving job with uneven procs splits its co-runner over two
+    mixes; removing it collapses both into one id, which ``held`` must
+    count once per node."""
+    cluster = ClusterState(ClusterSpec(num_nodes=4),
+                           ctx=PerfContext(enabled=True))
+    ways = cluster.spec.node.cache.min_ways
+    mg = PROGRAMS[0]
+    cluster.place_slices([0, 1], 1, mg, [3, 3], ways, 0.0, 2)
+    cluster.place_slices([0, 1], 2, mg, [4, 5], ways, 0.0, 2)
+    mixes = cluster.mixes
+    split = [mixes.ids[((1, 3), (2, p))] for p in (4, 5)]
+    assert mixes.held == {1: dict.fromkeys(split, 1),
+                          2: dict.fromkeys(split, 1)}
+    cluster.verify_columns()
+    assert cluster.remove_slices([0, 1], 2) == {1}
+    assert mixes.held == {1: {mixes.ids[((1, 3),)]: 2}}
+    cluster.verify_columns()
