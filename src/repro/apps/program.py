@@ -23,6 +23,7 @@ the node-level arbitration in :mod:`repro.perfmodel.contention`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 from repro import units
@@ -278,12 +279,16 @@ class ProgramSpec:
         job (strong scaling: total work is fixed per program input)."""
         if procs <= 0:
             raise HardwareModelError("procs must be positive")
-        return _ref_instr_per_proc_cached(self) * self.ref_procs / procs
+        return self._ref_instr_per_proc * self.ref_procs / procs
 
+    @cached_property
     def _ref_instr_per_proc(self) -> float:
         """Instructions per process of the reference 16-process run,
         back-computed so the analytic CE solo time equals
-        ``solo_time_16p`` (calibration closure)."""
+        ``solo_time_16p`` (calibration closure).  Computed once per
+        instance: the value lives in the instance ``__dict__`` (so it
+        pickles with the spec), outside the dataclass fields, eq and
+        hash."""
         # Reference conditions: ref_procs processes sharing a full
         # reference node exclusively.
         node = _REFERENCE_NODE
@@ -308,14 +313,6 @@ class ProgramSpec:
 # Deferred import-free reference node: constructing hardware lazily would
 # create an import cycle (hardware does not depend on apps, so this is the
 # one directional import allowed).
-import functools  # noqa: E402
-
 from repro.hardware.node_spec import NodeSpec as _NodeSpec  # noqa: E402
 
 _REFERENCE_NODE = _NodeSpec()
-
-
-@functools.lru_cache(maxsize=1024)
-def _ref_instr_per_proc_cached(program: ProgramSpec) -> float:
-    """Cached calibration closure (ProgramSpec is frozen/hashable)."""
-    return program._ref_instr_per_proc()

@@ -23,7 +23,8 @@ from repro.perfmodel import batch
 from repro.perfmodel.context import MAX_ENTRIES, PerfContext
 from repro.perfmodel.contention import arbitrate_node, node_network_load
 from repro.sim.node import (
-    INITIAL_SLOTS, MixTable, NodeColumns, NodeState, SliceColumns,
+    FREE_CORES, FREE_WAYS, PARTS, ROW_FIELDS, MixTable, NodeColumns,
+    NodeState, distinct,
 )
 
 #: One node's arbitration, stored positionally so every node of a mix
@@ -93,13 +94,10 @@ class ClusterState:
         # contiguous arrays directly.  There is no shadow copy to flush.
         n = self.spec.num_nodes
         self.columns = NodeColumns(n, self.spec.node)
-        # Per-slice SoA plane (job id / procs / ways / bw / net per dense
-        # resident slot), kept in lockstep with the node columns.  It
-        # starts narrow and grows with the busiest node's residency.
-        self.scols = SliceColumns(n, INITIAL_SLOTS)
-        # Interned resident mix per node (DESIGN.md §7): the per-mix
-        # arbitration views and batch transitions live here.
-        self.mixes = MixTable(n, self.spec.node.cores)
+        # Interned resident mix per node (DESIGN.md §7): the residents,
+        # the per-job bookings, and the per-mix node rows, arbitration
+        # views and batch transitions live here.
+        self.mixes = MixTable(n, self.spec.node, self.partitioned)
         self.nodes = [
             NodeState(
                 node_id=i,
@@ -108,7 +106,7 @@ class ClusterState:
                 enforce_bw=self.enforce_bw,
                 share_residual=self.share_residual,
                 columns=self.columns,
-                scols=self.scols,
+                mixes=self.mixes,
                 slot=i,
             )
             for i in range(n)
@@ -138,6 +136,11 @@ class ClusterState:
         self._view_cache = {}
         self._down = {}
         self._corunners = set()
+        #: Cross-rack link share per node of each job booking one
+        #: (``job -> {node: share}``; active fabric, multi-rack
+        #: placements with ``net != 0`` only).  Shares depend on the
+        #: rack, not the mix, so no mix row carries them.
+        self._cross: Dict[int, Dict[int, float]] = {}
         self.counters = {
             "mix_transitions": 0,
             "view_cache_hits": 0,
@@ -328,13 +331,15 @@ class ClusterState:
         resident-mix transitions — and adds them to the set
         :meth:`take_corunners` hands out.
 
-        Semantically one node at a time in batch order, but the capacity
-        columns mutate through fancy-indexed array ops, the resident mix
-        column moves through one transition per distinct (prior mix,
-        process count) pair, and the free-core index through one append
-        per destination bucket.  Validation runs *before* any mutation,
-        so a raised :class:`AllocationError` leaves the cluster
-        untouched — no caller-side rollback.
+        Semantically one node at a time in batch order, but the work is
+        per distinct (prior mix, process count) group: each group is
+        validated against its mix's node row and moves through one mix
+        transition, and the new mixes' rows are scattered into the node
+        columns with one fancy-indexed write per changed column.  The
+        free-core index moves with one append per destination bucket.
+        Validation runs *before* any mutation, so a raised
+        :class:`AllocationError` leaves the cluster untouched — no
+        caller-side rollback.
         """
         arr = np.asarray(nodes, dtype=np.int64)
         procs_arr = np.asarray(procs, dtype=np.int64)
@@ -350,44 +355,52 @@ class ClusterState:
         if len(set(arr.tolist())) != count:
             raise AllocationError("placement names a node twice")
         cols = self.columns
-        old_free_arr = cols.free_cores[arr]
+        mixes = self.mixes
         partitioned = self.partitioned
-        # Vectorized validation: the whole-batch numpy checks decide
-        # pass/fail; only a failing batch walks the nodes again to raise
-        # the first offending node's own error.
-        bad = bool(np.any(procs_arr > old_free_arr))
-        if partitioned:
-            if ways < cols.min_ways:
-                raise AllocationError(
-                    f"job {job_id} requested {ways} ways; minimum is "
-                    f"{cols.min_ways} (associativity floor)"
-                )
-            bad = bad \
-                or bool(np.any(cols.parts[arr] >= cols.max_partitions)) \
-                or bool(np.any(cols.free_ways[arr] < ways))
-        sc = self.scols
-        meta = sc.meta.get(job_id)
-        if meta is not None and (
-                meta[4] != bw or (partitioned and meta[3] != ways)):
-            # The resident mix key names jobs, not bookings: a job books
-            # the same ways and bandwidth on every node it occupies.
+        if partitioned and ways < cols.min_ways:
             raise AllocationError(
-                f"job {job_id} must book the same ways and bandwidth "
-                f"on every node"
+                f"job {job_id} requested {ways} ways; minimum is "
+                f"{cols.min_ways} (associativity floor)"
             )
-        # Duplicate-resident check, pruned to occupied nodes through the
-        # n_res column (an idle node cannot already host this job).
-        slot_pos = cols.n_res[arr]  # fancy index: an owned copy
-        top = int(slot_pos.max())
-        if top:
-            dup = (sc.job[arr, :top] == job_id).any(axis=1)
-            if bool(dup.any()):
+        meta = mixes.meta.get(job_id)
+        if meta is not None:
+            if meta[4] != bw or (partitioned and meta[3] != ways):
+                # The resident mix key names jobs, not bookings: a job
+                # books the same ways and bandwidth on every node it
+                # occupies.
                 raise AllocationError(
-                    f"job {job_id} already on node "
-                    f"{int(arr[int(np.argmax(dup))])}"
+                    f"job {job_id} must book the same ways and bandwidth "
+                    f"on every node"
                 )
+            if meta[5] != net:
+                raise AllocationError(
+                    f"job {job_id} must book the same network share on "
+                    f"every node"
+                )
+            # A node already hosts the job iff its mix is one the job
+            # holds.
+            held = mixes.held.get(job_id, {})
+            mids = mixes.mix[arr].tolist()
+            if not held.keys().isdisjoint(mids):
+                first = next(i for i, m in enumerate(mids) if m in held)
+                raise AllocationError(
+                    f"job {job_id} already on node {int(arr[first])}")
+        # More processes than cores cannot fit, nor encode as a group.
+        bad = int(procs_arr.max()) > cols.cores
+        if not bad:
+            groups = mixes.groups(arr, procs_arr)
+            row = mixes.row
+            max_parts = cols.max_partitions
+            for m, p in zip(groups[0], groups[1]):
+                r = row(m)
+                if p > r[FREE_CORES] or partitioned and (
+                        r[PARTS] >= max_parts or r[FREE_WAYS] < ways):
+                    bad = True
+                    break
         if bad:
-            old_free = old_free_arr.tolist()
+            # Only a failing batch walks the nodes, to raise the first
+            # offending node's own error.
+            old_free = cols.free_cores[arr].tolist()
             procs_list = procs_arr.tolist()
             free_ways = cols.free_ways[arr].tolist()
             parts = cols.parts[arr].tolist()
@@ -409,45 +422,51 @@ class ClusterState:
                             f"only {free_ways[i]} free"
                         )
             raise AllocationError("place_slices validation out of sync")
-        # -- slice columns: append at each node's dense free slot ----------
-        if top >= sc.slots:
-            sc.grow()
-        sc.job[arr, slot_pos] = job_id
-        sc.procs[arr, slot_pos] = procs_arr
-        if partitioned:
-            sc.ways[arr, slot_pos] = ways
-        if bw != 0.0:
-            sc.bw[arr, slot_pos] = bw
-        if net != 0.0:
-            sc.net[arr, slot_pos] = net
-        sc.meta[job_id] = (
+        mixes.meta[job_id] = (
             program, n_nodes, count if meta is None else meta[2] + count,
-            ways, bw,
+            ways, bw, net,
         )
-        # -- node columns (single fancy-indexed op per array) --------------
-        cols.free_cores[arr] -= procs_arr
-        cols.n_res[arr] += 1
-        if partitioned:
-            cols.free_ways[arr] -= ways
-            cols.parts[arr] += 1
-        # Booked totals grow by one elementwise IEEE addition (identical
-        # to extending the scalar left-to-right sum); a 0.0 booking is a
-        # bitwise no-op and skips the float work entirely.
-        if bw != 0.0:
-            cols.booked_bw[arr] += bw
-            cols.bw_eps[arr] = (cols.peak_bw - cols.booked_bw[arr]) + 1e-9
-        if net != 0.0:
-            cols.booked_net[arr] += net
-            cols.net_eps[arr] = (1.0 - cols.booked_net[arr]) + 1e-9
-            if self._fabric is not None:
-                self._book_cross(arr, slot_pos, net, count)
-        # -- resident mix: one transition per distinct (mix, procs) -------
-        moves, corunners = self.mixes.add(arr, job_id, procs_arr)
-        self.counters["mix_transitions"] += moves
+        old_free = cols.free_cores[arr]
+        ids, corunners = mixes.add(arr, job_id, groups)
+        self.counters["mix_transitions"] += len(ids)
+        self._write_rows(arr, ids, groups[3], bw, net)
+        if net != 0.0 and self._fabric is not None:
+            self._book_cross(arr, job_id, net, count)
         if corunners:
             self._corunners |= corunners
-        self._move(arr, old_free_arr, old_free_arr - procs_arr)
+        self._move(arr, old_free, old_free - procs_arr)
         return corunners
+
+    def _write_rows(self, arr: np.ndarray, ids: List[int], inv,
+                    bw: float, net: float) -> None:
+        """Scatter the node rows of the new mix ids ``ids`` (node
+        ``arr[i]`` takes ``ids[inv[i]]``, inverse as in
+        :func:`~repro.sim.node.distinct`) into the node columns.  Only
+        the columns a move can change are written: the ways columns
+        only when partitioned, the booked float columns only when the
+        moving job's booking is nonzero (a zero booking leaves every
+        left-to-right sum bitwise as it was)."""
+        cols = self.columns
+        row = self.mixes.row
+        if inv is None:
+            fc, fw, parts, n_res, b_bw, b_net, bw_eps, net_eps = row(ids[0])
+        else:
+            # Small ints are exact in float64, so one table carries all
+            # eight fields.
+            table = np.array([row(m) for m in ids], dtype=np.float64)
+            fc, fw, parts, n_res, b_bw, b_net, bw_eps, net_eps = \
+                table[inv].T
+        cols.free_cores[arr] = fc
+        cols.n_res[arr] = n_res
+        if self.partitioned:
+            cols.free_ways[arr] = fw
+            cols.parts[arr] = parts
+        if bw != 0.0:
+            cols.booked_bw[arr] = b_bw
+            cols.bw_eps[arr] = bw_eps
+        if net != 0.0:
+            cols.booked_net[arr] = b_net
+            cols.net_eps[arr] = net_eps
 
     def take_corunners(self) -> Set[int]:
         """The union of the co-runner sets of every placement since the
@@ -461,194 +480,54 @@ class ClusterState:
         (semantically one node at a time in batch order, with a
         single ``release_epoch`` bump — the epoch is only ever compared
         for equality, so batching the bumps is observationally
-        identical).  Booked float columns are re-summed from the
-        remaining residents in insertion order (float subtraction does
-        not invert addition); a node left empty resets to exact zeros.
-        Returns the job's co-runners: the jobs it leaves behind on the
-        nodes it shared, read from the resident-mix transitions.
+        identical).  Returns the job's co-runners: the jobs it leaves
+        behind on the nodes it shared, read from the resident-mix
+        transitions.
 
-        Every per-node update is a fancy-indexed column op (the
-        free-core index included, as in :meth:`place_slices`); only
-        nodes that keep residents shift their slice rows, one slice
-        copy per distinct removed position.  One job books identical
-        ways/bandwidth/network on every node of its placement
-        (``place_slices`` takes them as scalars), so one slice decides
-        the batch-wide re-sum and ways values.  ``nodes`` is an int64
-        array (:attr:`Placement.nodes`) or a sequence converted to one.
+        As in :meth:`place_slices`, the work is one mix transition per
+        distinct prior mix, and the new mixes' node rows are scattered
+        into the columns: a row's booked sums are its survivors'
+        bookings re-summed in insertion order (float subtraction does
+        not invert addition), and the empty mix's row holds exact zeros.
+        ``nodes`` is an int64 array (:attr:`Placement.nodes`) or a
+        sequence converted to one.
         """
         arr = np.asarray(nodes, dtype=np.int64)
-        count = len(arr)
         cols = self.columns
-        sc = self.scols
+        mixes = self.mixes
+        olds, counts, inv = distinct(mixes.mix[arr], len(mixes.keys))
+        held = mixes.held.get(job_id, ())
+        if any([m not in held for m in olds]):
+            # Validation precedes any mutation, so the raise leaves the
+            # cluster untouched.
+            for nid, m in zip(arr.tolist(), mixes.mix[arr].tolist()):
+                if m not in held:
+                    raise AllocationError(f"job {job_id} not on node {nid}")
+        entry = mixes.meta[job_id]
         old_free = cols.free_cores[arr]
-        partitioned = self.partitioned
-        # Nodes keeping residents (before the decrement below) need
-        # their booked sums rebuilt; emptied nodes reset to zeros.  When
-        # NO node keeps a resident (the dominant shape: a job leaving
-        # nodes it had to itself), density pins its sole slice at slot 0
-        # on every node — no mask/argmax/compaction machinery at all.
-        kept = cols.n_res[arr] > 1
-        kept_any = bool(kept.any())
-        if not kept_any:
-            jcol = sc.job[arr, 0]
-            bad = jcol != job_id
-            if bool(bad.any()):
-                # Validation precedes any mutation, so the raise leaves
-                # the cluster untouched (an idle node's slot 0 holds the
-                # -1 sentinel).
-                raise AllocationError(
-                    f"job {job_id} not on node {int(arr[int(np.argmax(bad))])}"
-                )
-            pos = None
-            procs_arr = sc.procs[arr, 0]
-            p0 = 0
-        else:
-            jrows = sc.job[arr]  # (count, slots+1) owned copies
-            mask = jrows == job_id
-            hit = mask.any(axis=1)
-            if not bool(hit.all()):
-                raise AllocationError(
-                    f"job {job_id} not on node {int(arr[int(np.argmin(hit))])}"
-                )
-            pos = mask.argmax(axis=1)
-            procs_arr = sc.procs[arr, pos]
-            p0 = int(pos[0])
-        if partitioned:
-            ways = int(sc.ways[arr[0], p0])
-        resum = float(sc.bw[arr[0], p0]) != 0.0 \
-            or float(sc.net[arr[0], p0]) != 0.0
-        # Cross bookings are uniformly zero (single-rack placement) or
-        # uniformly nonzero (every node of a multi-rack placement sends
-        # *some* traffic off-rack) across one job's slices, so one slice
-        # decides the batch-wide handling — read before compaction
-        # overwrites the slot.  has_cross implies resum (cross is a
-        # share of a nonzero net booking).
-        fabric_active = self._fabric is not None
-        has_cross = fabric_active and float(sc.cross[arr[0], p0]) != 0.0
-        moves, corunners = self.mixes.drop(arr, job_id)
-        self.counters["mix_transitions"] += moves
-        cols.free_cores[arr] += procs_arr
-        cols.n_res[arr] -= 1
-        if partitioned:
-            cols.free_ways[arr] += ways
-            cols.parts[arr] -= 1
-        # -- slice columns: compact the survivors left ---------------------
-        # An emptied node's sole slice sits at slot 0 (density), so it
-        # only needs constant fills there.  A surviving node shifts its
-        # survivors left through one fancy gather per column: column
-        # index ``j`` reads source ``j`` before the removed position and
-        # ``j + 1`` after it, with the permanently-empty pad column
-        # supplying the trailing sentinel/zero fill — dense insertion
-        # order is preserved with no argsort and no per-row Python.
-        if pos is None:
-            sc.job[arr, 0] = -1
-            sc.procs[arr, 0] = 0
-            if partitioned:
-                sc.ways[arr, 0] = 0
-            if resum:
-                sc.bw[arr, 0] = 0.0
-                sc.net[arr, 0] = 0.0
-                if has_cross:
-                    sc.cross[arr, 0] = 0.0
-        else:
-            empt_rows = arr[~kept]
-            sh_rows = arr[kept]
-            if empt_rows.size:
-                sc.job[empt_rows, 0] = -1
-                sc.procs[empt_rows, 0] = 0
-                if partitioned:
-                    sc.ways[empt_rows, 0] = 0
-                if resum:
-                    sc.bw[empt_rows, 0] = 0.0
-                    sc.net[empt_rows, 0] = 0.0
-                    if has_cross:
-                        sc.cross[empt_rows, 0] = 0.0
-            if sh_rows.size:
-                # Shift survivors left of each removed position via one
-                # contiguous slice copy per (distinct position, column):
-                # batches remove one job, whose slot index takes very few
-                # distinct values across its nodes, so this beats a
-                # full-width fancy gather.  The advanced-index read on
-                # the right copies before the write lands, and the pad
-                # column supplies the trailing sentinel/zero fill.
-                width = sc.slots
-                kpos = pos[kept]
-                for p in np.unique(kpos).tolist():
-                    rows = sh_rows[kpos == p]
-                    sc.job[rows, p:width] = sc.job[rows, p + 1:width + 1]
-                    sc.procs[rows, p:width] = \
-                        sc.procs[rows, p + 1:width + 1]
-                    if partitioned:
-                        sc.ways[rows, p:width] = \
-                            sc.ways[rows, p + 1:width + 1]
-                    sc.bw[rows, p:width] = sc.bw[rows, p + 1:width + 1]
-                    sc.net[rows, p:width] = sc.net[rows, p + 1:width + 1]
-                    if fabric_active:
-                        # Survivors to the right of the removed slot may
-                        # carry cross bookings of *other* jobs even when
-                        # the removed job itself had none, so the shift
-                        # gates on fabric presence, not has_cross.
-                        sc.cross[rows, p:width] = \
-                            sc.cross[rows, p + 1:width + 1]
-        entry = sc.meta[job_id]
+        ids, corunners = mixes.drop(arr, job_id, (olds, counts, inv))
+        self.counters["mix_transitions"] += len(ids)
+        count = len(arr)
         if entry[2] <= count:
-            del sc.meta[job_id]
+            del mixes.meta[job_id]
         else:
-            sc.meta[job_id] = entry[:2] + (entry[2] - count,) + entry[3:]
-        if resum:
-            # Dropping an exact-0.0 booking preserves every partial sum
-            # bitwise, so the columns only need re-summing when the
-            # removed slices actually booked something.
-            empt = arr if pos is None else arr[~kept]
-            if empt.size:
-                cols.booked_bw[empt] = 0.0
-                cols.bw_eps[empt] = (cols.peak_bw - 0.0) + 1e-9
-                cols.booked_net[empt] = 0.0
-                cols.net_eps[empt] = (1.0 - 0.0) + 1e-9
-                if has_cross:
-                    cols.booked_cross[empt] = 0.0
-            if kept_any and sh_rows.size:
-                # Left-to-right column adds over the compacted rows are
-                # bit-identical to a Python sum in insertion order: the
-                # slots are dense, and adding a trailing exact-0.0 pad
-                # is a bitwise no-op for the non-negative bookings.
-                sh = sh_rows
-                span = int(cols.n_res[sh].max())
-                bw_rows = sc.bw[sh, :span]
-                net_rows = sc.net[sh, :span]
-                tot_bw = bw_rows[:, 0].copy()
-                for k in range(1, span):
-                    tot_bw += bw_rows[:, k]
-                tot_net = net_rows[:, 0].copy()
-                for k in range(1, span):
-                    tot_net += net_rows[:, k]
-                cols.booked_bw[sh] = tot_bw
-                cols.bw_eps[sh] = (cols.peak_bw - cols.booked_bw[sh]) \
-                    + 1e-9
-                cols.booked_net[sh] = tot_net
-                cols.net_eps[sh] = (1.0 - cols.booked_net[sh]) + 1e-9
-                if has_cross:
-                    cross_rows = sc.cross[sh, :span]
-                    tot_cross = cross_rows[:, 0].copy()
-                    for k in range(1, span):
-                        tot_cross += cross_rows[:, k]
-                    cols.booked_cross[sh] = tot_cross
-            if has_cross:
-                # Dropping an exact-0.0 cross booking preserves the ToR
-                # partial sums bitwise, so the aggregates only need
-                # re-deriving when the removed slices crossed racks.
-                self._refresh_links(np.unique(self._rack_of[arr]))
-        self._move(arr, old_free, old_free + procs_arr)
+            mixes.meta[job_id] = entry[:2] + (entry[2] - count,) + entry[3:]
+        self._write_rows(arr, ids, inv, entry[4], entry[5])
+        shares = self._cross.get(job_id)
+        if shares is not None:
+            self._drop_cross(arr, job_id, shares)
+        self._move(arr, old_free, cols.free_cores[arr])
         self.release_epoch += 1
         return corunners
 
     # -- fabric link accounting (DESIGN.md §13) ---------------------------------
 
-    def _book_cross(self, arr: np.ndarray, slot_pos: np.ndarray,
-                    net: float, count: int) -> None:
+    def _book_cross(self, arr: np.ndarray, job_id: int, net: float,
+                    count: int) -> None:
         """Install the cross-rack share of one placement's ``net``
-        booking on the slice/node cross columns and re-derive the link
-        aggregates.  Called only with an active fabric and ``net != 0``.
+        booking: per node in the job's ``_cross`` entry and added to the
+        ``booked_cross`` column, then re-derive the link aggregates.
+        Called only with an active fabric and ``net != 0``.
 
         A job spread over ``count`` nodes keeps traffic to rack-mates
         in-rack: a node sharing its rack with ``same`` of the job's
@@ -667,13 +546,39 @@ class ClusterState:
         if uniq.size == 1:
             return
         cross = net * (count - cnt[inv]) / (count - 1)
-        sc = self.scols
-        cols = self.columns
-        sc.cross[arr, slot_pos] = cross
+        self._cross.setdefault(job_id, {}).update(
+            zip(arr.tolist(), cross.tolist()))
         # Same discipline as booked_net: one elementwise IEEE addition
         # extends the per-node left-to-right sum exactly.
-        cols.booked_cross[arr] += cross
+        self.columns.booked_cross[arr] += cross
         self._refresh_links(uniq)
+
+    def _drop_cross(self, arr: np.ndarray, job_id: int,
+                    shares: Dict[int, float]) -> None:
+        """Take the removed job's cross shares off the nodes ``arr``
+        (already moved to their new mixes): each such node's
+        ``booked_cross`` is re-summed over its surviving residents'
+        shares in insertion order, exact zero when none is left, and
+        the link aggregates of the batch's racks are re-derived."""
+        cross = self._cross
+        booked = self.columns.booked_cross
+        keys = self.mixes.keys
+        mix = self.mixes.mix
+        dropped = False
+        for nid in arr.tolist():
+            if shares.pop(nid, None) is None:
+                continue
+            dropped = True
+            total = 0.0
+            for j, _ in keys[mix[nid]]:
+                share = cross.get(j, {}).get(nid)
+                if share is not None:
+                    total += share
+            booked[nid] = total
+        if not shares:
+            del cross[job_id]
+        if dropped:
+            self._refresh_links(np.unique(self._rack_of[arr]))
 
     def _refresh_links(self, racks: np.ndarray) -> None:
         """Re-derive ``booked_tor`` for the given racks and
@@ -950,27 +855,24 @@ class ClusterState:
             np.fromiter(node_list, dtype=np.int64, count=count)
         ].tolist()
         views = self.mixes.views
-        todo: Dict[int, int] = {}
-        for nid, m in zip(node_list, mids):
-            if views[m] is None and m not in todo:
-                todo[m] = nid
+        todo = [m for m in dict.fromkeys(mids) if views[m] is None]
         if todo:
             self._resolve_mixes(todo)
         return dict(zip(node_list, map(views.__getitem__, mids)))
 
-    def _resolve_mixes(self, todo: Dict[int, int]) -> None:
-        """Fill the views of the mixes in ``todo`` (mix id -> one node
-        carrying it).  Each mix's job-id-independent signature is
-        re-interned from its key and the per-job ``meta`` bookings; the
-        node is only read when the signature needs a kernel solve."""
+    def _resolve_mixes(self, todo: List[int]) -> None:
+        """Fill the views of the mixes ``todo``.  Each mix's
+        job-id-independent signature is re-interned from its key and the
+        per-job ``meta`` bookings; a signature that needs a kernel solve
+        gets its slices from the mix too (:meth:`MixTable.slices`)."""
         mixes = self.mixes
         view_cache = self._view_cache
-        meta = self.scols.meta
+        meta = mixes.meta
         partitioned = self.partitioned
         enforce_bw = self.enforce_bw
         solve: Dict[tuple, list] = {}
         hits = 0
-        for m, nid in todo.items():
+        for m in todo:
             mix = mixes.keys[m]
             programs = []
             items = []
@@ -990,13 +892,13 @@ class ClusterState:
             elif key in solve:
                 solve[key].append((m, jids))
             else:
-                solve[key] = [nid, (m, jids)]
+                solve[key] = [m, (m, jids)]
         counters = self.counters
         counters["view_cache_hits"] += hits
         if not solve:
             return
-        nodes = self.nodes
-        tables = [nodes[waiting[0]].slices() for waiting in solve.values()]
+        tables = [mixes.slices(waiting[0], self.share_residual, enforce_bw)
+                  for waiting in solve.values()]
         solved = batch.arbitrate_nodes(self.ctx, self.spec.node, tables)
         counters["arb_nodes_solved"] += len(tables)
         if len(view_cache) >= MAX_ENTRIES:
@@ -1062,117 +964,79 @@ class ClusterState:
 
     def verify_columns(self) -> None:
         """Check every node-column slot against values recomputed from
-        the slice columns — *exact* equality, including the float
+        scratch from the node's mix key, the per-job bookings and the
+        per-job cross shares — *exact* equality, including the float
         bookings (the columns are contractually bit-identical to a
-        left-to-right re-sum in slice insertion order).  Also enforces
-        the slice-plane structural contract: occupied slots are dense
-        in insertion order, empty slots hold the ``-1`` sentinel and
-        exact zeros, the per-job meta refcounts match the installed
-        slice counts, and the mix table (each node's mix decodes to its
-        ``(job, procs)`` row; refcounts equal node counts; freed ids are
-        unreachable and carry no rates; a live mix has one rate slot per
-        resident; ``held`` maps exactly the resident jobs, each to the
-        count of its nodes per mix).  Test / defensive-assertion hook, like
-        :meth:`verify_index`."""
+        left-to-right re-sum in resident insertion order).  Never reads
+        the cached mix rows for that; a filled row must equal the same
+        recomputation.  Also enforces the mix table's structure: keys
+        name each job at most once; the per-job meta slice counts match
+        the installed slices; every cross share sits on a node its job
+        occupies; refcounts equal node counts; freed ids are
+        unreachable and carry no view, row or rates; a live mix has one
+        rate slot per resident; ``held`` maps exactly the resident jobs,
+        each to the count of its nodes per mix.  Test /
+        defensive-assertion hook, like :meth:`verify_index`."""
         cols = self.columns
-        sc = self.scols
         spec = self.spec.node
         mixes = self.mixes
+        meta = mixes.meta
         refcounts: Dict[int, int] = {}
         held: Dict[int, Dict[int, int]] = {}
-        for node in self.nodes:
-            nid = node.node_id
-            jrow = sc.job[nid].tolist()
-            occupied = [k for k, j in enumerate(jrow) if j >= 0]
-            m = len(occupied)
-            if occupied != list(range(m)):
+        mix_ids = mixes.mix.tolist()
+        for nid, m in enumerate(mix_ids):
+            key = mixes.keys[m]
+            if key is None:
+                raise SimulationError(f"node {nid}: carries freed mix {m}")
+            jobs = [j for j, _ in key]
+            if len(set(jobs)) != len(jobs):
                 raise SimulationError(
-                    f"node {nid}: slice slots not dense: {jrow}"
-                )
-            row = tuple(zip(jrow[:m], sc.procs[nid, :m].tolist()))
-            if mixes.keys[int(mixes.mix[nid])] != row:
-                raise SimulationError(
-                    f"node {nid}: mix {int(mixes.mix[nid])} decodes to "
-                    f"{mixes.keys[int(mixes.mix[nid])]}, slices hold {row}"
-                )
-            for k, jid in enumerate(jrow[:m]):
-                meta = sc.meta.get(jid)
-                if meta is None:
+                    f"node {nid}: duplicate resident job: {jobs}")
+            used = allocated = 0
+            booked_bw = booked_net = booked_cross = 0.0
+            for j, p in key:
+                e = meta.get(j)
+                if e is None:
                     raise SimulationError(
-                        f"node {nid}: job {jid} has no meta entry"
-                    )
-                # Mix views read the per-job bookings from meta.
-                if float(sc.bw[nid, k]) != meta[4] or (
-                        self.partitioned and int(sc.ways[nid, k]) != meta[3]):
+                        f"node {nid}: job {j} has no meta entry")
+                if not 1 <= p <= spec.cores:
                     raise SimulationError(
-                        f"node {nid}: job {jid} booking differs from meta"
-                    )
-                refcounts[jid] = refcounts.get(jid, 0) + 1
-                counts = held.setdefault(jid, {})
-                mid = int(mixes.mix[nid])
-                counts[mid] = counts.get(mid, 0) + 1
-            if len(set(jrow[:m])) != m:
+                        f"node {nid}: job {j} holds {p} processes")
+                used += p
+                allocated += e[3]
+                booked_bw += e[4]
+                booked_net += e[5]
+                share = self._cross.get(j, {}).get(nid)
+                if share is not None:
+                    booked_cross += share
+                refcounts[j] = refcounts.get(j, 0) + 1
+                counts = held.setdefault(j, {})
+                counts[m] = counts.get(m, 0) + 1
+            if self.partitioned:
+                free_ways, parts = spec.llc_ways - allocated, len(key)
+            else:
+                free_ways, parts = spec.llc_ways, 0
+            fresh = (spec.cores - used, free_ways, parts, len(key),
+                     booked_bw, booked_net, (spec.peak_bw - booked_bw) + 1e-9,
+                     (1.0 - booked_net) + 1e-9)
+            row = mixes.rows[m]
+            if row is not None and row != fresh:
                 raise SimulationError(
-                    f"node {nid}: duplicate resident job: {jrow[:m]}"
-                )
-            for name, fill in (("procs", 0), ("ways", 0),
-                               ("bw", 0.0), ("net", 0.0), ("cross", 0.0)):
-                tail = getattr(sc, name)[nid, m:]
-                if bool((tail != fill).any()):
+                    f"mix {m}: row {row} != {fresh} recomputed")
+            for name, value in zip(ROW_FIELDS + ("booked_cross",),
+                                   fresh + (booked_cross,)):
+                got = getattr(cols, name)[nid].item()
+                if got != value:
                     raise SimulationError(
-                        f"node {nid}: {name} column has non-zero "
-                        f"empty slots"
-                    )
-            if int(cols.n_res[nid]) != m:
-                raise SimulationError(
-                    f"node {nid}: n_res column {int(cols.n_res[nid])} "
-                    f"!= {m}"
-                )
-            used = sum(sc.procs[nid, :m].tolist())
-            if int(cols.free_cores[nid]) != spec.cores - used:
-                raise SimulationError(
-                    f"node {nid}: free_cores column "
-                    f"{int(cols.free_cores[nid])} != {spec.cores - used}"
-                )
-            allocated = sum(sc.ways[nid, :m].tolist())
-            if int(cols.free_ways[nid]) != spec.llc_ways - allocated:
-                raise SimulationError(
-                    f"node {nid}: free_ways column "
-                    f"{int(cols.free_ways[nid])} != "
-                    f"{spec.llc_ways - allocated}"
-                )
-            parts = m if self.partitioned else 0
-            if int(cols.parts[nid]) != parts:
-                raise SimulationError(
-                    f"node {nid}: parts column {int(cols.parts[nid])} "
-                    f"!= {parts}"
-                )
-            booked_bw = sum(sc.bw[nid, :m].tolist())
-            booked_net = sum(sc.net[nid, :m].tolist())
-            if float(cols.booked_bw[nid]) != booked_bw:
-                raise SimulationError(
-                    f"node {nid}: booked_bw column "
-                    f"{float(cols.booked_bw[nid])!r} != {booked_bw!r}"
-                )
-            if float(cols.booked_net[nid]) != booked_net:
-                raise SimulationError(
-                    f"node {nid}: booked_net column "
-                    f"{float(cols.booked_net[nid])!r} != {booked_net!r}"
-                )
-            if float(cols.bw_eps[nid]) != (spec.peak_bw - booked_bw) + 1e-9:
-                raise SimulationError(
-                    f"node {nid}: bw_eps column out of sync"
-                )
-            if float(cols.net_eps[nid]) != (1.0 - booked_net) + 1e-9:
-                raise SimulationError(
-                    f"node {nid}: net_eps column out of sync"
-                )
-            booked_cross = sum(sc.cross[nid, :m].tolist())
-            if float(cols.booked_cross[nid]) != booked_cross:
-                raise SimulationError(
-                    f"node {nid}: booked_cross column "
-                    f"{float(cols.booked_cross[nid])!r} != {booked_cross!r}"
-                )
+                        f"node {nid}: {name} column {got!r} != {value!r}")
+        if self._cross and self._fabric is None:
+            raise SimulationError("cross shares without an active fabric")
+        for jid, shares in self._cross.items():
+            for nid in shares:
+                if jid not in [j for j, _ in mixes.keys[mix_ids[nid]]]:
+                    raise SimulationError(
+                        f"job {jid}: cross share on node {nid}, which it "
+                        f"does not occupy")
         if self._fabric is not None:
             num_nodes = len(self.nodes)
             for r in range(self._num_racks):
@@ -1188,16 +1052,15 @@ class ClusterState:
                 raise SimulationError(
                     f"booked_spine {self.booked_spine!r} != {expect!r}"
                 )
+        if set(meta) != set(refcounts):
+            raise SimulationError(
+                f"meta names jobs {sorted(meta)}, slices hold "
+                f"{sorted(refcounts)}")
         for jid, n_slices in refcounts.items():
-            if sc.meta[jid][2] != n_slices:
+            if meta[jid][2] != n_slices:
                 raise SimulationError(
-                    f"job {jid}: meta refcount {sc.meta[jid][2]} != "
+                    f"job {jid}: meta refcount {meta[jid][2]} != "
                     f"{n_slices} installed slices"
-                )
-        for jid in sc.meta:
-            if jid not in refcounts:
-                raise SimulationError(
-                    f"job {jid}: meta entry with no installed slices"
                 )
         nodes = np.bincount(mixes.mix, minlength=len(mixes.keys)).tolist()
         free = set(mixes.free)
@@ -1206,7 +1069,7 @@ class ClusterState:
             rates = mixes.rates[m]
             if live == (m in free) or (not live and (
                     nodes[m] or mixes.refs[m] or mixes.views[m] is not None
-                    or rates is not None)):
+                    or mixes.rows[m] is not None or rates is not None)):
                 raise SimulationError(f"mix {m}: freed id still reachable")
             if live and (mixes.refs[m] != nodes[m] or (m and not nodes[m])):
                 raise SimulationError(
@@ -1254,10 +1117,9 @@ class ClusterState:
         return gauges
 
     def resident_jobs_on(self, node_ids: Iterable[int]) -> Set[int]:
-        """Union of job ids resident on the given nodes (one gather over
-        the slice-id columns; empty slots hold ``-1``)."""
+        """Union of job ids resident on the given nodes (the jobs of
+        their distinct mixes)."""
         arr = _id_array(node_ids)
-        if not arr.size:
-            return set()
-        rows = self.scols.job[arr]
-        return set(rows[rows >= 0].tolist())
+        keys = self.mixes.keys
+        return {j for m in set(self.mixes.mix[arr].tolist())
+                for j, _ in keys[m]}

@@ -10,24 +10,24 @@ of an unmanaged shared cache under equal per-core pressure).
 The *hot* per-node quantities — free cores, free ways, partition count,
 booked bandwidth/network and the scan-ready epsilon complements — live in
 :class:`NodeColumns`, a struct-of-arrays pool shared by every node of a
-cluster.  Per-slice state — resident job id, process count, dedicated
-ways, booked bandwidth/network per slice — lives in :class:`SliceColumns`,
-a second struct-of-arrays pool kept in lockstep with the node columns
-(DESIGN.md §7).  The columns are the **source of truth**: a
-:class:`NodeState` is a thin view over its column slot with *no* per-slice
-Python objects of its own, and the cluster's vectorized paths
-(``scan_hosts``, ``pick_idlest``, batched place/remove, arbitration view
-assembly) read and write the contiguous arrays directly.
+cluster.  The residents live in :class:`MixTable`: each node carries the
+id of its interned resident mix, the ordered ``(job_id, procs)`` key,
+and each job books the same ways, bandwidth and network on every node it
+occupies (``MixTable.meta``).  Key and bookings fix every node column, so
+the columns are a *function of the mix*: the table keeps one node row
+per mix id, and the cluster's batched place/remove scatter the rows of
+the new ids (DESIGN.md §7).  A :class:`NodeState` is a thin view over
+its column slot and its mix, with no per-slice Python objects of its own.
 
 Float discipline (bit-identity with re-summed bookkeeping, enforced by
-``tests/test_soa_columns.py``): booked bandwidth/network columns are
-*added to* on placement — extending a left-to-right Python ``sum()`` by
-one term is the same single IEEE addition — and *re-summed over the
-remaining residents in insertion order* on removal, because float
-subtraction does not invert addition.  Slice slots are kept dense in
-insertion order, so slot order *is* insertion order and the re-sum can
-run as left-to-right column adds (trailing empty slots hold exact ``0.0``
-and ``x + 0.0`` is a bitwise no-op for the non-negative bookings).
+``tests/test_soa_columns.py``): a row's booked bandwidth/network is the
+left-to-right sum of its residents' nonzero bookings in key order, which
+is insertion order — exactly the value incremental placements reach
+(extending a left-to-right sum by one term is one IEEE addition) and the
+value a removal must reach, because float subtraction does not invert
+addition.  A zero booking skips its addition, and the epsilon
+complements are ``(peak - booked) + 1e-9``, so the empty mix's row
+equals a pristine node's construction values.
 """
 
 from __future__ import annotations
@@ -76,8 +76,10 @@ class NodeColumns:
         # Booked *cross-rack* link fraction per node (the part of
         # ``booked_net`` that leaves the rack through the ToR uplink);
         # mutated only when the cluster's fabric is active, with the same
-        # float discipline as booked_net.  The per-rack ToR and spine
-        # aggregates are derived from this column (ClusterState).
+        # float discipline as booked_net.  It depends on the rack, not
+        # the mix, so it is the one column no mix row carries.  The
+        # per-rack ToR and spine aggregates are derived from it
+        # (ClusterState).
         self.booked_cross = np.zeros(n, dtype=np.float64)
         self.bw_eps = np.full(n, spec.peak_bw + 1e-9, dtype=np.float64)
         self.net_eps = np.full(n, 1.0 + 1e-9, dtype=np.float64)
@@ -86,168 +88,113 @@ class NodeColumns:
         return len(self.free_cores)
 
 
-#: Resident slots a slice plane starts with.  Nodes rarely host more
-#: than a few jobs at once (at most 4 on the Trinity-like SNS replays,
-#: 1 under CE), so the plane starts narrow and :meth:`SliceColumns.grow`
-#: widens it the first time some node needs another slot.
-INITIAL_SLOTS = 2
-
-
-class SliceColumns:
-    """Struct-of-arrays per-slice state for a pool of nodes.
-
-    Row = node slot, column = resident slot.  Resident slots are kept
-    **dense in insertion order**: a placement appends at slot
-    ``n_res``, a removal compacts the survivors left — so slot order is
-    resident insertion order, which is the order every order-sensitive
-    consumer (resident mixes, booked-float re-sums) observes.
-
-    The plane is sized by occupancy, not by core count: it starts with
-    :data:`INITIAL_SLOTS` resident slots and doubles whenever a
-    placement lands on a node whose slots are all taken, so every
-    whole-row gather (duplicate check, removal shift, re-sum) reads as
-    many columns as the busiest node has ever needed.
-
-    Empty slots hold the sentinel ``-1`` in ``job`` and exact zeros in
-    every other column, which makes left-to-right column adds over a
-    whole slot span bit-identical to summing only the occupied slots.
-
-    Per-*job* (not per-slice) attributes live in ``meta``: ``job_id ->
-    (program, n_nodes, slice_refcount, ways, bw)`` — the program
-    reference and placement width cannot be columnized, and the
-    per-node ways/bandwidth booking (identical on every node of a
-    placement) lets a resident mix be resolved without reading a row.
-    The refcount tracks how many slices of the job are installed
-    anywhere in the pool, so partial placements and removals keep it
-    exact.
-    """
-
-    __slots__ = ("slots", "job", "procs", "ways", "bw", "net", "cross",
-                 "meta")
-
-    def __init__(self, n: int, slots: int) -> None:
-        # One extra physical column beyond the logical slot count: a
-        # permanently-empty pad the batched removal's shift-gather reads
-        # (index ``slots``) so survivors compact left in one fancy
-        # gather with no bounds special-casing.
-        self.slots = slots
-        self.job = np.full((n, slots + 1), -1, dtype=np.int64)
-        self.procs = np.zeros((n, slots + 1), dtype=np.int64)
-        self.ways = np.zeros((n, slots + 1), dtype=np.int64)
-        self.bw = np.zeros((n, slots + 1), dtype=np.float64)
-        self.net = np.zeros((n, slots + 1), dtype=np.float64)
-        # Cross-rack share of ``net`` per slice (zero unless the
-        # cluster's fabric is active and the slice's job spans racks).
-        self.cross = np.zeros((n, slots + 1), dtype=np.float64)
-        self.meta: Dict[int, Tuple[ProgramSpec, int, int, int, float]] = {}
-
-    def grow(self) -> None:
-        """Double the resident-slot capacity.  ``place_slices`` calls it
-        when some node of a batch already fills every slot; one doubling
-        always suffices, because a batch adds one slice per node.  The
-        arrays are replaced on this object, so every holder of the
-        :class:`SliceColumns` (the cluster, its node views) sees the
-        wider plane.  A node hosts at most ``cores`` slices (each slice
-        pins at least one process), which bounds the growth."""
-        n = self.job.shape[0]
-        new = self.slots * 2
-        for name, fill in (("job", -1), ("procs", 0), ("ways", 0),
-                           ("bw", 0.0), ("net", 0.0), ("cross", 0.0)):
-            old = getattr(self, name)
-            wide = np.full((n, new + 1), fill, dtype=old.dtype)
-            wide[:, :old.shape[1]] = old
-            setattr(self, name, wide)
-        self.slots = new
-
-
 #: Inputs up to this length group as Python lists (numpy's per-call
 #: overhead dominates below it).
 _SHORT = 32
 
 
 def distinct(values, bound: int = 0) -> tuple:
-    """``(distinct values, counts, a position of each, inverse)`` of a
-    non-empty 1-D int array or list — ``np.unique``'s answer without its
-    fixed cost on the shapes hot paths see: short inputs (plain lists
-    throughout, values in first-occurrence order) and one repeated value
-    (inverse ``None``).  Long inputs must be arrays; with ``bound`` (all
-    values below it) they group by counting instead of sorting."""
+    """``(distinct values, counts, inverse)`` of a non-empty 1-D int
+    array or list — ``np.unique``'s answer without its fixed cost on the
+    shapes hot paths see: short inputs (plain lists throughout, values
+    in first-occurrence order) and one repeated value (inverse
+    ``None``).  Long inputs must be arrays and come out sorted; with
+    ``bound`` (all values below it) they group by counting instead of
+    sorting."""
     n = len(values)
     if n <= _SHORT:
         lst = values if isinstance(values, list) else values.tolist()
         if lst.count(lst[0]) == n:
-            return lst[:1], [n], [0], None
+            return lst[:1], [n], None
         pos: Dict[int, int] = {}
         inv = [pos.setdefault(v, len(pos)) for v in lst]
-        return (list(pos), [inv.count(i) for i in range(len(pos))],
-                [inv.index(i) for i in range(len(pos))], inv)
+        return list(pos), [inv.count(i) for i in range(len(pos))], inv
     v0 = int(values[0])
     if bool((values == v0).all()):
-        return [v0], [n], [0], None
+        return [v0], [n], None
     if not bound:
-        uniq, first, inv, cnt = np.unique(values, return_index=True,
-                                          return_inverse=True,
-                                          return_counts=True)
-        return uniq.tolist(), cnt.tolist(), first.tolist(), inv
+        uniq, inv, cnt = np.unique(values, return_inverse=True,
+                                   return_counts=True)
+        return uniq.tolist(), cnt.tolist(), inv
     cnt = np.bincount(values, minlength=bound)
     uniq = np.flatnonzero(cnt)
-    # Which occurrence a repeated index keeps is unspecified; callers
-    # only need some position of each value.
-    where = np.empty(bound, dtype=np.int64)
-    where[values] = np.arange(n)
     lut = np.empty(bound, dtype=np.int64)
     lut[uniq] = np.arange(uniq.size)
-    return uniq.tolist(), cnt[uniq].tolist(), where[uniq].tolist(), \
-        lut[values]
+    return uniq.tolist(), cnt[uniq].tolist(), lut[values]
+
+
+#: The fields of a mix's node row (:meth:`MixTable.row`), named after
+#: the node columns they fill.
+ROW_FIELDS = ("free_cores", "free_ways", "parts", "n_res", "booked_bw",
+              "booked_net", "bw_eps", "net_eps")
+FREE_CORES, FREE_WAYS, PARTS = range(3)
 
 
 class MixTable:
     """Interned resident mixes of a pool of nodes.
 
     ``mix[slot]`` is an id into ``keys``, where a key is the node's
-    ordered resident ``(job_id, procs)`` tuple (dense slot order, so
-    insertion order).  That tuple fully determines the node's
-    arbitration inputs: a job books the same program, width, ways and
-    bandwidth on every node it occupies, and the residual ways / used
-    cores follow from the residents.  Every node carrying one mix
-    therefore shares one arbitration view (``views``, resolved lazily by
-    :meth:`repro.sim.cluster.ClusterState.arbitration_batch`), and a
-    wide placement or removal computes one transition per distinct mix
-    instead of one per node.
+    ordered resident ``(job_id, procs)`` tuple in insertion order.  Per-
+    *job* attributes live in ``meta``: ``job_id -> (program, n_nodes,
+    slice count, ways, bw, net)``.  A job books the same program, width,
+    ways, bandwidth and network on every node it occupies (the cluster's
+    ``place_slices`` refuses anything else), and the slice count tracks
+    how many of its slices are installed anywhere in the pool, so
+    partial placements and removals keep it exact.
+
+    Key plus bookings fully determine a node: its arbitration inputs
+    and every column of :class:`NodeColumns` but the rack-dependent
+    cross share.  Every node carrying one mix therefore shares one
+    arbitration view (``views``, resolved lazily by
+    :meth:`repro.sim.cluster.ClusterState.arbitration_batch`) and one
+    node row (``rows``), and a wide placement or removal computes one
+    transition per distinct mix instead of one per node.
 
     Id 0 is the permanent empty mix.  Other entries are refcounted by
     node count and freed at zero, their ids recycled, so the table never
     outgrows the live mix population.
 
-    Two per-mix stores serve the running-job table's row rebuild
-    (DESIGN.md §7), so it reads mixes and never nodes:
+    Three per-mix stores live and die with the id.  Each is reset
+    whenever an id is interned or freed (``None`` on a freed id): a key
+    fixes its residents and their procs, and their bookings cannot
+    change while they are resident, so an entry is valid until the id is
+    freed.
 
-    - ``held[job_id]`` maps each mix id holding the job to its node
-      count — the job's placement reduced to its distinct mixes, kept
-      by the transitions of :meth:`add` / :meth:`drop`;
-    - ``rates[m]`` is a list parallel to ``keys[m]``: each resident's
-      per-process instruction rate under the mix's view, filled lazily
-      by the rebuild.  A key fixes its residents and their procs, and a
-      view never changes while its mix lives, so a rate is valid until
-      the id is freed; the list is reset whenever an id is interned or
-      freed (``None`` on a freed id).
+    - ``views[m]``: the mix's arbitration view;
+    - ``rows[m]``: the mix's node row (:meth:`row`), filled on first use;
+    - ``rates[m]``: a list parallel to ``keys[m]``, each resident's
+      per-process instruction rate under the view, filled lazily by the
+      running-job table's row rebuild (DESIGN.md §7).
+
+    ``held[job_id]`` maps each mix id holding the job to its node count
+    — the job's placement reduced to its distinct mixes, kept by the
+    transitions of :meth:`add` / :meth:`drop` — so the rebuild reads
+    mixes and never nodes.
     """
 
     __slots__ = ("mix", "stride", "keys", "ids", "refs", "views", "rates",
-                 "held", "free")
+                 "rows", "held", "meta", "free", "partitioned", "cores",
+                 "llc_ways", "peak_bw")
 
-    def __init__(self, n: int, cores: int) -> None:
+    def __init__(self, n: int, spec: NodeSpec, partitioned: bool) -> None:
         self.mix = np.zeros(n, dtype=np.int32)
         # (mix, procs) pairs encode as ``mix * stride + procs``; a slice
         # never holds more than ``cores`` processes.
-        self.stride = cores + 1
+        self.stride = spec.cores + 1
         self.keys: List[Optional[tuple]] = [()]
         self.ids: Dict[tuple, int] = {(): 0}
         self.refs: List[int] = [n]
         self.views: List[Optional[tuple]] = [((), (), 0.0, ())]
         self.rates: List[Optional[list]] = [[]]
+        self.rows: List[Optional[tuple]] = [None]
         self.held: Dict[int, Dict[int, int]] = {}
+        self.meta: Dict[int, Tuple[ProgramSpec, int, int, int, float,
+                                   float]] = {}
         self.free: List[int] = []
+        self.partitioned = partitioned
+        self.cores = spec.cores
+        self.llc_ways = spec.llc_ways
+        self.peak_bw = spec.peak_bw
 
     def intern(self, key: tuple, count: int) -> int:
         """Id of ``key`` with its refcount raised by ``count``."""
@@ -265,6 +212,7 @@ class MixTable:
             self.keys.append(key)
             self.refs.append(count)
             self.views.append(None)
+            self.rows.append(None)
             self.rates.append([None] * len(key))
         self.ids[key] = m
         return m
@@ -276,11 +224,90 @@ class MixTable:
             del self.ids[self.keys[m]]
             self.keys[m] = None
             self.views[m] = None
+            self.rows[m] = None
             self.rates[m] = None
             self.free.append(m)
 
+    def row(self, m: int) -> tuple:
+        """The node row of mix ``m``: the values of the node columns
+        :data:`ROW_FIELDS` on every node carrying it, computed from the
+        key and ``meta`` on first use.  The booked sums run left to
+        right over the key, skipping zero bookings (see the module
+        docstring)."""
+        row = self.rows[m]
+        if row is not None:
+            return row
+        key = self.keys[m]
+        meta = self.meta
+        used = ways = 0
+        bw = net = 0.0
+        for j, p in key:
+            e = meta[j]
+            used += p
+            ways += e[3]
+            if e[4] != 0.0:
+                bw += e[4]
+            if e[5] != 0.0:
+                net += e[5]
+        if self.partitioned:
+            free_ways, parts = self.llc_ways - ways, len(key)
+        else:
+            free_ways, parts = self.llc_ways, 0
+        row = self.rows[m] = (
+            self.cores - used, free_ways, parts, len(key), bw, net,
+            (self.peak_bw - bw) + 1e-9, (1.0 - net) + 1e-9)
+        return row
+
+    def slices(self, m: int, share_residual: bool,
+               enforce_bw: bool) -> List[Slice]:
+        """The contention solver's slices of any node carrying mix
+        ``m``.  Partitioned: a job's effective ways are its dedicated
+        ways plus an equal share of the row's free ways; unpartitioned:
+        a share of the whole LLC proportional to its processes."""
+        key = self.keys[m]
+        row = self.row(m)
+        meta = self.meta
+        partitioned = self.partitioned
+        used = self.cores - row[FREE_CORES]
+        out = []
+        for j, p in key:
+            e = meta[j]
+            if not partitioned:
+                eff = self.llc_ways * (p / used)
+            elif share_residual:
+                eff = e[3] + row[FREE_WAYS] / row[PARTS]
+            else:
+                eff = float(e[3])
+            out.append(Slice(
+                job_id=j, program=e[0], procs=p, effective_ways=eff,
+                n_nodes=e[1],
+                bw_cap=e[4] if enforce_bw and e[4] > 0 else None,
+            ))
+        return out
+
+    def groups(self, arr: np.ndarray, procs: np.ndarray) -> tuple:
+        """The distinct ``(prior mix, procs)`` pairs of a placement of
+        ``procs[i]`` (at most ``cores``) processes on node ``arr[i]``:
+        ``(mix ids, procs, node counts, inverse)``, inverse as in
+        :func:`distinct`."""
+        mids = self.mix[arr]
+        stride = self.stride
+        if len(arr) <= _SHORT:
+            codes = [m * stride + p for m, p in
+                     zip(mids.tolist(), procs.tolist())]
+        else:
+            codes = mids.astype(np.int64) * stride + procs
+        codes, counts, inv = distinct(codes)
+        olds, ps = [], []
+        for c in codes:
+            m, p = divmod(c, stride)
+            olds.append(m)
+            ps.append(p)
+        return olds, ps, counts, inv
+
     def _move(self, arr: np.ndarray, olds: List[int], counts: List[int],
-              news: List[tuple], inv, job_id: int, adding: bool) -> int:
+              news: List[tuple], inv, job_id: int,
+              adding: bool) -> List[int]:
         # Intern before releasing, so no refcount dips to zero while a
         # node of the batch still holds the id.
         ids = [self.intern(k, c) for k, c in zip(news, counts)]
@@ -308,27 +335,20 @@ class MixTable:
             self.mix[arr] = [ids[i] for i in inv]
         else:
             self.mix[arr] = np.array(ids, dtype=np.int32)[inv]
-        return len(ids)
+        return ids
 
     def add(self, arr: np.ndarray, job_id: int,
-            procs: np.ndarray) -> Tuple[int, Set[int]]:
-        """Append ``job_id`` with ``procs[i]`` processes to the mix of
-        node ``arr[i]``.  Returns the number of distinct transitions and
-        the job's co-runners: the jobs of the non-empty prior mixes,
-        which are exactly the residents of the nodes it now shares."""
-        stride = self.stride
-        if len(arr) <= _SHORT:
-            codes = [m * stride + p for m, p in
-                     zip(self.mix[arr].tolist(), procs.tolist())]
-        else:
-            codes = self.mix[arr].astype(np.int64) * stride + procs
-        codes, counts, _, inv = distinct(codes)
+            groups: tuple) -> Tuple[List[int], Set[int]]:
+        """Append ``job_id`` to the mix of every node in ``arr``, with
+        the processes of its :meth:`groups` entry.  Returns the new mix
+        id of each group and the job's co-runners: the jobs of the
+        non-empty prior mixes, which are exactly the residents of the
+        nodes it now shares."""
+        olds, ps, counts, inv = groups
         keys = self.keys
-        olds, news = [], []
+        news = []
         corunners: Set[int] = set()
-        for c in codes:
-            m, p = divmod(c, stride)
-            olds.append(m)
+        for m, p in zip(olds, ps):
             key = keys[m]
             news.append(key + ((job_id, p),))
             if key:
@@ -336,13 +356,14 @@ class MixTable:
         return self._move(arr, olds, counts, news, inv, job_id,
                           True), corunners
 
-    def drop(self, arr: np.ndarray,
-             job_id: int) -> Tuple[int, Set[int]]:
-        """Remove ``job_id`` from the mix of every node in ``arr``.
-        Returns the number of distinct transitions and the job's
+    def drop(self, arr: np.ndarray, job_id: int,
+             groups: tuple) -> Tuple[List[int], Set[int]]:
+        """Remove ``job_id`` from the mix of every node in ``arr``, whose
+        distinct mixes ``groups = (mix ids, node counts, inverse)`` all
+        hold it.  Returns the new mix id of each group and the job's
         co-runners: the jobs of the prior mixes it shared, minus itself
         (so the jobs of the non-empty new mixes)."""
-        olds, counts, _, inv = distinct(self.mix[arr], len(self.keys))
+        olds, counts, inv = groups
         keys = self.keys
         news = []
         shared = []
@@ -361,9 +382,10 @@ class MixTable:
                 shared.sort(key=first.item)
             # The set is filled with the shared nodes' residents in node
             # order, the moving job included and then discarded: the
-            # insertion sequence of a row-by-row column scan.  A set of
-            # ints iterates in an order that depends on that sequence,
-            # and the runtime's finish pushes follow it (DESIGN.md §7).
+            # insertion sequence of a row-by-row resident scan.  A set
+            # of ints iterates in an order that depends on that
+            # sequence, and the runtime's finish pushes follow it
+            # (DESIGN.md §7).
             seq: List[int] = []
             for k in shared:
                 seq.extend([j for j, _ in keys[olds[k]]])
@@ -391,22 +413,22 @@ class NodeState:
     ``share_residual`` controls the residual-way giveaway of Section 4.4;
     disabling it is an ablation knob.
 
-    A cluster-owned node shares its :class:`ClusterState`'s column pools
-    (``slot`` = node id), and slices reach it only through the
-    cluster's ``place_slices`` / ``remove_slices``; a standalone node
-    (a pristine probe, unit tests) builds private single-slot pools.
+    A cluster-owned node shares its :class:`ClusterState`'s column pool
+    and mix table (``slot`` = node id), and slices reach it only through
+    the cluster's ``place_slices`` / ``remove_slices``; a standalone node
+    (a pristine probe) builds a private single-slot pool and table.
     """
 
     __slots__ = (
         "node_id", "spec", "partitioned", "enforce_bw", "share_residual",
-        "columns", "scols", "_slot",
+        "columns", "mixes", "_slot",
     )
 
     def __init__(self, node_id: int, spec: NodeSpec,
                  partitioned: bool = True, enforce_bw: bool = False,
                  share_residual: bool = True,
                  columns: Optional[NodeColumns] = None,
-                 scols: Optional[SliceColumns] = None,
+                 mixes: Optional[MixTable] = None,
                  slot: Optional[int] = None) -> None:
         self.node_id = node_id
         self.spec = spec
@@ -416,10 +438,10 @@ class NodeState:
         if columns is None:
             columns = NodeColumns(1, spec)
             slot = 0
-        if scols is None:
-            scols = SliceColumns(len(columns), INITIAL_SLOTS)
+        if mixes is None:
+            mixes = MixTable(len(columns), spec, partitioned)
         self.columns = columns
-        self.scols = scols
+        self.mixes = mixes
         self._slot = node_id if slot is None else slot
 
     # -- capacity queries ----------------------------------------------------
@@ -465,20 +487,13 @@ class NodeState:
         return not int(self.columns.n_res[self._slot])
 
     @property
-    def resident_job_ids(self) -> List[int]:
-        slot = self._slot
-        n = int(self.columns.n_res[slot])
-        return self.scols.job[slot, :n].tolist()
+    def mix(self) -> int:
+        """Id of this node's resident mix."""
+        return int(self.mixes.mix[self._slot])
 
-    def _resident_slot(self, job_id: int) -> int:
-        """Dense slot index of a resident job, or ``-1``."""
-        slot = self._slot
-        n = int(self.columns.n_res[slot])
-        row = self.scols.job[slot, :n].tolist()
-        try:
-            return row.index(job_id)
-        except ValueError:
-            return -1
+    @property
+    def resident_job_ids(self) -> List[int]:
+        return [j for j, _ in self.mixes.keys[self.mix]]
 
     def occupancy_metric(self, beta: float) -> float:
         """The paper's node-selection metric ``Co + Bo + beta * Wo``
@@ -515,6 +530,24 @@ class NodeState:
 
     # -- performance-model views ----------------------------------------------
 
+    def slices(self) -> List[Slice]:
+        """Current slices for the contention solver, read from this
+        node's own columns — the reference :meth:`MixTable.slices`
+        (which reads the mix's cached row) is checked against."""
+        meta = self.mixes.meta
+        enforce_bw = self.enforce_bw
+        return [
+            Slice(
+                job_id=j,
+                program=meta[j][0],
+                procs=p,
+                effective_ways=self._effective_ways(j, p),
+                n_nodes=meta[j][1],
+                bw_cap=meta[j][4] if enforce_bw and meta[j][4] > 0 else None,
+            )
+            for j, p in self.mixes.keys[self.mix]
+        ]
+
     def effective_ways(self, job_id: int) -> float:
         """LLC ways the job effectively enjoys on this node.
 
@@ -522,54 +555,23 @@ class NodeState:
         Unpartitioned: proportional share of the whole LLC by process
         count (free-for-all sharing).
         """
-        k = self._resident_slot(job_id)
-        if k < 0:
-            raise AllocationError(f"job {job_id} not on node {self.node_id}")
+        for j, p in self.mixes.keys[self.mix]:
+            if j == job_id:
+                return self._effective_ways(j, p)
+        raise AllocationError(f"job {job_id} not on node {self.node_id}")
+
+    def _effective_ways(self, job_id: int, procs: int) -> float:
         cols = self.columns
-        sc = self.scols
         slot = self._slot
         if self.partitioned:
-            dedicated = int(sc.ways[slot, k])
+            dedicated = self.mixes.meta[job_id][3]
             if not self.share_residual:
                 return float(dedicated)
-            bonus = int(cols.free_ways[slot]) / int(cols.parts[slot])
-            return dedicated + bonus
-        total = self.used_cores
-        share = int(sc.procs[slot, k]) / total
-        return self.spec.llc_ways * share
-
-    def slices(self) -> List[Slice]:
-        """Current slices for the contention solver."""
-        cols = self.columns
-        sc = self.scols
-        slot = self._slot
-        n = int(cols.n_res[slot])
-        jobs = sc.job[slot, :n].tolist()
-        procs = sc.procs[slot, :n].tolist()
-        bws = sc.bw[slot, :n].tolist()
-        meta = sc.meta
-        enforce_bw = self.enforce_bw
-        return [
-            Slice(
-                job_id=jid,
-                program=meta[jid][0],
-                procs=procs[i],
-                effective_ways=self.effective_ways(jid),
-                n_nodes=meta[jid][1],
-                bw_cap=(
-                    bws[i]
-                    if enforce_bw and bws[i] > 0
-                    else None
-                ),
-            )
-            for i, jid in enumerate(jobs)
-        ]
+            return dedicated + int(cols.free_ways[slot]) / int(cols.parts[slot])
+        return self.spec.llc_ways * (procs / self.used_cores)
 
     def dedicated_ways(self, job_id: int) -> int:
         """Dedicated (CAT-partitioned) ways of a resident job."""
-        if not self.partitioned:
+        if not self.partitioned or job_id not in self.resident_job_ids:
             return 0
-        k = self._resident_slot(job_id)
-        if k < 0:
-            return 0
-        return int(self.scols.ways[self._slot, k])
+        return self.mixes.meta[job_id][3]

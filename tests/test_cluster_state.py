@@ -1,15 +1,17 @@
 """Cluster state and the free-core index."""
 
+import numpy as np
 import pytest
 
 from repro.apps.catalog import get_program
 from repro.config import SimConfig, TraceConfig
 from repro.errors import AllocationError
+from repro.hardware.cache import CacheModel
+from repro.hardware.node_spec import NodeSpec
 from repro.hardware.topology import ClusterSpec
 from repro.obs import trace_lines
 from repro.sim.cluster import ClusterState
 from repro.sim.job import Job
-from repro.sim.node import INITIAL_SLOTS
 from repro.sim.runtime import Simulation
 
 EP = get_program("EP")
@@ -90,6 +92,75 @@ class TestIndex:
         cluster.verify_index()
         cluster.verify_columns()
 
+    def test_place_slices_rejects_uneven_network_booking(self, cluster):
+        cluster.place_slices([0], 1, EP, [4], 2, 1.0, 2, net=0.25)
+        with pytest.raises(AllocationError, match="same network share"):
+            cluster.place_slices([1], 1, EP, [4], 2, 1.0, 2, net=0.5)
+        with pytest.raises(AllocationError, match="same network share"):
+            cluster.place_slices([1], 1, EP, [4], 2, 1.0, 2)
+        assert cluster.node(1).is_idle
+        cluster.verify_index()
+        cluster.verify_columns()
+
+    @staticmethod
+    def _state(cluster):
+        cols = cluster.columns
+        mixes = cluster.mixes
+        return ([getattr(cols, name).tolist() for name in cols.__slots__
+                 if isinstance(getattr(cols, name), np.ndarray)],
+                mixes.mix.tolist(), list(mixes.keys),
+                {j: dict(h) for j, h in mixes.held.items()},
+                dict(mixes.meta))
+
+    @pytest.mark.parametrize("order,message", [
+        ([0, 2, 1, 3], "node 2 has 2 free cores; 10 requested"),
+        ([3, 1, 2, 0], "node 1 has 8 free cores; 10 requested"),
+    ])
+    def test_failed_batch_over_several_mixes(self, order, message):
+        """A failing batch spanning several mixes names the first
+        offending node in batch order and changes nothing."""
+        cluster = ClusterState(ClusterSpec(num_nodes=4), partitioned=True)
+        cluster.place_slices([1], 1, EP, [20], 2, 1.0, 1)
+        cluster.place_slices([2], 2, EP, [26], 2, 0.5, 1)
+        cluster.place_slices([3], 3, EP, [4], 2, 0.0, 1)
+        before = self._state(cluster)
+        with pytest.raises(AllocationError, match=message):
+            cluster.place_slices(order, 4, EP, [10] * 4, 2, 1.0, 4)
+        assert self._state(cluster) == before
+        cluster.verify_columns()
+        cluster.verify_index()
+
+    def test_failed_batch_error_precedence(self):
+        """"Already on node" outranks a capacity failure earlier in the
+        batch, and more processes than a node has cores fail as that
+        node's capacity error."""
+        cluster = ClusterState(ClusterSpec(num_nodes=4), partitioned=True)
+        cluster.place_slices([3], 1, EP, [4], 2, 0.0, 2)
+        cluster.place_slices([0], 2, EP, [27], 2, 0.0, 1)
+        before = self._state(cluster)
+        with pytest.raises(AllocationError, match="already on node 3"):
+            cluster.place_slices([0, 3], 1, EP, [4, 4], 2, 0.0, 2)
+        with pytest.raises(AllocationError, match="node 0 has 1 free"):
+            cluster.place_slices([1, 0], 9, EP, [4, 29], 2, 0.0, 2)
+        assert self._state(cluster) == before
+        cluster.verify_columns()
+
+    def test_failed_batch_checks_partitions_then_ways(self):
+        node = NodeSpec(cache=CacheModel(max_partitions=2))
+        cluster = ClusterState(ClusterSpec(num_nodes=3, node=node),
+                               partitioned=True)
+        cluster.place_slices([1, 2], 1, EP, [1, 1], 8, 0.0, 2)
+        cluster.place_slices([2], 2, EP, [1], 8, 0.0, 1)
+        before = self._state(cluster)
+        # Node 1 lacks ways, node 2 partitions: batch order decides.
+        with pytest.raises(AllocationError, match="only 12 free"):
+            cluster.place_slices([0, 1, 2], 3, EP, [1] * 3, 13, 0.0, 3)
+        with pytest.raises(AllocationError, match="2 CAT partitions"):
+            cluster.place_slices([0, 2, 1], 3, EP, [1] * 3, 13, 0.0, 3)
+        assert self._state(cluster) == before
+        cluster.verify_columns()
+        cluster.verify_index()
+
     def test_failed_place_keeps_index_consistent(self, cluster):
         cluster.place_slices([0], 1, EP, [28], 2, 0.0, 1)
         with pytest.raises(Exception):
@@ -152,19 +223,19 @@ class TestResidentQueries:
         assert all(n.partitioned for n in parted.nodes)
 
 
-class TestSlicePlaneGrowth:
-    """The slice plane starts at ``INITIAL_SLOTS`` resident slots and
-    doubles when a node needs more.  Growth must be invisible: a run
-    that stacks more slices on a node than the initial capacity, with
-    removals in between, keeps every column contract after every
-    operation and produces the results and full-level trace of a run
-    whose plane starts at ``cores`` slots."""
+class TestDeepResidency:
+    """A node holds as many residents as its cores allow, with no
+    per-slot plane to outgrow: CS stacks one-process jobs on one node
+    faster than they finish.  After every place and remove the columns
+    equal a from-scratch recompute from the node's mix key and the
+    per-job bookings (``verify_columns``), and the run's results and
+    full-level trace equal the reference path's."""
 
     #: One-process jobs, arriving faster than they finish, so CS stacks
     #: them on the one node while earlier ones leave.
     JOBS = 16
 
-    def _run(self):
+    def _run(self, caches):
         jobs = [
             Job(job_id=i, program=EP, procs=1, submit_time=400.0 * i,
                 work_multiplier=(0.5, 1.5, 0.8)[i % 3])
@@ -172,7 +243,8 @@ class TestSlicePlaneGrowth:
         ]
         sim = Simulation.from_policy_name(
             "CS", ClusterSpec(num_nodes=1), jobs,
-            sim_config=SimConfig(trace=TraceConfig(level="full")),
+            sim_config=SimConfig(perf_caches=caches,
+                                 trace=TraceConfig(level="full")),
         )
         cluster = sim.cluster
         ops = []
@@ -184,7 +256,8 @@ class TestSlicePlaneGrowth:
                 out = original(nodes, job_id, *args, **kwargs)
                 cluster.verify_columns()
                 cluster.verify_index()
-                ops.append((name, int(cluster.columns.n_res.max())))
+                ops.append((name, int(cluster.columns.n_res.max()),
+                            cluster.mixes.mix.tolist()))
                 return out
             setattr(cluster, name, wrapped)
 
@@ -192,23 +265,36 @@ class TestSlicePlaneGrowth:
         checked("remove_slices")
         result = sim.run()
         times = [(j.job_id, j.start_time, j.finish_time) for j in result.jobs]
-        return times, list(trace_lines(result.trace.events)), ops, cluster
+        return times, list(trace_lines(result.trace.events)), ops
 
-    def test_growth_matches_core_wide_plane(self, monkeypatch):
-        times, trace, ops, cluster = self._run()
-        # The premise: some node outgrew the initial slots, and places
-        # and removals interleave.
-        assert max(top for _, top in ops) > INITIAL_SLOTS
-        assert cluster.scols.slots > INITIAL_SLOTS
-        names = [name for name, _ in ops]
+    def test_stacked_residents_match_reference(self):
+        times, trace, ops = self._run(caches=True)
+        # The premise: the node held several residents at once, places
+        # and removals interleave, and freed mix ids came back.
+        assert max(top for _, top, _ in ops) >= 4
+        names = [name for name, _, _ in ops]
         first_remove = names.index("remove_slices")
         assert "place_slices" in names[first_remove:]
-        assert len(set(names)) == 2
+        mix_ids = [mids[0] for _, _, mids in ops]
+        assert len(mix_ids) > len(set(mix_ids))
+        ref_times, ref_trace, ref_ops = self._run(caches=False)
+        assert ref_ops == ops
+        assert ref_times == times
+        assert ref_trace == trace
 
-        cores = cluster.spec.node.cores
-        monkeypatch.setattr("repro.sim.cluster.INITIAL_SLOTS", cores)
-        wide_times, wide_trace, wide_ops, wide = self._run()
-        assert wide.scols.slots == cores
-        assert wide_ops == ops
-        assert wide_times == times
-        assert wide_trace == trace
+    def test_recycled_mix_id_takes_a_fresh_row(self, cluster):
+        """A freed mix id re-interned for another key must not keep the
+        old key's row: the columns must match a from-scratch recompute."""
+        cluster.place_slices([0], 1, EP, [4], 2, 1.5, 1, net=0.25)
+        old = cluster.node(0).mix
+        assert cluster.mixes.row(old)[0] == 24
+        cluster.remove_slices([0], 1)
+        assert old in cluster.mixes.free
+        cluster.place_slices([1], 2, EP, [9], 3, 0.5, 1)
+        assert cluster.node(1).mix == old
+        assert cluster.node(1).free_cores == 19
+        assert cluster.node(1).booked_bw == 0.5
+        assert cluster.node(1).booked_net == 0.0
+        cluster.verify_columns()
+
+

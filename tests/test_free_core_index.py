@@ -172,7 +172,7 @@ def test_zero_proc_slice_is_rejected(procs):
     with pytest.raises(AllocationError, match="must be positive"):
         cluster.place_slices([0, 1, 2], 1, EP, procs, 0, 0.0, 3)
     assert cluster.idle_nodes() == [0, 1, 2, 3]
-    assert cluster.scols.meta == {}
+    assert cluster.mixes.meta == {}
     cluster.verify_index()
 
 

@@ -257,11 +257,14 @@ class TestArbitrationCacheInvalidation:
         self._place(cluster, 1, 2, procs=6)
         cluster.remove_slices([1], 1)
         node = cluster.node(1)
-        sc = cluster.scols
-        n = node.cat_partitions
-        assert node.used_cores == sum(sc.procs[1, :n].tolist())
-        assert node.booked_bw == sum(sc.bw[1, :n].tolist())
-        assert node.booked_net == sum(sc.net[1, :n].tolist())
+        key = cluster.mixes.keys[node.mix]
+        meta = cluster.mixes.meta
+        assert [j for j, _ in key] == [2]
+        assert node.used_cores == sum(p for _, p in key)
+        assert node.booked_bw == sum(meta[j][4] for j, _ in key)
+        assert node.booked_net == sum(meta[j][5] for j, _ in key)
+        assert cluster.mixes.row(node.mix)[:4] == (
+            node.free_cores, node.free_ways, node.cat_partitions, 1)
         cluster.verify_index()
         cluster.verify_columns()
 

@@ -10,24 +10,28 @@ bit-identical to a left-to-right re-sum in resident insertion order,
 and the epsilon complements to ``(peak - booked) + 1e-9``).
 
 Hypothesis drives the operation sequence; :meth:`ClusterState.
-verify_columns` and :meth:`ClusterState.verify_index` are the oracles.
-Placements follow the simulator's uniformity invariant — one job books
-identical ways/bandwidth/network on every node of its placement,
-exactly like ``place_slices`` callers do; process counts may differ
-per node, and a removal may take a job off only some of its nodes.
+verify_columns` (which recomputes every node from its mix key, the
+per-job bookings and the per-job cross shares, never from the cached
+mix rows) and :meth:`ClusterState.verify_index` are the oracles.  The
+sequences run on a flat cluster and on an active fabric, where shared
+nodes carry several jobs' cross-rack shares.  Placements follow the
+simulator's uniformity invariant — one job books identical
+ways/bandwidth/network on every node of its placement, exactly like
+``place_slices`` callers do; process counts may differ per node, and a
+removal may take a job off only some of its nodes.
 
 Every placement and removal also returns the moving job's co-runners,
-read from the resident-mix transitions; each set must equal a column
-scan of the residents of the placement's shared nodes (the ones hosting
-more than one job) minus the moving job.
+read from the resident-mix transitions; each set must equal a scan of
+the residents of the placement's shared nodes (the ones hosting more
+than one job) minus the moving job.
 
 The same sequences also drive the interned resident-mix table: every
-node's mix must decode to its slice-column ``(job, procs)`` row, the
-refcounts must equal node counts with no freed id reachable, each
-job's ``held`` mix counts must equal a count over its nodes, and rates
-must sit only on live ids (all checked by ``verify_columns``); and the
-per-mix arbitration view every node reads must be bit-identical to the
-from-scratch reference arbitration of that node.
+filled mix row must equal its recomputation, the refcounts must equal
+node counts with no freed id reachable, each job's ``held`` mix counts
+must equal a count over its nodes, and rates must sit only on live ids
+(all checked by ``verify_columns``); and the per-mix arbitration view
+every node reads must be bit-identical to the from-scratch reference
+arbitration of that node.
 """
 
 from __future__ import annotations
@@ -229,6 +233,55 @@ def test_columns_match_recomputed_state(partitioned, enforce_bw, data):
         driver.cluster.remove_slices(node_ids, job_id)
     driver.cluster.verify_columns()
     driver.cluster.verify_index()
+
+
+@pytest.mark.parametrize("partitioned", [True, False])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_columns_match_recomputed_state_on_fabric(partitioned, data):
+    """The same contract under an active fabric: multi-rack placements
+    with a network booking carry per-node cross shares, so a shared
+    node's ``booked_cross`` is re-summed over its survivors after every
+    removal and trim."""
+    driver = _Driver(partitioned, False, fabric=True)
+    ops = data.draw(
+        st.lists(st.sampled_from(["place", "place", "remove", "trim",
+                                  "fail", "recover"]),
+                 min_size=1, max_size=24),
+        label="ops",
+    )
+    for op in ops:
+        getattr(driver, op)(data)
+        driver.cluster.verify_columns()
+        driver.cluster.verify_index()
+    for job_id, node_ids in sorted(driver.placements.items()):
+        driver.cluster.remove_slices(node_ids, job_id)
+    driver.cluster.verify_columns()
+    assert not driver.cluster.columns.booked_cross.any()
+
+
+def test_cross_share_resum_after_partial_removal():
+    """Two multi-rack jobs share node 0; trimming one of them off node
+    0 leaves exactly the other's share there, and the rack and spine
+    aggregates follow."""
+    driver = _Driver(True, False, fabric=True)
+    cluster = driver.cluster
+    ways = cluster.spec.node.cache.min_ways
+    cluster.place_slices([0, 4], 1, object(), [2, 2], ways, 0.0, 2,
+                         net=0.25)
+    cluster.place_slices([0, 5, 8], 2, object(), [2, 2, 2], ways, 0.0, 3,
+                         net=1.0 / 3.0)
+    booked = cluster.columns.booked_cross
+    assert float(booked[0]) == 0.25 + 1.0 / 3.0
+    cluster.verify_columns()
+    cluster.remove_slices([0], 2)
+    assert float(booked[0]) == 0.25
+    assert float(booked[5]) == 1.0 / 3.0
+    cluster.verify_columns()
+    cluster.remove_slices([5, 8], 2)
+    cluster.remove_slices([4, 0], 1)
+    assert not booked.any() and cluster.booked_spine == 0.0
+    cluster.verify_columns()
 
 
 def _check_arbitration(cluster: ClusterState) -> None:
