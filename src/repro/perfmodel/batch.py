@@ -24,9 +24,6 @@ two implementation choices:
   left-to-right ``sum()`` in the last ulp even for 3-element segments —
   so segment sums run over ``.tolist()`` slices in slice order, exactly
   like the reference's ``sum(demands.values())``.
-
-With the context's fast paths disabled (``SimConfig(perf_caches=False)``)
-every call routes through the scalar reference kernel per node.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ import numpy as np
 from repro.errors import HardwareModelError
 from repro.hardware.node_spec import NodeSpec
 from repro.perfmodel.context import PerfContext
-from repro.perfmodel.contention import Slice, arbitrate_node, node_network_load
+from repro.perfmodel.contention import Slice
 
 
 def arbitrate_nodes(
@@ -49,15 +46,6 @@ def arbitrate_nodes(
     Bit-identical to calling ``(arbitrate_node(spec, slices),
     node_network_load(spec, slices))`` for each table in turn.
     """
-    if not ctx.enabled:
-        return [
-            (
-                arbitrate_node(spec, slices),
-                node_network_load(spec, slices),
-            )
-            for slices in tables
-        ]
-
     counters = ctx.batch_counters
     counters["batch_calls"] += 1
     counters["batch_nodes"] += len(tables)

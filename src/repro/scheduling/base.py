@@ -129,8 +129,8 @@ class BaseScheduler(abc.ABC):
         ``meta`` carries decision context for the tracer (candidate-set
         size, degraded/trial flags) and is never read by placement
         logic."""
-        # Batched install: one fancy-indexed write per capacity
-        # column.  place_slices validates before mutating, so a failed
+        # Batched install: one mix transition per distinct prior mix.
+        # place_slices validates before mutating, so a failed
         # placement leaves the cluster untouched — no rollback loop
         # needed here.
         cluster.place_slices(

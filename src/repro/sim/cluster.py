@@ -22,10 +22,7 @@ from repro.hardware.topology import ClusterSpec
 from repro.perfmodel import batch
 from repro.perfmodel.context import MAX_ENTRIES, PerfContext
 from repro.perfmodel.contention import arbitrate_node, node_network_load
-from repro.sim.node import (
-    FREE_CORES, FREE_WAYS, PARTS, ROW_FIELDS, MixTable, NodeColumns,
-    NodeState, distinct,
-)
+from repro.sim.node import MixTable, NodeState, distinct, recount
 
 #: One node's arbitration, stored positionally so every node of a mix
 #: shares one tuple: (resident job ids in insertion order, granted GB/s
@@ -87,16 +84,11 @@ class ClusterState:
     def __post_init__(self) -> None:
         if self.ctx is None:
             self.ctx = PerfContext()
-        # The struct-of-arrays node hot state (DESIGN.md §7): the columns
-        # ARE the per-node free capacities — every NodeState below is a
-        # thin view over its slot, and the vectorized paths (scan_hosts,
-        # pick_idlest, place_slices/remove_slices) read and write the
-        # contiguous arrays directly.  There is no shadow copy to flush.
+        # A node's state is its interned resident mix (DESIGN.md §7): the
+        # residents, the per-job bookings, the per-mix capacity arrays,
+        # arbitration views and batch transitions live here, and every
+        # NodeState below is a thin view over its slot of ``mixes.mix``.
         n = self.spec.num_nodes
-        self.columns = NodeColumns(n, self.spec.node)
-        # Interned resident mix per node (DESIGN.md §7): the residents,
-        # the per-job bookings, and the per-mix node rows, arbitration
-        # views and batch transitions live here.
         self.mixes = MixTable(n, self.spec.node, self.partitioned)
         self.nodes = [
             NodeState(
@@ -105,7 +97,6 @@ class ClusterState:
                 partitioned=self.partitioned,
                 enforce_bw=self.enforce_bw,
                 share_residual=self.share_residual,
-                columns=self.columns,
                 mixes=self.mixes,
                 slot=i,
             )
@@ -139,8 +130,13 @@ class ClusterState:
         #: Cross-rack link share per node of each job booking one
         #: (``job -> {node: share}``; active fabric, multi-rack
         #: placements with ``net != 0`` only).  Shares depend on the
-        #: rack, not the mix, so no mix row carries them.
+        #: rack, not the mix, so they are per-node state.
         self._cross: Dict[int, Dict[int, float]] = {}
+        #: Booked cross-rack link fraction per node: the part of its
+        #: booked network share that leaves the rack through the ToR
+        #: uplink, the left-to-right sum of its residents' ``_cross``
+        #: shares.  The per-rack ToR and spine aggregates derive from it.
+        self.booked_cross = np.zeros(n, dtype=np.float64)
         self.counters = {
             "mix_transitions": 0,
             "view_cache_hits": 0,
@@ -182,54 +178,63 @@ class ClusterState:
 
     # -- free-core index (DESIGN.md §7) -----------------------------------------
 
-    def _move(self, arr: np.ndarray, old: np.ndarray,
-              new: np.ndarray) -> None:
-        """Re-bucket the nodes ``arr`` (distinct, batch order) from
-        free-core counts ``old`` to ``new``.  They draw fresh stamps in
-        batch order and append to their destinations, so each bucket
-        receives them in the order per-node moves would; the entries
-        they leave behind die in place.  Every node's count changes
-        (:meth:`place_slices` rejects zero-process slices)."""
+    def _move(self, arr: np.ndarray, src: List[int], dst: List[int],
+              counts: List[int], inv) -> None:
+        """Re-bucket the nodes ``arr`` (distinct, batch order) group by
+        group: the ``counts[g]`` nodes of group ``g`` (node ``i`` is in
+        group ``inv[i]``, inverse as in :func:`~repro.sim.node.distinct`)
+        move from free-core count ``src[g]`` to ``dst[g]``.  They draw
+        fresh stamps in batch order and append to their destinations, so
+        each bucket receives them in the order per-node moves would; the
+        entries they leave behind die in place.  Every node's count
+        changes (:meth:`place_slices` rejects zero-process slices)."""
         live, head, tail = self._count, self._head, self._tail
         if len(arr) <= _NARROW:
             # A few nodes: scalar appends beat per-call array overhead.
+            if inv is None:
+                src, dst = src * len(arr), dst * len(arr)
+            else:
+                src, dst = [src[g] for g in inv], [dst[g] for g in inv]
             ids, sts, stamp = self._bids, self._bst, self._stamp
-            for nid, src, dst in zip(arr.tolist(), old.tolist(),
-                                     new.tolist()):
+            for nid, old, new in zip(arr.tolist(), src, dst):
                 clock = self._clock
                 self._clock = clock + 1
                 stamp[nid] = clock
-                if head[src] < tail[src] and ids[src][head[src]] == nid:
-                    head[src] += 1  # taken from the front, as first-n does
-                live[src] -= 1
-                live[dst] += 1
-                end = tail[dst]
-                if end == len(ids[dst]):
-                    end = self._compact(dst, room=1)
-                ids[dst][end] = nid
-                sts[dst][end] = clock
-                tail[dst] = end + 1
-                if tail[src] - head[src] > 2 * live[src]:
-                    self._compact(src)
+                if head[old] < tail[old] and ids[old][head[old]] == nid:
+                    head[old] += 1  # taken from the front, as first-n does
+                live[old] -= 1
+                live[new] += 1
+                end = tail[new]
+                if end == len(ids[new]):
+                    end = self._compact(new, room=1)
+                ids[new][end] = nid
+                sts[new][end] = clock
+                tail[new] = end + 1
+                if tail[old] - head[old] > 2 * live[old]:
+                    self._compact(old)
             return
         count = len(arr)
         clock = self._clock
         self._clock = clock + count
         stamps = np.arange(clock, clock + count, dtype=np.int64)
         self._stamp[arr] = stamps
-        came = np.bincount(new, minlength=len(live))
-        gone = np.bincount(old, minlength=len(live))
-        for f in np.flatnonzero(came).tolist():
-            k = int(came[f])
-            live[f] += k
-            if k == count:
-                self._push(f, arr, stamps)
-            else:
-                sel = new == f
+        came: Dict[int, int] = {}
+        gone: Dict[int, int] = {}
+        for old, new, c in zip(src, dst, counts):
+            came[new] = came.get(new, 0) + c
+            gone[old] = gone.get(old, 0) + c
+        if len(came) == 1:
+            f, = came
+            live[f] += count
+            self._push(f, arr, stamps)
+        else:
+            to = np.asarray(dst)[inv]
+            for f, k in came.items():
+                live[f] += k
+                sel = to == f
                 self._push(f, arr[sel], stamps[sel])
         first = int(arr[0])
-        for f in np.flatnonzero(gone).tolist():
-            k = int(gone[f])
+        for f, k in gone.items():
             live[f] -= k
             h = head[f]
             front = self._bids[f][h:h + count]
@@ -333,10 +338,9 @@ class ClusterState:
 
         Semantically one node at a time in batch order, but the work is
         per distinct (prior mix, process count) group: each group is
-        validated against its mix's node row and moves through one mix
-        transition, and the new mixes' rows are scattered into the node
-        columns with one fancy-indexed write per changed column.  The
-        free-core index moves with one append per destination bucket.
+        validated against its mix's entries of the per-mix arrays, moves
+        through one mix transition (which fills the new ids' entries) and
+        moves its nodes between one pair of free-core buckets.
         Validation runs *before* any mutation, so a raised
         :class:`AllocationError` leaves the cluster untouched — no
         caller-side rollback.
@@ -354,13 +358,13 @@ class ClusterState:
             raise AllocationError("per-node process counts must be positive")
         if len(set(arr.tolist())) != count:
             raise AllocationError("placement names a node twice")
-        cols = self.columns
         mixes = self.mixes
         partitioned = self.partitioned
-        if partitioned and ways < cols.min_ways:
+        cache = self.spec.node.cache
+        if partitioned and ways < cache.min_ways:
             raise AllocationError(
                 f"job {job_id} requested {ways} ways; minimum is "
-                f"{cols.min_ways} (associativity floor)"
+                f"{cache.min_ways} (associativity floor)"
             )
         meta = mixes.meta.get(job_id)
         if meta is not None:
@@ -385,25 +389,26 @@ class ClusterState:
                 first = next(i for i, m in enumerate(mids) if m in held)
                 raise AllocationError(
                     f"job {job_id} already on node {int(arr[first])}")
+        max_parts = cache.max_partitions
         # More processes than cores cannot fit, nor encode as a group.
-        bad = int(procs_arr.max()) > cols.cores
+        bad = int(procs_arr.max()) > mixes.cores
         if not bad:
             groups = mixes.groups(arr, procs_arr)
-            row = mixes.row
-            max_parts = cols.max_partitions
-            for m, p in zip(groups[0], groups[1]):
-                r = row(m)
-                if p > r[FREE_CORES] or partitioned and (
-                        r[PARTS] >= max_parts or r[FREE_WAYS] < ways):
+            src = [mixes.free_cores.item(m) for m in groups[0]]
+            for m, p, free in zip(groups[0], groups[1], src):
+                if p > free or partitioned and (
+                        mixes.parts.item(m) >= max_parts
+                        or mixes.free_ways.item(m) < ways):
                     bad = True
                     break
         if bad:
             # Only a failing batch walks the nodes, to raise the first
             # offending node's own error.
-            old_free = cols.free_cores[arr].tolist()
+            mids = mixes.mix[arr]
+            old_free = mixes.free_cores[mids].tolist()
             procs_list = procs_arr.tolist()
-            free_ways = cols.free_ways[arr].tolist()
-            parts = cols.parts[arr].tolist()
+            free_ways = mixes.free_ways[mids].tolist()
+            parts = mixes.parts[mids].tolist()
             for i, nid in enumerate(arr.tolist()):
                 if procs_list[i] > old_free[i]:
                     raise AllocationError(
@@ -411,10 +416,10 @@ class ClusterState:
                         f"{procs_list[i]} requested"
                     )
                 if partitioned:
-                    if parts[i] >= cols.max_partitions:
+                    if parts[i] >= max_parts:
                         raise AllocationError(
                             f"node already has {parts[i]} CAT partitions "
-                            f"(max {cols.max_partitions})"
+                            f"(max {max_parts})"
                         )
                     if ways > free_ways[i]:
                         raise AllocationError(
@@ -426,47 +431,15 @@ class ClusterState:
             program, n_nodes, count if meta is None else meta[2] + count,
             ways, bw, net,
         )
-        old_free = cols.free_cores[arr]
         ids, corunners = mixes.add(arr, job_id, groups)
         self.counters["mix_transitions"] += len(ids)
-        self._write_rows(arr, ids, groups[3], bw, net)
         if net != 0.0 and self._fabric is not None:
             self._book_cross(arr, job_id, net, count)
         if corunners:
             self._corunners |= corunners
-        self._move(arr, old_free, old_free - procs_arr)
+        self._move(arr, src, [f - p for f, p in zip(src, groups[1])],
+                   groups[2], groups[3])
         return corunners
-
-    def _write_rows(self, arr: np.ndarray, ids: List[int], inv,
-                    bw: float, net: float) -> None:
-        """Scatter the node rows of the new mix ids ``ids`` (node
-        ``arr[i]`` takes ``ids[inv[i]]``, inverse as in
-        :func:`~repro.sim.node.distinct`) into the node columns.  Only
-        the columns a move can change are written: the ways columns
-        only when partitioned, the booked float columns only when the
-        moving job's booking is nonzero (a zero booking leaves every
-        left-to-right sum bitwise as it was)."""
-        cols = self.columns
-        row = self.mixes.row
-        if inv is None:
-            fc, fw, parts, n_res, b_bw, b_net, bw_eps, net_eps = row(ids[0])
-        else:
-            # Small ints are exact in float64, so one table carries all
-            # eight fields.
-            table = np.array([row(m) for m in ids], dtype=np.float64)
-            fc, fw, parts, n_res, b_bw, b_net, bw_eps, net_eps = \
-                table[inv].T
-        cols.free_cores[arr] = fc
-        cols.n_res[arr] = n_res
-        if self.partitioned:
-            cols.free_ways[arr] = fw
-            cols.parts[arr] = parts
-        if bw != 0.0:
-            cols.booked_bw[arr] = b_bw
-            cols.bw_eps[arr] = bw_eps
-        if net != 0.0:
-            cols.booked_net[arr] = b_net
-            cols.net_eps[arr] = net_eps
 
     def take_corunners(self) -> Set[int]:
         """The union of the co-runner sets of every placement since the
@@ -485,15 +458,13 @@ class ClusterState:
         transitions.
 
         As in :meth:`place_slices`, the work is one mix transition per
-        distinct prior mix, and the new mixes' node rows are scattered
-        into the columns: a row's booked sums are its survivors'
-        bookings re-summed in insertion order (float subtraction does
-        not invert addition), and the empty mix's row holds exact zeros.
-        ``nodes`` is an int64 array (:attr:`Placement.nodes`) or a
-        sequence converted to one.
+        distinct prior mix, whose new id's booked sums are its
+        survivors' bookings re-summed in insertion order (float
+        subtraction does not invert addition), and one free-core bucket
+        move per group.  ``nodes`` is an int64 array
+        (:attr:`Placement.nodes`) or a sequence converted to one.
         """
         arr = np.asarray(nodes, dtype=np.int64)
-        cols = self.columns
         mixes = self.mixes
         olds, counts, inv = distinct(mixes.mix[arr], len(mixes.keys))
         held = mixes.held.get(job_id, ())
@@ -504,7 +475,7 @@ class ClusterState:
                 if m not in held:
                     raise AllocationError(f"job {job_id} not on node {nid}")
         entry = mixes.meta[job_id]
-        old_free = cols.free_cores[arr]
+        src = [mixes.free_cores.item(m) for m in olds]
         ids, corunners = mixes.drop(arr, job_id, (olds, counts, inv))
         self.counters["mix_transitions"] += len(ids)
         count = len(arr)
@@ -512,11 +483,11 @@ class ClusterState:
             del mixes.meta[job_id]
         else:
             mixes.meta[job_id] = entry[:2] + (entry[2] - count,) + entry[3:]
-        self._write_rows(arr, ids, inv, entry[4], entry[5])
         shares = self._cross.get(job_id)
         if shares is not None:
             self._drop_cross(arr, job_id, shares)
-        self._move(arr, old_free, cols.free_cores[arr])
+        self._move(arr, src, [mixes.free_cores.item(m) for m in ids],
+                   counts, inv)
         self.release_epoch += 1
         return corunners
 
@@ -525,8 +496,8 @@ class ClusterState:
     def _book_cross(self, arr: np.ndarray, job_id: int, net: float,
                     count: int) -> None:
         """Install the cross-rack share of one placement's ``net``
-        booking: per node in the job's ``_cross`` entry and added to the
-        ``booked_cross`` column, then re-derive the link aggregates.
+        booking: per node in the job's ``_cross`` entry and added to
+        ``booked_cross``, then re-derive the link aggregates.
         Called only with an active fabric and ``net != 0``.
 
         A job spread over ``count`` nodes keeps traffic to rack-mates
@@ -550,7 +521,7 @@ class ClusterState:
             zip(arr.tolist(), cross.tolist()))
         # Same discipline as booked_net: one elementwise IEEE addition
         # extends the per-node left-to-right sum exactly.
-        self.columns.booked_cross[arr] += cross
+        self.booked_cross[arr] += cross
         self._refresh_links(uniq)
 
     def _drop_cross(self, arr: np.ndarray, job_id: int,
@@ -561,7 +532,7 @@ class ClusterState:
         shares in insertion order, exact zero when none is left, and
         the link aggregates of the batch's racks are re-derived."""
         cross = self._cross
-        booked = self.columns.booked_cross
+        booked = self.booked_cross
         keys = self.mixes.keys
         mix = self.mixes.mix
         dropped = False
@@ -587,11 +558,10 @@ class ClusterState:
         the exact-float contract :meth:`verify_columns` checks.  Racks
         whose members' cross bookings did not change keep their stored
         sums (those are unchanged by construction)."""
-        cols = self.columns
         tor = self.booked_tor
         rack_size = self._fabric.rack_size
         n = len(self.nodes)
-        booked = cols.booked_cross
+        booked = self.booked_cross
         for r in racks.tolist():
             lo = r * rack_size
             tor[r] = sum(booked[lo:min(lo + rack_size, n)].tolist())
@@ -608,15 +578,15 @@ class ClusterState:
         can see it until :meth:`recover_node`."""
         if node_id in self._down:
             raise SimulationError(f"node {node_id} is already down")
-        node = self.nodes[node_id]
-        if int(self.columns.n_res[node_id]):
+        if self.mixes.mix[node_id]:
             raise SimulationError(
                 f"cannot fail node {node_id} with resident slices"
             )
         # Its entry dies with its stamp; the next move compacts the
-        # bucket if dead entries come to outnumber live ones.
+        # bucket if dead entries come to outnumber live ones.  A down
+        # node carries the empty mix until it recovers.
         self._stamp[node_id] = -1
-        self._count[node.free_cores] -= 1
+        self._count[self.spec.node.cores] -= 1
         self._down[node_id] = None
 
     def recover_node(self, node_id: int) -> None:
@@ -627,7 +597,7 @@ class ClusterState:
         if node_id not in self._down:
             raise SimulationError(f"node {node_id} is not down")
         del self._down[node_id]
-        free = self.nodes[node_id].free_cores
+        free = self.spec.node.cores
         clock = self._clock
         self._clock = clock + 1
         self._stamp[node_id] = clock
@@ -673,72 +643,61 @@ class ClusterState:
         return [f for f in reversed(range(max(min_free, 0), len(live)))
                 if live[f]]
 
-    def _host_mask(self, sub, cores: Optional[int], ways: int, bw: float,
-                   net: float, idle_skips_tor: bool = False
-                   ) -> Optional[np.ndarray]:
-        """Per-node ``can_host`` mask over the slots ``sub`` (an id
-        array, or ``slice(None)`` for all), for ways the caller has
-        range-checked.  ``cores=None`` skips the core test; bandwidth
-        and network are tested only for a positive demand (the epsilon
-        columns are strictly positive); ``None`` means nothing was
-        tested.  Under an active fabric a network demand also needs its
-        rack's ToR headroom in the worst case (all of it crossing the
-        spine) — a conservative feasibility mask.  ``idle_skips_tor``
-        exempts fully idle nodes, which find_nodes admits through
-        :attr:`idle_probe`'s ``can_host`` (DESIGN.md §11)."""
-        cols = self.columns
-        ok = None if cores is None else cols.free_cores[sub] >= cores
-        if bw > 0.0:
-            m = cols.bw_eps[sub] >= bw
-            ok = m if ok is None else ok & m
-        if self.partitioned:
-            m = cols.free_ways[sub] >= ways
-            ok = m if ok is None else ok & m
-            ok &= cols.parts[sub] < cols.max_partitions
-        if net > 0.0:
-            m = cols.net_eps[sub] >= net
-            ok = m if ok is None else ok & m
-            if self._fabric is not None:
-                cap = self._rack_pop / self._fabric.oversubscription
-                tor = (self.booked_tor + net <= cap + 1e-9)[
-                    self._rack_of[sub]]
-                if idle_skips_tor:
-                    tor |= cols.free_cores[sub] == cols.cores
-                ok &= tor
-        return ok
+    def _tor_mask(self, sub, net: float,
+                  idle_skips_tor: bool = False) -> np.ndarray:
+        """Per-node ToR term of the host test over the slots ``sub`` (an
+        id array, or ``slice(None)`` for all), under an active fabric and
+        a network demand: the node's rack must have uplink headroom for
+        the demand in the worst case (all of it crossing the spine) — a
+        conservative feasibility mask.  ``idle_skips_tor`` exempts fully
+        idle nodes, which find_nodes admits through :attr:`idle_probe`'s
+        ``can_host`` (DESIGN.md §11)."""
+        cap = self._rack_pop / self._fabric.oversubscription
+        tor = (self.booked_tor + net <= cap + 1e-9)[self._rack_of[sub]]
+        if idle_skips_tor:
+            tor |= self.mixes.mix[sub] == 0
+        return tor
 
     def _ways_unplaceable(self, ways: int) -> bool:
         """Whether ``can_allocate`` rejects ``ways`` on every node."""
-        cols = self.columns
+        spec = self.spec.node
         return self.partitioned and (
-            ways < cols.min_ways or ways > cols.llc_ways)
+            ways < spec.cache.min_ways or ways > spec.llc_ways)
 
     def count_hosts(self, cores: int, ways: int, bw: float,
                     net: float) -> int:
-        """Number of up nodes that could host the slice, in one pass
-        over the node columns: exactly the nodes find_nodes' bucket
-        walk qualifies with no scan cap (:meth:`scan_hosts` on
-        part-used nodes, no ToR test on idle ones; DESIGN.md §7)."""
+        """Number of up nodes that could host the slice: exactly the
+        nodes find_nodes' bucket walk qualifies with no scan cap
+        (:meth:`scan_hosts` on part-used nodes, no ToR test on idle
+        ones; DESIGN.md §7).  A sum of node counts over the mixes that
+        pass :meth:`MixTable.fits` — down nodes carry the empty mix —
+        except that under an active fabric a network demand's ToR term
+        is per rack, so it masks the nodes."""
         if self._ways_unplaceable(ways):
             return 0
-        ok = self._host_mask(slice(None), cores, ways, bw, net,
-                             idle_skips_tor=True)
-        if self._down:
-            ok[list(self._down)] = False
-        return int(np.count_nonzero(ok))
+        mixes = self.mixes
+        ok = mixes.fits(cores, ways, bw, net)
+        if net > 0.0 and self._fabric is not None:
+            ok = ok[mixes.mix] & self._tor_mask(slice(None), net,
+                                                idle_skips_tor=True)
+            if self._down:
+                ok[list(self._down)] = False
+            return int(np.count_nonzero(ok))
+        hosts = int(mixes.refs @ ok)
+        return hosts - len(self._down) if ok[0] else hosts
 
     def scan_hosts(self, ids: Iterable[int], cores: int, ways: int,
                    bw: float, net: float, limit: int,
                    bucket: int = None) -> np.ndarray:
         """First ``limit`` node ids (scanned in the given order) that
         satisfy :meth:`NodeState.can_host` with these demands, plus the
-        ToR headroom test under an active fabric (:meth:`_host_mask`).
+        ToR headroom test under an active fabric (:meth:`_tor_mask`).
 
-        Vectorized over the capacity columns (the authoritative node
-        state).  A caller scanning a whole free-core bucket passes its
-        key, which makes the core comparison a foregone conclusion.
-        find_nodes scans only once its :meth:`count_hosts` precheck
-        says the bucket walk will succeed.
+        One mix-level demand test (:meth:`MixTable.fits`) gathered
+        through the nodes' mix ids.  A caller scanning a whole free-core
+        bucket passes its key, which makes the core comparison a
+        foregone conclusion.  find_nodes scans only once its
+        :meth:`count_hosts` precheck says the bucket walk will succeed.
         """
         arr = _id_array(ids)
         if arr.size == 0 or self._ways_unplaceable(ways):
@@ -748,6 +707,9 @@ class ClusterState:
             hits = arr[:limit].copy()
             self.counters["nodes_scanned"] += int(hits.size)
             return hits
+        fits = self.mixes.fits(cores if check_cores else None, ways, bw, net)
+        tor = net > 0.0 and self._fabric is not None
+        mix = self.mixes.mix
         # Chunked scan with early stop: callers only consume the first
         # ``limit`` qualifiers (in id-array order, which chunking
         # preserves), so wide buckets stop as soon as the quota is
@@ -762,8 +724,9 @@ class ClusterState:
             sub = arr[start:start + chunk]
             start += chunk
             counters["nodes_scanned"] += int(sub.size)
-            ok = self._host_mask(sub, cores if check_cores else None,
-                                 ways, bw, net)
+            ok = fits[mix[sub]]
+            if tor:
+                ok &= self._tor_mask(sub, net)
             out.append(sub[ok])
             found += len(out[-1])
         hits = out[0] if len(out) == 1 else np.concatenate(out)
@@ -774,10 +737,10 @@ class ClusterState:
         """The ``n`` ids with the lowest occupancy metric (ties broken by
         node id), metric-ascending — matches ``heapq.nsmallest`` over
         :meth:`NodeState.occupancy_metric` bit-for-bit: the metric is
-        evaluated with elementwise numpy arithmetic in the same operation
-        order as the scalar expression, and the used-core / allocated-way
-        operands are exact integer complements of the columnar free
-        counts.
+        evaluated per mix with elementwise numpy arithmetic in the same
+        operation order as the scalar expression, on used-core /
+        allocated-way operands that are exact integer complements of the
+        free counts, and gathered through the nodes' mix ids.
 
         ``rack_aware`` (locality-aware SNS under an active fabric)
         changes selection in two steps.  If any single rack contributes
@@ -790,17 +753,19 @@ class ClusterState:
         active fabric the flag is inert — selection order is exactly
         the flat one.
         """
-        cols = self.columns
+        mixes = self.mixes
+        spec = self.spec.node
         arr = _id_array(ids)
-        co = (cols.cores - cols.free_cores[arr]) / cols.cores
-        bo = np.minimum(1.0, cols.booked_bw[arr] / cols.peak_bw)
+        co = (spec.cores - mixes.free_cores) / spec.cores
+        bo = np.minimum(1.0, mixes.booked_bw / spec.peak_bw)
         if self.partitioned:
-            wo = (cols.llc_ways - cols.free_ways[arr]) / cols.llc_ways
+            wo = (spec.llc_ways - mixes.free_ways) / spec.llc_ways
             metric = co + bo + beta * wo
         else:
             # Unpartitioned ledgers never allocate ways: Wo is 0.0 and
             # adding beta * 0.0 is a bitwise no-op on the scalar path.
             metric = co + bo
+        metric = metric[mixes.mix[arr]]
         if rack_aware and self._fabric is not None:
             racks = self._rack_of[arr]
             pop = np.bincount(racks, minlength=self._num_racks)[racks]
@@ -933,11 +898,13 @@ class ClusterState:
     def verify_index(self) -> None:
         """Invariant check of the free-core index, used by tests and
         defensive assertions: every bucket's live span lies within its
-        arrays, stamps strictly increase along every bucket, every live entry sits in its node's free-core bucket,
-        every up node has exactly one live entry and no down node has
-        one, and the live counts equal a bincount of free cores over
-        the up nodes."""
-        free_cores = self.columns.free_cores
+        arrays, stamps strictly increase along every bucket, every live
+        entry sits in its node's free-core bucket, every up node has
+        exactly one live entry and no down node has one (nor a
+        resident), and the live counts equal a bincount of free cores
+        over the up nodes."""
+        mixes = self.mixes
+        free_cores = mixes.free_cores[mixes.mix]
         members = []
         for free in range(len(self._count)):
             if not 0 <= self._head[free] <= self._tail[free] \
@@ -957,83 +924,93 @@ class ClusterState:
                                           minlength=len(up)), up):
             raise SimulationError(
                 "free-core index must hold each up node once, no down node")
+        if mixes.mix[up == 0].any():
+            raise SimulationError("a down node carries residents")
         expect = np.bincount(free_cores[up == 1], minlength=len(self._count))
         if self._count != expect.tolist():
             raise SimulationError(
                 f"free-core counts {self._count} != {expect.tolist()}")
 
     def verify_columns(self) -> None:
-        """Check every node-column slot against values recomputed from
-        scratch from the node's mix key, the per-job bookings and the
-        per-job cross shares — *exact* equality, including the float
-        bookings (the columns are contractually bit-identical to a
-        left-to-right re-sum in resident insertion order).  Never reads
-        the cached mix rows for that; a filled row must equal the same
-        recomputation.  Also enforces the mix table's structure: keys
-        name each job at most once; the per-job meta slice counts match
-        the installed slices; every cross share sits on a node its job
-        occupies; refcounts equal node counts; freed ids are
-        unreachable and carry no view, row or rates; a live mix has one
-        rate slot per resident; ``held`` maps exactly the resident jobs,
-        each to the count of its nodes per mix.  Test /
+        """Check every live mix's entries of the per-mix arrays against
+        values recomputed from scratch from its key and the per-job
+        bookings (:func:`~repro.sim.node.recount`, which reads no
+        per-mix array), and every node's ``booked_cross`` against its
+        residents' cross shares — *exact* equality, including the float
+        bookings (contractually bit-identical to a left-to-right re-sum
+        in resident insertion order).  Also enforces the mix table's
+        structure: keys name each job at most once; the per-job meta
+        slice counts match the installed slices; every cross share sits
+        on a node its job occupies; refcounts equal node counts; freed
+        ids are unreachable and carry no view or rates; a live mix has
+        one rate slot per resident; ``held`` maps exactly the resident
+        jobs, each to the count of its nodes per mix.  Test /
         defensive-assertion hook, like :meth:`verify_index`."""
-        cols = self.columns
         spec = self.spec.node
         mixes = self.mixes
         meta = mixes.meta
-        refcounts: Dict[int, int] = {}
-        held: Dict[int, Dict[int, int]] = {}
+        keys = mixes.keys
         mix_ids = mixes.mix.tolist()
         for nid, m in enumerate(mix_ids):
-            key = mixes.keys[m]
-            if key is None:
+            if keys[m] is None:
                 raise SimulationError(f"node {nid}: carries freed mix {m}")
-            jobs = [j for j, _ in key]
-            if len(set(jobs)) != len(jobs):
-                raise SimulationError(
-                    f"node {nid}: duplicate resident job: {jobs}")
-            used = allocated = 0
-            booked_bw = booked_net = booked_cross = 0.0
-            for j, p in key:
-                e = meta.get(j)
-                if e is None:
-                    raise SimulationError(
-                        f"node {nid}: job {j} has no meta entry")
-                if not 1 <= p <= spec.cores:
-                    raise SimulationError(
-                        f"node {nid}: job {j} holds {p} processes")
-                used += p
-                allocated += e[3]
-                booked_bw += e[4]
-                booked_net += e[5]
+            booked_cross = 0.0
+            for j, _ in keys[m]:
                 share = self._cross.get(j, {}).get(nid)
                 if share is not None:
                     booked_cross += share
-                refcounts[j] = refcounts.get(j, 0) + 1
-                counts = held.setdefault(j, {})
-                counts[m] = counts.get(m, 0) + 1
-            if self.partitioned:
-                free_ways, parts = spec.llc_ways - allocated, len(key)
-            else:
-                free_ways, parts = spec.llc_ways, 0
-            fresh = (spec.cores - used, free_ways, parts, len(key),
-                     booked_bw, booked_net, (spec.peak_bw - booked_bw) + 1e-9,
-                     (1.0 - booked_net) + 1e-9)
-            row = mixes.rows[m]
-            if row is not None and row != fresh:
+            got = self.booked_cross[nid].item()
+            if got != booked_cross:
                 raise SimulationError(
-                    f"mix {m}: row {row} != {fresh} recomputed")
-            for name, value in zip(ROW_FIELDS + ("booked_cross",),
-                                   fresh + (booked_cross,)):
-                got = getattr(cols, name)[nid].item()
+                    f"node {nid}: booked_cross {got!r} != {booked_cross!r}")
+        refcounts: Dict[int, int] = {}
+        held: Dict[int, Dict[int, int]] = {}
+        nodes = np.bincount(mixes.mix, minlength=len(keys)).tolist()
+        free = set(mixes.free)
+        for m, key in enumerate(keys):
+            live = key is not None and mixes.ids.get(key) == m
+            rates = mixes.rates[m]
+            if live == (m in free) or (not live and (
+                    nodes[m] or mixes.refs[m] or mixes.views[m] is not None
+                    or rates is not None)):
+                raise SimulationError(f"mix {m}: freed id still reachable")
+            if not live:
+                continue
+            if mixes.refs[m] != nodes[m] or (m and not nodes[m]):
+                raise SimulationError(
+                    f"mix {m}: refcount {mixes.refs[m]} != {nodes[m]} nodes"
+                )
+            if rates is None or len(rates) != len(key):
+                raise SimulationError(
+                    f"mix {m}: rates {rates} do not match its "
+                    f"{len(key)} residents"
+                )
+            jobs = [j for j, _ in key]
+            if len(set(jobs)) != len(jobs):
+                raise SimulationError(
+                    f"mix {m}: duplicate resident job: {jobs}")
+            for j, p in key:
+                if j not in meta:
+                    raise SimulationError(
+                        f"mix {m}: job {j} has no meta entry")
+                if not 1 <= p <= spec.cores:
+                    raise SimulationError(
+                        f"mix {m}: job {j} holds {p} processes")
+                refcounts[j] = refcounts.get(j, 0) + nodes[m]
+                held.setdefault(j, {})[m] = nodes[m]
+            for name, value in recount(key, meta, spec,
+                                       self.partitioned).items():
+                got = getattr(mixes, name).item(m)
                 if got != value:
                     raise SimulationError(
-                        f"node {nid}: {name} column {got!r} != {value!r}")
+                        f"mix {m}: {name} {got!r} != {value!r} recomputed")
+        if len(mixes.ids) + len(free) != len(keys):
+            raise SimulationError("mix table index out of sync")
         if self._cross and self._fabric is None:
             raise SimulationError("cross shares without an active fabric")
         for jid, shares in self._cross.items():
             for nid in shares:
-                if jid not in [j for j, _ in mixes.keys[mix_ids[nid]]]:
+                if jid not in [j for j, _ in keys[mix_ids[nid]]]:
                     raise SimulationError(
                         f"job {jid}: cross share on node {nid}, which it "
                         f"does not occupy")
@@ -1041,7 +1018,7 @@ class ClusterState:
             num_nodes = len(self.nodes)
             for r in range(self._num_racks):
                 lo, hi = self._fabric.rack_span(r, num_nodes)
-                expect = sum(cols.booked_cross[lo:hi].tolist())
+                expect = sum(self.booked_cross[lo:hi].tolist())
                 if float(self.booked_tor[r]) != expect:
                     raise SimulationError(
                         f"rack {r}: booked_tor "
@@ -1062,26 +1039,6 @@ class ClusterState:
                     f"job {jid}: meta refcount {meta[jid][2]} != "
                     f"{n_slices} installed slices"
                 )
-        nodes = np.bincount(mixes.mix, minlength=len(mixes.keys)).tolist()
-        free = set(mixes.free)
-        for m, key in enumerate(mixes.keys):
-            live = key is not None and mixes.ids.get(key) == m
-            rates = mixes.rates[m]
-            if live == (m in free) or (not live and (
-                    nodes[m] or mixes.refs[m] or mixes.views[m] is not None
-                    or mixes.rows[m] is not None or rates is not None)):
-                raise SimulationError(f"mix {m}: freed id still reachable")
-            if live and (mixes.refs[m] != nodes[m] or (m and not nodes[m])):
-                raise SimulationError(
-                    f"mix {m}: refcount {mixes.refs[m]} != {nodes[m]} nodes"
-                )
-            if live and (rates is None or len(rates) != len(key)):
-                raise SimulationError(
-                    f"mix {m}: rates {rates} do not match its "
-                    f"{len(key)} residents"
-                )
-        if len(mixes.ids) + len(mixes.free) != len(mixes.keys):
-            raise SimulationError("mix table index out of sync")
         for jid in sorted(mixes.held.keys() | held.keys()):
             if mixes.held.get(jid) != held.get(jid):
                 raise SimulationError(
@@ -1093,8 +1050,9 @@ class ClusterState:
         """Live per-node gauge matrix: rows are
         :data:`repro.obs.timeseries.CHANNELS` (free cores, booked GB/s,
         allocated dedicated ways, resident job count), columns are
-        nodes.  Down nodes read zero on every channel.  This is the
-        ground truth the trace-replayed series
+        nodes, gathered through the nodes' mix ids.  Down nodes read
+        zero on every channel.  This is the ground truth the
+        trace-replayed series
         (:func:`repro.obs.timeseries.timeseries_from_trace`) is
         cross-validated against.
 
@@ -1102,16 +1060,17 @@ class ClusterState:
         is identically zero for CE/CS — matching the way-capacity law in
         :mod:`repro.obs.invariants`.
         """
-        cols = self.columns
-        n = len(self.nodes)
-        gauges = np.empty((4, n), dtype=np.float64)
-        gauges[0] = cols.free_cores
-        gauges[1] = cols.booked_bw
+        mixes = self.mixes
+        mix = mixes.mix
+        gauges = np.empty((4, len(self.nodes)), dtype=np.float64)
+        gauges[0] = mixes.free_cores[mix]
+        gauges[1] = mixes.booked_bw[mix]
         if self.partitioned:
-            gauges[2] = cols.llc_ways - cols.free_ways
+            gauges[2] = self.spec.node.llc_ways - mixes.free_ways[mix]
         else:
             gauges[2] = 0.0
-        gauges[3] = cols.n_res
+        gauges[3] = np.array([0 if key is None else len(key)
+                              for key in mixes.keys])[mix]
         for nid in self._down:
             gauges[:, nid] = 0.0
         return gauges

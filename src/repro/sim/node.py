@@ -7,27 +7,28 @@ has dedicated ways; residual ways shared equally) or *unpartitioned* mode
 in proportion to each job's process count, which models the steady state
 of an unmanaged shared cache under equal per-core pressure).
 
-The *hot* per-node quantities — free cores, free ways, partition count,
-booked bandwidth/network and the scan-ready epsilon complements — live in
-:class:`NodeColumns`, a struct-of-arrays pool shared by every node of a
-cluster.  The residents live in :class:`MixTable`: each node carries the
-id of its interned resident mix, the ordered ``(job_id, procs)`` key,
-and each job books the same ways, bandwidth and network on every node it
-occupies (``MixTable.meta``).  Key and bookings fix every node column, so
-the columns are a *function of the mix*: the table keeps one node row
-per mix id, and the cluster's batched place/remove scatter the rows of
-the new ids (DESIGN.md §7).  A :class:`NodeState` is a thin view over
-its column slot and its mix, with no per-slice Python objects of its own.
+A node's state is its resident mix id.  :class:`MixTable` interns each
+node's ordered ``(job_id, procs)`` resident key, and each job books the
+same ways, bandwidth and network on every node it occupies
+(``MixTable.meta``).  Key and bookings fix everything a scheduler reads
+of a node — free cores, free ways, partition count, booked
+bandwidth/network and the scan-ready epsilon complements — so the table
+keeps one array per field indexed by mix id, filled when the id is
+interned, and readers gather ``field[mix[nodes]]`` (DESIGN.md §7).  A
+:class:`NodeState` is a thin view over its slot of ``MixTable.mix``.
+Its reference arbitration inputs (:meth:`NodeState.slices`) are derived
+from the key and the bookings from scratch (:func:`recount`), never
+from those arrays.
 
 Float discipline (bit-identity with re-summed bookkeeping, enforced by
-``tests/test_soa_columns.py``): a row's booked bandwidth/network is the
+``tests/test_soa_columns.py``): a mix's booked bandwidth/network is the
 left-to-right sum of its residents' nonzero bookings in key order, which
 is insertion order — exactly the value incremental placements reach
 (extending a left-to-right sum by one term is one IEEE addition) and the
 value a removal must reach, because float subtraction does not invert
 addition.  A zero booking skips its addition, and the epsilon
-complements are ``(peak - booked) + 1e-9``, so the empty mix's row
-equals a pristine node's construction values.
+complements are ``(peak - booked) + 1e-9``, so the empty mix holds a
+pristine node's values.
 """
 
 from __future__ import annotations
@@ -40,52 +41,6 @@ from repro.apps.program import ProgramSpec
 from repro.errors import AllocationError
 from repro.hardware.node_spec import NodeSpec
 from repro.perfmodel.contention import Slice
-
-
-class NodeColumns:
-    """Struct-of-arrays hot state for a pool of nodes.
-
-    One slot per node; every array is the authoritative value (no
-    mirror to flush).  The float columns keep both the booked totals and
-    the *epsilon complements* — free capacity plus ``can_host``'s 1e-9
-    comparison slack — so capacity scans compare raw demands against a
-    contiguous array without a per-scan vector add.  Spec-derived
-    constants are denormalized here so batched mutation paths never walk
-    property chains.
-    """
-
-    __slots__ = (
-        "spec", "cores", "llc_ways", "peak_bw", "min_ways",
-        "max_partitions", "free_cores", "free_ways", "parts", "n_res",
-        "booked_bw", "booked_net", "booked_cross", "bw_eps", "net_eps",
-    )
-
-    def __init__(self, n: int, spec: NodeSpec) -> None:
-        self.spec = spec
-        self.cores = spec.cores
-        self.llc_ways = spec.llc_ways
-        self.peak_bw = spec.peak_bw
-        self.min_ways = spec.cache.min_ways
-        self.max_partitions = spec.cache.max_partitions
-        self.free_cores = np.full(n, spec.cores, dtype=np.int64)
-        self.free_ways = np.full(n, spec.llc_ways, dtype=np.int64)
-        self.parts = np.zeros(n, dtype=np.int64)
-        self.n_res = np.zeros(n, dtype=np.int64)
-        self.booked_bw = np.zeros(n, dtype=np.float64)
-        self.booked_net = np.zeros(n, dtype=np.float64)
-        # Booked *cross-rack* link fraction per node (the part of
-        # ``booked_net`` that leaves the rack through the ToR uplink);
-        # mutated only when the cluster's fabric is active, with the same
-        # float discipline as booked_net.  It depends on the rack, not
-        # the mix, so it is the one column no mix row carries.  The
-        # per-rack ToR and spine aggregates are derived from it
-        # (ClusterState).
-        self.booked_cross = np.zeros(n, dtype=np.float64)
-        self.bw_eps = np.full(n, spec.peak_bw + 1e-9, dtype=np.float64)
-        self.net_eps = np.full(n, 1.0 + 1e-9, dtype=np.float64)
-
-    def __len__(self) -> int:
-        return len(self.free_cores)
 
 
 #: Inputs up to this length group as Python lists (numpy's per-call
@@ -123,11 +78,39 @@ def distinct(values, bound: int = 0) -> tuple:
     return uniq.tolist(), cnt[uniq].tolist(), lut[values]
 
 
-#: The fields of a mix's node row (:meth:`MixTable.row`), named after
-#: the node columns they fill.
-ROW_FIELDS = ("free_cores", "free_ways", "parts", "n_res", "booked_bw",
-              "booked_net", "bw_eps", "net_eps")
-FREE_CORES, FREE_WAYS, PARTS = range(3)
+#: The per-mix arrays of :class:`MixTable`, grown together with the id
+#: space.
+_INTS = ("refs", "free_cores", "free_ways", "parts")
+_FLOATS = ("booked_bw", "booked_net", "bw_eps", "net_eps")
+_ARRAYS = _INTS + _FLOATS
+#: Ids the arrays hold before their first growth.
+_CAPACITY = 16
+
+
+def recount(key: tuple, meta: dict, spec: NodeSpec,
+            partitioned: bool) -> Dict[str, float]:
+    """The per-mix fields of any node carrying resident ``key``, derived
+    from the key and the per-job bookings ``meta`` alone — the reference
+    :meth:`ClusterState.verify_columns` checks :class:`MixTable`'s
+    arrays against, and the one :meth:`NodeState.slices` reads.  The
+    booked sums run left to right over the key."""
+    used = ways = 0
+    bw = net = 0.0
+    for j, p in key:
+        e = meta[j]
+        used += p
+        ways += e[3]
+        bw += e[4]
+        net += e[5]
+    return {
+        "free_cores": spec.cores - used,
+        "free_ways": spec.llc_ways - ways if partitioned else spec.llc_ways,
+        "parts": len(key) if partitioned else 0,
+        "booked_bw": bw,
+        "booked_net": net,
+        "bw_eps": (spec.peak_bw - bw) + 1e-9,
+        "net_eps": (1.0 - net) + 1e-9,
+    }
 
 
 class MixTable:
@@ -142,29 +125,33 @@ class MixTable:
     how many of its slices are installed anywhere in the pool, so
     partial placements and removals keep it exact.
 
-    Key plus bookings fully determine a node: its arbitration inputs
-    and every column of :class:`NodeColumns` but the rack-dependent
-    cross share.  Every node carrying one mix therefore shares one
-    arbitration view (``views``, resolved lazily by
+    Key plus bookings fully determine a node but for the rack-dependent
+    cross share: its arbitration inputs and its capacities.  Every node
+    carrying one mix therefore shares one arbitration view (``views``,
+    resolved lazily by
     :meth:`repro.sim.cluster.ClusterState.arbitration_batch`) and one
-    node row (``rows``), and a wide placement or removal computes one
-    transition per distinct mix instead of one per node.
+    entry of each per-mix array, and a wide placement or removal
+    computes one transition per distinct mix instead of one per node.
 
     Id 0 is the permanent empty mix.  Other entries are refcounted by
-    node count and freed at zero, their ids recycled, so the table never
-    outgrows the live mix population.
+    node count (``refs``) and freed at zero, their ids recycled, so the
+    table never outgrows the live mix population.
 
-    Three per-mix stores live and die with the id.  Each is reset
-    whenever an id is interned or freed (``None`` on a freed id): a key
-    fixes its residents and their procs, and their bookings cannot
-    change while they are resident, so an entry is valid until the id is
-    freed.
+    Per-mix state lives and dies with the id.  A key fixes its residents
+    and their procs, and their bookings cannot change while they are
+    resident, so an entry is valid until the id is freed:
 
-    - ``views[m]``: the mix's arbitration view;
-    - ``rows[m]``: the mix's node row (:meth:`row`), filled on first use;
+    - ``free_cores``, ``free_ways``, ``parts``, ``booked_bw``,
+      ``booked_net``, ``bw_eps``, ``net_eps``: one numpy array per
+      field, written when the id is interned (:meth:`_fill`; a freed
+      id's entries are stale and no node reads them).  The arrays, with
+      ``refs``, double when the id space outgrows them.  Resident
+      counts need no array: they are ``len(keys[m])``;
+    - ``views[m]``: the mix's arbitration view, reset on intern and free;
     - ``rates[m]``: a list parallel to ``keys[m]``, each resident's
       per-process instruction rate under the view, filled lazily by the
-      running-job table's row rebuild (DESIGN.md §7).
+      running-job table's row rebuild (DESIGN.md §7); reset on intern
+      and free.
 
     ``held[job_id]`` maps each mix id holding the job to its node count
     — the job's placement reduced to its distinct mixes, kept by the
@@ -172,9 +159,9 @@ class MixTable:
     mixes and never nodes.
     """
 
-    __slots__ = ("mix", "stride", "keys", "ids", "refs", "views", "rates",
-                 "rows", "held", "meta", "free", "partitioned", "cores",
-                 "llc_ways", "peak_bw")
+    __slots__ = ("mix", "stride", "keys", "ids", "views", "rates", "held",
+                 "meta", "free", "partitioned", "cores", "llc_ways",
+                 "peak_bw", "max_partitions") + _ARRAYS
 
     def __init__(self, n: int, spec: NodeSpec, partitioned: bool) -> None:
         self.mix = np.zeros(n, dtype=np.int32)
@@ -183,10 +170,8 @@ class MixTable:
         self.stride = spec.cores + 1
         self.keys: List[Optional[tuple]] = [()]
         self.ids: Dict[tuple, int] = {(): 0}
-        self.refs: List[int] = [n]
         self.views: List[Optional[tuple]] = [((), (), 0.0, ())]
         self.rates: List[Optional[list]] = [[]]
-        self.rows: List[Optional[tuple]] = [None]
         self.held: Dict[int, Dict[int, int]] = {}
         self.meta: Dict[int, Tuple[ProgramSpec, int, int, int, float,
                                    float]] = {}
@@ -195,6 +180,12 @@ class MixTable:
         self.cores = spec.cores
         self.llc_ways = spec.llc_ways
         self.peak_bw = spec.peak_bw
+        self.max_partitions = spec.cache.max_partitions
+        for name in _ARRAYS:
+            setattr(self, name, np.zeros(
+                _CAPACITY, dtype=np.int64 if name in _INTS else np.float64))
+        self.refs[0] = n
+        self._fill(0)
 
     def intern(self, key: tuple, count: int) -> int:
         """Id of ``key`` with its refcount raised by ``count``."""
@@ -205,38 +196,27 @@ class MixTable:
         if self.free:
             m = self.free.pop()
             self.keys[m] = key
-            self.refs[m] = count
             self.rates[m] = [None] * len(key)
         else:
             m = len(self.keys)
+            if m == len(self.refs):
+                for name in _ARRAYS:
+                    old = getattr(self, name)
+                    grown = np.zeros(2 * m, dtype=old.dtype)
+                    grown[:m] = old
+                    setattr(self, name, grown)
             self.keys.append(key)
-            self.refs.append(count)
             self.views.append(None)
-            self.rows.append(None)
             self.rates.append([None] * len(key))
+        self.refs[m] = count
         self.ids[key] = m
+        self._fill(m)
         return m
 
-    def release(self, m: int, count: int) -> None:
-        left = self.refs[m] - count
-        self.refs[m] = left
-        if not left and m:
-            del self.ids[self.keys[m]]
-            self.keys[m] = None
-            self.views[m] = None
-            self.rows[m] = None
-            self.rates[m] = None
-            self.free.append(m)
-
-    def row(self, m: int) -> tuple:
-        """The node row of mix ``m``: the values of the node columns
-        :data:`ROW_FIELDS` on every node carrying it, computed from the
-        key and ``meta`` on first use.  The booked sums run left to
-        right over the key, skipping zero bookings (see the module
-        docstring)."""
-        row = self.rows[m]
-        if row is not None:
-            return row
+    def _fill(self, m: int) -> None:
+        """Write the per-mix arrays of id ``m`` from its key and
+        ``meta``: the booked sums run left to right over the key,
+        skipping zero bookings (see the module docstring)."""
         key = self.keys[m]
         meta = self.meta
         used = ways = 0
@@ -249,33 +229,70 @@ class MixTable:
                 bw += e[4]
             if e[5] != 0.0:
                 net += e[5]
+        self.free_cores[m] = self.cores - used
         if self.partitioned:
-            free_ways, parts = self.llc_ways - ways, len(key)
+            self.free_ways[m] = self.llc_ways - ways
+            self.parts[m] = len(key)
         else:
-            free_ways, parts = self.llc_ways, 0
-        row = self.rows[m] = (
-            self.cores - used, free_ways, parts, len(key), bw, net,
-            (self.peak_bw - bw) + 1e-9, (1.0 - net) + 1e-9)
-        return row
+            self.free_ways[m] = self.llc_ways
+        self.booked_bw[m] = bw
+        self.booked_net[m] = net
+        self.bw_eps[m] = (self.peak_bw - bw) + 1e-9
+        self.net_eps[m] = (1.0 - net) + 1e-9
+
+    def release(self, m: int, count: int) -> None:
+        left = self.refs[m] - count
+        self.refs[m] = left
+        if not left and m:
+            del self.ids[self.keys[m]]
+            self.keys[m] = None
+            self.views[m] = None
+            self.rates[m] = None
+            self.free.append(m)
+
+    def fits(self, cores: Optional[int], ways: int, bw: float,
+             net: float) -> Optional[np.ndarray]:
+        """The mix-level demand test: per id the arrays hold, whether a
+        node carrying it can host a slice of ``cores`` processes,
+        ``ways`` dedicated ways (range-checked by the caller) and ``bw``
+        GB/s / ``net`` link fraction booked — :meth:`NodeState.can_host`
+        per mix.  ``cores=None`` skips the core test; bandwidth and
+        network are tested only for a positive demand (the epsilon
+        complements are strictly positive); ``None`` means nothing was
+        tested.  A freed or unused id's answer is meaningless, but no
+        node carries it and its refcount is zero."""
+        ok = None if cores is None else self.free_cores >= cores
+        if bw > 0.0:
+            m = self.bw_eps >= bw
+            ok = m if ok is None else ok & m
+        if self.partitioned:
+            m = self.free_ways >= ways
+            ok = m if ok is None else ok & m
+            ok &= self.parts < self.max_partitions
+        if net > 0.0:
+            m = self.net_eps >= net
+            ok = m if ok is None else ok & m
+        return ok
 
     def slices(self, m: int, share_residual: bool,
                enforce_bw: bool) -> List[Slice]:
         """The contention solver's slices of any node carrying mix
         ``m``.  Partitioned: a job's effective ways are its dedicated
-        ways plus an equal share of the row's free ways; unpartitioned:
+        ways plus an equal share of the mix's free ways; unpartitioned:
         a share of the whole LLC proportional to its processes."""
         key = self.keys[m]
-        row = self.row(m)
         meta = self.meta
         partitioned = self.partitioned
-        used = self.cores - row[FREE_CORES]
+        used = self.cores - self.free_cores.item(m)
+        free_ways = self.free_ways.item(m)
+        parts = self.parts.item(m)
         out = []
         for j, p in key:
             e = meta[j]
             if not partitioned:
                 eff = self.llc_ways * (p / used)
             elif share_residual:
-                eff = e[3] + row[FREE_WAYS] / row[PARTS]
+                eff = e[3] + free_ways / parts
             else:
                 eff = float(e[3])
             out.append(Slice(
@@ -405,7 +422,7 @@ def _take(counts: Dict[int, int], m: int, c: int) -> None:
 
 
 class NodeState:
-    """Mutable per-node bookkeeping: a view over one column slot.
+    """Mutable per-node bookkeeping: a view over one slot of a mix table.
 
     ``enforce_bw`` models Intel-MBA-style hard bandwidth partitioning:
     a resident job's DRAM draw is clipped to its booking.  The paper's
@@ -413,21 +430,21 @@ class NodeState:
     ``share_residual`` controls the residual-way giveaway of Section 4.4;
     disabling it is an ablation knob.
 
-    A cluster-owned node shares its :class:`ClusterState`'s column pool
-    and mix table (``slot`` = node id), and slices reach it only through
-    the cluster's ``place_slices`` / ``remove_slices``; a standalone node
-    (a pristine probe) builds a private single-slot pool and table.
+    A cluster-owned node shares its :class:`ClusterState`'s mix table
+    (``slot`` = node id), and slices reach it only through the cluster's
+    ``place_slices`` / ``remove_slices``; a standalone node (a pristine
+    probe) builds a private single-slot table.  The capacity properties
+    read the table's per-mix arrays at the node's mix.
     """
 
     __slots__ = (
         "node_id", "spec", "partitioned", "enforce_bw", "share_residual",
-        "columns", "mixes", "_slot",
+        "mixes", "_slot",
     )
 
     def __init__(self, node_id: int, spec: NodeSpec,
                  partitioned: bool = True, enforce_bw: bool = False,
                  share_residual: bool = True,
-                 columns: Optional[NodeColumns] = None,
                  mixes: Optional[MixTable] = None,
                  slot: Optional[int] = None) -> None:
         self.node_id = node_id
@@ -435,38 +452,40 @@ class NodeState:
         self.partitioned = partitioned
         self.enforce_bw = enforce_bw
         self.share_residual = share_residual
-        if columns is None:
-            columns = NodeColumns(1, spec)
-            slot = 0
         if mixes is None:
-            mixes = MixTable(len(columns), spec, partitioned)
-        self.columns = columns
+            mixes = MixTable(1, spec, partitioned)
+            slot = 0
         self.mixes = mixes
         self._slot = node_id if slot is None else slot
 
     # -- capacity queries ----------------------------------------------------
 
     @property
+    def mix(self) -> int:
+        """Id of this node's resident mix."""
+        return self.mixes.mix.item(self._slot)
+
+    @property
     def used_cores(self) -> int:
-        return self.spec.cores - int(self.columns.free_cores[self._slot])
+        return self.spec.cores - self.free_cores
 
     @property
     def free_cores(self) -> int:
-        return int(self.columns.free_cores[self._slot])
+        return self.mixes.free_cores.item(self.mix)
 
     @property
     def free_ways(self) -> int:
-        return int(self.columns.free_ways[self._slot])
+        return self.mixes.free_ways.item(self.mix)
 
     @property
     def cat_partitions(self) -> int:
         """Number of active CAT partitions on this node."""
-        return int(self.columns.parts[self._slot])
+        return self.mixes.parts.item(self.mix)
 
     @property
     def booked_bw(self) -> float:
         """Total bandwidth (GB/s) booked by the scheduler on this node."""
-        return float(self.columns.booked_bw[self._slot])
+        return self.mixes.booked_bw.item(self.mix)
 
     @property
     def free_bw(self) -> float:
@@ -476,7 +495,7 @@ class NodeState:
     def booked_net(self) -> float:
         """Total booked link-utilization fraction (network dimension,
         the paper's Section 3.3 extension)."""
-        return float(self.columns.booked_net[self._slot])
+        return self.mixes.booked_net.item(self.mix)
 
     @property
     def free_net(self) -> float:
@@ -484,12 +503,8 @@ class NodeState:
 
     @property
     def is_idle(self) -> bool:
-        return not int(self.columns.n_res[self._slot])
-
-    @property
-    def mix(self) -> int:
-        """Id of this node's resident mix."""
-        return int(self.mixes.mix[self._slot])
+        # Every slice pins a core, so only the empty mix has no resident.
+        return not self.mix
 
     @property
     def resident_job_ids(self) -> List[int]:
@@ -498,12 +513,10 @@ class NodeState:
     def occupancy_metric(self, beta: float) -> float:
         """The paper's node-selection metric ``Co + Bo + beta * Wo``
         (occupied fractions of cores, bandwidth, and LLC ways)."""
-        cols = self.columns
-        slot = self._slot
         spec = self.spec
-        co = (spec.cores - int(cols.free_cores[slot])) / spec.cores
-        bo = min(1.0, float(cols.booked_bw[slot]) / spec.peak_bw)
-        wo = (spec.llc_ways - int(cols.free_ways[slot])) / spec.llc_ways
+        co = (spec.cores - self.free_cores) / spec.cores
+        bo = min(1.0, self.booked_bw / spec.peak_bw)
+        wo = (spec.llc_ways - self.free_ways) / spec.llc_ways
         return co + bo + beta * wo
 
     # -- allocation ----------------------------------------------------------
@@ -512,40 +525,43 @@ class NodeState:
                  net: float = 0.0) -> bool:
         """Whether a new slice (``procs`` cores, ``ways`` dedicated ways,
         ``bw`` GB/s and ``net`` link fraction booked) fits right now."""
-        cols = self.columns
-        slot = self._slot
-        if procs > cols.free_cores[slot]:
+        mixes = self.mixes
+        m = self.mix
+        if procs > mixes.free_cores.item(m):
             return False
         if self.partitioned and (
-            ways < cols.min_ways
-            or cols.parts[slot] >= cols.max_partitions
-            or ways > cols.free_ways[slot]
+            ways < self.spec.cache.min_ways
+            or mixes.parts.item(m) >= mixes.max_partitions
+            or ways > mixes.free_ways.item(m)
         ):
             return False
-        if bw > cols.bw_eps[slot]:
+        if bw > mixes.bw_eps.item(m):
             return False
-        if net > cols.net_eps[slot]:
+        if net > mixes.net_eps.item(m):
             return False
         return True
 
     # -- performance-model views ----------------------------------------------
 
     def slices(self) -> List[Slice]:
-        """Current slices for the contention solver, read from this
-        node's own columns — the reference :meth:`MixTable.slices`
-        (which reads the mix's cached row) is checked against."""
+        """Current slices for the contention solver, derived from the
+        node's key and the per-job bookings from scratch
+        (:func:`recount`) — the reference :meth:`MixTable.slices`, which
+        reads the per-mix arrays, is checked against."""
         meta = self.mixes.meta
+        key = self.mixes.keys[self.mix]
+        state = recount(key, meta, self.spec, self.partitioned)
         enforce_bw = self.enforce_bw
         return [
             Slice(
                 job_id=j,
                 program=meta[j][0],
                 procs=p,
-                effective_ways=self._effective_ways(j, p),
+                effective_ways=self._effective_ways(j, p, state),
                 n_nodes=meta[j][1],
                 bw_cap=meta[j][4] if enforce_bw and meta[j][4] > 0 else None,
             )
-            for j, p in self.mixes.keys[self.mix]
+            for j, p in key
         ]
 
     def effective_ways(self, job_id: int) -> float:
@@ -555,20 +571,22 @@ class NodeState:
         Unpartitioned: proportional share of the whole LLC by process
         count (free-for-all sharing).
         """
-        for j, p in self.mixes.keys[self.mix]:
+        key = self.mixes.keys[self.mix]
+        for j, p in key:
             if j == job_id:
-                return self._effective_ways(j, p)
+                return self._effective_ways(j, p, recount(
+                    key, self.mixes.meta, self.spec, self.partitioned))
         raise AllocationError(f"job {job_id} not on node {self.node_id}")
 
-    def _effective_ways(self, job_id: int, procs: int) -> float:
-        cols = self.columns
-        slot = self._slot
+    def _effective_ways(self, job_id: int, procs: int,
+                        state: Dict[str, float]) -> float:
         if self.partitioned:
             dedicated = self.mixes.meta[job_id][3]
             if not self.share_residual:
                 return float(dedicated)
-            return dedicated + int(cols.free_ways[slot]) / int(cols.parts[slot])
-        return self.spec.llc_ways * (procs / self.used_cores)
+            return dedicated + state["free_ways"] / state["parts"]
+        return self.spec.llc_ways * (
+            procs / (self.spec.cores - state["free_cores"]))
 
     def dedicated_ways(self, job_id: int) -> int:
         """Dedicated (CAT-partitioned) ways of a resident job."""

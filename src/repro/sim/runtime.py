@@ -283,7 +283,7 @@ class SchedulerCore:
         self.tracer = tracer
         self._spec = cluster_spec.node
         # Physical leaf-spine link loads (DESIGN.md §13).  The cluster's
-        # *booked* link columns answer scheduling feasibility; the perf
+        # *booked* link shares answer scheduling feasibility; the perf
         # charge here is physical: every running cross-rack job loads
         # the ToR uplinks and the spine in proportion to its
         # communication fraction, whatever the policy placed it (CE/CS

@@ -1,6 +1,5 @@
 """Cluster state and the free-core index."""
 
-import numpy as np
 import pytest
 
 from repro.apps.catalog import get_program
@@ -25,7 +24,7 @@ def cluster() -> ClusterState:
 class TestIndex:
     def test_fresh_cluster_all_idle(self, cluster):
         assert cluster.idle_nodes() == [0, 1, 2, 3]
-        assert int(cluster.columns.free_cores.sum()) == 4 * 28
+        assert sum(cluster.node(i).free_cores for i in range(4)) == 4 * 28
         assert cluster.free_levels(1) == [28]
         cluster.verify_index()
 
@@ -104,10 +103,11 @@ class TestIndex:
 
     @staticmethod
     def _state(cluster):
-        cols = cluster.columns
         mixes = cluster.mixes
-        return ([getattr(cols, name).tolist() for name in cols.__slots__
-                 if isinstance(getattr(cols, name), np.ndarray)],
+        return ([getattr(mixes, name)[mixes.mix].tolist() for name in (
+                    "free_cores", "free_ways", "parts", "booked_bw",
+                    "booked_net", "bw_eps", "net_eps")]
+                + [cluster.booked_cross.tolist()],
                 mixes.mix.tolist(), list(mixes.keys),
                 {j: dict(h) for j, h in mixes.held.items()},
                 dict(mixes.meta))
@@ -256,8 +256,10 @@ class TestDeepResidency:
                 out = original(nodes, job_id, *args, **kwargs)
                 cluster.verify_columns()
                 cluster.verify_index()
-                ops.append((name, int(cluster.columns.n_res.max()),
-                            cluster.mixes.mix.tolist()))
+                mixes = cluster.mixes
+                ops.append((name, max(len(mixes.keys[m])
+                                      for m in mixes.mix.tolist()),
+                            mixes.mix.tolist()))
                 return out
             setattr(cluster, name, wrapped)
 
@@ -284,10 +286,10 @@ class TestDeepResidency:
 
     def test_recycled_mix_id_takes_a_fresh_row(self, cluster):
         """A freed mix id re-interned for another key must not keep the
-        old key's row: the columns must match a from-scratch recompute."""
+        old key's entries: the arrays must match a from-scratch recompute."""
         cluster.place_slices([0], 1, EP, [4], 2, 1.5, 1, net=0.25)
         old = cluster.node(0).mix
-        assert cluster.mixes.row(old)[0] == 24
+        assert cluster.mixes.free_cores[old] == 24
         cluster.remove_slices([0], 1)
         assert old in cluster.mixes.free
         cluster.place_slices([1], 2, EP, [9], 3, 0.5, 1)

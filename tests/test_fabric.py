@@ -170,7 +170,7 @@ class _FabricDriver:
     def check(self) -> None:
         self.cluster.verify_columns()
         self.cluster.verify_index()
-        booked = self.cluster.columns.booked_cross
+        booked = self.cluster.booked_cross
         for nid in range(NODES):
             assert float(booked[nid]) == self.expected[nid], (
                 f"node {nid}: booked_cross {float(booked[nid])!r} != "

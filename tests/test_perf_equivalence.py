@@ -173,16 +173,6 @@ class TestBatchedKernelEquivalence:
         ]
         assert batched == reference  # bit-identical grants and net loads
 
-    def test_batched_matches_itself_across_cache_modes(self):
-        from repro.perfmodel import batch
-
-        spec, tables = self._random_tables(99)
-        fast = batch.arbitrate_nodes(PerfContext(enabled=True), spec, tables)
-        reference = batch.arbitrate_nodes(
-            PerfContext(enabled=False), spec, tables
-        )
-        assert fast == reference
-
     def test_batched_rejects_overcommitted_node(self):
         from repro.apps.catalog import get_program
         from repro.errors import HardwareModelError
@@ -263,8 +253,10 @@ class TestArbitrationCacheInvalidation:
         assert node.used_cores == sum(p for _, p in key)
         assert node.booked_bw == sum(meta[j][4] for j, _ in key)
         assert node.booked_net == sum(meta[j][5] for j, _ in key)
-        assert cluster.mixes.row(node.mix)[:4] == (
-            node.free_cores, node.free_ways, node.cat_partitions, 1)
+        spec = cluster.spec.node
+        assert (node.free_cores, node.free_ways, node.cat_partitions,
+                len(key)) == (spec.cores - sum(p for _, p in key),
+                              spec.llc_ways - meta[2][3], 1, 1)
         cluster.verify_index()
         cluster.verify_columns()
 

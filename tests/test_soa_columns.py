@@ -1,37 +1,40 @@
-"""Property test of the SoA column contract (DESIGN.md §7).
+"""Property test of the per-mix array contract (DESIGN.md §7).
 
-The :class:`~repro.sim.node.NodeColumns` arrays are the *source of
-truth* for node hot state; the per-node ``NodeState`` objects are thin
-views over their slots.  The contract enforced here: after ANY sequence
-of batched placements, removals, node failures and recoveries, every
-column slot equals the value recomputed from the per-node resident
-bookkeeping — **exactly**, floats included (the booked columns are
-bit-identical to a left-to-right re-sum in resident insertion order,
-and the epsilon complements to ``(peak - booked) + 1e-9``).
+A node's state is its resident mix id: :class:`~repro.sim.node.MixTable`
+keeps one array per capacity field indexed by mix id, and every reader
+gathers ``field[mix[node]]``.  The contract enforced here: after ANY
+sequence of batched placements, removals, node failures and recoveries,
+every live mix's array entries equal the values recomputed from its key
+and the per-job bookings — **exactly**, floats included (the booked
+sums are bit-identical to a left-to-right re-sum in resident insertion
+order, and the epsilon complements to ``(peak - booked) + 1e-9``) — and
+every node's ``booked_cross`` equals its residents' cross shares.
 
 Hypothesis drives the operation sequence; :meth:`ClusterState.
-verify_columns` (which recomputes every node from its mix key, the
-per-job bookings and the per-job cross shares, never from the cached
-mix rows) and :meth:`ClusterState.verify_index` are the oracles.  The
-sequences run on a flat cluster and on an active fabric, where shared
-nodes carry several jobs' cross-rack shares.  Placements follow the
-simulator's uniformity invariant — one job books identical
-ways/bandwidth/network on every node of its placement, exactly like
-``place_slices`` callers do; process counts may differ per node, and a
-removal may take a job off only some of its nodes.
+verify_columns` (which recomputes from the keys, the per-job bookings
+and the per-job cross shares through :func:`~repro.sim.node.recount`,
+never from the arrays it checks) and :meth:`ClusterState.verify_index`
+are the oracles.  The sequences run on a flat cluster and on an active
+fabric, where shared nodes carry several jobs' cross-rack shares.
+Placements follow the simulator's uniformity invariant — one job books
+identical ways/bandwidth/network on every node of its placement,
+exactly like ``place_slices`` callers do; process counts may differ per
+node, and a removal may take a job off only some of its nodes.
 
 Every placement and removal also returns the moving job's co-runners,
 read from the resident-mix transitions; each set must equal a scan of
 the residents of the placement's shared nodes (the ones hosting more
 than one job) minus the moving job.
 
-The same sequences also drive the interned resident-mix table: every
-filled mix row must equal its recomputation, the refcounts must equal
-node counts with no freed id reachable, each job's ``held`` mix counts
-must equal a count over its nodes, and rates must sit only on live ids
-(all checked by ``verify_columns``); and the per-mix arbitration view
-every node reads must be bit-identical to the from-scratch reference
-arbitration of that node.
+The same sequences also check the rest of the mix table: the refcounts
+must equal node counts with no freed id reachable, each job's ``held``
+mix counts must equal a count over its nodes, and rates must sit only
+on live ids (all checked by ``verify_columns``); and the per-mix
+arbitration view every node reads must be bit-identical to the
+from-scratch reference arbitration of that node.  Two direct tests pin
+the reference's independence (a poisoned array entry is named by
+``verify_columns`` but leaves the reference view unchanged) and the
+arrays' growth past their initial capacity with ids freed and recycled.
 """
 
 from __future__ import annotations
@@ -43,10 +46,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.apps.catalog import get_program  # noqa: E402
+from repro.errors import SimulationError  # noqa: E402
 from repro.hardware.fabric import FabricSpec  # noqa: E402
 from repro.hardware.topology import ClusterSpec  # noqa: E402
 from repro.perfmodel.context import PerfContext  # noqa: E402
 from repro.sim.cluster import ClusterState  # noqa: E402
+from repro.sim.node import _CAPACITY  # noqa: E402
 
 NODES = 10
 #: Real programs for the arbitration checks (the column checks run
@@ -257,7 +262,7 @@ def test_columns_match_recomputed_state_on_fabric(partitioned, data):
     for job_id, node_ids in sorted(driver.placements.items()):
         driver.cluster.remove_slices(node_ids, job_id)
     driver.cluster.verify_columns()
-    assert not driver.cluster.columns.booked_cross.any()
+    assert not driver.cluster.booked_cross.any()
 
 
 def test_cross_share_resum_after_partial_removal():
@@ -271,7 +276,7 @@ def test_cross_share_resum_after_partial_removal():
                          net=0.25)
     cluster.place_slices([0, 5, 8], 2, object(), [2, 2, 2], ways, 0.0, 3,
                          net=1.0 / 3.0)
-    booked = cluster.columns.booked_cross
+    booked = cluster.booked_cross
     assert float(booked[0]) == 0.25 + 1.0 / 3.0
     cluster.verify_columns()
     cluster.remove_slices([0], 2)
@@ -344,3 +349,73 @@ def test_drop_collapses_two_mixes_into_one():
     assert cluster.remove_slices([0, 1], 2) == {1}
     assert mixes.held == {1: {mixes.ids[((1, 3),)]: 2}}
     cluster.verify_columns()
+
+
+#: The per-mix arrays and a poison value for each.
+POISON = {"refs": 1, "free_cores": 1, "free_ways": 1, "parts": 1,
+          "booked_bw": 0.5, "booked_net": 0.125, "bw_eps": 0.5,
+          "net_eps": 0.125}
+
+
+@pytest.mark.parametrize("partitioned", [True, False])
+def test_poisoned_mix_arrays_fail_verify_not_reference(partitioned):
+    """A wrong entry in any per-mix array of a live mix is named by
+    ``verify_columns``, which recomputes from the key and bookings; the
+    reference arbitration derives its inputs the same way, so it still
+    returns the view it returned before the poisoning."""
+    cluster = ClusterState(ClusterSpec(num_nodes=4), partitioned=partitioned,
+                           ctx=PerfContext(enabled=False))
+    ways = cluster.spec.node.cache.min_ways
+    cluster.place_slices([0, 1], 1, PROGRAMS[0], [6, 6], ways, 4.0, 2,
+                         net=0.25)
+    cluster.place_slices([1, 0], 2, PROGRAMS[1], [3, 3], ways + 1, 2.0, 2)
+    mixes = cluster.mixes
+    m = cluster.node(0).mix
+    assert m and mixes.keys[m] == ((1, 6), (2, 3))
+    before = repr(cluster._arbitrate(0))
+    cluster.verify_columns()
+    for name, delta in POISON.items():
+        getattr(mixes, name)[m] += delta
+        with pytest.raises(SimulationError, match=f"mix {m}: "):
+            cluster.verify_columns()
+        assert repr(cluster._arbitrate(0)) == before
+    for name, delta in POISON.items():
+        getattr(mixes, name)[m] -= delta
+    cluster.verify_columns()
+
+
+def test_mix_arrays_grow_and_recycle():
+    """One distinct job per node drives more live mixes than the per-mix
+    arrays first hold; freeing and recycling the ids keeps every entry
+    equal to its recomputation and the free-core index consistent."""
+    nodes = 64
+    cluster = ClusterState(ClusterSpec(num_nodes=nodes),
+                           ctx=PerfContext(enabled=True))
+    ways = cluster.spec.node.cache.min_ways
+    mixes = cluster.mixes
+
+    def checked(op, *args, **kwargs):
+        op(*args, **kwargs)
+        cluster.verify_columns()
+        cluster.verify_index()
+
+    for nid in range(nodes):
+        checked(cluster.place_slices, [nid], nid, object(), [1 + nid % 27],
+                ways, 0.25 * (nid % 3), 1, net=0.0625 * (nid % 2))
+    assert len(mixes.keys) == nodes + 1 > _CAPACITY
+    assert len(mixes.refs) >= len(mixes.keys)
+    for nid in range(0, nodes, 2):
+        checked(cluster.remove_slices, [nid], nid)
+    assert len(mixes.free) == nodes // 2
+    # Each fresh job interns two mixes (uneven procs) into freed ids.
+    for k, nid in enumerate(range(0, nodes, 4)):
+        checked(cluster.place_slices, [nid, nid + 2], nodes + k, object(),
+                [2, 5], ways + 1, 1.5, 2)
+    assert len(mixes.keys) == nodes + 1
+    assert not mixes.free
+    for nid in range(1, nodes, 2):
+        checked(cluster.remove_slices, [nid], nid)
+    for k, nid in enumerate(range(0, nodes, 4)):
+        checked(cluster.remove_slices, [nid, nid + 2], nodes + k)
+    assert mixes.ids == {(): 0} and mixes.refs[0] == nodes
+    assert cluster.idle_count() == nodes
