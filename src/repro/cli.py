@@ -15,9 +15,6 @@ Subcommands
     Schedule one random sequence and print the schedule summary.
     ``--faults mtbf=3600,mttr=300,seed=7`` injects seeded MTBF/MTTR node
     failures (see :func:`repro.faults.parse_fault_spec` for all keys).
-    ``--no-caches`` runs the unmemoized reference kernels
-    (``SimConfig(perf_caches=False)``) — bit-identical by contract, the
-    switch to flip when a result looks cache-shaped.
     ``--trace out.jsonl [--trace-level decisions|events|full]`` records
     a structured decision trace (DESIGN.md §10) as canonical JSONL;
     ``--trace-chrome out.json`` writes a Chrome ``trace_event`` file for
@@ -27,7 +24,7 @@ Subcommands
     Run the live scheduler service (DESIGN.md §12): an asyncio master
     that accepts job submissions over TCP and advances simulated time
     only as submissions arrive.  Shares the simulation flags above
-    (``--faults`` / ``--no-caches`` / ``--trace``…) through the same
+    (``--faults`` / ``--trace``…) through the same
     resolution helper, so they mean exactly the same thing here.
 ``submit PROGRAM --procs N [--host H] [--port P]``
     Submit one job to a running service (or query it:
@@ -93,7 +90,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def resolve_sim_setup(args: argparse.Namespace):
     """The one config-resolution path behind ``simulate`` and ``serve``:
     both subcommands expose the same ``--nodes`` / ``--faults`` /
-    ``--no-caches`` / ``--trace`` flags, and this helper gives them the
+    ``--trace`` flags, and this helper gives them the
     same meaning — the cluster spec, the :class:`SimConfig`, and the
     parsed fault plan all come from here."""
     cluster = ClusterSpec(num_nodes=args.nodes)
@@ -103,7 +100,6 @@ def resolve_sim_setup(args: argparse.Namespace):
     )
     tracing = bool(args.trace or args.trace_chrome)
     sim_config = SimConfig(
-        perf_caches=not args.no_caches,
         trace=TraceConfig(level=args.trace_level) if tracing else None,
     )
     return cluster, sim_config, fault_plan, tracing
@@ -314,11 +310,6 @@ def _add_sim_options(parser: argparse.ArgumentParser) -> None:
         "--faults", default=None, metavar="SPEC",
         help="inject seeded node failures, e.g. mtbf=3600,mttr=300,seed=7"
              " (keys: mtbf, mttr, seed, horizon, retries, backoff)",
-    )
-    parser.add_argument(
-        "--no-caches", action="store_true",
-        help="run the unmemoized reference kernels "
-             "(SimConfig(perf_caches=False)); results are bit-identical",
     )
     parser.add_argument(
         "--trace", default=None, metavar="PATH",

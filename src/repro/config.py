@@ -164,16 +164,9 @@ class SimConfig:
     #: Structured-trace settings; ``None`` (default) records nothing and
     #: the run pays only an ``is None`` check per emission site.
     trace: Optional[TraceConfig] = None
-    #: Perf-model cache mode of this run's :class:`PerfContext`.  ``True``
-    #: runs the cached fast paths, ``False`` the unmemoized reference
-    #: paths (bit-identical by contract; the switch to flip when
-    #: debugging a suspected cache-coherence bug).
-    perf_caches: bool = True
 
     def __post_init__(self) -> None:
         if self.episode_seconds <= 0:
             raise ConfigError("episode_seconds must be positive")
         if self.max_sim_time <= 0:
             raise ConfigError("max_sim_time must be positive")
-        if not isinstance(self.perf_caches, bool):
-            raise ConfigError("perf_caches must be True or False")

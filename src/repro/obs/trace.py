@@ -7,9 +7,9 @@ one dict per observable event: every scheduler decision, every job
 lifecycle transition, and every fault event.  Records are plain dicts
 with a fixed key order so the canonical JSONL serialization
 (:func:`repro.obs.export.trace_lines`) is **byte-stable**: the
-decisions-level stream of a seeded run is identical under the cached
-fast path, the unmemoized reference kernels, and interleaved stepping
-of several simulations — the golden-trace contract
+decisions-level stream of a seeded run is identical under interleaved
+stepping of several simulations and to the replay of the test-only
+oracle (``tests/oracle``) — the golden-trace contract
 (``tests/test_trace_golden.py``) enforced in CI.
 
 Overhead contract: a simulation without a tracer pays exactly one
@@ -20,8 +20,8 @@ untraced wall-clock).
 Trace levels
 ------------
 ``decisions``
-    Scheduler decisions + job lifecycle + fault events.  Every record
-    at this level is cache-mode independent (bit-identity contract).
+    Scheduler decisions + job lifecycle + fault events: the
+    byte-stable stream the oracle reproduces.
 ``events``
     Adds per-scheduling-point queue summaries (``sched`` records).
 ``full``
@@ -156,7 +156,7 @@ class Tracer:
     def decision_stream(self) -> List[dict]:
         return decision_stream(self.events)
 
-    # -- decisions-level records (cache-mode independent) ------------------
+    # -- decisions-level records (byte-stable) -------------------------------
 
     def meta(self, *, policy: str, partitioned: bool, num_nodes: int,
              cores: int, llc_ways: int, peak_bw: float,

@@ -5,7 +5,7 @@ hardware models (:mod:`repro.hardware`) into the quantities the simulator
 and profiler observe: per-job execution speed, per-node DRAM bandwidth,
 IPC, and communication share.
 
-The cache-mode flag and the batched-kernel counters live on
+The batched-kernel counters live on
 :class:`repro.perfmodel.context.PerfContext`, owned by each simulation;
 the modules here are stateless.
 """

@@ -1,22 +1,16 @@
 """Per-simulation performance-model context.
 
-:class:`PerfContext` carries the two pieces of kernel state one
-simulation threads through its layers: the ``enabled`` flag that picks
-the fast paths (the cluster's signature view cache and batched
-arbitration, the SNS demand cache, the runtime's incremental
-running-job table) or the unmemoized reference paths, and the batched-
-kernel counters.
+:class:`PerfContext` carries the batched-kernel counters one simulation
+threads through its layers.  Each :class:`repro.sim.runtime.Simulation`
+constructs its own context and injects it into every layer that
+consults it (``ClusterState`` at construction, the schedulers via
+``cluster.ctx``, ``arbitrate_nodes`` as an explicit argument); the SNS
+demand cache is tied to its lifetime.  Nothing is process-global: two
+simulations in one process — including two stepped in alternation —
+can never observe each other's counters or caches.
 
-Each :class:`repro.sim.runtime.Simulation` constructs its own context
-and injects it into every layer that consults it (``ClusterState`` at
-construction, the schedulers via ``cluster.ctx``,
-``arbitrate_nodes`` as an explicit argument).  Nothing is
-process-global: two simulations in one process — including two stepped
-in alternation — can never observe each other's counters or cache mode.
-
-``SimConfig.perf_caches`` is the only control; the old
-``REPRO_DISABLE_PERF_CACHES`` environment shim was removed after its
-deprecation release and the variable is ignored.
+There is one mode: the fast paths always run.  The independent
+reference is the test-only oracle under ``tests/oracle``.
 """
 
 from __future__ import annotations
@@ -32,12 +26,11 @@ MAX_ENTRIES = 1 << 20
 
 
 class PerfContext:
-    """Cache mode and batched-kernel counters of one simulation."""
+    """Batched-kernel counters of one simulation."""
 
-    __slots__ = ("enabled", "batch_counters")
+    __slots__ = ("batch_counters",)
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = bool(enabled)
+    def __init__(self) -> None:
         #: Batched-kernel instrumentation: arbitration batch calls,
         #: nodes and slices solved (repro.perfmodel.batch), plus
         #: vectorized curve-kernel evaluations (repro.perfmodel.

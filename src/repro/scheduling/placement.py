@@ -17,7 +17,6 @@ reaches the node demand, so it runs only for demands it satisfies
 
 from __future__ import annotations
 
-import heapq
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -78,26 +77,20 @@ def find_nodes(
     # until the next slice *removal*.  Congested replays retry
     # near-identical demands (same program + process count) across many
     # queued jobs, so a hit skips even the count below.
-    failed = None
-    if cluster.ctx.enabled:
-        epoch = cluster.release_epoch
-        cache_epoch, failed = cluster.find_fail
-        if cache_epoch != epoch:
-            failed = set()
-            cluster.find_fail = (epoch, failed)
-        key = (n_nodes, cores, ways, bw, net, beta)
-        if key in failed:
-            cluster.counters["find_fail_hits"] += 1
-            return None
-
-    def fail() -> None:
-        if failed is not None:
-            failed.add(key)
+    epoch = cluster.release_epoch
+    cache_epoch, failed = cluster.find_fail
+    if cache_epoch != epoch:
+        failed = set()
+        cluster.find_fail = (epoch, failed)
+    key = (n_nodes, cores, ways, bw, net, beta)
+    if key in failed:
+        cluster.counters["find_fail_hits"] += 1
+        return None
 
     # Fast fail on congested clusters: the core dimension alone rules the
     # request out without touching any node.
     if cluster.count_with_free_cores(cores) < n_nodes:
-        fail()
+        failed.add(key)
         return None
 
     # The walk's first bucket, answered without counting: small jobs on
@@ -111,7 +104,7 @@ def find_nodes(
     # count above already was that count.
     if (cluster.partitioned or bw > 0.0 or net > 0.0) \
             and cluster.count_hosts(cores, ways, bw, net) < n_nodes:
-        fail()
+        failed.add(key)
         return None
 
     chosen = _walk(cluster, n_nodes, cores, ways, bw, beta, net, locality)
@@ -126,12 +119,13 @@ def _idle_hosts(cluster: ClusterState, cores: int, ways: int, bw: float,
                 net: float) -> int:
     """How many fully idle nodes can host the slice: all or none.  Idle
     nodes are interchangeable (every slice pins a core, so they hold no
-    slice: identical state, metric 0), so one
-    pristine node's ``can_host`` decides for all of them instead of a
-    scan of thousands on large clusters.  That test has no ToR headroom
-    term (DESIGN.md §11)."""
+    slice: they all carry the empty mix, metric 0), so the empty mix's
+    entry of the mix-level demand test decides for all of them instead
+    of a scan of thousands on large clusters.  That test has no ToR
+    headroom term (DESIGN.md §11)."""
     idle = cluster.idle_count()
-    if idle and cluster.idle_probe.can_host(cores, ways, bw, net):
+    if idle and not cluster._ways_unplaceable(ways) \
+            and cluster.mixes.fits(cores, ways, bw, net, 0):
         return idle
     return 0
 
@@ -152,18 +146,7 @@ def _pick(cluster: ClusterState, ids: np.ndarray, n_nodes: int,
     """The ``n_nodes`` idlest of the qualifying ``ids``."""
     if len(ids) <= n_nodes:
         return ids
-    if locality:
-        # Same columnar selection in both cache modes: locality changes
-        # placement decisions, and decisions must stay cache-mode
-        # independent (the golden-trace contract).
-        return cluster.pick_idlest(ids, n_nodes, beta, rack_aware=True)
-    if cluster.ctx.enabled:
-        return cluster.pick_idlest(ids, n_nodes, beta)
-    nodes = cluster.nodes
-    return np.array(heapq.nsmallest(
-        n_nodes, ids.tolist(),
-        key=lambda nid: (nodes[nid].occupancy_metric(beta), nid)),
-        dtype=np.int64)
+    return cluster.pick_idlest(ids, n_nodes, beta, rack_aware=locality)
 
 
 def _walk(cluster: ClusterState, n_nodes: int, cores: int, ways: int,

@@ -27,11 +27,7 @@ from repro.hardware.topology import ClusterSpec
 from repro.perfmodel.context import MAX_ENTRIES, PerfContext
 from repro.profiling.database import ProfileDatabase
 from repro.scheduling.base import BaseScheduler
-from repro.scheduling.demand import (
-    ResourceDemand,
-    estimate_demand,
-    estimate_demands_batch,
-)
+from repro.scheduling.demand import ResourceDemand, estimate_demands_batch
 from repro.scheduling.placement import find_nodes, split_procs
 from repro.sim.cluster import ClusterState
 from repro.sim.job import Job
@@ -85,8 +81,6 @@ class SpreadNShareScheduler(BaseScheduler):
         """The job's ``(scale, demand)`` walk in preference order,
         footprint-filtered, memoized per (program, procs, alpha) within
         the lifecycle of ``ctx`` (the simulation's perf context)."""
-        if not ctx.enabled:
-            return self._compute_candidates(job, alpha)
         if self._demand_ctx is not ctx:
             self._demand_cache.clear()
             self._demand_ctx = ctx
@@ -104,7 +98,7 @@ class SpreadNShareScheduler(BaseScheduler):
         return value
 
     def _compute_candidates(
-        self, job: Job, alpha: float, ctx: Optional[PerfContext] = None
+        self, job: Job, alpha: float, ctx: PerfContext
     ) -> _Candidates:
         spec = self.cluster_spec.node
         try:
@@ -123,24 +117,13 @@ class SpreadNShareScheduler(BaseScheduler):
                     scale_profile.n_nodes
                 )
             entries.append((scale_profile, net_fraction))
-        if ctx is not None and ctx.enabled:
-            # Whole-sweep demand estimation through the vectorized curve
-            # kernels; the scalar per-scale walk below stays as the
-            # cache-disabled reference oracle (bit-identical by the
-            # curves_vec contract).
-            demands = estimate_demands_batch(
-                entries, job.procs, alpha, spec,
-                min_ways=self.config.min_ways, ctx=ctx,
-            )
-        else:
-            demands = [
-                estimate_demand(
-                    sp, job.procs, alpha, spec,
-                    min_ways=self.config.min_ways,
-                    network_fraction=nf,
-                )
-                for sp, nf in entries
-            ]
+        # Whole-sweep demand estimation through the vectorized curve
+        # kernels, bit-identical to the scalar ``estimate_demand`` per
+        # scale (the curves_vec contract).
+        demands = estimate_demands_batch(
+            entries, job.procs, alpha, spec,
+            min_ways=self.config.min_ways, ctx=ctx,
+        )
         return tuple(
             (k, demand)
             for k, demand in zip(scales, demands)

@@ -21,7 +21,6 @@ from repro.errors import AllocationError, SimulationError
 from repro.hardware.topology import ClusterSpec
 from repro.perfmodel import batch
 from repro.perfmodel.context import MAX_ENTRIES, PerfContext
-from repro.perfmodel.contention import arbitrate_node, node_network_load
 from repro.sim.node import MixTable, NodeState, distinct, recount
 
 #: One node's arbitration, stored positionally so every node of a mix
@@ -52,8 +51,8 @@ class ClusterState:
     partitioned: bool = True
     enforce_bw: bool = False
     share_residual: bool = True
-    #: Perf-model context of the owning simulation: its cache mode and
-    #: batched-kernel counters.  Injected by the owning
+    #: Perf-model context of the owning simulation: its batched-kernel
+    #: counters.  Injected by the owning
     #: :class:`~repro.sim.runtime.Simulation` (construction-injection
     #: rule, DESIGN.md §9); a standalone ClusterState gets a private
     #: default context.
@@ -90,18 +89,8 @@ class ClusterState:
         # NodeState below is a thin view over its slot of ``mixes.mix``.
         n = self.spec.num_nodes
         self.mixes = MixTable(n, self.spec.node, self.partitioned)
-        self.nodes = [
-            NodeState(
-                node_id=i,
-                spec=self.spec.node,
-                partitioned=self.partitioned,
-                enforce_bw=self.enforce_bw,
-                share_residual=self.share_residual,
-                mixes=self.mixes,
-                slot=i,
-            )
-            for i in range(n)
-        ]
+        self.nodes = [NodeState(i, self.spec.node, self.partitioned,
+                                self.mixes) for i in range(n)]
         # Free-core index (DESIGN.md §7).  Bucket ``f`` is the up nodes
         # with ``free_cores == f`` ordered by arrival stamp.  ``_stamp``
         # holds each node's stamp (-1 while down); every bucket move
@@ -120,10 +109,6 @@ class ClusterState:
         self._bst = list(self._bids)
         self._bids[cores] = np.arange(n, dtype=np.int64)
         self._bst[cores] = self._stamp.copy()
-        #: A pristine node: every idle node has exactly its state, so its
-        #: ``can_host`` answers for all of them (find_nodes' idle branch).
-        self.idle_probe = NodeState(node_id=-1, spec=self.spec.node,
-                                    partitioned=self.partitioned)
         self._view_cache = {}
         self._down = {}
         self._corunners = set()
@@ -650,8 +635,8 @@ class ClusterState:
         a network demand: the node's rack must have uplink headroom for
         the demand in the worst case (all of it crossing the spine) — a
         conservative feasibility mask.  ``idle_skips_tor`` exempts fully
-        idle nodes, which find_nodes admits through :attr:`idle_probe`'s
-        ``can_host`` (DESIGN.md §11)."""
+        idle nodes, which find_nodes admits by the empty mix's entry of
+        :meth:`MixTable.fits` alone (DESIGN.md §11)."""
         cap = self._rack_pop / self._fabric.oversubscription
         tor = (self.booked_tor + net <= cap + 1e-9)[self._rack_of[sub]]
         if idle_skips_tor:
@@ -659,7 +644,9 @@ class ClusterState:
         return tor
 
     def _ways_unplaceable(self, ways: int) -> bool:
-        """Whether ``can_allocate`` rejects ``ways`` on every node."""
+        """Whether ``ways`` dedicated ways fit no node at all (below the
+        associativity floor or above the LLC), the range check
+        :meth:`MixTable.fits` leaves to its callers."""
         spec = self.spec.node
         return self.partitioned and (
             ways < spec.cache.min_ways or ways > spec.llc_ways)
@@ -689,9 +676,9 @@ class ClusterState:
     def scan_hosts(self, ids: Iterable[int], cores: int, ways: int,
                    bw: float, net: float, limit: int,
                    bucket: int = None) -> np.ndarray:
-        """First ``limit`` node ids (scanned in the given order) that
-        satisfy :meth:`NodeState.can_host` with these demands, plus the
-        ToR headroom test under an active fabric (:meth:`_tor_mask`).
+        """First ``limit`` node ids (scanned in the given order) that can
+        host a slice of these demands, plus the ToR headroom test under
+        an active fabric (:meth:`_tor_mask`).
 
         One mix-level demand test (:meth:`MixTable.fits`) gathered
         through the nodes' mix ids.  A caller scanning a whole free-core
@@ -734,13 +721,9 @@ class ClusterState:
 
     def pick_idlest(self, ids: Sequence[int], n: int, beta: float,
                     rack_aware: bool = False) -> np.ndarray:
-        """The ``n`` ids with the lowest occupancy metric (ties broken by
-        node id), metric-ascending — matches ``heapq.nsmallest`` over
-        :meth:`NodeState.occupancy_metric` bit-for-bit: the metric is
-        evaluated per mix with elementwise numpy arithmetic in the same
-        operation order as the scalar expression, on used-core /
-        allocated-way operands that are exact integer complements of the
-        free counts, and gathered through the nodes' mix ids.
+        """The ``n`` ids with the lowest occupancy metric
+        (:meth:`MixTable.occupancy`, gathered through the nodes' mix
+        ids), ties broken by node id, metric-ascending.
 
         ``rack_aware`` (locality-aware SNS under an active fabric)
         changes selection in two steps.  If any single rack contributes
@@ -754,18 +737,8 @@ class ClusterState:
         the flat one.
         """
         mixes = self.mixes
-        spec = self.spec.node
         arr = _id_array(ids)
-        co = (spec.cores - mixes.free_cores) / spec.cores
-        bo = np.minimum(1.0, mixes.booked_bw / spec.peak_bw)
-        if self.partitioned:
-            wo = (spec.llc_ways - mixes.free_ways) / spec.llc_ways
-            metric = co + bo + beta * wo
-        else:
-            # Unpartitioned ledgers never allocate ways: Wo is 0.0 and
-            # adding beta * 0.0 is a bitwise no-op on the scalar path.
-            metric = co + bo
-        metric = metric[mixes.mix[arr]]
+        metric = mixes.occupancy(beta)[mixes.mix[arr]]
         if rack_aware and self._fabric is not None:
             racks = self._rack_of[arr]
             pop = np.bincount(racks, minlength=self._num_racks)[racks]
@@ -792,11 +765,7 @@ class ClusterState:
 
     def arbitration(self, node_id: int) -> ArbitrationView:
         """Bandwidth grants, network load, and effective ways on one
-        node: its mix's view, resolved once per mix lifetime.
-
-        With the perf-model caches disabled (debugging / equivalence
-        runs) every call recomputes from scratch on the reference path.
-        """
+        node: its mix's view, resolved once per mix lifetime."""
         return self.arbitration_batch((node_id,))[node_id]
 
     def arbitration_batch(
@@ -809,10 +778,10 @@ class ClusterState:
         signature-keyed view cache, or a place in one call to the
         columnar batched kernel (:func:`repro.perfmodel.batch.
         arbitrate_nodes`) that also dedupes equal signatures.
-        Bit-identical to the reference :meth:`_arbitrate` per node.
+        Bit-identical to the scalar ``arbitrate_node`` /
+        ``node_network_load`` of each node's slices (the oracle under
+        ``tests/oracle`` checks it).
         """
-        if not self.ctx.enabled:
-            return {nid: self._arbitrate(nid) for nid in node_ids}
         node_list = (node_ids if isinstance(node_ids, (list, tuple))
                      else list(node_ids))
         count = len(node_list)
@@ -880,20 +849,6 @@ class ClusterState:
             view_cache[key] = entry
             for m, jids in waiting[1:]:
                 mixes.views[m] = (jids, entry[1], entry[2], entry[3])
-
-    def _arbitrate(self, node_id: int) -> ArbitrationView:
-        """Reference arbitration of one node, from scratch."""
-        node = self.nodes[node_id]
-        if node.is_idle:
-            return (), (), 0.0, ()
-        slices = node.slices()
-        grants = arbitrate_node(node.spec, slices)
-        return (
-            tuple(s.job_id for s in slices),
-            tuple(grants[s.job_id] for s in slices),
-            node_network_load(node.spec, slices),
-            tuple(s.effective_ways for s in slices),
-        )
 
     def verify_index(self) -> None:
         """Invariant check of the free-core index, used by tests and

@@ -16,9 +16,9 @@ bandwidth/network and the scan-ready epsilon complements — so the table
 keeps one array per field indexed by mix id, filled when the id is
 interned, and readers gather ``field[mix[nodes]]`` (DESIGN.md §7).  A
 :class:`NodeState` is a thin view over its slot of ``MixTable.mix``.
-Its reference arbitration inputs (:meth:`NodeState.slices`) are derived
-from the key and the bookings from scratch (:func:`recount`), never
-from those arrays.
+:func:`recount` derives the same fields from the key and the bookings
+from scratch, never from those arrays; ``verify_columns`` checks the
+arrays against it.
 
 Float discipline (bit-identity with re-summed bookkeeping, enforced by
 ``tests/test_soa_columns.py``): a mix's booked bandwidth/network is the
@@ -38,7 +38,6 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.apps.program import ProgramSpec
-from repro.errors import AllocationError
 from repro.hardware.node_spec import NodeSpec
 from repro.perfmodel.contention import Slice
 
@@ -92,8 +91,7 @@ def recount(key: tuple, meta: dict, spec: NodeSpec,
     """The per-mix fields of any node carrying resident ``key``, derived
     from the key and the per-job bookings ``meta`` alone — the reference
     :meth:`ClusterState.verify_columns` checks :class:`MixTable`'s
-    arrays against, and the one :meth:`NodeState.slices` reads.  The
-    booked sums run left to right over the key."""
+    arrays against.  The booked sums run left to right over the key."""
     used = ways = 0
     bw = net = 0.0
     for j, p in key:
@@ -251,28 +249,42 @@ class MixTable:
             self.free.append(m)
 
     def fits(self, cores: Optional[int], ways: int, bw: float,
-             net: float) -> Optional[np.ndarray]:
-        """The mix-level demand test: per id the arrays hold, whether a
-        node carrying it can host a slice of ``cores`` processes,
-        ``ways`` dedicated ways (range-checked by the caller) and ``bw``
-        GB/s / ``net`` link fraction booked — :meth:`NodeState.can_host`
-        per mix.  ``cores=None`` skips the core test; bandwidth and
-        network are tested only for a positive demand (the epsilon
-        complements are strictly positive); ``None`` means nothing was
-        tested.  A freed or unused id's answer is meaningless, but no
-        node carries it and its refcount is zero."""
-        ok = None if cores is None else self.free_cores >= cores
+             net: float, ids=slice(None)):
+        """The mix-level demand test: per id the arrays hold (or for the
+        ids ``ids`` selects, e.g. one int), whether a node carrying it
+        can host a slice of ``cores`` processes, ``ways`` dedicated ways
+        (range-checked by the caller) and ``bw`` GB/s / ``net`` link
+        fraction booked: the cores, the ways and a free CAT partition,
+        and the bandwidth and network headroom.  Id 0, the empty mix,
+        answers for every idle node.  ``cores=None`` skips the core
+        test; bandwidth and network are tested only for a positive
+        demand (the epsilon complements are strictly positive); ``None``
+        means nothing was tested.  A freed or unused id's answer is
+        meaningless, but no node carries it and its refcount is zero."""
+        ok = None if cores is None else self.free_cores[ids] >= cores
         if bw > 0.0:
-            m = self.bw_eps >= bw
+            m = self.bw_eps[ids] >= bw
             ok = m if ok is None else ok & m
         if self.partitioned:
-            m = self.free_ways >= ways
+            m = self.free_ways[ids] >= ways
             ok = m if ok is None else ok & m
-            ok &= self.parts < self.max_partitions
+            ok &= self.parts[ids] < self.max_partitions
         if net > 0.0:
-            m = self.net_eps >= net
+            m = self.net_eps[ids] >= net
             ok = m if ok is None else ok & m
         return ok
+
+    def occupancy(self, beta: float) -> np.ndarray:
+        """The paper's node-selection metric ``Co + Bo + beta * Wo`` per
+        mix id: the occupied fractions of cores, booked bandwidth
+        (capped at 1) and LLC ways.  Unpartitioned nodes never allocate
+        ways, so their metric is ``Co + Bo``."""
+        co = (self.cores - self.free_cores) / self.cores
+        bo = np.minimum(1.0, self.booked_bw / self.peak_bw)
+        if not self.partitioned:
+            return co + bo
+        return co + bo + beta * ((self.llc_ways - self.free_ways)
+                                 / self.llc_ways)
 
     def slices(self, m: int, share_residual: bool,
                enforce_bw: bool) -> List[Slice]:
@@ -422,48 +434,26 @@ def _take(counts: Dict[int, int], m: int, c: int) -> None:
 
 
 class NodeState:
-    """Mutable per-node bookkeeping: a view over one slot of a mix table.
+    """Per-node bookkeeping: a view over one slot of a cluster's mix
+    table (``slot`` = node id).  Slices reach the node only through the
+    cluster's ``place_slices`` / ``remove_slices``; the capacity
+    properties read the table's per-mix arrays at the node's mix."""
 
-    ``enforce_bw`` models Intel-MBA-style hard bandwidth partitioning:
-    a resident job's DRAM draw is clipped to its booking.  The paper's
-    testbed lacked MBA (Section 4.4), so the default is estimation-only.
-    ``share_residual`` controls the residual-way giveaway of Section 4.4;
-    disabling it is an ablation knob.
+    __slots__ = ("node_id", "spec", "partitioned", "mixes")
 
-    A cluster-owned node shares its :class:`ClusterState`'s mix table
-    (``slot`` = node id), and slices reach it only through the cluster's
-    ``place_slices`` / ``remove_slices``; a standalone node (a pristine
-    probe) builds a private single-slot table.  The capacity properties
-    read the table's per-mix arrays at the node's mix.
-    """
-
-    __slots__ = (
-        "node_id", "spec", "partitioned", "enforce_bw", "share_residual",
-        "mixes", "_slot",
-    )
-
-    def __init__(self, node_id: int, spec: NodeSpec,
-                 partitioned: bool = True, enforce_bw: bool = False,
-                 share_residual: bool = True,
-                 mixes: Optional[MixTable] = None,
-                 slot: Optional[int] = None) -> None:
+    def __init__(self, node_id: int, spec: NodeSpec, partitioned: bool,
+                 mixes: MixTable) -> None:
         self.node_id = node_id
         self.spec = spec
         self.partitioned = partitioned
-        self.enforce_bw = enforce_bw
-        self.share_residual = share_residual
-        if mixes is None:
-            mixes = MixTable(1, spec, partitioned)
-            slot = 0
         self.mixes = mixes
-        self._slot = node_id if slot is None else slot
 
     # -- capacity queries ----------------------------------------------------
 
     @property
     def mix(self) -> int:
         """Id of this node's resident mix."""
-        return self.mixes.mix.item(self._slot)
+        return self.mixes.mix.item(self.node_id)
 
     @property
     def used_cores(self) -> int:
@@ -509,84 +499,6 @@ class NodeState:
     @property
     def resident_job_ids(self) -> List[int]:
         return [j for j, _ in self.mixes.keys[self.mix]]
-
-    def occupancy_metric(self, beta: float) -> float:
-        """The paper's node-selection metric ``Co + Bo + beta * Wo``
-        (occupied fractions of cores, bandwidth, and LLC ways)."""
-        spec = self.spec
-        co = (spec.cores - self.free_cores) / spec.cores
-        bo = min(1.0, self.booked_bw / spec.peak_bw)
-        wo = (spec.llc_ways - self.free_ways) / spec.llc_ways
-        return co + bo + beta * wo
-
-    # -- allocation ----------------------------------------------------------
-
-    def can_host(self, procs: int, ways: int, bw: float,
-                 net: float = 0.0) -> bool:
-        """Whether a new slice (``procs`` cores, ``ways`` dedicated ways,
-        ``bw`` GB/s and ``net`` link fraction booked) fits right now."""
-        mixes = self.mixes
-        m = self.mix
-        if procs > mixes.free_cores.item(m):
-            return False
-        if self.partitioned and (
-            ways < self.spec.cache.min_ways
-            or mixes.parts.item(m) >= mixes.max_partitions
-            or ways > mixes.free_ways.item(m)
-        ):
-            return False
-        if bw > mixes.bw_eps.item(m):
-            return False
-        if net > mixes.net_eps.item(m):
-            return False
-        return True
-
-    # -- performance-model views ----------------------------------------------
-
-    def slices(self) -> List[Slice]:
-        """Current slices for the contention solver, derived from the
-        node's key and the per-job bookings from scratch
-        (:func:`recount`) — the reference :meth:`MixTable.slices`, which
-        reads the per-mix arrays, is checked against."""
-        meta = self.mixes.meta
-        key = self.mixes.keys[self.mix]
-        state = recount(key, meta, self.spec, self.partitioned)
-        enforce_bw = self.enforce_bw
-        return [
-            Slice(
-                job_id=j,
-                program=meta[j][0],
-                procs=p,
-                effective_ways=self._effective_ways(j, p, state),
-                n_nodes=meta[j][1],
-                bw_cap=meta[j][4] if enforce_bw and meta[j][4] > 0 else None,
-            )
-            for j, p in key
-        ]
-
-    def effective_ways(self, job_id: int) -> float:
-        """LLC ways the job effectively enjoys on this node.
-
-        Partitioned: dedicated ways plus equal share of residual ways.
-        Unpartitioned: proportional share of the whole LLC by process
-        count (free-for-all sharing).
-        """
-        key = self.mixes.keys[self.mix]
-        for j, p in key:
-            if j == job_id:
-                return self._effective_ways(j, p, recount(
-                    key, self.mixes.meta, self.spec, self.partitioned))
-        raise AllocationError(f"job {job_id} not on node {self.node_id}")
-
-    def _effective_ways(self, job_id: int, procs: int,
-                        state: Dict[str, float]) -> float:
-        if self.partitioned:
-            dedicated = self.mixes.meta[job_id][3]
-            if not self.share_residual:
-                return float(dedicated)
-            return dedicated + state["free_ways"] / state["parts"]
-        return self.spec.llc_ways * (
-            procs / (self.spec.cores - state["free_cores"]))
 
     def dedicated_ways(self, job_id: int) -> int:
         """Dedicated (CAT-partitioned) ways of a resident job."""

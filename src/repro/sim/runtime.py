@@ -32,13 +32,7 @@ from repro.errors import SimulationError
 from repro.faults.plan import FaultPlan
 from repro.hardware.topology import ClusterSpec
 from repro.perfmodel.context import PerfContext
-from repro.perfmodel.execution import (
-    NodeConditions,
-    check_span,
-    job_time,
-    reference_time,
-    roofline_rate,
-)
+from repro.perfmodel.execution import check_span, reference_time, roofline_rate
 from repro.obs.telemetry import TelemetryRecorder
 from repro.obs.trace import TraceLevel, Tracer
 from repro.sim.cluster import ClusterState
@@ -257,7 +251,7 @@ class SchedulerCore:
         # into every layer below (cluster, policies reach it through
         # ``cluster.ctx``).  Each Simulation owns a fresh context, so
         # concurrent runs in one process never share kernel caches.
-        self.ctx = PerfContext(enabled=config.perf_caches)
+        self.ctx = PerfContext()
         self.cluster = ClusterState(
             cluster_spec,
             partitioned=policy.partitioned,
@@ -828,8 +822,7 @@ class SchedulerCore:
         stay, and no condition key is read for it.  One expression then
         settles every row at its old speed and re-times it
         (:meth:`RunningTable.retime`); finish pushes and speed records
-        follow the set's iteration order.  The reference mode instead
-        evaluates :func:`job_time` per job (:meth:`_reference_times`).
+        follow the set's iteration order.
         """
         stale = job_ids
         if self._fabric is not None and self._fabric_dirty:
@@ -852,15 +845,11 @@ class SchedulerCore:
         if not jids and (self.telemetry is None or not touched_nodes):
             return
         self._counters["refresh_cycles"] += 1
-        if self.ctx.enabled:
-            t_now = None
-            self._rebuild_rows([(jid, slot) for jid, slot in zip(jids, slots)
-                                if jid in stale])
-            self.ctx.batch_counters["vec_finish_updates"] += len(jids)
-        else:
-            t_now = self._reference_times(jids)
+        self._rebuild_rows([(jid, slot) for jid, slot in zip(jids, slots)
+                            if jid in stale])
+        self.ctx.batch_counters["vec_finish_updates"] += len(jids)
         if jids:
-            speeds, finishes = self._table.retime(slots, jids, now, t_now)
+            speeds, finishes = self._table.retime(slots, jids, now)
             tracer = self.tracer
             if tracer is not None and tracer.level >= TraceLevel.FULL:
                 for jid, speed in zip(jids, speeds):
@@ -937,47 +926,6 @@ class SchedulerCore:
                 spec, program, job.procs, n_nodes, rows.item(slot, T_REF),
                 slowest,
             ), cong)
-
-    def _reference_times(self, jids: List[int]) -> List[float]:
-        """Reference mode: each job's :func:`job_time` from scratch, over
-        the full per-node conditions list of its placement."""
-        jobs = [self.jobs[jid] for jid in jids]
-        nodes_needed: Set[int] = set()
-        for job in jobs:
-            nodes_needed.update(job.placement.node_ids)
-        self._counters["nodes_refreshed"] += len(nodes_needed)
-        views = self.cluster.arbitration_batch(nodes_needed)
-        # Nodes carrying identical slices yield identical conditions;
-        # interning them keeps wide jobs from re-validating thousands of
-        # equal NodeConditions (job_time dedupes on the same identity).
-        interned: Dict[tuple, NodeConditions] = {}
-        cache = self._spec.cache
-        table = self._table
-        t_now = []
-        for job in jobs:
-            jid = job.job_id
-            placement = job.placement
-            conditions = []
-            for nid, procs in zip(placement.node_ids,
-                                  placement.procs.tolist()):
-                view = views[nid]
-                slot = view[0].index(jid)
-                grant = view[1][slot]
-                eff = view[3][slot]
-                key = (procs, eff, grant, view[2])
-                cond = interned.get(key)
-                if cond is None:
-                    cap = cache.ways_to_mb(eff) / procs
-                    cond = NodeConditions(
-                        procs, cap, grant, net_load=view[2]
-                    )
-                    interned[key] = cond
-                conditions.append(cond)
-            t_now.append(job_time(
-                job.program, job.procs, conditions, self._spec,
-                route_load=table.rows.item(table.slot[jid], ROUTE),
-            ))
-        return t_now
 
 
 class Simulation(SchedulerCore):

@@ -3,15 +3,13 @@
 import pytest
 
 from repro.apps.catalog import get_program
-from repro.config import SimConfig, TraceConfig
 from repro.errors import AllocationError
 from repro.hardware.cache import CacheModel
 from repro.hardware.node_spec import NodeSpec
 from repro.hardware.topology import ClusterSpec
-from repro.obs import trace_lines
 from repro.sim.cluster import ClusterState
 from repro.sim.job import Job
-from repro.sim.runtime import Simulation
+from tests.against_oracle import assert_matches_oracle, fast_core
 
 EP = get_program("EP")
 
@@ -228,24 +226,20 @@ class TestDeepResidency:
     per-slot plane to outgrow: CS stacks one-process jobs on one node
     faster than they finish.  After every place and remove the columns
     equal a from-scratch recompute from the node's mix key and the
-    per-job bookings (``verify_columns``), and the run's results and
-    full-level trace equal the reference path's."""
+    per-job bookings (``verify_columns``), and the oracle replays the
+    run's decisions and speeds."""
 
     #: One-process jobs, arriving faster than they finish, so CS stacks
     #: them on the one node while earlier ones leave.
     JOBS = 16
 
-    def _run(self, caches):
+    def _run(self):
         jobs = [
             Job(job_id=i, program=EP, procs=1, submit_time=400.0 * i,
                 work_multiplier=(0.5, 1.5, 0.8)[i % 3])
             for i in range(self.JOBS)
         ]
-        sim = Simulation.from_policy_name(
-            "CS", ClusterSpec(num_nodes=1), jobs,
-            sim_config=SimConfig(perf_caches=caches,
-                                 trace=TraceConfig(level="full")),
-        )
+        sim = fast_core("CS", ClusterSpec(num_nodes=1), jobs)
         cluster = sim.cluster
         ops = []
 
@@ -265,12 +259,14 @@ class TestDeepResidency:
 
         checked("place_slices")
         checked("remove_slices")
-        result = sim.run()
-        times = [(j.job_id, j.start_time, j.finish_time) for j in result.jobs]
-        return times, list(trace_lines(result.trace.events)), ops
+        result, oracle = assert_matches_oracle(sim)
+        assert [(j.job_id, j.start_time, j.finish_time)
+                for j in result.jobs] == \
+            [(j.job_id, j.start_time, j.finish_time) for j in oracle.jobs]
+        return ops
 
     def test_stacked_residents_match_reference(self):
-        times, trace, ops = self._run(caches=True)
+        ops = self._run()
         # The premise: the node held several residents at once, places
         # and removals interleave, and freed mix ids came back.
         assert max(top for _, top, _ in ops) >= 4
@@ -279,10 +275,6 @@ class TestDeepResidency:
         assert "place_slices" in names[first_remove:]
         mix_ids = [mids[0] for _, _, mids in ops]
         assert len(mix_ids) > len(set(mix_ids))
-        ref_times, ref_trace, ref_ops = self._run(caches=False)
-        assert ref_ops == ops
-        assert ref_times == times
-        assert ref_trace == trace
 
     def test_recycled_mix_id_takes_a_fresh_row(self, cluster):
         """A freed mix id re-interned for another key must not keep the

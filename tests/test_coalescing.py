@@ -1,7 +1,7 @@
 """Same-instant events: submit bursts and finish storms at one
 timestamp, stale and re-pushed finishes, and the finish-before-fault
-tie-break — fast-versus-reference equivalence on exactly the inputs
-where same-instant ordering matters (DESIGN.md §7)."""
+tie-break — the fast path against the oracle (``tests/oracle``) on
+exactly the inputs where same-instant ordering matters (DESIGN.md §7)."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from repro.scheduling.ce import CompactExclusiveScheduler
 from repro.scheduling.sns import SpreadNShareScheduler
 from repro.sim.job import Job
 from repro.sim.runtime import Simulation
+from tests.against_oracle import FULL, assert_matches_oracle
 
 
 def burst_jobs(k: int = 8, at: float = 0.0):
@@ -26,24 +27,15 @@ def burst_jobs(k: int = 8, at: float = 0.0):
     ]
 
 
-def replay(jobs, policy_cls, nodes=8, caches=True):
+def replay(jobs, policy_cls, nodes=8, oracle=True, fault_plan=None):
+    """Run ``jobs`` under ``policy_cls``; with ``oracle``, traced at the
+    full level and checked against the oracle."""
     spec = ClusterSpec(num_nodes=nodes)
-    result = Simulation(
-        spec, policy_cls(spec), jobs,
-        SimConfig(perf_caches=caches),
-    ).run()
-    return result
-
-
-def outcome(result):
-    return (
-        result.makespan,
-        sorted(
-            (j.job_id, j.start_time, j.finish_time,
-             j.placement.node_ids if j.placement else None)
-            for j in result.finished_jobs
-        ),
-    )
+    sim = Simulation(spec, policy_cls(spec), jobs,
+                     FULL if oracle else SimConfig(), fault_plan=fault_plan)
+    if oracle:
+        return assert_matches_oracle(sim)[0]
+    return sim.run()
 
 
 @pytest.mark.parametrize(
@@ -51,21 +43,21 @@ def outcome(result):
 )
 class TestCoalescedEquivalence:
     def test_burst_matches_per_event_reference(self, policy_cls):
-        fast = replay(burst_jobs(), policy_cls, caches=True)
-        reference = replay(burst_jobs(), policy_cls, caches=False)
-        assert outcome(fast) == outcome(reference)
+        replay(burst_jobs(), policy_cls)
         # Identical jobs submitted together also finish together: a
         # finish storm (one instant under CE's exclusive placement).
-        fast = replay(identical_jobs(), policy_cls, caches=True)
-        reference = replay(identical_jobs(), policy_cls, caches=False)
-        assert outcome(fast) == outcome(reference)
+        fast = replay(identical_jobs(), policy_cls)
         if policy_cls is CompactExclusiveScheduler:
             assert len({j.finish_time for j in fast.finished_jobs}) == 1
 
     def test_reference_path_never_coalesces(self, policy_cls):
-        result = replay(burst_jobs(), policy_cls, caches=False)
+        """One event per step, on the fast path and the oracle alike."""
+        spec = ClusterSpec(num_nodes=8)
+        sim = Simulation(spec, policy_cls(spec), burst_jobs(), FULL)
+        result, oracle = assert_matches_oracle(sim)
         counters = result.counters
-        assert counters["event_batches"] == counters["events"]
+        assert counters["event_batches"] == counters["events"] \
+            == oracle.steps
         assert counters["refresh_cycles"] <= counters["event_batches"]
 
     def test_mixed_timestamps_only_merge_equal_ones(self, policy_cls):
@@ -76,11 +68,7 @@ class TestCoalescedEquivalence:
                 for i in range(3)
             ]
 
-        fast = replay(build(), policy_cls, caches=True)
-        reference = replay(build(), policy_cls, caches=False)
-        assert fast.makespan == reference.makespan
-        assert sorted(j.finish_time for j in fast.finished_jobs) == \
-            sorted(j.finish_time for j in reference.finished_jobs)
+        replay(build(), policy_cls)
 
 
 def identical_jobs(k: int = 6, program: str = "EP", procs: int = 16):
@@ -101,12 +89,8 @@ class TestFinishCoalescing:
     def test_finish_burst_on_shared_nodes_matches_reference(self):
         """SNS co-locates slices, so each finish of a storm re-times its
         neighbors, whose finishes at the same instant are re-pushed; the
-        fast path must stay bit-identical to the reference."""
-        fast = replay(identical_jobs(8, program="CG"),
-                      SpreadNShareScheduler, caches=True)
-        reference = replay(identical_jobs(8, program="CG"),
-                           SpreadNShareScheduler, caches=False)
-        assert outcome(fast) == outcome(reference)
+        fast path must stay bit-identical to the oracle."""
+        replay(identical_jobs(8, program="CG"), SpreadNShareScheduler)
 
     def test_stale_finishes_skipped_by_drain(self):
         """Re-pushing a job's finish leaves the old heap entry stale;
@@ -166,34 +150,30 @@ class TestFinishCoalescing:
         assert q.pop().kind is EventKind.JOB_FINISH
         assert q.pop().kind is EventKind.NODE_FAIL
 
-    @pytest.mark.parametrize("caches", [True, False])
-    def test_node_fails_at_finish_instant_job_still_completes(self, caches):
+    @pytest.mark.parametrize("oracle", [True, False])
+    def test_node_fails_at_finish_instant_job_still_completes(self, oracle):
         """End-to-end tie-break: schedule a NODE_FAIL at exactly the
         job's finish timestamp on one of its own nodes.  The finish
         processes first, so the job completes normally — no eviction,
-        no retry — in both cache modes."""
+        no retry — with or without the oracle replaying the run."""
         from repro.faults import FaultPlan, NodeFault
-        from repro.hardware.topology import ClusterSpec as _Spec
 
         jobs = [Job(job_id=0, program=get_program("EP"), procs=16,
                     submit_time=0.0)]
         clean = replay(list(jobs), CompactExclusiveScheduler,
-                       caches=caches)
+                       oracle=oracle)
         (job,) = clean.finished_jobs
         victim = job.placement.node_ids[0]
         finish_at = job.finish_time
 
-        spec = _Spec(num_nodes=8)
         plan = FaultPlan(node_faults=(
             NodeFault(node_id=victim, fail_at=finish_at),
         ))
-        rerun = Simulation(
-            spec, CompactExclusiveScheduler(spec),
+        rerun = replay(
             [Job(job_id=0, program=get_program("EP"), procs=16,
                  submit_time=0.0)],
-            SimConfig(perf_caches=caches),
-            fault_plan=plan,
-        ).run()
+            CompactExclusiveScheduler, oracle=oracle, fault_plan=plan,
+        )
         (survivor,) = rerun.finished_jobs
         assert survivor.finish_time == finish_at
         assert survivor.retries == 0

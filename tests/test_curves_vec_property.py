@@ -70,13 +70,13 @@ def _queries(draw, family, max_queries=12):
     return np.array(idx, dtype=np.int64), np.array(xs, dtype=np.float64)
 
 
-@given(data=st.data(), caches=st.booleans())
+@given(data=st.data())
 @settings(max_examples=200, deadline=None)
-def test_eval_bitwise_equals_scalar(data, caches):
+def test_eval_bitwise_equals_scalar(data):
     family = data.draw(_curves())
     idx, x = data.draw(_queries(family))
     packed = PackedCurves(family)
-    ctx = PerfContext(enabled=caches) if data.draw(st.booleans()) else None
+    ctx = PerfContext() if data.draw(st.booleans()) else None
     got = packed.eval(idx, x, ctx)
     _assert_bitwise(got, [family[i](float(q))
                           for i, q in zip(idx.tolist(), x.tolist())])
@@ -98,19 +98,18 @@ def _min_x_cases(draw):
     return family, idx, target, draw(st.booleans())
 
 
-@given(case=_min_x_cases(), caches=st.booleans())
+@given(case=_min_x_cases())
 @example(
     # Interpolation lands on 0.0 at an x1 of -0.0: the scalar clamp
     # min(x1, cand) keeps x1's sign.
     case=([PiecewiseLinearCurve(((-1.0, 0.0), (-0.0, 1.0)))],
           np.array([0], dtype=np.int64), np.array([1.0]), False),
-    caches=False,
 )
 @settings(max_examples=200, deadline=None)
-def test_min_x_reaching_bitwise_equals_scalar(case, caches):
+def test_min_x_reaching_bitwise_equals_scalar(case):
     family, idx, target, use_ctx = case
     packed = PackedCurves(family)
-    ctx = PerfContext(enabled=caches) if use_ctx else None
+    ctx = PerfContext() if use_ctx else None
     got = packed.min_x_reaching(idx, target, ctx)
     _assert_bitwise(got, [family[i].min_x_reaching(float(t))
                           for i, t in zip(idx.tolist(), target.tolist())])
@@ -124,7 +123,7 @@ def test_vec_counter_accounting(data):
     family = data.draw(_curves(max_curves=3, max_knots=5))
     idx, x = data.draw(_queries(family, max_queries=6))
     packed = PackedCurves(family)
-    ctx = PerfContext(enabled=True)
+    ctx = PerfContext()
     packed.eval(idx, x, ctx)
     packed.min_x_reaching(idx, x, ctx)
     assert ctx.batch_counters["vec_curve_evals"] == 2 * len(idx)

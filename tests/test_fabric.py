@@ -16,7 +16,6 @@ from repro.faults.plan import FaultPlan, RetryPolicy
 from repro.hardware.fabric import FabricSpec
 from repro.hardware.topology import ClusterSpec
 from repro.obs import check_trace
-from repro.perfmodel.context import PerfContext
 from repro.sim.cluster import ClusterState
 from repro.workloads.sequences import random_sequence
 
@@ -126,15 +125,16 @@ class _FabricDriver:
     place extends each node's left-to-right sum by one IEEE add,
     removal re-sums the survivors in insertion order."""
 
-    def __init__(self, ctx_enabled: bool) -> None:
+    def __init__(self, partitioned: bool) -> None:
         self.cluster = ClusterState(
             ClusterSpec(num_nodes=NODES,
                         fabric=FabricSpec(rack_size=RACK_SIZE,
                                           oversubscription=4.0)),
-            partitioned=False,
-            ctx=PerfContext(enabled=ctx_enabled),
+            partitioned=partitioned,
         )
         self.spec = self.cluster.spec.node
+        # Partitioned nodes need the minimum dedicated ways per slice.
+        self.ways = self.spec.cache.min_ways if partitioned else 0
         self.placements: dict = {}  # job_id -> node_ids
         # job_id -> {node_id: cross contribution} in placement order
         self.cross: dict = {}
@@ -179,10 +179,14 @@ class _FabricDriver:
 
     def up_hosts(self, procs: int) -> list:
         cluster = self.cluster
+        max_parts = self.spec.cache.max_partitions
         return [
             nid for nid in range(NODES)
             if not cluster.is_down(nid)
             and cluster.nodes[nid].free_cores >= procs
+            and (not cluster.partitioned
+                 or cluster.nodes[nid].free_ways >= self.ways
+                 and cluster.nodes[nid].cat_partitions < max_parts)
         ]
 
     def place(self, data) -> None:
@@ -200,7 +204,7 @@ class _FabricDriver:
         job_id = self.next_job
         self.cluster.place_slices(
             node_ids, job_id, object(),
-            [procs] * len(node_ids), 0, 0.0, len(node_ids),
+            [procs] * len(node_ids), self.ways, 0.0, len(node_ids),
             net=net,
         )
         self.model_place(node_ids, net)
@@ -236,11 +240,11 @@ class _FabricDriver:
         self.cluster.recover_node(nid)
 
 
-@pytest.mark.parametrize("ctx_enabled", [True, False])
+@pytest.mark.parametrize("partitioned", [True, False])
 @given(data=st.data())
 @settings(max_examples=50, deadline=None)
-def test_link_columns_match_recomputed_state(ctx_enabled, data):
-    driver = _FabricDriver(ctx_enabled)
+def test_link_columns_match_recomputed_state(partitioned, data):
+    driver = _FabricDriver(partitioned)
     ops = data.draw(
         st.lists(
             st.sampled_from(["place", "remove", "fail", "recover"]),

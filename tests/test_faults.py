@@ -2,7 +2,7 @@
 
 The contract under test (DESIGN.md §8): an empty plan is bit-identical
 to no plan at all; a fixed plan under a fixed seed replays identically
-(with and without the perf caches); node failures evict residents,
+(and on the oracle, ``tests/oracle``); node failures evict residents,
 requeue them under the RetryPolicy, and account the lost node-seconds
 as badput; profile-store outages degrade SNS to exclusive placement.
 """
@@ -25,6 +25,7 @@ from repro.sim.engine import EventKind, EventQueue
 from repro.sim.job import Job, JobState
 from repro.sim.runtime import Simulation
 from repro.workloads.sequences import clone_jobs, random_sequence
+from tests.against_oracle import assert_matches_oracle, fast_core
 
 FAST = SimConfig()
 
@@ -307,17 +308,23 @@ class TestProfileOutage:
 
 
 class TestFaultDeterminism:
-    def _replay(self, policy, caches=True):
-        cluster = ClusterSpec(num_nodes=8)
-        jobs = random_sequence(seed=29, n_jobs=16)
-        plan = FaultPlan.from_mtbf(
+    CLUSTER = ClusterSpec(num_nodes=8)
+
+    @staticmethod
+    def _plan():
+        return FaultPlan.from_mtbf(
             seed=5, num_nodes=8, mtbf_s=4000.0, mttr_s=400.0,
             horizon_s=40000.0, retry=RetryPolicy(max_retries=5),
         )
+
+    @staticmethod
+    def _jobs():
+        return random_sequence(seed=29, n_jobs=16)
+
+    def _replay(self, policy):
         result = Simulation.from_policy_name(
-            policy, cluster, clone_jobs(jobs),
-            sim_config=SimConfig(perf_caches=caches),
-            fault_plan=plan,
+            policy, self.CLUSTER, self._jobs(), sim_config=FAST,
+            fault_plan=self._plan(),
         ).run()
         return result.makespan, _schedule(result), dict(
             (k, result.counters[k])
@@ -331,9 +338,11 @@ class TestFaultDeterminism:
 
     @pytest.mark.parametrize("policy", ["CE", "SNS"])
     def test_fault_runs_match_reference_kernels(self, policy):
-        fast = self._replay(policy, caches=True)
-        reference = self._replay(policy, caches=False)
-        assert fast == reference
+        """The oracle, built on the scalar reference kernels, replays the
+        faulty run's decisions, evictions and retries exactly."""
+        result, _ = assert_matches_oracle(fast_core(
+            policy, self.CLUSTER, self._jobs(), fault_plan=self._plan()))
+        assert result.counters["job_evictions"] > 0
 
 
 class TestEmptyPlanBitIdentity:

@@ -130,8 +130,8 @@ class TestManagedNetworkScheduling:
                                   0.3)
         assert node.booked_net == pytest.approx(0.3)
         assert node.free_net == pytest.approx(0.7)
-        assert node.can_host(4, 2, 0.0, net=0.7)
-        assert not node.can_host(4, 2, 0.0, net=0.8)
+        assert node.mixes.fits(4, 2, 0.0, 0.7)[node.mix]
+        assert not node.mixes.fits(4, 2, 0.0, 0.8)[node.mix]
 
     def test_end_to_end_with_managed_network(self):
         """A full simulation with network management stays consistent."""

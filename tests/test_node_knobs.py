@@ -23,9 +23,11 @@ def _one_node(**knobs) -> ClusterState:
 
 
 def _place(cluster: ClusterState, job_id, program, procs, ways, bw):
-    """Install one single-node slice; returns the node's view."""
+    """Install one single-node slice; returns the node's contention
+    solver slices."""
     cluster.place_slices([0], job_id, program, [procs], ways, bw, 1)
-    return cluster.node(0)
+    return cluster.mixes.slices(cluster.node(0).mix, cluster.share_residual,
+                                cluster.enforce_bw)
 
 
 class TestBwCapArbitration:
@@ -61,23 +63,24 @@ class TestBwCapArbitration:
 class TestNodeKnobPlumbing:
     def test_enforce_bw_surfaces_in_slices(self):
         cluster = _one_node(enforce_bw=True)
-        (s,) = _place(cluster, 1, get_program("MG"), 8, 4, 42.0).slices()
+        (s,) = _place(cluster, 1, get_program("MG"), 8, 4, 42.0)
         assert s.bw_cap == pytest.approx(42.0)
 
     def test_zero_booking_never_capped(self):
         cluster = _one_node(enforce_bw=True)
-        (s,) = _place(cluster, 1, get_program("MG"), 8, 4, 0.0).slices()
+        (s,) = _place(cluster, 1, get_program("MG"), 8, 4, 0.0)
         assert s.bw_cap is None
 
     def test_no_enforcement_by_default(self):
         cluster = _one_node()
-        (s,) = _place(cluster, 1, get_program("MG"), 8, 4, 42.0).slices()
+        (s,) = _place(cluster, 1, get_program("MG"), 8, 4, 42.0)
         assert s.bw_cap is None
 
     def test_share_residual_off_gives_dedicated_only(self):
         cluster = _one_node(share_residual=False)
-        node = _place(cluster, 1, get_program("CG"), 8, 10, 0.0)
-        assert node.effective_ways(1) == pytest.approx(10.0)
+        (s,) = _place(cluster, 1, get_program("CG"), 8, 10, 0.0)
+        assert s.effective_ways == pytest.approx(10.0)
+        assert cluster.arbitration(0)[3] == (s.effective_ways,)
 
 
 class TestEndToEndKnobs:

@@ -72,25 +72,36 @@ class TestAccounting:
             cluster.place_slices([0], 2, get_program("EP"), [10], 2, 0.0, 1)
 
 
+def _fits(node, cores, ways, bw, net=0.0) -> bool:
+    """The mix-level demand test at the node's mix."""
+    return bool(node.mixes.fits(cores, ways, bw, net)[node.mix])
+
+
+def _effective_ways(cluster, job_id) -> float:
+    """A resident job's effective LLC ways on node 0, from its view."""
+    jids, _, _, effs = cluster.arbitration(0)
+    return effs[jids.index(job_id)]
+
+
 class TestCanHost:
     def test_fits(self, node):
-        assert node.can_host(28, 20, SPEC.peak_bw)
+        assert _fits(node, 28, 20, SPEC.peak_bw)
 
     def test_core_bound(self, node):
-        assert not node.can_host(29, 2, 0.0)
+        assert not _fits(node, 29, 2, 0.0)
 
     def test_way_bound(self, cluster, node):
         cluster.place_slices([0], 1, get_program("CG"), [8], 15, 10.0, 1)
-        assert not node.can_host(4, 6, 0.0)
-        assert node.can_host(4, 5, 0.0)
+        assert not _fits(node, 4, 6, 0.0)
+        assert _fits(node, 4, 5, 0.0)
 
     def test_bandwidth_bound(self, cluster, node):
         cluster.place_slices([0], 1, get_program("MG"), [16], 2, 100.0, 1)
-        assert not node.can_host(4, 2, 30.0)
-        assert node.can_host(4, 2, 10.0)
+        assert not _fits(node, 4, 2, 30.0)
+        assert _fits(node, 4, 2, 10.0)
 
     def test_unpartitioned_ignores_ways(self, shared_node):
-        assert shared_node.can_host(4, 0, 0.0)
+        assert _fits(shared_node, 4, 0, 0.0)
 
 
 class TestEffectiveWays:
@@ -98,34 +109,35 @@ class TestEffectiveWays:
         cluster.place_slices([0], 1, get_program("CG"), [8], 10, 10.0, 1)
         cluster.place_slices([0], 2, get_program("EP"), [8], 2, 0.1, 1)
         # 8 free ways -> +4 each.
-        assert node.effective_ways(1) == pytest.approx(14.0)
-        assert node.effective_ways(2) == pytest.approx(6.0)
+        assert _effective_ways(cluster, 1) == pytest.approx(14.0)
+        assert _effective_ways(cluster, 2) == pytest.approx(6.0)
 
     def test_unpartitioned_proportional_share(self, shared, shared_node):
         shared.place_slices([0], 1, get_program("CG"), [12], 0, 0.0, 1)
         shared.place_slices([0], 2, get_program("EP"), [4], 0, 0.0, 1)
-        assert shared_node.effective_ways(1) == pytest.approx(15.0)
-        assert shared_node.effective_ways(2) == pytest.approx(5.0)
+        assert _effective_ways(shared, 1) == pytest.approx(15.0)
+        assert _effective_ways(shared, 2) == pytest.approx(5.0)
 
-    def test_absent_job_rejected(self, node):
-        with pytest.raises(AllocationError):
-            node.effective_ways(3)
+    def test_absent_job_rejected(self, cluster, node):
+        cluster.place_slices([0], 1, get_program("CG"), [8], 10, 10.0, 1)
+        with pytest.raises(ValueError):
+            _effective_ways(cluster, 3)
 
 
 class TestOccupancyMetric:
     def test_idle_node_is_zero(self, node):
-        assert node.occupancy_metric(beta=2.0) == 0.0
+        assert node.mixes.occupancy(2.0)[node.mix] == 0.0
 
     def test_beta_weights_ways(self, cluster, node):
         cluster.place_slices([0], 1, get_program("CG"), [14], 10, 0.0, 1)
         # Co = 0.5, Wo = 0.5, Bo = 0.
-        assert node.occupancy_metric(beta=2.0) == pytest.approx(1.5)
-        assert node.occupancy_metric(beta=0.0) == pytest.approx(0.5)
+        assert node.mixes.occupancy(2.0)[node.mix] == pytest.approx(1.5)
+        assert node.mixes.occupancy(0.0)[node.mix] == pytest.approx(0.5)
 
     def test_bandwidth_term_clamped(self, cluster, node):
         cluster.place_slices([0], 1, get_program("MG"), [14], 2,
                              SPEC.peak_bw * 2, 1)
-        metric = node.occupancy_metric(beta=0.0)
+        metric = node.mixes.occupancy(0.0)[node.mix]
         assert metric == pytest.approx(0.5 + 1.0)
 
 
@@ -133,10 +145,11 @@ class TestSlices:
     def test_slices_reflect_residents(self, cluster, node):
         cluster.place_slices([0], 1, get_program("MG"), [8], 4, 30.0, 2)
         cluster.place_slices([0], 2, get_program("EP"), [4], 2, 0.1, 1)
-        slices = {s.job_id: s for s in node.slices()}
+        slices = {s.job_id: s for s in cluster.mixes.slices(
+            node.mix, cluster.share_residual, cluster.enforce_bw)}
         assert slices[1].procs == 8
         assert slices[1].n_nodes == 2
-        assert slices[1].effective_ways == node.effective_ways(1)
+        assert slices[1].effective_ways == _effective_ways(cluster, 1)
         assert slices[2].program.name == "EP"
 
     def test_dedicated_ways_partitioned(self, cluster, node):

@@ -1,6 +1,6 @@
 """PerfContext ownership: per-simulation kernel state, cache eviction,
-stats plumbing, cache-mode selection, and bit-identity of simulations
-stepped in alternation (DESIGN.md §9)."""
+stats plumbing, the removed cache-mode switches, and bit-identity of
+simulations stepped in alternation (DESIGN.md §9)."""
 
 from __future__ import annotations
 
@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from repro.apps.catalog import get_program
-from repro.config import SimConfig, TraceConfig
+from repro.cli import build_parser
+from repro.config import RetryPolicy, SimConfig, TraceConfig
 from repro.experiments.parallel import run_grid
+from repro.faults.plan import FaultPlan
 from repro.hardware.topology import ClusterSpec
 from repro.obs import decision_stream, trace_lines
 from repro.perfmodel.context import PerfContext
@@ -22,7 +24,7 @@ from repro.workloads.sequences import random_sequence
 
 
 class TestContextIsolation:
-    """Two contexts never observe each other's entries, stats, or mode."""
+    """Two contexts never observe each other's entries or stats."""
 
     def test_caches_and_stats_are_private(self):
         spec = ClusterSpec(num_nodes=2)
@@ -43,14 +45,6 @@ class TestContextIsolation:
         assert b.counters["view_cache_hits"] == 0
         assert b.arbitration(0) == a.arbitration(0)
 
-    def test_enabled_flag_is_private(self):
-        a, b = PerfContext(enabled=False), PerfContext()
-        assert not a.enabled
-        assert b.enabled
-        spec = ClusterSpec(num_nodes=1)
-        assert not ClusterState(spec, ctx=a).ctx.enabled
-        assert ClusterState(spec, ctx=b).ctx.enabled
-
     def test_simulations_get_fresh_contexts(self):
         spec = ClusterSpec(num_nodes=4)
         jobs = random_sequence(seed=11, n_jobs=6)
@@ -58,8 +52,7 @@ class TestContextIsolation:
         def build():
             from repro.workloads.sequences import clone_jobs
             return Simulation.from_policy_name(
-                "SNS", spec, clone_jobs(jobs),
-                sim_config=SimConfig(perf_caches=True),
+                "SNS", spec, clone_jobs(jobs), sim_config=SimConfig(),
             )
 
         s1, s2 = build(), build()
@@ -76,12 +69,12 @@ class TestEviction:
         """The view cache and the SNS demand cache clear wholesale at
         ``MAX_ENTRIES``; a run that evicts constantly is bit-identical
         to one that never does."""
-        solo = _build(5, True)
+        solo = _build(5)
         baseline = _observe(solo.run())
         # The premise: unbounded, both caches outgrow the tiny limit.
         assert len(solo.cluster._view_cache) > 2
         assert len(solo.policy._demand_cache) > 2
-        sim = _build(5, True)
+        sim = _build(5)
         monkeypatch.setattr(cluster_module, "MAX_ENTRIES", 2)
         monkeypatch.setattr(sns_module, "MAX_ENTRIES", 2)
         result = sim.run()
@@ -94,10 +87,7 @@ class TestStatsPlumbing:
     def test_result_counters_match_context_exactly(self):
         spec = ClusterSpec(num_nodes=4)
         jobs = random_sequence(seed=3, n_jobs=8)
-        sim = Simulation.from_policy_name(
-            "SNS", spec, jobs,
-            sim_config=SimConfig(perf_caches=True),
-        )
+        sim = Simulation.from_policy_name("SNS", spec, jobs)
         result = sim.run()
         expected = sim.ctx.counters()
         assert expected  # the run exercised the kernels
@@ -107,14 +97,26 @@ class TestStatsPlumbing:
         for key in ("batch_calls", "batch_nodes", "batch_slices"):
             assert key in result.counters
 
-    def test_reference_run_reports_zero_kernel_traffic(self):
-        spec = ClusterSpec(num_nodes=4)
-        jobs = random_sequence(seed=3, n_jobs=8)
-        result = Simulation.from_policy_name(
-            "SNS", spec, jobs,
-            sim_config=SimConfig(perf_caches=False),
-        ).run()
-        assert result.counters["batch_calls"] == 0
+    def test_reference_run_reports_zero_kernel_traffic(self, monkeypatch):
+        """The reference of record, the oracle, calls no batched kernel:
+        with every one of them broken it still replays the fast path's
+        decisions and speeds."""
+        from repro.perfmodel import batch, curves_vec
+        from tests.against_oracle import decision_lines, fast_core, oracle_of
+
+        core = fast_core("SNS", ClusterSpec(num_nodes=4),
+                         random_sequence(seed=3, n_jobs=8))
+        fast = decision_lines(core.run().trace.events)
+        assert core.ctx.counters()["batch_calls"] > 0
+
+        def broken(*args, **kwargs):
+            raise AssertionError("the oracle called a batched kernel")
+
+        monkeypatch.setattr(batch, "arbitrate_nodes", broken)
+        monkeypatch.setattr(curves_vec.PackedCurves, "eval", broken)
+        oracle = oracle_of(core)
+        assert decision_lines(oracle.records) == fast
+        assert not oracle.mismatches
 
 
 def _ce_sim(config: SimConfig) -> Simulation:
@@ -124,25 +126,28 @@ def _ce_sim(config: SimConfig) -> Simulation:
 
 
 class TestCacheModeResolution:
-    def test_explicit_field_wins(self):
-        assert _ce_sim(SimConfig(perf_caches=True)).ctx.enabled is True
-        assert _ce_sim(SimConfig(perf_caches=False)).ctx.enabled is False
+    """There is one mode: every switch that once picked an unmemoized
+    reference path is gone."""
 
-    def test_default_is_enabled(self):
-        assert SimConfig().perf_caches is True
-        assert _ce_sim(SimConfig()).ctx.enabled is True
-        assert PerfContext().enabled is True
+    def test_cache_mode_knob_is_gone(self):
+        with pytest.raises(TypeError):
+            SimConfig(perf_caches=False)
+        assert PerfContext.__slots__ == ("batch_counters",)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["simulate", "--no-caches"])
 
     def test_env_shim_is_gone(self, monkeypatch):
         """The deprecated ``REPRO_DISABLE_PERF_CACHES`` kill-switch was
         removed after its one deprecation cycle; the variable is now
-        ignored and ``SimConfig.perf_caches`` is the only control."""
+        ignored: the run and its kernel counters are unchanged."""
+        def run():
+            return _ce_sim(SimConfig()).run()
+
+        plain = run()
         monkeypatch.setenv("REPRO_DISABLE_PERF_CACHES", "1")
-        spec = ClusterSpec(num_nodes=1)
-        jobs = [Job(job_id=0, program=get_program("EP"), procs=8)]
-        sim = Simulation.from_policy_name("CE", spec, jobs,
-                                          sim_config=SimConfig())
-        assert sim.ctx.enabled is True
+        shimmed = run()
+        assert shimmed.counters == plain.counters
+        assert shimmed.makespan == plain.makespan
 
     def test_memo_facade_is_gone(self):
         """The deprecated process-global ``perfmodel.memo`` facade was
@@ -152,13 +157,18 @@ class TestCacheModeResolution:
             import repro.perfmodel.memo  # noqa: F401
 
 
-def _build(seed, caches):
-    """One independent SNS simulation with a decisions-level tracer."""
+def _build(seed, faults=False):
+    """One independent SNS simulation with a decisions-level tracer,
+    optionally under a seeded fault plan."""
+    plan = FaultPlan.from_mtbf(
+        seed=seed, num_nodes=8, mtbf_s=1500.0, mttr_s=120.0,
+        horizon_s=2000.0, retry=RetryPolicy(max_retries=3, backoff_s=30.0),
+    ) if faults else None
     return Simulation.from_policy_name(
         "SNS", ClusterSpec(num_nodes=8),
         random_sequence(seed=seed, n_jobs=10),
-        sim_config=SimConfig(perf_caches=caches,
-                             trace=TraceConfig(level="decisions")),
+        sim_config=SimConfig(trace=TraceConfig(level="decisions")),
+        fault_plan=plan,
     )
 
 
@@ -191,26 +201,12 @@ class TestInterleavedStepping:
     an interleaving point, which a GIL-bound thread pool never
     guaranteed."""
 
-    @pytest.mark.parametrize("caches", [True, False])
-    def test_interleaved_matches_solo(self, caches):
-        tasks = [(seed, caches) for seed in (1, 5, 9, 13)]
+    @pytest.mark.parametrize("faults", [True, False])
+    def test_interleaved_matches_solo(self, faults):
+        tasks = [(seed, faults) for seed in (1, 5, 9, 13)]
         solo = [_observe(_build(*t).run()) for t in tasks]
         results = _step_interleaved([_build(*t) for t in tasks])
         assert [_observe(r) for r in results] == solo
-
-    def test_mixed_cache_modes_interleave_safely(self):
-        """Fast and reference simulations stepping in turn cannot flip
-        each other's mode — and both match their solo twins."""
-        tasks = [(7, True), (7, False), (21, True), (21, False)]
-        solo = [_observe(_build(*t).run()) for t in tasks]
-        interleaved = [
-            _observe(r) for r in _step_interleaved([_build(*t)
-                                                    for t in tasks])
-        ]
-        assert interleaved == solo
-        # Same seed, different mode: still bit-identical results.
-        assert interleaved[0] == interleaved[1]
-        assert interleaved[2] == interleaved[3]
 
 
 def _run_point(task):
@@ -227,7 +223,7 @@ class TestThreadInterleaving:
     keeps task order, and a worker's error reaches the caller."""
 
     def test_serial_fallback_and_order(self):
-        tasks = [(3, True), (4, True)]
+        tasks = [(3, False), (4, True)]
         expected = [_run_point(t) for t in tasks]
         assert run_grid(_run_point, tasks, jobs=1) == expected
         assert run_grid(_run_point, tasks) == expected

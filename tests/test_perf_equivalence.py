@@ -1,9 +1,7 @@
-"""The perf fast paths must be invisible: memoized and cache-disabled
-runs produce bit-identical results, caches evict on mutation, and the
-process-parallel grid matches the serial one (DESIGN.md, "Performance
-architecture").  Cache mode is a per-simulation choice
-(``SimConfig.perf_caches`` → a private :class:`PerfContext`), so the
-two modes run side by side with no global flag to flip or reset."""
+"""The perf fast paths must be invisible: seeded runs replay the
+decisions and speeds of the independent oracle (``tests/oracle``)
+exactly, caches evict on mutation, and the process-parallel grid
+matches the serial one (DESIGN.md, "Performance architecture")."""
 
 from __future__ import annotations
 
@@ -18,94 +16,55 @@ from repro.experiments.parallel import resolve_jobs, run_grid
 from repro.hardware.topology import ClusterSpec
 from repro.perfmodel.context import PerfContext
 from repro.sim.cluster import ClusterState
-from repro.workloads.sequences import random_sequence
+from repro.workloads.sequences import clone_jobs, random_sequence
 from repro.workloads.trace import SyntheticTraceConfig, synthesize_trace
+from tests.against_oracle import assert_matches_oracle, fast_core
+from tests.oracle import bookings_from_meta, node_view
 
 
-def _run_sequence_results(seed: int, caches=True):
+def _run_sequence_results(seed: int):
     cluster = ClusterSpec(num_nodes=8)
     jobs = random_sequence(seed=seed, n_jobs=14)
-    return run_all_policies(
-        cluster, jobs,
-        sim_config=SimConfig(perf_caches=caches),
-    )
-
-
-def _run_sequence_all_policies(seed: int, caches=True):
-    runs = _run_sequence_results(seed, caches=caches)
-    return {
-        policy: (
-            result.makespan,
-            result.mean_turnaround(),
-            sorted((j.job_id, j.start_time, j.finish_time)
-                   for j in result.finished_jobs),
-        )
-        for policy, result in runs.items()
-    }
+    return run_all_policies(cluster, jobs, sim_config=SimConfig())
 
 
 class TestMemoizedEquivalence:
-    """Cached vs cache-disabled runs are bit-identical."""
+    """Fast-path runs replay the oracle's decisions and speeds."""
 
     @pytest.mark.parametrize("seed", [3, 2019])
     def test_fig14_style_sequences(self, seed):
-        fast = _run_sequence_all_policies(seed, caches=True)
-        reference = _run_sequence_all_policies(seed, caches=False)
-        assert fast == reference
+        jobs = random_sequence(seed=seed, n_jobs=14)
+        for policy in ("CE", "CS", "SNS"):
+            assert_matches_oracle(fast_core(
+                policy, ClusterSpec(num_nodes=8), clone_jobs(jobs)))
 
     def test_fig20_smoke_point(self):
         config = SyntheticTraceConfig(
             n_jobs=150, duration_hours=40, max_width_nodes=128
         )
         jobs = synthesize_trace(seed=42, scaling_ratio=0.9, config=config)
-        cluster = ClusterSpec(num_nodes=512)
-
-        def replay(caches):
-            runs = run_all_policies(
-                cluster, jobs, policy_names=("CE", "SNS"),
-                sim_config=SimConfig(max_sim_time=1e12, perf_caches=caches),
-            )
-            return {
-                p: (r.makespan, r.mean_turnaround()) for p, r in runs.items()
-            }
-
-        assert replay(True) == replay(False)
+        for policy in ("CE", "SNS"):
+            assert_matches_oracle(fast_core(
+                policy, ClusterSpec(num_nodes=512), clone_jobs(jobs)))
 
     def test_congested_queue_skip_index_equivalence(self):
-        """Fast == reference on a congested queue: blocked jobs are
-        re-tried at every scheduling point in both modes."""
-        from repro.scheduling.sns import SpreadNShareScheduler
-        from repro.sim.job import Job
-        from repro.sim.runtime import Simulation
+        """Fast == oracle on a congested queue: blocked jobs are
+        re-tried at every scheduling point."""
         from repro.apps.catalog import get_program
+        from repro.sim.job import Job
 
-        def replay(caches):
-            spec = ClusterSpec(num_nodes=2)
-            ep, mg = get_program("EP"), get_program("MG")
-            jobs = [
-                Job(job_id=i, program=(ep if i % 2 else mg), procs=28,
-                    submit_time=float(i))
-                for i in range(8)
-            ]
-            result = Simulation(
-                spec, SpreadNShareScheduler(spec), jobs,
-                SimConfig(perf_caches=caches),
-            ).run()
-            return result
-
-        fast = replay(True)
-        reference = replay(False)
-        assert fast.makespan == reference.makespan
-        assert sorted(
-            (j.job_id, j.start_time, j.finish_time)
-            for j in fast.finished_jobs
-        ) == sorted(
-            (j.job_id, j.start_time, j.finish_time)
-            for j in reference.finished_jobs
-        )
+        ep, mg = get_program("EP"), get_program("MG")
+        jobs = [
+            Job(job_id=i, program=(ep if i % 2 else mg), procs=28,
+                submit_time=float(i))
+            for i in range(8)
+        ]
+        result, _ = assert_matches_oracle(
+            fast_core("SNS", ClusterSpec(num_nodes=2), jobs))
+        assert len(result.finished_jobs) == 8
 
     def test_stats_report_hits(self):
-        runs = _run_sequence_results(7, caches=True)
+        runs = _run_sequence_results(7)
         for result in runs.values():
             # Every policy's run exercised the batched kernel and
             # reused solved signatures through the view cache.
@@ -117,7 +76,7 @@ class TestMemoizedEquivalence:
 
 class TestBatchedKernelEquivalence:
     """The columnar batched kernel must be bit-identical to the scalar
-    reference on randomized slice tables, in both cache modes."""
+    reference on randomized slice tables."""
 
     def _random_tables(self, seed: int, n_tables: int = 40):
         import random
@@ -195,9 +154,7 @@ class TestArbitrationCacheInvalidation:
 
     @pytest.fixture
     def cluster(self, program):
-        state = ClusterState(
-            ClusterSpec(num_nodes=4), ctx=PerfContext(enabled=True)
-        )
+        state = ClusterState(ClusterSpec(num_nodes=4), ctx=PerfContext())
         self.program = program
         return state
 
@@ -239,7 +196,10 @@ class TestArbitrationCacheInvalidation:
         cluster.remove_slices([0], 1)
         self._place(cluster, 0, 3, procs=2)
         cached = cluster.arbitration(0)
-        reference = cluster._arbitrate(0)
+        mixes = cluster.mixes
+        reference = node_view(cluster.spec.node,
+                              mixes.keys[cluster.node(0).mix],
+                              bookings_from_meta(mixes.meta), True)
         assert cached == reference
 
     def test_counters_consistent_with_fresh_sums(self, cluster):
@@ -304,10 +264,9 @@ class TestCohortMixDedupe:
 
     WIDTH = 1024
 
-    def _run(self, caches):
+    def _plan(self):
         from repro.apps.catalog import get_program
         from repro.sim.job import Job
-        from repro.sim.runtime import SchedulerCore
 
         width = self.WIDTH
         # Job 1 holds every node alone (one mix); job 2 then lands on
@@ -323,9 +282,15 @@ class TestCohortMixDedupe:
             Job(job_id=2, program=mg, procs=sum(plan[2].values()),
                 work_multiplier=0.25),
         ]
+        return plan, jobs
+
+    def _run(self):
+        from repro.sim.runtime import SchedulerCore
+
+        plan, jobs = self._plan()
         core = SchedulerCore(
-            ClusterSpec(num_nodes=width + 8), _PresetPolicy(plan), jobs,
-            SimConfig(perf_caches=caches),
+            ClusterSpec(num_nodes=self.WIDTH + 8), _PresetPolicy(plan), jobs,
+            SimConfig(),
         )
         cluster = core.cluster
         calls = []
@@ -346,8 +311,43 @@ class TestCohortMixDedupe:
         result = core.run()
         return calls, [(j.start_time, j.finish_time) for j in result.jobs]
 
+    def _expected_times(self):
+        """Both jobs start at 0; job 2 runs beside job 1 until it
+        finishes, then job 1 runs alone: the speeds from the oracle's
+        per-node arbitration and the scalar ``job_time``, the progress
+        integrated as the running-job table settles it."""
+        from repro.perfmodel.execution import (
+            NodeConditions,
+            job_time,
+            reference_time,
+        )
+
+        plan, (job1, job2) = self._plan()
+        spec = ClusterSpec(num_nodes=1).node
+        booking = {j.job_id: (j.program, len(plan[j.job_id]),
+                              spec.cache.min_ways, 0.0)
+                   for j in (job1, job2)}
+
+        def speed(job, together):
+            conds = []
+            for nid, p in plan[job.job_id].items():
+                view = node_view(spec, [(j, plan[j][nid]) for j in together],
+                                 booking, True)
+                i = view[0].index(job.job_id)
+                conds.append(NodeConditions(
+                    p, spec.cache.ways_to_mb(view[3][i]) / p, view[1][i],
+                    net_load=view[2]))
+            return reference_time(job.program, job.procs, spec) \
+                / job_time(job.program, job.procs, conds, spec)
+
+        work = [reference_time(j.program, j.procs, spec) * j.work_multiplier
+                for j in (job1, job2)]
+        t2 = 0.0 + work[1] / speed(job2, (1, 2))
+        left = work[0] - speed(job1, (1, 2)) * t2
+        return [(0.0, t2 + left / speed(job1, (1,))), (0.0, t2)]
+
     def test_place_remove_refresh_resolve_few_mixes(self):
-        calls, times = self._run(caches=True)
+        calls, times = self._run()
         places = [c for c in calls if c[0] == "place_slices"]
         removes = [c for c in calls if c[0] == "remove_slices"]
         arbs = [c for c in calls if c[0] == "arbitration_batch"]
@@ -360,8 +360,9 @@ class TestCohortMixDedupe:
         # Each refresh resolves one representative node per distinct
         # mix over the refreshed placements.
         assert arbs and all(nodes <= 2 for _, nodes, _ in arbs)
-        # And the dedupe changes nothing: the reference path agrees.
-        assert times == self._run(caches=False)[1]
+        # And the dedupe changes nothing: the times are the per-node
+        # physics integrated by hand.
+        assert times == self._expected_times()
 
 
 class TestParallelGrid:

@@ -8,9 +8,28 @@ from repro.hardware.cache import CacheModel
 from repro.hardware.fabric import FabricSpec
 from repro.hardware.node_spec import NodeSpec
 from repro.hardware.topology import ClusterSpec
-from repro.perfmodel.context import PerfContext
 from repro.scheduling.placement import _walk, find_nodes, split_procs
 from repro.sim.cluster import ClusterState
+from repro.sim.node import recount
+
+
+def _can_host(cluster: ClusterState, nid: int, cores: int, ways: int,
+              bw: float, net: float = 0.0) -> bool:
+    """Whether node ``nid`` can host a slice with these demands, judged
+    from its resident key and the per-job bookings alone
+    (:func:`recount`), never from the per-mix arrays."""
+    spec = cluster.spec.node
+    mixes = cluster.mixes
+    node = recount(mixes.keys[mixes.mix[nid]], mixes.meta, spec,
+                   cluster.partitioned)
+    if cores > node["free_cores"]:
+        return False
+    if cluster.partitioned and (
+            ways < spec.cache.min_ways
+            or node["parts"] >= spec.cache.max_partitions
+            or ways > node["free_ways"]):
+        return False
+    return bw <= node["bw_eps"] and net <= node["net_eps"]
 
 EP = get_program("EP")
 CG = get_program("CG")
@@ -144,8 +163,8 @@ class TestCountHosts:
 
 class TestIdleNodeTorGap:
     """Pins a known deviation (DESIGN.md §11): the idle fast path admits
-    fully idle nodes through one representative's ``can_host``, which
-    has no ToR-headroom test, so an idle node in a rack whose uplink is
+    fully idle nodes by the empty mix's demand test alone, which has no
+    ToR-headroom term, so an idle node in a rack whose uplink is
     full still takes a network-booking slice that its part-used
     rack-mate is refused."""
 
@@ -166,7 +185,7 @@ class TestIdleNodeTorGap:
         return cluster
 
     def test_part_used_rack_mate_is_refused(self, saturated):
-        assert saturated.node(0).can_host(4, 0, 0.0, net=0.1)
+        assert _can_host(saturated, 0, 4, 0, 0.0, net=0.1)
         assert saturated.scan_hosts([0, 1], 4, 0, 0.0, 0.1, 10).tolist() == []
 
     def test_idle_node_in_full_rack_is_admitted(self, saturated):
@@ -217,7 +236,6 @@ def _cluster_states(draw) -> ClusterState:
         ClusterSpec(num_nodes=num_nodes, node=NodeSpec(cache=cache),
                     fabric=fabric),
         partitioned=partitioned,
-        ctx=PerfContext(enabled=draw(st.booleans(), label="caches")),
     )
     node = cluster.spec.node
     placed = {}
@@ -228,7 +246,7 @@ def _cluster_states(draw) -> ClusterState:
         net = draw(st.sampled_from([0.0, 0.1, 0.25, 0.5]))
         hosts = [nid for nid in range(num_nodes)
                  if not cluster.is_down(nid)
-                 and cluster.node(nid).can_host(procs, ways, bw, net)]
+                 and _can_host(cluster, nid, procs, ways, bw, net)]
         if not hosts:
             continue
         chosen = _draw_nodes(draw, hosts)
@@ -270,7 +288,8 @@ def test_count_precheck_is_exact(data):
     succeeds (DESIGN.md §7), and find_nodes — negative cache, core
     fast-fail, idle branch and count in front of the walk — returns the
     walk's node list.  Without a fabric the count is also checked
-    against per-node ``can_host``."""
+    against a per-node host test recomputed from each node's resident
+    key (:func:`_can_host`)."""
     cluster = data.draw(_cluster_states(), label="cluster")
     cluster.verify_index()
     for _ in range(data.draw(st.integers(1, 6), label="demands")):
@@ -278,9 +297,9 @@ def test_count_precheck_is_exact(data):
         demand = (d["cores"], d["ways"], d["bw"], d["net"])
         count = cluster.count_hosts(*demand)
         if cluster.spec.fabric is None:
-            # No ToR term: the count is can_host's, node by node.
+            # No ToR term: the count is the per-node test's.
             assert count == sum(
-                cluster.node(nid).can_host(*demand)
+                _can_host(cluster, nid, *demand)
                 for nid in range(len(cluster.nodes))
                 if not cluster.is_down(nid)
             )

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.catalog import PROGRAMS
-from repro.config import RetryPolicy, SimConfig, TraceConfig
+from repro.config import RetryPolicy
 from repro.errors import SimulationError
 from repro.faults.plan import FaultPlan
 from repro.hardware.fabric import FabricSpec
@@ -33,12 +33,13 @@ from repro.sim.running import (
     REMAINING,
     ROUTE,
     SPEED,
-    T_REF,
     RunningTable,
     time_now,
     time_parts,
 )
 from repro.workloads.sequences import random_sequence
+from tests.against_oracle import assert_matches_oracle, fast_core
+from tests.oracle import bookings_from_meta, node_view
 
 SPEC = reference_node()
 
@@ -185,7 +186,7 @@ CLUSTER = ClusterSpec(num_nodes=NUM_NODES,
                       fabric=FabricSpec(rack_size=8, oversubscription=4.0))
 
 
-def _core(policy: str, caches: bool) -> SchedulerCore:
+def _core(policy: str) -> SchedulerCore:
     jobs = random_sequence(seed=3, n_jobs=48, proc_choices=(28, 56, 112),
                            program_names=("MG", "CG", "LU", "BFS", "WC",
                                           "TS", "NW", "EP"))
@@ -193,11 +194,7 @@ def _core(policy: str, caches: bool) -> SchedulerCore:
         seed=5, num_nodes=NUM_NODES, mtbf_s=2000.0, mttr_s=120.0,
         horizon_s=3000.0, retry=RetryPolicy(max_retries=4, backoff_s=30.0),
     )
-    return SchedulerCore.from_policy_name(
-        policy, CLUSTER, jobs, fault_plan=plan,
-        sim_config=SimConfig(perf_caches=caches,
-                             trace=TraceConfig(level="decisions")),
-    )
+    return fast_core(policy, CLUSTER, jobs, fault_plan=plan)
 
 
 def _fresh_routes(core: SchedulerCore) -> dict:
@@ -211,8 +208,8 @@ def _fresh_routes(core: SchedulerCore) -> dict:
 
 def _check_rows(core: SchedulerCore) -> None:
     """Live rows are the running set, one slot each, and every row
-    equals a fresh scalar rebuild from the reference arbitration (the
-    reference mode builds no time parts: only t_ref, route and speed)."""
+    equals a fresh scalar rebuild from the oracle's per-node arbitration
+    of each node's resident key and the per-job bookings."""
     table = core._table
     running = {jid for jid, job in core.jobs.items()
                if job.state is JobState.RUNNING}
@@ -222,13 +219,17 @@ def _check_rows(core: SchedulerCore) -> None:
     assert live.isdisjoint(table._free)
     routes = _fresh_routes(core)
     ways_to_mb = SPEC.cache.ways_to_mb
+    mixes = core.cluster.mixes
+    booking = bookings_from_meta(mixes.meta)
+    partitioned = core.cluster.partitioned
     for jid, slot in table.slot.items():
         job = core.jobs[jid]
         program, procs = job.program, job.procs
         conds = []
         for nid, p in zip(job.placement.node_ids,
                           job.placement.procs.tolist()):
-            view = core.cluster._arbitrate(nid)
+            view = node_view(SPEC, mixes.keys[mixes.mix[nid]], booking,
+                             partitioned)
             i = view[0].index(jid)
             conds.append(NodeConditions(p, ways_to_mb(view[3][i]) / p,
                                         view[1][i], net_load=view[2]))
@@ -242,46 +243,42 @@ def _check_rows(core: SchedulerCore) -> None:
                     max(c.net_load for c in conds), route,
                     t_ref / job_time(program, procs, conds, SPEC,
                                      route_load=route)]
-        if not core.ctx.enabled:
-            expected = [expected[T_REF], expected[ROUTE], expected[SPEED]]
-            assert table.rows[slot, [T_REF, ROUTE, SPEED]].tolist() \
-                == expected, jid
-        else:
-            assert table.rows[slot, :SPEED + 1].tolist() == expected, jid
+        assert table.rows[slot, :SPEED + 1].tolist() == expected, jid
 
 
-def _outcome(core: SchedulerCore):
-    result = core.finalize()
-    return (
-        result.makespan,
-        [(j.job_id, j.state, j.start_time, j.finish_time, j.retries,
-          j.speed, j.last_progress_update, j.remaining_work, j.lost_work,
-          j.lost_node_seconds) for j in result.jobs],
-        core.tracer.decision_stream(),
-    )
+def _outcome(makespan, jobs):
+    return makespan, [
+        (j.job_id, j.state, j.start_time, j.finish_time, j.retries,
+         j.speed, j.last_progress_update, j.remaining_work, j.lost_work,
+         j.lost_node_seconds) for j in jobs]
+
+
+def _check_oracle(core: SchedulerCore) -> None:
+    """The oracle replays the run: decisions, speeds, and every job's
+    final progress and fault accounting."""
+    result, oracle = assert_matches_oracle(core)
+    assert _outcome(result.makespan, result.jobs) == \
+        _outcome(oracle.makespan, oracle.jobs)
 
 
 @pytest.mark.parametrize("policy", ["CE", "SNS"])
 def test_slot_lifecycle_under_faults(policy):
-    core = _core(policy, caches=True)
+    core = _core(policy)
     jobs_per_slot: dict = {}
     while core.step():
         _check_rows(core)
         for jid, slot in core._table.slot.items():
             jobs_per_slot.setdefault(slot, set()).add(jid)
-    reference = _core(policy, caches=False)
-    while reference.step():
-        _check_rows(reference)
     counters = core._collect_counters()
     assert counters["job_evictions"] > 0 and counters["job_retries"] > 0
     assert any(len(j) > 1 for j in jobs_per_slot.values())
     assert not core._table.slot
-    assert _outcome(core) == _outcome(reference)
+    _check_oracle(core)
 
 
 def test_recycled_mix_ids_start_without_rates(monkeypatch):
     """A freed mix id whose rates were filled comes back for another
-    key with no rates, and the run still equals the reference mode."""
+    key with no rates, and the run still replays on the oracle."""
     rated = set()        # freed ids that held at least one rate
     reused = []
     release, intern = MixTable.release, MixTable.intern
@@ -303,11 +300,8 @@ def test_recycled_mix_ids_start_without_rates(monkeypatch):
 
     monkeypatch.setattr(MixTable, "release", spy_release)
     monkeypatch.setattr(MixTable, "intern", spy_intern)
-    core = _core("SNS", caches=True)
+    core = _core("SNS")
     while core.step():
         pass
     assert len(reused) > 10
-    reference = _core("SNS", caches=False)
-    while reference.step():
-        pass
-    assert _outcome(core) == _outcome(reference)
+    _check_oracle(core)

@@ -2,7 +2,7 @@
 
 Covers the streaming :class:`SchedulerCore` contract (submit mid-run,
 snapshots, incremental results), the service-vs-batch bit-identity
-guarantee under concurrent multi-client submission in both cache modes,
+guarantee under concurrent multi-client submission,
 admission-queue backpressure, fault reporting, and the wire protocol
 (JSON lines and the minimal HTTP mapping on the same port).
 """
@@ -16,7 +16,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.config import SimConfig
+from repro.config import SimConfig, TraceConfig
 from repro.errors import SimulationError
 from repro.hardware.topology import ClusterSpec
 from repro.service import (
@@ -28,14 +28,15 @@ from repro.service import (
 )
 from repro.sim.runtime import SchedulerCore, Simulation
 from repro.workloads.sequences import clone_jobs, random_sequence
+from tests.against_oracle import assert_matches_oracle
 
 
-def fresh_core(policy="SNS", nodes=8, jobs=(), caches=None):
-    """A core over ``nodes`` nodes; ``caches=None`` keeps the default
-    :class:`SimConfig` cache mode."""
-    config = SimConfig() if caches is None else SimConfig(perf_caches=caches)
+def fresh_core(policy="SNS", nodes=8, jobs=(), level=None):
+    """A core over ``nodes`` nodes, traced at ``level`` when given."""
+    trace = None if level is None else TraceConfig(level=level)
     return SchedulerCore.from_policy_name(
-        policy, ClusterSpec(num_nodes=nodes), jobs, sim_config=config,
+        policy, ClusterSpec(num_nodes=nodes), jobs,
+        sim_config=SimConfig(trace=trace),
     )
 
 
@@ -54,8 +55,8 @@ def fingerprint(result):
 
 
 @contextmanager
-def live_service(policy="SNS", nodes=8, caches=None, queue_limit=256):
-    core = fresh_core(policy=policy, nodes=nodes, caches=caches)
+def live_service(policy="SNS", nodes=8, queue_limit=256, level=None):
+    core = fresh_core(policy=policy, nodes=nodes, level=level)
     master = SchedulerMaster(core, queue_limit=queue_limit)
     handle = serve_in_thread(master)
     try:
@@ -170,9 +171,11 @@ class TestServiceBatchIdentity:
          ("WC", 28)],
     ]
 
-    @pytest.mark.parametrize("caches", [None, False])
-    def test_concurrent_clients_match_batch(self, caches):
-        with live_service(caches=caches) as (master, handle):
+    @pytest.mark.parametrize("level", [None, "full"])
+    def test_concurrent_clients_match_batch(self, level):
+        """With the master's own decisions-level audit tracer, or a
+        full-level one; the oracle also replays the arrival order."""
+        with live_service(level=level) as (master, handle):
             errors = []
 
             def client_thread(workload):
@@ -215,12 +218,15 @@ class TestServiceBatchIdentity:
             arrival = [master.core.jobs[i]
                        for i in sorted(master.core.jobs)]
             streamed = master.core.finalize()
-            batch = fresh_core(jobs=clone_jobs(arrival),
-                               caches=caches).run()
+            batch = fresh_core(jobs=clone_jobs(arrival)).run()
             assert fingerprint(streamed) == fingerprint(batch)
             assert summary["makespan"] == batch.makespan
             assert summary["mean_turnaround"] == pytest.approx(
                 batch.mean_turnaround())
+            if level == "full":
+                # The batch twin of the arrival order on the oracle.
+                assert_matches_oracle(
+                    fresh_core(jobs=clone_jobs(arrival), level="full"))
 
     def test_job_views_track_lifecycle(self):
         with live_service() as (master, handle):

@@ -1,7 +1,8 @@
 """Blocked pending jobs: a job whose placement failed is re-tried at
 every scheduling point, starts exactly when a release frees what it
-needs, is never starved or silently dropped, and runs the same in both
-cache modes.  Also the online profile store's version, which keys the
+needs, is never starved or silently dropped, and replays the oracle
+(``tests/oracle``), which re-tries every pending job in full at every
+scheduling point.  Also the online profile store's version, which keys the
 SNS demand cache (DESIGN.md §7)."""
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from repro.scheduling.ce import CompactExclusiveScheduler
 from repro.scheduling.sns import SpreadNShareScheduler
 from repro.sim.job import Job, JobState
 from repro.sim.runtime import Simulation
+from tests.against_oracle import FULL, assert_matches_oracle
 
 
 def congested_jobs():
@@ -30,12 +32,9 @@ def congested_jobs():
     ]
 
 
-def replay(jobs, policy_cls, nodes=1, caches=True):
+def replay(jobs, policy_cls, nodes=1, config=SimConfig()):
     spec = ClusterSpec(num_nodes=nodes)
-    return Simulation(
-        spec, policy_cls(spec), jobs,
-        SimConfig(perf_caches=caches),
-    ).run()
+    return Simulation(spec, policy_cls(spec), jobs, config)
 
 
 @pytest.mark.parametrize(
@@ -43,14 +42,14 @@ def replay(jobs, policy_cls, nodes=1, caches=True):
 )
 class TestSkipIndex:
     def test_skips_hit_and_nothing_is_starved(self, policy_cls):
-        result = replay(congested_jobs(), policy_cls, caches=True)
+        result = replay(congested_jobs(), policy_cls).run()
         # The queue was congested (jobs were tried and failed), and yet
         # every job ran to completion.
         assert result.counters["try_place_calls"] > 6
         assert len(result.finished_jobs) == 6
 
     def test_retried_after_release_frees_capacity(self, policy_cls):
-        result = replay(congested_jobs(), policy_cls)
+        result = replay(congested_jobs(), policy_cls).run()
         # Jobs run strictly one after another on the single node: each
         # blocked job starts exactly when a completion releases the
         # cores it was waiting for.
@@ -60,23 +59,15 @@ class TestSkipIndex:
             assert start == pytest.approx(finish)
 
     def test_bit_identical_to_full_rescan(self, policy_cls):
-        fast = replay(congested_jobs(), policy_cls, caches=True)
-        reference = replay(congested_jobs(), policy_cls, caches=False)
-        assert fast.makespan == reference.makespan
-        assert sorted(
-            (j.job_id, j.start_time, j.finish_time)
-            for j in fast.finished_jobs
-        ) == sorted(
-            (j.job_id, j.start_time, j.finish_time)
-            for j in reference.finished_jobs
-        )
+        assert_matches_oracle(
+            replay(congested_jobs(), policy_cls, config=FULL))
 
     def test_impossible_job_still_raises_liveness_error(self, policy_cls):
         # A job too wide for the whole cluster must surface as a
         # deadlock/liveness SimulationError, not wait in silence.
         job = Job(job_id=0, program=get_program("EP"), procs=56)
         with pytest.raises(SimulationError):
-            replay([job], policy_cls, nodes=1)
+            replay([job], policy_cls, nodes=1).run()
         assert job.state is not JobState.FINISHED
 
 
@@ -100,9 +91,7 @@ class TestWatermark:
             # flowing so scheduling points occur.
             Job(job_id=3, program=ep, procs=8, submit_time=2.0),
         ]
-        result = Simulation(
-            spec, policy, jobs, SimConfig(perf_caches=True)
-        ).run()
+        result = Simulation(spec, policy, jobs).run()
         assert len(result.finished_jobs) == 4
         # The wide job could only start after job 0's node fully drained.
         job2 = next(j for j in result.finished_jobs if j.job_id == 2)

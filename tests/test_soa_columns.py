@@ -31,10 +31,12 @@ must equal node counts with no freed id reachable, each job's ``held``
 mix counts must equal a count over its nodes, and rates must sit only
 on live ids (all checked by ``verify_columns``); and the per-mix
 arbitration view every node reads must be bit-identical to the
-from-scratch reference arbitration of that node.  Two direct tests pin
-the reference's independence (a poisoned array entry is named by
-``verify_columns`` but leaves the reference view unchanged) and the
-arrays' growth past their initial capacity with ids freed and recycled.
+oracle's from-scratch arbitration of that node's resident key and the
+per-job bookings (``tests/oracle``).  Two direct tests pin the oracle's
+independence (a poisoned array entry is named by ``verify_columns``,
+leaves the oracle's view unchanged, and, poisoned mid-run, makes the
+run diverge from the oracle's replay) and the arrays' growth past their
+initial capacity with ids freed and recycled.
 """
 
 from __future__ import annotations
@@ -52,6 +54,9 @@ from repro.hardware.topology import ClusterSpec  # noqa: E402
 from repro.perfmodel.context import PerfContext  # noqa: E402
 from repro.sim.cluster import ClusterState  # noqa: E402
 from repro.sim.node import _CAPACITY  # noqa: E402
+from repro.workloads.sequences import random_sequence  # noqa: E402
+from tests.against_oracle import compare, fast_core  # noqa: E402
+from tests.oracle import bookings_from_meta, node_view  # noqa: E402
 
 NODES = 10
 #: Real programs for the arbitration checks (the column checks run
@@ -75,7 +80,7 @@ class _Driver:
             ),
             partitioned=partitioned,
             enforce_bw=enforce_bw,
-            ctx=PerfContext(enabled=True),
+            ctx=PerfContext(),
         )
         self.programs = programs
         self.partitioned = partitioned
@@ -289,11 +294,20 @@ def test_cross_share_resum_after_partial_removal():
     cluster.verify_columns()
 
 
+def _oracle_view(cluster: ClusterState, nid: int) -> tuple:
+    """The oracle's arbitration of node ``nid`` from its resident key
+    and the per-job bookings."""
+    mixes = cluster.mixes
+    return node_view(cluster.spec.node, mixes.keys[mixes.mix[nid]],
+                     bookings_from_meta(mixes.meta), cluster.partitioned,
+                     cluster.share_residual, cluster.enforce_bw)
+
+
 def _check_arbitration(cluster: ClusterState) -> None:
     """Every node's view (single and batched lookups) is bit-identical
-    to a from-scratch arbitration on the reference path."""
+    to the oracle's from-scratch arbitration."""
     batch = cluster.arbitration_batch(list(range(NODES)))
-    reference = [cluster._arbitrate(nid) for nid in range(NODES)]
+    reference = [_oracle_view(cluster, nid) for nid in range(NODES)]
     for nid in range(NODES):
         assert repr(cluster.arbitration(nid)) == repr(reference[nid])
         assert repr(batch[nid]) == repr(reference[nid])
@@ -336,7 +350,7 @@ def test_drop_collapses_two_mixes_into_one():
     mixes; removing it collapses both into one id, which ``held`` must
     count once per node."""
     cluster = ClusterState(ClusterSpec(num_nodes=4),
-                           ctx=PerfContext(enabled=True))
+                           ctx=PerfContext())
     ways = cluster.spec.node.cache.min_ways
     mg = PROGRAMS[0]
     cluster.place_slices([0, 1], 1, mg, [3, 3], ways, 0.0, 2)
@@ -357,14 +371,55 @@ POISON = {"refs": 1, "free_cores": 1, "free_ways": 1, "parts": 1,
           "net_eps": 0.125}
 
 
+#: Mid-run poisons: each makes the entry lie about a part-used mix (no
+#: free core, saturated bandwidth, no free way).
+MID_RUN = {
+    "free_cores": lambda mixes, m: -int(mixes.free_cores[m]),
+    "booked_bw": lambda mixes, m: mixes.peak_bw,
+    "free_ways": lambda mixes, m: -int(mixes.free_ways[m]),
+}
+
+
+def _poisoned_run(policy: str, name: str):
+    """Replay a seeded run, poisoning the ``name`` entry of the mix
+    carried by the first co-located placement's first node for exactly
+    the step that makes that placement, and compare with the oracle."""
+    def core():
+        return fast_core(policy, ClusterSpec(num_nodes=8),
+                         random_sequence(seed=7, n_jobs=16))
+
+    clean = core()
+    clean.run()
+    step = 0
+    for event in clean.tracer.events:
+        if event["ev"] == "batch":
+            step += 1
+        elif event["ev"] == "start" and event["partners"]:
+            break
+    run = core()
+    for _ in range(step):
+        run.step()
+    mixes = run.cluster.mixes
+    m = mixes.mix[event["nodes"][0]]
+    entries = getattr(mixes, name)
+    true = entries[m]
+    entries[m] = true + MID_RUN[name](mixes, m)
+    run.step()
+    entries[m] = true
+    return compare(run)[0]
+
+
 @pytest.mark.parametrize("partitioned", [True, False])
 def test_poisoned_mix_arrays_fail_verify_not_reference(partitioned):
     """A wrong entry in any per-mix array of a live mix is named by
     ``verify_columns``, which recomputes from the key and bookings; the
-    reference arbitration derives its inputs the same way, so it still
-    returns the view it returned before the poisoning."""
+    oracle derives its inputs the same way, so it still returns the view
+    it returned before the poisoning.  Poisoned mid-run (no
+    ``verify_columns``), a wrong ``free_cores``, ``booked_bw`` or
+    ``free_ways`` entry moves a placement, and the oracle comparison
+    names it; unpartitioned (CS) nodes never read ``free_ways``."""
     cluster = ClusterState(ClusterSpec(num_nodes=4), partitioned=partitioned,
-                           ctx=PerfContext(enabled=False))
+                           ctx=PerfContext())
     ways = cluster.spec.node.cache.min_ways
     cluster.place_slices([0, 1], 1, PROGRAMS[0], [6, 6], ways, 4.0, 2,
                          net=0.25)
@@ -372,16 +427,25 @@ def test_poisoned_mix_arrays_fail_verify_not_reference(partitioned):
     mixes = cluster.mixes
     m = cluster.node(0).mix
     assert m and mixes.keys[m] == ((1, 6), (2, 3))
-    before = repr(cluster._arbitrate(0))
+    before = repr(_oracle_view(cluster, 0))
     cluster.verify_columns()
     for name, delta in POISON.items():
         getattr(mixes, name)[m] += delta
         with pytest.raises(SimulationError, match=f"mix {m}: "):
             cluster.verify_columns()
-        assert repr(cluster._arbitrate(0)) == before
+        assert repr(_oracle_view(cluster, 0)) == before
     for name, delta in POISON.items():
         getattr(mixes, name)[m] -= delta
     cluster.verify_columns()
+
+    policy = "SNS" if partitioned else "CS"
+    for name in MID_RUN:
+        report = _poisoned_run(policy, name)
+        if name == "free_ways" and not partitioned:
+            assert report is None, report
+        else:
+            assert report is not None, f"poisoned {name} went unnoticed"
+            assert report.startswith("record "), report
 
 
 def test_mix_arrays_grow_and_recycle():
@@ -390,7 +454,7 @@ def test_mix_arrays_grow_and_recycle():
     equal to its recomputation and the free-core index consistent."""
     nodes = 64
     cluster = ClusterState(ClusterSpec(num_nodes=nodes),
-                           ctx=PerfContext(enabled=True))
+                           ctx=PerfContext())
     ways = cluster.spec.node.cache.min_ways
     mixes = cluster.mixes
 

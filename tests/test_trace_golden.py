@@ -1,8 +1,8 @@
 """Golden-trace regression (DESIGN.md §10).
 
 The decisions-level trace of a seeded run is **byte-stable**: the
-canonical JSONL lines must be identical under the memoized fast path,
-the unmemoized reference kernels, interleaved stepping, and —
+canonical JSONL lines must be identical under the fast path, the
+unmemoized oracle (``tests/oracle``), interleaved stepping, and —
 because decision records are level-independent — inside higher-level
 traces.  ``tests/data/golden_trace_sns.jsonl`` pins the stream of one
 seeded 4-node / 8-job SNS run; any diff against it means the scheduler
@@ -25,6 +25,9 @@ from repro.hardware.topology import ClusterSpec
 from repro.obs import decision_stream, read_jsonl, trace_lines, verify_trace
 from repro.sim.runtime import Simulation
 from repro.workloads.sequences import random_sequence
+from tests.against_oracle import assert_matches_oracle, decision_lines, \
+    fast_core
+from tests.oracle import first_divergence
 
 GOLDEN = Path(__file__).parent / "data" / "golden_trace_sns.jsonl"
 
@@ -37,14 +40,20 @@ def stream_lines(result):
     return list(trace_lines(decision_stream(result.trace.events)))
 
 
-def golden_lines(caches=True, level="decisions"):
+def assert_golden(lines, committed):
+    """``lines`` equal the committed stream; a failure names the first
+    differing record."""
+    report = first_divergence(lines, committed)
+    assert report is None, report
+
+
+def golden_lines(level="decisions"):
     """The scenario's decisions-level stream as canonical JSONL lines."""
     return stream_lines(run_policy(
         "SNS",
         ClusterSpec(num_nodes=NODES),
         random_sequence(seed=SEED, n_jobs=N_JOBS),
-        sim_config=SimConfig(perf_caches=caches,
-                             trace=TraceConfig(level=level)),
+        sim_config=SimConfig(trace=TraceConfig(level=level)),
     ))
 
 
@@ -60,17 +69,21 @@ def committed():
 
 class TestGoldenTrace:
     def test_matches_committed_reference(self, committed):
-        assert golden_lines() == committed
+        assert_golden(golden_lines(), committed)
 
     def test_byte_stable_without_caches(self, committed):
-        """The unmemoized reference kernels replay the same decisions."""
-        assert golden_lines(caches=False) == committed
+        """The unmemoized oracle replays the same decisions, and the
+        fast path's speeds bit for bit."""
+        _, oracle = assert_matches_oracle(fast_core(
+            "SNS", ClusterSpec(num_nodes=NODES),
+            random_sequence(seed=SEED, n_jobs=N_JOBS)))
+        assert_golden(decision_lines(oracle.records), committed)
 
     def test_decision_stream_level_independent(self, committed):
         """events/full-level traces embed the identical decision
         stream — the extra record kinds never perturb it."""
-        assert golden_lines(level="events") == committed
-        assert golden_lines(level="full") == committed
+        assert_golden(golden_lines(level="events"), committed)
+        assert_golden(golden_lines(level="full"), committed)
 
     def test_byte_stable_under_interleaved_stepping(self, committed):
         """Four copies stepped alternately in one thread, one event
@@ -81,11 +94,9 @@ class TestGoldenTrace:
             Simulation.from_policy_name(
                 "SNS", ClusterSpec(num_nodes=NODES),
                 random_sequence(seed=SEED, n_jobs=N_JOBS),
-                sim_config=SimConfig(
-                    perf_caches=caches, trace=TraceConfig(level="decisions"),
-                ),
+                sim_config=SimConfig(trace=TraceConfig(level="decisions")),
             )
-            for caches in (True, False, True, False)
+            for _ in range(4)
         ]
         for sim in sims:
             sim.start()
@@ -93,7 +104,7 @@ class TestGoldenTrace:
         while live:
             live = [sim for sim in live if sim.step()]
         for sim in sims:
-            assert stream_lines(sim.finalize()) == committed
+            assert_golden(stream_lines(sim.finalize()), committed)
 
     def test_golden_file_is_replayable(self, committed):
         """The committed artifact itself parses and passes every

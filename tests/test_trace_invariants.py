@@ -16,33 +16,43 @@ from repro.experiments.common import run_policy
 from repro.faults.plan import FaultPlan
 from repro.hardware.topology import ClusterSpec
 from repro.obs import check_trace, verify_trace
+from repro.obs.trace import DECISION_KINDS
 from repro.scheduling.online_sns import OnlineSpreadNShareScheduler
 from repro.sim.runtime import Simulation
 from repro.workloads.sequences import random_sequence
+from tests.against_oracle import assert_matches_oracle, fast_core
 
 NODES = 8
 
 
+def _plan(faults):
+    # Dense enough that several faults land inside the ~800 s makespan
+    # (evict / requeue / job_failed records all appear).
+    return FaultPlan.from_mtbf(
+        seed=3, num_nodes=NODES, mtbf_s=500.0, mttr_s=120.0,
+        horizon_s=1_500.0,
+        retry=RetryPolicy(max_retries=3, backoff_s=60.0),
+    ) if faults else None
+
+
 def traced_run(policy="SNS", faults=False, level="full", n_jobs=16,
-               seed=3, caches=True):
+               seed=3):
     cluster = ClusterSpec(num_nodes=NODES)
     jobs = random_sequence(seed=seed, n_jobs=n_jobs)
-    plan = None
-    if faults:
-        # Dense enough that several faults land inside the ~800 s
-        # makespan (evict / requeue / job_failed records all appear).
-        plan = FaultPlan.from_mtbf(
-            seed=3, num_nodes=NODES, mtbf_s=500.0, mttr_s=120.0,
-            horizon_s=1_500.0,
-            retry=RetryPolicy(max_retries=3, backoff_s=60.0),
-        )
     result = run_policy(
         policy, cluster, jobs,
-        sim_config=SimConfig(perf_caches=caches,
-                             trace=TraceConfig(level=level)),
-        fault_plan=plan,
+        sim_config=SimConfig(trace=TraceConfig(level=level)),
+        fault_plan=_plan(faults),
     )
     return result.trace.events
+
+
+def oracle_checked(policy):
+    """The faulty scenario of :func:`traced_run` on the fast path, with
+    the oracle's replay of it: equal decisions, bit-equal speeds."""
+    return assert_matches_oracle(fast_core(
+        policy, ClusterSpec(num_nodes=NODES),
+        random_sequence(seed=3, n_jobs=16), fault_plan=_plan(True)))
 
 
 class TestCleanTraces:
@@ -58,16 +68,20 @@ class TestCleanTraces:
         assert check_trace(events) == []
 
     def test_reference_kernels_replay_clean(self):
-        assert check_trace(traced_run("SNS", faults=True,
-                                      caches=False)) == []
+        """The oracle's own decision records pass every law too."""
+        _, oracle = oracle_checked("SNS")
+        assert check_trace(oracle.records) == []
 
     @pytest.mark.parametrize("policy", ["CE", "CS", "SNS"])
     def test_full_trace_is_cache_mode_independent(self, policy):
-        """Both cache modes run the same one-event step, so every
-        record — ``sched``, ``batch`` and ``speed`` included — is
-        identical, not just the decision stream."""
-        assert traced_run(policy, faults=True) == \
-            traced_run(policy, faults=True, caches=False)
+        """The full trace's decisions replay on the unmemoized oracle,
+        and its ``speed`` records are bit-equal to the oracle's and name
+        exactly each refresh's jobs; a run traced at the full level is
+        the run traced at the decisions level."""
+        result, _ = oracle_checked(policy)
+        assert [e for e in result.trace.events
+                if e["ev"] in DECISION_KINDS] == \
+            traced_run(policy, faults=True, level="decisions")
 
     def test_online_sns_replays_clean_with_trials(self):
         cluster = ClusterSpec(num_nodes=NODES)

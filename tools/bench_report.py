@@ -7,7 +7,6 @@ into ``BENCH_sim.json`` at the repo root, so perf regressions in the
 event loop show up as numbers, not vibes:
 
     PYTHONPATH=src python tools/bench_report.py [--label after]
-    PYTHONPATH=src python tools/bench_report.py --no-caches --label ref
     PYTHONPATH=src python tools/bench_report.py --jobs 2
     PYTHONPATH=src python tools/bench_report.py --trace-gate
 
@@ -30,8 +29,8 @@ must be bit-identical to serial ones — the divergence gate below
 enforces exactly that against any serial entry already in
 BENCH_sim.json.
 
-Every fast path in the simulator is required to be *bit-identical* to
-the reference kernels, so after timing, this script cross-checks the
+Every change to the simulator that is not meant to move results must
+leave them *bit-identical*, so after timing, this script cross-checks the
 makespan and mean turnaround of every configuration against every
 other entry already in BENCH_sim.json and **exits non-zero (2) on any
 divergence** — a perf "win" that changes results is a bug, and CI
@@ -97,22 +96,20 @@ COUNTER_COLUMNS = (
 
 def _run_one(task: tuple) -> dict:
     """One grid point: an independent simulation with a private
-    PerfContext (``SimConfig.perf_caches`` picks the cache mode), so
-    it runs the same in any worker process.
+    PerfContext, so it runs the same in any worker process.
 
     With ``trace=True`` the run carries a full-level tracer (the
     maximum-observability configuration: every record kind plus the
     time-series collector); the resulting trace is replayed through the
     invariant checker after the timed region, and optionally exported
     as a Chrome trace (``chrome_out``)."""
-    ratio, nodes, policy, jobs, caches, trace, chrome_out = task
+    ratio, nodes, policy, jobs, trace, chrome_out = task
     cluster = ClusterSpec(num_nodes=nodes)
     trace_config = TraceConfig(level="full") if trace else None
     start = time.perf_counter()
     runs = run_all_policies(
         cluster, jobs, policy_names=(policy,),
-        sim_config=SimConfig(max_sim_time=1e12, perf_caches=caches,
-                             trace=trace_config),
+        sim_config=SimConfig(max_sim_time=1e12, trace=trace_config),
     )
     wall = time.perf_counter() - start
     result = runs[policy]
@@ -144,7 +141,7 @@ def _run_one(task: tuple) -> dict:
     return entry
 
 
-def run_grid(caches: bool = True, jobs: int = 1, verbose: bool = True,
+def run_grid(jobs: int = 1, verbose: bool = True,
              trace: bool = False, chrome_out: Optional[str] = None,
              full: bool = False) -> dict:
     """Run the smoke grid once; returns the BENCH_sim entry payload.
@@ -170,12 +167,12 @@ def run_grid(caches: bool = True, jobs: int = 1, verbose: bool = True,
                                       config=trace_config)
         for nodes in sizes:
             for policy in POLICIES:
-                tasks.append([ratio, nodes, policy, trace_jobs, caches,
-                              trace, None])
+                tasks.append([ratio, nodes, policy, trace_jobs, trace,
+                              None])
     if chrome_out is not None:
         for task in tasks:
             if task[2] == "SNS":
-                task[6] = chrome_out
+                task[5] = chrome_out
                 break
     tasks = [tuple(t) for t in tasks]
     start = time.perf_counter()
@@ -194,7 +191,6 @@ def run_grid(caches: bool = True, jobs: int = 1, verbose: bool = True,
     total_wall = elapsed if jobs > 1 else sum(c["wall_s"] for c in configs)
     return {
         "grid": grid_name,
-        "caches": caches,
         "jobs": jobs,
         "trace": trace,
         "total_wall_s": round(total_wall, 4),
@@ -209,8 +205,8 @@ def check_divergence(report: dict, label: str) -> List[str]:
 
     All entries replay the same traces with the same seed, so their
     per-configuration makespans and mean turnarounds must agree exactly
-    — fast paths are contractually bit-identical to the reference, and
-    pooled runs to serial ones.  Returns a list of
+    — a change meant to keep results must keep them bit-identical, and
+    pooled runs match serial ones.  Returns a list of
     human-readable divergence descriptions (empty when everything
     matches).
     """
@@ -264,12 +260,12 @@ def run_trace_gate(args: argparse.Namespace) -> int:
     plain = traced = None
     for rep in range(2):
         print(f"untraced pass {rep + 1}:")
-        entry = run_grid(caches=True, verbose=rep == 0)
+        entry = run_grid(verbose=rep == 0)
         print(f"  total {entry['total_wall_s']:.2f}s")
         if plain is None or entry["total_wall_s"] < plain["total_wall_s"]:
             plain = entry
         print(f"traced pass {rep + 1} (full level):")
-        entry = run_grid(caches=True, verbose=rep == 0, trace=True,
+        entry = run_grid(verbose=rep == 0, trace=True,
                          chrome_out=args.chrome_out)
         print(f"  total {entry['total_wall_s']:.2f}s")
         if traced is None \
@@ -417,8 +413,6 @@ def main(argv=None) -> int:
     parser.add_argument("--label", default=None,
                         help="entry name in BENCH_sim.json "
                              "(default: current, or jobsN)")
-    parser.add_argument("--no-caches", action="store_true",
-                        help="benchmark the unmemoized reference path")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="run the grid on N worker processes (0 = "
                              "one per CPU) and gate bit-identity against "
@@ -450,7 +444,6 @@ def main(argv=None) -> int:
     if args.oversub_gate:
         return run_oversub_gate(args)
 
-    caches = not args.no_caches
     jobs = resolve_jobs(args.jobs)
     label: Optional[str] = args.label
     if label is None:
@@ -460,9 +453,8 @@ def main(argv=None) -> int:
                 else f"fig20-full-{label}"
     mode = f"{jobs} processes" if jobs > 1 else "serial"
     scale = "full" if args.full else "smoke"
-    print(f"benchmarking fig20 {scale} grid "
-          f"(caches {'on' if caches else 'off'}, {mode}) ...")
-    entry = run_grid(caches=caches, jobs=jobs, full=args.full)
+    print(f"benchmarking fig20 {scale} grid ({mode}) ...")
+    entry = run_grid(jobs=jobs, full=args.full)
     print(f"total: {entry['total_wall_s']:.2f}s, "
           f"{entry['events_per_s']:.0f} events/s")
 

@@ -122,7 +122,6 @@ def run(args: argparse.Namespace) -> int:
     jobs = smoke_workload(args.seed, args.jobs, args.max_width)
     handle = None
     if args.serve:
-        from repro.config import SimConfig
         from repro.hardware.topology import ClusterSpec
         from repro.service import SchedulerMaster, serve_in_thread
         from repro.sim.runtime import SchedulerCore
@@ -130,9 +129,6 @@ def run(args: argparse.Namespace) -> int:
         fabric = parse_fabric(args.fabric)
         core = SchedulerCore.from_policy_name(
             args.policy, ClusterSpec(num_nodes=args.nodes, fabric=fabric),
-            sim_config=SimConfig(
-                perf_caches=not args.no_caches,
-            ),
         )
         master = SchedulerMaster(core, queue_limit=args.queue_limit)
         handle = serve_in_thread(master)
@@ -211,8 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="cluster size for --serve (default 32)")
     parser.add_argument("--queue-limit", type=int, default=256,
                         help="admission queue bound for --serve")
-    parser.add_argument("--no-caches", action="store_true",
-                        help="run --serve on the reference kernels")
     parser.add_argument(
         "--fabric", default=None, metavar="RACK_SIZE:OVERSUB",
         help="leaf-spine fabric for --serve (e.g. 8:4 = racks of 8 at "
