@@ -60,8 +60,9 @@ class SchedulerConfig:
     #: Locality-aware spreading on a leaf-spine fabric (DESIGN.md §13):
     #: node selection fills within one rack before crossing the spine
     #: and breaks occupancy-metric ties toward racks contributing more
-    #: candidates.  Inert (bit-identical placement) when the cluster has
-    #: no active fabric, so the default never perturbs flat runs.
+    #: candidates.  Not inert without an active fabric: the idle pick
+    #: then ranks idle nodes by node id instead of arrival order, so a
+    #: flat run can place differently (DESIGN.md §13).  Off by default.
     locality_aware: bool = False
 
     def __post_init__(self) -> None:
@@ -123,18 +124,9 @@ class TraceConfig:
         decisions + job lifecycle + faults; byte-stable across cache
         modes), ``"events"`` (adds per-scheduling-point summaries), or
         ``"full"`` (adds event batches and speed refreshes).
-    timeseries:
-        Derive the per-node gauge series (free cores, booked bandwidth,
-        allocated LLC ways, resident jobs) from the trace after the run
-        (:func:`repro.obs.timeseries.timeseries_from_trace`).
-    timeseries_capacity:
-        Retained-bucket bound of the stride-doubling downsampler; even,
-        >= 4.  Memory is flat in run length: ~capacity * 96 bytes/node.
     """
 
     level: str = "events"
-    timeseries: bool = True
-    timeseries_capacity: int = 64
 
     def __post_init__(self) -> None:
         if self.level not in ("decisions", "events", "full"):
@@ -142,18 +134,12 @@ class TraceConfig:
                 f"trace level must be decisions, events, or full; "
                 f"got {self.level!r}"
             )
-        if self.timeseries_capacity < 4 or self.timeseries_capacity % 2:
-            raise ConfigError(
-                "timeseries_capacity must be an even number >= 4"
-            )
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation-wide settings."""
 
-    #: Telemetry episode length in seconds (30 s in the paper's Fig 17).
-    episode_seconds: float = 30.0
     #: Hard wall on simulated time (guards against scheduler livelock).
     max_sim_time: float = 1e9
     #: Record per-node bandwidth telemetry (costs memory on big runs).
@@ -166,7 +152,5 @@ class SimConfig:
     trace: Optional[TraceConfig] = None
 
     def __post_init__(self) -> None:
-        if self.episode_seconds <= 0:
-            raise ConfigError("episode_seconds must be positive")
         if self.max_sim_time <= 0:
             raise ConfigError("max_sim_time must be positive")

@@ -40,8 +40,7 @@ def run_fig17(
     jobs = random_sequence(seed=seed, n_jobs=n_jobs)
     runs = run_all_policies(
         cluster, jobs, policy_names=("CE", "SNS"),
-        sim_config=SimConfig(telemetry=True,
-                             episode_seconds=episode_seconds),
+        sim_config=SimConfig(telemetry=True),
     )
     peak = cluster.node.peak_bw
     matrices = {}

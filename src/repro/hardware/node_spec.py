@@ -2,7 +2,8 @@
 
 A :class:`NodeSpec` bundles the core count with the bandwidth, cache, and
 network models.  It is immutable; mutable runtime state (free cores, way
-ledger, resident jobs) lives in :class:`repro.sim.node.NodeState`.
+ledger, resident jobs) lives in the cluster's mix table
+(:class:`repro.sim.node.MixTable`): each node is one mix id.
 """
 
 from __future__ import annotations

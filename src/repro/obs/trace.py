@@ -96,45 +96,33 @@ class Tracer:
     #: see the no-allocation contract in DESIGN.md §10).
     created: int = 0
 
-    __slots__ = ("level", "events", "_ts_capacity", "_ts")
+    __slots__ = ("level", "events", "_ts")
 
     def __init__(
-        self,
-        level: Union[str, TraceLevel] = TraceLevel.EVENTS,
-        timeseries: bool = True,
-        timeseries_capacity: int = 64,
+        self, level: Union[str, TraceLevel] = TraceLevel.EVENTS
     ) -> None:
         self.level = parse_level(level)
         self.events: List[dict] = []
-        self._ts_capacity = timeseries_capacity if timeseries else None
         self._ts: Optional[TimeSeries] = None
         Tracer.created += 1
 
     @classmethod
-    def from_config(cls, config, num_nodes: int) -> "Tracer":
+    def from_config(cls, config) -> "Tracer":
         """Build a tracer from a :class:`repro.config.TraceConfig`
-        (duck-typed to keep this module free of config imports).
-        ``num_nodes`` is unused (the gauge series is rebuilt from the
-        trace's own meta record) but kept in the signature so callers
-        state the cluster they are tracing."""
-        del num_nodes
-        return cls(
-            level=config.level,
-            timeseries=config.timeseries,
-            timeseries_capacity=config.timeseries_capacity,
-        )
+        (duck-typed to keep this module free of config imports)."""
+        return cls(level=config.level)
 
     @property
     def timeseries(self) -> Optional[TimeSeries]:
         """The per-node gauge series derived from the trace (``None``
-        when disabled or before the meta record exists); built lazily
-        and cached, so call it only once the run is over."""
-        if self._ts_capacity is None or not self.events:
+        before the meta record exists), at
+        :func:`~repro.obs.timeseries.timeseries_from_trace`'s default
+        capacity; built lazily and cached, so call it only once the run
+        is over."""
+        if not self.events:
             return None
         if self._ts is None:
-            self._ts = timeseries_from_trace(
-                self.events, capacity=self._ts_capacity
-            )
+            self._ts = timeseries_from_trace(self.events)
         return self._ts
 
     # -- introspection -----------------------------------------------------

@@ -66,7 +66,9 @@ def find_nodes(
     rack before crossing the spine, rack tie-break otherwise; DESIGN.md
     §13).  The flag changes *which* qualifying nodes are chosen, never
     whether a demand is satisfiable, so the negative search cache stays
-    keyed on the demand alone.  With no active fabric it is inert.
+    keyed on the demand alone.  It is not inert without an active
+    fabric: the idle pick then ranks idle nodes by node id instead of
+    taking them in arrival order (DESIGN.md §13).
     """
     if n_nodes < 1 or cores < 1:
         raise SchedulingError("n_nodes and cores must be >= 1")

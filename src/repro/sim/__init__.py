@@ -8,7 +8,6 @@ exactly as Uberun does.
 """
 
 from repro.sim.job import Job, JobState
-from repro.sim.node import NodeState
 from repro.sim.cluster import ClusterState
 from repro.sim.engine import EventQueue
 from repro.sim.runtime import (
@@ -22,7 +21,6 @@ from repro.obs.telemetry import TelemetryRecorder
 __all__ = [
     "Job",
     "JobState",
-    "NodeState",
     "ClusterState",
     "EventQueue",
     "SchedulerCore",

@@ -21,7 +21,7 @@ from repro.errors import AllocationError, SimulationError
 from repro.hardware.topology import ClusterSpec
 from repro.perfmodel import batch
 from repro.perfmodel.context import MAX_ENTRIES, PerfContext
-from repro.sim.node import MixTable, NodeState, distinct, recount
+from repro.sim.node import MixTable, distinct, recount
 
 #: One node's arbitration, stored positionally so every node of a mix
 #: shares one tuple: (resident job ids in insertion order, granted GB/s
@@ -57,7 +57,6 @@ class ClusterState:
     #: rule, DESIGN.md §9); a standalone ClusterState gets a private
     #: default context.
     ctx: Optional[PerfContext] = None
-    nodes: List[NodeState] = field(init=False)
     # Job-id-independent signature -> arbitration result, shared across
     # mixes: successive jobs of one shape resolve their mixes without a
     # kernel solve.  Values store grants/ways positionally plus the
@@ -85,12 +84,10 @@ class ClusterState:
             self.ctx = PerfContext()
         # A node's state is its interned resident mix (DESIGN.md §7): the
         # residents, the per-job bookings, the per-mix capacity arrays,
-        # arbitration views and batch transitions live here, and every
-        # NodeState below is a thin view over its slot of ``mixes.mix``.
+        # arbitration views and batch transitions live here, and a node
+        # is its slot of ``mixes.mix``.
         n = self.spec.num_nodes
         self.mixes = MixTable(n, self.spec.node, self.partitioned)
-        self.nodes = [NodeState(i, self.spec.node, self.partitioned,
-                                self.mixes) for i in range(n)]
         # Free-core index (DESIGN.md §7).  Bucket ``f`` is the up nodes
         # with ``free_cores == f`` ordered by arrival stamp.  ``_stamp``
         # holds each node's stamp (-1 while down); every bucket move
@@ -545,7 +542,7 @@ class ClusterState:
         sums (those are unchanged by construction)."""
         tor = self.booked_tor
         rack_size = self._fabric.rack_size
-        n = len(self.nodes)
+        n = self.spec.num_nodes
         booked = self.booked_cross
         for r in racks.tolist():
             lo = r * rack_size
@@ -598,9 +595,6 @@ class ClusterState:
         return list(self._down)
 
     # -- queries -----------------------------------------------------------------
-
-    def node(self, node_id: int) -> NodeState:
-        return self.nodes[node_id]
 
     def idle_nodes(self) -> List[int]:
         """Fully idle node ids (deterministic arrival order)."""
@@ -873,7 +867,7 @@ class ClusterState:
             if bool((free_cores[members[-1]] != free).any()):
                 raise SimulationError(
                     f"bucket {free} holds a node with another free-core count")
-        up = np.ones(len(self.nodes), dtype=np.int64)
+        up = np.ones(self.spec.num_nodes, dtype=np.int64)
         up[list(self._down)] = 0
         if not np.array_equal(np.bincount(np.concatenate(members),
                                           minlength=len(up)), up):
@@ -970,7 +964,7 @@ class ClusterState:
                         f"job {jid}: cross share on node {nid}, which it "
                         f"does not occupy")
         if self._fabric is not None:
-            num_nodes = len(self.nodes)
+            num_nodes = self.spec.num_nodes
             for r in range(self._num_racks):
                 lo, hi = self._fabric.rack_span(r, num_nodes)
                 expect = sum(self.booked_cross[lo:hi].tolist())
@@ -1017,7 +1011,7 @@ class ClusterState:
         """
         mixes = self.mixes
         mix = mixes.mix
-        gauges = np.empty((4, len(self.nodes)), dtype=np.float64)
+        gauges = np.empty((4, self.spec.num_nodes), dtype=np.float64)
         gauges[0] = mixes.free_cores[mix]
         gauges[1] = mixes.booked_bw[mix]
         if self.partitioned:

@@ -14,11 +14,10 @@ same ways, bandwidth and network on every node it occupies
 of a node — free cores, free ways, partition count, booked
 bandwidth/network and the scan-ready epsilon complements — so the table
 keeps one array per field indexed by mix id, filled when the id is
-interned, and readers gather ``field[mix[nodes]]`` (DESIGN.md §7).  A
-:class:`NodeState` is a thin view over its slot of ``MixTable.mix``.
-:func:`recount` derives the same fields from the key and the bookings
-from scratch, never from those arrays; ``verify_columns`` checks the
-arrays against it.
+interned, and readers gather ``field[mix[nodes]]`` (DESIGN.md §7); no
+per-node object exists.  :func:`recount` derives the same fields from
+the key and the bookings from scratch, never from those arrays;
+``verify_columns`` checks the arrays against it.
 
 Float discipline (bit-identity with re-summed bookkeeping, enforced by
 ``tests/test_soa_columns.py``): a mix's booked bandwidth/network is the
@@ -431,77 +430,3 @@ def _take(counts: Dict[int, int], m: int, c: int) -> None:
         counts[m] = left
     else:
         del counts[m]
-
-
-class NodeState:
-    """Per-node bookkeeping: a view over one slot of a cluster's mix
-    table (``slot`` = node id).  Slices reach the node only through the
-    cluster's ``place_slices`` / ``remove_slices``; the capacity
-    properties read the table's per-mix arrays at the node's mix."""
-
-    __slots__ = ("node_id", "spec", "partitioned", "mixes")
-
-    def __init__(self, node_id: int, spec: NodeSpec, partitioned: bool,
-                 mixes: MixTable) -> None:
-        self.node_id = node_id
-        self.spec = spec
-        self.partitioned = partitioned
-        self.mixes = mixes
-
-    # -- capacity queries ----------------------------------------------------
-
-    @property
-    def mix(self) -> int:
-        """Id of this node's resident mix."""
-        return self.mixes.mix.item(self.node_id)
-
-    @property
-    def used_cores(self) -> int:
-        return self.spec.cores - self.free_cores
-
-    @property
-    def free_cores(self) -> int:
-        return self.mixes.free_cores.item(self.mix)
-
-    @property
-    def free_ways(self) -> int:
-        return self.mixes.free_ways.item(self.mix)
-
-    @property
-    def cat_partitions(self) -> int:
-        """Number of active CAT partitions on this node."""
-        return self.mixes.parts.item(self.mix)
-
-    @property
-    def booked_bw(self) -> float:
-        """Total bandwidth (GB/s) booked by the scheduler on this node."""
-        return self.mixes.booked_bw.item(self.mix)
-
-    @property
-    def free_bw(self) -> float:
-        return self.spec.peak_bw - self.booked_bw
-
-    @property
-    def booked_net(self) -> float:
-        """Total booked link-utilization fraction (network dimension,
-        the paper's Section 3.3 extension)."""
-        return self.mixes.booked_net.item(self.mix)
-
-    @property
-    def free_net(self) -> float:
-        return 1.0 - self.booked_net
-
-    @property
-    def is_idle(self) -> bool:
-        # Every slice pins a core, so only the empty mix has no resident.
-        return not self.mix
-
-    @property
-    def resident_job_ids(self) -> List[int]:
-        return [j for j, _ in self.mixes.keys[self.mix]]
-
-    def dedicated_ways(self, job_id: int) -> int:
-        """Dedicated (CAT-partitioned) ways of a resident job."""
-        if not self.partitioned or job_id not in self.resident_job_ids:
-            return 0
-        return self.mixes.meta[job_id][3]

@@ -30,7 +30,7 @@ elementwise, so a batch of rows is bit-identical to the scalar loop.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -86,11 +86,10 @@ class RunningTable:
         self._free.append(slot)
 
     def retime(self, slots: Sequence[int], job_ids: Sequence[int],
-               now: float, t_now: Optional[Sequence[float]] = None
-               ) -> Tuple[list, list]:
+               now: float) -> Tuple[list, list]:
         """Settle the rows up to ``now`` at their old speeds, set their
-        speeds to ``t_ref / t_now`` and return ``(speeds, finishes)``
-        lists; ``t_now`` defaults to :func:`time_now` of the rows.
+        speeds to ``t_ref / t_now``, where ``t_now`` is :func:`time_now`
+        of the rows, and return ``(speeds, finishes)`` lists.
 
         The settle is :meth:`Job.settle_progress`: ``np.where(x > 0.0,
         x, 0.0)`` is builtin ``max(0.0, x)`` on ``-0.0`` and NaN too, and
@@ -106,9 +105,7 @@ class RunningTable:
             raise SimulationError("time went backwards")
         x = remaining - speed * dt
         settled = np.where(x > 0.0, x, 0.0)
-        if t_now is None:
-            t_now = time_now(compute, comm_base, node_cong, route)
-        new = t_ref / t_now
+        new = t_ref / time_now(compute, comm_base, node_cong, route)
         bad = new <= 0.0
         if np.count_nonzero(bad):
             i = int(np.argmax(bad))

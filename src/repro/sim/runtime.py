@@ -273,7 +273,7 @@ class SchedulerCore:
         # ownership rule as the PerfContext, no globals.  ``None`` means
         # every emission site below is a single ``is None`` check.
         if tracer is None and config.trace is not None:
-            tracer = Tracer.from_config(config.trace, cluster_spec.num_nodes)
+            tracer = Tracer.from_config(config.trace)
         self.tracer = tracer
         self._spec = cluster_spec.node
         # Physical leaf-spine link loads (DESIGN.md §13).  The cluster's
@@ -405,16 +405,16 @@ class SchedulerCore:
             return
         self._started = True
         if self.config.telemetry and self.telemetry is None:
-            self.telemetry = TelemetryRecorder(len(self.cluster.nodes))
+            self.telemetry = TelemetryRecorder(self.cluster.spec.num_nodes)
         if self.telemetry is not None:
-            for nid in range(len(self.cluster.nodes)):
+            for nid in range(self.cluster.spec.num_nodes):
                 self.telemetry.record(nid, 0.0, 0.0)
         if self.tracer is not None:
             fabric = self._fabric
             self.tracer.meta(
                 policy=type(self.policy).__name__,
                 partitioned=self.policy.partitioned,
-                num_nodes=len(self.cluster.nodes),
+                num_nodes=self.cluster.spec.num_nodes,
                 cores=self._spec.cores,
                 llc_ways=self._spec.llc_ways,
                 peak_bw=self._spec.peak_bw,
@@ -619,7 +619,8 @@ class SchedulerCore:
         badput), then the node leaves the free-core index."""
         self._counters["node_failures"] += 1
         cluster = self.cluster
-        residents = cluster.node(node_id).resident_job_ids
+        mixes = cluster.mixes
+        residents = [j for j, _ in mixes.keys[mixes.mix.item(node_id)]]
         if self.tracer is not None:
             self.tracer.node_fail(now, node_id, len(residents))
         for jid in residents:
@@ -729,7 +730,7 @@ class SchedulerCore:
         jids = sorted(cross)
         entries = [cross[jid] for jid in jids]
         tor_util, spine_util, route = self._fabric.link_utilization(
-            len(self.cluster.nodes),
+            self.cluster.spec.num_nodes,
             [e[0] for e in entries], [e[1] for e in entries],
         )
         table = self._table
@@ -859,10 +860,12 @@ class SchedulerCore:
                 push_finish(finish, jid)
         if self.telemetry is not None and touched_nodes:
             views = self.cluster.arbitration_batch(touched_nodes)
+            mixes = self.cluster.mixes
+            cores = self._spec.cores
             for nid in touched_nodes:
                 self.telemetry.record(
                     nid, now, sum(views[nid][1]),
-                    cores=self.cluster.node(nid).used_cores,
+                    cores=cores - mixes.free_cores.item(mixes.mix.item(nid)),
                 )
 
     def _rebuild_rows(self, stale: List[tuple]) -> None:

@@ -22,14 +22,14 @@ def cluster() -> ClusterState:
 class TestIndex:
     def test_fresh_cluster_all_idle(self, cluster):
         assert cluster.idle_nodes() == [0, 1, 2, 3]
-        assert sum(cluster.node(i).free_cores for i in range(4)) == 4 * 28
+        assert cluster.gauge_columns()[0].sum() == 4 * 28
         assert cluster.free_levels(1) == [28]
         cluster.verify_index()
 
     def test_place_moves_bucket(self, cluster):
         cluster.place_slices([0], 1, EP, [8], 2, 0.0, 1)
         assert cluster.idle_nodes() == [1, 2, 3]
-        assert cluster.node(0).free_cores == 20
+        assert cluster.gauge_columns()[0, 0] == 20
         cluster.verify_index()
 
     def test_remove_restores_bucket(self, cluster):
@@ -85,7 +85,7 @@ class TestIndex:
             cluster.place_slices([1], 1, EP, [4], 2, 2.0, 2)
         with pytest.raises(AllocationError, match="same ways and bandwidth"):
             cluster.place_slices([1], 1, EP, [4], 3, 1.0, 2)
-        assert cluster.node(1).is_idle
+        assert not cluster.resident_jobs_on([1])
         cluster.verify_index()
         cluster.verify_columns()
 
@@ -95,7 +95,7 @@ class TestIndex:
             cluster.place_slices([1], 1, EP, [4], 2, 1.0, 2, net=0.5)
         with pytest.raises(AllocationError, match="same network share"):
             cluster.place_slices([1], 1, EP, [4], 2, 1.0, 2)
-        assert cluster.node(1).is_idle
+        assert not cluster.resident_jobs_on([1])
         cluster.verify_index()
         cluster.verify_columns()
 
@@ -178,7 +178,8 @@ class TestResidentQueries:
     def _scanned(cluster, nodes, job_id):
         """The co-runners of ``job_id`` as a row-by-row column scan of
         its shared nodes builds them, insertion sequence included."""
-        rows = [cluster.node(n).resident_job_ids for n in nodes]
+        mixes = cluster.mixes
+        rows = [[j for j, _ in mixes.keys[mixes.mix[n]]] for n in nodes]
         found = set(j for row in rows if len(row) > 1 for j in row)
         found.discard(job_id)
         return found
@@ -216,9 +217,9 @@ class TestResidentQueries:
 
     def test_partitioned_flag_propagates(self):
         shared = ClusterState(ClusterSpec(num_nodes=2), partitioned=False)
-        assert all(not n.partitioned for n in shared.nodes)
+        assert not shared.mixes.partitioned
         parted = ClusterState(ClusterSpec(num_nodes=2), partitioned=True)
-        assert all(n.partitioned for n in parted.nodes)
+        assert parted.mixes.partitioned
 
 
 class TestDeepResidency:
@@ -280,15 +281,173 @@ class TestDeepResidency:
         """A freed mix id re-interned for another key must not keep the
         old key's entries: the arrays must match a from-scratch recompute."""
         cluster.place_slices([0], 1, EP, [4], 2, 1.5, 1, net=0.25)
-        old = cluster.node(0).mix
-        assert cluster.mixes.free_cores[old] == 24
+        mixes = cluster.mixes
+        old = mixes.mix[0]
+        assert mixes.free_cores[old] == 24
         cluster.remove_slices([0], 1)
-        assert old in cluster.mixes.free
+        assert old in mixes.free
         cluster.place_slices([1], 2, EP, [9], 3, 0.5, 1)
-        assert cluster.node(1).mix == old
-        assert cluster.node(1).free_cores == 19
-        assert cluster.node(1).booked_bw == 0.5
-        assert cluster.node(1).booked_net == 0.0
+        assert mixes.mix[1] == old
+        assert mixes.free_cores[old] == 19
+        assert mixes.booked_bw[old] == 0.5
+        assert mixes.booked_net[old] == 0.0
         cluster.verify_columns()
 
 
+
+
+# -- one node's accounting ----------------------------------------------
+#
+# Slices are installed through a one-node cluster; node 0's state is
+# read through the cluster's queries: the gauge matrix (free cores,
+# booked GB/s, allocated ways, residents), the per-mix arrays at its mix
+# id, and its resident jobs.
+
+SPEC = NodeSpec()
+
+
+@pytest.fixture
+def one_node() -> ClusterState:
+    return ClusterState(ClusterSpec(num_nodes=1, node=SPEC),
+                        partitioned=True)
+
+
+@pytest.fixture
+def one_shared() -> ClusterState:
+    return ClusterState(ClusterSpec(num_nodes=1, node=SPEC),
+                        partitioned=False)
+
+
+class TestAccounting:
+    def test_fresh_node_idle(self, one_node):
+        free, booked, alloc, _ = one_node.gauge_columns()[:, 0]
+        assert not one_node.resident_jobs_on([0])
+        assert free == 28
+        assert SPEC.llc_ways - alloc == 20
+        assert SPEC.peak_bw - booked == pytest.approx(SPEC.peak_bw)
+
+    def test_place_deducts_resources(self, one_node):
+        one_node.place_slices([0], 1, get_program("MG"), [8], 4, 30.0, 2)
+        free, booked, alloc, _ = one_node.gauge_columns()[:, 0]
+        assert free == 20
+        assert SPEC.llc_ways - alloc == 16
+        assert SPEC.peak_bw - booked == pytest.approx(SPEC.peak_bw - 30.0)
+        assert one_node.resident_jobs_on([0])
+
+    def test_remove_restores_resources(self, one_node):
+        one_node.place_slices([0], 1, get_program("MG"), [8], 4, 30.0, 2)
+        one_node.remove_slices([0], 1)
+        _, booked, alloc, _ = one_node.gauge_columns()[:, 0]
+        assert not one_node.resident_jobs_on([0])
+        assert SPEC.llc_ways - alloc == 20
+        assert SPEC.peak_bw - booked == pytest.approx(SPEC.peak_bw)
+
+    def test_double_place_rejected(self, one_node):
+        one_node.place_slices([0], 1, get_program("EP"), [4], 2, 0.0, 1)
+        with pytest.raises(AllocationError):
+            one_node.place_slices([0], 1, get_program("EP"), [4], 2, 0.0, 1)
+
+    def test_remove_absent_rejected(self, one_node):
+        with pytest.raises(AllocationError):
+            one_node.remove_slices([0], 7)
+
+    def test_core_overflow_rejected(self, one_node):
+        one_node.place_slices([0], 1, get_program("EP"), [20], 2, 0.0, 1)
+        with pytest.raises(AllocationError):
+            one_node.place_slices([0], 2, get_program("EP"), [10], 2, 0.0, 1)
+
+
+def _fits(cluster, cores, ways, bw, net=0.0) -> bool:
+    """The mix-level demand test at node 0's mix."""
+    mixes = cluster.mixes
+    return bool(mixes.fits(cores, ways, bw, net, mixes.mix[0]))
+
+
+def _effective_ways(cluster, job_id) -> float:
+    """A resident job's effective LLC ways on node 0, from its view."""
+    jids, _, _, effs = cluster.arbitration(0)
+    return effs[jids.index(job_id)]
+
+
+class TestCanHost:
+    def test_fits(self, one_node):
+        assert _fits(one_node, 28, 20, SPEC.peak_bw)
+
+    def test_core_bound(self, one_node):
+        assert not _fits(one_node, 29, 2, 0.0)
+
+    def test_way_bound(self, one_node):
+        one_node.place_slices([0], 1, get_program("CG"), [8], 15, 10.0, 1)
+        assert not _fits(one_node, 4, 6, 0.0)
+        assert _fits(one_node, 4, 5, 0.0)
+
+    def test_bandwidth_bound(self, one_node):
+        one_node.place_slices([0], 1, get_program("MG"), [16], 2, 100.0, 1)
+        assert not _fits(one_node, 4, 2, 30.0)
+        assert _fits(one_node, 4, 2, 10.0)
+
+    def test_unpartitioned_ignores_ways(self, one_shared):
+        assert _fits(one_shared, 4, 0, 0.0)
+
+
+class TestEffectiveWays:
+    def test_partitioned_residual_share(self, one_node):
+        one_node.place_slices([0], 1, get_program("CG"), [8], 10, 10.0, 1)
+        one_node.place_slices([0], 2, get_program("EP"), [8], 2, 0.1, 1)
+        # 8 free ways -> +4 each.
+        assert _effective_ways(one_node, 1) == pytest.approx(14.0)
+        assert _effective_ways(one_node, 2) == pytest.approx(6.0)
+
+    def test_unpartitioned_proportional_share(self, one_shared):
+        one_shared.place_slices([0], 1, get_program("CG"), [12], 0, 0.0, 1)
+        one_shared.place_slices([0], 2, get_program("EP"), [4], 0, 0.0, 1)
+        assert _effective_ways(one_shared, 1) == pytest.approx(15.0)
+        assert _effective_ways(one_shared, 2) == pytest.approx(5.0)
+
+    def test_absent_job_rejected(self, one_node):
+        one_node.place_slices([0], 1, get_program("CG"), [8], 10, 10.0, 1)
+        with pytest.raises(ValueError):
+            _effective_ways(one_node, 3)
+
+
+class TestOccupancyMetric:
+    def test_idle_node_is_zero(self, one_node):
+        mixes = one_node.mixes
+        assert mixes.occupancy(2.0)[mixes.mix[0]] == 0.0
+
+    def test_beta_weights_ways(self, one_node):
+        one_node.place_slices([0], 1, get_program("CG"), [14], 10, 0.0, 1)
+        mixes = one_node.mixes
+        # Co = 0.5, Wo = 0.5, Bo = 0.
+        assert mixes.occupancy(2.0)[mixes.mix[0]] == pytest.approx(1.5)
+        assert mixes.occupancy(0.0)[mixes.mix[0]] == pytest.approx(0.5)
+
+    def test_bandwidth_term_clamped(self, one_node):
+        one_node.place_slices([0], 1, get_program("MG"), [14], 2,
+                              SPEC.peak_bw * 2, 1)
+        mixes = one_node.mixes
+        metric = mixes.occupancy(0.0)[mixes.mix[0]]
+        assert metric == pytest.approx(0.5 + 1.0)
+
+
+class TestSlices:
+    def test_slices_reflect_residents(self, one_node):
+        one_node.place_slices([0], 1, get_program("MG"), [8], 4, 30.0, 2)
+        one_node.place_slices([0], 2, get_program("EP"), [4], 2, 0.1, 1)
+        mixes = one_node.mixes
+        slices = {s.job_id: s for s in mixes.slices(
+            mixes.mix.item(0), one_node.share_residual,
+            one_node.enforce_bw)}
+        assert slices[1].procs == 8
+        assert slices[1].n_nodes == 2
+        assert slices[1].effective_ways == _effective_ways(one_node, 1)
+        assert slices[2].program.name == "EP"
+
+    def test_dedicated_ways_partitioned(self, one_node):
+        one_node.place_slices([0], 1, get_program("CG"), [8], 10, 0.0, 1)
+        # The allocated-ways gauge: the dedicated ways of the residents.
+        assert one_node.gauge_columns()[2, 0] == 10
+
+    def test_dedicated_ways_unpartitioned_zero(self, one_shared):
+        one_shared.place_slices([0], 1, get_program("CG"), [8], 10, 0.0, 1)
+        assert one_shared.gauge_columns()[2, 0] == 0

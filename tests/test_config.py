@@ -40,14 +40,12 @@ class TestSchedulerConfig:
 class TestSimConfig:
     def test_defaults(self):
         config = SimConfig()
-        assert config.episode_seconds == 30.0  # Fig 17 episodes
         # Observability is opt-in (DESIGN.md §10): no recorder, no
         # tracer unless asked for.
         assert not config.telemetry
         assert config.trace is None
 
     @pytest.mark.parametrize("kwargs", [
-        {"episode_seconds": 0.0},
         {"max_sim_time": 0.0},
     ])
     def test_rejects_invalid(self, kwargs):
@@ -59,15 +57,10 @@ class TestTraceConfig:
     def test_defaults(self):
         config = TraceConfig()
         assert config.level == "events"
-        assert config.timeseries
-        assert config.timeseries_capacity == 64
 
     @pytest.mark.parametrize("kwargs", [
         {"level": "verbose"},
         {"level": ""},
-        {"timeseries_capacity": 2},
-        {"timeseries_capacity": 7},
-        {"timeseries_capacity": 0},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ConfigError):
@@ -80,6 +73,17 @@ class TestTraceConfig:
     def test_carried_by_sim_config(self):
         config = SimConfig(trace=TraceConfig(level="full"))
         assert config.trace.level == "full"
+
+
+def test_dead_knobs_are_gone():
+    """Fields nothing read: Fig 17 passes its own episode length, and
+    the gauge series is always derived at the default capacity."""
+    with pytest.raises(TypeError):
+        SimConfig(episode_seconds=30.0)
+    with pytest.raises(TypeError):
+        TraceConfig(timeseries_capacity=64)
+    with pytest.raises(TypeError):
+        TraceConfig(timeseries=False)
 
 
 class TestPackageSurface:

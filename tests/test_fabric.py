@@ -17,6 +17,7 @@ from repro.hardware.fabric import FabricSpec
 from repro.hardware.topology import ClusterSpec
 from repro.obs import check_trace
 from repro.sim.cluster import ClusterState
+from repro.sim.node import recount
 from repro.workloads.sequences import random_sequence
 
 
@@ -178,16 +179,23 @@ class _FabricDriver:
             )
 
     def up_hosts(self, procs: int) -> list:
+        """The up nodes that can take ``procs`` processes and the
+        ways, judged from each node's resident key (:func:`recount`)."""
         cluster = self.cluster
+        mixes = cluster.mixes
         max_parts = self.spec.cache.max_partitions
-        return [
-            nid for nid in range(NODES)
-            if not cluster.is_down(nid)
-            and cluster.nodes[nid].free_cores >= procs
-            and (not cluster.partitioned
-                 or cluster.nodes[nid].free_ways >= self.ways
-                 and cluster.nodes[nid].cat_partitions < max_parts)
-        ]
+        hosts = []
+        for nid in range(NODES):
+            if cluster.is_down(nid):
+                continue
+            node = recount(mixes.keys[mixes.mix[nid]], mixes.meta,
+                           self.spec, cluster.partitioned)
+            if node["free_cores"] >= procs and (
+                    not cluster.partitioned
+                    or node["free_ways"] >= self.ways
+                    and node["parts"] < max_parts):
+                hosts.append(nid)
+        return hosts
 
     def place(self, data) -> None:
         procs = data.draw(st.integers(1, self.spec.cores // 2),
@@ -225,7 +233,7 @@ class _FabricDriver:
         idle = [
             nid for nid in range(NODES)
             if not self.cluster.is_down(nid)
-            and self.cluster.nodes[nid].is_idle
+            and not self.cluster.resident_jobs_on([nid])
         ]
         if len(idle) <= 1:
             return
@@ -299,6 +307,27 @@ class TestFlatDegenerateContract:
         base = _traced_run(None)
         loc = _traced_run(None, locality_aware=True)
         assert loc.trace.events == base.trace.events
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 2: with locality_aware, the idle pick ranks idle "
+        "nodes by node id instead of arrival order, even on a flat "
+        "cluster"))
+    def test_locality_knob_inert_with_staggered_arrivals(self):
+        """Once nodes are released out of id order the idle bucket's
+        arrival order differs from id order, and the knob moves a flat
+        run's placements.  The fix for ROADMAP item 2 flips this."""
+        def decisions(locality_aware):
+            jobs = random_sequence(seed=0, n_jobs=20)
+            for i, job in enumerate(jobs):
+                job.submit_time = 50.0 * i
+            return run_policy(
+                "SNS", ClusterSpec(num_nodes=8), jobs,
+                scheduler_config=SchedulerConfig(
+                    locality_aware=locality_aware),
+                sim_config=SimConfig(trace=TraceConfig(level="decisions")),
+            ).trace.events
+
+        assert decisions(True) == decisions(False)
 
 
 class TestLinkConservation:

@@ -66,7 +66,7 @@ class _Driver:
 
     def place(self, data) -> None:
         cluster, model = self.cluster, self.model
-        up = [nid for nid in range(len(cluster.nodes))
+        up = [nid for nid in range(cluster.spec.num_nodes)
               if not cluster.is_down(nid) and model.free[nid] > 0]
         if not up:
             return
@@ -134,7 +134,7 @@ class _Driver:
         idle = model.order(self.cores)
         assert cluster.idle_count() == len(idle)
         assert cluster.idle_nodes() == idle
-        for n in (1, 2, 3, 9, 64, len(cluster.nodes)):
+        for n in (1, 2, 3, 9, 64, cluster.spec.num_nodes):
             assert cluster.first_idle(n).tolist() == idle[:n]
         levels = sorted(model.buckets, reverse=True)
         for c in range(self.cores + 2):

@@ -125,13 +125,14 @@ class TestManagedNetworkScheduling:
     def test_node_network_accounting(self):
         node_cluster = ClusterState(ClusterSpec(num_nodes=1),
                                     partitioned=True)
-        node = node_cluster.node(0)
         node_cluster.place_slices([0], 1, chatty_program(), [8], 4, 10.0, 2,
                                   0.3)
-        assert node.booked_net == pytest.approx(0.3)
-        assert node.free_net == pytest.approx(0.7)
-        assert node.mixes.fits(4, 2, 0.0, 0.7)[node.mix]
-        assert not node.mixes.fits(4, 2, 0.0, 0.8)[node.mix]
+        mixes = node_cluster.mixes
+        m = mixes.mix[0]
+        assert mixes.booked_net[m] == pytest.approx(0.3)
+        assert 1.0 - mixes.booked_net[m] == pytest.approx(0.7)
+        assert mixes.fits(4, 2, 0.0, 0.7)[m]
+        assert not mixes.fits(4, 2, 0.0, 0.8)[m]
 
     def test_end_to_end_with_managed_network(self):
         """A full simulation with network management stays consistent."""

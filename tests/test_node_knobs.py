@@ -26,8 +26,8 @@ def _place(cluster: ClusterState, job_id, program, procs, ways, bw):
     """Install one single-node slice; returns the node's contention
     solver slices."""
     cluster.place_slices([0], job_id, program, [procs], ways, bw, 1)
-    return cluster.mixes.slices(cluster.node(0).mix, cluster.share_residual,
-                                cluster.enforce_bw)
+    return cluster.mixes.slices(cluster.mixes.mix.item(0),
+                                cluster.share_residual, cluster.enforce_bw)
 
 
 class TestBwCapArbitration:

@@ -198,7 +198,7 @@ class TestArbitrationCacheInvalidation:
         cached = cluster.arbitration(0)
         mixes = cluster.mixes
         reference = node_view(cluster.spec.node,
-                              mixes.keys[cluster.node(0).mix],
+                              mixes.keys[mixes.mix[0]],
                               bookings_from_meta(mixes.meta), True)
         assert cached == reference
 
@@ -206,15 +206,17 @@ class TestArbitrationCacheInvalidation:
         self._place(cluster, 1, 1)
         self._place(cluster, 1, 2, procs=6)
         cluster.remove_slices([1], 1)
-        node = cluster.node(1)
-        key = cluster.mixes.keys[node.mix]
-        meta = cluster.mixes.meta
+        mixes = cluster.mixes
+        m = mixes.mix[1]
+        key = mixes.keys[m]
+        meta = mixes.meta
         assert [j for j, _ in key] == [2]
-        assert node.used_cores == sum(p for _, p in key)
-        assert node.booked_bw == sum(meta[j][4] for j, _ in key)
-        assert node.booked_net == sum(meta[j][5] for j, _ in key)
+        assert cluster.spec.node.cores - mixes.free_cores[m] \
+            == sum(p for _, p in key)
+        assert mixes.booked_bw[m] == sum(meta[j][4] for j, _ in key)
+        assert mixes.booked_net[m] == sum(meta[j][5] for j, _ in key)
         spec = cluster.spec.node
-        assert (node.free_cores, node.free_ways, node.cat_partitions,
+        assert (mixes.free_cores[m], mixes.free_ways[m], mixes.parts[m],
                 len(key)) == (spec.cores - sum(p for _, p in key),
                               spec.llc_ways - meta[2][3], 1, 1)
         cluster.verify_index()

@@ -268,7 +268,7 @@ def _cluster_states(draw) -> ClusterState:
 def _demands(draw, cluster: ClusterState):
     node = cluster.spec.node
     return dict(
-        n_nodes=draw(st.integers(1, min(len(cluster.nodes), 12))),
+        n_nodes=draw(st.integers(1, min(cluster.spec.num_nodes, 12))),
         # Small demands fit part-used nodes; cores + 1 fits none.
         cores=draw(st.integers(1, 8) | st.integers(1, node.cores + 1)),
         # 0 and 1 fall below the associativity floor on partitioned
@@ -300,7 +300,7 @@ def test_count_precheck_is_exact(data):
             # No ToR term: the count is the per-node test's.
             assert count == sum(
                 _can_host(cluster, nid, *demand)
-                for nid in range(len(cluster.nodes))
+                for nid in range(cluster.spec.num_nodes)
                 if not cluster.is_down(nid)
             )
         # The drawn width, and the two widths either side of the count.

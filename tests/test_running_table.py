@@ -5,7 +5,6 @@ through starts, finishes, evictions and restarts."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -28,6 +27,7 @@ from repro.sim.job import Job, JobState, Placement
 from repro.sim.node import MixTable
 from repro.sim.runtime import SchedulerCore
 from repro.sim.running import (
+    COMM_BASE,
     COMPUTE,
     LAST,
     REMAINING,
@@ -130,16 +130,17 @@ def test_retime_matches_settle_and_projected_finish(rows, step, cancel):
     table = RunningTable()
     now = max(row[2] for row in rows) + step
     jobs = []
-    for jid, (remaining, speed, last, t_ref, _) in enumerate(rows):
+    for jid, (remaining, speed, last, t_ref, t_now) in enumerate(rows):
         if cancel:
             # Work that the step consumes exactly: x cancels to +/-0.0.
             remaining = speed * (now - last)
         table.add(jid, t_ref, remaining, last)
-        table.rows[table.slot[jid], SPEED] = speed
+        # time_now of these parts is t_now + 0.0, which is exact.
+        table.rows[table.slot[jid], COMPUTE:SPEED + 1] = \
+            (t_now, 0.0, 0.0, 0.0, speed)
         jobs.append(_running_job(remaining, speed, last))
     slots = [table.slot[j] for j in range(len(rows))]
-    speeds, finishes = table.retime(slots, list(range(len(rows))), now,
-                                    np.array([row[4] for row in rows]))
+    speeds, finishes = table.retime(slots, list(range(len(rows))), now)
     for jid, (job, row) in enumerate(zip(jobs, rows)):
         job.settle_progress(now)
         job.set_speed(row[3] / row[4])
@@ -156,10 +157,16 @@ def test_scalar_messages_for_batch_offenders():
     for jid in (4, 7, 9):
         table.add(jid, 1.0, 1.0, 10.0)
     slots = [table.slot[j] for j in (4, 7, 9)]
+
+    def retime(now, t_now):
+        table.rows[slots, COMPUTE] = t_now
+        table.rows[slots, COMM_BASE:SPEED] = 0.0
+        table.retime(slots, [4, 7, 9], now)
+
     with pytest.raises(SimulationError, match="job 7 computed non-positive"):
-        table.retime(slots, [4, 7, 9], 10.0, np.array([1.0, -1.0, -2.0]))
+        retime(10.0, [1.0, -1.0, -2.0])
     with pytest.raises(SimulationError, match="time went backwards"):
-        table.retime(slots, [4, 7, 9], 9.0, np.array([1.0, 1.0, 1.0]))
+        retime(9.0, [1.0, 1.0, 1.0])
     assert table.rows[slots, SPEED:].tolist() == [[0.0, 10.0, 1.0]] * 3
 
 

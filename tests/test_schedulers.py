@@ -35,7 +35,7 @@ class TestCE:
         d = decisions[0]
         assert d.scale_factor == 1
         assert d.placement.n_nodes == 1
-        assert cluster.node(d.placement.node_ids[0]).used_cores == 16
+        assert cluster.gauge_columns()[0, d.placement.node_ids[0]] == 28 - 16
 
     def test_multi_node_job_split_evenly(self, cluster_spec):
         policy = CompactExclusiveScheduler(cluster_spec)
@@ -127,9 +127,14 @@ class TestSNS:
         cluster = ClusterState(cluster_spec, partitioned=True)
         jobs = make_jobs(("CG", 16))
         (d,) = sns.schedule_point(cluster, PendingQueue(jobs), 0.0)
+        gauges = cluster.gauge_columns()
+        mixes = cluster.mixes
         for nid in d.placement.node_ids:
-            assert cluster.node(nid).dedicated_ways(0) == d.placement.dedicated_ways
-            assert cluster.node(nid).free_ways == 20 - d.placement.dedicated_ways
+            # Job 0 is the node's only resident: all allocated ways are
+            # its dedicated ways.
+            assert gauges[2, nid] == d.placement.dedicated_ways
+            assert mixes.free_ways[mixes.mix[nid]] \
+                == 20 - d.placement.dedicated_ways
 
     def test_bandwidth_booked(self, sns, cluster_spec):
         cluster = ClusterState(cluster_spec, partitioned=True)
@@ -137,7 +142,7 @@ class TestSNS:
         (d,) = sns.schedule_point(cluster, PendingQueue(jobs), 0.0)
         assert d.placement.booked_bw > 0
         nid = d.placement.node_ids[0]
-        assert cluster.node(nid).booked_bw == pytest.approx(
+        assert cluster.gauge_columns()[1, nid] == pytest.approx(
             d.placement.booked_bw
         )
 

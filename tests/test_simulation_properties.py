@@ -64,10 +64,12 @@ class TestSimulationProperties:
         )
         sim.run()
         assert sim.cluster.idle_count() == cluster.num_nodes
-        for node in sim.cluster.nodes:
-            assert node.is_idle
-            assert node.free_ways == cluster.node.llc_ways
-            assert node.booked_bw == 0.0
+        free_cores, booked_bw, alloc_ways, residents = \
+            sim.cluster.gauge_columns()
+        assert not residents.any()
+        assert (free_cores == cluster.node.cores).all()
+        assert not alloc_ways.any()
+        assert not booked_bw.any()
         sim.cluster.verify_index()
 
     @given(jobs=job_batches())

@@ -53,7 +53,7 @@ from repro.hardware.fabric import FabricSpec  # noqa: E402
 from repro.hardware.topology import ClusterSpec  # noqa: E402
 from repro.perfmodel.context import PerfContext  # noqa: E402
 from repro.sim.cluster import ClusterState  # noqa: E402
-from repro.sim.node import _CAPACITY  # noqa: E402
+from repro.sim.node import _CAPACITY, recount  # noqa: E402
 from repro.workloads.sequences import random_sequence  # noqa: E402
 from tests.against_oracle import compare, fast_core  # noqa: E402
 from tests.oracle import bookings_from_meta, node_view  # noqa: E402
@@ -94,27 +94,30 @@ class _Driver:
     # -- legality queries ------------------------------------------------
 
     def hosts_for(self, procs: int, ways: int) -> list:
+        """The up nodes that can take the slice, judged from each
+        node's resident key (:func:`recount`), never from the per-mix
+        arrays under test."""
         cluster = self.cluster
-        return [
-            nid for nid in range(NODES)
-            if not cluster.is_down(nid)
-            and cluster.nodes[nid].free_cores >= procs
-            and (
-                not self.partitioned
-                or (
-                    cluster.nodes[nid].free_ways >= ways
-                    and cluster.nodes[nid].cat_partitions
-                    < self.spec.cache.max_partitions
-                )
-            )
-        ]
+        mixes = cluster.mixes
+        hosts = []
+        for nid in range(NODES):
+            if cluster.is_down(nid):
+                continue
+            node = recount(mixes.keys[mixes.mix[nid]], mixes.meta,
+                           self.spec, self.partitioned)
+            if node["free_cores"] >= procs and (
+                    not self.partitioned
+                    or node["free_ways"] >= ways
+                    and node["parts"] < self.spec.cache.max_partitions):
+                hosts.append(nid)
+        return hosts
 
     def idle_up_nodes(self) -> list:
         cluster = self.cluster
         return [
             nid for nid in range(NODES)
             if not cluster.is_down(nid)
-            and cluster.nodes[nid].is_idle
+            and not cluster.resident_jobs_on([nid])
         ]
 
     def shared_residents(self, node_ids, job_id: int) -> set:
@@ -123,7 +126,7 @@ class _Driver:
         moving job."""
         out = set()
         for nid in node_ids:
-            residents = self.cluster.nodes[nid].resident_job_ids
+            residents = self.cluster.resident_jobs_on([nid])
             if len(residents) > 1:
                 out.update(residents)
         out.discard(job_id)
@@ -425,7 +428,7 @@ def test_poisoned_mix_arrays_fail_verify_not_reference(partitioned):
                          net=0.25)
     cluster.place_slices([1, 0], 2, PROGRAMS[1], [3, 3], ways + 1, 2.0, 2)
     mixes = cluster.mixes
-    m = cluster.node(0).mix
+    m = mixes.mix.item(0)
     assert m and mixes.keys[m] == ((1, 6), (2, 3))
     before = repr(_oracle_view(cluster, 0))
     cluster.verify_columns()

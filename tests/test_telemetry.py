@@ -189,20 +189,21 @@ class TestTimeSeriesFromTrace:
     """The replayed gauge series must agree with the simulation's own
     cluster state — the trace is a sufficient statistic for occupancy."""
 
-    def _run(self, capacity=256):
+    def _run(self):
+        """The run and its gauge series rebuilt at capacity 256."""
         from repro.config import SimConfig, TraceConfig
         from repro.experiments.common import run_policy
         from repro.hardware.topology import ClusterSpec
+        from repro.obs import timeseries_from_trace
         from repro.workloads.sequences import random_sequence
 
-        return run_policy(
+        result = run_policy(
             "SNS", ClusterSpec(num_nodes=4),
             random_sequence(seed=9, n_jobs=10),
-            sim_config=SimConfig(
-                telemetry=False,
-                trace=TraceConfig(timeseries_capacity=capacity),
-            ),
+            sim_config=SimConfig(telemetry=False, trace=TraceConfig()),
         )
+        return result, timeseries_from_trace(result.trace.events,
+                                             capacity=256)
 
     def test_samples_match_result_occupancy(self):
         """With a capacity large enough to avoid compaction, every
@@ -210,8 +211,7 @@ class TestTimeSeriesFromTrace:
         each one from the finished jobs' placements and intervals."""
         from repro.scheduling.placement import split_procs
 
-        result = self._run()
-        series = result.trace.timeseries
+        result, series = self._run()
         assert series.stride == 1  # nothing was compacted
         spec = None
         for event in result.trace.events:
@@ -269,22 +269,6 @@ class TestTimeSeriesFromTrace:
             for node in range(4)
         ]).reshape(4, 4)
         assert np.allclose(final, live)
-
-    def test_disabled_timeseries_is_none(self):
-        from repro.config import SimConfig, TraceConfig
-        from repro.experiments.common import run_policy
-        from repro.hardware.topology import ClusterSpec
-        from repro.workloads.sequences import random_sequence
-
-        result = run_policy(
-            "SNS", ClusterSpec(num_nodes=2),
-            random_sequence(seed=1, n_jobs=4),
-            sim_config=SimConfig(
-                telemetry=False,
-                trace=TraceConfig(timeseries=False),
-            ),
-        )
-        assert result.trace.timeseries is None
 
     def test_rejects_stream_without_meta(self):
         from repro.obs import timeseries_from_trace
