@@ -10,8 +10,7 @@ fans those points out while guaranteeing the results are
   result list is deterministic;
 * every worker re-derives its inputs from seeds / pickled immutable
   configs — there is no shared mutable state to race on (each
-  simulation owns its :class:`~repro.perfmodel.context.PerfContext`,
-  DESIGN.md §9);
+  simulation owns its cluster, policy and counters, DESIGN.md §9);
 * worker exceptions propagate to the caller exactly as they would
   serially; only a failure to *create* a process pool (e.g. a sandbox
   without process support) silently falls back to the serial path.

@@ -6,7 +6,7 @@ against the numbers the paper reports (see DESIGN.md Section 5).
 """
 
 from repro.hardware.membw import BandwidthModel
-from repro.hardware.cache import CacheModel, WayLedger
+from repro.hardware.cache import CacheModel
 from repro.hardware.fabric import FabricSpec
 from repro.hardware.network import NetworkModel
 from repro.hardware.node_spec import NodeSpec
@@ -16,7 +16,6 @@ __all__ = [
     "BandwidthModel",
     "CacheModel",
     "FabricSpec",
-    "WayLedger",
     "NetworkModel",
     "NodeSpec",
     "ClusterSpec",

@@ -1,4 +1,4 @@
-"""LLC capacity model and CAT-style way-partition bookkeeping.
+"""LLC capacity model and the CAT way-partition semantics it serves.
 
 Models the Intel Cache Allocation Technology semantics the paper relies on
 (Sections 3.3, 4.4, 5.1):
@@ -10,17 +10,18 @@ Models the Intel Cache Allocation Technology semantics the paper relies on
   them away to resident jobs in equal shares, reclaiming them whenever a
   new job is dispatched to the node (Section 4.4).
 
-:class:`WayLedger` is the per-node accounting object used by the runtime
-node; :class:`CacheModel` carries the static cache geometry.
+:class:`CacheModel` carries the static cache geometry.  The per-node
+way accounting (dedicated ways, the partition limit, the residual
+giveaway) lives in the cluster's resident-mix table
+(:class:`repro.sim.node.MixTable`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable
+from dataclasses import dataclass
 
 from repro import units
-from repro.errors import AllocationError, HardwareModelError
+from repro.errors import HardwareModelError
 
 
 @dataclass(frozen=True)
@@ -52,104 +53,3 @@ class CacheModel:
         if ways < 0:
             raise HardwareModelError("ways must be non-negative")
         return ways * self.mb_per_way()
-
-
-@dataclass(slots=True)
-class WayLedger:
-    """Per-node CAT allocation ledger.
-
-    Tracks the *dedicated* ways of each resident job.  Effective ways seen
-    by a job equal its dedicated ways plus an equal share of the node's
-    free ways (the paper's residual-resource giveaway).
-    """
-
-    cache: CacheModel
-    _alloc: Dict[int, int] = field(default_factory=dict)
-    # Running total, maintained by allocate/release: allocated_ways sits
-    # on the scheduler's per-candidate-node fast path (can_host), where
-    # re-summing the allocation map dominated large-cluster replays.
-    _allocated: int = field(default=0, init=False)
-
-    @property
-    def allocated_ways(self) -> int:
-        """Total ways dedicated to resident jobs."""
-        return self._allocated
-
-    @property
-    def free_ways(self) -> int:
-        """Ways not dedicated to any job."""
-        return self.cache.total_ways - self.allocated_ways
-
-    @property
-    def partition_count(self) -> int:
-        """Number of active CAT partitions (resident allocations)."""
-        return len(self._alloc)
-
-    @property
-    def resident_jobs(self) -> Iterable[int]:
-        return self._alloc.keys()
-
-    def dedicated(self, job_id: int) -> int:
-        """Ways dedicated to ``job_id`` (0 if not resident)."""
-        return self._alloc.get(job_id, 0)
-
-    def can_allocate(self, ways: int) -> bool:
-        """Whether a new job demanding ``ways`` dedicated ways fits."""
-        if ways < self.cache.min_ways:
-            return False
-        if len(self._alloc) >= self.cache.max_partitions:
-            return False
-        return ways <= self.free_ways
-
-    def allocate(self, job_id: int, ways: int) -> None:
-        """Dedicate ``ways`` ways to ``job_id``.
-
-        Raises :class:`AllocationError` on double allocation, way
-        exhaustion, partition exhaustion, or sub-minimum requests.
-        """
-        if job_id in self._alloc:
-            raise AllocationError(f"job {job_id} already has a way allocation")
-        if ways < self.cache.min_ways:
-            raise AllocationError(
-                f"job {job_id} requested {ways} ways; minimum is "
-                f"{self.cache.min_ways} (associativity floor)"
-            )
-        if len(self._alloc) >= self.cache.max_partitions:
-            raise AllocationError(
-                f"node already has {len(self._alloc)} CAT partitions "
-                f"(max {self.cache.max_partitions})"
-            )
-        if ways > self.free_ways:
-            raise AllocationError(
-                f"job {job_id} requested {ways} ways; only {self.free_ways} free"
-            )
-        self._alloc[job_id] = ways
-        self._allocated += ways
-
-    def release(self, job_id: int) -> int:
-        """Release the allocation of ``job_id``; returns the freed ways."""
-        try:
-            ways = self._alloc.pop(job_id)
-        except KeyError:
-            raise AllocationError(f"job {job_id} has no way allocation") from None
-        self._allocated -= ways
-        return ways
-
-    def effective_ways(self, job_id: int) -> float:
-        """Dedicated ways plus the equal share of free (residual) ways.
-
-        The paper gives unused ways away in equal shares and reclaims them
-        on the next dispatch; fractional shares model the average benefit.
-        """
-        if job_id not in self._alloc:
-            raise AllocationError(f"job {job_id} has no way allocation")
-        bonus = self.free_ways / len(self._alloc)
-        return self._alloc[job_id] + bonus
-
-    def effective_capacity_mb(self, job_id: int) -> float:
-        """Effective LLC capacity (MB) available to ``job_id``."""
-        return self.cache.ways_to_mb(self.effective_ways(job_id))
-
-    def snapshot(self) -> Dict[int, int]:
-        """Copy of the dedicated-way map (for telemetry / debugging)."""
-        return dict(self._alloc)

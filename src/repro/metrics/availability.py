@@ -9,10 +9,7 @@ same workload on a healthy cluster.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.errors import SimulationError
-from repro.metrics.means import arithmetic_mean
 from repro.sim.runtime import SimulationResult
 
 
@@ -23,16 +20,3 @@ def makespan_stretch(faulty: SimulationResult,
     if fault_free.makespan <= 0:
         raise SimulationError("fault-free makespan must be positive")
     return faulty.makespan / fault_free.makespan
-
-def mean_badput_fraction(results: Sequence[SimulationResult]) -> float:
-    """Average badput share across a batch of runs."""
-    return arithmetic_mean([r.badput_fraction() for r in results])
-
-
-def completion_rate(result: SimulationResult) -> float:
-    """Fraction of submitted jobs that finished (the rest exhausted
-    their retry budget and failed)."""
-    total = len(result.jobs)
-    if total == 0:
-        raise SimulationError("no jobs in result")
-    return len(result.finished_jobs) / total

@@ -37,20 +37,13 @@ from typing import Dict, List, Optional, Set
 from repro.errors import SimulationError
 from repro.hardware.fabric import FabricSpec
 
-from repro.obs.trace import decision_stream
+from repro.obs.trace import _split_procs, decision_stream
 
 _REL_TOL = 1e-6
 
 
 def _close(a: float, b: float) -> bool:
     return abs(a - b) <= _REL_TOL * max(1.0, abs(a), abs(b))
-
-
-def _split_procs(procs: int, n: int) -> List[int]:
-    """The runtime's even split (scheduling.placement.split_procs) in
-    trace node-list order."""
-    base, extra = divmod(procs, n)
-    return [base + (1 if i < extra else 0) for i in range(n)]
 
 
 class _NodeLedger:

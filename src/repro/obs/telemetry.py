@@ -5,7 +5,10 @@ episodes and plots the node x episode heat matrix plus its histogram.
 Sampling timers would pollute the event queue, so the recorder instead
 stores exact piecewise-constant bandwidth segments — a new segment opens
 whenever a node's resident set changes — and integrates them into
-episode averages on demand.
+episode averages on demand.  The runtime finds those nodes once per
+step by comparing the cluster's mix table with the previous step's
+(:meth:`TelemetryRecorder.changed`), so nothing on the event path
+tracks them.
 
 Lives in the observability layer (DESIGN.md §10).  The recorder is only
 constructed when a run actually wants episode telemetry
@@ -17,7 +20,7 @@ runs allocate nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, List, Tuple
+from typing import ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,6 +48,8 @@ class TelemetryRecorder:
     _segments: Dict[int, List[Tuple[float, float, float, float]]] = field(
         default_factory=dict
     )
+    #: The ``(mix ids, keys)`` snapshot :meth:`changed` compares with.
+    _last: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         TelemetryRecorder.created += 1
@@ -68,6 +73,24 @@ class TelemetryRecorder:
                     (open_seg.start, now, open_seg.bw, open_seg.cores)
                 )
         self._open[node_id] = _OpenSegment(now, bw, cores)
+
+    def changed(self, mix: np.ndarray,
+                keys: List[Optional[tuple]]) -> List[int]:
+        """Nodes whose resident mix changed since the previous call,
+        given a mix table's per-node ids ``mix`` and its per-id ``keys``
+        (:class:`repro.sim.node.MixTable`): a node on a different id, or
+        on an id freed and interned again in between (the id's key is
+        another object).  The first call reports every node."""
+        last = self._last
+        self._last = (mix.copy(), list(keys))
+        if last is None:
+            return list(range(len(mix)))
+        diff = mix != last[0]
+        reused = [m for m, (key, old) in enumerate(zip(keys, last[1]))
+                  if key is not old]
+        if reused:
+            diff |= np.isin(mix, reused)
+        return np.flatnonzero(diff).tolist()
 
     def close(self, now: float) -> None:
         """Close all open segments at the end of the simulation."""

@@ -224,13 +224,6 @@ class TimeSeries:
         return records
 
 
-def _split_procs(procs: int, n: int) -> List[int]:
-    """The runtime's even split (scheduling.placement.split_procs) in
-    trace node-list order."""
-    base, extra = divmod(procs, n)
-    return [base + (1 if i < extra else 0) for i in range(n)]
-
-
 def timeseries_from_trace(
     events: List[dict], capacity: int = 64
 ) -> TimeSeries:
@@ -245,7 +238,7 @@ def timeseries_from_trace(
     :meth:`repro.sim.cluster.ClusterState.gauge_columns`.
     """
     # Local import: repro.obs.trace imports TimeSeries from this module.
-    from repro.obs.trace import decision_stream
+    from repro.obs.trace import _split_procs, decision_stream
 
     stream = decision_stream(events)
     if not stream or stream[0]["ev"] != "meta":

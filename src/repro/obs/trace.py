@@ -1,10 +1,9 @@
 """Structured decision tracing (DESIGN.md §10).
 
 A :class:`Tracer` is owned per-:class:`~repro.sim.runtime.Simulation`
-(the same construction-injection pattern as
-:class:`~repro.perfmodel.context.PerfContext` — no globals) and records
-one dict per observable event: every scheduler decision, every job
-lifecycle transition, and every fault event.  Records are plain dicts
+(the same construction-injection pattern as its cluster — no globals)
+and records one dict per observable event: every scheduler decision,
+every job lifecycle transition, and every fault event.  Records are plain dicts
 with a fixed key order so the canonical JSONL serialization
 (:func:`repro.obs.export.trace_lines`) is **byte-stable**: the
 decisions-level stream of a seeded run is identical under interleaved
@@ -80,6 +79,13 @@ def decision_stream(events: Iterable[dict]) -> List[dict]:
     return [e for e in events if e["ev"] in DECISION_KINDS]
 
 
+def _split_procs(procs: int, n: int) -> List[int]:
+    """The runtime's even split (scheduling.placement.split_procs) in
+    trace node-list order."""
+    base, extra = divmod(procs, n)
+    return [base + (1 if i < extra else 0) for i in range(n)]
+
+
 class Tracer:
     """Per-simulation structured event recorder.
 
@@ -132,14 +138,6 @@ class Tracer:
 
     def wants(self, level: TraceLevel) -> bool:
         return self.level >= level
-
-    def kind_counts(self) -> Dict[str, int]:
-        """Record count per kind (terminal summary / tests)."""
-        counts: Dict[str, int] = {}
-        for event in self.events:
-            kind = event["ev"]
-            counts[kind] = counts.get(kind, 0) + 1
-        return counts
 
     def decision_stream(self) -> List[dict]:
         return decision_stream(self.events)

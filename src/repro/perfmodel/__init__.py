@@ -5,13 +5,11 @@ hardware models (:mod:`repro.hardware`) into the quantities the simulator
 and profiler observe: per-job execution speed, per-node DRAM bandwidth,
 IPC, and communication share.
 
-The batched-kernel counters live on
-:class:`repro.perfmodel.context.PerfContext`, owned by each simulation;
-the modules here are stateless.
+The modules here are stateless: the kernels take no counter argument,
+and the layer that calls one counts its calls (DESIGN.md §9).
 """
 
 from repro.perfmodel.batch import arbitrate_nodes
-from repro.perfmodel.context import MAX_ENTRIES, PerfContext
 from repro.perfmodel.contention import Slice, arbitrate_node
 from repro.perfmodel.execution import (
     NodeConditions,
@@ -23,8 +21,6 @@ from repro.perfmodel.execution import (
 )
 
 __all__ = [
-    "MAX_ENTRIES",
-    "PerfContext",
     "Slice",
     "arbitrate_node",
     "arbitrate_nodes",

@@ -9,9 +9,10 @@ into numpy arrays, the elementwise algebra (LLC capacity, demand,
 MBA clipping, grant scaling) runs vectorized, and only the per-node
 segment reductions stay in Python.
 
-The batch counters live on the :class:`repro.perfmodel.context.PerfContext`
-passed by the caller; the module itself is stateless, so concurrent
-simulations never share or race on anything here.
+The kernel is pure: it takes no counter argument, and the cluster that
+calls it counts its calls, nodes and slices
+(``ClusterState._resolve_mixes``), so concurrent simulations never share
+or race on anything here.
 
 Bit-identity with the scalar reference is a hard requirement (the
 equivalence gate in ``tests/test_perf_equivalence.py``), which dictates
@@ -34,22 +35,17 @@ import numpy as np
 
 from repro.errors import HardwareModelError
 from repro.hardware.node_spec import NodeSpec
-from repro.perfmodel.context import PerfContext
 from repro.perfmodel.contention import Slice
 
 
 def arbitrate_nodes(
-    ctx: PerfContext, spec: NodeSpec, tables: Sequence[Sequence[Slice]]
+    spec: NodeSpec, tables: Sequence[Sequence[Slice]]
 ) -> List[Tuple[Dict[int, float], float]]:
     """``(grants, network load)`` per node for a batch of slice tables.
 
     Bit-identical to calling ``(arbitrate_node(spec, slices),
     node_network_load(spec, slices))`` for each table in turn.
     """
-    counters = ctx.batch_counters
-    counters["batch_calls"] += 1
-    counters["batch_nodes"] += len(tables)
-
     # Validate per node (same errors as the scalar kernel) while packing
     # the columnar table.
     flat: List[Slice] = []
@@ -67,7 +63,6 @@ def arbitrate_nodes(
         flat.extend(slices)
         bounds.append(len(flat))
         node_procs.append(total_procs)
-    counters["batch_slices"] += len(flat)
     if not flat:
         return [({}, 0.0) for _ in tables]
 

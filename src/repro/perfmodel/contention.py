@@ -29,7 +29,7 @@ class Slice:
     """One job's presence on one node.
 
     ``effective_ways`` includes the equal share of residual ways the
-    scheduler gives away (see :class:`repro.hardware.cache.WayLedger`).
+    scheduler gives away (see :meth:`repro.sim.node.MixTable.slices`).
     ``n_nodes`` is the job's total footprint (needed for the multi-node
     traffic multiplier).  ``bw_cap`` is an optional hard bandwidth limit:
     with Intel-MBA-style enforcement the memory controller clips a job's

@@ -30,13 +30,12 @@ should walk curve knots in Python.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.apps.curves import PiecewiseLinearCurve
 from repro.errors import ProfileError
-from repro.perfmodel.context import PerfContext
 
 
 class PackedCurves:
@@ -70,16 +69,12 @@ class PackedCurves:
             self.ys[i, :n] = [y for _, y in pts]
             self.ys[i, n:] = pts[-1][1]
 
-    def eval(self, idx: np.ndarray, x: np.ndarray,
-             ctx: Optional[PerfContext] = None) -> np.ndarray:
+    def eval(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Evaluate curve ``idx[i]`` at ``x[i]`` for every query ``i``;
         bit-identical to ``curves[idx[i]](x[i])``."""
         idx = np.asarray(idx, dtype=np.int64)
         x = np.asarray(x, dtype=np.float64)
-        q = x.shape[0]
-        if ctx is not None:
-            ctx.batch_counters["vec_curve_evals"] += q
-        rows = np.arange(q)
+        rows = np.arange(x.shape[0])
         xs = self.xs[idx]
         ys = self.ys[idx]
         n = self.counts[idx]
@@ -109,16 +104,13 @@ class PackedCurves:
         return np.where(x <= first_x, first_y,
                         np.where(x >= last_x, last_y, mid))
 
-    def min_x_reaching(self, idx: np.ndarray, target: np.ndarray,
-                       ctx: Optional[PerfContext] = None) -> np.ndarray:
+    def min_x_reaching(self, idx: np.ndarray,
+                       target: np.ndarray) -> np.ndarray:
         """Smallest x at which curve ``idx[i]`` reaches ``target[i]``;
         bit-identical to ``curves[idx[i]].min_x_reaching(target[i])``."""
         idx = np.asarray(idx, dtype=np.int64)
         target = np.asarray(target, dtype=np.float64)
-        q = target.shape[0]
-        if ctx is not None:
-            ctx.batch_counters["vec_curve_evals"] += q
-        rows = np.arange(q)
+        rows = np.arange(target.shape[0])
         xs = self.xs[idx]
         ys = self.ys[idx]
         n = self.counts[idx]

@@ -52,10 +52,13 @@ class BaseScheduler(abc.ABC):
         # state are never honored.
         self.profile_store_up = True
         self._fault_epoch = 0
-        #: Queue instrumentation, surfaced on SimulationResult.
+        #: Queue and demand-kernel instrumentation, surfaced on
+        #: SimulationResult (``vec_curve_evals``: curve-kernel queries of
+        #: demand estimation, zero for policies that estimate none).
         self.counters: Dict[str, int] = {
             "try_place_calls": 0,
             "demand_cache_hits": 0,
+            "vec_curve_evals": 0,
         }
 
     def _feasibility_version(self):

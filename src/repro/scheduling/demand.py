@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import SchedulingError
 from repro.hardware.node_spec import NodeSpec
-from repro.perfmodel.context import PerfContext
 from repro.perfmodel.curves_vec import PackedCurves
 from repro.profiling.profiler import ScaleProfile
 
@@ -91,7 +90,7 @@ def estimate_demands_batch(
     alpha: float,
     spec: NodeSpec,
     min_ways: int = 2,
-    ctx: Optional[PerfContext] = None,
+    counters: Optional[Dict[str, int]] = None,
 ) -> List[ResourceDemand]:
     """:func:`estimate_demand` for a whole candidate-scale sweep in one
     pass: the profiles' IPC-LLC and BW-LLC curves are packed into padded
@@ -100,7 +99,8 @@ def estimate_demands_batch(
     profile with its network fraction; results are bit-identical to the
     scalar walk (same curve-kernel float op order, and all arithmetic
     joining the curve reads runs in plain Python exactly as the scalar
-    does).
+    does).  ``counters``, when given, gains the query count of the
+    three kernel calls under ``vec_curve_evals``.
     """
     if not 0.0 < alpha <= 1.0:
         raise SchedulingError("alpha must be in (0, 1]")
@@ -113,20 +113,21 @@ def estimate_demands_batch(
     idx = np.arange(m)
     packed_ipc = PackedCurves([p.ipc_llc for p, _ in entries])
     full_ways = float(spec.llc_ways)
-    f_ipc = packed_ipc.eval(
-        idx, np.full(m, full_ways, dtype=np.float64), ctx=ctx
-    )
+    f_ipc = packed_ipc.eval(idx, np.full(m, full_ways, dtype=np.float64))
     # alpha * f_ipc elementwise is the scalar's t_ipc product, one IEEE
     # multiply per scale in either form.
-    w_raw = packed_ipc.min_x_reaching(idx, alpha * f_ipc, ctx=ctx)
+    w_raw = packed_ipc.min_x_reaching(idx, alpha * f_ipc)
     ways_list = [
         int(min(spec.llc_ways, max(min_ways, math.ceil(w - 1e-9))))
         for w in w_raw.tolist()
     ]
     packed_bw = PackedCurves([p.bw_llc for p, _ in entries])
     bw_vals = packed_bw.eval(
-        idx, np.array(ways_list, dtype=np.float64), ctx=ctx
+        idx, np.array(ways_list, dtype=np.float64)
     ).tolist()
+    if counters is not None:
+        # Three kernel calls of ``m`` queries each.
+        counters["vec_curve_evals"] += 3 * m
     demands = []
     for i, (profile, network_fraction) in enumerate(entries):
         n_nodes = profile.scale * base_nodes

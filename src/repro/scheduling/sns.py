@@ -24,12 +24,11 @@ from typing import Dict, Optional, Tuple
 from repro.config import SchedulerConfig
 from repro.errors import ProfileError
 from repro.hardware.topology import ClusterSpec
-from repro.perfmodel.context import MAX_ENTRIES, PerfContext
 from repro.profiling.database import ProfileDatabase
 from repro.scheduling.base import BaseScheduler
 from repro.scheduling.demand import ResourceDemand, estimate_demands_batch
 from repro.scheduling.placement import find_nodes, split_procs
-from repro.sim.cluster import ClusterState
+from repro.sim.cluster import MAX_ENTRIES, ClusterState
 from repro.sim.job import Job
 from repro.sim.runtime import Decision
 
@@ -61,10 +60,10 @@ class SpreadNShareScheduler(BaseScheduler):
         # (the online store's mutation counter) invalidates entries when
         # a recorded trial changes the profile.
         self._demand_cache: Dict[tuple, Tuple[object, _Candidates]] = {}
-        # The PerfContext whose lifecycle the demand cache is tied to: a
-        # policy object reused against a different simulation (fresh
-        # context) must not carry entries across.
-        self._demand_ctx: Optional[PerfContext] = None
+        # The cluster the demand cache was filled against: a policy
+        # object reused against a different simulation (fresh cluster)
+        # must not carry entries across.
+        self._demand_cluster: Optional[ClusterState] = None
 
     def _get_profile(self, job: Job):
         """Profile lookup; the online variant overrides this to consult
@@ -76,14 +75,14 @@ class SpreadNShareScheduler(BaseScheduler):
         )
 
     def _scale_candidates(
-        self, job: Job, alpha: float, ctx: PerfContext
+        self, job: Job, alpha: float, cluster: ClusterState
     ) -> _Candidates:
         """The job's ``(scale, demand)`` walk in preference order,
-        footprint-filtered, memoized per (program, procs, alpha) within
-        the lifecycle of ``ctx`` (the simulation's perf context)."""
-        if self._demand_ctx is not ctx:
+        footprint-filtered, memoized per (program, procs, alpha) for as
+        long as the policy schedules onto ``cluster`` (one simulation)."""
+        if self._demand_cluster is not cluster:
             self._demand_cache.clear()
-            self._demand_ctx = ctx
+            self._demand_cluster = cluster
         key = (
             id(job.program), job.procs, alpha, self._feasibility_version()
         )
@@ -91,15 +90,13 @@ class SpreadNShareScheduler(BaseScheduler):
         if hit is not None and hit[0] is job.program:
             self.counters["demand_cache_hits"] += 1
             return hit[1]
-        value = self._compute_candidates(job, alpha, ctx)
+        value = self._compute_candidates(job, alpha)
         if len(self._demand_cache) >= MAX_ENTRIES:
             self._demand_cache.clear()
         self._demand_cache[key] = (job.program, value)
         return value
 
-    def _compute_candidates(
-        self, job: Job, alpha: float, ctx: PerfContext
-    ) -> _Candidates:
+    def _compute_candidates(self, job: Job, alpha: float) -> _Candidates:
         spec = self.cluster_spec.node
         try:
             profile = self._get_profile(job)
@@ -122,7 +119,7 @@ class SpreadNShareScheduler(BaseScheduler):
         # scale (the curves_vec contract).
         demands = estimate_demands_batch(
             entries, job.procs, alpha, spec,
-            min_ways=self.config.min_ways, ctx=ctx,
+            min_ways=self.config.min_ways, counters=self.counters,
         )
         return tuple(
             (k, demand)
@@ -165,7 +162,7 @@ class SpreadNShareScheduler(BaseScheduler):
             return self._place_exclusive(cluster, job, scale=1,
                                          meta={"degraded": True})
         alpha = job.alpha if job.alpha is not None else self.config.default_alpha
-        candidates = self._scale_candidates(job, alpha, cluster.ctx)
+        candidates = self._scale_candidates(job, alpha, cluster)
         if candidates is None:
             # Profile lookup failed outright: degrade rather than
             # starve the job behind an error it cannot outwait.

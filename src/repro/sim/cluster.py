@@ -13,15 +13,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import is_
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.errors import AllocationError, SimulationError
 from repro.hardware.topology import ClusterSpec
 from repro.perfmodel import batch
-from repro.perfmodel.context import MAX_ENTRIES, PerfContext
 from repro.sim.node import MixTable, distinct, recount
+
+#: Safety valve of the caches that key on signatures (the cluster's
+#: view cache, the SNS demand cache): one that somehow exceeds this
+#: many entries is cleared wholesale.  Distinct signatures are bounded
+#: in practice, so this should never trigger outside adversarial
+#: workloads.
+MAX_ENTRIES = 1 << 20
 
 #: One node's arbitration, stored positionally so every node of a mix
 #: shares one tuple: (resident job ids in insertion order, granted GB/s
@@ -51,12 +57,6 @@ class ClusterState:
     partitioned: bool = True
     enforce_bw: bool = False
     share_residual: bool = True
-    #: Perf-model context of the owning simulation: its batched-kernel
-    #: counters.  Injected by the owning
-    #: :class:`~repro.sim.runtime.Simulation` (construction-injection
-    #: rule, DESIGN.md §9); a standalone ClusterState gets a private
-    #: default context.
-    ctx: Optional[PerfContext] = None
     # Job-id-independent signature -> arbitration result, shared across
     # mixes: successive jobs of one shape resolve their mixes without a
     # kernel solve.  Values store grants/ways positionally plus the
@@ -72,7 +72,9 @@ class ClusterState:
     #: Down nodes have no live free-core index entry, so every
     #: placement path (bucket scans, idle queries) skips them natively.
     _down: Dict[int, None] = field(init=False)
-    #: Arbitration/scan instrumentation, surfaced on SimulationResult.
+    #: Arbitration/scan instrumentation, surfaced on SimulationResult;
+    #: ``batch_*`` count the batched arbitration kernel's calls, nodes
+    #: and slices.
     counters: Dict[str, int] = field(init=False)
     #: Union of the co-runner sets of the placements made since the
     #: last :meth:`take_corunners` (the runtime takes it once per
@@ -80,8 +82,6 @@ class ClusterState:
     _corunners: Set[int] = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.ctx is None:
-            self.ctx = PerfContext()
         # A node's state is its interned resident mix (DESIGN.md §7): the
         # residents, the per-job bookings, the per-mix capacity arrays,
         # arbitration views and batch transitions live here, and a node
@@ -125,6 +125,9 @@ class ClusterState:
             "arb_nodes_solved": 0,
             "nodes_scanned": 0,
             "find_fail_hits": 0,
+            "batch_calls": 0,
+            "batch_nodes": 0,
+            "batch_slices": 0,
         }
         # Negative placement-search cache: demand tuples find_nodes
         # failed for at the given release epoch (see find_nodes —
@@ -827,8 +830,11 @@ class ClusterState:
             return
         tables = [mixes.slices(waiting[0], self.share_residual, enforce_bw)
                   for waiting in solve.values()]
-        solved = batch.arbitrate_nodes(self.ctx, self.spec.node, tables)
+        solved = batch.arbitrate_nodes(self.spec.node, tables)
         counters["arb_nodes_solved"] += len(tables)
+        counters["batch_calls"] += 1
+        counters["batch_nodes"] += len(tables)
+        counters["batch_slices"] += sum(map(len, tables))
         if len(view_cache) >= MAX_ENTRIES:
             view_cache.clear()
         for (key, waiting), slices, (grants, net_load) in zip(

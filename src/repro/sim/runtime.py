@@ -31,7 +31,6 @@ from repro.config import RetryPolicy, SchedulerConfig, SimConfig
 from repro.errors import SimulationError
 from repro.faults.plan import FaultPlan
 from repro.hardware.topology import ClusterSpec
-from repro.perfmodel.context import PerfContext
 from repro.perfmodel.execution import check_span, reference_time, roofline_rate
 from repro.obs.telemetry import TelemetryRecorder
 from repro.obs.trace import TraceLevel, Tracer
@@ -247,17 +246,13 @@ class SchedulerCore:
         fault_plan: Optional[FaultPlan] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        # This simulation's perf-model state, created here and injected
-        # into every layer below (cluster, policies reach it through
-        # ``cluster.ctx``).  Each Simulation owns a fresh context, so
-        # concurrent runs in one process never share kernel caches.
-        self.ctx = PerfContext()
+        # Each Simulation owns a fresh cluster, so concurrent runs in
+        # one process never share its view cache or counters.
         self.cluster = ClusterState(
             cluster_spec,
             partitioned=policy.partitioned,
             enforce_bw=policy.enforce_bw,
             share_residual=policy.share_residual,
-            ctx=self.ctx,
         )
         self.policy = policy
         self.config = config
@@ -270,7 +265,7 @@ class SchedulerCore:
         self.telemetry: Optional[TelemetryRecorder] = None
         # This run's structured tracer: injected directly (tests,
         # benches) or built from SimConfig.trace — same per-simulation
-        # ownership rule as the PerfContext, no globals.  ``None`` means
+        # ownership rule as the cluster, no globals.  ``None`` means
         # every emission site below is a single ``is None`` check.
         if tracer is None and config.trace is not None:
             tracer = Tracer.from_config(config.trace)
@@ -317,6 +312,12 @@ class SchedulerCore:
             "job_retries": 0,
             "jobs_failed": 0,
             "profile_outages": 0,
+            # Batched finish-time updates of the refresh, and fabric
+            # link-state recomputations / per-job route-load evaluations
+            # (DESIGN.md §13; zero unless the fabric is active).
+            "vec_finish_updates": 0,
+            "fabric_link_refreshes": 0,
+            "fabric_route_evals": 0,
         }
         # Count of terminal jobs (finished + failed): with a fault plan
         # the event queue can outlive the workload (recoveries scheduled
@@ -407,7 +408,9 @@ class SchedulerCore:
         if self.config.telemetry and self.telemetry is None:
             self.telemetry = TelemetryRecorder(self.cluster.spec.num_nodes)
         if self.telemetry is not None:
-            for nid in range(self.cluster.spec.num_nodes):
+            # The first snapshot of the mixes reports every node.
+            mixes = self.cluster.mixes
+            for nid in self.telemetry.changed(mixes.mix, mixes.keys):
                 self.telemetry.record(nid, 0.0, 0.0)
         if self.tracer is not None:
             fabric = self._fabric
@@ -463,8 +466,6 @@ class SchedulerCore:
         if now > self.config.max_sim_time:
             raise SimulationError("simulation exceeded max_sim_time")
         affected: Set[int] = set()
-        # Nodes whose conditions changed: only telemetry reads them.
-        touched = set() if self.telemetry is not None else None
         kind = event.kind
         if kind is EventKind.JOB_SUBMIT:
             job = self.jobs[event.job_id]
@@ -472,9 +473,9 @@ class SchedulerCore:
                 tracer.submit(now, job)
             self.pending.push(job)
         elif kind is EventKind.JOB_FINISH:
-            self._finish_job(self.jobs[event.job_id], now, affected, touched)
+            self._finish_job(self.jobs[event.job_id], now, affected)
         elif kind is EventKind.NODE_FAIL:
-            self._handle_node_fail(event.job_id, now, affected, touched)
+            self._handle_node_fail(event.job_id, now, affected)
         elif kind is EventKind.NODE_RECOVER:
             self._handle_node_recover(event.job_id)
             if tracer is not None:
@@ -483,12 +484,14 @@ class SchedulerCore:
             self._handle_profile_event(kind)
             if tracer is not None:
                 tracer.profile_store(now, kind is EventKind.PROFILE_UP)
-        self._scheduling_point(now, affected, touched)
+        self._scheduling_point(now, affected)
         self._events_processed += 1
         self._counters["event_batches"] += 1
         if trace_full:
             tracer.batch(now, [kind.label])
-        self._refresh(affected, touched, now)
+        self._refresh(affected, now)
+        if self.telemetry is not None:
+            self._sample_telemetry(now)
         self._check_liveness()
         return True
 
@@ -557,25 +560,23 @@ class SchedulerCore:
         return self.finalize()
 
     def _collect_counters(self) -> Dict[str, int]:
-        """Aggregate instrumentation: runtime loop + cluster arbitration
-        + policy queue counters + this run's perf-context kernel stats.
-        The context is created fresh per Simulation, so its counters are
-        absolute for this run — no snapshot deltas needed."""
+        """Aggregate instrumentation: the runtime loop's, the cluster's
+        (arbitration, scans, batched kernel) and the policy's (queue,
+        demand kernel) counters.  The cluster is created fresh per
+        Simulation, so its counters are absolute for this run — no
+        snapshot deltas needed."""
         counters = dict(self._counters)
         counters["events"] = self._events_processed
         counters.update(self.cluster.counters)
         counters.update(self.policy.counters)
-        counters.update(self.ctx.counters())
         return counters
 
     # ----------------------------------------------------------- internals
 
-    def _finish_job(self, job: Job, now: float, affected: Set[int],
-                    touched: Optional[Set[int]]) -> None:
+    def _finish_job(self, job: Job, now: float, affected: Set[int]) -> None:
         """Settle and complete one job; the settle and speed refresh of
         its co-residents is deferred to the event's refresh (they are
-        accumulated into ``affected``, its nodes into ``touched`` when
-        telemetry records them)."""
+        accumulated into ``affected``)."""
         if job.state is not JobState.RUNNING:
             raise SimulationError(f"finish event for non-running job {job.job_id}")
         # Out of the table, the Job's own scalar settle applies.
@@ -602,8 +603,6 @@ class SchedulerCore:
         self._running -= 1
         self._terminal += 1
         self._turnaround_sum += job.turnaround_time
-        if touched is not None:
-            touched.update(placement.nodes.tolist())
         affected.update(residents)
         affected.discard(job.job_id)
         # Completion hook: lets policies piggyback profiling on finished
@@ -612,8 +611,8 @@ class SchedulerCore:
 
     # ------------------------------------------------------- fault handling
 
-    def _handle_node_fail(self, node_id: int, now: float, affected: Set[int],
-                          touched: Optional[Set[int]]) -> None:
+    def _handle_node_fail(self, node_id: int, now: float,
+                          affected: Set[int]) -> None:
         """A node dies: every resident job loses its run (all slices on
         all its nodes are evicted and the attempt's work becomes
         badput), then the node leaves the free-core index."""
@@ -624,14 +623,11 @@ class SchedulerCore:
         if self.tracer is not None:
             self.tracer.node_fail(now, node_id, len(residents))
         for jid in residents:
-            self._evict_job(self.jobs[jid], node_id, now,
-                            affected, touched)
+            self._evict_job(self.jobs[jid], node_id, now, affected)
         cluster.fail_node(node_id)
-        if touched is not None:
-            touched.add(node_id)
 
     def _evict_job(self, job: Job, failed_node: int, now: float,
-                   affected: Set[int], touched: Optional[Set[int]]) -> None:
+                   affected: Set[int]) -> None:
         """Settle, tear down, and requeue (or fail) one running job hit
         by the failure of ``failed_node``."""
         placement = job.placement
@@ -649,8 +645,6 @@ class SchedulerCore:
         self._running -= 1
         self._counters["job_evictions"] += 1
         self.policy.on_job_evict(job, now)
-        if touched is not None:
-            touched.update(placement.nodes.tolist())
         affected.update(residents)
         affected.discard(job.job_id)
         if job.retries <= self._retry.max_retries:
@@ -735,14 +729,13 @@ class SchedulerCore:
         )
         table = self._table
         table.rows[[table.slot[jid] for jid in jids], ROUTE] = route
-        counters = self.ctx.batch_counters
+        counters = self._counters
         counters["fabric_link_refreshes"] += 1
         counters["fabric_route_evals"] += len(jids)
         if self.tracer is not None:
             self.tracer.links(now, tor_util.tolist(), spine_util)
 
-    def _scheduling_point(self, now: float, affected: Set[int],
-                          touched: Optional[Set[int]]) -> None:
+    def _scheduling_point(self, now: float, affected: Set[int]) -> None:
         if not self.pending:
             return
         cluster = self.cluster
@@ -771,9 +764,6 @@ class SchedulerCore:
         # it re-times them.  Residents not yet started are the decisions
         # below, which join the refresh anyway.
         affected.update(cluster.take_corunners())
-        if touched is not None:
-            for d in decisions:
-                touched.update(d.placement.nodes.tolist())
         if tracer is not None:
             # The policy installed every decision's slices before this
             # loop, so partner sets would otherwise see jobs whose start
@@ -810,10 +800,8 @@ class SchedulerCore:
                 f"jobs {[j.job_id for j in self.pending.head(5)]}"
             )
 
-    def _refresh(self, job_ids: Set[int],
-                 touched_nodes: Optional[Set[int]], now: float) -> None:
-        """Recompute speeds and finish events for the given jobs, and
-        record telemetry for every node whose conditions changed.
+    def _refresh(self, job_ids: Set[int], now: float) -> None:
+        """Recompute speeds and finish events for the given jobs.
 
         ``job_ids`` holds the jobs started by this event and the running
         jobs sharing a touched node, so their table rows are stale and
@@ -843,30 +831,37 @@ class SchedulerCore:
                     f"node hosts unknown job {jid} (policy placed a job "
                     f"that was never submitted)"
                 )
-        if not jids and (self.telemetry is None or not touched_nodes):
+        if not jids:
             return
-        self._counters["refresh_cycles"] += 1
+        counters = self._counters
+        counters["refresh_cycles"] += 1
         self._rebuild_rows([(jid, slot) for jid, slot in zip(jids, slots)
                             if jid in stale])
-        self.ctx.batch_counters["vec_finish_updates"] += len(jids)
-        if jids:
-            speeds, finishes = self._table.retime(slots, jids, now)
-            tracer = self.tracer
-            if tracer is not None and tracer.level >= TraceLevel.FULL:
-                for jid, speed in zip(jids, speeds):
-                    tracer.speed(now, jid, speed)
-            push_finish = self.events.push_finish
-            for finish, jid in zip(finishes, jids):
-                push_finish(finish, jid)
-        if self.telemetry is not None and touched_nodes:
-            views = self.cluster.arbitration_batch(touched_nodes)
-            mixes = self.cluster.mixes
-            cores = self._spec.cores
-            for nid in touched_nodes:
-                self.telemetry.record(
-                    nid, now, sum(views[nid][1]),
-                    cores=cores - mixes.free_cores.item(mixes.mix.item(nid)),
-                )
+        counters["vec_finish_updates"] += len(jids)
+        speeds, finishes = self._table.retime(slots, jids, now)
+        tracer = self.tracer
+        if tracer is not None and tracer.level >= TraceLevel.FULL:
+            for jid, speed in zip(jids, speeds):
+                tracer.speed(now, jid, speed)
+        push_finish = self.events.push_finish
+        for finish, jid in zip(finishes, jids):
+            push_finish(finish, jid)
+
+    def _sample_telemetry(self, now: float) -> None:
+        """Open a telemetry segment, at the node's granted bandwidth and
+        used cores, on every node whose resident mix changed this step
+        (:meth:`TelemetryRecorder.changed`).  The refresh has resolved
+        every such mix's view (each resident is a refreshed job), so
+        sampling moves no counter."""
+        mixes = self.cluster.mixes
+        nodes = self.telemetry.changed(mixes.mix, mixes.keys)
+        views = self.cluster.arbitration_batch(nodes)
+        cores = self._spec.cores
+        for nid in nodes:
+            self.telemetry.record(
+                nid, now, sum(views[nid][1]),
+                cores=cores - mixes.free_cores.item(mixes.mix.item(nid)),
+            )
 
     def _rebuild_rows(self, stale: List[tuple]) -> None:
         """Rebuild the time parts of the ``(job id, slot)`` rows from

@@ -1,9 +1,15 @@
-"""LLC geometry and CAT way-partition ledger."""
+"""LLC geometry, and CAT way partitioning as the cluster keeps it: the
+dedicated ways, partition limit and residual giveaway of one node,
+installed through a one-node partitioned cluster."""
 
 import pytest
 
+from repro.apps.catalog import get_program
 from repro.errors import AllocationError, HardwareModelError
-from repro.hardware.cache import CacheModel, WayLedger
+from repro.hardware.cache import CacheModel
+from repro.hardware.node_spec import NodeSpec
+from repro.hardware.topology import ClusterSpec
+from repro.sim.cluster import ClusterState
 
 
 @pytest.fixture
@@ -11,9 +17,42 @@ def cache() -> CacheModel:
     return CacheModel()
 
 
+def _node(cache: CacheModel) -> ClusterState:
+    """A one-node cluster running CAT partitioning."""
+    return ClusterState(ClusterSpec(num_nodes=1, node=NodeSpec(cache=cache)),
+                        partitioned=True)
+
+
 @pytest.fixture
-def ledger(cache) -> WayLedger:
-    return WayLedger(cache)
+def node(cache) -> ClusterState:
+    return _node(cache)
+
+
+def _allocate(node: ClusterState, job_id: int, ways: int) -> None:
+    """Install a one-process slice dedicating ``ways`` ways."""
+    node.place_slices([0], job_id, get_program("EP"), [1], ways, 0.0, 1)
+
+
+def _free_ways(node: ClusterState) -> int:
+    mixes = node.mixes
+    return mixes.free_ways.item(mixes.mix.item(0))
+
+
+def _allocated_ways(node: ClusterState) -> int:
+    return int(node.gauge_columns()[2, 0])
+
+
+def _can_allocate(node: ClusterState, ways: int) -> bool:
+    """The mix-level demand test for a one-process slice of ``ways``."""
+    mixes = node.mixes
+    return bool(mixes.fits(1, ways, 0.0, 0.0, mixes.mix[0]))
+
+
+def _effective_ways(node: ClusterState, job_id: int) -> float:
+    """A resident job's dedicated plus residual ways, from the node's
+    arbitration view (``ValueError`` when the job is not resident)."""
+    jids, _, _, effs = node.arbitration(0)
+    return effs[jids.index(job_id)]
 
 
 class TestCacheModel:
@@ -44,92 +83,91 @@ class TestCacheModel:
 
 
 class TestLedgerAllocation:
-    def test_fresh_ledger_all_free(self, ledger):
-        assert ledger.free_ways == 20
-        assert ledger.allocated_ways == 0
+    def test_fresh_ledger_all_free(self, node):
+        assert _free_ways(node) == 20
+        assert _allocated_ways(node) == 0
 
-    def test_allocate_and_release(self, ledger):
-        ledger.allocate(1, 5)
-        assert ledger.free_ways == 15
-        assert ledger.dedicated(1) == 5
-        assert ledger.release(1) == 5
-        assert ledger.free_ways == 20
+    def test_allocate_and_release(self, node):
+        _allocate(node, 1, 5)
+        assert _free_ways(node) == 15
+        assert _allocated_ways(node) == 5
+        node.remove_slices([0], 1)
+        assert _free_ways(node) == 20
 
-    def test_double_allocation_rejected(self, ledger):
-        ledger.allocate(1, 5)
+    def test_double_allocation_rejected(self, node):
+        _allocate(node, 1, 5)
         with pytest.raises(AllocationError):
-            ledger.allocate(1, 3)
+            _allocate(node, 1, 3)
 
-    def test_sub_minimum_rejected(self, ledger):
+    def test_sub_minimum_rejected(self, node):
         # Section 5.1: most programs need at least 2 ways.
-        with pytest.raises(AllocationError):
-            ledger.allocate(1, 1)
+        with pytest.raises(AllocationError, match="minimum is 2"):
+            _allocate(node, 1, 1)
 
-    def test_exhaustion_rejected(self, ledger):
-        ledger.allocate(1, 18)
-        with pytest.raises(AllocationError):
-            ledger.allocate(2, 3)
+    def test_exhaustion_rejected(self, node):
+        _allocate(node, 1, 18)
+        with pytest.raises(AllocationError, match="only 2 free"):
+            _allocate(node, 2, 3)
 
     def test_partition_limit(self):
-        cache = CacheModel(total_ways=40, max_partitions=3, capacity_mb=70.0)
-        ledger = WayLedger(cache)
+        node = _node(CacheModel(total_ways=40, max_partitions=3,
+                                capacity_mb=70.0))
         for jid in range(3):
-            ledger.allocate(jid, 2)
-        assert not ledger.can_allocate(2)
-        with pytest.raises(AllocationError):
-            ledger.allocate(99, 2)
+            _allocate(node, jid, 2)
+        assert not _can_allocate(node, 2)
+        with pytest.raises(AllocationError, match="3 CAT partitions"):
+            _allocate(node, 99, 2)
 
-    def test_release_unknown_job_rejected(self, ledger):
+    def test_release_unknown_job_rejected(self, node):
         with pytest.raises(AllocationError):
-            ledger.release(42)
+            node.remove_slices([0], 42)
 
-    def test_can_allocate_matches_allocate(self, ledger):
-        ledger.allocate(1, 10)
-        assert ledger.can_allocate(10)
-        assert not ledger.can_allocate(11)
-        assert not ledger.can_allocate(1)
+    def test_can_allocate_matches_allocate(self, node):
+        _allocate(node, 1, 10)
+        assert _can_allocate(node, 10)
+        assert not _can_allocate(node, 11)
+        # The minimum is range-checked by the placement itself.
+        with pytest.raises(AllocationError):
+            _allocate(node, 2, 1)
+        _allocate(node, 2, 10)
 
 
 class TestResidualSharing:
     """Unused ways are given away in equal shares (Section 4.4)."""
 
-    def test_sole_job_gets_everything(self, ledger):
-        ledger.allocate(1, 4)
-        assert ledger.effective_ways(1) == pytest.approx(20.0)
+    def test_sole_job_gets_everything(self, node):
+        _allocate(node, 1, 4)
+        assert _effective_ways(node, 1) == pytest.approx(20.0)
 
-    def test_two_jobs_split_residual(self, ledger):
-        ledger.allocate(1, 4)
-        ledger.allocate(2, 6)
+    def test_two_jobs_split_residual(self, node):
+        _allocate(node, 1, 4)
+        _allocate(node, 2, 6)
         # 10 free ways, 5 bonus each.
-        assert ledger.effective_ways(1) == pytest.approx(9.0)
-        assert ledger.effective_ways(2) == pytest.approx(11.0)
+        assert _effective_ways(node, 1) == pytest.approx(9.0)
+        assert _effective_ways(node, 2) == pytest.approx(11.0)
 
-    def test_reclaim_on_new_dispatch(self, ledger):
-        ledger.allocate(1, 4)
-        before = ledger.effective_ways(1)
-        ledger.allocate(2, 14)
-        after = ledger.effective_ways(1)
+    def test_reclaim_on_new_dispatch(self, node):
+        _allocate(node, 1, 4)
+        before = _effective_ways(node, 1)
+        _allocate(node, 2, 14)
+        after = _effective_ways(node, 1)
         assert after < before
         assert after == pytest.approx(5.0)
 
-    def test_effective_ways_sum_to_total(self, ledger):
-        ledger.allocate(1, 3)
-        ledger.allocate(2, 5)
-        ledger.allocate(3, 2)
-        total = sum(ledger.effective_ways(j) for j in (1, 2, 3))
+    def test_effective_ways_sum_to_total(self, node):
+        _allocate(node, 1, 3)
+        _allocate(node, 2, 5)
+        _allocate(node, 3, 2)
+        total = sum(_effective_ways(node, j) for j in (1, 2, 3))
         assert total == pytest.approx(20.0)
 
-    def test_effective_capacity(self, ledger):
-        ledger.allocate(1, 10)
+    def test_effective_capacity(self, node, cache):
+        _allocate(node, 1, 10)
         # 10 dedicated + 10 residual = whole 70 MB.
-        assert ledger.effective_capacity_mb(1) == pytest.approx(70.0)
+        assert cache.ways_to_mb(_effective_ways(node, 1)) == \
+            pytest.approx(70.0)
 
-    def test_unknown_job_effective_ways_rejected(self, ledger):
-        with pytest.raises(AllocationError):
-            ledger.effective_ways(404)
-
-    def test_snapshot_is_a_copy(self, ledger):
-        ledger.allocate(1, 5)
-        snap = ledger.snapshot()
-        snap[1] = 99
-        assert ledger.dedicated(1) == 5
+    def test_unknown_job_effective_ways_rejected(self, node):
+        _allocate(node, 1, 4)
+        with pytest.raises(ValueError):
+            _effective_ways(node, 404)

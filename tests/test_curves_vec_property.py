@@ -3,8 +3,7 @@
 DESIGN.md §7's contract: :class:`PackedCurves` reproduces the scalar
 :class:`PiecewiseLinearCurve` evaluator's float operation order exactly,
 so batch results are **bitwise** equal to per-curve calls — on any knot
-set the profiler could produce, at any query point, under both cache
-modes (a real :class:`PerfContext` and the ``ctx=None`` bare path).
+set the profiler could produce, at any query point.
 Hypothesis drives randomized curve families, process counts, and
 condition values through both kernels and compares with ``==`` on the
 raw floats (no approx): one ULP of divergence is a failure.
@@ -19,8 +18,10 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from repro.apps.curves import PiecewiseLinearCurve
-from repro.perfmodel.context import PerfContext
+from repro.hardware.node_spec import NodeSpec
 from repro.perfmodel.curves_vec import PackedCurves
+from repro.profiling.profiler import ScaleProfile
+from repro.scheduling.demand import estimate_demands_batch
 
 # Knot coordinates shaped like profiled IPC-LLC / BW-LLC curves: modest
 # magnitudes, including negative y plateaus and exact integers (way
@@ -75,16 +76,14 @@ def _queries(draw, family, max_queries=12):
 def test_eval_bitwise_equals_scalar(data):
     family = data.draw(_curves())
     idx, x = data.draw(_queries(family))
-    packed = PackedCurves(family)
-    ctx = PerfContext() if data.draw(st.booleans()) else None
-    got = packed.eval(idx, x, ctx)
+    got = PackedCurves(family).eval(idx, x)
     _assert_bitwise(got, [family[i](float(q))
                           for i, q in zip(idx.tolist(), x.tolist())])
 
 
 @st.composite
 def _min_x_cases(draw):
-    """(family, idx, target, use_ctx) for the min_x_reaching check."""
+    """(family, idx, target) for the min_x_reaching check."""
     family = draw(_curves())
     idx, target = draw(_queries(family))
     # Also aim targets at exact knot y values (the first-crossing walk's
@@ -95,7 +94,7 @@ def _min_x_cases(draw):
              for i in idx.tolist()],
             dtype=np.float64,
         )
-    return family, idx, target, draw(st.booleans())
+    return family, idx, target
 
 
 @given(case=_min_x_cases())
@@ -103,14 +102,12 @@ def _min_x_cases(draw):
     # Interpolation lands on 0.0 at an x1 of -0.0: the scalar clamp
     # min(x1, cand) keeps x1's sign.
     case=([PiecewiseLinearCurve(((-1.0, 0.0), (-0.0, 1.0)))],
-          np.array([0], dtype=np.int64), np.array([1.0]), False),
+          np.array([0], dtype=np.int64), np.array([1.0])),
 )
 @settings(max_examples=200, deadline=None)
 def test_min_x_reaching_bitwise_equals_scalar(case):
-    family, idx, target, use_ctx = case
-    packed = PackedCurves(family)
-    ctx = PerfContext() if use_ctx else None
-    got = packed.min_x_reaching(idx, target, ctx)
+    family, idx, target = case
+    got = PackedCurves(family).min_x_reaching(idx, target)
     _assert_bitwise(got, [family[i].min_x_reaching(float(t))
                           for i, t in zip(idx.tolist(), target.tolist())])
 
@@ -118,12 +115,17 @@ def test_min_x_reaching_bitwise_equals_scalar(case):
 @given(data=st.data())
 @settings(max_examples=50, deadline=None)
 def test_vec_counter_accounting(data):
-    """With a live context the kernels count one evaluation per query;
-    with ctx=None they must not touch any context state."""
-    family = data.draw(_curves(max_curves=3, max_knots=5))
-    idx, x = data.draw(_queries(family, max_queries=6))
-    packed = PackedCurves(family)
-    ctx = PerfContext()
-    packed.eval(idx, x, ctx)
-    packed.min_x_reaching(idx, x, ctx)
-    assert ctx.batch_counters["vec_curve_evals"] == 2 * len(idx)
+    """Demand estimation counts one curve-kernel evaluation per query of
+    its three kernel calls, 3 x entries; without ``counters`` it counts
+    nowhere."""
+    # Non-negative y keeps every bandwidth booking valid.
+    family = [PiecewiseLinearCurve(tuple((x, abs(y)) for x, y in c.points))
+              for c in data.draw(_curves(max_curves=3, max_knots=5))]
+    entries = [(ScaleProfile(scale=k, n_nodes=k, procs=16, time_s=1.0,
+                             ipc_llc=curve, bw_llc=curve), 0.0)
+               for k, curve in enumerate(family, start=1)]
+    counters = {"vec_curve_evals": 0}
+    demands = estimate_demands_batch(entries, 16, 0.9, NodeSpec(),
+                                     counters=counters)
+    assert counters["vec_curve_evals"] == 3 * len(entries)
+    assert estimate_demands_batch(entries, 16, 0.9, NodeSpec()) == demands

@@ -360,8 +360,8 @@ class TestEmptyPlanBitIdentity:
         assert empty.makespan == without.makespan
         assert empty.events == without.events
         assert _schedule(empty) == _schedule(without)
-        # Each Simulation owns a fresh PerfContext, so even the kernel
-        # counters are per-run and must match exactly.
+        # Each Simulation owns a fresh cluster and policy, so even the
+        # kernel counters are per-run and must match exactly.
         assert empty.counters == without.counters
         assert empty.badput_node_seconds() == 0.0
         assert empty.badput_fraction() == 0.0

@@ -48,7 +48,6 @@ FORBIDDEN = {
     "repro.scheduling.ce", "repro.scheduling.cs", "repro.scheduling.sns",
     "repro.scheduling.backfill",
     "repro.perfmodel.batch", "repro.perfmodel.curves_vec",
-    "repro.perfmodel.context",
 }
 
 #: Programs that may span any number of nodes, and the single-node

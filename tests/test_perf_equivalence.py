@@ -14,7 +14,6 @@ from repro.experiments.fig14_throughput import run_fig14
 from repro.experiments.fig20_large_cluster import run_fig20
 from repro.experiments.parallel import resolve_jobs, run_grid
 from repro.hardware.topology import ClusterSpec
-from repro.perfmodel.context import PerfContext
 from repro.sim.cluster import ClusterState
 from repro.workloads.sequences import clone_jobs, random_sequence
 from repro.workloads.trace import SyntheticTraceConfig, synthesize_trace
@@ -125,7 +124,7 @@ class TestBatchedKernelEquivalence:
         )
 
         spec, tables = self._random_tables(seed)
-        batched = batch.arbitrate_nodes(PerfContext(), spec, tables)
+        batched = batch.arbitrate_nodes(spec, tables)
         reference = [
             (arbitrate_node(spec, slices), node_network_load(spec, slices))
             for slices in tables
@@ -145,7 +144,7 @@ class TestBatchedKernelEquivalence:
             for i in range(2)
         ]
         with pytest.raises(HardwareModelError):
-            batch.arbitrate_nodes(PerfContext(), spec, [overfull])
+            batch.arbitrate_nodes(spec, [overfull])
 
 
 class TestArbitrationCacheInvalidation:
@@ -154,7 +153,7 @@ class TestArbitrationCacheInvalidation:
 
     @pytest.fixture
     def cluster(self, program):
-        state = ClusterState(ClusterSpec(num_nodes=4), ctx=PerfContext())
+        state = ClusterState(ClusterSpec(num_nodes=4))
         self.program = program
         return state
 

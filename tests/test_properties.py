@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from repro.apps.curves import PiecewiseLinearCurve, WorkingSetMissCurve
 from repro.apps.program import CommModel
-from repro.hardware.cache import CacheModel, WayLedger
+from repro.apps.catalog import get_program
+from repro.hardware.topology import ClusterSpec
 from repro.hardware.membw import BandwidthModel
 from repro.scheduling.placement import split_procs
+from repro.sim.cluster import ClusterState
 from repro.sim.engine import EventQueue
 
 # ---------------------------------------------------------------------------
@@ -120,38 +122,46 @@ def allocation_sequences(draw):
     ]
 
 
+def _place_sequence(seq):
+    """A one-node partitioned cluster with each one-process slice of
+    ``seq`` installed when the mix-level demand test admits it; returns
+    the cluster and the installed ``{job: ways}``."""
+    node = ClusterState(ClusterSpec(num_nodes=1), partitioned=True)
+    mixes = node.mixes
+    ep = get_program("EP")
+    resident = {}
+    for jid, ways in seq:
+        if mixes.fits(1, ways, 0.0, 0.0, mixes.mix[0]):
+            node.place_slices([0], jid, ep, [1], ways, 0.0, 1)
+            resident[jid] = ways
+    return node, resident
+
+
 class TestLedgerProperties:
     @given(seq=allocation_sequences())
     @settings(max_examples=200)
     def test_conservation_and_sharing(self, seq):
-        ledger = WayLedger(CacheModel())
-        resident = {}
-        for jid, ways in seq:
-            if ledger.can_allocate(ways):
-                ledger.allocate(jid, ways)
-                resident[jid] = ways
-        assert ledger.allocated_ways == sum(resident.values())
-        assert ledger.free_ways == 20 - ledger.allocated_ways
+        node, resident = _place_sequence(seq)
+        mixes = node.mixes
+        m = mixes.mix.item(0)
+        allocated = 20 - mixes.free_ways.item(m)
+        assert allocated == sum(resident.values())
+        assert node.gauge_columns()[2, 0] == allocated
         if resident:
-            total_effective = sum(
-                ledger.effective_ways(j) for j in resident
-            )
-            assert math.isclose(total_effective, 20.0)
+            effective = {s.job_id: s.effective_ways
+                         for s in mixes.slices(m, True, False)}
+            assert math.isclose(sum(effective.values()), 20.0)
             for jid, ways in resident.items():
-                assert ledger.effective_ways(jid) >= ways - 1e-12
+                assert effective[jid] >= ways - 1e-12
 
     @given(seq=allocation_sequences())
     def test_release_restores_everything(self, seq):
-        ledger = WayLedger(CacheModel())
-        placed = []
-        for jid, ways in seq:
-            if ledger.can_allocate(ways):
-                ledger.allocate(jid, ways)
-                placed.append(jid)
-        for jid in placed:
-            ledger.release(jid)
-        assert ledger.free_ways == 20
-        assert ledger.allocated_ways == 0
+        node, resident = _place_sequence(seq)
+        for jid in resident:
+            node.remove_slices([0], jid)
+        mixes = node.mixes
+        assert mixes.free_ways.item(mixes.mix.item(0)) == 20
+        assert node.gauge_columns()[2, 0] == 0
 
 
 # ---------------------------------------------------------------------------

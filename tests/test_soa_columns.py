@@ -51,7 +51,6 @@ from repro.apps.catalog import get_program  # noqa: E402
 from repro.errors import SimulationError  # noqa: E402
 from repro.hardware.fabric import FabricSpec  # noqa: E402
 from repro.hardware.topology import ClusterSpec  # noqa: E402
-from repro.perfmodel.context import PerfContext  # noqa: E402
 from repro.sim.cluster import ClusterState  # noqa: E402
 from repro.sim.node import _CAPACITY, recount  # noqa: E402
 from repro.workloads.sequences import random_sequence  # noqa: E402
@@ -80,7 +79,6 @@ class _Driver:
             ),
             partitioned=partitioned,
             enforce_bw=enforce_bw,
-            ctx=PerfContext(),
         )
         self.programs = programs
         self.partitioned = partitioned
@@ -352,8 +350,7 @@ def test_drop_collapses_two_mixes_into_one():
     """A leaving job with uneven procs splits its co-runner over two
     mixes; removing it collapses both into one id, which ``held`` must
     count once per node."""
-    cluster = ClusterState(ClusterSpec(num_nodes=4),
-                           ctx=PerfContext())
+    cluster = ClusterState(ClusterSpec(num_nodes=4))
     ways = cluster.spec.node.cache.min_ways
     mg = PROGRAMS[0]
     cluster.place_slices([0, 1], 1, mg, [3, 3], ways, 0.0, 2)
@@ -421,8 +418,7 @@ def test_poisoned_mix_arrays_fail_verify_not_reference(partitioned):
     ``verify_columns``), a wrong ``free_cores``, ``booked_bw`` or
     ``free_ways`` entry moves a placement, and the oracle comparison
     names it; unpartitioned (CS) nodes never read ``free_ways``."""
-    cluster = ClusterState(ClusterSpec(num_nodes=4), partitioned=partitioned,
-                           ctx=PerfContext())
+    cluster = ClusterState(ClusterSpec(num_nodes=4), partitioned=partitioned)
     ways = cluster.spec.node.cache.min_ways
     cluster.place_slices([0, 1], 1, PROGRAMS[0], [6, 6], ways, 4.0, 2,
                          net=0.25)
@@ -456,8 +452,7 @@ def test_mix_arrays_grow_and_recycle():
     arrays first hold; freeing and recycling the ids keeps every entry
     equal to its recomputation and the free-core index consistent."""
     nodes = 64
-    cluster = ClusterState(ClusterSpec(num_nodes=nodes),
-                           ctx=PerfContext())
+    cluster = ClusterState(ClusterSpec(num_nodes=nodes))
     ways = cluster.spec.node.cache.min_ways
     mixes = cluster.mixes
 

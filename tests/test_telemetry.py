@@ -1,5 +1,8 @@
 """Bandwidth telemetry: segments -> episode matrix."""
 
+import functools
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -314,3 +317,130 @@ class TestObservabilityIsLazy:
         ).run()
         assert TelemetryRecorder.created == before + 1
         assert result.telemetry is not None
+
+
+class TestChanged:
+    """``TelemetryRecorder.changed``: the nodes whose resident mix moved
+    since the previous call, read from a mix table's ids and keys."""
+
+    def test_reports_moved_and_recycled_ids(self, recorder):
+        keys = [(), ((1, 4),)]
+        assert recorder.changed(np.array([0, 1]), keys) == [0, 1]
+        assert recorder.changed(np.array([0, 1]), keys) == []
+        # Node 0 moves to id 1.
+        assert recorder.changed(np.array([1, 1]), keys) == [0]
+        # Node 0 moves back, and id 1 is freed and interned again under
+        # another key, which node 1 carries without moving.
+        keys = [(), ((2, 4),)]
+        assert recorder.changed(np.array([0, 1]), keys) == [0, 1]
+        # Keys compare by identity: an equal key in a new object is
+        # another interning.
+        keys = [(), tuple(list(keys[1]))]
+        assert recorder.changed(np.array([0, 1]), keys) == [1]
+
+
+#: The telemetry grid: every policy x seeds 1-3 x MTBF faults off/on x
+#: a 4:1 leaf-spine fabric off/on, on 16 nodes with 40 jobs wide enough
+#: to span nodes and racks.
+_GRID_POLICIES = ("CE", "CS", "SNS", "CE-BF")
+_GRID_POINTS = [(seed, faults, fabric) for seed in (1, 2, 3)
+                for faults in (False, True) for fabric in (False, True)]
+
+#: SHA-256 over each policy's grid, in ``_GRID_POINTS`` order, of
+#: ``episode_matrix(30.0, makespan, metric=bw|cores).tobytes()``, as the
+#: runtime recorded them when it still tracked the touched nodes of
+#: every event.
+_EPISODE_DIGESTS = {
+    "CE": "09dc3301a47fdbbde0bb2d998d1c706c"
+        "31c812db517b29f16c0c7cd942b3c9e5",
+    "CS": "1369e02dde3cc5ba7d292d2b480e0237"
+        "1303e12d7b40161206a6445080381792",
+    "SNS": "71c4e7a6bca056043a816b8fad4ddaf8"
+        "f5253b1e6d3313c324ebc63a03c1b302",
+    "CE-BF": "7f7dcd05ce4a23d4c231c521c4372a0f"
+        "47ff41f4b6ca2818683ca0ea071b641c",
+}
+
+#: SHA-256 over each policy's grid of ``repr(sorted(counters.items()))``
+#: without telemetry, as recorded when the batched-kernel counters still
+#: lived on a separate per-simulation object.
+_COUNTER_DIGESTS = {
+    "CE": "52618e5da51959f07f992e0622c52274"
+        "7959dd0bd52939918c487204e35209a2",
+    "CS": "f174e828be89c2915fd0b3f0c163f6a7"
+        "d410cdd67ca26461891838fe63cf9e6f",
+    "SNS": "66f0943b03adf256e277bd93c200834b"
+        "d9ade631813e9ab9cfc82d405f84cb9f",
+    "CE-BF": "d0ddde4397d8b01ee6bee5c1db791a0e"
+        "87b264ba6d146edbcbac7211677e4452",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _grid(policy: str, telemetry: bool) -> tuple:
+    from repro.config import RetryPolicy, SimConfig
+    from repro.faults.plan import FaultPlan
+    from repro.hardware.fabric import FabricSpec
+    from repro.hardware.topology import ClusterSpec
+    from repro.sim.runtime import Simulation
+    from repro.workloads.sequences import random_sequence
+
+    results = []
+    for seed, faults, fabric in _GRID_POINTS:
+        spec = ClusterSpec(
+            num_nodes=16,
+            fabric=FabricSpec(rack_size=4, oversubscription=4.0)
+            if fabric else None,
+        )
+        plan = FaultPlan.from_mtbf(
+            seed=seed, num_nodes=16, mtbf_s=3000.0, mttr_s=120.0,
+            horizon_s=4000.0,
+            retry=RetryPolicy(max_retries=3, backoff_s=30.0),
+        ) if faults else None
+        jobs = random_sequence(
+            seed=seed, n_jobs=40, proc_choices=(8, 16, 28, 56),
+            program_names=("MG", "CG", "EP", "LU", "BFS", "WC", "TS", "NW"),
+        )
+        results.append(Simulation.from_policy_name(
+            policy, spec, jobs, sim_config=SimConfig(telemetry=telemetry),
+            fault_plan=plan,
+        ).run())
+    return tuple(results)
+
+
+def _episode_digest(results) -> str:
+    h = hashlib.sha256()
+    for result in results:
+        for metric in ("bw", "cores"):
+            h.update(result.telemetry.episode_matrix(
+                30.0, result.makespan, metric=metric).tobytes())
+    return h.hexdigest()
+
+
+def _counter_digest(results) -> str:
+    h = hashlib.sha256()
+    for result in results:
+        h.update(repr(sorted(result.counters.items())).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("policy", _GRID_POLICIES)
+class TestSampledPerStep:
+    """One telemetry sample per step, from the mix table, reproduces the
+    episode matrices of per-event node tracking bit for bit, and moves
+    no counter."""
+
+    def test_episode_matrices_match_recorded(self, policy):
+        results = _grid(policy, True)
+        # The grid exercises what it claims: failures and fabric links.
+        assert any(r.counters["node_failures"] for r in results)
+        assert any(r.counters["fabric_link_refreshes"] for r in results)
+        assert _episode_digest(results) == _EPISODE_DIGESTS[policy]
+
+    def test_counters_independent_of_telemetry(self, policy):
+        for on, off in zip(_grid(policy, True), _grid(policy, False)):
+            assert on.counters == off.counters
+
+    def test_counters_match_recorded(self, policy):
+        assert _counter_digest(_grid(policy, False)) \
+            == _COUNTER_DIGESTS[policy]

@@ -23,9 +23,9 @@ plus the grid total.  Existing entries under other labels are
 preserved, so a before/after pair can live side by side.
 
 ``--jobs N`` runs the grid on N worker processes of the grid runner
-(:func:`repro.experiments.parallel.run_grid`): every simulation owns a
-private :class:`~repro.perfmodel.context.PerfContext`, so pooled runs
-must be bit-identical to serial ones — the divergence gate below
+(:func:`repro.experiments.parallel.run_grid`): every simulation owns
+its cluster, policy and counters, so pooled runs must be bit-identical
+to serial ones — the divergence gate below
 enforces exactly that against any serial entry already in
 BENCH_sim.json.
 
@@ -95,8 +95,8 @@ COUNTER_COLUMNS = (
 
 
 def _run_one(task: tuple) -> dict:
-    """One grid point: an independent simulation with a private
-    PerfContext, so it runs the same in any worker process.
+    """One grid point: an independent simulation owning all its state,
+    so it runs the same in any worker process.
 
     With ``trace=True`` the run carries a full-level tracer (the
     maximum-observability configuration: every record kind plus the
