@@ -22,55 +22,29 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every reproduced figure.
 """
 
-from repro.config import RetryPolicy, SchedulerConfig, SimConfig
-from repro.apps import PROGRAMS, ProgramSpec, get_program, program_names
-from repro.faults import FaultPlan, NodeFault, ProfileOutage
-from repro.hardware import ClusterSpec, NodeSpec
-from repro.profiling import OnlineProfileStore, ProfileDatabase, profile_program
-from repro.scheduling import (
-    CompactExclusiveScheduler,
-    CompactShareScheduler,
-    OnlineSpreadNShareScheduler,
-    SpreadNShareScheduler,
-)
-from repro.sim import Job, Simulation, SimulationResult
-from repro.workloads import (
-    controlled_mix,
-    mix_ladder,
-    random_sequence,
-    random_sequences,
-    synthesize_trace,
-)
+from repro._lazy import lazy_namespace
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "SchedulerConfig",
-    "SimConfig",
-    "RetryPolicy",
-    "FaultPlan",
-    "NodeFault",
-    "ProfileOutage",
-    "PROGRAMS",
-    "ProgramSpec",
-    "get_program",
-    "program_names",
-    "ClusterSpec",
-    "NodeSpec",
-    "ProfileDatabase",
-    "OnlineProfileStore",
-    "profile_program",
-    "CompactExclusiveScheduler",
-    "CompactShareScheduler",
-    "SpreadNShareScheduler",
-    "OnlineSpreadNShareScheduler",
-    "Job",
-    "Simulation",
-    "SimulationResult",
-    "random_sequence",
-    "random_sequences",
-    "controlled_mix",
-    "mix_ladder",
-    "synthesize_trace",
-    "__version__",
-]
+# Each name is imported from its module on first use (DESIGN.md §12).
+__all__, __getattr__, __dir__ = lazy_namespace(globals(), {
+    "repro.config": ("SchedulerConfig", "SimConfig", "RetryPolicy"),
+    "repro.faults.plan": ("FaultPlan", "NodeFault", "ProfileOutage"),
+    "repro.apps.catalog": ("PROGRAMS", "get_program", "program_names"),
+    "repro.apps.program": ("ProgramSpec",),
+    "repro.hardware.topology": ("ClusterSpec",),
+    "repro.hardware.node_spec": ("NodeSpec",),
+    "repro.profiling.database": ("ProfileDatabase",),
+    "repro.profiling.online": ("OnlineProfileStore",),
+    "repro.profiling.profiler": ("profile_program",),
+    "repro.scheduling.ce": ("CompactExclusiveScheduler",),
+    "repro.scheduling.cs": ("CompactShareScheduler",),
+    "repro.scheduling.sns": ("SpreadNShareScheduler",),
+    "repro.scheduling.online_sns": ("OnlineSpreadNShareScheduler",),
+    "repro.sim.job": ("Job",),
+    "repro.sim.runtime": ("Simulation", "SimulationResult"),
+    "repro.workloads.sequences": ("random_sequence", "random_sequences"),
+    "repro.workloads.mixes": ("controlled_mix", "mix_ladder"),
+    "repro.workloads.trace": ("synthesize_trace",),
+})
+__all__.append("__version__")

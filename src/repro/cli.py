@@ -41,21 +41,23 @@ from repro import __version__
 from repro.apps.catalog import get_program, program_names
 from repro.config import SimConfig, TraceConfig
 from repro.errors import ReproError
-from repro.experiments.common import run_policy
-from repro.experiments.registry import EXPERIMENTS, get_experiment
-from repro.faults import parse_fault_spec
 from repro.hardware.topology import ClusterSpec
-from repro.profiling.profiler import profile_program
-from repro.workloads.sequences import random_sequence
+
+# Each subcommand imports what only it runs, so ``serve`` starts without
+# the experiment harnesses or workload generators (DESIGN.md §12).
 
 
 def _cmd_list(_: argparse.Namespace) -> int:
+    from repro.experiments.registry import EXPERIMENTS
+
     for exp_id in sorted(EXPERIMENTS, key=lambda s: (len(s), s)):
         print(f"{exp_id:7s} {EXPERIMENTS[exp_id].description}")
     return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.experiments.registry import get_experiment
+
     experiment = get_experiment(args.experiment)
     kwargs = dict(experiment.quick_kwargs) if args.quick else {}
     if args.quick and not kwargs:
@@ -72,6 +74,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
+    from repro.profiling.profiler import profile_program
+
     program = get_program(args.program)
     cluster = ClusterSpec(num_nodes=args.nodes)
     profile = profile_program(
@@ -94,10 +98,11 @@ def resolve_sim_setup(args: argparse.Namespace):
     same meaning — the cluster spec, the :class:`SimConfig`, and the
     parsed fault plan all come from here."""
     cluster = ClusterSpec(num_nodes=args.nodes)
-    fault_plan = (
-        parse_fault_spec(args.faults, cluster.num_nodes)
-        if args.faults else None
-    )
+    fault_plan = None
+    if args.faults:
+        from repro.faults.plan import parse_fault_spec
+
+        fault_plan = parse_fault_spec(args.faults, cluster.num_nodes)
     tracing = bool(args.trace or args.trace_chrome)
     sim_config = SimConfig(
         trace=TraceConfig(level=args.trace_level) if tracing else None,
@@ -125,6 +130,9 @@ def _export_trace(args: argparse.Namespace, tracer) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.experiments.common import run_policy
+    from repro.workloads.sequences import random_sequence
+
     cluster, sim_config, fault_plan, tracing = resolve_sim_setup(args)
     jobs = random_sequence(seed=args.seed, n_jobs=args.jobs)
     result = run_policy(

@@ -7,45 +7,18 @@ injected at construction — no process globals — and costs nothing when
 disabled (the no-allocation contract checked by ``tests/test_telemetry.py``).
 """
 
-from repro.obs.export import (
-    chrome_trace,
-    read_jsonl,
-    summarize,
-    trace_lines,
-    write_chrome_trace,
-    write_jsonl,
-)
-from repro.obs.invariants import check_trace, verify_trace
-from repro.obs.telemetry import TelemetryRecorder
-from repro.obs.timeseries import (
-    CHANNELS,
-    TimeSeries,
-    timeseries_from_trace,
-)
-from repro.obs.trace import (
-    DECISION_KINDS,
-    TraceLevel,
-    Tracer,
-    decision_stream,
-    parse_level,
-)
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "CHANNELS",
-    "DECISION_KINDS",
-    "TelemetryRecorder",
-    "TimeSeries",
-    "TraceLevel",
-    "Tracer",
-    "check_trace",
-    "chrome_trace",
-    "decision_stream",
-    "parse_level",
-    "read_jsonl",
-    "summarize",
-    "timeseries_from_trace",
-    "trace_lines",
-    "verify_trace",
-    "write_chrome_trace",
-    "write_jsonl",
-]
+# Lazy (DESIGN.md §12): importing the tracer does not load the exporters
+# or the invariant checker.
+__all__, __getattr__, __dir__ = lazy_namespace(globals(), {
+    "repro.obs.export": ("chrome_trace", "read_jsonl", "summarize",
+                         "trace_lines", "write_chrome_trace",
+                         "write_jsonl"),
+    "repro.obs.invariants": ("check_trace", "verify_trace"),
+    "repro.obs.telemetry": ("TelemetryRecorder",),
+    "repro.obs.timeseries": ("CHANNELS", "TimeSeries",
+                             "timeseries_from_trace"),
+    "repro.obs.trace": ("DECISION_KINDS", "TraceLevel", "Tracer",
+                        "decision_stream", "parse_level"),
+})

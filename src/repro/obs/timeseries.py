@@ -28,6 +28,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.obs.trace import _split_procs, decision_stream
 
 #: Row order of the gauge matrix sampled by
 #: :meth:`repro.sim.cluster.ClusterState.gauge_columns`.
@@ -237,9 +238,6 @@ def timeseries_from_trace(
     residents) until their ``node_recover``, matching
     :meth:`repro.sim.cluster.ClusterState.gauge_columns`.
     """
-    # Local import: repro.obs.trace imports TimeSeries from this module.
-    from repro.obs.trace import _split_procs, decision_stream
-
     stream = decision_stream(events)
     if not stream or stream[0]["ev"] != "meta":
         raise SimulationError(

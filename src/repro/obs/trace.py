@@ -31,11 +31,14 @@ Trace levels
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Union,
+)
 
 from repro.errors import SimulationError
 
-from repro.obs.timeseries import TimeSeries, timeseries_from_trace
+if TYPE_CHECKING:
+    from repro.obs.timeseries import TimeSeries
 
 
 class TraceLevel(enum.IntEnum):
@@ -128,6 +131,8 @@ class Tracer:
         if not self.events:
             return None
         if self._ts is None:
+            from repro.obs.timeseries import timeseries_from_trace
+
             self._ts = timeseries_from_trace(self.events)
         return self._ts
 

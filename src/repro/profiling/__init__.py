@@ -8,23 +8,19 @@ the 2/4/8/20-way points, and linearly interpolates the rest (Section 5.1).
 This package reproduces that pipeline against the simulated PMU.
 """
 
-from repro.profiling.pmu import PMUSample, read_pmu
-from repro.profiling.sampler import SAMPLED_WAYS, sample_llc_curves
-from repro.profiling.profiler import ScaleProfile, ProgramProfile, profile_program
-from repro.profiling.database import ProfileDatabase
-from repro.profiling.online import OnlineProfileStore
+from repro._lazy import lazy_namespace
+
+# Bound eagerly: once anything imports the ``classify`` submodule, the
+# import system would set it over a lazily bound ``classify`` function.
 from repro.profiling.classify import ScalingClass, classify
 
-__all__ = [
-    "PMUSample",
-    "read_pmu",
-    "SAMPLED_WAYS",
-    "sample_llc_curves",
-    "ScaleProfile",
-    "ProgramProfile",
-    "profile_program",
-    "ProfileDatabase",
-    "OnlineProfileStore",
-    "ScalingClass",
-    "classify",
-]
+# Lazy (DESIGN.md §12): the SNS master never loads the online store.
+__all__, __getattr__, __dir__ = lazy_namespace(globals(), {
+    "repro.profiling.pmu": ("PMUSample", "read_pmu"),
+    "repro.profiling.sampler": ("SAMPLED_WAYS", "sample_llc_curves"),
+    "repro.profiling.profiler": ("ScaleProfile", "ProgramProfile",
+                                 "profile_program"),
+    "repro.profiling.database": ("ProfileDatabase",),
+    "repro.profiling.online": ("OnlineProfileStore",),
+})
+__all__ += ["ScalingClass", "classify"]

@@ -15,39 +15,44 @@ SNS       auto   S        cores + LLC ways + memory bandwidth,
 ========  =====  =======  ===========================================
 """
 
-from typing import Dict, Type
+from repro._lazy import lazy_namespace
 
-from repro.scheduling.base import BaseScheduler
-from repro.scheduling.demand import ResourceDemand, estimate_demand
-from repro.scheduling.placement import find_nodes, split_procs
-from repro.scheduling.ce import CompactExclusiveScheduler
-from repro.scheduling.backfill import CompactExclusiveBackfillScheduler
-from repro.scheduling.cs import CompactShareScheduler
-from repro.scheduling.sns import SpreadNShareScheduler
-from repro.scheduling.online_sns import OnlineSpreadNShareScheduler
+# Lazy (DESIGN.md §12): a master runs one policy and loads only its module.
+__all__, _lazy_getattr, __dir__ = lazy_namespace(globals(), {
+    "repro.scheduling.base": ("BaseScheduler",),
+    "repro.scheduling.demand": ("ResourceDemand", "estimate_demand"),
+    "repro.scheduling.placement": ("find_nodes", "split_procs"),
+    "repro.scheduling.ce": ("CompactExclusiveScheduler",),
+    "repro.scheduling.backfill": ("CompactExclusiveBackfillScheduler",),
+    "repro.scheduling.cs": ("CompactShareScheduler",),
+    "repro.scheduling.sns": ("SpreadNShareScheduler",),
+    "repro.scheduling.online_sns": ("OnlineSpreadNShareScheduler",),
+})
+__all__.append("POLICIES")
 
-#: Policies compared throughout the evaluation ("CE-BF" is the extra
-#: EASY-backfilling baseline beyond the paper's trio).  Every entry
-#: constructs through the uniform ``(cluster_spec, config, *,
-#: database=None)`` signature; harnesses resolve names here (see
-#: ``Simulation.from_policy_name``).
-POLICIES: Dict[str, Type[BaseScheduler]] = {
-    "CE": CompactExclusiveScheduler,
-    "CE-BF": CompactExclusiveBackfillScheduler,
-    "CS": CompactShareScheduler,
-    "SNS": SpreadNShareScheduler,
+#: Class name of each policy compared throughout the evaluation ("CE-BF"
+#: is the extra EASY-backfilling baseline beyond the paper's trio).
+#: Every policy constructs through the uniform ``(cluster_spec, config,
+#: *, database=None)`` signature.  ``POLICIES`` (name -> class) is built
+#: on first read; harnesses that run one policy resolve it with
+#: :func:`policy_class` (see ``Simulation.from_policy_name``).
+_POLICY_CLASSES = {
+    "CE": "CompactExclusiveScheduler",
+    "CE-BF": "CompactExclusiveBackfillScheduler",
+    "CS": "CompactShareScheduler",
+    "SNS": "SpreadNShareScheduler",
 }
 
-__all__ = [
-    "POLICIES",
-    "BaseScheduler",
-    "ResourceDemand",
-    "estimate_demand",
-    "find_nodes",
-    "split_procs",
-    "CompactExclusiveScheduler",
-    "CompactExclusiveBackfillScheduler",
-    "CompactShareScheduler",
-    "SpreadNShareScheduler",
-    "OnlineSpreadNShareScheduler",
-]
+
+def policy_class(name: str) -> type:
+    """The policy class registered under ``name``, importing only its
+    module; unknown names raise ``KeyError``."""
+    return _lazy_getattr(_POLICY_CLASSES[name])
+
+
+def __getattr__(name: str) -> object:
+    if name != "POLICIES":
+        return _lazy_getattr(name)
+    policies = {key: policy_class(key) for key in _POLICY_CLASSES}
+    globals()["POLICIES"] = policies
+    return policies

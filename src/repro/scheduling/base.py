@@ -53,7 +53,7 @@ class BaseScheduler(abc.ABC):
         self.profile_store_up = True
         self._fault_epoch = 0
         #: Queue and demand-kernel instrumentation, surfaced on
-        #: SimulationResult (``vec_curve_evals``: curve-kernel queries of
+        #: SimulationResult (``vec_curve_evals``: curve queries of
         #: demand estimation, zero for policies that estimate none).
         self.counters: Dict[str, int] = {
             "try_place_calls": 0,

@@ -20,11 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import SchedulingError
 from repro.hardware.node_spec import NodeSpec
-from repro.perfmodel.curves_vec import PackedCurves
 from repro.profiling.profiler import ScaleProfile
 
 
@@ -92,52 +89,16 @@ def estimate_demands_batch(
     min_ways: int = 2,
     counters: Optional[Dict[str, int]] = None,
 ) -> List[ResourceDemand]:
-    """:func:`estimate_demand` for a whole candidate-scale sweep in one
-    pass: the profiles' IPC-LLC and BW-LLC curves are packed into padded
-    knot arrays and evaluated by the vectorized kernels of
-    :mod:`repro.perfmodel.curves_vec`.  ``entries`` pairs each scale's
-    profile with its network fraction; results are bit-identical to the
-    scalar walk (same curve-kernel float op order, and all arithmetic
-    joining the curve reads runs in plain Python exactly as the scalar
-    does).  ``counters``, when given, gains the query count of the
-    three kernel calls under ``vec_curve_evals``.
+    """:func:`estimate_demand` for a whole candidate-scale sweep:
+    ``entries`` pairs each scale's profile with its network fraction.
+    ``counters``, when given, gains the sweep's curve queries (three per
+    scale: F-IPC, the way inversion and the bandwidth read) under
+    ``vec_curve_evals``.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise SchedulingError("alpha must be in (0, 1]")
-    if procs < 1:
-        raise SchedulingError("procs must be >= 1")
-    if not entries:
-        return []
-    base_nodes = spec.min_nodes_for(procs)
-    m = len(entries)
-    idx = np.arange(m)
-    packed_ipc = PackedCurves([p.ipc_llc for p, _ in entries])
-    full_ways = float(spec.llc_ways)
-    f_ipc = packed_ipc.eval(idx, np.full(m, full_ways, dtype=np.float64))
-    # alpha * f_ipc elementwise is the scalar's t_ipc product, one IEEE
-    # multiply per scale in either form.
-    w_raw = packed_ipc.min_x_reaching(idx, alpha * f_ipc)
-    ways_list = [
-        int(min(spec.llc_ways, max(min_ways, math.ceil(w - 1e-9))))
-        for w in w_raw.tolist()
+    demands = [
+        estimate_demand(profile, procs, alpha, spec, min_ways, fraction)
+        for profile, fraction in entries
     ]
-    packed_bw = PackedCurves([p.bw_llc for p, _ in entries])
-    bw_vals = packed_bw.eval(
-        idx, np.array(ways_list, dtype=np.float64)
-    ).tolist()
     if counters is not None:
-        # Three kernel calls of ``m`` queries each.
-        counters["vec_curve_evals"] += 3 * m
-    demands = []
-    for i, (profile, network_fraction) in enumerate(entries):
-        n_nodes = profile.scale * base_nodes
-        cores = -(-procs // n_nodes)
-        demands.append(ResourceDemand(
-            scale=profile.scale,
-            n_nodes=n_nodes,
-            cores_per_node=cores,
-            ways=ways_list[i],
-            bw_per_node=bw_vals[i] * cores,
-            net_per_node=min(1.0, network_fraction),
-        ))
+        counters["vec_curve_evals"] += 3 * len(entries)
     return demands

@@ -114,9 +114,7 @@ class SpreadNShareScheduler(BaseScheduler):
                     scale_profile.n_nodes
                 )
             entries.append((scale_profile, net_fraction))
-        # Whole-sweep demand estimation through the vectorized curve
-        # kernels, bit-identical to the scalar ``estimate_demand`` per
-        # scale (the curves_vec contract).
+        # One demand per candidate scale (``estimate_demand`` each).
         demands = estimate_demands_batch(
             entries, job.procs, alpha, spec,
             min_ways=self.config.min_ways, counters=self.counters,

@@ -11,17 +11,11 @@ Entry points: ``repro-sns serve`` / ``repro-sns submit`` (CLI),
 :func:`serve_in_thread` (tests, loadgen), :class:`ServiceClient`.
 """
 
-from repro.service.client import ServiceClient, ServiceError
-from repro.service.master import (
-    SchedulerMaster,
-    ServiceHandle,
-    serve_in_thread,
-)
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "SchedulerMaster",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceHandle",
-    "serve_in_thread",
-]
+# Lazy (DESIGN.md §12): ``serve`` never loads the client.
+__all__, __getattr__, __dir__ = lazy_namespace(globals(), {
+    "repro.service.client": ("ServiceClient", "ServiceError"),
+    "repro.service.master": ("SchedulerMaster", "ServiceHandle",
+                             "serve_in_thread"),
+})

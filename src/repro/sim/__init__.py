@@ -7,25 +7,14 @@ scheduling policy at every scheduling point (job submission / completion),
 exactly as Uberun does.
 """
 
-from repro.sim.job import Job, JobState
-from repro.sim.cluster import ClusterState
-from repro.sim.engine import EventQueue
-from repro.sim.runtime import (
-    SchedulerCore,
-    SimSnapshot,
-    Simulation,
-    SimulationResult,
-)
-from repro.obs.telemetry import TelemetryRecorder
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "Job",
-    "JobState",
-    "ClusterState",
-    "EventQueue",
-    "SchedulerCore",
-    "SimSnapshot",
-    "Simulation",
-    "SimulationResult",
-    "TelemetryRecorder",
-]
+# Lazy (DESIGN.md §12): a run without telemetry never loads the recorder.
+__all__, __getattr__, __dir__ = lazy_namespace(globals(), {
+    "repro.sim.job": ("Job", "JobState"),
+    "repro.sim.cluster": ("ClusterState",),
+    "repro.sim.engine": ("EventQueue",),
+    "repro.sim.runtime": ("SchedulerCore", "SimSnapshot", "Simulation",
+                          "SimulationResult"),
+    "repro.obs.telemetry": ("TelemetryRecorder",),
+})

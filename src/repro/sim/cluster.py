@@ -73,8 +73,8 @@ class ClusterState:
     #: placement path (bucket scans, idle queries) skips them natively.
     _down: Dict[int, None] = field(init=False)
     #: Arbitration/scan instrumentation, surfaced on SimulationResult;
-    #: ``batch_*`` count the batched arbitration kernel's calls, nodes
-    #: and slices.
+    #: ``batch_*`` count the batched arbitration kernel's calls and
+    #: slices (its nodes are ``arb_nodes_solved``).
     counters: Dict[str, int] = field(init=False)
     #: Union of the co-runner sets of the placements made since the
     #: last :meth:`take_corunners` (the runtime takes it once per
@@ -126,7 +126,6 @@ class ClusterState:
             "nodes_scanned": 0,
             "find_fail_hits": 0,
             "batch_calls": 0,
-            "batch_nodes": 0,
             "batch_slices": 0,
         }
         # Negative placement-search cache: demand tuples find_nodes
@@ -833,7 +832,6 @@ class ClusterState:
         solved = batch.arbitrate_nodes(self.spec.node, tables)
         counters["arb_nodes_solved"] += len(tables)
         counters["batch_calls"] += 1
-        counters["batch_nodes"] += len(tables)
         counters["batch_slices"] += sum(map(len, tables))
         if len(view_cache) >= MAX_ENTRIES:
             view_cache.clear()

@@ -23,7 +23,7 @@ is exact — no time-stepping error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Sequence, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Sequence, Set
 
 import numpy as np
 
@@ -32,12 +32,14 @@ from repro.errors import SimulationError
 from repro.faults.plan import FaultPlan
 from repro.hardware.topology import ClusterSpec
 from repro.perfmodel.execution import check_span, reference_time, roofline_rate
-from repro.obs.telemetry import TelemetryRecorder
 from repro.obs.trace import TraceLevel, Tracer
 from repro.sim.cluster import ClusterState
 from repro.sim.engine import EventKind, EventQueue
 from repro.sim.job import Job, JobState, PendingQueue, Placement
 from repro.sim.running import COMPUTE, ROUTE, T_REF, RunningTable, time_parts
+
+if TYPE_CHECKING:
+    from repro.obs.telemetry import TelemetryRecorder
 
 
 @dataclass(frozen=True)
@@ -372,10 +374,11 @@ class SchedulerCore:
         """Construct a simulation from a policy *name* (a key of
         :data:`repro.scheduling.POLICIES`).  Every policy is built
         through the uniform ``(cluster_spec, config, *, database=None)``
-        signature; unknown names raise ``KeyError``."""
-        from repro.scheduling import POLICIES
+        signature; unknown names raise ``KeyError``.  Only the named
+        policy's module is imported."""
+        from repro.scheduling import policy_class
 
-        policy = POLICIES[policy_name](
+        policy = policy_class(policy_name)(
             cluster_spec, scheduler_config, database=database
         )
         return cls(cluster_spec, policy, jobs, sim_config,
@@ -406,6 +409,8 @@ class SchedulerCore:
             return
         self._started = True
         if self.config.telemetry and self.telemetry is None:
+            from repro.obs.telemetry import TelemetryRecorder
+
             self.telemetry = TelemetryRecorder(self.cluster.spec.num_nodes)
         if self.telemetry is not None:
             # The first snapshot of the mixes reports every node.

@@ -93,6 +93,36 @@ class TestPackageSurface:
         for name in repro.__all__:
             assert hasattr(repro, name), name
 
+    @pytest.mark.parametrize("package", [
+        "repro", "repro.obs", "repro.profiling", "repro.scheduling",
+        "repro.service", "repro.sim",
+    ])
+    def test_lazy_namespace_exports_resolve(self, package):
+        """Every name in a lazy package's ``__all__`` resolves to the
+        object it names, never to a same-named submodule, and is listed
+        by ``dir()``; other names still raise ``AttributeError``."""
+        import importlib
+        import types
+
+        module = importlib.import_module(package)
+        for name in module.__all__:
+            value = getattr(module, name)
+            assert not isinstance(value, types.ModuleType), name
+            assert name in dir(module), name
+        with pytest.raises(AttributeError):
+            getattr(module, "no_such_name")
+
+    def test_from_import_and_policy_table(self):
+        from repro import Simulation
+        from repro.scheduling import POLICIES, policy_class
+        from repro.sim.runtime import Simulation as defined
+
+        assert Simulation is defined
+        for name, cls in POLICIES.items():
+            assert policy_class(name) is cls
+        with pytest.raises(KeyError):
+            policy_class("FIFO")
+
     def test_version(self):
         import repro
 

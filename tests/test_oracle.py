@@ -47,7 +47,7 @@ FORBIDDEN = {
     "repro.scheduling.base", "repro.scheduling.placement",
     "repro.scheduling.ce", "repro.scheduling.cs", "repro.scheduling.sns",
     "repro.scheduling.backfill",
-    "repro.perfmodel.batch", "repro.perfmodel.curves_vec",
+    "repro.perfmodel.batch",
 }
 
 #: Programs that may span any number of nodes, and the single-node

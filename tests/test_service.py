@@ -11,8 +11,12 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
+import subprocess
+import sys
 import threading
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -384,6 +388,71 @@ class TestHttpInterface:
                 assert json.loads(resp.read())["accepted"] == 1
             finally:
                 conn.close()
+
+
+#: Run in a fresh interpreter: ``serve``'s construction path, then the
+#: first submission and step; prints the ``repro`` modules loaded after
+#: each phase.
+_COLD_START = """
+import json, sys
+from repro.cli import build_parser, resolve_sim_setup
+from repro.service import SchedulerMaster
+from repro.sim.runtime import SchedulerCore
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "repro")
+
+args = build_parser().parse_args(["serve", "--nodes", "64", "--port", "0"])
+cluster, sim_config, fault_plan, _ = resolve_sim_setup(args)
+core = SchedulerCore.from_policy_name(
+    args.policy, cluster, sim_config=sim_config, fault_plan=fault_plan)
+master = SchedulerMaster(core, queue_limit=args.queue_limit)
+built = loaded()
+job = master._job_from_request({"program": "MG", "procs": 28})
+core.submit(job)
+core.step()
+print(json.dumps({"built": built, "stepped": loaded(),
+                  "placed": job.start_time is not None}))
+"""
+
+#: Packages ``serve`` runs none of.
+_NOT_SERVED = ("repro.experiments", "repro.workloads", "repro.metrics",
+               "repro.obs.export", "repro.obs.invariants")
+
+
+class TestColdStart:
+    """``repro-sns serve`` imports only what it runs (DESIGN.md §12)."""
+
+    @pytest.fixture(scope="class")
+    def census(self):
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _COLD_START],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_serve_loads_no_harness_module(self, census):
+        served = [m for m in census["built"]
+                  if m.startswith(_NOT_SERVED)]
+        assert served == []
+        # Only the SNS policy's module, and no client.
+        assert "repro.scheduling.sns" in census["built"]
+        for module in ("repro.scheduling.backfill", "repro.scheduling.ce",
+                       "repro.scheduling.online_sns",
+                       "repro.profiling.online", "repro.service.client",
+                       "repro.obs.telemetry", "repro.obs.timeseries"):
+            assert module not in census["built"], module
+
+    def test_first_submit_and_step_import_nothing(self, census):
+        """No import is deferred into the submit->place latency."""
+        assert census["placed"]
+        assert census["stepped"] == census["built"]
 
 
 class TestProtocol:

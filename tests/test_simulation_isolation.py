@@ -1,6 +1,6 @@
 """Simulation isolation: every layer owns its own caches and counters
 (the cluster its view cache and arbitration-kernel counts, the policy
-its demand cache and curve-kernel counts, the runtime its loop counts),
+its demand cache and curve-query counts, the runtime its loop counts),
 so simulations never observe each other, even stepped in alternation;
 plus cache eviction, counter plumbing and the removed cache-mode
 switches (DESIGN.md §9)."""
@@ -92,8 +92,9 @@ class TestStatsPlumbing:
         sim = Simulation.from_policy_name("SNS", spec, jobs)
         result = sim.run()
         # Each batched-kernel counter sits with the layer that bumps it.
-        assert {"batch_calls", "batch_nodes", "batch_slices"} \
+        assert {"batch_calls", "batch_slices"} \
             <= sim.cluster.counters.keys()
+        assert "batch_nodes" not in result.counters
         assert "vec_curve_evals" in sim.policy.counters
         assert {"vec_finish_updates", "fabric_link_refreshes",
                 "fabric_route_evals"} <= sim._counters.keys()
@@ -110,7 +111,7 @@ class TestStatsPlumbing:
         """The reference of record, the oracle, calls no batched kernel:
         with every one of them broken it still replays the fast path's
         decisions and speeds."""
-        from repro.perfmodel import batch, curves_vec
+        from repro.perfmodel import batch
         from tests.against_oracle import decision_lines, fast_core, oracle_of
 
         core = fast_core("SNS", ClusterSpec(num_nodes=4),
@@ -122,7 +123,6 @@ class TestStatsPlumbing:
             raise AssertionError("the oracle called a batched kernel")
 
         monkeypatch.setattr(batch, "arbitrate_nodes", broken)
-        monkeypatch.setattr(curves_vec.PackedCurves, "eval", broken)
         oracle = oracle_of(core)
         assert decision_lines(oracle.records) == fast
         assert not oracle.mismatches

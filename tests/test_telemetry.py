@@ -420,7 +420,12 @@ def _episode_digest(results) -> str:
 def _counter_digest(results) -> str:
     h = hashlib.sha256()
     for result in results:
-        h.update(repr(sorted(result.counters.items())).encode())
+        # The digests were recorded with a ``batch_nodes`` counter, since
+        # deleted: it was bumped beside ``arb_nodes_solved`` by the same
+        # amount, so it is restored from it here.
+        counters = dict(result.counters,
+                        batch_nodes=result.counters["arb_nodes_solved"])
+        h.update(repr(sorted(counters.items())).encode())
     return h.hexdigest()
 
 
