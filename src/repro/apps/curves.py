@@ -14,9 +14,8 @@ Two curve families matter in this reproduction:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.errors import HardwareModelError, ProfileError
 
@@ -85,19 +84,6 @@ class PiecewiseLinearCurve:
             raise ProfileError("xs and ys must have equal length")
         return cls(tuple(zip([float(x) for x in xs], [float(y) for y in ys])))
 
-    @classmethod
-    def from_mapping(cls, mapping: Dict[float, float]) -> "PiecewiseLinearCurve":
-        items = sorted((float(k), float(v)) for k, v in mapping.items())
-        return cls(tuple(items))
-
-    @property
-    def x_min(self) -> float:
-        return self.points[0][0]
-
-    @property
-    def x_max(self) -> float:
-        return self.points[-1][0]
-
     def __call__(self, x: float) -> float:
         pts = self.points
         if x <= pts[0][0]:
@@ -117,8 +103,8 @@ class PiecewiseLinearCurve:
         Used by the SNS demand estimator (paper Fig 10, step 4: the
         minimum LLC ways achieving the tolerable IPC).  Assumes the curve
         is non-decreasing, which holds for IPC-LLC curves — a larger LLC
-        allocation never lowers IPC (Section 4.1).  Returns ``x_max`` if
-        the target is never reached.
+        allocation never lowers IPC (Section 4.1).  Returns the last
+        sampled x if the target is never reached.
         """
         pts = self.points
         if pts[0][1] >= target_y:
@@ -136,32 +122,3 @@ class PiecewiseLinearCurve:
         """Return (xs, ys) lists, e.g. for JSON serialization."""
         return [x for x, _ in self.points], [y for _, y in self.points]
 
-
-def saturating_speedup(x: float, x_half: float, ceiling: float) -> float:
-    """Generic saturating curve: 1 at x=0 rising to ``ceiling``.
-
-    ``1 + (ceiling - 1) * (1 - 2**(-x / x_half))`` — used in tests and
-    synthetic workload construction, not in the core model.
-    """
-    if x < 0:
-        raise HardwareModelError("x must be non-negative")
-    if x_half <= 0:
-        raise HardwareModelError("x_half must be positive")
-    if ceiling < 1:
-        raise HardwareModelError("ceiling must be >= 1")
-    return 1.0 + (ceiling - 1.0) * (1.0 - 2.0 ** (-x / x_half))
-
-
-def geometric_scales(max_factor: int) -> List[int]:
-    """Candidate scale factors 1, 2, 4, ... up to ``max_factor``.
-
-    Uberun uses candidate scales 1, 2, 4, 8 (Section 5.1).
-    """
-    if max_factor < 1:
-        raise HardwareModelError("max_factor must be >= 1")
-    scales = []
-    k = 1
-    while k <= max_factor:
-        scales.append(k)
-        k *= 2
-    return scales

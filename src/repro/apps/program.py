@@ -22,7 +22,7 @@ the node-level arbitration in :mod:`repro.perfmodel.contention`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -304,10 +304,6 @@ class ProgramSpec:
             rate = r_cpu
         compute_time_fraction = 1.0 - self.comm.comm_fraction(1.0, 1)
         return rate * self.solo_time_16p * compute_time_fraction
-
-    def with_overrides(self, **kwargs) -> "ProgramSpec":
-        """Copy with fields replaced (convenience for sweeps/tests)."""
-        return replace(self, **kwargs)
 
 
 # Deferred import-free reference node: constructing hardware lazily would

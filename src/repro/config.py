@@ -25,8 +25,6 @@ class SchedulerConfig:
     age_limit:
         Number of scheduling points a job may be passed over before it
         blocks the queue (anti-starvation; Section 4.4).
-    min_ways:
-        Minimum dedicated LLC ways per job (2: associativity floor).
     bw_headroom:
         Fraction of node peak bandwidth the scheduler is allowed to
         book; 1.0 books up to the full peak.
@@ -42,7 +40,6 @@ class SchedulerConfig:
     beta: float = 2.0
     candidate_scales: Tuple[int, ...] = (1, 2, 4, 8)
     age_limit: int = 10
-    min_ways: int = 2
     bw_headroom: float = 1.0
     max_queue_scan: int = 128
     scale_tolerance: float = 0.05
@@ -78,8 +75,6 @@ class SchedulerConfig:
             raise ConfigError("candidate_scales must be sorted ascending")
         if self.age_limit < 1:
             raise ConfigError("age_limit must be >= 1")
-        if self.min_ways < 1:
-            raise ConfigError("min_ways must be >= 1")
         if not 0.0 < self.bw_headroom <= 1.0:
             raise ConfigError("bw_headroom must be in (0, 1]")
         if self.max_queue_scan < 1:

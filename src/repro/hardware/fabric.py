@@ -129,15 +129,7 @@ class FabricSpec:
         return pop
 
     # ------------------------------------------------------------------
-    # Link capacities and utilization (node-link units)
-
-    def tor_uplink_bw(self, rack_nodes: int) -> float:
-        """ToR uplink capacity in GB/s for a rack of ``rack_nodes``."""
-        return rack_nodes * self.link_bw / self.oversubscription
-
-    def bisection_bw(self, num_nodes: int) -> float:
-        """Spine bisection capacity in GB/s."""
-        return num_nodes * self.link_bw / self.oversubscription
+    # Link utilization (node-link units)
 
     def tor_utilization(self, load: float, rack_nodes: int) -> float:
         """Uplink utilization for a rack injecting ``load`` node-link

@@ -3,9 +3,8 @@
 The paper's testbed network sustains about 6.8 GB/s per node — far below
 the >100 GB/s intra-node memory bandwidth, but communication happens with
 much lower *intensity* than memory access (Fig. 7), which is why spreading
-can still win.  The network model provides the per-node-pair effective
-bandwidth and a simple transfer-time helper used by the application
-communication model (:mod:`repro.perfmodel.execution`).
+can still win.  The network model holds the per-node injection
+bandwidth and base message latency of that interconnect.
 """
 
 from __future__ import annotations
@@ -42,33 +41,3 @@ class NetworkModel:
 
     def __post_init__(self) -> None:
         validate_link(self.link_bw, self.latency_us)
-
-    def transfer_time(self, volume_gb: float, n_messages: int = 1) -> float:
-        """Seconds to move ``volume_gb`` of data off-node as ``n_messages``
-        messages (bandwidth term plus per-message latency).
-
-        Every byte moved belongs to some message, so ``n_messages == 0``
-        is only meaningful for ``volume_gb == 0`` (no transfer at all);
-        a nonzero volume with zero messages would silently drop the
-        latency term and is rejected.
-        """
-        if volume_gb < 0:
-            raise HardwareModelError("volume must be non-negative")
-        if n_messages < 0:
-            raise HardwareModelError("message count must be non-negative")
-        if n_messages == 0 and volume_gb > 0:
-            raise HardwareModelError(
-                "nonzero volume needs at least one message "
-                "(n_messages=0 would drop the latency term)"
-            )
-        return volume_gb / self.link_bw + n_messages * self.latency_us * 1e-6
-
-    def relative_to_memory(self, node_peak_bw: float) -> float:
-        """Ratio of network to node memory bandwidth (dimensionless).
-
-        Used by the communication model to scale inter-node penalties: on
-        the paper's testbed this is 6.8 / 118.26 ~= 0.057.
-        """
-        if node_peak_bw <= 0:
-            raise HardwareModelError("node peak bandwidth must be positive")
-        return self.link_bw / node_peak_bw

@@ -51,8 +51,3 @@ class NodeSpec:
         if processes <= 0:
             raise HardwareModelError("process count must be positive")
         return -(-processes // self.cores)
-
-
-def reference_node() -> NodeSpec:
-    """The paper's testbed node: 28 cores, 20 LLC ways, ~118 GB/s."""
-    return NodeSpec()

@@ -38,18 +38,7 @@ class ClusterSpec:
     def total_cores(self) -> int:
         return self.num_nodes * self.node.cores
 
-    def max_scale_factor(self, processes: int) -> int:
-        """Largest integer scale factor k such that k * ceil(P/T) nodes
-        still fit in the cluster."""
-        base = self.node.min_nodes_for(processes)
-        return max(1, self.num_nodes // base)
-
 
 def testbed_cluster() -> ClusterSpec:
     """The paper's 8-node local test cluster."""
     return ClusterSpec(num_nodes=8)
-
-
-def simulated_cluster(num_nodes: int) -> ClusterSpec:
-    """A large simulated cluster with testbed-identical nodes (Fig. 20)."""
-    return ClusterSpec(num_nodes=num_nodes)

@@ -6,7 +6,7 @@ from typing import Iterable
 
 from repro.errors import ReproError
 from repro.hardware.node_spec import NodeSpec
-from repro.perfmodel.execution import predict_exclusive_time, reference_time
+from repro.perfmodel.execution import reference_time
 from repro.profiling.classify import ScalingClass
 from repro.profiling.database import ProfileDatabase
 from repro.sim.job import Job
@@ -51,36 +51,3 @@ def scaling_ratio(
         raise ReproError("scaling ratio of empty sequence")
     return scaling / total
 
-
-def scaling_ratio_from_model(
-    jobs: Iterable[Job], spec: NodeSpec, threshold: float = 0.05,
-    scales: Iterable[int] = (2, 4, 8),
-) -> float:
-    """Scaling ratio computed directly from the analytic model (used by
-    workload generators before any profile database exists)."""
-    total = 0.0
-    scaling = 0.0
-    any_jobs = False
-    for job in jobs:
-        any_jobs = True
-        t_ref = reference_time(job.program, job.procs, spec)
-        core_hours = job.procs * t_ref
-        total += core_hours
-        best = 1.0
-        base = spec.min_nodes_for(job.procs)
-        for k in scales:
-            n = k * base
-            if job.program.max_nodes is not None and n > job.program.max_nodes:
-                continue
-            if n > job.procs:
-                continue
-            try:
-                best = max(best, t_ref / predict_exclusive_time(
-                    job.program, job.procs, n, spec))
-            except Exception:
-                continue
-        if best > 1.0 + threshold:
-            scaling += core_hours
-    if not any_jobs or total <= 0:
-        raise ReproError("scaling ratio of empty sequence")
-    return scaling / total

@@ -1,29 +1,29 @@
-"""Bounded-memory per-node gauge time series (DESIGN.md §10).
+"""Bounded-memory cluster gauge time series (DESIGN.md §10).
 
-The series is a ``(channels, nodes)`` gauge matrix — free cores, booked
+The gauges are a ``(channels, nodes)`` matrix — free cores, booked
 bandwidth, allocated LLC ways, resident job count — sampled at every
-decision timestamp.  It is **derived from the trace after the run**
-(:func:`timeseries_from_trace` replays the decisions-level records
-through a small ledger, the same state machine the invariant checker
-trusts), so the simulation loop pays nothing for it: per-node gauges
-only change at placement / release / fault transitions, and those are
-exactly the records the tracer already emits.
+decision timestamp.  The series is **derived from the trace after the
+run** (:func:`timeseries_from_trace` replays the decisions-level records
+through a small per-node ledger, the same state machine the invariant
+checker trusts), so the simulation loop pays nothing for it: per-node
+gauges only change at placement / release / fault transitions, and
+those are exactly the records the tracer already emits.
 
-A 32K-node run can cross millions of event timestamps, so the collector
-keeps memory flat with *stride doubling*: samples are accepted every
-``stride`` ticks into at most ``capacity`` buckets; when the buckets
-fill, adjacent pairs merge (element-wise min/max union, later bucket's
-last sample wins) and the stride doubles.  The retained buckets
-therefore always tile the full simulated time span, and within every
-retained bucket the element-wise **min, max, and last** gauge values
-are exact — only intermediate samples are dropped.  That preservation
-law is the contract ``tests/test_telemetry.py`` checks against a
-brute-force reference.
+Each retained sample keeps only the cluster total of every channel
+(the row sums of the gauge matrix).  A 32K-node run can cross millions
+of event timestamps, so the collector keeps memory flat with *stride
+doubling*: samples are accepted every ``stride`` ticks into at most
+``capacity`` buckets; when the buckets fill, adjacent pairs merge (span
+union, the later bucket's totals win) and the stride doubles.  The
+retained buckets therefore always tile the full simulated time span,
+and every bucket holds the exact totals of its last sample — only
+intermediate samples are dropped.  ``tests/test_telemetry.py`` checks
+that law against a brute-force reference.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -36,36 +36,29 @@ CHANNELS = ("free_cores", "booked_bw", "alloc_ways", "residents")
 
 
 class _Bucket:
-    """One retained sample bucket covering ``[t0, t1]``."""
+    """One retained sample bucket covering ``[t0, t1]``, holding the
+    per-channel cluster totals of its last sample."""
 
-    __slots__ = ("t0", "t1", "last", "lo", "hi", "count")
+    __slots__ = ("t0", "t1", "totals")
 
-    def __init__(self, t: float, gauges: np.ndarray) -> None:
+    def __init__(self, t: float, totals: Tuple[float, ...]) -> None:
         self.t0 = t
         self.t1 = t
-        self.last = gauges
-        self.lo = gauges
-        self.hi = gauges
-        self.count = 1
+        self.totals = totals
 
     def absorb(self, other: "_Bucket") -> None:
-        """Merge a later bucket into this one (span union, min/max
-        element-wise, later sample becomes the representative)."""
+        """Merge a later bucket into this one (span union, the later
+        sample's totals become the representative)."""
         self.t1 = other.t1
-        self.last = other.last
-        self.lo = np.minimum(self.lo, other.lo)
-        self.hi = np.maximum(self.hi, other.hi)
-        self.count += other.count
+        self.totals = other.totals
 
 
 class TimeSeries:
-    """Reservoir-style per-node gauge collector.
+    """Reservoir-style cluster-total gauge collector.
 
     ``capacity`` bounds the number of retained buckets; each bucket
-    stores three ``(len(CHANNELS), num_nodes)`` float64 arrays (last /
-    min / max), so peak memory is ``capacity * 3 * 4 * num_nodes * 8``
-    bytes — ~50 MB at 8192 nodes with the default capacity, independent
-    of run length.
+    stores one float per channel (``len(CHANNELS)`` floats), so memory
+    is independent of both the node count and the run length.
     """
 
     __slots__ = ("num_nodes", "capacity", "stride", "_tick", "_buckets")
@@ -85,7 +78,7 @@ class TimeSeries:
 
     def due(self) -> bool:
         """Whether the next :meth:`add` call would retain its sample.
-        The runtime calls this *before* materialising the gauge matrix
+        The caller checks this *before* materialising the gauge matrix
         so skipped ticks cost nothing but an integer increment."""
         if self._tick % self.stride:
             self._tick += 1
@@ -93,7 +86,8 @@ class TimeSeries:
         return True
 
     def add(self, t: float, gauges: np.ndarray) -> None:
-        """Record one gauge sample (only called when :meth:`due`)."""
+        """Record one gauge sample (only called when :meth:`due`); the
+        matrix is reduced to its row sums here and not retained."""
         if gauges.shape != (len(CHANNELS), self.num_nodes):
             raise SimulationError(
                 f"gauge matrix must be {(len(CHANNELS), self.num_nodes)}, "
@@ -103,7 +97,7 @@ class TimeSeries:
         buckets = self._buckets
         if buckets and t < buckets[-1].t1:
             raise SimulationError("time series samples must be monotone")
-        buckets.append(_Bucket(t, gauges))
+        buckets.append(_Bucket(t, tuple(float(row.sum()) for row in gauges)))
         if len(buckets) >= self.capacity:
             self._compact()
 
@@ -144,53 +138,16 @@ class TimeSeries:
         """``(n_buckets, 2)`` array of ``[t0, t1]`` bucket spans."""
         return np.array([[b.t0, b.t1] for b in self._buckets])
 
-    @property
-    def sample_counts(self) -> np.ndarray:
-        """Raw samples absorbed into each retained bucket."""
-        return np.array([b.count for b in self._buckets], dtype=np.int64)
-
-    def _channel_index(self, channel: str) -> int:
+    def cluster_series(self, channel: str) -> np.ndarray:
+        """Cluster-wide total of a channel at each retained bucket's
+        last sample."""
         try:
-            return CHANNELS.index(channel)
+            c = CHANNELS.index(channel)
         except ValueError:
             raise SimulationError(
                 f"unknown channel {channel!r}; choose from {CHANNELS}"
             ) from None
-
-    def node_series(
-        self, channel: str, node_id: int, stat: str = "last"
-    ) -> np.ndarray:
-        """One node's retained series for a channel.
-
-        ``stat`` selects ``"last"`` (the bucket's final sample),
-        ``"min"``, or ``"max"`` (exact extrema over all samples the
-        bucket absorbed).
-        """
-        c = self._channel_index(channel)
-        if not 0 <= node_id < self.num_nodes:
-            raise SimulationError(f"node id {node_id} out of range")
-        attr = {"last": "last", "min": "lo", "max": "hi"}.get(stat)
-        if attr is None:
-            raise SimulationError(f"unknown stat {stat!r}")
-        return np.array(
-            [getattr(b, attr)[c, node_id] for b in self._buckets]
-        )
-
-    def cluster_series(
-        self, channel: str, stat: str = "last"
-    ) -> np.ndarray:
-        """Cluster-wide sum of a channel at each retained bucket.
-
-        Sums the per-node ``stat`` values; for ``min``/``max`` this is
-        a per-node bound, not the extremum of the cluster total.
-        """
-        c = self._channel_index(channel)
-        attr = {"last": "last", "min": "lo", "max": "hi"}.get(stat)
-        if attr is None:
-            raise SimulationError(f"unknown stat {stat!r}")
-        return np.array(
-            [float(getattr(b, attr)[c].sum()) for b in self._buckets]
-        )
+        return np.array([b.totals[c] for b in self._buckets])
 
     def summary(self) -> Dict[str, Dict[str, float]]:
         """Per-channel cluster-total stats over the retained series
@@ -208,19 +165,16 @@ class TimeSeries:
                 }
         return out
 
-    def chrome_counters(
-        self, pid: int = 0, limit: Optional[int] = None
-    ) -> List[dict]:
+    def chrome_counters(self, pid: int = 0) -> List[dict]:
         """Chrome ``trace_event`` counter ("C") records of the
         cluster-total series (consumed by :mod:`repro.obs.export`)."""
         records: List[dict] = []
-        buckets = self._buckets if limit is None else self._buckets[:limit]
-        for b in buckets:
-            for c, channel in enumerate(CHANNELS):
+        for b in self._buckets:
+            for channel, total in zip(CHANNELS, b.totals):
                 records.append({
                     "name": channel, "ph": "C", "pid": pid,
                     "ts": b.t1 * 1e6,
-                    "args": {channel: float(b.last[c].sum())},
+                    "args": {channel: total},
                 })
         return records
 
@@ -228,7 +182,7 @@ class TimeSeries:
 def timeseries_from_trace(
     events: List[dict], capacity: int = 64
 ) -> TimeSeries:
-    """Rebuild the per-node gauge series by replaying a trace.
+    """Rebuild the gauge series by replaying a trace.
 
     Walks the decisions-level records (any trace level carries them)
     through a per-node gauge ledger and feeds one sample per decision
@@ -288,7 +242,7 @@ def timeseries_from_trace(
     # Anchor the series at t=0 unless the first decisions land there
     # anyway (one sample per distinct timestamp, post-application).
     if (len(stream) == 1 or stream[1]["t"] > 0.0) and series.due():
-        series.add(0.0, gauges.copy())
+        series.add(0.0, gauges)
     last_t = 0.0
     i = 0
     while i < len(stream) - 1:
@@ -297,7 +251,7 @@ def timeseries_from_trace(
             apply(stream[i + 1])
             i += 1
         if series.due():
-            series.add(t, gauges.copy())
+            series.add(t, gauges)
         last_t = t
-    series.finalize(last_t, gauges.copy())
+    series.finalize(last_t, gauges)
     return series

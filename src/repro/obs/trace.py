@@ -141,9 +141,6 @@ class Tracer:
     def __len__(self) -> int:
         return len(self.events)
 
-    def wants(self, level: TraceLevel) -> bool:
-        return self.level >= level
-
     def decision_stream(self) -> List[dict]:
         return decision_stream(self.events)
 

@@ -180,6 +180,3 @@ class OnlineProfileStore:
                 f"{program.name}@{procs}: no runs recorded yet"
             )
         return profile
-
-    def known_scales(self, program: ProgramSpec, procs: int) -> Sequence[int]:
-        return sorted(self._entry(program, procs).profile.scales)

@@ -71,11 +71,6 @@ class ProgramProfile:
     def ideal_scale(self) -> int:
         return ideal_scale({k: p.time_s for k, p in self.scales.items()})
 
-    def scales_by_performance(self) -> List[int]:
-        """Profiled scale factors in descending exclusive-run performance
-        (ascending time) — the order SNS evaluates them (Section 4.4)."""
-        return sorted(self.scales, key=lambda k: (self.scales[k].time_s, k))
-
     def preferred_scale_order(self, tolerance: float = 0.05) -> List[int]:
         """Scale factors in the order SNS should try them, taking the
         program's classification into account (Sections 4.2, 6.1):

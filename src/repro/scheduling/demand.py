@@ -50,13 +50,14 @@ def estimate_demand(
     procs: int,
     alpha: float,
     spec: NodeSpec,
-    min_ways: int = 2,
     network_fraction: float = 0.0,
 ) -> ResourceDemand:
     """Estimate (c, w, b) for running ``procs`` processes at the profiled
-    scale under slowdown threshold ``alpha``.  ``network_fraction`` is
-    the job's per-node link utilization when the scheduler also manages
-    the network dimension (the paper's Section 3.3 extension)."""
+    scale under slowdown threshold ``alpha``; the way demand never drops
+    below the node's associativity floor ``spec.cache.min_ways``.
+    ``network_fraction`` is the job's per-node link utilization when the
+    scheduler also manages the network dimension (the paper's
+    Section 3.3 extension)."""
     if not 0.0 < alpha <= 1.0:
         raise SchedulingError("alpha must be in (0, 1]")
     if procs < 1:
@@ -69,7 +70,8 @@ def estimate_demand(
     f_ipc = profile.ipc_llc(full_ways)
     t_ipc = alpha * f_ipc
     w_raw = profile.ipc_llc.min_x_reaching(t_ipc)
-    ways = int(min(spec.llc_ways, max(min_ways, math.ceil(w_raw - 1e-9))))
+    ways = int(min(spec.llc_ways,
+                   max(spec.cache.min_ways, math.ceil(w_raw - 1e-9))))
     bw_per_node = profile.bw_llc(float(ways)) * cores
     return ResourceDemand(
         scale=profile.scale,
@@ -86,7 +88,6 @@ def estimate_demands_batch(
     procs: int,
     alpha: float,
     spec: NodeSpec,
-    min_ways: int = 2,
     counters: Optional[Dict[str, int]] = None,
 ) -> List[ResourceDemand]:
     """:func:`estimate_demand` for a whole candidate-scale sweep:
@@ -96,7 +97,7 @@ def estimate_demands_batch(
     ``vec_curve_evals``.
     """
     demands = [
-        estimate_demand(profile, procs, alpha, spec, min_ways, fraction)
+        estimate_demand(profile, procs, alpha, spec, fraction)
         for profile, fraction in entries
     ]
     if counters is not None:

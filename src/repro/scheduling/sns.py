@@ -116,8 +116,7 @@ class SpreadNShareScheduler(BaseScheduler):
             entries.append((scale_profile, net_fraction))
         # One demand per candidate scale (``estimate_demand`` each).
         demands = estimate_demands_batch(
-            entries, job.procs, alpha, spec,
-            min_ways=self.config.min_ways, counters=self.counters,
+            entries, job.procs, alpha, spec, counters=self.counters,
         )
         return tuple(
             (k, demand)

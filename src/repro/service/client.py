@@ -1,14 +1,13 @@
 """Synchronous client for the live scheduler service.
 
-Speaks the JSON line protocol (one request per line, replies in request
-order), so :meth:`ServiceClient.submit_many` can pipeline a burst of
-submissions over one connection — the loadgen's high-rate path.
+Speaks the JSON line protocol: one request per line, one reply per
+request, in request order.
 """
 
 from __future__ import annotations
 
 import socket
-from typing import Iterable, List, Optional
+from typing import Optional
 
 from repro.errors import ReproError
 from repro.service import protocol
@@ -39,15 +38,6 @@ class ServiceClient:
         self._sock.sendall(protocol.encode(payload))
         return self._read_reply()
 
-    def request_many(self, payloads: Iterable[dict]) -> List[dict]:
-        """Pipeline a batch: send every request, then read every reply
-        (the service answers in request order)."""
-        chunks = [protocol.encode(p) for p in payloads]
-        if not chunks:
-            return []
-        self._sock.sendall(b"".join(chunks))
-        return [self._read_reply() for _ in chunks]
-
     def _read_reply(self) -> dict:
         line = self._rfile.readline()
         if not line:
@@ -76,13 +66,6 @@ class ServiceClient:
         if not reply.get("ok", False) and not reply.get("retryable", False):
             raise ServiceError(reply.get("error", "submission failed"))
         return reply
-
-    def submit_many(self, payloads: Iterable[dict]) -> List[dict]:
-        """Pipeline submissions; each payload holds the submit fields
-        (``op`` is filled in here).  Replies are not raised on — bursts
-        are expected to see retryable rejections under backpressure."""
-        requests = [{"op": "submit", **p} for p in payloads]
-        return self.request_many(requests)
 
     def stats(self) -> dict:
         return self._checked({"op": "stats"})

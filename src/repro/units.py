@@ -17,9 +17,6 @@ MB = 10**6
 #: Cache-line size in bytes (Intel Xeon E5 v4).
 CACHE_LINE_BYTES = 64
 
-#: Seconds per hour, used for node-hour accounting.
-SECONDS_PER_HOUR = 3600.0
-
 # ---------------------------------------------------------------------------
 # Reference platform: dual Intel Xeon E5-2680 v4 node (paper Section 6.1).
 # ---------------------------------------------------------------------------
@@ -55,23 +52,8 @@ MIN_LLC_WAYS = 2
 MAX_LLC_PARTITIONS = 16
 
 
-def gb_per_s(value_bytes_per_s: float) -> float:
-    """Convert bytes/s to GB/s."""
-    return value_bytes_per_s / GB
-
-
-def bytes_per_s(value_gb_per_s: float) -> float:
-    """Convert GB/s to bytes/s."""
-    return value_gb_per_s * GB
-
-
 def node_seconds(num_nodes: int, seconds: float) -> float:
     """Node-seconds consumed by ``num_nodes`` held for ``seconds``."""
     if num_nodes < 0 or seconds < 0:
         raise ValueError("node_seconds arguments must be non-negative")
     return num_nodes * seconds
-
-
-def node_hours(num_nodes: int, seconds: float) -> float:
-    """Node-hours consumed by ``num_nodes`` held for ``seconds``."""
-    return node_seconds(num_nodes, seconds) / SECONDS_PER_HOUR

@@ -465,7 +465,6 @@ class Oracle:
             nf = job.program.comm.network_fraction(scale_profile.n_nodes) \
                 if config.manage_network else 0.0
             d = estimate_demand(scale_profile, job.procs, alpha, spec,
-                                min_ways=config.min_ways,
                                 network_fraction=nf)
             if self._valid_footprint(job, d.n_nodes):
                 out.append(Demand(k, d.n_nodes, d.cores_per_node, d.ways,

@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import SchedulerConfig, SimConfig, TraceConfig
 from repro.errors import ConfigError
+from repro.hardware.node_spec import NodeSpec
 
 
 class TestSchedulerConfig:
@@ -12,7 +13,7 @@ class TestSchedulerConfig:
         assert config.default_alpha == 0.9       # Section 4.3
         assert config.beta == 2.0                # Section 4.4
         assert config.candidate_scales == (1, 2, 4, 8)  # Section 5.1
-        assert config.min_ways == 2              # Section 5.1
+        assert NodeSpec().cache.min_ways == 2    # Section 5.1
 
     @pytest.mark.parametrize("kwargs", [
         {"default_alpha": 0.0},
@@ -22,7 +23,6 @@ class TestSchedulerConfig:
         {"candidate_scales": (0, 1)},
         {"candidate_scales": (4, 2, 1)},
         {"age_limit": 0},
-        {"min_ways": 0},
         {"bw_headroom": 0.0},
         {"bw_headroom": 1.5},
         {"max_queue_scan": 0},
@@ -84,6 +84,9 @@ def test_dead_knobs_are_gone():
         TraceConfig(timeseries_capacity=64)
     with pytest.raises(TypeError):
         TraceConfig(timeseries=False)
+    # The associativity floor is the node's ``CacheModel.min_ways``.
+    with pytest.raises(TypeError):
+        SchedulerConfig(min_ways=2)
 
 
 class TestPackageSurface:
@@ -144,3 +147,90 @@ class TestPackageSurface:
 
         with pytest.raises(ReproError):
             get_experiment("fig8")
+
+    #: Definitions that only tests call on purpose, each with its reason.
+    TEST_ONLY = {
+        "ClusterState.verify_index":
+            "test hook: rebuilds the free-core index and compares",
+        "ClusterState.verify_columns":
+            "test hook: rebuilds the per-mix columns and compares",
+        "ClusterState.gauge_columns":
+            "test hook: live gauges the trace-replayed series must match",
+        "ClusterState.arbitration":
+            "test hook: one node's arbitration view, read by kernel tests",
+        "ClusterState.idle_nodes":
+            "test hook: asserts which nodes are idle after a transition",
+        "ClusterState.is_down":
+            "test hook: asserts a node's fault state",
+        "ClusterState.down_nodes":
+            "test hook: asserts the set of failed nodes",
+        "node_network_load":
+            "scalar physics the oracle compares the batch kernel against",
+        "Job.set_speed":
+            "scalar physics RunningTable.retime's bit-identity tests use",
+        "Job.projected_finish":
+            "scalar physics RunningTable.retime's bit-identity tests use",
+    }
+
+    def test_no_definition_is_test_only(self):
+        """Every top-level function, class and method in ``src/repro``
+        has a reference in code outside ``tests/``: a name, attribute,
+        keyword or imported name, or an identifier-string constant
+        (lazy export tables, wraps by name); docstrings do not count.
+        The allowlist above is the complete set of exceptions."""
+        import ast
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parent.parent
+
+        def docstrings(tree):
+            kinds = (ast.Module, ast.ClassDef, ast.FunctionDef,
+                     ast.AsyncFunctionDef)
+            return {id(node.body[0].value) for node in ast.walk(tree)
+                    if isinstance(node, kinds) and node.body
+                    and isinstance(node.body[0], ast.Expr)
+                    and isinstance(node.body[0].value, ast.Constant)}
+
+        used = set()
+        for folder in ("src", "tools", "examples", "perfbench",
+                       "benchmarks"):
+            for path in (root / folder).rglob("*.py"):
+                tree = ast.parse(path.read_text())
+                skip = docstrings(tree)
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.Name):
+                        used.add(node.id)
+                    elif isinstance(node, ast.Attribute):
+                        used.add(node.attr)
+                    elif isinstance(node, ast.keyword) and node.arg:
+                        used.add(node.arg)
+                    elif isinstance(node, ast.alias):
+                        used.update(node.name.split("."))
+                    elif (isinstance(node, ast.Constant)
+                          and isinstance(node.value, str)
+                          and node.value.isidentifier()
+                          and id(node) not in skip):
+                        used.add(node.value)
+
+        funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+        test_only = {}
+        for path in sorted((root / "src" / "repro").rglob("*.py")):
+            where = path.relative_to(root)
+            for node in ast.parse(path.read_text()).body:
+                if not isinstance(node, funcs + (ast.ClassDef,)):
+                    continue
+                members = [(node.name, node.name)]
+                if isinstance(node, ast.ClassDef):
+                    members += [(sub.name, f"{node.name}.{sub.name}")
+                                for sub in node.body
+                                if isinstance(sub, funcs)]
+                for name, qualname in members:
+                    dunder = name.startswith("__") and name.endswith("__")
+                    if not dunder and name not in used:
+                        test_only[qualname] = f"{where}: {qualname}"
+        unlisted = [test_only[q] for q in test_only if q not in self.TEST_ONLY]
+        assert not unlisted, f"only tests reach {len(unlisted)}: " + \
+            ", ".join(unlisted)
+        # An allowlisted name that is gone or now called drops off the list.
+        stale = sorted(set(self.TEST_ONLY) - set(test_only))
+        assert not stale, f"stale allowlist entries: {stale}"

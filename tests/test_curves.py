@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.apps.curves import (
-    PiecewiseLinearCurve,
-    WorkingSetMissCurve,
-    geometric_scales,
-    saturating_speedup,
-)
+from repro.apps.curves import PiecewiseLinearCurve, WorkingSetMissCurve
 from repro.errors import HardwareModelError, ProfileError
 
 
@@ -75,10 +70,6 @@ class TestPiecewiseLinearCurve:
         curve = PiecewiseLinearCurve.from_samples([1, 2, 3], [1.0, 1.0, 2.0])
         assert curve.min_x_reaching(1.0) == pytest.approx(1.0)
 
-    def test_from_mapping_sorts(self):
-        curve = PiecewiseLinearCurve.from_mapping({8: 3.0, 2: 1.0})
-        assert curve.x_min == 2.0 and curve.x_max == 8.0
-
     def test_as_lists_roundtrip(self, curve):
         xs, ys = curve.as_lists()
         again = PiecewiseLinearCurve.from_samples(xs, ys)
@@ -100,25 +91,3 @@ class TestPiecewiseLinearCurve:
         curve = PiecewiseLinearCurve(((5.0, 3.0),))
         assert curve(0.0) == curve(100.0) == 3.0
 
-
-class TestHelpers:
-    def test_saturating_speedup_limits(self):
-        assert saturating_speedup(0.0, 1.0, 2.0) == pytest.approx(1.0)
-        assert saturating_speedup(1e9, 1.0, 2.0) == pytest.approx(2.0)
-
-    def test_saturating_speedup_validation(self):
-        with pytest.raises(HardwareModelError):
-            saturating_speedup(-1.0, 1.0, 2.0)
-        with pytest.raises(HardwareModelError):
-            saturating_speedup(1.0, 0.0, 2.0)
-        with pytest.raises(HardwareModelError):
-            saturating_speedup(1.0, 1.0, 0.5)
-
-    def test_geometric_scales(self):
-        assert geometric_scales(8) == [1, 2, 4, 8]
-        assert geometric_scales(7) == [1, 2, 4]
-        assert geometric_scales(1) == [1]
-
-    def test_geometric_scales_validation(self):
-        with pytest.raises(HardwareModelError):
-            geometric_scales(0)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps.catalog import get_program
 from repro.errors import SchedulingError
+from repro.hardware.cache import CacheModel
 from repro.hardware.node_spec import NodeSpec
 from repro.profiling.profiler import profile_program
 from repro.scheduling.demand import ResourceDemand, estimate_demand
@@ -54,7 +55,8 @@ class TestWayEstimation:
         assert d.ways == 2
 
     def test_min_ways_respected(self, ep_profile):
-        d = estimate_demand(ep_profile.get(1), 16, 0.9, SPEC, min_ways=4)
+        spec = NodeSpec(cache=CacheModel(min_ways=4))
+        d = estimate_demand(ep_profile.get(1), 16, 0.9, spec)
         assert d.ways >= 4
 
 

@@ -55,8 +55,6 @@ class TestFabricSpec:
         # one node-link saturates it exactly.
         assert fabric.tor_utilization(1.0, 4) == 1.0
         assert fabric.spine_utilization(16.0, 64) == 1.0
-        assert fabric.tor_uplink_bw(4) == fabric.link_bw
-        assert fabric.bisection_bw(64) == 16 * fabric.link_bw
 
     def test_routes(self):
         fabric = FabricSpec(rack_size=2, oversubscription=2.0)

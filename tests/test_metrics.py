@@ -8,7 +8,8 @@ from repro.errors import ReproError
 from repro.hardware.topology import ClusterSpec
 from repro.metrics.balance import bandwidth_histogram, episode_variance
 from repro.metrics.means import arithmetic_mean, geometric_mean
-from repro.metrics.throughput import relative_throughput, scaling_ratio_from_model
+from repro.metrics.throughput import relative_throughput, scaling_ratio
+from repro.profiling.database import ProfileDatabase
 from repro.metrics.times import breakdown, normalized_runtimes, runtime_stats
 from repro.scheduling.ce import CompactExclusiveScheduler
 from repro.scheduling.cs import CompactShareScheduler
@@ -85,17 +86,10 @@ class TestThroughput:
         cs = run_jobs(fresh(), nodes=1, policy_cls=CompactShareScheduler)
         assert relative_throughput(cs, ce) > 1.2
 
-    def test_scaling_ratio_from_model_extremes(self):
-        spec = ClusterSpec(num_nodes=8).node
-        scaling = [Job(job_id=0, program=get_program("BW"), procs=28)]
-        neutral = [Job(job_id=0, program=get_program("HC"), procs=28)]
-        assert scaling_ratio_from_model(scaling, spec) == 1.0
-        assert scaling_ratio_from_model(neutral, spec) == 0.0
-
     def test_scaling_ratio_empty_rejected(self):
         spec = ClusterSpec(num_nodes=8).node
         with pytest.raises(ReproError):
-            scaling_ratio_from_model([], spec)
+            scaling_ratio([], ProfileDatabase(), spec)
 
 
 class TestBalance:

@@ -6,53 +6,6 @@ from repro.errors import HardwareModelError
 from repro.hardware.network import NetworkModel
 
 
-@pytest.fixture(scope="module")
-def net() -> NetworkModel:
-    return NetworkModel()
-
-
-class TestTransferTime:
-    def test_pure_bandwidth_term(self, net):
-        t = net.transfer_time(6.8, n_messages=1)
-        assert t == pytest.approx(1.0, rel=1e-5)
-
-    def test_latency_term_additive(self, net):
-        base = net.transfer_time(1.0, n_messages=1)
-        with_msgs = net.transfer_time(1.0, n_messages=1001)
-        assert with_msgs - base == pytest.approx(1000 * 1.5e-6)
-
-    def test_zero_volume_only_latency(self, net):
-        assert net.transfer_time(0.0, 1) == pytest.approx(1.5e-6)
-
-    def test_zero_volume_zero_messages_is_free(self, net):
-        assert net.transfer_time(0.0, n_messages=0) == 0.0
-
-    def test_volume_without_messages_rejected(self, net):
-        # n_messages=0 with a nonzero volume would silently drop the
-        # latency term; the model rejects it instead.
-        with pytest.raises(HardwareModelError):
-            net.transfer_time(1.0, n_messages=0)
-
-    def test_negative_volume_rejected(self, net):
-        with pytest.raises(HardwareModelError):
-            net.transfer_time(-1.0)
-
-    def test_negative_messages_rejected(self, net):
-        with pytest.raises(HardwareModelError):
-            net.transfer_time(1.0, n_messages=-1)
-
-
-class TestRatios:
-    def test_network_memory_gap(self, net):
-        # Paper Section 2: 6.8 GB/s network vs ~118 GB/s memory.
-        ratio = net.relative_to_memory(118.26)
-        assert ratio == pytest.approx(0.0575, rel=0.01)
-
-    def test_invalid_peak_rejected(self, net):
-        with pytest.raises(HardwareModelError):
-            net.relative_to_memory(0.0)
-
-
 class TestValidation:
     def test_rejects_nonpositive_bandwidth(self):
         with pytest.raises(HardwareModelError):

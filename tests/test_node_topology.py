@@ -3,17 +3,13 @@
 import pytest
 
 from repro.errors import ConfigError, HardwareModelError
-from repro.hardware.node_spec import NodeSpec, reference_node
-from repro.hardware.topology import (
-    ClusterSpec,
-    simulated_cluster,
-    testbed_cluster as make_testbed,
-)
+from repro.hardware.node_spec import NodeSpec
+from repro.hardware.topology import ClusterSpec, testbed_cluster as make_testbed
 
 
 class TestNodeSpec:
     def test_reference_node(self):
-        node = reference_node()
+        node = NodeSpec()
         assert node.cores == 28
         assert node.llc_ways == 20
         assert node.llc_mb == pytest.approx(70.0)
@@ -23,11 +19,11 @@ class TestNodeSpec:
         (1, 1), (28, 1), (29, 2), (56, 2), (57, 3), (16, 1), (32, 2),
     ])
     def test_min_nodes_for(self, procs, expected):
-        assert reference_node().min_nodes_for(procs) == expected
+        assert NodeSpec().min_nodes_for(procs) == expected
 
     def test_min_nodes_rejects_nonpositive(self):
         with pytest.raises(HardwareModelError):
-            reference_node().min_nodes_for(0)
+            NodeSpec().min_nodes_for(0)
 
     def test_rejects_zero_cores(self):
         with pytest.raises(HardwareModelError):
@@ -43,16 +39,7 @@ class TestClusterSpec:
 
     def test_simulated_cluster_sizes(self):
         for n in (4096, 8192, 32768):
-            assert simulated_cluster(n).num_nodes == n
-
-    @pytest.mark.parametrize("procs,expected", [
-        (16, 8),   # base 1 node -> up to 8x
-        (28, 8),
-        (56, 4),   # base 2 nodes -> up to 4x
-        (224, 1),  # base 8 nodes -> only 1x fits
-    ])
-    def test_max_scale_factor(self, procs, expected):
-        assert make_testbed().max_scale_factor(procs) == expected
+            assert ClusterSpec(num_nodes=n).num_nodes == n
 
     def test_rejects_empty_cluster(self):
         with pytest.raises(ConfigError):

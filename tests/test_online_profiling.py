@@ -102,7 +102,7 @@ class TestOnlineScheduler:
         jobs = [Job(job_id=i, program=get_program("CG"), procs=16,
                     submit_time=i * 1000.0) for i in range(3)]
         Simulation(cluster, policy, jobs, SimConfig()).run()
-        assert policy.store.known_scales(get_program("CG"), 16) == [1, 2, 4]
+        assert sorted(policy.store.profile(get_program("CG"), 16).scales) == [1, 2, 4]
 
 
 class TestConvergence:

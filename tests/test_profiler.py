@@ -76,11 +76,6 @@ class TestProgramProfile:
         return profile_program(get_program("CG"), 16, SPEC, 8,
                                max_degradation=float("inf"))
 
-    def test_scales_by_performance_ascending_time(self, profile):
-        order = profile.scales_by_performance()
-        times = [profile.get(k).time_s for k in order]
-        assert times == sorted(times)
-
     def test_preferred_order_scaling_program(self, profile):
         order = profile.preferred_scale_order()
         assert order[0] == profile.ideal_scale == 2

@@ -1,5 +1,7 @@
 """ProgramSpec micro-model and CommModel."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.apps.curves import WorkingSetMissCurve
@@ -136,7 +138,7 @@ class TestMicroModel:
 
     def test_with_overrides_keeps_frozen_original(self):
         p = make_program()
-        q = p.with_overrides(cpi_base=0.9)
+        q = replace(p, cpi_base=0.9)
         assert p.cpi_base == 0.5 and q.cpi_base == 0.9
 
     @pytest.mark.parametrize("kwargs", [

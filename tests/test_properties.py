@@ -104,7 +104,7 @@ class TestPiecewiseLinearProperties:
     @given(curve=plc_curves(), target=st.floats(min_value=-100, max_value=100))
     def test_min_x_reaching_is_within_domain(self, curve, target):
         x = curve.min_x_reaching(target)
-        assert curve.x_min <= x <= curve.x_max
+        assert curve.points[0][0] <= x <= curve.points[-1][0]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from repro.config import RetryPolicy
 from repro.errors import SimulationError
 from repro.faults.plan import FaultPlan
 from repro.hardware.fabric import FabricSpec
-from repro.hardware.node_spec import reference_node
+from repro.hardware.node_spec import NodeSpec
 from repro.hardware.topology import ClusterSpec
 from repro.perfmodel.execution import (
     NodeConditions,
@@ -41,7 +41,7 @@ from repro.workloads.sequences import random_sequence
 from tests.against_oracle import assert_matches_oracle, fast_core
 from tests.oracle import bookings_from_meta, node_view
 
-SPEC = reference_node()
+SPEC = NodeSpec()
 
 #: Loads with the ties the expressions must break like the scalar code:
 #: exactly 1.0 (no stretch), 0.0 (flat route) and equal node/route loads.

@@ -96,8 +96,9 @@ class TestMetrics:
 # -- time-series collector (DESIGN.md §10) ---------------------------------
 
 class TestTimeSeries:
-    """The stride-doubling downsampler's preservation law: within every
-    retained bucket the element-wise min / max / last are exact."""
+    """The stride-doubling downsampler's preservation law: the retained
+    buckets tile the accepted samples, and every bucket holds the exact
+    channel totals of its last sample."""
 
     def _collect(self, n_samples, num_nodes=3, capacity=8, seed=11):
         from repro.obs import CHANNELS, TimeSeries
@@ -116,38 +117,34 @@ class TestTimeSeries:
         return series, retained
 
     @pytest.mark.parametrize("n_samples", [1, 7, 64, 500])
-    def test_min_max_last_preserved_at_every_sample(self, n_samples):
+    def test_buckets_tile_samples_and_keep_last_totals(self, n_samples):
         from repro.obs import CHANNELS
 
         series, retained = self._collect(n_samples)
-        counts = series.sample_counts
-        assert counts.sum() == len(retained)
-        spans = series.spans
         i = 0
-        for b, count in enumerate(counts):
-            chunk = retained[i:i + int(count)]
-            i += int(count)
-            assert spans[b][0] == chunk[0][0]   # bucket spans its samples
-            assert spans[b][1] == chunk[-1][0]
-            stack = np.stack([g for _, g in chunk])
-            reference = {
-                "min": stack.min(axis=0),
-                "max": stack.max(axis=0),
-                "last": chunk[-1][1],
-            }
-            for stat, expected in reference.items():
-                for c, channel in enumerate(CHANNELS):
-                    for node in range(series.num_nodes):
-                        got = series.node_series(channel, node, stat)[b]
-                        assert got == expected[c, node], \
-                            (stat, channel, node, b)
+        for b, (t0, t1) in enumerate(series.spans):
+            chunk = []
+            while i < len(retained) and retained[i][0] <= t1:
+                chunk.append(retained[i])
+                i += 1
+            assert chunk, b                   # no empty bucket
+            assert t0 == chunk[0][0]          # bucket spans its samples
+            assert t1 == chunk[-1][0]
+            last = chunk[-1][1]
+            for c, channel in enumerate(CHANNELS):
+                got = series.cluster_series(channel)[b]
+                assert got == float(last[c].sum()), (channel, b)
+        assert i == len(retained)             # every sample is covered
 
     def test_memory_stays_bounded(self):
         series, retained = self._collect(2000, capacity=8)
         assert len(series) < 8
         assert series.stride > 1  # compaction actually happened
         # Every tick was either retained or skipped by the stride.
-        assert series.sample_counts.sum() == len(retained) < 2000
+        times = np.array([t for t, _ in retained])
+        covered = sum(int(((times >= t0) & (times <= t1)).sum())
+                      for t0, t1 in series.spans)
+        assert covered == len(retained) < 2000
 
     def test_finalize_forces_terminal_sample(self):
         from repro.obs import CHANNELS, TimeSeries
@@ -160,10 +157,10 @@ class TestTimeSeries:
             series.due()  # skipped ticks
         series.finalize(99.0, gauges * 3)
         assert series.times[-1] == 99.0
-        assert series.node_series("free_cores", 0, "last")[-1] == 3.0
+        assert series.cluster_series("free_cores")[-1] == 6.0
         # idempotent at the same timestamp
         series.finalize(99.0, gauges * 9)
-        assert series.node_series("free_cores", 0, "last")[-1] == 3.0
+        assert series.cluster_series("free_cores")[-1] == 6.0
 
     def test_validation(self):
         from repro.obs import CHANNELS, TimeSeries
@@ -181,11 +178,7 @@ class TestTimeSeries:
         with pytest.raises(SimulationError):
             series.add(0.5, np.zeros((len(CHANNELS), 2)))  # backwards
         with pytest.raises(SimulationError):
-            series.node_series("watts", 0)
-        with pytest.raises(SimulationError):
-            series.node_series("free_cores", 9)
-        with pytest.raises(SimulationError):
-            series.node_series("free_cores", 0, stat="median")
+            series.cluster_series("watts")
 
 
 class TestTimeSeriesFromTrace:
@@ -239,15 +232,14 @@ class TestTimeSeriesFromTrace:
                     bw[nid] += placement.booked_bw
                     ways[nid] += placement.dedicated_ways
                     residents[nid] += 1
-            for node in range(4):
-                assert series.node_series("free_cores", node)[b] \
-                    == pytest.approx(free[node])
-                assert series.node_series("booked_bw", node)[b] \
-                    == pytest.approx(bw[node])
-                assert series.node_series("alloc_ways", node)[b] \
-                    == pytest.approx(ways[node])
-                assert series.node_series("residents", node)[b] \
-                    == pytest.approx(residents[node])
+            assert series.cluster_series("free_cores")[b] \
+                == pytest.approx(free.sum())
+            assert series.cluster_series("booked_bw")[b] \
+                == pytest.approx(bw.sum())
+            assert series.cluster_series("alloc_ways")[b] \
+                == pytest.approx(ways.sum())
+            assert series.cluster_series("residents")[b] \
+                == pytest.approx(residents.sum())
 
     def test_final_sample_matches_live_gauges(self):
         """After the run drains, the replayed terminal sample equals
@@ -266,12 +258,11 @@ class TestTimeSeriesFromTrace:
         series = result.trace.timeseries
         live = sim.cluster.gauge_columns()
         final = np.array([
-            series.node_series(channel, node)[-1]
+            series.cluster_series(channel)[-1]
             for channel in ("free_cores", "booked_bw", "alloc_ways",
                             "residents")
-            for node in range(4)
-        ]).reshape(4, 4)
-        assert np.allclose(final, live)
+        ])
+        assert np.allclose(final, live.sum(axis=1))
 
     def test_rejects_stream_without_meta(self):
         from repro.obs import timeseries_from_trace

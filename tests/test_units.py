@@ -30,9 +30,6 @@ class TestConstants:
 
 
 class TestConversions:
-    def test_gb_per_s_roundtrip(self):
-        assert units.gb_per_s(units.bytes_per_s(42.0)) == pytest.approx(42.0)
-
     def test_node_seconds(self):
         assert units.node_seconds(3, 100.0) == 300.0
 
@@ -44,9 +41,6 @@ class TestConversions:
             units.node_seconds(-1, 100.0)
         with pytest.raises(ValueError):
             units.node_seconds(1, -100.0)
-
-    def test_node_hours(self):
-        assert units.node_hours(2, 3600.0) == pytest.approx(2.0)
 
 
 class TestErrorHierarchy:
