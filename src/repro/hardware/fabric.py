@@ -1,7 +1,7 @@
 """Leaf-spine fabric model (ROADMAP item 3, psim direction).
 
 The paper's interconnect is a flat full-bisection abstraction: every
-node owns ``link_bw`` of injection bandwidth and spreading is free on
+node owns one node-link of injection bandwidth and spreading is free on
 the network.  Real fat-tree clusters violate exactly that assumption —
 rack ToR uplinks and the spine are *oversubscribed*, so a job spread
 across racks contends for shared links that a compact placement never
@@ -11,16 +11,16 @@ touches.
 
 * nodes are packed into racks of ``rack_size`` in node-id order
   (node ``n`` lives in rack ``n // rack_size``);
-* each rack's ToR uplink carries ``rack_nodes * link_bw /
-  oversubscription`` toward the spine;
-* the spine's bisection carries ``num_nodes * link_bw /
-  oversubscription``.
+* each rack's ToR uplink carries ``rack_nodes / oversubscription``
+  node-links toward the spine;
+* the spine's bisection carries ``num_nodes / oversubscription``
+  node-links.
 
 Routes are deterministic: traffic between two nodes in the same rack
 crosses only the ToR; traffic between racks crosses source ToR →
 spine → destination ToR.  Link *loads* are accounted in node-link
-units (fractions of one node's ``link_bw``, the same unit as the
-per-node ``net`` bookings), so a rack whose members inject a combined
+units (fractions of one node's injection bandwidth, the same unit as
+the per-node ``net`` bookings), so a rack whose members inject a combined
 load ``L`` puts utilization ``L * oversubscription / rack_nodes`` on
 its uplink.
 
@@ -38,9 +38,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro import units
 from repro.errors import HardwareModelError
-from repro.hardware.network import validate_link
 
 
 @dataclass(frozen=True)
@@ -56,17 +54,10 @@ class FabricSpec:
         Ratio of a rack's aggregate injection bandwidth to its ToR
         uplink (and of the cluster's aggregate to the spine bisection).
         ``1.0`` is full bisection — the degenerate flat fabric.
-    link_bw:
-        Per-node injection bandwidth in GB/s (same meaning as
-        :class:`~repro.hardware.network.NetworkModel.link_bw`).
-    latency_us:
-        Base one-way message latency in microseconds.
     """
 
     rack_size: int = 32
     oversubscription: float = 1.0
-    link_bw: float = units.REF_NETWORK_BW
-    latency_us: float = 1.5
 
     def __post_init__(self) -> None:
         if self.rack_size < 1:
@@ -75,7 +66,6 @@ class FabricSpec:
             raise HardwareModelError(
                 "oversubscription must be >= 1.0 (1.0 is full bisection)"
             )
-        validate_link(self.link_bw, self.latency_us)
 
     # ------------------------------------------------------------------
     # Degenerate-case detection

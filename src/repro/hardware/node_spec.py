@@ -1,7 +1,7 @@
 """Static description of one compute node (the paper's testbed node).
 
-A :class:`NodeSpec` bundles the core count with the bandwidth, cache, and
-network models.  It is immutable; mutable runtime state (free cores, way
+A :class:`NodeSpec` bundles the core count with the bandwidth and cache
+models.  It is immutable; mutable runtime state (free cores, way
 ledger, resident jobs) lives in the cluster's mix table
 (:class:`repro.sim.node.MixTable`): each node is one mix id.
 """
@@ -14,7 +14,6 @@ from repro import units
 from repro.errors import HardwareModelError
 from repro.hardware.cache import CacheModel
 from repro.hardware.membw import BandwidthModel
-from repro.hardware.network import NetworkModel
 
 
 @dataclass(frozen=True)
@@ -24,7 +23,6 @@ class NodeSpec:
     cores: int = units.REF_CORES_PER_NODE
     bandwidth: BandwidthModel = field(default_factory=BandwidthModel)
     cache: CacheModel = field(default_factory=CacheModel)
-    network: NetworkModel = field(default_factory=NetworkModel)
 
     def __post_init__(self) -> None:
         if self.cores <= 0:

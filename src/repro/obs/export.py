@@ -76,8 +76,10 @@ def chrome_trace(
     """
     records: List[dict] = []
     meta: Optional[dict] = None
-    # Open runs: job id -> (start record, start time).
+    # Open runs: job id -> start record.  Only ``submit`` records name
+    # the program.
     open_runs = {}
+    programs = {}
     last_t = 0.0
     for event in events:
         kind = event["ev"]
@@ -85,6 +87,8 @@ def chrome_trace(
         last_t = max(last_t, t)
         if kind == "meta":
             meta = event
+        elif kind == "submit":
+            programs[event["job"]] = event["program"]
         elif kind == "start":
             open_runs[event["job"]] = event
         elif kind in ("finish", "evict"):
@@ -92,7 +96,7 @@ def chrome_trace(
             if start is None:
                 continue
             records.append({
-                "name": f"job {event['job']} ({start.get('program', '')})",
+                "name": f"job {event['job']} ({programs[event['job']]})",
                 "ph": "X", "pid": 0, "tid": start["nodes"][0],
                 "ts": start["t"] * 1e6, "dur": (t - start["t"]) * 1e6,
                 "args": {
@@ -117,7 +121,7 @@ def chrome_trace(
     # completed simulation) get zero-length slices so nothing is lost.
     for job_id, start in sorted(open_runs.items()):
         records.append({
-            "name": f"job {job_id} ({start.get('program', '')})",
+            "name": f"job {job_id} ({programs[job_id]})",
             "ph": "X", "pid": 0, "tid": start["nodes"][0],
             "ts": start["t"] * 1e6, "dur": (last_t - start["t"]) * 1e6,
             "args": {"outcome": "open"},

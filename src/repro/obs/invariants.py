@@ -296,7 +296,7 @@ def _check_fabric(events: List[dict]) -> List[str]:
     pop = [int(p) for p in fabric.rack_population(num_nodes)]
     errors: List[str] = []
     # job -> (xfrac, n_nodes, [(rack, nodes-in-rack), ...]) for running
-    # cross-rack jobs, mirroring the runtime's _cross_jobs.
+    # cross-rack jobs, mirroring ClusterState.cross_jobs.
     cross: Dict[int, tuple] = {}
     for event in events:
         kind = event["ev"]

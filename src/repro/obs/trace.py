@@ -12,9 +12,11 @@ oracle (``tests/oracle``) — the golden-trace contract
 (``tests/test_trace_golden.py``) enforced in CI.
 
 Overhead contract: a simulation without a tracer pays exactly one
-``is None`` check per emission site (tools/bench_report.py gates the
-untraced smoke grid at ±5 % and the fully traced one at +10 % of
-untraced wall-clock).
+``is None`` check per emission site.  tools/bench_report.py warns when
+the untraced smoke grid runs slower than ``WALL_REGRESSION_LIMIT``
+(1.15x) of the committed entry, and its ``--trace-gate`` fails when the
+fully traced grid costs more than ``TRACE_OVERHEAD_LIMIT`` (1.10x) of
+the untraced wall clock.
 
 Trace levels
 ------------

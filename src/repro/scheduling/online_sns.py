@@ -14,7 +14,6 @@ default for an unknown program) without recording.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.config import SchedulerConfig
@@ -26,13 +25,6 @@ from repro.scheduling.sns import SpreadNShareScheduler
 from repro.sim.cluster import ClusterState
 from repro.sim.job import Job
 from repro.sim.runtime import Decision
-
-
-@dataclass(frozen=True)
-class _Trial:
-    program_name: str
-    procs: int
-    scale: int
 
 
 class OnlineSpreadNShareScheduler(SpreadNShareScheduler):
@@ -52,7 +44,8 @@ class OnlineSpreadNShareScheduler(SpreadNShareScheduler):
             max_cluster_nodes=cluster_spec.num_nodes,
             candidate_scales=config.candidate_scales,
         )
-        self._trials: Dict[int, _Trial] = {}
+        #: Scale factor of each running exploration trial, by job id.
+        self._trials: Dict[int, int] = {}
 
     # -- profile source ------------------------------------------------------
 
@@ -88,9 +81,7 @@ class OnlineSpreadNShareScheduler(SpreadNShareScheduler):
                                          meta={"trial": True})
         if decision is not None:
             self.store.begin_trial(job.program, job.procs, scale)
-            self._trials[job.job_id] = _Trial(
-                job.program.name, job.procs, scale
-            )
+            self._trials[job.job_id] = scale
         return decision
 
     # -- completion / eviction hooks -------------------------------------------
@@ -98,13 +89,13 @@ class OnlineSpreadNShareScheduler(SpreadNShareScheduler):
     def on_job_finish(self, job: Job, now: float) -> None:
         """Called by the runtime when a job completes; folds finished
         trial runs into the profile store."""
-        trial = self._trials.pop(job.job_id, None)
-        if trial is None:
+        scale = self._trials.pop(job.job_id, None)
+        if scale is None:
             return
         observed = job.run_time / job.work_multiplier
         try:
             self.store.record_trial(
-                job.program, job.procs, trial.scale, observed
+                job.program, job.procs, scale, observed
             )
         except ProfileError:
             self.store.abort_trial(job.program, job.procs)
@@ -114,6 +105,5 @@ class OnlineSpreadNShareScheduler(SpreadNShareScheduler):
         """A node failure killed this run: if it was an exploration
         trial, abort it so the ladder does not wait forever on a run
         that will never report."""
-        trial = self._trials.pop(job.job_id, None)
-        if trial is not None:
+        if self._trials.pop(job.job_id, None) is not None:
             self.store.abort_trial(job.program, job.procs)

@@ -23,13 +23,6 @@ import json
 import re
 from typing import Optional, Tuple
 
-#: Operations a master understands; protocol.py owns the vocabulary so
-#: client and server cannot drift apart.
-OPS = (
-    "submit", "stats", "job", "latencies", "pause", "resume",
-    "drain", "shutdown", "ping",
-)
-
 #: First-line sniff for the HTTP side of the shared port.
 HTTP_VERB = re.compile(rb"^(GET|POST|PUT|DELETE|HEAD) ")
 

@@ -127,19 +127,31 @@ class ClusterState:
             "find_fail_hits": 0,
             "batch_calls": 0,
             "batch_slices": 0,
+            # Physical link-load recomputations and per-job route-load
+            # evaluations (DESIGN.md §13; zero unless the fabric is
+            # active).
+            "fabric_link_refreshes": 0,
+            "fabric_route_evals": 0,
         }
         # Negative placement-search cache: demand tuples find_nodes
         # failed for at the given release epoch (see find_nodes —
         # placements only consume, so a failure holds until a removal).
         self.find_fail: Tuple[int, set] = (-1, set())
-        # Leaf-spine fabric (DESIGN.md §13).  ``_fabric`` is non-None
+        #: Physical link loads (DESIGN.md §13): running job -> (rack ids,
+        #: per-rack uplink loads, network fraction), in placement order,
+        #: for every placement that spans racks with a nonzero network
+        #: fraction, whatever it booked.  ``_links_dirty`` is set when
+        #: the set changes, until :meth:`link_loads` re-derives them.
+        self.cross_jobs: Dict[int, tuple] = {}
+        self._links_dirty = False
+        # Leaf-spine fabric (DESIGN.md §13).  ``fabric`` is non-None
         # only when the spec attaches a FabricSpec that can ever bind on
         # this cluster (oversubscribed AND multi-rack) — every fabric
         # code path below gates on it, which is what keeps flat fabrics
         # bit-identical to no fabric at all.
         fabric = self.spec.fabric
         if fabric is not None and fabric.active_for(n):
-            self._fabric = fabric
+            self.fabric = fabric
             self._rack_of = fabric.rack_map(n)
             self._num_racks = fabric.num_racks(n)
             self._rack_pop = fabric.rack_population(n)
@@ -153,7 +165,7 @@ class ClusterState:
             self.booked_tor = np.zeros(self._num_racks, dtype=np.float64)
             self.booked_spine = 0.0
         else:
-            self._fabric = None
+            self.fabric = None
             self._rack_of = None
             self._num_racks = 0
             self._rack_pop = None
@@ -417,8 +429,8 @@ class ClusterState:
         )
         ids, corunners = mixes.add(arr, job_id, groups)
         self.counters["mix_transitions"] += len(ids)
-        if net != 0.0 and self._fabric is not None:
-            self._book_cross(arr, job_id, net, count)
+        if count > 1 and self.fabric is not None:
+            self._place_cross(arr, job_id, program, net, count)
         if corunners:
             self._corunners |= corunners
         self._move(arr, src, [f - p for f, p in zip(src, groups[1])],
@@ -465,6 +477,8 @@ class ClusterState:
         count = len(arr)
         if entry[2] <= count:
             del mixes.meta[job_id]
+            if self.cross_jobs.pop(job_id, None) is not None:
+                self._links_dirty = True
         else:
             mixes.meta[job_id] = entry[:2] + (entry[2] - count,) + entry[3:]
         shares = self._cross.get(job_id)
@@ -477,12 +491,16 @@ class ClusterState:
 
     # -- fabric link accounting (DESIGN.md §13) ---------------------------------
 
-    def _book_cross(self, arr: np.ndarray, job_id: int, net: float,
-                    count: int) -> None:
-        """Install the cross-rack share of one placement's ``net``
-        booking: per node in the job's ``_cross`` entry and added to
-        ``booked_cross``, then re-derive the link aggregates.
-        Called only with an active fabric and ``net != 0``.
+    def _place_cross(self, arr: np.ndarray, job_id: int, program,
+                     net: float, count: int) -> None:
+        """Register a placement that spans racks, on both views of the
+        links.  Physically, a nonzero network fraction puts the job in
+        :attr:`cross_jobs` with its rack ids and per-rack uplink loads
+        (:meth:`FabricSpec.uplink_loads`).  Booked, a nonzero ``net``
+        installs the cross-rack share of the booking: per node in the
+        job's ``_cross`` entry and added to ``booked_cross``, then the
+        link aggregates are re-derived.  Called only with an active
+        fabric and ``count > 1``.
 
         A job spread over ``count`` nodes keeps traffic to rack-mates
         in-rack: a node sharing its rack with ``same`` of the job's
@@ -493,12 +511,22 @@ class ClusterState:
         at all — compact placements are free on the fabric, which is
         exactly the asymmetry the locality-aware spreading exploits.
         """
-        if count <= 1:
-            return
         racks = self._rack_of[arr]
-        uniq, inv, cnt = np.unique(racks, return_inverse=True,
-                                   return_counts=True)
+        # Only booking needs np.unique's inverse; computing it for every
+        # multi-rack placement shows in replay time.
+        if net != 0.0:
+            uniq, inv, cnt = np.unique(racks, return_inverse=True,
+                                       return_counts=True)
+        else:
+            uniq, cnt = np.unique(racks, return_counts=True)
         if uniq.size == 1:
+            return
+        frac = program.comm.network_fraction(count)
+        if frac != 0.0:
+            self.cross_jobs[job_id] = (
+                uniq, self.fabric.uplink_loads(frac, count, cnt), frac)
+            self._links_dirty = True
+        if net == 0.0:
             return
         cross = net * (count - cnt[inv]) / (count - 1)
         self._cross.setdefault(job_id, {}).update(
@@ -543,7 +571,7 @@ class ClusterState:
         whose members' cross bookings did not change keep their stored
         sums (those are unchanged by construction)."""
         tor = self.booked_tor
-        rack_size = self._fabric.rack_size
+        rack_size = self.fabric.rack_size
         n = self.spec.num_nodes
         booked = self.booked_cross
         for r in racks.tolist():
@@ -552,6 +580,32 @@ class ClusterState:
         # 0.0 + x is a bitwise no-op for the non-negative per-rack sums,
         # so Python's sum() IS the left-to-right rack-order total.
         self.booked_spine = sum(tor.tolist())
+
+    def link_loads(self):
+        """``None`` unless :attr:`cross_jobs` changed since the last
+        call; then the physical loads re-derived from it as ``(job ids,
+        per-rack ToR utilization, spine utilization, per-job route
+        load)``, the job ids sorted.
+
+        Deterministic by construction: jobs accumulate in sorted-id
+        order (:meth:`FabricSpec.link_utilization` keeps the scalar
+        left-to-right sums), so the invariant checker's replay
+        (:func:`repro.obs.invariants.check_trace`) reproduces every
+        float exactly from the trace's ``start`` records."""
+        if not self._links_dirty:
+            return None
+        self._links_dirty = False
+        cross = self.cross_jobs
+        jids = sorted(cross)
+        entries = [cross[jid] for jid in jids]
+        tor_util, spine_util, route = self.fabric.link_utilization(
+            self.spec.num_nodes,
+            [e[0] for e in entries], [e[1] for e in entries],
+        )
+        counters = self.counters
+        counters["fabric_link_refreshes"] += 1
+        counters["fabric_route_evals"] += len(jids)
+        return jids, tor_util, spine_util, route
 
     # -- availability (fault injection, DESIGN.md §8) ---------------------------
 
@@ -633,7 +687,7 @@ class ClusterState:
         conservative feasibility mask.  ``idle_skips_tor`` exempts fully
         idle nodes, which find_nodes admits by the empty mix's entry of
         :meth:`MixTable.fits` alone (DESIGN.md §11)."""
-        cap = self._rack_pop / self._fabric.oversubscription
+        cap = self._rack_pop / self.fabric.oversubscription
         tor = (self.booked_tor + net <= cap + 1e-9)[self._rack_of[sub]]
         if idle_skips_tor:
             tor |= self.mixes.mix[sub] == 0
@@ -660,7 +714,7 @@ class ClusterState:
             return 0
         mixes = self.mixes
         ok = mixes.fits(cores, ways, bw, net)
-        if net > 0.0 and self._fabric is not None:
+        if net > 0.0 and self.fabric is not None:
             ok = ok[mixes.mix] & self._tor_mask(slice(None), net,
                                                 idle_skips_tor=True)
             if self._down:
@@ -691,7 +745,7 @@ class ClusterState:
             self.counters["nodes_scanned"] += int(hits.size)
             return hits
         fits = self.mixes.fits(cores if check_cores else None, ways, bw, net)
-        tor = net > 0.0 and self._fabric is not None
+        tor = net > 0.0 and self.fabric is not None
         mix = self.mixes.mix
         # Chunked scan with early stop: callers only consume the first
         # ``limit`` qualifiers (in id-array order, which chunking
@@ -735,7 +789,7 @@ class ClusterState:
         mixes = self.mixes
         arr = _id_array(ids)
         metric = mixes.occupancy(beta)[mixes.mix[arr]]
-        if rack_aware and self._fabric is not None:
+        if rack_aware and self.fabric is not None:
             racks = self._rack_of[arr]
             pop = np.bincount(racks, minlength=self._num_racks)[racks]
             full = pop >= n
@@ -959,7 +1013,7 @@ class ClusterState:
                         f"mix {m}: {name} {got!r} != {value!r} recomputed")
         if len(mixes.ids) + len(free) != len(keys):
             raise SimulationError("mix table index out of sync")
-        if self._cross and self._fabric is None:
+        if self._cross and self.fabric is None:
             raise SimulationError("cross shares without an active fabric")
         for jid, shares in self._cross.items():
             for nid in shares:
@@ -967,10 +1021,10 @@ class ClusterState:
                     raise SimulationError(
                         f"job {jid}: cross share on node {nid}, which it "
                         f"does not occupy")
-        if self._fabric is not None:
+        if self.fabric is not None:
             num_nodes = self.spec.num_nodes
             for r in range(self._num_racks):
-                lo, hi = self._fabric.rack_span(r, num_nodes)
+                lo, hi = self.fabric.rack_span(r, num_nodes)
                 expect = sum(self.booked_cross[lo:hi].tolist())
                 if float(self.booked_tor[r]) != expect:
                     raise SimulationError(

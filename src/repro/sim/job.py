@@ -113,8 +113,6 @@ class Job:
     retries: int = field(default=0, init=False)
     #: Wall node-seconds consumed by evicted attempts (badput).
     lost_node_seconds: float = field(default=0.0, init=False)
-    #: Reference-seconds of work completed by evicted attempts.
-    lost_work: float = field(default=0.0, init=False)
 
     def __post_init__(self) -> None:
         if self.procs <= 0:
@@ -174,14 +172,13 @@ class Job:
 
     def evict(self, now: float) -> None:
         """A node failure killed this run: charge the attempt's consumed
-        node-seconds and completed work to the loss counters and return
+        node-seconds to ``lost_node_seconds`` and return
         the job to ``PENDING`` so it can be resubmitted from scratch
         (batch jobs restart; there is no checkpointing in the model)."""
         if self.state is not JobState.RUNNING:
             raise SimulationError(f"job {self.job_id} is not running")
         assert self.placement is not None and self.start_time is not None
         self.lost_node_seconds += (now - self.start_time) * self.placement.n_nodes
-        self.lost_work += self.total_work - self.remaining_work
         self.retries += 1
         self.state = JobState.PENDING
         self.start_time = None

@@ -1,11 +1,12 @@
-"""Runtime state of one compute node.
+"""The node pool's mix table: the runtime state of every compute node.
 
-Tracks free cores, CAT way allocations, booked bandwidth, and the set of
-resident job slices.  A node can run in *partitioned* mode (SNS: each job
-has dedicated ways; residual ways shared equally) or *unpartitioned* mode
-(CE/CS: no CAT actuation — the LLC is a free-for-all and capacity divides
-in proportion to each job's process count, which models the steady state
-of an unmanaged shared cache under equal per-core pressure).
+Per resident mix it tracks free cores, CAT way allocations, booked
+bandwidth, and the resident job slices.  A node can run in *partitioned*
+mode (SNS: each job has dedicated ways; residual ways shared equally) or
+*unpartitioned* mode (CE/CS: no CAT actuation — the LLC is a
+free-for-all and capacity divides in proportion to each job's process
+count, which models the steady state of an unmanaged shared cache under
+equal per-core pressure).
 
 A node's state is its resident mix id.  :class:`MixTable` interns each
 node's ordered ``(job_id, procs)`` resident key, and each job books the

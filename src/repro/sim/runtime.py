@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Sequence, Set
 
-import numpy as np
-
 from repro.config import RetryPolicy, SchedulerConfig, SimConfig
 from repro.errors import SimulationError
 from repro.faults.plan import FaultPlan
@@ -273,30 +271,6 @@ class SchedulerCore:
             tracer = Tracer.from_config(config.trace)
         self.tracer = tracer
         self._spec = cluster_spec.node
-        # Physical leaf-spine link loads (DESIGN.md §13).  The cluster's
-        # *booked* link shares answer scheduling feasibility; the perf
-        # charge here is physical: every running cross-rack job loads
-        # the ToR uplinks and the spine in proportion to its
-        # communication fraction, whatever the policy placed it (CE/CS
-        # book no network yet still congest the fabric).  ``_cross_jobs``
-        # maps job_id -> (rack ids, per-rack uplink loads) arrays for
-        # running jobs that span racks; the derived utilization of the
-        # most loaded link on each such job's route is its table row's
-        # ROUTE, rewritten by _recompute_fabric_loads whenever the cross
-        # set changes.  On a flat fabric ``_fabric`` is None and the
-        # dict stays empty, so every fabric branch below degenerates to
-        # one cheap check and the run is bit-identical to pre-fabric
-        # behavior.
-        n = cluster_spec.num_nodes
-        fabric = cluster_spec.fabric
-        if fabric is not None and fabric.active_for(n):
-            self._fabric = fabric
-            self._f_rack_of = fabric.rack_map(n)
-        else:
-            self._fabric = None
-            self._f_rack_of = None
-        self._cross_jobs: Dict[int, tuple] = {}
-        self._fabric_dirty = False
         # Incremental liveness state: counting running jobs here keeps
         # _check_liveness O(1) instead of an O(total-jobs) scan at every
         # scheduling point of a 7K-job trace replay.
@@ -314,12 +288,8 @@ class SchedulerCore:
             "job_retries": 0,
             "jobs_failed": 0,
             "profile_outages": 0,
-            # Batched finish-time updates of the refresh, and fabric
-            # link-state recomputations / per-job route-load evaluations
-            # (DESIGN.md §13; zero unless the fabric is active).
+            # Batched finish-time updates of the refresh.
             "vec_finish_updates": 0,
-            "fabric_link_refreshes": 0,
-            "fabric_route_evals": 0,
         }
         # Count of terminal jobs (finished + failed): with a fault plan
         # the event queue can outlive the workload (recoveries scheduled
@@ -418,7 +388,7 @@ class SchedulerCore:
             for nid in self.telemetry.changed(mixes.mix, mixes.keys):
                 self.telemetry.record(nid, 0.0, 0.0)
         if self.tracer is not None:
-            fabric = self._fabric
+            fabric = self.cluster.fabric
             self.tracer.meta(
                 policy=type(self.policy).__name__,
                 partitioned=self.policy.partitioned,
@@ -603,8 +573,6 @@ class SchedulerCore:
         self.events.retire(job.job_id)
         if self.tracer is not None:
             self.tracer.finish(now, job, placement.n_nodes)
-        if self._fabric is not None:
-            self._fabric_note_end(job.job_id)
         self._running -= 1
         self._terminal += 1
         self._turnaround_sum += job.turnaround_time
@@ -645,8 +613,6 @@ class SchedulerCore:
         self._table.release(job)
         job.settle_progress(now)
         job.evict(now)
-        if self._fabric is not None:
-            self._fabric_note_end(job.job_id)
         self._running -= 1
         self._counters["job_evictions"] += 1
         self.policy.on_job_evict(job, now)
@@ -682,63 +648,6 @@ class SchedulerCore:
         if not up:
             self._counters["profile_outages"] += 1
         self.policy.set_profile_store_available(up)
-
-    # ------------------------------------------------------ fabric tracking
-
-    def _fabric_note_start(self, job: Job,
-                           placement: Placement) -> Optional[float]:
-        """Register a just-started job with the physical fabric tracker.
-
-        Returns the job's per-node cross-fabric network fraction (the
-        tracer's ``xfrac``), or ``None`` when the placement stays inside
-        one rack or the program never communicates — such jobs put no
-        traffic on the ToR uplinks or the spine.  Only called when the
-        fabric is active."""
-        count = placement.n_nodes
-        if count <= 1:
-            return None
-        uniq, cnt = np.unique(self._f_rack_of[placement.nodes],
-                              return_counts=True)
-        if uniq.size == 1:
-            return None
-        frac = job.program.comm.network_fraction(count)
-        if frac == 0.0:
-            return None
-        self._cross_jobs[job.job_id] = (
-            uniq, self._fabric.uplink_loads(frac, count, cnt)
-        )
-        self._fabric_dirty = True
-        return frac
-
-    def _fabric_note_end(self, job_id: int) -> None:
-        """Deregister a finished/evicted job; no-op for jobs that never
-        crossed racks.  Only called when the fabric is active."""
-        if self._cross_jobs.pop(job_id, None) is not None:
-            self._fabric_dirty = True
-
-    def _recompute_fabric_loads(self, now: float) -> None:
-        """Rebuild the physical per-link loads and per-job route loads
-        from the cross-rack running set.
-
-        Deterministic by construction: jobs accumulate in sorted-id
-        order (:meth:`FabricSpec.link_utilization` keeps the scalar
-        left-to-right sums), so the invariant checker's replay
-        (:func:`repro.obs.invariants.check_trace`) reproduces every
-        float exactly from the trace's ``start`` records."""
-        cross = self._cross_jobs
-        jids = sorted(cross)
-        entries = [cross[jid] for jid in jids]
-        tor_util, spine_util, route = self._fabric.link_utilization(
-            self.cluster.spec.num_nodes,
-            [e[0] for e in entries], [e[1] for e in entries],
-        )
-        table = self._table
-        table.rows[[table.slot[jid] for jid in jids], ROUTE] = route
-        counters = self._counters
-        counters["fabric_link_refreshes"] += 1
-        counters["fabric_route_evals"] += len(jids)
-        if self.tracer is not None:
-            self.tracer.links(now, tor_util.tolist(), spine_util)
 
     def _scheduling_point(self, now: float, affected: Set[int]) -> None:
         if not self.pending:
@@ -785,9 +694,6 @@ class SchedulerCore:
             self._table.add(job.job_id, t_ref, job.total_work, now)
             self._running += 1
             affected.add(job.job_id)
-            xfrac = None
-            if self._fabric is not None:
-                xfrac = self._fabric_note_start(job, d.placement)
             if tracer is not None:
                 unstarted.discard(job.job_id)
                 partners = cluster.resident_jobs_on(
@@ -795,7 +701,9 @@ class SchedulerCore:
                 )
                 partners.discard(job.job_id)
                 partners -= unstarted
-                tracer.start(now, job, d, partners, xfrac=xfrac)
+                cross = cluster.cross_jobs.get(job.job_id)
+                tracer.start(now, job, d, partners,
+                             xfrac=None if cross is None else cross[2])
 
     def _check_liveness(self) -> None:
         if self.pending and self._running == 0 \
@@ -810,19 +718,27 @@ class SchedulerCore:
 
         ``job_ids`` holds the jobs started by this event and the running
         jobs sharing a touched node, so their table rows are stale and
-        are rebuilt first (:meth:`_rebuild_rows`).  When the cross-rack
-        set changed, every cross job joins the refresh (they all share
-        the spine), but only its route load moved: its row's time parts
-        stay, and no condition key is read for it.  One expression then
-        settles every row at its old speed and re-times it
-        (:meth:`RunningTable.retime`); finish pushes and speed records
-        follow the set's iteration order.
+        are rebuilt first (:meth:`_rebuild_rows`).  When the cluster's
+        cross-rack set changed (:meth:`ClusterState.link_loads`), each
+        cross job's row takes its new route load and every cross job
+        joins the refresh (they all share the spine), but only its
+        route load moved: its row's time parts stay, and no condition
+        key is read for it.  One expression then settles every row at
+        its old speed and re-times it (:meth:`RunningTable.retime`);
+        finish pushes and speed records follow the set's iteration
+        order.
         """
         stale = job_ids
-        if self._fabric is not None and self._fabric_dirty:
-            self._fabric_dirty = False
-            self._recompute_fabric_loads(now)
-            job_ids = job_ids | self._cross_jobs.keys()
+        links = self.cluster.link_loads()
+        if links is not None:
+            cross_ids, tor_util, spine_util, route = links
+            table = self._table
+            table.rows[[table.slot[jid] for jid in cross_ids], ROUTE] = route
+            if self.tracer is not None:
+                self.tracer.links(now, tor_util.tolist(), spine_util)
+            # Union with the placement-ordered keys, not the sorted ids:
+            # the set's iteration order decides finish push order.
+            job_ids = job_ids | self.cluster.cross_jobs.keys()
         slot_of = self._table.slot
         jids: List[int] = []
         slots: List[int] = []

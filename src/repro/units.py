@@ -38,12 +38,6 @@ REF_NODE_PEAK_BW = 118.26
 #: Single-core STREAM peak in GB/s (Fig 3).
 REF_CORE_PEAK_BW = 18.80
 
-#: Core count around which the STREAM curve levels off (Fig 3).
-REF_BW_KNEE_CORES = 8
-
-#: Inter-node network bandwidth in GB/s (EDR InfiniBand, Section 2).
-REF_NETWORK_BW = 6.8
-
 #: Minimum LLC ways any job may receive; below 2 ways associativity loss
 #: is catastrophic (Section 5.1).
 MIN_LLC_WAYS = 2

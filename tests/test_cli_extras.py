@@ -65,6 +65,26 @@ class TestTraceFlags:
         assert payload["traceEvents"]
         assert payload["otherData"]["policy"] == "SpreadNShareScheduler"
 
+    def test_chrome_slices_name_their_programs(self):
+        """Only ``submit`` records carry the program, so the export must
+        take each slice's program from its job's submission."""
+        from repro.config import SimConfig, TraceConfig
+        from repro.experiments.common import run_policy
+        from repro.hardware.topology import ClusterSpec
+        from repro.obs.export import chrome_trace
+        from repro.workloads.sequences import random_sequence
+
+        jobs = random_sequence(seed=3, n_jobs=3)
+        result = run_policy(
+            "SNS", ClusterSpec(num_nodes=4), jobs,
+            sim_config=SimConfig(trace=TraceConfig(level="decisions")),
+        )
+        names = sorted(r["name"] for r in
+                       chrome_trace(result.trace.events)["traceEvents"]
+                       if r["ph"] == "X")
+        assert names == sorted(f"job {j.job_id} ({j.program.name})"
+                               for j in jobs)
+
     def test_trace_with_faults_replays_clean(self, capsys, tmp_path):
         from repro.obs import read_jsonl, verify_trace
 

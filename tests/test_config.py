@@ -1,5 +1,7 @@
 """Configuration validation."""
 
+import functools
+
 import pytest
 
 from repro.config import SchedulerConfig, SimConfig, TraceConfig
@@ -172,6 +174,15 @@ class TestPackageSurface:
             "scalar physics RunningTable.retime's bit-identity tests use",
     }
 
+    #: Constants and dataclass fields that only tests read on purpose.
+    TEST_ONLY_DATA = {
+        "Fig17Result.episode_seconds":
+            "result record: the episode length the harness returns with "
+            "its matrix",
+        "RatioPoint.target_ratio":
+            "result record: the ratio each sweep point was asked for",
+    }
+
     def test_no_definition_is_test_only(self):
         """Every top-level function, class and method in ``src/repro``
         has a reference in code outside ``tests/``: a name, attribute,
@@ -179,44 +190,12 @@ class TestPackageSurface:
         (lazy export tables, wraps by name); docstrings do not count.
         The allowlist above is the complete set of exceptions."""
         import ast
-        from pathlib import Path
 
-        root = Path(__file__).resolve().parent.parent
-
-        def docstrings(tree):
-            kinds = (ast.Module, ast.ClassDef, ast.FunctionDef,
-                     ast.AsyncFunctionDef)
-            return {id(node.body[0].value) for node in ast.walk(tree)
-                    if isinstance(node, kinds) and node.body
-                    and isinstance(node.body[0], ast.Expr)
-                    and isinstance(node.body[0].value, ast.Constant)}
-
-        used = set()
-        for folder in ("src", "tools", "examples", "perfbench",
-                       "benchmarks"):
-            for path in (root / folder).rglob("*.py"):
-                tree = ast.parse(path.read_text())
-                skip = docstrings(tree)
-                for node in ast.walk(tree):
-                    if isinstance(node, ast.Name):
-                        used.add(node.id)
-                    elif isinstance(node, ast.Attribute):
-                        used.add(node.attr)
-                    elif isinstance(node, ast.keyword) and node.arg:
-                        used.add(node.arg)
-                    elif isinstance(node, ast.alias):
-                        used.update(node.name.split("."))
-                    elif (isinstance(node, ast.Constant)
-                          and isinstance(node.value, str)
-                          and node.value.isidentifier()
-                          and id(node) not in skip):
-                        used.add(node.value)
-
+        used = _references()["used"]
         funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
         test_only = {}
-        for path in sorted((root / "src" / "repro").rglob("*.py")):
-            where = path.relative_to(root)
-            for node in ast.parse(path.read_text()).body:
+        for where, tree in _src_modules():
+            for node in tree.body:
                 if not isinstance(node, funcs + (ast.ClassDef,)):
                     continue
                 members = [(node.name, node.name)]
@@ -228,9 +207,126 @@ class TestPackageSurface:
                     dunder = name.startswith("__") and name.endswith("__")
                     if not dunder and name not in used:
                         test_only[qualname] = f"{where}: {qualname}"
-        unlisted = [test_only[q] for q in test_only if q not in self.TEST_ONLY]
-        assert not unlisted, f"only tests reach {len(unlisted)}: " + \
-            ", ".join(unlisted)
-        # An allowlisted name that is gone or now called drops off the list.
-        stale = sorted(set(self.TEST_ONLY) - set(test_only))
-        assert not stale, f"stale allowlist entries: {stale}"
+        _assert_only_allowlisted(test_only, self.TEST_ONLY)
+
+    def test_no_constant_or_field_is_test_only(self):
+        """Every module-level constant (an ``UPPER_CASE`` assignment)
+        and every public dataclass field in ``src/repro`` is read by
+        code outside ``tests/``.  A constant's read is a loaded name,
+        attribute or imported name, or an identifier string.  A field's
+        read is a loaded attribute or an identifier string; a keyword
+        argument only writes it, and ``self.<field>`` inside a
+        ``__post_init__`` (its own validation) does not count."""
+        import ast
+        import re
+
+        refs = _references()
+        constant = re.compile(r"_?[A-Z][A-Z0-9_]*$")
+
+        def is_dataclass(cls):
+            for deco in cls.decorator_list:
+                fn = deco.func if isinstance(deco, ast.Call) else deco
+                if getattr(fn, "id", getattr(fn, "attr", None)) == \
+                        "dataclass":
+                    return True
+            return False
+
+        test_only = {}
+        for where, tree in _src_modules():
+            for node in tree.body:
+                if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) \
+                        else [node.target]
+                    for target in targets:
+                        name = getattr(target, "id", "")
+                        if constant.match(name) and name not in refs["read"]:
+                            test_only[name] = f"{where}: {name}"
+                elif isinstance(node, ast.ClassDef) and is_dataclass(node):
+                    for sub in node.body:
+                        if (isinstance(sub, ast.AnnAssign)
+                                and isinstance(sub.target, ast.Name)
+                                and not sub.target.id.startswith("_")
+                                and "ClassVar" not in
+                                ast.unparse(sub.annotation)
+                                and sub.target.id not in refs["fields"]):
+                            qualname = f"{node.name}.{sub.target.id}"
+                            test_only[qualname] = f"{where}: {qualname}"
+        _assert_only_allowlisted(test_only, self.TEST_ONLY_DATA)
+
+
+def _src_modules():
+    """``(path relative to the repo, parsed module)`` of every module
+    of ``src/repro``."""
+    import ast
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    for path in sorted((root / "src" / "repro").rglob("*.py")):
+        yield path.relative_to(root), ast.parse(path.read_text())
+
+
+@functools.lru_cache(maxsize=None)
+def _references() -> dict:
+    """The identifiers code outside ``tests/`` refers to: ``used``
+    holds every name, attribute, keyword, imported name and
+    identifier-string constant (docstrings excluded); ``read`` drops
+    stored names, attributes and keywords from it; ``fields`` is the
+    attributes loaded outside any ``__post_init__``'s ``self.<name>``,
+    plus the identifier strings."""
+    import ast
+    from pathlib import Path
+
+    def docstrings(tree):
+        kinds = (ast.Module, ast.ClassDef, ast.FunctionDef,
+                 ast.AsyncFunctionDef)
+        return {id(node.body[0].value) for node in ast.walk(tree)
+                if isinstance(node, kinds) and node.body
+                and isinstance(node.body[0], ast.Expr)
+                and isinstance(node.body[0].value, ast.Constant)}
+
+    def own_checks(tree):
+        return {id(attr) for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "__post_init__"
+                for attr in ast.walk(node)
+                if isinstance(attr, ast.Attribute)
+                and getattr(attr.value, "id", None) == "self"}
+
+    root = Path(__file__).resolve().parent.parent
+    used, read, fields = set(), set(), set()
+    for folder in ("src", "tools", "examples", "perfbench", "benchmarks"):
+        for path in (root / folder).rglob("*.py"):
+            tree = ast.parse(path.read_text())
+            skip = docstrings(tree)
+            checks = own_checks(tree)
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Name, ast.Attribute)):
+                    name = getattr(node, "id", None) or node.attr
+                    used.add(name)
+                    if not isinstance(node.ctx, ast.Store):
+                        read.add(name)
+                        if isinstance(node, ast.Attribute) \
+                                and id(node) not in checks:
+                            fields.add(name)
+                elif isinstance(node, ast.keyword) and node.arg:
+                    used.add(node.arg)
+                elif isinstance(node, ast.alias):
+                    names = node.name.split(".")
+                    used.update(names)
+                    read.update(names)
+                elif (isinstance(node, ast.Constant)
+                      and isinstance(node.value, str)
+                      and node.value.isidentifier()
+                      and id(node) not in skip):
+                    for kind in (used, read, fields):
+                        kind.add(node.value)
+    return {"used": used, "read": read, "fields": fields}
+
+
+def _assert_only_allowlisted(test_only: dict, allowlist: dict) -> None:
+    unlisted = [test_only[q] for q in test_only if q not in allowlist]
+    assert not unlisted, f"only tests reach {len(unlisted)}: " + \
+        ", ".join(unlisted)
+    # An allowlisted name that is gone or now read drops off the list.
+    stale = sorted(set(allowlist) - set(test_only))
+    assert not stale, f"stale allowlist entries: {stale}"

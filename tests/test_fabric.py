@@ -9,6 +9,7 @@ import copy
 import numpy as np
 import pytest
 
+from repro.apps.catalog import get_program, stream_program
 from repro.config import SchedulerConfig, SimConfig, TraceConfig
 from repro.errors import HardwareModelError
 from repro.experiments.common import run_policy
@@ -116,13 +117,16 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 NODES = 10
 RACK_SIZE = 3
+#: Programs that communicate, plus STREAM, whose network fraction is 0.
+DRIVER_PROGRAMS = (get_program("MG"), get_program("CG"), stream_program())
 
 
 class _FabricDriver:
     """Randomized place/remove/fail/recover against a fabric-active
     cluster, mirroring the exact-float contract of the cross columns:
     place extends each node's left-to-right sum by one IEEE add,
-    removal re-sums the survivors in insertion order."""
+    removal re-sums the survivors in insertion order.  The physical
+    cross set is rebuilt from scratch over the live placements."""
 
     def __init__(self, partitioned: bool) -> None:
         self.cluster = ClusterState(
@@ -135,6 +139,7 @@ class _FabricDriver:
         # Partitioned nodes need the minimum dedicated ways per slice.
         self.ways = self.spec.cache.min_ways if partitioned else 0
         self.placements: dict = {}  # job_id -> node_ids
+        self.programs: dict = {}  # job_id -> program
         # job_id -> {node_id: cross contribution} in placement order
         self.cross: dict = {}
         # node_id -> current expected booked_cross, updated with the
@@ -166,6 +171,26 @@ class _FabricDriver:
                 acc += cross
             self.expected[nid] = acc
 
+    def physical_cross(self) -> dict:
+        """job_id -> (rack ids, uplink loads, network fraction) of the
+        live placements that span racks and communicate, in placement
+        order; a rack holding ``s`` of a job's ``n`` nodes carries
+        ``frac * ((n - s) / (n - 1)) * s``."""
+        cross = {}
+        for job_id, node_ids in self.placements.items():
+            n = len(node_ids)
+            racks = [nid // RACK_SIZE for nid in node_ids]
+            counts = {r: racks.count(r) for r in sorted(set(racks))}
+            frac = self.programs[job_id].comm.network_fraction(n)
+            if len(counts) > 1 and frac != 0.0:
+                cross[job_id] = (
+                    list(counts),
+                    [frac * ((n - s) / (n - 1)) * s
+                     for s in counts.values()],
+                    frac,
+                )
+        return cross
+
     def check(self) -> None:
         self.cluster.verify_columns()
         self.cluster.verify_index()
@@ -175,6 +200,12 @@ class _FabricDriver:
                 f"node {nid}: booked_cross {float(booked[nid])!r} != "
                 f"model {self.expected[nid]!r}"
             )
+        got = {jid: (racks.tolist(), loads.tolist(), frac)
+               for jid, (racks, loads, frac)
+               in self.cluster.cross_jobs.items()}
+        want = self.physical_cross()
+        assert list(got) == list(want), "physical cross set or its order"
+        assert got == want
 
     def up_hosts(self, procs: int) -> list:
         """The up nodes that can take ``procs`` processes and the
@@ -207,14 +238,17 @@ class _FabricDriver:
         )
         net = data.draw(st.sampled_from([0.0, 0.25, 1.0 / 3.0, 0.1]),
                         label="net")
+        program = data.draw(st.sampled_from(DRIVER_PROGRAMS),
+                            label="program")
         job_id = self.next_job
         self.cluster.place_slices(
-            node_ids, job_id, object(),
+            node_ids, job_id, program,
             [procs] * len(node_ids), self.ways, 0.0, len(node_ids),
             net=net,
         )
         self.model_place(node_ids, net)
         self.placements[job_id] = tuple(node_ids)
+        self.programs[job_id] = program
         self.next_job += 1
 
     def remove(self, data) -> None:
@@ -265,11 +299,13 @@ def test_link_columns_match_recomputed_state(partitioned, data):
         # the driver checks booked_cross against the model).
         driver.check()
     # Drain: emptied link columns must reset to exact zeros.
-    for job_id, node_ids in sorted(driver.placements.items()):
+    for job_id in sorted(driver.placements):
+        node_ids = driver.placements.pop(job_id)
         driver.cluster.remove_slices(node_ids, job_id)
         driver.model_remove(node_ids, job_id)
     driver.check()
     assert float(driver.cluster.booked_spine) == 0.0
+    assert not driver.cluster.cross_jobs
 
 
 def _traced_run(fabric, *, policy="SNS", level="full", n_jobs=12,
@@ -489,8 +525,8 @@ class TestVectorizedLinkLoads:
         want_tor, want_spine, want_route = _scalar_link_loads(
             fabric, num_nodes, cross
         )
-        # The runtime's registration (_fabric_note_start) and
-        # recompute (_recompute_fabric_loads), in sorted job-id order.
+        # The cluster's registration (_place_cross) and recompute
+        # (link_loads), in sorted job-id order.
         jids = sorted(jobs)
         racks, loads = [], []
         for jid in jids:

@@ -205,9 +205,9 @@ def _core(policy: str) -> SchedulerCore:
 
 
 def _fresh_routes(core: SchedulerCore) -> dict:
-    cross = core._cross_jobs
+    cross = core.cluster.cross_jobs
     jids = sorted(cross)
-    _, _, route = core._fabric.link_utilization(
+    _, _, route = core.cluster.fabric.link_utilization(
         NUM_NODES, [cross[j][0] for j in jids], [cross[j][1] for j in jids]
     )
     return dict(zip(jids, route.tolist()))
@@ -256,7 +256,7 @@ def _check_rows(core: SchedulerCore) -> None:
 def _outcome(makespan, jobs):
     return makespan, [
         (j.job_id, j.state, j.start_time, j.finish_time, j.retries,
-         j.speed, j.last_progress_update, j.remaining_work, j.lost_work,
+         j.speed, j.last_progress_update, j.remaining_work,
          j.lost_node_seconds) for j in jobs]
 
 

@@ -58,8 +58,9 @@ from tests.against_oracle import compare, fast_core  # noqa: E402
 from tests.oracle import bookings_from_meta, node_view  # noqa: E402
 
 NODES = 10
-#: Real programs for the arbitration checks (the column checks run
-#: with opaque program objects).
+#: Real programs for the arbitration checks.  The flat column checks
+#: run with opaque program objects; an active fabric reads a placed
+#: program's network fraction, so the fabric checks place MG.
 PROGRAMS = tuple(get_program(name) for name in ("MG", "EP", "CG", "LU"))
 
 
@@ -254,7 +255,7 @@ def test_columns_match_recomputed_state_on_fabric(partitioned, data):
     with a network booking carry per-node cross shares, so a shared
     node's ``booked_cross`` is re-summed over its survivors after every
     removal and trim."""
-    driver = _Driver(partitioned, False, fabric=True)
+    driver = _Driver(partitioned, False, fabric=True, programs=PROGRAMS[:1])
     ops = data.draw(
         st.lists(st.sampled_from(["place", "place", "remove", "trim",
                                   "fail", "recover"]),
@@ -278,9 +279,9 @@ def test_cross_share_resum_after_partial_removal():
     driver = _Driver(True, False, fabric=True)
     cluster = driver.cluster
     ways = cluster.spec.node.cache.min_ways
-    cluster.place_slices([0, 4], 1, object(), [2, 2], ways, 0.0, 2,
-                         net=0.25)
-    cluster.place_slices([0, 5, 8], 2, object(), [2, 2, 2], ways, 0.0, 3,
+    mg = PROGRAMS[0]
+    cluster.place_slices([0, 4], 1, mg, [2, 2], ways, 0.0, 2, net=0.25)
+    cluster.place_slices([0, 5, 8], 2, mg, [2, 2, 2], ways, 0.0, 3,
                          net=1.0 / 3.0)
     booked = cluster.booked_cross
     assert float(booked[0]) == 0.25 + 1.0 / 3.0

@@ -21,9 +21,6 @@ class TestConstants:
         assert units.REF_CORE_PEAK_BW == pytest.approx(18.80)
         assert units.REF_NODE_PEAK_BW == pytest.approx(118.26)
 
-    def test_network_matches_testbed(self):
-        assert units.REF_NETWORK_BW == pytest.approx(6.8)
-
     def test_min_ways_is_two(self):
         # Section 5.1: single-way allocation loses associativity.
         assert units.MIN_LLC_WAYS == 2
