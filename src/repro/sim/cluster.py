@@ -512,6 +512,8 @@ class ClusterState:
         exactly the asymmetry the locality-aware spreading exploits.
         """
         racks = self._rack_of[arr]
+        if (racks == racks[0]).all():
+            return
         # Only booking needs np.unique's inverse; computing it for every
         # multi-rack placement shows in replay time.
         if net != 0.0:
@@ -519,8 +521,6 @@ class ClusterState:
                                        return_counts=True)
         else:
             uniq, cnt = np.unique(racks, return_counts=True)
-        if uniq.size == 1:
-            return
         frac = program.comm.network_fraction(count)
         if frac != 0.0:
             self.cross_jobs[job_id] = (

@@ -1,12 +1,13 @@
-"""The running-job table: one float64 row per running job.
+"""The running-job table: one row of eight floats per running job.
 
-A job takes a row (a *slot*) when it starts and frees it when it
-finishes or is evicted; freed slots are reused.  While the job runs, its
-row is the only store of its progress: :meth:`RunningTable.release`
-writes ``speed`` / ``last_progress_update`` / ``remaining_work`` back
-into the :class:`~repro.sim.job.Job` when it leaves, unsettled (the
-runtime then settles the ``Job``).  A row's progress is settled only
-when the row is re-timed, since only a re-timing changes its speed.
+A job's row is a plain list, keyed by job id (``rows[job_id]``), made
+when the job starts and dropped when it finishes or is evicted.  While
+the job runs, its row is the only store of its progress:
+:meth:`RunningTable.release` writes ``speed`` / ``last_progress_update``
+/ ``remaining_work`` back into the :class:`~repro.sim.job.Job` when it
+leaves, unsettled (the runtime then settles the ``Job``).  A row's
+progress is settled only when the row is re-timed, since only a
+re-timing changes its speed.
 
 Columns (DESIGN.md §7):
 
@@ -23,16 +24,15 @@ Columns (DESIGN.md §7):
   (``0.0`` for jobs inside one rack and on a flat fabric);
 - ``SPEED``, ``LAST``, ``REMAINING``: the progress fields.
 
-Every expression below repeats the scalar operation sequence of
-``job_time``, :meth:`Job.settle_progress` and :meth:`Job.projected_finish`
-elementwise, so a batch of rows is bit-identical to the scalar loop.
+Every entry is a builtin ``float``, and every expression below repeats
+the scalar operation sequence of ``job_time``,
+:meth:`Job.settle_progress` and :meth:`Job.projected_finish`, so a
+re-timed row is bit-identical to the scalar code.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
 
 from repro.errors import SimulationError
 from repro.perfmodel.execution import scale_factor_of
@@ -52,69 +52,67 @@ def time_parts(spec, program, procs: int, n_nodes: int, t_ref: float,
     return compute, t_ref * program.comm.comm_fraction(k, n_nodes)
 
 
-def time_now(compute: np.ndarray, comm_base: np.ndarray,
-             node_cong: np.ndarray, route: np.ndarray) -> np.ndarray:
-    """``job_time`` from the rows' parts: the route load binds like node
+def time_now(compute: float, comm_base: float, node_cong: float,
+             route: float) -> float:
+    """``job_time`` from a row's parts: the route load binds like node
     congestion once it is larger, and stretches the comm part once the
     congestion exceeds 1.0."""
-    cong = np.where(route > node_cong, route, node_cong)
-    return compute + np.where(cong > 1.0, comm_base * cong, comm_base)
+    cong = route if route > node_cong else node_cong
+    return compute + (comm_base * cong if cong > 1.0 else comm_base)
 
 
 class RunningTable:
-    """Rows of the running jobs, indexed by slot (``slot[job_id]``)."""
+    """Rows of the running jobs, keyed by job id (``rows[job_id]``)."""
 
     def __init__(self) -> None:
-        self.rows = np.zeros((64, 8))
-        self.slot: Dict[int, int] = {}
-        self._free: List[int] = []
+        self.rows: Dict[int, List[float]] = {}
 
     def add(self, job_id: int, t_ref: float, work: float,
             now: float) -> None:
         """Give a starting job a row: no speed yet, all work left."""
-        slot = self._free.pop() if self._free else len(self.slot)
-        if slot == len(self.rows):
-            self.rows = np.concatenate([self.rows, np.zeros_like(self.rows)])
-        self.rows[slot] = (t_ref, 0.0, 0.0, 0.0, 0.0, 0.0, now, work)
-        self.slot[job_id] = slot
+        self.rows[job_id] = [t_ref, 0.0, 0.0, 0.0, 0.0, 0.0, now, work]
 
     def release(self, job) -> None:
-        """Free the job's row, writing its progress back into ``job``."""
-        slot = self.slot.pop(job.job_id)
+        """Drop the job's row, writing its progress back into ``job``."""
         job.speed, job.last_progress_update, job.remaining_work = \
-            self.rows[slot, SPEED:].tolist()
-        self._free.append(slot)
+            self.rows.pop(job.job_id)[SPEED:]
 
-    def retime(self, slots: Sequence[int], job_ids: Sequence[int],
+    @staticmethod
+    def retime(rows: Sequence[List[float]], job_ids: Sequence[int],
                now: float) -> Tuple[list, list]:
-        """Settle the rows up to ``now`` at their old speeds, set their
-        speeds to ``t_ref / t_now``, where ``t_now`` is :func:`time_now`
-        of the rows, and return ``(speeds, finishes)`` lists.
+        """Settle ``rows`` (those of ``job_ids``) up to ``now`` at their
+        old speeds, set their speeds to ``t_ref / t_now``, where
+        ``t_now`` is :func:`time_now` of the row, and return ``(speeds,
+        finishes)`` lists.
 
-        The settle is :meth:`Job.settle_progress`: ``np.where(x > 0.0,
-        x, 0.0)`` is builtin ``max(0.0, x)`` on ``-0.0`` and NaN too, and
-        a row already settled at ``now`` is unchanged.  Both checks run
+        The settle is :meth:`Job.settle_progress`: ``x if x > 0.0 else
+        0.0`` is builtin ``max(0.0, x)`` on ``-0.0`` and NaN too, and a
+        row already settled at ``now`` is unchanged.  Both checks run
         over the whole batch before any row changes, and raise the
         scalar messages (:meth:`Job.set_speed`'s for the first offender
         in ``job_ids`` order)."""
-        r = self.rows[slots]
-        t_ref, compute, comm_base, node_cong, route, speed, last, \
-            remaining = r.T
-        dt = now - last
-        if np.count_nonzero(dt < -1e-9):
+        speeds = []
+        settles = []
+        backwards = False
+        for t_ref, compute, comm_base, node_cong, route, speed, last, \
+                remaining in rows:
+            dt = now - last
+            if dt < -1e-9:
+                backwards = True
+            x = remaining - speed * dt
+            settles.append(x if x > 0.0 else 0.0)
+            speeds.append(t_ref / time_now(compute, comm_base, node_cong,
+                                           route))
+        if backwards:
             raise SimulationError("time went backwards")
-        x = remaining - speed * dt
-        settled = np.where(x > 0.0, x, 0.0)
-        new = t_ref / time_now(compute, comm_base, node_cong, route)
-        bad = new <= 0.0
-        if np.count_nonzero(bad):
-            i = int(np.argmax(bad))
-            raise SimulationError(
-                f"job {job_ids[i]} computed non-positive speed "
-                f"{float(new[i])}"
-            )
-        r[:, SPEED] = new
-        r[:, LAST] = now
-        r[:, REMAINING] = settled
-        self.rows[slots] = r
-        return new.tolist(), (now + settled / new).tolist()
+        for jid, new in zip(job_ids, speeds):
+            if new <= 0.0:
+                raise SimulationError(
+                    f"job {jid} computed non-positive speed {new}")
+        finishes = []
+        for row, new, settled in zip(rows, speeds, settles):
+            row[SPEED] = new
+            row[LAST] = now
+            row[REMAINING] = settled
+            finishes.append(now + settled / new)
+        return speeds, finishes

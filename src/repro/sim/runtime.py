@@ -288,7 +288,8 @@ class SchedulerCore:
             "job_retries": 0,
             "jobs_failed": 0,
             "profile_outages": 0,
-            # Batched finish-time updates of the refresh.
+            # Rows the refresh re-timed, one finish update each (named
+            # when the re-timing was vectorized; perfbench reads it).
             "vec_finish_updates": 0,
         }
         # Count of terminal jobs (finished + failed): with a fault plan
@@ -723,30 +724,30 @@ class SchedulerCore:
         cross job's row takes its new route load and every cross job
         joins the refresh (they all share the spine), but only its
         route load moved: its row's time parts stay, and no condition
-        key is read for it.  One expression then settles every row at
+        key is read for it.  One scalar loop then settles every row at
         its old speed and re-times it (:meth:`RunningTable.retime`);
         finish pushes and speed records follow the set's iteration
         order.
         """
         stale = job_ids
+        rows = self._table.rows
         links = self.cluster.link_loads()
         if links is not None:
             cross_ids, tor_util, spine_util, route = links
-            table = self._table
-            table.rows[[table.slot[jid] for jid in cross_ids], ROUTE] = route
+            for jid, load in zip(cross_ids, route.tolist()):
+                rows[jid][ROUTE] = load
             if self.tracer is not None:
                 self.tracer.links(now, tor_util.tolist(), spine_util)
             # Union with the placement-ordered keys, not the sorted ids:
             # the set's iteration order decides finish push order.
             job_ids = job_ids | self.cluster.cross_jobs.keys()
-        slot_of = self._table.slot
         jids: List[int] = []
-        slots: List[int] = []
+        batch: List[List[float]] = []
         for jid in job_ids:
-            slot = slot_of.get(jid)
-            if slot is not None:
+            row = rows.get(jid)
+            if row is not None:
                 jids.append(jid)
-                slots.append(slot)
+                batch.append(row)
             elif jid not in self.jobs:
                 raise SimulationError(
                     f"node hosts unknown job {jid} (policy placed a job "
@@ -756,10 +757,10 @@ class SchedulerCore:
             return
         counters = self._counters
         counters["refresh_cycles"] += 1
-        self._rebuild_rows([(jid, slot) for jid, slot in zip(jids, slots)
+        self._rebuild_rows([(jid, row) for jid, row in zip(jids, batch)
                             if jid in stale])
         counters["vec_finish_updates"] += len(jids)
-        speeds, finishes = self._table.retime(slots, jids, now)
+        speeds, finishes = self._table.retime(batch, jids, now)
         tracer = self.tracer
         if tracer is not None and tracer.level >= TraceLevel.FULL:
             for jid, speed in zip(jids, speeds):
@@ -785,7 +786,7 @@ class SchedulerCore:
             )
 
     def _rebuild_rows(self, stale: List[tuple]) -> None:
-        """Rebuild the time parts of the ``(job id, slot)`` rows from
+        """Rebuild the time parts of the ``(job id, row)`` pairs from
         the resident mixes each job holds (``MixTable.held``), never
         from its nodes: ``slowest`` is the least of the job's per-mix
         process rates (``MixTable.rates``, one per mix lifetime) and
@@ -820,8 +821,7 @@ class SchedulerCore:
         rates = mixes.rates
         spec = self._spec
         ways_to_mb = spec.cache.ways_to_mb
-        rows = self._table.rows
-        for jid, slot in stale:
+        for jid, row in stale:
             job = self.jobs[jid]
             program = job.program
             n_nodes = job.placement.n_nodes
@@ -841,10 +841,10 @@ class SchedulerCore:
                     slowest = rate
                 if cong is None or view[2] > cong:
                     cong = view[2]
-            rows[slot, COMPUTE:ROUTE] = (*time_parts(
-                spec, program, job.procs, n_nodes, rows.item(slot, T_REF),
-                slowest,
-            ), cong)
+            # A mix of one-node slices sums its net load to int 0.
+            row[COMPUTE:ROUTE] = (*time_parts(
+                spec, program, job.procs, n_nodes, row[T_REF], slowest,
+            ), float(cong))
 
 
 class Simulation(SchedulerCore):

@@ -1,7 +1,8 @@
-"""The running-job table (DESIGN.md §7): its elementwise expressions are
+"""The running-job table (DESIGN.md §7): its per-row expressions are
 bit-identical to the scalar ``job_time`` / ``Job.settle_progress`` /
-``Job.projected_finish``, and its rows track the running set exactly
-through starts, finishes, evictions and restarts."""
+``Job.projected_finish``, its entries are builtin floats, and its rows
+track the running set exactly through starts, finishes, evictions and
+restarts."""
 
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ from repro.sim.job import Job, JobState, Placement
 from repro.sim.node import MixTable
 from repro.sim.runtime import SchedulerCore
 from repro.sim.running import (
-    COMM_BASE,
     COMPUTE,
     LAST,
     REMAINING,
@@ -89,19 +89,19 @@ def test_time_now_matches_job_time(drawn):
         procs = sum(k[0] * c for k, c in zip(keys, counts))
         t_ref = reference_time(program, procs, SPEC)
         table.add(jid, t_ref, 1.0, 0.0)
-        slot = table.slot[jid]
+        row = table.rows[jid]
         conds = _conditions(keys, counts)
         slowest = min(process_rate(program, c, n_nodes) for c in conds)
-        table.rows[slot, COMPUTE:ROUTE] = (
+        row[COMPUTE:ROUTE] = (
             *time_parts(SPEC, program, procs, n_nodes, t_ref, slowest),
             max(c.net_load for c in conds),
         )
-        table.rows[slot, ROUTE] = route
+        row[ROUTE] = route
         expected.append(job_time(program, procs, conds, SPEC,
                                  route_load=route))
-    rows = table.rows[[table.slot[j] for j in range(len(drawn))]]
-    got = time_now(*rows[:, COMPUTE:ROUTE + 1].T)
-    assert [x.hex() for x in got.tolist()] == [x.hex() for x in expected]
+    got = [time_now(*table.rows[j][COMPUTE:ROUTE + 1])
+           for j in range(len(drawn))]
+    assert [x.hex() for x in got] == [x.hex() for x in expected]
 
 
 def _running_job(remaining, speed, last):
@@ -136,19 +136,17 @@ def test_retime_matches_settle_and_projected_finish(rows, step, cancel):
             remaining = speed * (now - last)
         table.add(jid, t_ref, remaining, last)
         # time_now of these parts is t_now + 0.0, which is exact.
-        table.rows[table.slot[jid], COMPUTE:SPEED + 1] = \
-            (t_now, 0.0, 0.0, 0.0, speed)
+        table.rows[jid][COMPUTE:SPEED + 1] = (t_now, 0.0, 0.0, 0.0, speed)
         jobs.append(_running_job(remaining, speed, last))
-    slots = [table.slot[j] for j in range(len(rows))]
-    speeds, finishes = table.retime(slots, list(range(len(rows))), now)
+    batch = [table.rows[j] for j in range(len(rows))]
+    speeds, finishes = table.retime(batch, list(range(len(rows))), now)
     for jid, (job, row) in enumerate(zip(jobs, rows)):
         job.settle_progress(now)
         job.set_speed(row[3] / row[4])
-        got = table.rows[table.slot[jid]]
-        assert float(got[REMAINING]).hex() == job.remaining_work.hex()
-        assert float(got[LAST]).hex() == job.last_progress_update.hex()
-        assert float(got[SPEED]).hex() == speeds[jid].hex() \
-            == job.speed.hex()
+        got = table.rows[jid]
+        assert got[REMAINING].hex() == job.remaining_work.hex()
+        assert got[LAST].hex() == job.last_progress_update.hex()
+        assert got[SPEED].hex() == speeds[jid].hex() == job.speed.hex()
         assert finishes[jid].hex() == job.projected_finish().hex()
 
 
@@ -156,37 +154,37 @@ def test_scalar_messages_for_batch_offenders():
     table = RunningTable()
     for jid in (4, 7, 9):
         table.add(jid, 1.0, 1.0, 10.0)
-    slots = [table.slot[j] for j in (4, 7, 9)]
+    rows = [table.rows[j] for j in (4, 7, 9)]
 
     def retime(now, t_now):
-        table.rows[slots, COMPUTE] = t_now
-        table.rows[slots, COMM_BASE:SPEED] = 0.0
-        table.retime(slots, [4, 7, 9], now)
+        for row, t in zip(rows, t_now):
+            row[COMPUTE:SPEED] = (t, 0.0, 0.0, 0.0)
+        table.retime(rows, [4, 7, 9], now)
 
     with pytest.raises(SimulationError, match="job 7 computed non-positive"):
         retime(10.0, [1.0, -1.0, -2.0])
     with pytest.raises(SimulationError, match="time went backwards"):
         retime(9.0, [1.0, 1.0, 1.0])
-    assert table.rows[slots, SPEED:].tolist() == [[0.0, 10.0, 1.0]] * 3
+    assert [row[SPEED:] for row in rows] == [[0.0, 10.0, 1.0]] * 3
 
 
-def test_release_writes_back_and_reuses_the_slot():
+def test_release_writes_back_and_drops_the_row():
     table = RunningTable()
-    for jid in range(100):       # past the initial capacity
+    for jid in range(100):
         table.add(jid, 1.0, 5.0, 0.0)
-    table.rows[table.slot[42], SPEED:] = (0.5, 3.0, 2.5)
+    table.rows[42][SPEED:] = (0.5, 3.0, 2.5)
     job = _running_job(0.0, 0.0, 0.0)
     job.job_id = 42
-    slot = table.slot[42]
     table.release(job)
-    assert (job.speed, job.last_progress_update, job.remaining_work) \
-        == (0.5, 3.0, 2.5)
+    fields = (job.speed, job.last_progress_update, job.remaining_work)
+    assert fields == (0.5, 3.0, 2.5)
+    assert all(type(x) is float for x in fields)
+    assert 42 not in table.rows and len(table.rows) == 99
     table.add(100, 2.0, 7.0, 4.0)
-    assert table.slot[100] == slot
-    assert table.rows[slot].tolist() == [2.0, 0, 0, 0, 0, 0, 4.0, 7.0]
+    assert table.rows[100] == [2.0, 0, 0, 0, 0, 0, 4.0, 7.0]
 
 
-# -- slot lifecycle on a small faulty fabric ----------------------------
+# -- row lifecycle on a small faulty fabric -----------------------------
 
 NUM_NODES = 64
 CLUSTER = ClusterSpec(num_nodes=NUM_NODES,
@@ -214,22 +212,25 @@ def _fresh_routes(core: SchedulerCore) -> dict:
 
 
 def _check_rows(core: SchedulerCore) -> None:
-    """Live rows are the running set, one slot each, and every row
-    equals a fresh scalar rebuild from the oracle's per-node arbitration
-    of each node's resident key and the per-job bookings."""
-    table = core._table
+    """Live rows are the running set, one list each, every entry and
+    every progress field a released job holds is a builtin float, and
+    every row equals a fresh scalar rebuild from the oracle's per-node
+    arbitration of each node's resident key and the per-job bookings."""
+    rows = core._table.rows
     running = {jid for jid, job in core.jobs.items()
                if job.state is JobState.RUNNING}
-    assert set(table.slot) == running
-    live = set(table.slot.values())
-    assert len(live) == len(running)
-    assert live.isdisjoint(table._free)
+    assert set(rows) == running
+    assert len({id(row) for row in rows.values()}) == len(running)
+    for jid, job in core.jobs.items():
+        fields = rows[jid] if jid in running else (
+            job.speed, job.last_progress_update, job.remaining_work)
+        assert all(type(x) is float for x in fields), jid
     routes = _fresh_routes(core)
     ways_to_mb = SPEC.cache.ways_to_mb
     mixes = core.cluster.mixes
     booking = bookings_from_meta(mixes.meta)
     partitioned = core.cluster.partitioned
-    for jid, slot in table.slot.items():
+    for jid, row in rows.items():
         job = core.jobs[jid]
         program, procs = job.program, job.procs
         conds = []
@@ -250,7 +251,7 @@ def _check_rows(core: SchedulerCore) -> None:
                     max(c.net_load for c in conds), route,
                     t_ref / job_time(program, procs, conds, SPEC,
                                      route_load=route)]
-        assert table.rows[slot, :SPEED + 1].tolist() == expected, jid
+        assert row[:SPEED + 1] == expected, jid
 
 
 def _outcome(makespan, jobs):
@@ -269,17 +270,13 @@ def _check_oracle(core: SchedulerCore) -> None:
 
 
 @pytest.mark.parametrize("policy", ["CE", "SNS"])
-def test_slot_lifecycle_under_faults(policy):
+def test_row_lifecycle_under_faults(policy):
     core = _core(policy)
-    jobs_per_slot: dict = {}
     while core.step():
         _check_rows(core)
-        for jid, slot in core._table.slot.items():
-            jobs_per_slot.setdefault(slot, set()).add(jid)
     counters = core._collect_counters()
     assert counters["job_evictions"] > 0 and counters["job_retries"] > 0
-    assert any(len(j) > 1 for j in jobs_per_slot.values())
-    assert not core._table.slot
+    assert not core._table.rows
     _check_oracle(core)
 
 

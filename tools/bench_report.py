@@ -44,7 +44,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -92,6 +92,10 @@ COUNTER_COLUMNS = (
     "fabric_link_refreshes",
     "fabric_route_evals",
 )
+
+#: The fabric link counters the ``--oversub-gate`` entry carries, gated
+#: exactly like its results.
+OVERSUB_COUNTERS = ("fabric_link_refreshes", "fabric_route_evals")
 
 
 def _run_one(task: tuple) -> dict:
@@ -200,15 +204,16 @@ def run_grid(jobs: int = 1, verbose: bool = True,
     }
 
 
-def check_divergence(report: dict, label: str) -> List[str]:
+def check_divergence(report: dict,
+                     counters: Sequence[str] = ()) -> List[str]:
     """Cross-check results of every same-grid entry pair in ``report``.
 
     All entries replay the same traces with the same seed, so their
-    per-configuration makespans and mean turnarounds must agree exactly
-    — a change meant to keep results must keep them bit-identical, and
-    pooled runs match serial ones.  Returns a list of
-    human-readable divergence descriptions (empty when everything
-    matches).
+    per-configuration makespans and mean turnarounds (and the named
+    ``counters``) must agree exactly — a change meant to keep results
+    must keep them bit-identical, and pooled runs match serial ones.
+    Returns a list of human-readable divergence descriptions (empty
+    when everything matches).
     """
     grids: Dict[str, Dict[tuple, tuple]] = {}
     problems: List[str] = []
@@ -216,7 +221,8 @@ def check_divergence(report: dict, label: str) -> List[str]:
         seen = grids.setdefault(entry.get("grid", "?"), {})
         for config in entry.get("configs", []):
             key = (config["policy"], config["nodes"], config["ratio"])
-            results = (config["makespan"], config["mean_turnaround"])
+            results = (config["makespan"], config["mean_turnaround"],
+                       *(config["counters"][c] for c in counters))
             known = seen.get(key)
             if known is None:
                 seen[key] = (name, results)
@@ -277,7 +283,7 @@ def run_trace_gate(args: argparse.Namespace) -> int:
     if path.exists():
         for name, entry in json.loads(path.read_text()).items():
             report.setdefault(f"bench:{name}", entry)
-    problems = check_divergence(report, "traced-full")
+    problems = check_divergence(report)
     if problems:
         print(f"FATAL: tracing changed results "
               f"({len(problems)} mismatches):", file=sys.stderr)
@@ -310,8 +316,10 @@ def run_oversub_gate(args: argparse.Namespace) -> int:
 
     * **flat-degenerate bit-identity** — every 1:1 point must reproduce
       the same variant replayed on a fabric-less ``ClusterSpec``
-      exactly, and the whole grid must match any committed
-      ``fig-oversub`` entry in BENCH_sim.json (exit 2 on divergence);
+      exactly, and the whole grid — makespans, mean turnarounds and
+      the ``OVERSUB_COUNTERS`` — must match every committed entry of
+      its grid in BENCH_sim.json, compared before the entry is
+      replaced (exit 2 on divergence, nothing written);
     * **locality divergence** — at the top swept ratio, locality-aware
       SNS must evaluate strictly fewer fabric routes than plain SNS (it
       fills racks before crossing the spine), so the knob failing to
@@ -392,16 +400,24 @@ def run_oversub_gate(args: argparse.Namespace) -> int:
     }
     path = Path(args.output)
     report = json.loads(path.read_text()) if path.exists() else {}
-    report[args.label or "fig-oversub"] = entry
-    problems = check_divergence(report, args.label or "fig-oversub")
+    label = args.label or "fig-oversub"
+    # Against every committed entry of this grid, the one this run
+    # replaces included, before anything is overwritten; entries of
+    # other grids need not carry the fabric counters.
+    same_grid = {name: e for name, e in report.items()
+                 if e.get("grid") == entry["grid"]}
+    problems = check_divergence({**same_grid, f"{label} (this run)": entry},
+                                counters=OVERSUB_COUNTERS)
     if problems:
-        print(f"FATAL: results diverge between entries "
-              f"({len(problems)} mismatches):", file=sys.stderr)
+        print(f"FATAL: results or fabric counters diverge from the "
+              f"committed entries ({len(problems)} mismatches):",
+              file=sys.stderr)
         for line in problems:
             print(f"  {line}", file=sys.stderr)
         print("not writing BENCH_sim.json — fix the divergence first",
               file=sys.stderr)
         return 2
+    report[label] = entry
     path.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {path}")
     print("oversub gate passed")
@@ -483,7 +499,7 @@ def main(argv=None) -> int:
     ]
     for name, wall in baselines:
         print(f"vs {name}: {wall / entry['total_wall_s']:.2f}x")
-    problems = check_divergence(report, label)
+    problems = check_divergence(report)
     if problems:
         print(f"FATAL: results diverge between entries "
               f"({len(problems)} mismatches):", file=sys.stderr)
