@@ -104,10 +104,10 @@ def arbitrate_nodes(
         else:
             scale = supply / total_demand
             grants = (demand[lo:hi] * scale).tolist()
-        net_load = sum(
+        net_load = sum((
             s.program.comm.network_fraction(s.n_nodes)
             for s in slices
             if s.n_nodes > 1
-        )
+        ), 0.0)
         out.append((dict(zip((s.job_id for s in slices), grants)), net_load))
     return out

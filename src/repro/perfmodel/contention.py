@@ -108,8 +108,8 @@ def node_network_load(spec: NodeSpec, slices: Sequence[Slice]) -> float:
     the link is oversubscribed and communication phases stretch
     proportionally.
     """
-    return sum(
+    return sum((
         s.program.comm.network_fraction(s.n_nodes)
         for s in slices
         if s.n_nodes > 1
-    )
+    ), 0.0)

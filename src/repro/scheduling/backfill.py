@@ -12,6 +12,11 @@ Under exclusive execution, run times are deterministic (the CE reference
 time), so reservations are exact in the simulator.  The policy tracks
 its own running set through placement decisions and the runtime's
 ``on_job_finish`` hook — no scheduler/runtime API extensions needed.
+
+Each start is CE's proposal, installed by the scheduler's one commit
+(``BaseScheduler._commit``).  The queue walk is this policy's own: its
+aging differs from the base loop's (no age-limit block, and a job that
+can never run here is skipped without aging).
 """
 
 from __future__ import annotations
@@ -20,8 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.perfmodel.execution import reference_time
-from repro.scheduling.base import BaseScheduler
-from repro.scheduling.placement import split_procs
+from repro.scheduling.ce import CompactExclusiveScheduler
 from repro.sim.cluster import ClusterState
 from repro.sim.job import Job, PendingQueue
 from repro.sim.runtime import Decision
@@ -33,10 +37,8 @@ class _Running:
     finish_estimate: float
 
 
-class CompactExclusiveBackfillScheduler(BaseScheduler):
+class CompactExclusiveBackfillScheduler(CompactExclusiveScheduler):
     """CE + EASY backfilling."""
-
-    partitioned = False
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -74,13 +76,9 @@ class CompactExclusiveBackfillScheduler(BaseScheduler):
 
     def _start(self, cluster: ClusterState, job: Job, now: float,
                n_nodes: int) -> Decision:
-        chosen = cluster.first_idle(n_nodes)
-        procs = split_procs(job.procs, chosen)
-        decision = self._install(
-            cluster, job, chosen, procs,
-            ways=cluster.spec.node.llc_ways, bw_per_node=0.0, scale_factor=1,
-        )
-        self._sanity_check_decision(decision)
+        """Commit CE's proposal for a job whose ``n_nodes`` footprint
+        the walk has seen fit on the idle nodes."""
+        decision = self._commit(cluster, self.propose(cluster, job, now))
         self._running[job.job_id] = _Running(
             n_nodes=n_nodes, finish_estimate=now + self._predicted_runtime(job)
         )
@@ -156,8 +154,3 @@ class CompactExclusiveBackfillScheduler(BaseScheduler):
                 passed_over.append(job)
         pending.age(passed_over)
         return decisions
-
-    def _try_place(self, cluster: ClusterState, job: Job, now: float):
-        raise NotImplementedError(  # pragma: no cover - not used
-            "backfill scheduler overrides schedule_point directly"
-        )

@@ -6,6 +6,12 @@ that have been passed over more often rank higher (aging), ties break by
 submission order.  A job that has reached the configurable age limit
 blocks the queue: nothing behind it is scheduled until it fits, which
 prevents starvation of resource-demanding jobs (Section 4.4).
+
+Policies propose, the scheduler commits: a policy's :meth:`propose`
+reads the cluster and returns an uncommitted :class:`Decision`, and
+:meth:`BaseScheduler._commit` — the one place a policy's choice reaches
+:meth:`ClusterState.place_slices` — installs it before the next job is
+proposed, so placements still consume resources within a point.
 """
 
 from __future__ import annotations
@@ -13,19 +19,18 @@ from __future__ import annotations
 import abc
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.config import SchedulerConfig
 from repro.errors import SchedulingError
 from repro.hardware.topology import ClusterSpec
 from repro.profiling.database import ProfileDatabase
 from repro.sim.cluster import ClusterState
+from repro.scheduling.placement import split_procs
 from repro.sim.job import Job, PendingQueue, Placement
 from repro.sim.runtime import Decision
 
 
 class BaseScheduler(abc.ABC):
-    """Shared queue mechanics; policies implement :meth:`_try_place`.
+    """Shared queue mechanics; policies implement :meth:`propose`.
 
     Every policy constructs through the same signature —
     ``(cluster_spec, config, *, database=None)`` — so harnesses can
@@ -101,9 +106,9 @@ class BaseScheduler(abc.ABC):
         skipped: List[Job] = []
         for job in queue:
             self.counters["try_place_calls"] += 1
-            decision = self._try_place(cluster, job, now)
-            if decision is not None:
-                decisions.append(decision)
+            proposal = self.propose(cluster, job, now)
+            if proposal is not None:
+                decisions.append(self._commit(cluster, proposal))
                 continue
             skipped.append(job)
             if job.times_passed_over >= self.config.age_limit:
@@ -113,36 +118,46 @@ class BaseScheduler(abc.ABC):
         pending.age(skipped)
         return decisions
 
-    # -- shared placement helpers -----------------------------------------------
+    # -- the commit and shared proposals ------------------------------------
 
-    def _install(
-        self,
-        cluster: ClusterState,
-        job: Job,
-        nodes: np.ndarray,
-        procs: np.ndarray,
-        ways: int,
-        bw_per_node: float,
-        scale_factor: int,
-        net_per_node: float = 0.0,
-        meta: Optional[Dict] = None,
-    ) -> Decision:
-        """Install the job's slices (``procs[i]`` processes on node
-        ``nodes[i]``) and wrap the result as a :class:`Decision`.
-        ``meta`` carries decision context for the tracer (candidate-set
-        size, degraded/trial flags) and is never read by placement
-        logic."""
-        # Batched install: one mix transition per distinct prior mix.
-        # place_slices validates before mutating, so a failed
-        # placement leaves the cluster untouched — no rollback loop
-        # needed here.
-        cluster.place_slices(
-            nodes, job.job_id, job.program, procs,
-            ways, bw_per_node, len(nodes), net=net_per_node,
+    def _commit(self, cluster: ClusterState, decision: Decision) -> Decision:
+        """Install a proposed decision on the cluster and return it
+        committed, carrying ``place_slices``' co-runner set.
+        ``place_slices`` validates before mutating, so a refused
+        placement leaves the cluster untouched."""
+        job = decision.job
+        placement = decision.placement
+        if placement.total_procs != job.procs:
+            raise SchedulingError(
+                f"placement covers {placement.total_procs} of "
+                f"{job.procs} processes"
+            )
+        corunners = cluster.place_slices(
+            placement.nodes, job.job_id, job.program, placement.procs,
+            placement.dedicated_ways, placement.booked_bw,
+            placement.n_nodes, net=placement.booked_net,
         )
-        placement = Placement(nodes, procs, ways, bw_per_node, net_per_node)
-        return Decision(job=job, placement=placement,
-                        scale_factor=scale_factor, meta=meta)
+        return Decision(job, placement, decision.scale_factor,
+                        decision.meta, corunners)
+
+    def _propose_exclusive(
+        self, cluster: ClusterState, job: Job, scale: int, bw: float,
+        meta: Optional[Dict] = None,
+    ) -> Optional[Decision]:
+        """Whole idle nodes, ``scale`` times the CE footprint, with the
+        whole LLC and ``bw`` GB/s booked per node; ``None`` when the
+        footprint is invalid or too few nodes are idle.  ``meta`` is
+        decision context for the tracer (degraded / trial flags) and is
+        never read by placement logic."""
+        n_nodes = scale * self._base_nodes(job)
+        if not self._valid_footprint(job, n_nodes):
+            return None
+        if cluster.idle_count() < n_nodes:
+            return None
+        chosen = cluster.first_idle(n_nodes)
+        placement = Placement(chosen, split_procs(job.procs, chosen),
+                              cluster.spec.node.llc_ways, bw)
+        return Decision(job, placement, scale, meta)
 
     def _base_nodes(self, job: Job) -> int:
         """CE minimum footprint of the job."""
@@ -169,16 +184,9 @@ class BaseScheduler(abc.ABC):
     # -- policy hook ------------------------------------------------------------
 
     @abc.abstractmethod
-    def _try_place(
+    def propose(
         self, cluster: ClusterState, job: Job, now: float
     ) -> Optional[Decision]:
-        """Try to place one job right now; mutate the cluster and return
-        a decision on success, return ``None`` (and leave the cluster
-        untouched) when the job does not fit."""
-
-    def _sanity_check_decision(self, decision: Decision) -> None:
-        if decision.placement.total_procs != decision.job.procs:
-            raise SchedulingError(
-                f"placement covers {decision.placement.total_procs} of "
-                f"{decision.job.procs} processes"
-            )
+        """Where one job would run right now, as an uncommitted
+        decision, or ``None`` when it does not fit.  Reads the cluster
+        and never mutates it."""

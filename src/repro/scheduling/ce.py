@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.scheduling.base import BaseScheduler
-from repro.scheduling.placement import split_procs
 from repro.sim.cluster import ClusterState
 from repro.sim.job import Job
 from repro.sim.runtime import Decision
@@ -27,19 +26,7 @@ class CompactExclusiveScheduler(BaseScheduler):
 
     partitioned = False
 
-    def _try_place(
+    def propose(
         self, cluster: ClusterState, job: Job, now: float
     ) -> Optional[Decision]:
-        n_nodes = self._base_nodes(job)
-        if not self._valid_footprint(job, n_nodes):
-            return None
-        if cluster.idle_count() < n_nodes:
-            return None
-        chosen = cluster.first_idle(n_nodes)
-        procs = split_procs(job.procs, chosen)
-        decision = self._install(
-            cluster, job, chosen, procs,
-            ways=cluster.spec.node.llc_ways, bw_per_node=0.0, scale_factor=1,
-        )
-        self._sanity_check_decision(decision)
-        return decision
+        return self._propose_exclusive(cluster, job, 1, 0.0)

@@ -17,7 +17,7 @@ from typing import Optional
 from repro.scheduling.base import BaseScheduler
 from repro.scheduling.placement import find_nodes, split_procs
 from repro.sim.cluster import ClusterState
-from repro.sim.job import Job
+from repro.sim.job import Job, Placement
 from repro.sim.runtime import Decision
 
 
@@ -26,7 +26,7 @@ class CompactShareScheduler(BaseScheduler):
 
     partitioned = False
 
-    def _try_place(
+    def propose(
         self, cluster: ClusterState, job: Job, now: float
     ) -> Optional[Decision]:
         base = self._base_nodes(job)
@@ -41,12 +41,7 @@ class CompactShareScheduler(BaseScheduler):
             )
             if chosen is None:
                 continue
-            procs = split_procs(job.procs, chosen)
-            decision = self._install(
-                cluster, job, chosen, procs,
-                ways=cluster.spec.node.llc_ways, bw_per_node=0.0,
-                scale_factor=k,
-            )
-            self._sanity_check_decision(decision)
-            return decision
+            placement = Placement(chosen, split_procs(job.procs, chosen),
+                                  cluster.spec.node.llc_ways, 0.0)
+            return Decision(job, placement, k)
         return None

@@ -54,31 +54,36 @@ class OnlineSpreadNShareScheduler(SpreadNShareScheduler):
 
     def _feasibility_version(self):
         # A begin/abort/record on the store can flip a pending job's
-        # branch in _try_place without any cluster release, so
+        # branch in propose without any cluster release, so
         # demand-cache entries must not outlive it — and neither must
         # they outlive a profile-store outage transition.
         return (self.store.version, self._fault_epoch)
 
     # -- placement -------------------------------------------------------------
 
-    def _try_place(
+    def propose(
         self, cluster: ClusterState, job: Job, now: float
     ) -> Optional[Decision]:
+        # Trials and the CE-style default run exclusively, booking the
+        # whole memory bandwidth so nothing co-locates (Section 4.1).
+        peak = self.cluster_spec.node.peak_bw
         if not self.profile_store_up:
             # Store outage: no recording, no exploration — every job
             # runs at the CE-style safe default until the store is back.
-            return self._place_exclusive(cluster, job, scale=1,
-                                         meta={"degraded": True})
+            return self._propose_exclusive(cluster, job, 1, peak,
+                                           {"degraded": True})
         if self.store.exploration_complete(job.program, job.procs):
-            return super()._try_place(cluster, job, now)
+            return super().propose(cluster, job, now)
         scale = self.store.next_trial_scale(job.program, job.procs)
         if scale is None:
             # A trial is in flight: run this instance at the CE-style
             # default without recording.
-            return self._place_exclusive(cluster, job, scale=1,
-                                         meta={"degraded": True})
-        decision = self._place_exclusive(cluster, job, scale,
-                                         meta={"trial": True})
+            return self._propose_exclusive(cluster, job, 1, peak,
+                                           {"degraded": True})
+        # The scheduler commits a proposal at once, so the trial
+        # begins here.
+        decision = self._propose_exclusive(cluster, job, scale, peak,
+                                           {"trial": True})
         if decision is not None:
             self.store.begin_trial(job.program, job.procs, scale)
             self._trials[job.job_id] = scale

@@ -29,7 +29,7 @@ from repro.scheduling.base import BaseScheduler
 from repro.scheduling.demand import ResourceDemand, estimate_demands_batch
 from repro.scheduling.placement import find_nodes, split_procs
 from repro.sim.cluster import MAX_ENTRIES, ClusterState
-from repro.sim.job import Job
+from repro.sim.job import Job, Placement
 from repro.sim.runtime import Decision
 
 #: Ordered (scale factor, demand) candidates of one (program, procs,
@@ -124,47 +124,22 @@ class SpreadNShareScheduler(BaseScheduler):
             if self._valid_footprint(job, demand.n_nodes)
         )
 
-    def _place_exclusive(
-        self, cluster: ClusterState, job: Job, scale: int,
-        meta: Optional[Dict] = None,
-    ) -> Optional[Decision]:
-        """CE-style exclusive placement on fully idle nodes, booking the
-        whole LLC and memory bandwidth so nothing co-locates.  Used for
-        profiling trial runs (online SNS) and as the degraded path when
-        no profile is available.  ``meta`` is forwarded to the decision
-        for the tracer (degraded / trial flags)."""
-        spec = self.cluster_spec.node
-        n_nodes = scale * self._base_nodes(job)
-        if not self._valid_footprint(job, n_nodes):
-            return None
-        if cluster.idle_count() < n_nodes:
-            return None
-        chosen = cluster.first_idle(n_nodes)
-        procs = split_procs(job.procs, chosen)
-        decision = self._install(
-            cluster, job, chosen, procs,
-            ways=spec.llc_ways, bw_per_node=spec.peak_bw,
-            scale_factor=scale, meta=meta,
-        )
-        self._sanity_check_decision(decision)
-        return decision
-
-    def _try_place(
+    def propose(
         self, cluster: ClusterState, job: Job, now: float
     ) -> Optional[Decision]:
         spec = self.cluster_spec.node
         if not self.profile_store_up:
             # Profile store down (fault-plan outage): no demand
             # estimates exist — degrade to exclusive placement.
-            return self._place_exclusive(cluster, job, scale=1,
-                                         meta={"degraded": True})
+            return self._propose_exclusive(cluster, job, 1, spec.peak_bw,
+                                           {"degraded": True})
         alpha = job.alpha if job.alpha is not None else self.config.default_alpha
         candidates = self._scale_candidates(job, alpha, cluster)
         if candidates is None:
             # Profile lookup failed outright: degrade rather than
             # starve the job behind an error it cannot outwait.
-            return self._place_exclusive(cluster, job, scale=1,
-                                         meta={"degraded": True})
+            return self._propose_exclusive(cluster, job, 1, spec.peak_bw,
+                                           {"degraded": True})
         if not candidates:
             return None
 
@@ -184,13 +159,10 @@ class SpreadNShareScheduler(BaseScheduler):
             )
             if chosen is None:
                 continue
-            procs = split_procs(job.procs, chosen)
-            decision = self._install(
-                cluster, job, chosen, procs,
-                ways=demand.ways, bw_per_node=demand.bw_per_node,
-                scale_factor=k, net_per_node=demand.net_per_node,
-                meta={"candidates": len(candidates)},
+            placement = Placement(
+                chosen, split_procs(job.procs, chosen), demand.ways,
+                demand.bw_per_node, demand.net_per_node,
             )
-            self._sanity_check_decision(decision)
-            return decision
+            return Decision(job, placement, k,
+                            {"candidates": len(candidates)})
         return None

@@ -76,10 +76,6 @@ class ClusterState:
     #: ``batch_*`` count the batched arbitration kernel's calls and
     #: slices (its nodes are ``arb_nodes_solved``).
     counters: Dict[str, int] = field(init=False)
-    #: Union of the co-runner sets of the placements made since the
-    #: last :meth:`take_corunners` (the runtime takes it once per
-    #: scheduling point, whoever called :meth:`place_slices`).
-    _corunners: Set[int] = field(init=False)
 
     def __post_init__(self) -> None:
         # A node's state is its interned resident mix (DESIGN.md §7): the
@@ -108,7 +104,6 @@ class ClusterState:
         self._bst[cores] = self._stamp.copy()
         self._view_cache = {}
         self._down = {}
-        self._corunners = set()
         #: Cross-rack link share per node of each job booking one
         #: (``job -> {node: share}``; active fabric, multi-rack
         #: placements with ``net != 0`` only).  Shares depend on the
@@ -329,8 +324,8 @@ class ClusterState:
         ``nodes[i]`` gets ``procs[i]`` processes (both int64 arrays, or
         sequences converted to them).  Returns the job's co-runners —
         the jobs already resident on any of its nodes, read from the
-        resident-mix transitions — and adds them to the set
-        :meth:`take_corunners` hands out.
+        resident-mix transitions — which the committed
+        :class:`~repro.sim.runtime.Decision` carries to the runtime.
 
         Semantically one node at a time in batch order, but the work is
         per distinct (prior mix, process count) group: each group is
@@ -431,18 +426,9 @@ class ClusterState:
         self.counters["mix_transitions"] += len(ids)
         if count > 1 and self.fabric is not None:
             self._place_cross(arr, job_id, program, net, count)
-        if corunners:
-            self._corunners |= corunners
         self._move(arr, src, [f - p for f, p in zip(src, groups[1])],
                    groups[2], groups[3])
         return corunners
-
-    def take_corunners(self) -> Set[int]:
-        """The union of the co-runner sets of every placement since the
-        previous call, which starts a new, empty union."""
-        taken = self._corunners
-        self._corunners = set()
-        return taken
 
     def remove_slices(self, nodes: Sequence[int], job_id: int) -> Set[int]:
         """Remove one job's slices from all its nodes in one batch

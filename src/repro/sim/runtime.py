@@ -42,11 +42,15 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class Decision:
-    """One placement decision returned by a scheduling policy.
+    """One placement decision of a scheduling policy.
 
-    The policy has already installed the job's slices on the cluster
-    (so it can account availability while scheduling); the runtime
-    starts the job and re-integrates progress.
+    A policy proposes it *uncommitted* (``corunners`` is ``None``): the
+    cluster is untouched.  Committing installs the job's slices with
+    :meth:`ClusterState.place_slices` and sets ``corunners`` to the set
+    it returns (``BaseScheduler._commit``), before the policy proposes
+    the next job, so placements consume resources within a point.  The
+    runtime accepts only committed decisions: it starts each job,
+    refreshes its co-runners and re-integrates progress.
     """
 
     job: Job
@@ -56,6 +60,9 @@ class Decision:
     #: degraded-mode / trial-placement flags); never read by the
     #: runtime's placement logic.
     meta: Optional[dict] = None
+    #: The jobs resident on the placement's nodes when it was committed
+    #: (the start record's partners); ``None`` until committed.
+    corunners: Optional[Set[int]] = None
 
 
 class SchedulerPolicy(Protocol):
@@ -81,10 +88,11 @@ class SchedulerPolicy(Protocol):
     def schedule_point(
         self, cluster: ClusterState, pending: PendingQueue, now: float
     ) -> List[Decision]:
-        """Place as many pending jobs as the policy wants; install each
-        on the cluster with :meth:`ClusterState.place_slices` (the
-        built-in policies do so through ``BaseScheduler._install``) and
-        return the decisions.
+        """Place as many pending jobs as the policy wants and return
+        the committed decisions: each installed on the cluster with
+        :meth:`ClusterState.place_slices`, whose returned co-runner set
+        it carries as :attr:`Decision.corunners` (the built-in policies
+        propose read-only and ``BaseScheduler._commit`` installs).
         ``pending`` is the runtime's :class:`PendingQueue`: read its
         ``head()``, and count pass-overs only through ``age()``."""
         ...  # pragma: no cover
@@ -654,8 +662,6 @@ class SchedulerCore:
         if not self.pending:
             return
         cluster = self.cluster
-        # Only this point's placements count as its installs.
-        cluster.take_corunners()
         tracer = self.tracer
         trace_sched = tracer is not None \
             and tracer.level >= TraceLevel.EVENTS
@@ -677,15 +683,19 @@ class SchedulerCore:
         # Co-runners on the new nodes change speed: the event's refresh
         # settles them at `now` (allocations do not advance time) before
         # it re-times them.  Residents not yet started are the decisions
-        # below, which join the refresh anyway.
-        affected.update(cluster.take_corunners())
-        if tracer is not None:
-            # The policy installed every decision's slices before this
-            # loop, so partner sets would otherwise see jobs whose start
-            # records come *later* in the stream.  Emitting partners in
-            # record order (exclude not-yet-emitted co-starters) keeps
-            # the trace replayable.
-            unstarted = {d.job.job_id for d in decisions}
+        # below, which join the refresh anyway.  The union is built in
+        # decision order and joins `affected` in one update: its
+        # insertion history sets the finish-push order (DESIGN.md §7).
+        union: Set[int] = set()
+        for d in decisions:
+            if d.corunners is None:
+                raise SimulationError(
+                    f"policy returned an uncommitted decision for job "
+                    f"{d.job.job_id}: a decision must be committed "
+                    f"(place_slices' co-runners on Decision.corunners)"
+                )
+            union |= d.corunners
+        affected.update(union)
         for d in decisions:
             job = d.job
             self.pending.remove(job)
@@ -696,14 +706,10 @@ class SchedulerCore:
             self._running += 1
             affected.add(job.job_id)
             if tracer is not None:
-                unstarted.discard(job.job_id)
-                partners = cluster.resident_jobs_on(
-                    d.placement.nodes
-                )
-                partners.discard(job.job_id)
-                partners -= unstarted
+                # Residents at commit time: earlier co-starters, never
+                # later ones, so the trace stays replayable.
                 cross = cluster.cross_jobs.get(job.job_id)
-                tracer.start(now, job, d, partners,
+                tracer.start(now, job, d, d.corunners,
                              xfrac=None if cross is None else cross[2])
 
     def _check_liveness(self) -> None:
@@ -841,10 +847,9 @@ class SchedulerCore:
                     slowest = rate
                 if cong is None or view[2] > cong:
                     cong = view[2]
-            # A mix of one-node slices sums its net load to int 0.
             row[COMPUTE:ROUTE] = (*time_parts(
                 spec, program, job.procs, n_nodes, row[T_REF], slowest,
-            ), float(cong))
+            ), cong)
 
 
 class Simulation(SchedulerCore):

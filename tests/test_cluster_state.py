@@ -185,14 +185,14 @@ class TestResidentQueries:
         return found
 
     def test_corunners_of_place_and_remove(self, cluster):
-        assert cluster.place_slices([0, 1], 1, EP, [4, 4], 2, 0.0, 2) \
-            == set()
-        assert cluster.place_slices([1, 2], 2, EP, [4, 4], 2, 0.0, 2) \
-            == {1}
-        assert cluster.place_slices([0, 1, 3], 3, EP, [4, 4, 4], 2, 0.0,
-                                    3) == {1, 2}
-        assert cluster.take_corunners() == {1, 2}
-        assert cluster.take_corunners() == set()
+        first = cluster.place_slices([0, 1], 1, EP, [4, 4], 2, 0.0, 2)
+        second = cluster.place_slices([1, 2], 2, EP, [4, 4], 2, 0.0, 2)
+        third = cluster.place_slices([0, 1, 3], 3, EP, [4, 4, 4], 2, 0.0, 3)
+        assert (first, second, third) == (set(), {1}, {1, 2})
+        # Each placement returns a set of its own, which later
+        # placements never touch: a committed decision keeps it.
+        assert first | second | third == {1, 2}
+        assert len({id(first), id(second), id(third)}) == 3
         assert cluster.remove_slices([1, 2], 2) == {1, 3}
         assert cluster.remove_slices([0, 1, 3], 3) == {1}
         assert cluster.remove_slices([0, 1], 1) == set()

@@ -166,6 +166,8 @@ class TestPackageSurface:
             "test hook: asserts a node's fault state",
         "ClusterState.down_nodes":
             "test hook: asserts the set of failed nodes",
+        "ClusterState.resident_jobs_on":
+            "test hook: the jobs resident on given nodes",
         "node_network_load":
             "scalar physics the oracle compares the batch kernel against",
         "Job.set_speed":
@@ -173,6 +175,37 @@ class TestPackageSurface:
         "Job.projected_finish":
             "scalar physics RunningTable.retime's bit-identity tests use",
     }
+
+    def test_policies_only_propose(self):
+        """Policies are read-only on the cluster: under ``scheduling/``
+        the one ``place_slices`` call is ``BaseScheduler._commit``'s,
+        and nothing removes slices or fails or recovers a node."""
+        import ast
+
+        mutators = {"place_slices", "remove_slices", "fail_node",
+                    "recover_node"}
+
+        def calls(node, scope):
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                      ast.AsyncFunctionDef)):
+                    inner = scope + (child.name,)
+                elif isinstance(child, ast.Call):
+                    fn = child.func
+                    name = getattr(fn, "attr", getattr(fn, "id", None))
+                    if name in mutators:
+                        yield ".".join(scope), name
+                yield from calls(child, inner)
+
+        found = [
+            (where.name, scope, name)
+            for where, tree in _src_modules()
+            if where.parent.name == "scheduling"
+            for scope, name in calls(tree, ())
+        ]
+        assert found == [("base.py", "BaseScheduler._commit",
+                           "place_slices")]
 
     #: Constants and dataclass fields that only tests read on purpose.
     TEST_ONLY_DATA = {

@@ -180,6 +180,13 @@ class TestArbitrationCacheInvalidation:
         # Job 1's effective ways shrank when job 2 claimed dedicated ways.
         assert effs2[jids2.index(1)] < effs1[0]
 
+    def test_one_node_mix_net_load_is_float(self, cluster):
+        """A mix of one-node slices sums no network load, and its view
+        still holds a float, as ``ArbitrationView`` declares."""
+        self._place(cluster, 0, 1)
+        self._place(cluster, 0, 2)
+        assert type(cluster.arbitration(0)[2]) is float
+
     def test_remove_evicts(self, cluster):
         self._place(cluster, 0, 1)
         self._place(cluster, 0, 2)
@@ -244,9 +251,10 @@ class _PresetPolicy:
             nodes = list(ppn)
             procs = list(ppn.values())
             ways = cluster.spec.node.cache.min_ways
-            cluster.place_slices(nodes, job.job_id, job.program, procs,
-                                 ways, 0.0, len(nodes))
-            out.append(Decision(job, Placement(nodes, procs, ways, 0.0), 1))
+            corunners = cluster.place_slices(
+                nodes, job.job_id, job.program, procs, ways, 0.0, len(nodes))
+            out.append(Decision(job, Placement(nodes, procs, ways, 0.0), 1,
+                                corunners=corunners))
         return out
 
     def on_job_finish(self, job, now):

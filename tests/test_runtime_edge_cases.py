@@ -9,8 +9,9 @@ from repro.hardware.topology import ClusterSpec
 from repro.scheduling.base import BaseScheduler
 from repro.scheduling.ce import CompactExclusiveScheduler
 from repro.scheduling.cs import CompactShareScheduler
-from repro.sim.job import Job
-from repro.sim.runtime import Simulation
+from repro.scheduling.placement import split_procs
+from repro.sim.job import Job, Placement
+from repro.sim.runtime import Decision, Simulation
 
 EP = get_program("EP")
 MG = get_program("MG")
@@ -61,21 +62,23 @@ class TestEdgeCases:
             result.mean_turnaround()
 
 
+def _on_node(job, node):
+    """An uncommitted proposal of ``job`` on one node."""
+    chosen = [node]
+    return Decision(job, Placement(chosen, split_procs(job.procs, chosen),
+                                   20, 0.0), 1)
+
+
 class _BrokenPolicy(BaseScheduler):
     """Policy that claims placements for jobs it was never given."""
 
     partitioned = False
 
-    def _try_place(self, cluster, job, now):
-        from repro.scheduling.placement import split_procs
-        ghost = Job(job_id=999, program=EP, procs=4)
+    def propose(self, cluster, job, now):
         chosen = cluster.idle_nodes()[:1]
         if not chosen:
             return None
-        return self._install(
-            cluster, ghost, chosen, split_procs(4, chosen),
-            ways=20, bw_per_node=0.0, scale_factor=1,
-        )
+        return _on_node(Job(job_id=999, program=EP, procs=4), chosen[0])
 
 
 class _DoublePlacePolicy(BaseScheduler):
@@ -84,19 +87,19 @@ class _DoublePlacePolicy(BaseScheduler):
     partitioned = False
 
     def schedule_point(self, cluster, pending, now):
-        from repro.scheduling.placement import split_procs
-        decisions = []
-        for job in pending.head(1):
-            for start in (0, 1):
-                chosen = [start]
-                decisions.append(self._install(
-                    cluster, job, chosen, split_procs(job.procs, chosen),
-                    ways=20, bw_per_node=0.0, scale_factor=1,
-                ))
-        return decisions
+        return [self._commit(cluster, _on_node(job, start))
+                for job in pending.head(1) for start in (0, 1)]
 
-    def _try_place(self, cluster, job, now):  # pragma: no cover
+    def propose(self, cluster, job, now):  # pragma: no cover
         return None
+
+
+class _UncommittedPolicy(CompactExclusiveScheduler):
+    """Policy that returns CE's proposals without committing them."""
+
+    def schedule_point(self, cluster, pending, now):
+        return [self.propose(cluster, job, now)
+                for job in pending.head(1)]
 
 
 class TestFailureInjection:
@@ -110,6 +113,11 @@ class TestFailureInjection:
         job = Job(job_id=0, program=EP, procs=16)
         with pytest.raises(SimulationError, match="twice"):
             run([job], policy_cls=_DoublePlacePolicy)
+
+    def test_uncommitted_decision_rejected(self):
+        job = Job(job_id=0, program=EP, procs=16)
+        with pytest.raises(SimulationError, match="uncommitted decision"):
+            run([job], policy_cls=_UncommittedPolicy)
 
 
 class TestSchedulingPointOrdering:

@@ -86,9 +86,9 @@ class _Driver:
         self.spec = self.cluster.spec.node
         self.placements: dict = {}  # job_id -> node_ids
         self.next_job = 0
-        #: Union of the placements' co-runner sets since the cluster's
-        #: take_corunners() last ran.
-        self.placed_corunners: set = set()
+        #: Each placement's returned co-runner set with a copy taken at
+        #: return time.
+        self.placed_corunners: list = []
 
     # -- legality queries ------------------------------------------------
 
@@ -171,7 +171,7 @@ class _Driver:
             ways, bw, len(node_ids), net=net,
         )
         assert corunners == self.shared_residents(node_ids, job_id)
-        self.placed_corunners |= corunners
+        self.placed_corunners.append((corunners, set(corunners)))
         self.placements[job_id] = tuple(node_ids)
 
     def remove(self, data) -> None:
@@ -237,8 +237,10 @@ def test_columns_match_recomputed_state(partitioned, enforce_bw, data):
         # The contract holds after EVERY operation, not just at rest.
         driver.cluster.verify_columns()
         driver.cluster.verify_index()
-    assert driver.cluster.take_corunners() == driver.placed_corunners
-    assert driver.cluster.take_corunners() == set()
+    # A committed decision keeps the set place_slices returned: no later
+    # operation may alias or mutate it.
+    for returned, at_return in driver.placed_corunners:
+        assert returned == at_return
     # Drain everything: emptied slots must reset to exact zeros and
     # pristine epsilon complements.
     for job_id, node_ids in sorted(driver.placements.items()):
