@@ -272,11 +272,11 @@ def _check_fabric(events: List[dict]) -> List[str]:
     """Link conservation (DESIGN.md §13): replay the cross-rack running
     set from the decision records and demand that every ``links`` record
     matches a from-scratch recomputation of the ToR uplink and spine
-    utilizations — exactly, not approximately: the runtime accumulates
+    utilizations — exactly, not approximately: the cluster accumulates
     loads in sorted-job-id order with a fixed operation sequence
-    (:meth:`repro.sim.runtime.SchedulerCore._recompute_fabric_loads`)
-    precisely so this replay reproduces every float bit-for-bit (JSON
-    round-trips of float64 are exact)."""
+    (:meth:`repro.sim.cluster.ClusterState.link_loads`) precisely so
+    this replay reproduces every float bit-for-bit (JSON round-trips of
+    float64 are exact)."""
     meta = None
     for event in events:
         if event["ev"] == "meta":

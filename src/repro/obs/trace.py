@@ -125,7 +125,7 @@ class Tracer:
 
     @property
     def timeseries(self) -> Optional[TimeSeries]:
-        """The per-node gauge series derived from the trace (``None``
+        """The cluster-total gauge series derived from the trace (``None``
         before the meta record exists), at
         :func:`~repro.obs.timeseries.timeseries_from_trace`'s default
         capacity; built lazily and cached, so call it only once the run

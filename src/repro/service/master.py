@@ -53,6 +53,19 @@ from repro.sim.job import Job, JobState
 from repro.sim.runtime import SchedulerCore
 
 
+class _Unframed(Exception):
+    """A request the stream cannot be re-framed after: a line over the
+    reader's limit (the reader drops it) or a bad ``Content-Length``."""
+
+
+async def _readline(reader: asyncio.StreamReader) -> bytes:
+    """The next line; raises :class:`_Unframed` when it is too long."""
+    try:
+        return await reader.readline()
+    except ValueError as exc:
+        raise _Unframed(f"line too long ({exc})") from None
+
+
 class SchedulerMaster:
     """One service instance: a core, a bounded submission queue, and
     the TCP front door.  Construct, then either ``await serve()`` on an
@@ -378,15 +391,26 @@ class SchedulerMaster:
     async def _handle_conn(self, reader: asyncio.StreamReader,
                            writer: asyncio.StreamWriter) -> None:
         """Serve one connection; the first line picks the encoding
-        (HTTP verb -> HTTP, otherwise the JSON line protocol)."""
+        (HTTP verb -> HTTP, otherwise the JSON line protocol).  After an
+        unframed request the reply is a 400 and the connection closes,
+        since the next request's start is unknown."""
+        is_http = False
         try:
-            first = await reader.readline()
+            first = await _readline(reader)
             if not first:
                 return
-            if protocol.HTTP_VERB.match(first):
+            is_http = protocol.HTTP_VERB.match(first) is not None
+            if is_http:
                 await self._serve_http(first, reader, writer)
             else:
                 await self._serve_lines(first, reader, writer)
+        except _Unframed as exc:
+            reply = protocol.error(f"bad request: {exc}")
+            writer.write(protocol.http_response(
+                reply, status=(400, "Bad Request"), keep_alive=False,
+            ) if is_http else protocol.encode(reply))
+            with contextlib.suppress(ConnectionError):
+                await writer.drain()
         except (ConnectionResetError, BrokenPipeError,
                 asyncio.IncompleteReadError):
             pass
@@ -413,7 +437,7 @@ class SchedulerMaster:
                     reply = self._handle_request(request)
                 writer.write(protocol.encode(reply))
                 await writer.drain()
-            line = await reader.readline()
+            line = await _readline(reader)
 
     async def _serve_http(self, first: bytes, reader: asyncio.StreamReader,
                           writer: asyncio.StreamWriter) -> None:
@@ -431,13 +455,15 @@ class SchedulerMaster:
             length = 0
             keep_alive = True
             while True:
-                header = await reader.readline()
+                header = await _readline(reader)
                 if header in (b"\r\n", b"\n", b""):
                     break
                 name, _, value = header.decode("latin-1").partition(":")
                 name = name.strip().lower()
                 value = value.strip()
                 if name == "content-length":
+                    if not value.isdecimal():
+                        raise _Unframed(f"Content-Length {value!r}")
                     length = int(value)
                 elif name == "connection" and value.lower() == "close":
                     keep_alive = False
@@ -456,7 +482,7 @@ class SchedulerMaster:
                     await writer.drain()
                     if not keep_alive:
                         return
-                    request_line = await reader.readline()
+                    request_line = await _readline(reader)
                     continue
                 reply = self._handle_request(request)
             writer.write(protocol.http_response(
@@ -466,7 +492,7 @@ class SchedulerMaster:
             await writer.drain()
             if not keep_alive:
                 return
-            request_line = await reader.readline()
+            request_line = await _readline(reader)
 
 
 class ServiceHandle:

@@ -45,10 +45,20 @@ def encode(obj: dict) -> bytes:
     return json.dumps(obj, separators=(",", ":")).encode("utf-8") + b"\n"
 
 
+def _loads(data: bytes) -> object:
+    """``json.loads`` of UTF-8 ``data``; raises ``ValueError`` on
+    anything that is not JSON, including nesting past the recursion
+    limit."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def decode(line: bytes) -> dict:
     """Parse one line-protocol frame; raises ``ValueError`` on anything
     that is not a JSON object."""
-    obj = json.loads(line.decode("utf-8"))
+    obj = _loads(line)
     if not isinstance(obj, dict):
         raise ValueError("request must be a JSON object")
     return obj
@@ -68,7 +78,7 @@ def route_request(method: str, path: str,
     if op is not None:
         request = {"op": op}
         if body:
-            payload = json.loads(body.decode("utf-8"))
+            payload = _loads(body)
             if not isinstance(payload, dict):
                 raise ValueError("request body must be a JSON object")
             payload.pop("op", None)

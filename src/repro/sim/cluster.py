@@ -73,8 +73,8 @@ class ClusterState:
     #: placement path (bucket scans, idle queries) skips them natively.
     _down: Dict[int, None] = field(init=False)
     #: Arbitration/scan instrumentation, surfaced on SimulationResult;
-    #: ``batch_*`` count the batched arbitration kernel's calls and
-    #: slices (its nodes are ``arb_nodes_solved``).
+    #: ``batch_*`` count the arbitration kernel's calls and slices (its
+    #: tables are ``arb_nodes_solved``).
     counters: Dict[str, int] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -802,40 +802,25 @@ class ClusterState:
     def arbitration(self, node_id: int) -> ArbitrationView:
         """Bandwidth grants, network load, and effective ways on one
         node: its mix's view, resolved once per mix lifetime."""
-        return self.arbitration_batch((node_id,))[node_id]
+        m = self.mixes.mix.item(node_id)
+        self.arbitration_batch([m])
+        return self.mixes.views[m]
 
-    def arbitration_batch(
-        self, node_ids: Iterable[int]
-    ) -> Dict[int, ArbitrationView]:
-        """Arbitration views for many nodes at once.
+    def arbitration_batch(self, mix_ids: List[int]) -> None:
+        """Resolve the views of the distinct mixes ``mix_ids`` (a list,
+        in first-seen order); callers read ``mixes.views[m]``.
 
-        Nodes sharing a resident mix share its view, so the work is one
-        resolution per distinct *unresolved* mix: a hit in the
-        signature-keyed view cache, or a place in one call to the
-        columnar batched kernel (:func:`repro.perfmodel.batch.
-        arbitrate_nodes`) that also dedupes equal signatures.
-        Bit-identical to the scalar ``arbitrate_node`` /
-        ``node_network_load`` of each node's slices (the oracle under
-        ``tests/oracle`` checks it).
-        """
-        node_list = (node_ids if isinstance(node_ids, (list, tuple))
-                     else list(node_ids))
-        count = len(node_list)
-        mids = self.mixes.mix[
-            np.fromiter(node_list, dtype=np.int64, count=count)
-        ].tolist()
-        views = self.mixes.views
-        todo = [m for m in dict.fromkeys(mids) if views[m] is None]
-        if todo:
-            self._resolve_mixes(todo)
-        return dict(zip(node_list, map(views.__getitem__, mids)))
-
-    def _resolve_mixes(self, todo: List[int]) -> None:
-        """Fill the views of the mixes ``todo``.  Each mix's
-        job-id-independent signature is re-interned from its key and the
-        per-job ``meta`` bookings; a signature that needs a kernel solve
-        gets its slices from the mix too (:meth:`MixTable.slices`)."""
+        An unresolved mix is a hit in the signature-keyed view cache or
+        a table in one call to :func:`repro.perfmodel.batch.
+        arbitrate_nodes`, one table per distinct signature.  A mix's
+        job-id-independent signature is re-interned from its key and
+        the per-job ``meta`` bookings; a kernel solve takes its slices
+        from the mix (:meth:`MixTable.slices`)."""
         mixes = self.mixes
+        views = mixes.views
+        todo = [m for m in mix_ids if views[m] is None]
+        if not todo:
+            return
         view_cache = self._view_cache
         meta = mixes.meta
         partitioned = self.partitioned
@@ -858,7 +843,7 @@ class ClusterState:
             entry = view_cache.get(key)
             if entry is not None and all(map(is_, entry[0], programs)):
                 hits += 1
-                mixes.views[m] = (jids, entry[1], entry[2], entry[3])
+                views[m] = (jids, entry[1], entry[2], entry[3])
             elif key in solve:
                 solve[key].append((m, jids))
             else:
@@ -886,7 +871,7 @@ class ClusterState:
             )
             view_cache[key] = entry
             for m, jids in waiting[1:]:
-                mixes.views[m] = (jids, entry[1], entry[2], entry[3])
+                views[m] = (jids, entry[1], entry[2], entry[3])
 
     def verify_index(self) -> None:
         """Invariant check of the free-core index, used by tests and

@@ -123,7 +123,7 @@ class SimulationResult:
     #: Number of discrete events processed (benchmark metric).
     events: int = 0
     #: Kernel-counter instrumentation: event batches, refresh cycles,
-    #: arbitration cache traffic, nodes scanned, batched-kernel counts
+    #: arbitration cache traffic, nodes scanned, arbitration-kernel counts
     #: (see DESIGN.md §7).
     counters: Dict[str, int] = field(default_factory=dict)
     #: The run's structured tracer (DESIGN.md §10); ``None`` unless the
@@ -545,7 +545,7 @@ class SchedulerCore:
 
     def _collect_counters(self) -> Dict[str, int]:
         """Aggregate instrumentation: the runtime loop's, the cluster's
-        (arbitration, scans, batched kernel) and the policy's (queue,
+        (arbitration, scans, arbitration kernel) and the policy's (queue,
         demand kernel) counters.  The cluster is created fresh per
         Simulation, so its counters are absolute for this run — no
         snapshot deltas needed."""
@@ -783,13 +783,14 @@ class SchedulerCore:
         sampling moves no counter."""
         mixes = self.cluster.mixes
         nodes = self.telemetry.changed(mixes.mix, mixes.keys)
-        views = self.cluster.arbitration_batch(nodes)
+        mids = mixes.mix[nodes].tolist()
+        self.cluster.arbitration_batch(list(dict.fromkeys(mids)))
+        views = mixes.views
+        free_cores = mixes.free_cores
         cores = self._spec.cores
-        for nid in nodes:
-            self.telemetry.record(
-                nid, now, sum(views[nid][1]),
-                cores=cores - mixes.free_cores.item(mixes.mix.item(nid)),
-            )
+        for nid, m in zip(nodes, mids):
+            self.telemetry.record(nid, now, sum(views[m][1]),
+                                  cores=cores - free_cores.item(m))
 
     def _rebuild_rows(self, stale: List[tuple]) -> None:
         """Rebuild the time parts of the ``(job id, row)`` pairs from
@@ -798,31 +799,17 @@ class SchedulerCore:
         process rates (``MixTable.rates``, one per mix lifetime) and
         ``node_cong`` the largest of their net loads.  Min and max over
         the held mixes equal min and max over the distinct per-node
-        conditions ``job_time`` reduces.  Mixes whose view is still
-        unresolved go to ``arbitration_batch`` with one carrier node
-        each, found by gathering the placement of a job holding one."""
+        conditions ``job_time`` reduces.  The held mixes go to
+        ``arbitration_batch``, which resolves the ones with no view
+        yet."""
         if not stale:
             return
         mixes = self.cluster.mixes
         held = mixes.held
         views = mixes.views
-        seen: Set[int] = set()
-        carriers: List[int] = []
-        for jid, _ in stale:
-            unresolved = []
-            for m in held[jid]:
-                if m not in seen:
-                    seen.add(m)
-                    if views[m] is None:
-                        unresolved.append(m)
-            if unresolved:
-                nodes = self.jobs[jid].placement.nodes
-                on = mixes.mix[nodes]
-                carriers.extend([int(nodes[int((on == m).argmax())])
-                                 for m in unresolved])
-        self._counters["nodes_refreshed"] += len(seen)
-        if carriers:
-            self.cluster.arbitration_batch(carriers)
+        mids = list(dict.fromkeys([m for jid, _ in stale for m in held[jid]]))
+        self._counters["nodes_refreshed"] += len(mids)
+        self.cluster.arbitration_batch(mids)
         keys = mixes.keys
         rates = mixes.rates
         spec = self._spec

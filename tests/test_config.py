@@ -168,8 +168,6 @@ class TestPackageSurface:
             "test hook: asserts the set of failed nodes",
         "ClusterState.resident_jobs_on":
             "test hook: the jobs resident on given nodes",
-        "node_network_load":
-            "scalar physics the oracle compares the batch kernel against",
         "Job.set_speed":
             "scalar physics RunningTable.retime's bit-identity tests use",
         "Job.projected_finish":

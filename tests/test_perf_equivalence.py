@@ -65,86 +65,12 @@ class TestMemoizedEquivalence:
     def test_stats_report_hits(self):
         runs = _run_sequence_results(7)
         for result in runs.values():
-            # Every policy's run exercised the batched kernel and
+            # Every policy's run exercised the arbitration kernel and
             # reused solved signatures through the view cache.
             assert result.counters["arb_nodes_solved"] > 0
             assert result.counters["view_cache_hits"] > 0
         # SNS re-reads its demand candidates for re-tried jobs.
         assert runs["SNS"].counters["demand_cache_hits"] > 0
-
-
-class TestBatchedKernelEquivalence:
-    """The columnar batched kernel must be bit-identical to the scalar
-    reference on randomized slice tables."""
-
-    def _random_tables(self, seed: int, n_tables: int = 40):
-        import random
-
-        from repro.apps.catalog import PROGRAMS
-        from repro.perfmodel.contention import Slice
-
-        rng = random.Random(seed)
-        spec = ClusterSpec(num_nodes=4).node
-        programs = list(PROGRAMS.values())
-        tables = []
-        next_jid = 0
-        for _ in range(n_tables):
-            n_slices = rng.randint(0, 4)
-            slices = []
-            free_cores = spec.cores
-            free_ways = float(spec.llc_ways)
-            for _ in range(n_slices):
-                if free_cores < 1:
-                    break
-                procs = rng.randint(1, min(free_cores, 16))
-                free_cores -= procs
-                ways = round(rng.uniform(1.0, max(1.5, free_ways / 2)), 3)
-                free_ways = max(0.5, free_ways - ways)
-                slices.append(Slice(
-                    job_id=next_jid,
-                    program=rng.choice(programs),
-                    procs=procs,
-                    effective_ways=ways,
-                    n_nodes=rng.choice((1, 1, 2, 4, 8)),
-                    bw_cap=(
-                        None if rng.random() < 0.7
-                        else round(rng.uniform(1.0, 40.0), 3)
-                    ),
-                ))
-                next_jid += 1
-            tables.append(slices)
-        return spec, tables
-
-    @pytest.mark.parametrize("seed", [0, 7, 1234])
-    def test_batched_matches_scalar_reference(self, seed):
-        from repro.perfmodel import batch
-        from repro.perfmodel.contention import (
-            arbitrate_node,
-            node_network_load,
-        )
-
-        spec, tables = self._random_tables(seed)
-        batched = batch.arbitrate_nodes(spec, tables)
-        reference = [
-            (arbitrate_node(spec, slices), node_network_load(spec, slices))
-            for slices in tables
-        ]
-        assert batched == reference  # bit-identical grants and net loads
-
-    def test_batched_rejects_overcommitted_node(self):
-        from repro.apps.catalog import get_program
-        from repro.errors import HardwareModelError
-        from repro.perfmodel import batch
-        from repro.perfmodel.contention import Slice
-
-        spec = ClusterSpec(num_nodes=1).node
-        overfull = [
-            Slice(job_id=i, program=get_program("EP"), procs=spec.cores,
-                  effective_ways=2.0)
-            for i in range(2)
-        ]
-        with pytest.raises(HardwareModelError):
-            batch.arbitrate_nodes(spec, [overfull])
 
 
 class TestArbitrationCacheInvalidation:
@@ -366,9 +292,9 @@ class TestCohortMixDedupe:
         # distinct mix — never one per node.
         for _, _, transitions in places + removes:
             assert 1 <= transitions <= 2
-        # Each refresh resolves one representative node per distinct
-        # mix over the refreshed placements.
-        assert arbs and all(nodes <= 2 for _, nodes, _ in arbs)
+        # Each refresh resolves the distinct mixes the refreshed
+        # placements hold.
+        assert arbs and all(mids <= 2 for _, mids, _ in arbs)
         # And the dedupe changes nothing: the times are the per-node
         # physics integrated by hand.
         assert times == self._expected_times()

@@ -12,6 +12,7 @@ from __future__ import annotations
 import http.client
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -388,6 +389,39 @@ class TestHttpInterface:
                 assert json.loads(resp.read())["accepted"] == 1
             finally:
                 conn.close()
+
+
+#: Hostile requests, each with the encoding its reply comes back in.
+_DEEP = b"[" * 10000
+_HOSTILE = {
+    "nested-line": (False, _DEEP + b"\n"),
+    "long-line": (False, b'{"op":"' + b"x" * (70 * 1024) + b'"}\n'),
+    "length-abc": (True, b"POST /submit HTTP/1.1\r\n"
+                         b"Content-Length: abc\r\n\r\n"),
+    "length-negative": (True, b"POST /submit HTTP/1.1\r\n"
+                              b"Content-Length: -1\r\n\r\n"),
+    "nested-body": (True, b"POST /submit HTTP/1.1\r\nContent-Length: "
+                          + str(len(_DEEP)).encode() + b"\r\n\r\n" + _DEEP),
+}
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("name", sorted(_HOSTILE))
+    def test_bad_request_answers_400_and_service_keeps_serving(self, name):
+        is_http, payload = _HOSTILE[name]
+        with live_service() as (master, handle):
+            with socket.create_connection((handle.host, handle.port),
+                                          timeout=10) as sock:
+                sock.sendall(payload)
+                first = sock.makefile("rb").readline()
+            if is_http:
+                assert first.split()[1] == b"400"
+            else:
+                reply = json.loads(first)
+                assert reply["error"].startswith("bad request")
+                assert protocol.http_status_for(reply)[0] == 400
+            with ServiceClient(handle.host, handle.port) as client:
+                assert client.ping()["ok"]
 
 
 #: Run in a fresh interpreter: ``serve``'s construction path, then the

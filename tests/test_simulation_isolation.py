@@ -85,6 +85,31 @@ class TestEviction:
         assert _observe(result) == baseline
 
 
+class TestRecycledIds:
+    def test_colliding_program_ids_change_nothing(self, monkeypatch):
+        """The view cache and the SNS demand cache key programs by
+        ``id()`` and check identity on a hit, so an entry left by a
+        program whose id was recycled is a miss.  With every program's
+        id made equal, a staggered SNS run is unchanged: its light
+        programs book the same ways on one node, so their mixes share a
+        signature but for the program."""
+        names = ("WC", "EP", "HC", "GAN", "MG", "EP", "WC", "CG")
+
+        def run():
+            jobs = [Job(job_id=i, program=get_program(name), procs=28,
+                        submit_time=60.0 * i)
+                    for i, name in enumerate(names)]
+            return _observe(Simulation.from_policy_name(
+                "SNS", ClusterSpec(num_nodes=8), jobs,
+                sim_config=SimConfig(trace=TraceConfig(level="decisions")),
+            ).run())
+
+        baseline = run()
+        for module in (cluster_module, sns_module):
+            monkeypatch.setattr(module, "id", lambda obj: 0, raising=False)
+        assert run() == baseline
+
+
 class TestStatsPlumbing:
     def test_result_counters_match_owners_exactly(self):
         spec = ClusterSpec(num_nodes=4)

@@ -310,11 +310,13 @@ def _oracle_view(cluster: ClusterState, nid: int) -> tuple:
 def _check_arbitration(cluster: ClusterState) -> None:
     """Every node's view (single and batched lookups) is bit-identical
     to the oracle's from-scratch arbitration."""
-    batch = cluster.arbitration_batch(list(range(NODES)))
+    mixes = cluster.mixes
+    mids = mixes.mix.tolist()
+    cluster.arbitration_batch(list(dict.fromkeys(mids)))
     reference = [_oracle_view(cluster, nid) for nid in range(NODES)]
     for nid in range(NODES):
+        assert repr(mixes.views[mids[nid]]) == repr(reference[nid])
         assert repr(cluster.arbitration(nid)) == repr(reference[nid])
-        assert repr(batch[nid]) == repr(reference[nid])
 
 
 @pytest.mark.parametrize(
