@@ -17,7 +17,7 @@ here — arbitration is a physical model, not a scheduler-enforced limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 from repro.errors import HardwareModelError
 from repro.apps.program import ProgramSpec
@@ -92,7 +92,7 @@ def arbitrate_node(spec: NodeSpec,
         if s.bw_cap is not None:
             demand = min(demand, s.bw_cap)  # MBA-style hard throttle
         demands[s.job_id] = demand
-    total_demand = sum(demands.values())
+    total_demand = left_sum(demands.values())
     supply = spec.bandwidth.aggregate(total_procs)
     if total_demand <= supply or total_demand == 0.0:
         return demands
@@ -108,8 +108,16 @@ def node_network_load(spec: NodeSpec, slices: Sequence[Slice]) -> float:
     the link is oversubscribed and communication phases stretch
     proportionally.
     """
-    return sum((
-        s.program.comm.network_fraction(s.n_nodes)
-        for s in slices
-        if s.n_nodes > 1
-    ), 0.0)
+    return left_sum(s.program.comm.network_fraction(s.n_nodes)
+                    for s in slices if s.n_nodes > 1)
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """``values`` added one at a time, left to right, from ``0.0``:
+    the same bits on every Python version.  Builtin ``sum()`` of floats
+    is compensated from Python 3.12, so it can round otherwise
+    (DESIGN.md §13)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total

@@ -20,7 +20,8 @@ import numpy as np
 from repro.errors import AllocationError, SimulationError
 from repro.hardware.topology import ClusterSpec
 from repro.perfmodel import batch
-from repro.sim.node import MixTable, distinct, recount
+from repro.perfmodel.contention import left_sum
+from repro.sim.node import _SHORT, MixTable, distinct, recount
 
 #: Safety valve of the caches that key on signatures (the cluster's
 #: view cache, the SNS demand cache): one that somehow exceeds this
@@ -114,6 +115,9 @@ class ClusterState:
         #: uplink, the left-to-right sum of its residents' ``_cross``
         #: shares.  The per-rack ToR and spine aggregates derive from it.
         self.booked_cross = np.zeros(n, dtype=np.float64)
+        #: Per-node scratch for the duplicate-node check of wide
+        #: placements; its contents mean nothing between calls.
+        self._scratch = np.zeros(n, dtype=np.int64)
         self.counters = {
             "mix_transitions": 0,
             "view_cache_hits": 0,
@@ -219,11 +223,18 @@ class ClusterState:
             live[f] += count
             self._push(f, arr, stamps)
         else:
-            to = np.asarray(dst)[inv]
-            for f, k in came.items():
-                live[f] += k
-                sel = to == f
-                self._push(f, arr[sel], stamps[sel])
+            # One stable sort by destination (a radix sort on int16
+            # keys, linear) keeps batch order within each bucket.
+            order = np.argsort(np.asarray(dst, dtype=np.int16)[inv],
+                               kind="stable")
+            by_dst = arr[order]
+            order += clock
+            start = 0
+            for f in sorted(came):
+                end = start + came[f]
+                live[f] += came[f]
+                self._push(f, by_dst[start:end], order[start:end])
+                start = end
         first = int(arr[0])
         for f, k in gone.items():
             live[f] -= k
@@ -232,7 +243,7 @@ class ClusterState:
             # The whole batch left f (so none entered it) from its front,
             # as first-n placements do: skip those dead entries now.
             if k == count and h + count <= tail[f] and front[0] == first \
-                    and np.array_equal(front, arr):
+                    and bool((front == arr).all()):
                 head[f] = h + count
             if tail[f] - head[f] > 2 * live[f]:
                 self._compact(f)
@@ -345,9 +356,22 @@ class ClusterState:
             raise AllocationError("placement nodes and procs disagree")
         if net < 0:
             raise AllocationError("network booking must be non-negative")
-        if bool((procs_arr < 1).any()):
+        # Short batches check as lists, long ones in linear array
+        # passes (DESIGN.md §7).
+        if count <= _SHORT:
+            procs_list = procs_arr.tolist()
+            low, high = min(procs_list), max(procs_list)
+            twice = len(set(arr.tolist())) != count
+        else:
+            low, high = int(procs_arr.min()), int(procs_arr.max())
+            # Scatter positions, gather them back: a node named twice
+            # reads another occurrence's position at one of them.
+            at = np.arange(count)
+            self._scratch[arr] = at
+            twice = bool((self._scratch[arr] != at).any())
+        if low < 1:
             raise AllocationError("per-node process counts must be positive")
-        if len(set(arr.tolist())) != count:
+        if twice:
             raise AllocationError("placement names a node twice")
         mixes = self.mixes
         partitioned = self.partitioned
@@ -382,7 +406,7 @@ class ClusterState:
                     f"job {job_id} already on node {int(arr[first])}")
         max_parts = cache.max_partitions
         # More processes than cores cannot fit, nor encode as a group.
-        bad = int(procs_arr.max()) > mixes.cores
+        bad = high > mixes.cores
         if not bad:
             groups = mixes.groups(arr, procs_arr)
             src = [mixes.free_cores.item(m) for m in groups[0]]
@@ -500,13 +524,11 @@ class ClusterState:
         racks = self._rack_of[arr]
         if (racks == racks[0]).all():
             return
-        # Only booking needs np.unique's inverse; computing it for every
-        # multi-rack placement shows in replay time.
-        if net != 0.0:
-            uniq, inv, cnt = np.unique(racks, return_inverse=True,
-                                       return_counts=True)
-        else:
-            uniq, cnt = np.unique(racks, return_counts=True)
+        # Nodes per rack by counting: ascending rack ids, as a sort
+        # would give, in linear time.
+        full = np.bincount(racks, minlength=self._num_racks)
+        uniq = (full != 0).nonzero()[0]
+        cnt = full[uniq]
         frac = program.comm.network_fraction(count)
         if frac != 0.0:
             self.cross_jobs[job_id] = (
@@ -514,7 +536,7 @@ class ClusterState:
             self._links_dirty = True
         if net == 0.0:
             return
-        cross = net * (count - cnt[inv]) / (count - 1)
+        cross = net * (count - full[racks]) / (count - 1)
         self._cross.setdefault(job_id, {}).update(
             zip(arr.tolist(), cross.tolist()))
         # Same discipline as booked_net: one elementwise IEEE addition
@@ -547,7 +569,9 @@ class ClusterState:
         if not shares:
             del cross[job_id]
         if dropped:
-            self._refresh_links(np.unique(self._rack_of[arr]))
+            touched = np.bincount(self._rack_of[arr],
+                                  minlength=self._num_racks)
+            self._refresh_links((touched != 0).nonzero()[0])
 
     def _refresh_links(self, racks: np.ndarray) -> None:
         """Re-derive ``booked_tor`` for the given racks and
@@ -562,10 +586,8 @@ class ClusterState:
         booked = self.booked_cross
         for r in racks.tolist():
             lo = r * rack_size
-            tor[r] = sum(booked[lo:min(lo + rack_size, n)].tolist())
-        # 0.0 + x is a bitwise no-op for the non-negative per-rack sums,
-        # so Python's sum() IS the left-to-right rack-order total.
-        self.booked_spine = sum(tor.tolist())
+            tor[r] = left_sum(booked[lo:min(lo + rack_size, n)].tolist())
+        self.booked_spine = left_sum(tor.tolist())
 
     def link_loads(self):
         """``None`` unless :attr:`cross_jobs` changed since the last
@@ -996,13 +1018,13 @@ class ClusterState:
             num_nodes = self.spec.num_nodes
             for r in range(self._num_racks):
                 lo, hi = self.fabric.rack_span(r, num_nodes)
-                expect = sum(self.booked_cross[lo:hi].tolist())
+                expect = left_sum(self.booked_cross[lo:hi].tolist())
                 if float(self.booked_tor[r]) != expect:
                     raise SimulationError(
                         f"rack {r}: booked_tor "
                         f"{float(self.booked_tor[r])!r} != {expect!r}"
                     )
-            expect = sum(self.booked_tor.tolist())
+            expect = left_sum(self.booked_tor.tolist())
             if self.booked_spine != expect:
                 raise SimulationError(
                     f"booked_spine {self.booked_spine!r} != {expect!r}"

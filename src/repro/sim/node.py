@@ -47,14 +47,13 @@ from repro.perfmodel.contention import Slice
 _SHORT = 32
 
 
-def distinct(values, bound: int = 0) -> tuple:
-    """``(distinct values, counts, inverse)`` of a non-empty 1-D int
-    array or list — ``np.unique``'s answer without its fixed cost on the
-    shapes hot paths see: short inputs (plain lists throughout, values
-    in first-occurrence order) and one repeated value (inverse
-    ``None``).  Long inputs must be arrays and come out sorted; with
-    ``bound`` (all values below it) they group by counting instead of
-    sorting."""
+def distinct(values, bound: int) -> tuple:
+    """``(distinct values, counts, inverse)`` of a non-empty 1-D array
+    or list of ints in ``[0, bound)``.  Short inputs stay plain lists
+    throughout, values in first-occurrence order; long inputs must be
+    arrays and come out as ``np.unique`` gives them, sorted, but grouped
+    by counting over ``bound`` in linear time.  One repeated value has
+    inverse ``None``."""
     n = len(values)
     if n <= _SHORT:
         lst = values if isinstance(values, list) else values.tolist()
@@ -66,12 +65,8 @@ def distinct(values, bound: int = 0) -> tuple:
     v0 = int(values[0])
     if bool((values == v0).all()):
         return [v0], [n], None
-    if not bound:
-        uniq, inv, cnt = np.unique(values, return_inverse=True,
-                                   return_counts=True)
-        return uniq.tolist(), cnt.tolist(), inv
     cnt = np.bincount(values, minlength=bound)
-    uniq = np.flatnonzero(cnt)
+    uniq = (cnt != 0).nonzero()[0]
     lut = np.empty(bound, dtype=np.int64)
     lut[uniq] = np.arange(uniq.size)
     return uniq.tolist(), cnt[uniq].tolist(), lut[values]
@@ -326,7 +321,7 @@ class MixTable:
                      zip(mids.tolist(), procs.tolist())]
         else:
             codes = mids.astype(np.int64) * stride + procs
-        codes, counts, inv = distinct(codes)
+        codes, counts, inv = distinct(codes, len(self.keys) * stride)
         olds, ps = [], []
         for c in codes:
             m, p = divmod(c, stride)
@@ -407,7 +402,8 @@ class MixTable:
             if len(shared) > 1 and not isinstance(inv, list):
                 # Long inputs list their mixes by id; visit the shared
                 # ones in node order instead (see below).
-                first = np.unique(inv, return_index=True)[1]
+                first = np.full(len(olds), len(inv))
+                np.minimum.at(first, inv, np.arange(len(inv)))
                 shared.sort(key=first.item)
             # The set is filled with the shared nodes' residents in node
             # order, the moving job included and then discarded: the

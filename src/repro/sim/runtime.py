@@ -29,6 +29,7 @@ from repro.config import RetryPolicy, SchedulerConfig, SimConfig
 from repro.errors import SimulationError
 from repro.faults.plan import FaultPlan
 from repro.hardware.topology import ClusterSpec
+from repro.perfmodel.contention import left_sum
 from repro.perfmodel.execution import check_span, reference_time, roofline_rate
 from repro.obs.trace import TraceLevel, Tracer
 from repro.sim.cluster import ClusterState
@@ -789,7 +790,7 @@ class SchedulerCore:
         free_cores = mixes.free_cores
         cores = self._spec.cores
         for nid, m in zip(nodes, mids):
-            self.telemetry.record(nid, now, sum(views[m][1]),
+            self.telemetry.record(nid, now, left_sum(views[m][1]),
                                   cores=cores - free_cores.item(m))
 
     def _rebuild_rows(self, stale: List[tuple]) -> None:

@@ -289,7 +289,11 @@ class Oracle:
         size = self.fabric.rack_size
         rack = nid // size
         members = range(rack * size, min(rack * size + size, self.n))
-        booked = sum([self._cross(m) for m in members])
+        # Left to right on every Python version (builtin sum() of
+        # floats is compensated from 3.12).
+        booked = 0.0
+        for m in members:
+            booked += self._cross(m)
         return booked + net <= len(members) / self.fabric.oversubscription \
             + 1e-9
 

@@ -60,14 +60,19 @@ class TestIndex:
         assert cluster.count_with_free_cores(1) == 3
         assert cluster.count_with_free_cores(0) == 4
 
-    @pytest.mark.parametrize("width", [2, 9])
+    @pytest.mark.parametrize("width", [2, 9, 33, 1000])
     def test_place_slices_rejects_malformed_batches(self, width):
-        # A narrow and a wide batch (the index takes different paths).
-        cluster = ClusterState(ClusterSpec(num_nodes=16), partitioned=True)
+        # Narrow and wide batches: the index splits at 8 nodes, the
+        # duplicate check and the group-by at 32.
+        size = max(16, width + 8)
+        cluster = ClusterState(ClusterSpec(num_nodes=size), partitioned=True)
+        cluster.place_slices([size - 1], 7, EP, [4], 2, 0.0, 1)
+        before = self._state(cluster), cluster.idle_nodes()
         nodes = list(range(width))
+        # The last node repeats one a third of the way in.
         with pytest.raises(AllocationError, match="names a node twice"):
-            cluster.place_slices(nodes[:-1] + [0], 1, EP, [1] * width, 2,
-                                 0.0, width)
+            cluster.place_slices(nodes[:-1] + [nodes[width // 3]], 1, EP,
+                                 [1] * width, 2, 0.0, width)
         with pytest.raises(AllocationError, match="nodes and procs"):
             cluster.place_slices(nodes, 1, EP, [1] * (width + 1), 2, 0.0,
                                  width)
@@ -75,7 +80,8 @@ class TestIndex:
             cluster.place_slices([], 1, EP, [], 2, 0.0, 0)
         cluster.verify_index()
         cluster.verify_columns()
-        assert cluster.idle_count() == 16
+        assert (self._state(cluster), cluster.idle_nodes()) == before
+        assert cluster.idle_count() == size - 1
 
     def test_place_slices_rejects_uneven_booking(self, cluster):
         # A job books the same ways and bandwidth on every node; a

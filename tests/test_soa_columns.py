@@ -24,7 +24,10 @@ node, and a removal may take a job off only some of its nodes.
 Every placement and removal also returns the moving job's co-runners,
 read from the resident-mix transitions; each set must equal a scan of
 the residents of the placement's shared nodes (the ones hosting more
-than one job) minus the moving job.
+than one job) minus the moving job, and iterate in the order its
+insertion sequence gives (the runtime's finish pushes follow it).  A
+wide variant runs the sequences on 48-80 nodes, so batches take the
+long-input array paths.
 
 The same sequences also check the rest of the mix table: the refcounts
 must equal node counts with no freed id reachable, each job's ``held``
@@ -41,6 +44,7 @@ initial capacity with ids freed and recycled.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -52,7 +56,7 @@ from repro.errors import SimulationError  # noqa: E402
 from repro.hardware.fabric import FabricSpec  # noqa: E402
 from repro.hardware.topology import ClusterSpec  # noqa: E402
 from repro.sim.cluster import ClusterState  # noqa: E402
-from repro.sim.node import _CAPACITY, recount  # noqa: E402
+from repro.sim.node import _CAPACITY, _SHORT, distinct, recount  # noqa: E402
 from repro.workloads.sequences import random_sequence  # noqa: E402
 from tests.against_oracle import compare, fast_core  # noqa: E402
 from tests.oracle import bookings_from_meta, node_view  # noqa: E402
@@ -69,12 +73,14 @@ class _Driver:
     tracking just enough model state to keep every operation legal."""
 
     def __init__(self, partitioned: bool, enforce_bw: bool,
-                 fabric: bool = False, programs: tuple = ()) -> None:
+                 fabric: bool = False, programs: tuple = (),
+                 nodes: int = NODES) -> None:
         # Racks of 4 at 4:1 make the fabric active on 10 nodes (three
         # racks, the last one short).
+        self.nodes = nodes
         self.cluster = ClusterState(
             ClusterSpec(
-                num_nodes=NODES,
+                num_nodes=nodes,
                 fabric=FabricSpec(rack_size=4, oversubscription=4.0)
                 if fabric else None,
             ),
@@ -99,7 +105,7 @@ class _Driver:
         cluster = self.cluster
         mixes = cluster.mixes
         hosts = []
-        for nid in range(NODES):
+        for nid in range(self.nodes):
             if cluster.is_down(nid):
                 continue
             node = recount(mixes.keys[mixes.mix[nid]], mixes.meta,
@@ -114,7 +120,7 @@ class _Driver:
     def idle_up_nodes(self) -> list:
         cluster = self.cluster
         return [
-            nid for nid in range(NODES)
+            nid for nid in range(self.nodes)
             if not cluster.is_down(nid)
             and not cluster.resident_jobs_on([nid])
         ]
@@ -130,6 +136,33 @@ class _Driver:
                 out.update(residents)
         out.discard(job_id)
         return out
+
+    @staticmethod
+    def filled(keys, job_id: int) -> list:
+        """The iteration order of a co-runner set filled with the jobs
+        of ``keys`` in order, then the moving job discarded: the order
+        the runtime's finish pushes follow (DESIGN.md §7)."""
+        out = set([j for key in keys for j, _ in key])
+        out.discard(job_id)
+        return list(out)
+
+    def placed_order(self, node_ids, per_node, job_id: int) -> list:
+        """A placement's co-runners fill by its distinct (prior mix,
+        procs) groups: first-seen for short batches, ascending for long
+        ones."""
+        mixes = self.cluster.mixes
+        pairs = [(int(mixes.mix[nid]), p)
+                 for nid, p in zip(node_ids, per_node)]
+        groups = (list(dict.fromkeys(pairs)) if len(pairs) <= _SHORT
+                  else sorted(set(pairs)))
+        return self.filled([mixes.keys[m] for m, _ in groups], job_id)
+
+    def removed_order(self, node_ids, job_id: int) -> list:
+        """A removal's co-runners fill by a row-by-row scan of the
+        shared nodes' residents in node order."""
+        mixes = self.cluster.mixes
+        keys = [mixes.keys[mixes.mix[nid]] for nid in node_ids]
+        return self.filled([k for k in keys if len(k) > 1], job_id)
 
     # -- operations ------------------------------------------------------
 
@@ -157,7 +190,10 @@ class _Driver:
                         label="net")
         program = data.draw(st.sampled_from(self.programs), label="program") \
             if self.programs else object()
-        job_id = self.next_job
+        # Ids 1024 apart share a hash slot in every set table of up to
+        # 1024 slots, so a co-runner set iterates in insertion order
+        # and the order checks below see any change to it.
+        job_id = self.next_job * 1024
         self.next_job += 1
         # Uneven splits make one job's nodes carry different mixes, so
         # a later removal can collapse two of them into one.
@@ -166,11 +202,13 @@ class _Driver:
             | st.lists(st.integers(1, procs), min_size=n, max_size=n),
             label="procs per node",
         )
+        order = self.placed_order(node_ids, per_node, job_id)
         corunners = self.cluster.place_slices(
             node_ids, job_id, program, per_node,
             ways, bw, len(node_ids), net=net,
         )
         assert corunners == self.shared_residents(node_ids, job_id)
+        assert list(corunners) == order
         self.placed_corunners.append((corunners, set(corunners)))
         self.placements[job_id] = tuple(node_ids)
 
@@ -182,7 +220,9 @@ class _Driver:
         )
         node_ids = self.placements.pop(job_id)
         expect = self.shared_residents(node_ids, job_id)
-        assert self.cluster.remove_slices(node_ids, job_id) == expect
+        order = self.removed_order(node_ids, job_id)
+        corunners = self.cluster.remove_slices(node_ids, job_id)
+        assert corunners == expect and list(corunners) == order
 
     def trim(self, data) -> None:
         """Remove a job from some, but not all, of its nodes."""
@@ -197,11 +237,14 @@ class _Driver:
                          label="trim nodes")
         self.placements[job_id] = tuple(n for n in nodes if n not in gone)
         expect = self.shared_residents(gone, job_id)
-        assert self.cluster.remove_slices(gone, job_id) == expect
+        order = self.removed_order(gone, job_id)
+        corunners = self.cluster.remove_slices(gone, job_id)
+        assert corunners == expect and list(corunners) == order
 
     def fail(self, data) -> None:
         idle = self.idle_up_nodes()
-        if not idle or len(idle) == NODES - len(self.cluster.down_nodes()):
+        if not idle or len(idle) == self.nodes - len(
+                self.cluster.down_nodes()):
             # Keep at least one node up so placement stays possible —
             # and never fail the last idle node of a full cluster.
             if len(idle) <= 1:
@@ -272,6 +315,67 @@ def test_columns_match_recomputed_state_on_fabric(partitioned, data):
         driver.cluster.remove_slices(node_ids, job_id)
     driver.cluster.verify_columns()
     assert not driver.cluster.booked_cross.any()
+
+
+@pytest.mark.parametrize("partitioned,fabric", [
+    (True, False), (False, False), (True, True), (False, True)])
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_wide_transitions_match_recomputed_state(partitioned, fabric, data):
+    """The same contract on 48-80 nodes, flat and leaf-spine, where
+    batches longer than the short-list cutoff take the array paths: the
+    scatter duplicate check, the counting group-by of
+    :meth:`MixTable.groups` and :func:`distinct`, ``drop``'s ordering of
+    several shared mixes, and the free-core index's split of one batch
+    over several buckets.  The co-runner sets must also iterate in the
+    reference order after every placement and removal."""
+    nodes = data.draw(st.integers(48, 80), label="nodes")
+    driver = _Driver(partitioned, False, fabric=fabric,
+                     programs=PROGRAMS[:1] if fabric else (), nodes=nodes)
+    ops = data.draw(
+        st.lists(st.sampled_from(["place", "place", "remove", "trim",
+                                  "fail", "recover"]),
+                 min_size=1, max_size=16),
+        label="ops",
+    )
+    for op in ops:
+        getattr(driver, op)(data)
+        driver.cluster.verify_columns()
+        driver.cluster.verify_index()
+    for job_id, node_ids in sorted(driver.placements.items()):
+        driver.cluster.remove_slices(node_ids, job_id)
+    driver.cluster.verify_columns()
+    driver.cluster.verify_index()
+    assert driver.cluster.mixes.held == {}
+
+
+@given(values=st.lists(st.integers(0, 9), min_size=_SHORT + 1,
+                       max_size=200),
+       slack=st.integers(0, 5))
+@settings(max_examples=60, deadline=None)
+def test_distinct_matches_unique_on_long_arrays(values, slack):
+    """Long arrays group by counting over the bound, yet answer exactly
+    what ``np.unique`` does: sorted values, their counts and the
+    inverse (``None`` when one value repeats)."""
+    arr = np.array(values, dtype=np.int64)
+    uniq, counts, inv = distinct(arr, 10 + slack)
+    ref, ref_inv, ref_counts = np.unique(arr, return_inverse=True,
+                                         return_counts=True)
+    assert uniq == ref.tolist() and counts == ref_counts.tolist()
+    if len(ref) == 1:
+        assert inv is None
+    else:
+        assert inv.tolist() == ref_inv.tolist()
+
+
+def test_distinct_short_lists_and_one_value():
+    """Short inputs stay lists in first-seen order; one repeated value
+    takes the shortcut at any length."""
+    assert distinct([5, 3, 5, 1], 8) == ([5, 3, 1], [2, 1, 1], [0, 1, 0, 2])
+    assert distinct(np.array([4, 2, 4]), 8) == ([4, 2], [2, 1], [0, 1, 0])
+    assert distinct([7, 7, 7], 8) == ([7], [3], None)
+    n = _SHORT + 1
+    assert distinct(np.full(n, 6, dtype=np.int64), 8) == ([6], [n], None)
 
 
 def test_cross_share_resum_after_partial_removal():
